@@ -1,21 +1,30 @@
 """Explicit-state model checking.
 
 Optimal reachability probabilities and expected costs via qualitative
-precomputation (graph fixpoints for the probability-0 and probability-1
-sets) followed by value iteration, cost-bounded reachability on the
-cost-unfolded product, specification checking, and extraction of
-deterministic memoryless optimal strategies.
+precomputation (the probability-0 and probability-1 sets) followed by value
+iteration, cost-bounded reachability on the cost-unfolded product,
+specification checking, and extraction of deterministic memoryless optimal
+strategies.
+
+The qualitative sets are the standard graph algorithms, linear in the model
+size per search: backward searches over one predecessor list per call, a
+per-state counter of choices not yet hitting the target set, and for the
+maximal probability-1 set the nested fixpoint whose rounds are each one
+backward search.  Zero-probability branches are not edges of the graph.
 
 Value iteration starts from zero (iterates are monotone from below) and runs
 to a relative residual of 1e-8; the extracted strategy is then evaluated
 exactly by solving its induced linear system, which is what the returned
-values report.  If that polish step fails its sanity checks (possible only
-for greedy ties in the max direction), the raw iteration values are kept.
+values report.  The system is dense up to 3000 states and sparse above, so
+memory stays linear in the model size.  If that polish step fails its sanity
+checks (possible only for greedy ties in the max direction), the raw
+iteration values are kept and ``ValueVector.polished`` is False.
 """
 
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -39,6 +48,7 @@ class ValueVector:
     values: np.ndarray
     iterations: int
     residual: float
+    polished: bool  # False: the polish step was rejected, raw VI values kept
 
     def at_initial(self, model: ExplicitModel) -> float:
         return float(self.values[model.initial])
@@ -48,7 +58,12 @@ class ValueVector:
 # flat arrays
 
 class _Arrays:
-    """Flattened transition structure for vectorized sweeps."""
+    """Flattened transition structure for vectorized sweeps.
+
+    Zero-probability branches are dropped: they are not edges of the graph,
+    so the qualitative sets ignore them, and value iteration never forms
+    ``0 * inf``.
+    """
 
     def __init__(self, model: ExplicitModel):
         if model.kind == "mimdp":
@@ -58,15 +73,28 @@ class _Arrays:
         choice_start = [0]
         targets: list = []
         probs: list = []
+        # per state, the choices with a branch into it (ascending; a choice
+        # appears once per such branch): the graph searches walk these
+        pred: list = [[] for _ in range(model.num_states)]
         for si, row in enumerate(model.choices):
             for ch in row:
+                c = len(choice_state)
                 choice_state.append(si)
                 for p, t in ch.branches:
+                    if not p:
+                        continue
                     targets.append(t)
                     probs.append(float(p))
+                    pred[t].append(c)
+                if len(targets) == branch_start[-1]:
+                    raise ModelError(
+                        f"choice with no positive branch at state {model.state_text(si)}"
+                    )
                 branch_start.append(len(targets))
             choice_start.append(len(choice_state))
         self.num_states = model.num_states
+        self.owner = choice_state  # the state of each choice, as a list
+        self.predecessors = pred
         self.choice_state = np.asarray(choice_state, dtype=np.int64)
         self.choice_start = np.asarray(choice_start, dtype=np.int64)
         self.branch_start = np.asarray(branch_start, dtype=np.int64)
@@ -82,114 +110,101 @@ class _Arrays:
         op = np.maximum if direction == "max" else np.minimum
         return op.reduceat(q, self.choice_start[:-1])
 
-    def choices_of(self, s: int) -> range:
-        return range(self.choice_start[s], self.choice_start[s + 1])
-
-    def branches_of(self, c: int):
-        lo, hi = self.branch_start[c], self.branch_start[c + 1]
-        return zip(self.targets[lo:hi], self.probs[lo:hi])
-
-
-def _predecessors(arr: _Arrays) -> list:
-    pred: list = [[] for _ in range(arr.num_states)]
-    for c in range(arr.num_choices):
-        s = int(arr.choice_state[c])
-        lo, hi = arr.branch_start[c], arr.branch_start[c + 1]
-        for t in arr.targets[lo:hi]:
-            pred[int(t)].append((s, c))
-    return pred
-
 
 def _reachable_from(arr: _Arrays, start: int) -> set:
+    # a state's choices, and so its branches, are contiguous
+    first_branch = arr.branch_start[arr.choice_start].tolist()
+    succ = arr.targets.tolist()
     seen = {start}
     stack = [start]
     while stack:
         s = stack.pop()
-        for c in arr.choices_of(s):
-            lo, hi = arr.branch_start[c], arr.branch_start[c + 1]
-            for t in arr.targets[lo:hi]:
-                t = int(t)
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
+        for t in succ[first_branch[s]:first_branch[s + 1]]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
     return seen
 
 
 # ---------------------------------------------------------------------------
-# qualitative precomputation
+# qualitative precomputation: linear-time graph searches over the
+# predecessor lists (Baier & Katoen, Principles of Model Checking, 10.6)
+
+def _backward(arr: _Arrays, seeds: set, stop=frozenset()) -> set:
+    """The seeds plus every state outside ``stop`` with a path into them."""
+    pred, owner = arr.predecessors, arr.owner
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for c in pred[stack.pop()]:
+            s = owner[c]
+            if s not in seen and s not in stop:
+                seen.add(s)
+                stack.append(s)
+    return seen
+
 
 def _prob0_max(arr: _Arrays, targets: set) -> set:
     """States whose maximal reachability probability is zero: the complement
     of backward graph reachability from the target set."""
-    pred = _predecessors(arr)
-    seen = set(targets)
-    stack = list(targets)
-    while stack:
-        t = stack.pop()
-        for s, _ in pred[t]:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return set(range(arr.num_states)) - seen
+    return set(range(arr.num_states)) - _backward(arr, targets)
 
 
 def _prob1_max(arr: _Arrays, targets: set) -> set:
     """States with a strategy reaching the targets almost surely
-    (greatest fixpoint over a least fixpoint)."""
+    (greatest fixpoint over a least fixpoint).
+
+    Each outer round is one backward search from the targets inside the
+    current set ``b``, over choices whose successors all lie in ``b``.  A
+    state that drops out of ``b`` switches off the choices leading into it.
+    """
+    pred, owner = arr.predecessors, arr.owner
+    inside = [True] * arr.num_choices  # every successor still in b
     b = set(range(arr.num_states))
     while True:
         r = set(targets)
-        changed = True
-        while changed:
-            changed = False
-            for s in b:
-                if s in r:
-                    continue
-                for c in arr.choices_of(s):
-                    lo, hi = arr.branch_start[c], arr.branch_start[c + 1]
-                    ts = [int(t) for t in arr.targets[lo:hi]]
-                    if all(t in b for t in ts) and any(t in r for t in ts):
-                        r.add(s)
-                        changed = True
-                        break
+        stack = list(targets)
+        while stack:
+            for c in pred[stack.pop()]:
+                s = owner[c]
+                if inside[c] and s not in r and s in b:
+                    r.add(s)
+                    stack.append(s)
         if r == b:
             return b
+        for dropped in b - r:
+            for c in pred[dropped]:
+                inside[c] = False
         b = r
 
 
 def _prob0_min(arr: _Arrays, targets: set) -> set:
-    """States with a strategy avoiding the targets with probability one."""
+    """States with a strategy avoiding the targets with probability one.
+
+    Least fixpoint of the states all of whose (at least one) choices hit
+    the set, counted down per state as choices start hitting it.
+    """
+    pred, owner = arr.predecessors, arr.owner
+    missing = np.diff(arr.choice_start).tolist()  # choices not yet hitting
+    hits = [False] * arr.num_choices
     hit = set(targets)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(arr.num_states):
-            if s in hit:
+    stack = list(targets)
+    while stack:
+        for c in pred[stack.pop()]:
+            if hits[c]:
                 continue
-            ok = True
-            for c in arr.choices_of(s):
-                lo, hi = arr.branch_start[c], arr.branch_start[c + 1]
-                if not any(int(t) in hit for t in arr.targets[lo:hi]):
-                    ok = False
-                    break
-            if ok and arr.choice_start[s] < arr.choice_start[s + 1]:
+            hits[c] = True
+            s = owner[c]
+            missing[s] -= 1
+            if missing[s] == 0 and s not in hit:
                 hit.add(s)
-                changed = True
+                stack.append(s)
     return set(range(arr.num_states)) - hit
 
 
 def _prob1_min(arr: _Arrays, targets: set) -> set:
     """States reaching the targets almost surely under every strategy."""
-    avoidable = _prob0_min(arr, targets)
-    pred = _predecessors(arr)
-    bad = set(avoidable)
-    stack = list(avoidable)
-    while stack:
-        t = stack.pop()
-        for s, _ in pred[t]:
-            if s not in bad and s not in targets:
-                bad.add(s)
-                stack.append(s)
+    bad = _backward(arr, _prob0_min(arr, targets), stop=targets)
     return set(range(arr.num_states)) - bad
 
 
@@ -236,63 +251,74 @@ def _iterate(
 
 
 def _greedy(arr: _Arrays, x: np.ndarray, direction: str,
-            state_cost: Optional[np.ndarray] = None) -> list:
-    """Optimal choice per state, lowest index on ties."""
+            state_cost: Optional[np.ndarray] = None) -> np.ndarray:
+    """Optimal choice per state, lowest index on ties (as np.argmax /
+    np.argmin per state would pick, a NaN counting as optimal)."""
     q = arr.choice_values(x)
     if state_cost is not None:
         q = q + state_cost[arr.choice_state]
-    picks = []
-    for s in range(arr.num_states):
-        lo, hi = int(arr.choice_start[s]), int(arr.choice_start[s + 1])
-        seg = q[lo:hi]
-        local = int(np.argmax(seg) if direction == "max" else np.argmin(seg))
-        picks.append(local)
-    return picks
+    best = arr.state_opt(q, direction)[arr.choice_state]
+    optimal = np.flatnonzero((q == best) | np.isnan(q))
+    first = arr.choice_start[:-1]
+    return optimal[np.searchsorted(optimal, first)] - first
 
 
-def _policy_matrix(arr: _Arrays, picks: list, rows: list, cols: list):
-    """Row-stochastic matrix of the chosen choices restricted to ``rows``
-    (columns ``cols``), plus the leak into a given set per row."""
-    idx = {s: i for i, s in enumerate(rows)}
-    cidx = {s: i for i, s in enumerate(cols)}
-    mat = np.zeros((len(rows), len(cols)))
-    for i, s in enumerate(rows):
-        c = int(arr.choice_start[s]) + picks[s]
-        for t, p in arr.branches_of(c):
-            j = cidx.get(int(t))
-            if j is not None:
-                mat[i, j] += p
-    return mat
+def _chosen_branches(arr: _Arrays, picks: np.ndarray, region: np.ndarray):
+    """The branches of each region state's picked choice, in order, as
+    (row in ``region``, target state, probability)."""
+    chosen = arr.choice_start[region] + picks[region]
+    lo = arr.branch_start[chosen]
+    counts = arr.branch_start[chosen + 1] - lo
+    rows = np.repeat(np.arange(len(region)), counts)
+    idx = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return rows, arr.targets[idx], arr.probs[idx]
 
 
 def _polish(
     arr: _Arrays,
-    picks: list,
+    picks: np.ndarray,
     vi_values: np.ndarray,
-    region: list,
+    region: np.ndarray,
     rhs: np.ndarray,
     clip: Optional[Tuple[float, float]],
 ) -> Optional[np.ndarray]:
     """Exact policy evaluation on ``region``: solve (I - P) x = rhs.
 
-    Returns the refined values for the region, or None when the chosen
-    strategy is not proper there (singular or badly deviating system).
+    Up to ``_POLISH_DENSE_LIMIT`` states the system is one dense array;
+    above it, a sparse matrix built from the transition arrays, so memory
+    stays linear in the region.  Returns the refined values for the region,
+    or None when the chosen strategy is not proper there (singular or badly
+    deviating system).
     """
-    if not region:
-        return np.zeros(0)
-    mat = _policy_matrix(arr, picks, region, region)
     n = len(region)
-    a = np.eye(n) - mat
-    try:
-        if n <= _POLISH_DENSE_LIMIT:
+    if not n:
+        return np.zeros(0)
+    rows, targets, probs = _chosen_branches(arr, picks, region)
+    col_of = np.full(arr.num_states, -1, dtype=np.int64)
+    col_of[region] = np.arange(n)
+    cols = col_of[targets]
+    kept = cols >= 0
+    rows, cols, probs = rows[kept], cols[kept], probs[kept]
+    if n <= _POLISH_DENSE_LIMIT:
+        a = np.zeros((n, n))
+        np.add.at(a, (rows, cols), probs)  # P, summed in branch order
+        diag = np.diag_indices(n)
+        ones_minus = 1.0 - a[diag]
+        np.subtract(0.0, a, out=a)
+        a[diag] = ones_minus  # I - P, entry for entry as np.eye(n) - P
+        try:
             sol = np.linalg.solve(a, rhs)
-        else:
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.linalg import spsolve
+        except np.linalg.LinAlgError:
+            return None
+    else:
+        from scipy.sparse import csr_matrix, identity
+        from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-            sol = spsolve(csr_matrix(a), rhs)
-    except Exception:
-        return None
+        a = identity(n, format="csr") - csr_matrix((probs, (rows, cols)), shape=(n, n))
+        with warnings.catch_warnings():
+            # a singular system comes back as NaNs, rejected below
+            warnings.simplefilter("ignore", MatrixRankWarning)
+            sol = spsolve(a, rhs)
     if not np.all(np.isfinite(sol)):
         return None
     if np.max(np.abs(a @ sol - rhs)) > 1e-7 * max(1.0, float(np.max(np.abs(rhs)))):
@@ -308,6 +334,12 @@ def _polish(
 
 # ---------------------------------------------------------------------------
 # public operations
+
+def _mask(n: int, states: set) -> np.ndarray:
+    out = np.zeros(n, dtype=bool)
+    out[list(states)] = True
+    return out
+
 
 def _target_set(model: ExplicitModel, targets) -> set:
     if isinstance(targets, str):
@@ -348,32 +380,27 @@ def reach_prob(
     # targets always have probability one
     z1 |= tset
     z0 -= tset
+    one = _mask(arr.num_states, z1)
+    free = ~(one | _mask(arr.num_states, z0))
 
-    x = np.zeros(arr.num_states)
-    if z1:
-        x[sorted(z1)] = 1.0
-    free = np.ones(arr.num_states, dtype=bool)
-    for s in z0 | z1:
-        free[s] = False
-
+    x = np.where(one, 1.0, 0.0)
     x, iters, residual = _iterate(arr, x, free, direction, tol, trace=trace)
     picks = _greedy(arr, x, direction)
 
-    maybe = sorted(set(range(arr.num_states)) - z0 - z1)
-    if maybe:
-        rhs = np.zeros(len(maybe))
-        for i, s in enumerate(maybe):
-            c = int(arr.choice_start[s]) + picks[s]
-            for t, p in arr.branches_of(c):
-                if int(t) in z1:
-                    rhs[i] += p
+    polished = True
+    maybe = np.flatnonzero(free)
+    if len(maybe):
+        rows, succ, probs = _chosen_branches(arr, picks, maybe)
+        into = one[succ]
+        rhs = np.bincount(rows[into], weights=probs[into], minlength=len(maybe))
         refined = _polish(arr, picks, x, maybe, rhs, clip=(0.0, 1.0))
-        if refined is not None:
+        polished = refined is not None
+        if polished:
             x = x.copy()
             x[maybe] = refined
 
-    strategy = Strategy.deterministic(picks)
-    return ValueVector(x, iters, residual), strategy
+    strategy = Strategy.deterministic(picks.tolist())
+    return ValueVector(x, iters, residual, polished), strategy
 
 
 def expected_cost(
@@ -411,33 +438,29 @@ def expected_cost(
         )
 
     cost = np.array([float(c) for c in model.costs])
-    cost_masked = cost.copy()
-    for g in gset:
-        cost_masked[g] = 0.0
+    goal = _mask(arr.num_states, gset)
+    cost_masked = np.where(goal, 0.0, cost)
 
-    x = np.zeros(arr.num_states)
-    outside = set(range(arr.num_states)) - sure
-    for s in outside:
-        x[s] = np.inf
-    free = np.ones(arr.num_states, dtype=bool)
-    for s in gset | outside:
-        free[s] = False
+    outside = ~_mask(arr.num_states, sure)
+    x = np.where(outside, np.inf, 0.0)
+    free = ~(goal | outside)
 
     x, iters, residual = _iterate(
         arr, x, free, direction, tol, state_cost=cost_masked, trace=trace
     )
     picks = _greedy(arr, x, direction, state_cost=cost_masked)
 
-    region = sorted(sure - gset)
-    if region:
-        rhs = cost[region]
-        refined = _polish(arr, picks, x, region, rhs, clip=(0.0, np.inf))
-        if refined is not None:
+    polished = True
+    region = np.flatnonzero(free)
+    if len(region):
+        refined = _polish(arr, picks, x, region, cost[region], clip=(0.0, np.inf))
+        polished = refined is not None
+        if polished:
             x = x.copy()
             x[region] = refined
 
-    strategy = Strategy.deterministic(picks)
-    return ValueVector(x, iters, residual), strategy
+    strategy = Strategy.deterministic(picks.tolist())
+    return ValueVector(x, iters, residual, polished), strategy
 
 
 def cost_bounded_reach(

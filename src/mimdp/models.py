@@ -116,7 +116,12 @@ class Strategy:
 
     @classmethod
     def deterministic(cls, picks: Sequence[int]) -> "Strategy":
-        return cls([{int(a): Fraction(1)} for a in picks])
+        # a single weight of exactly one is already normalized: skip the
+        # per-state rational arithmetic of __post_init__
+        one = Fraction(1)
+        strategy = cls.__new__(cls)
+        strategy.choice_probs = [{int(a): one} for a in picks]
+        return strategy
 
     def pick(self, state: int) -> int:
         """The single chosen index (deterministic strategies only)."""

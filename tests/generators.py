@@ -173,3 +173,54 @@ def random_mimdp_program(rng: random.Random, max_states: int = 14):
     lam = rng.choice([F(1), F(1), F(rng.randint(1, 20), 20), F(rng.randint(1, 20), 20)])
     query = SynthesisQuery("bad", lam, "goal", "both")
     return program, query
+
+
+def random_mdp(rng: random.Random, max_states: int = 30) -> ExplicitModel:
+    """A random MDP built directly as an explicit model, for graph corner
+    cases rather than absorption: states carry one to four choices, some
+    choices are exact duplicates (ties), branches may loop back to their
+    own state or repeat a target, some states are absorbing targets or
+    absorbing non-target sinks, and the last states may have no incoming
+    edge at all (unreachable unless initial).  In about half of the models
+    every choice also leaks into an absorbing state, so that absorption is
+    almost sure under every strategy and expected costs are defined.
+    Labels: ``target``, and ``stop`` for the absorbing states.
+    """
+    n = rng.randint(2, max_states)
+    orphans = rng.randint(0, min(3, n - 1))
+    reachable = n - orphans  # targets are drawn below this index
+    roles = [rng.choices(("move", "target", "sink"), (6, 1, 1))[0] for _ in range(n)]
+    roles[rng.randrange(reachable)] = rng.choice(("target", "sink"))
+    absorbing = [s for s in range(reachable) if roles[s] != "move"]
+    leaky = rng.random() < 0.5
+    weights_pool = (1, 1, 2, 3, 4)
+    rows = []
+    for s in range(n):
+        if roles[s] != "move":
+            rows.append([Choice(None, ((F(1), s),))])
+            continue
+        row = []
+        for _ in range(rng.randint(1, 4)):
+            if row and rng.random() < 0.15:
+                row.append(rng.choice(row))
+                continue
+            targets = [s if rng.random() < 0.2 else rng.randrange(reachable)
+                       for _ in range(rng.randint(1, 3))]
+            if leaky:
+                targets.append(rng.choice(absorbing))
+            weights = [F(rng.choice(weights_pool)) for _ in targets]
+            norm = sum(weights)
+            row.append(Choice(f"a{len(row)}", tuple((w / norm, t) for t, w in zip(targets, weights))))
+        rows.append(row)
+    target = frozenset(s for s in range(n) if roles[s] == "target" or rng.random() < 0.05)
+    return ExplicitModel(
+        kind="mdp",
+        var_names=("loc",),
+        states=[(i,) for i in range(n)],
+        initial=0,
+        choices=rows,
+        costs=[F(rng.randint(0, 5)) for _ in range(n)],
+        labels={"target": target,
+                "stop": frozenset(s for s in range(n) if roles[s] != "move")},
+        parameters={},
+    )

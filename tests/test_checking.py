@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,7 +17,7 @@ from mimdp.checking import (
     parse_property,
     reach_prob,
 )
-from mimdp.models import ModelError, build_model, instantiate
+from mimdp.models import Choice, ExplicitModel, ModelError, build_model, instantiate
 from mimdp.parser import parse_program
 
 from generators import random_mc
@@ -114,6 +115,40 @@ def test_expected_cost_undefined_when_goal_unreachable():
     model = build_model(parse_program(src))
     with pytest.raises(ExpectedCostUndefined):
         expected_cost(model, "never")
+
+
+def test_zero_probability_branch_is_not_an_edge():
+    src = """
+    module m
+      s : [0..2] init 0;
+      [] s=0 -> 1:(s'=1) + 0:(s'=2);
+      [] s>0 -> true;
+    endmodule
+    rewards
+      s=0 : 1;
+    endrewards
+    label "goal" = s=1;
+    label "stuck" = s=2;
+    """
+    model = build_model(parse_program(src))
+    assert check_spec(model, parse_property('ECmin=? [F "goal"]')) == (None, 1.0)
+    vec, _ = reach_prob(model, "stuck")
+    assert vec.at_initial(model) == 0.0
+
+
+def test_choice_of_only_zero_branches_is_rejected():
+    model = ExplicitModel(
+        kind="mc",
+        var_names=("x",),
+        states=[(0,), (1,)],
+        initial=0,
+        choices=[[Choice(None, ((F(0), 1),))], [Choice(None, ((F(1), 1),))]],
+        costs=[F(0), F(0)],
+        labels={"t": frozenset({1})},
+        parameters={},
+    )
+    with pytest.raises(ModelError, match="no positive branch"):
+        reach_prob(model, "t")
 
 
 def test_mc_agrees_with_exact_elimination_on_random_corpus():
@@ -305,3 +340,77 @@ def test_check_spec_rejects_parametric_models(two_stage):
     model = build_model(two_stage)
     with pytest.raises(ModelError):
         reach_prob(model, "s2")
+
+
+# --- policy polish ----------------------------------------------------------------
+
+def test_polish_records_a_rejected_polish():
+    # choice a loops on state 0, choice b reaches the target with 1/2: both
+    # are worth 1/2 under Pmax, the lowest-index pick (the loop) makes
+    # I - P singular, and the raw iteration values are kept
+    src = """
+    module m
+      x : [0..2] init 0;
+      [a] x=0 -> true;
+      [b] x=0 -> 0.5:(x'=1) + 0.5:(x'=2);
+      [] x>0 -> true;
+    endmodule
+    label "t" = x=1;
+    """
+    model = build_model(parse_program(src))
+    vec, _ = reach_prob(model, "t", "max")
+    assert not vec.polished
+    assert abs(vec.at_initial(model) - 0.5) < 1e-9
+    vec, _ = reach_prob(model, "t", "min")
+    assert vec.polished and vec.at_initial(model) == 0.0
+
+
+def test_polish_is_reported_when_accepted(two_stage):
+    model = instantiate(build_model(two_stage), U1)
+    assert reach_prob(model, "s2")[0].polished
+    assert expected_cost(model, "absorb")[0].polished
+
+
+def _birth_death(n, a=F(1, 4), b=F(3, 10), c=F(1, 5)):
+    """States 1..n step up with b, down with c, into the target ``n + 2``
+    with a and into the sink 0 with the rest; ``n + 1`` is a target too."""
+    fail, top, done = 0, n + 1, n + 2
+    rows = [[Choice(None, ((F(1), fail),))]]
+    for i in range(1, n + 1):
+        rows.append([Choice(None, ((a, done), (b, i + 1), (c, i - 1), (1 - a - b - c, fail)))])
+    rows += [[Choice(None, ((F(1), top),))], [Choice(None, ((F(1), done),))]]
+    return ExplicitModel(
+        kind="mc",
+        var_names=("i",),
+        states=[(i,) for i in range(n + 3)],
+        initial=1,
+        choices=rows,
+        costs=[F(0)] * (n + 3),
+        labels={"t": frozenset({top, done})},
+        parameters={},
+    )
+
+
+def test_large_polish_stays_sparse_and_exact():
+    n = 5000
+    a, b, c = 0.25, 0.3, 0.2
+    model = _birth_death(n)
+    tracemalloc.start()
+    try:
+        vec, _ = reach_prob(model, "t")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense n x n float matrix alone would be 200 MB
+    assert peak < 50e6
+    assert vec.polished
+    # x_i = a + b x_{i+1} + c x_{i-1}, x_0 = 0, x_{n+1} = 1: a constant plus
+    # the two geometric solutions, anchored at either end to stay finite
+    k = a / (1 - b - c)
+    disc = np.sqrt(1 - 4 * b * c)
+    r1, r2 = (1 - disc) / (2 * b), (1 + disc) / (2 * b)
+    m = np.array([[1.0, r2 ** -(n + 1)], [r1 ** (n + 1), 1.0]])
+    lo, hi = np.linalg.solve(m, [-k, 1 - k])
+    i = np.arange(1, n + 1)
+    want = k + lo * r1 ** i + hi * r2 ** (i - n - 1.0)
+    assert np.max(np.abs(vec.values[1:n + 1] - want)) < 1e-9

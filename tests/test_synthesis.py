@@ -202,6 +202,31 @@ def test_synthesize_both_raises_on_divergence_never_here(two_stage):
     assert len(results) == 2
 
 
+def test_both_routes_agree_on_a_zero_probability_configuration():
+    # at p=0 the branch into the absorbing non-goal state has probability
+    # zero: it is no edge, so the goal is reached almost surely and the
+    # expected cost is defined (enumeration used to reject p=0)
+    src = """
+    param p in {0, 0.5};
+    module m
+      s : [0..2] init 0;
+      [] s=0 -> p:(s'=1) + (1-p):(s'=2);
+      [] s>0 -> true;
+    endmodule
+    rewards
+      s=0 : p + 1;
+    endrewards
+    label "bad" = s=1;
+    label "goal" = s=2;
+    """
+    program = parse_program(src)
+    for lam in ("0", "0.25", "1"):
+        results = synthesize(program, SynthesisQuery("bad", F(lam), "goal", "both"))
+        for res in results:
+            assert res.feasible and res.valuation == {"p": F(0)}
+            assert res.expected_cost == 1.0 and res.reach_probability == 0.0
+
+
 # --- the differential property (mini version; the full 100 runs in acceptance)
 
 def test_differential_on_random_mimdps():
