@@ -371,12 +371,14 @@ def reach_prob(
     arr = _Arrays(model)
     tset = _target_set(model, targets)
 
-    if direction == "max" or model.kind == "mc":
-        z0 = _prob0_max(arr, tset)
-        z1 = _prob1_max(arr, tset)
-    else:
+    # on a chain each min set equals its max counterpart, and _prob1_min
+    # skips the nested fixpoint of _prob1_max
+    if direction == "min" or model.kind == "mc":
         z0 = _prob0_min(arr, tset)
         z1 = _prob1_min(arr, tset)
+    else:
+        z0 = _prob0_max(arr, tset)
+        z1 = _prob1_max(arr, tset)
     # targets always have probability one
     z1 |= tset
     z0 -= tset

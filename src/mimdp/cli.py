@@ -192,7 +192,7 @@ def _cmd_synthesize(args) -> int:
     method = {"enum": "enumerate", "transformed": "transformed", "both": "both"}[args.method]
     query = SynthesisQuery(spec.target, spec.bound, args.goal, method)
     try:
-        results = synthesize(program, query, jobs=args.jobs)
+        results = synthesize(program, query)
     except MethodDisagreement as e:
         print(f"method divergence: {e}", file=sys.stderr)
         return 1
@@ -349,7 +349,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True, help='bounded property, e.g. P<=0.2 [F "bad"]')
     p.add_argument("--goal", required=True, help="label of the cost goal set")
     p.add_argument("--method", choices=("enum", "transformed", "both"), default="both")
-    p.add_argument("--jobs", type=int, default=1, help="parallel valuation workers")
     _add_common(p)
     p.set_defaults(fn=_cmd_synthesize)
 

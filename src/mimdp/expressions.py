@@ -9,9 +9,10 @@ round-trip guarantee of the pretty printer relies on.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Rational = Fraction
 Value = Union[Fraction, bool]
@@ -104,59 +105,63 @@ def _as_bool(v: Value, ctx: Expr) -> bool:
     return v
 
 
+def _lookup(expr: Name, env: Mapping[str, Union[Fraction, int, bool]]) -> Value:
+    try:
+        v = env[expr.ident]
+    except KeyError:
+        raise UnboundName(expr.ident) from None
+    return v if isinstance(v, (Fraction, bool)) else Fraction(v)
+
+
+def _unary(expr: Unary, v: Value) -> Value:
+    return -_as_fraction(v, expr) if expr.op == "-" else not _as_bool(v, expr)
+
+
+_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _binary(expr: Binary, lv: Value, rv: Value) -> Value:
+    """An arithmetic or comparison operator applied to evaluated operands."""
+    a, b = _as_fraction(lv, expr), _as_fraction(rv, expr)
+    if expr.op == "/" and b == 0:
+        raise DivisionByZero(f"division by zero in {to_text(expr)}")
+    return _OPS[expr.op](a, b)
+
+
+def _extremum(expr: Extremum, values: Iterable[Value]) -> Fraction:
+    # ``values`` may be lazy: a sort error stops evaluation at its argument
+    vals = [_as_fraction(v, expr) for v in values]
+    return min(vals) if expr.op == "min" else max(vals)
+
+
 def eval_expr(expr: Expr, env: Mapping[str, Union[Fraction, int, bool]]) -> Value:
     """Exact evaluation of ``expr`` under ``env`` (name -> rational/int/bool)."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, BoolLit):
+    if isinstance(expr, (Num, BoolLit)):
         return expr.value
     if isinstance(expr, Name):
-        try:
-            v = env[expr.ident]
-        except KeyError:
-            raise UnboundName(expr.ident) from None
-        if isinstance(v, bool):
-            return v
-        return v if isinstance(v, Fraction) else Fraction(v)
+        return _lookup(expr, env)
     if isinstance(expr, Unary):
-        v = eval_expr(expr.operand, env)
-        if expr.op == "-":
-            return -_as_fraction(v, expr)
-        return not _as_bool(v, expr)
+        return _unary(expr, eval_expr(expr.operand, env))
     if isinstance(expr, Binary):
         op = expr.op
         if op == "&":
             return _as_bool(eval_expr(expr.left, env), expr) and _as_bool(eval_expr(expr.right, env), expr)
         if op == "|":
             return _as_bool(eval_expr(expr.left, env), expr) or _as_bool(eval_expr(expr.right, env), expr)
-        lv = eval_expr(expr.left, env)
-        rv = eval_expr(expr.right, env)
-        if op in _ARITH_BIN:
-            a, b = _as_fraction(lv, expr), _as_fraction(rv, expr)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if b == 0:
-                raise DivisionByZero(f"division by zero in {to_text(expr)}")
-            return a / b
-        a, b = _as_fraction(lv, expr), _as_fraction(rv, expr)
-        if op == "=":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        return a >= b
+        return _binary(expr, eval_expr(expr.left, env), eval_expr(expr.right, env))
     if isinstance(expr, Extremum):
-        vals = [_as_fraction(eval_expr(a, env), expr) for a in expr.args]
-        return min(vals) if expr.op == "min" else max(vals)
+        return _extremum(expr, (eval_expr(a, env) for a in expr.args))
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -260,16 +265,10 @@ class MemoEvaluator:
         return entry
 
     def eval(self, e: Expr, u: Mapping[str, Fraction]) -> Value:
-        if isinstance(e, Num):
-            return e.value
-        if isinstance(e, BoolLit):
+        if isinstance(e, (Num, BoolLit)):
             return e.value
         if isinstance(e, Name):
-            try:
-                v = u[e.ident]
-            except KeyError:
-                raise UnboundName(e.ident) from None
-            return v if isinstance(v, (Fraction, bool)) else Fraction(v)
+            return _lookup(e, u)
         names, table, _ = self._entry(e)
         key = tuple(u[p] for p in names)
         v = table.get(key)
@@ -280,39 +279,16 @@ class MemoEvaluator:
 
     def _apply(self, e: Expr, u) -> Value:
         if isinstance(e, Unary):
-            v = self.eval(e.operand, u)
-            return -_as_fraction(v, e) if e.op == "-" else (not _as_bool(v, e))
+            return _unary(e, self.eval(e.operand, u))
         if isinstance(e, Binary):
             op = e.op
             if op == "&":
                 return _as_bool(self.eval(e.left, u), e) and _as_bool(self.eval(e.right, u), e)
             if op == "|":
                 return _as_bool(self.eval(e.left, u), e) or _as_bool(self.eval(e.right, u), e)
-            a = self.eval(e.left, u)
-            b = self.eval(e.right, u)
-            if op in _ARITH_BIN:
-                a, b = _as_fraction(a, e), _as_fraction(b, e)
-                if op == "+":
-                    return a + b
-                if op == "-":
-                    return a - b
-                if op == "*":
-                    return a * b
-                if b == 0:
-                    raise DivisionByZero(f"division by zero in {to_text(e)}")
-                return a / b
-            a, b = _as_fraction(a, e), _as_fraction(b, e)
-            return {
-                "=": a == b,
-                "!=": a != b,
-                "<": a < b,
-                "<=": a <= b,
-                ">": a > b,
-                ">=": a >= b,
-            }[op]
+            return _binary(e, self.eval(e.left, u), self.eval(e.right, u))
         if isinstance(e, Extremum):
-            vals = [_as_fraction(self.eval(a, u), e) for a in e.args]
-            return min(vals) if e.op == "min" else max(vals)
+            return _extremum(e, (self.eval(a, u) for a in e.args))
         raise TypeError(f"not an expression: {e!r}")
 
 

@@ -4,18 +4,28 @@ Parallel composition of modules, breadth-first state exploration, parameter
 instantiation, the well-definedness filter over parameter valuations, and
 strategy-induced chains.  Probabilities are exact rationals or residual
 parameter expressions; a model is immutable once built.
+
+There is one path from a family to its configurations: ``instantiate``.
+A concrete build is the parametric build instantiated, and one pass of
+``well_defined_instances`` yields every well-defined valuation with its
+instance.  ``instantiate`` evaluates through a memo kept on the model, so
+consecutive valuations share every subexpression value that depends only
+on parameters they agree on.  Well-definedness is exact: probabilities are
+rationals, and a distribution has entries in [0,1] summing to exactly one
+(``distribution_fault``).
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .expressions import (
     Expr,
+    MemoEvaluator,
     Num,
     eval_expr,
     format_fraction,
@@ -28,7 +38,6 @@ from .program import CommandDecl, ModuleDecl, Program, check_program
 Valuation = dict  # parameter name -> Fraction, in declaration order
 Prob = Union[Fraction, Expr]
 
-SUM_TOL = Fraction(1, 10**9)
 DEFAULT_STATE_CAP = 10**7
 
 
@@ -74,6 +83,8 @@ class ExplicitModel:
     labels: dict  # label -> frozenset[int]
     parameters: dict  # residual parameter domains (mimdp only)
     deadlocks: frozenset = frozenset()
+    # instantiate's subexpression values, shared across valuations
+    _memo: Optional[MemoEvaluator] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def num_states(self) -> int:
@@ -237,13 +248,14 @@ def build_model(
 ) -> ExplicitModel:
     """Breadth-first exploration of the reachable variable valuations.
 
-    With a total ``valuation`` the result is a fully concrete MC/MDP and
-    every distribution is validated; without one the result is a
-    multi-instance MDP whose transition entries are residual parameter
-    expressions.  State indices follow BFS discovery order, so builds are
-    deterministic.  ``on_deadlock`` is 'error' or 'absorb' (add a marked
-    internal self-loop; used for transformed models whose dead ends encode
-    inconsistent parameter commitments).
+    Without a ``valuation`` the result is a multi-instance MDP whose
+    transition entries are residual parameter expressions; with a total one
+    it is that model passed through ``instantiate``, a fully concrete MC/MDP
+    whose every distribution is validated.  State indices follow BFS
+    discovery order, so builds are deterministic.  ``on_deadlock`` is
+    'error' or 'absorb' (add a marked internal self-loop; used for
+    transformed models whose dead ends encode inconsistent parameter
+    commitments).
     """
     diags = [d for d in check_program(program) if d.severity == "error"]
     if diags:
@@ -261,20 +273,14 @@ def build_model(
         missing = sorted(set(program.parameters) - set(valuation))
         if missing:
             raise ModelError(f"valuation missing parameter(s): {', '.join(missing)}")
-        params = {p: Fraction(valuation[p]) for p in program.parameters}
-        for p, v in params.items():
-            if v not in program.parameters[p]:
+        for p, values in program.parameters.items():
+            v = Fraction(valuation[p])
+            if v not in values:
                 raise ModelError(
                     f"value {format_fraction(v)} not in the declared set of '{p}'"
                 )
-    else:
-        params = None
 
-    consts = dict(program.constants)
-    base_env = dict(consts)
-    if params:
-        pass  # parameters enter probability/cost evaluation only
-
+    base_env = dict(program.constants)
     initial = tuple(v.init for v in var_decls)
     index = {initial: 0}
     states = [initial]
@@ -292,14 +298,7 @@ def build_model(
     def prob_value(expr: Expr, env_consts) -> Prob:
         # guards/updates are parameter-free; probabilities/costs may not be
         reduced = substitute(expr, env_consts)
-        if isinstance(reduced, Num):
-            return reduced.value
-        if params is not None:
-            v = eval_expr(reduced, params)
-            if isinstance(v, bool):
-                raise ModelError(f"boolean where a number was expected: {to_text(expr)}")
-            return v
-        return reduced
+        return reduced.value if isinstance(reduced, Num) else reduced
 
     while qhead < len(queue):
         si = queue[qhead]
@@ -313,8 +312,6 @@ def build_model(
                 continue
             merged: dict = {}
             order: list = []
-            concrete_sum = Fraction(0)
-            all_concrete = True
             for prob, update in cmd.branches:
                 p = prob_value(prob, env)
                 target = list(state)
@@ -338,12 +335,8 @@ def build_model(
                     order.append(tkey)
                 else:
                     merged[tkey] = _add_probs(merged[tkey], p)
-                if isinstance(p, Fraction):
-                    concrete_sum += p
-                else:
-                    all_concrete = False
-            if all_concrete:
-                _check_distribution(merged.values(), concrete_sum, si, cmd, var_names, state)
+            # an all-concrete row is a product of distributions that
+            # check_program validated exactly, so it needs no check here
             branches = []
             for tkey in order:
                 if tkey not in index:
@@ -381,12 +374,12 @@ def build_model(
         )
         labels[label] = members
 
-    parametric = params is None and len(program.parameters) > 0
+    parametric = len(program.parameters) > 0
     if parametric:
         kind = "mimdp"
     else:
         kind = "mc" if all(len(row) == 1 for row in rows) else "mdp"
-    return ExplicitModel(
+    model = ExplicitModel(
         kind=kind,
         var_names=var_names,
         states=states,
@@ -397,6 +390,7 @@ def build_model(
         parameters=dict(program.parameters) if parametric else {},
         deadlocks=frozenset(deadlocks),
     )
+    return model if valuation is None else instantiate(model, valuation)
 
 
 def _fmt(var_names, state) -> str:
@@ -417,22 +411,16 @@ def _add_probs(a: Prob, b: Prob) -> Prob:
     return fold(Binary("+", ea, eb))
 
 
-def _check_distribution(values, total, state_idx, cmd, var_names=None, state=None):
-    for p in values:
-        if isinstance(p, Fraction) and not (0 <= p <= 1):
-            raise WellDefinednessError(
-                f"probability {format_fraction(p)} outside [0,1] "
-                f"(state {state_idx}, action {cmd.action or 'tau'})",
-                state=state_idx,
-                action=cmd.action,
-            )
-    if total != 1 and abs(total - 1) > SUM_TOL:
-        raise WellDefinednessError(
-            f"branch probabilities sum to {format_fraction(total)}, not 1 "
-            f"(state {state_idx}, action {cmd.action or 'tau'})",
-            state=state_idx,
-            action=cmd.action,
-        )
+def distribution_fault(probs: Sequence[Fraction]) -> Optional[str]:
+    """Why the exact values ``probs`` are not a probability distribution, or
+    None when every entry lies in [0,1] and they sum to exactly one."""
+    for p in probs:
+        if not (0 <= p <= 1):
+            return f"probability {format_fraction(p)}"
+    total = sum(probs, Fraction(0))
+    if total != 1:
+        return f"probabilities sum to {format_fraction(total)}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +429,11 @@ def _check_distribution(values, total, state_idx, cmd, var_names=None, state=Non
 def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> ExplicitModel:
     """Replace every residual expression by its value under ``valuation``.
 
-    Every distribution is checked to sum to one with entries in [0,1];
-    a violation raises WellDefinednessError naming the state and action.
+    Every distribution is checked to have entries in [0,1] summing to
+    exactly one; a violation raises WellDefinednessError naming the state
+    and action.  Values come from the model's memo, so instantiating one
+    model under many valuations evaluates each subexpression once per
+    combination of the parameters it mentions.
     """
     if model.kind != "mimdp":
         return model
@@ -450,11 +441,14 @@ def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Expl
     if missing:
         raise ModelError(f"valuation missing parameter(s): {', '.join(missing)}")
     env = {p: Fraction(valuation[p]) for p in model.parameters}
+    memo = model._memo
+    if memo is None:
+        memo = model._memo = MemoEvaluator(list(model.parameters))
 
     def concrete(p: Prob) -> Fraction:
         if isinstance(p, Fraction):
             return p
-        v = eval_expr(p, env)
+        v = memo.eval(p, env)
         if isinstance(v, bool):
             raise ModelError(f"boolean where a number was expected: {to_text(p)}")
         return v
@@ -464,20 +458,11 @@ def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Expl
         new_row = []
         for ch in row:
             branches = tuple((concrete(p), t) for p, t in ch.branches)
-            total = Fraction(0)
-            for p, _ in branches:
-                if not (0 <= p <= 1):
-                    raise WellDefinednessError(
-                        f"well-definedness violation at state {model.state_text(si)}, "
-                        f"action {ch.action or 'tau'}: probability {format_fraction(p)}",
-                        state=si,
-                        action=ch.action,
-                    )
-                total += p
-            if total != 1 and abs(total - 1) > SUM_TOL:
+            fault = distribution_fault([p for p, _ in branches])
+            if fault is not None:
                 raise WellDefinednessError(
                     f"well-definedness violation at state {model.state_text(si)}, "
-                    f"action {ch.action or 'tau'}: probabilities sum to {format_fraction(total)}",
+                    f"action {ch.action or 'tau'}: {fault}",
                     state=si,
                     action=ch.action,
                 )
@@ -513,61 +498,25 @@ def all_valuations(model: ExplicitModel) -> Iterable[Valuation]:
     return joint_valuations(names, model.parameters)
 
 
-def well_defined_valuations(model: ExplicitModel) -> list:
-    """All valuations under which every induced distribution sums to one.
-
-    A parameter-free model has the single empty valuation (the empty
-    product).  Equivalent to filtering by ``instantiate`` but with
-    per-expression value tables (an expression only depends on its own
-    parameters, so its values repeat heavily across the product).
-    """
+def well_defined_instances(model: ExplicitModel) -> Iterator[Tuple[Valuation, ExplicitModel]]:
+    """Every well-defined valuation with its instance, in ``all_valuations``
+    order.  A parameter-free model yields itself under the empty valuation
+    (the empty product)."""
     if model.kind != "mimdp":
-        return [{}]
-
-    from .expressions import MemoEvaluator
-
-    rows = []
-    for row in model.choices:
-        for ch in row:
-            exprs = [p for p, _ in ch.branches if not isinstance(p, Fraction)]
-            if exprs:
-                concrete = sum(
-                    (p for p, _ in ch.branches if isinstance(p, Fraction)),
-                    Fraction(0),
-                )
-                rows.append((concrete, exprs))
-    cost_exprs = [c for c in model.costs if not isinstance(c, Fraction)]
-
-    memo = MemoEvaluator(list(model.parameters))
-
-    def value(e: Expr, u) -> Fraction:
-        v = memo.eval(e, u)
-        if isinstance(v, bool):
-            raise ModelError(f"boolean where a number was expected: {to_text(e)}")
-        return v
-
-    result = []
+        yield {}, model
+        return
     for u in all_valuations(model):
-        ok = True
-        for concrete, exprs in rows:
-            total = concrete
-            for e in exprs:
-                v = value(e, u)
-                if not (0 <= v <= 1):
-                    ok = False
-                    break
-                total += v
-            if not ok or (total != 1 and abs(total - 1) > SUM_TOL):
-                ok = False
-                break
-        if ok:
-            for c in cost_exprs:
-                if value(c, u) < 0:
-                    ok = False
-                    break
-        if ok:
-            result.append(u)
-    return result
+        try:
+            inst = instantiate(model, u)
+        except WellDefinednessError:
+            continue
+        yield u, inst
+
+
+def well_defined_valuations(model: ExplicitModel) -> list:
+    """All valuations under which ``instantiate`` succeeds: every induced
+    distribution sums to exactly one and no cost is negative."""
+    return [u for u, _ in well_defined_instances(model)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ is minimal.
 
 Two independent routes:
 
-* ``synthesize_enumerate`` instantiates every well-defined valuation and
-  evaluates it directly (chains) or through the constrained occupation-
-  measure LP (MDPs).  This is the oracle route.
+* ``synthesize_enumerate`` makes one pass over the well-defined
+  valuations and their instances (``well_defined_instances``, memoised
+  instantiation, single-threaded) and evaluates each instance directly
+  (chains) or through the constrained occupation-measure LP (MDPs).  This
+  is the oracle route.
 
 * ``synthesize_transformed`` rewrites the program into the controlled MDP
   and solves the constrained LP there.  A randomized LP optimum may split
@@ -25,7 +27,6 @@ against every emitted constraint.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
@@ -46,6 +47,7 @@ from .models import (
     Strategy,
     build_model,
     instantiate,
+    well_defined_instances,
     well_defined_valuations,
 )
 from .program import Program
@@ -333,8 +335,7 @@ def constrained_mdp_lp(
 # ---------------------------------------------------------------------------
 # route 1: exhaustive enumeration
 
-def _evaluate_valuation(model: ExplicitModel, u: dict, tset, gset, lam: float):
-    inst = instantiate(model, u) if model.kind == "mimdp" else model
+def _evaluate_valuation(inst: ExplicitModel, u: dict, tset, gset, lam: float):
     if inst.kind == "mc":
         vec, strat = reach_prob(inst, tset, "max")
         pr = vec.at_initial(inst)
@@ -356,9 +357,7 @@ def _evaluate_valuation(model: ExplicitModel, u: dict, tset, gset, lam: float):
     )
 
 
-def synthesize_enumerate(
-    program: Program, query: SynthesisQuery, *, jobs: int = 1
-) -> SynthesisResult:
+def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisResult:
     """The oracle route: instantiate every well-defined valuation, evaluate,
     and return the feasible valuation of minimal expected cost
     (lexicographically smallest on ties)."""
@@ -367,20 +366,12 @@ def synthesize_enumerate(
     gset = model.label_states(query.goal)
     lam = float(query.bound)
 
-    if model.kind == "mimdp":
-        valuations = well_defined_valuations(model)
-        if not valuations:
-            raise SynthesisError("no well-defined valuation exists")
-    else:
-        valuations = [{}]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(lambda u: _evaluate_valuation(model, u, tset, gset, lam), valuations)
-            )
-    else:
-        outcomes = [_evaluate_valuation(model, u, tset, gset, lam) for u in valuations]
+    outcomes = [
+        _evaluate_valuation(inst, u, tset, gset, lam)
+        for u, inst in well_defined_instances(model)
+    ]
+    if not outcomes:
+        raise SynthesisError("no well-defined valuation exists")
 
     table = [entry for entry, _ in outcomes]
     best = None
@@ -628,12 +619,12 @@ def _param_occurs(report: TransformReport, p: str) -> bool:
     return any(cp == p for commits in report.fresh_actions.values() for cp, _ in commits)
 
 
-def synthesize(program: Program, query: SynthesisQuery, *, jobs: int = 1) -> List[SynthesisResult]:
+def synthesize(program: Program, query: SynthesisQuery) -> List[SynthesisResult]:
     """Dispatch on the query's method; 'both' runs the two routes and raises
     MethodDisagreement if they differ beyond tolerance."""
     results = []
     if query.method in ("enumerate", "both"):
-        results.append(synthesize_enumerate(program, query, jobs=jobs))
+        results.append(synthesize_enumerate(program, query))
     if query.method in ("transformed", "both"):
         results.append(synthesize_transformed(program, query))
     if query.method == "both":

@@ -43,7 +43,7 @@ from .expressions import (
     joint_valuations,
     names_in,
 )
-from .models import compose
+from .models import compose, distribution_fault
 from .program import CommandDecl, ModuleDecl, Program, RewardDecl, VarDecl
 
 IMPLICATION_CAP = 1_000_000
@@ -338,15 +338,8 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
         for i, row in enumerate(joint_valuations(occurring, params), start=1):
             env = dict(consts)
             env.update(row)
-            probs = []
-            ok = True
-            for prob, _ in cmd.branches:
-                v = eval_expr(prob, env)
-                if isinstance(v, bool) or not (0 <= v <= 1):
-                    ok = False
-                    break
-                probs.append(v)
-            if not ok or sum(probs) != 1:
+            probs = [eval_expr(prob, env) for prob, _ in cmd.branches]
+            if any(isinstance(v, bool) for v in probs) or distribution_fault(probs) is not None:
                 continue
             action = _fresh(f"_row{ci}_{i}", taken_actions)
             report.fresh_actions[action] = tuple((p, row[p]) for p in row)

@@ -3,7 +3,9 @@
 Exact-rational Gaussian elimination for reachability probabilities and
 expected costs on Markov chains.  Deliberately naive and fully exact
 (fractions end to end): the engine under test uses precomputation plus
-value iteration, this does not.
+value iteration, this does not.  Below it, the former checker and the
+former instantiation and well-definedness filter, kept as references for
+the differential tests of the code that replaced them.
 """
 
 from __future__ import annotations
@@ -21,8 +23,15 @@ from mimdp.checking import (
     _POLISH_DENSE_LIMIT,
     _target_set,
 )
-from mimdp.expressions import Expr
-from mimdp.models import ExplicitModel, ModelError, Strategy
+from mimdp.expressions import Expr, eval_expr, format_fraction, to_text
+from mimdp.models import (
+    Choice,
+    ExplicitModel,
+    ModelError,
+    Strategy,
+    WellDefinednessError,
+    all_valuations,
+)
 
 
 def _single_row(model: ExplicitModel, s: int):
@@ -428,3 +437,125 @@ def seed_expected_cost(
 
     strategy = Strategy.deterministic(picks)
     return (x, iters, residual), strategy
+
+
+# ---------------------------------------------------------------------------
+# the former instantiation and well-definedness filter
+#
+# Reference implementations for the differential tests of the memoised
+# single instantiation path.  They are kept as they were, with a 1e-9
+# tolerance on the sum, apart from the names (``seed_instantiate``,
+# ``seed_well_defined_valuations``) and one change: the filter evaluates
+# with plain ``eval_expr`` instead of a ``MemoEvaluator``, so neither
+# reference shares the memo under test.
+
+SUM_TOL = Fraction(1, 10**9)
+
+
+def seed_instantiate(model: ExplicitModel, valuation) -> ExplicitModel:
+    if model.kind != "mimdp":
+        return model
+    missing = sorted(set(model.parameters) - set(valuation))
+    if missing:
+        raise ModelError(f"valuation missing parameter(s): {', '.join(missing)}")
+    env = {p: Fraction(valuation[p]) for p in model.parameters}
+
+    def concrete(p) -> Fraction:
+        if isinstance(p, Fraction):
+            return p
+        v = eval_expr(p, env)
+        if isinstance(v, bool):
+            raise ModelError(f"boolean where a number was expected: {to_text(p)}")
+        return v
+
+    new_rows = []
+    for si, row in enumerate(model.choices):
+        new_row = []
+        for ch in row:
+            branches = tuple((concrete(p), t) for p, t in ch.branches)
+            total = Fraction(0)
+            for p, _ in branches:
+                if not (0 <= p <= 1):
+                    raise WellDefinednessError(
+                        f"well-definedness violation at state {model.state_text(si)}, "
+                        f"action {ch.action or 'tau'}: probability {format_fraction(p)}",
+                        state=si,
+                        action=ch.action,
+                    )
+                total += p
+            if total != 1 and abs(total - 1) > SUM_TOL:
+                raise WellDefinednessError(
+                    f"well-definedness violation at state {model.state_text(si)}, "
+                    f"action {ch.action or 'tau'}: probabilities sum to {format_fraction(total)}",
+                    state=si,
+                    action=ch.action,
+                )
+            new_row.append(Choice(ch.action, branches))
+        new_rows.append(new_row)
+    new_costs = []
+    for si, c in enumerate(model.costs):
+        v = concrete(c)
+        if v < 0:
+            raise WellDefinednessError(
+                f"negative cost {format_fraction(v)} at state {model.state_text(si)}",
+                state=si,
+            )
+        new_costs.append(v)
+    kind = "mc" if all(len(row) == 1 for row in new_rows) else "mdp"
+    return ExplicitModel(
+        kind=kind,
+        var_names=model.var_names,
+        states=list(model.states),
+        initial=model.initial,
+        choices=new_rows,
+        costs=new_costs,
+        labels=dict(model.labels),
+        parameters={},
+        deadlocks=model.deadlocks,
+    )
+
+
+def seed_well_defined_valuations(model: ExplicitModel) -> list:
+    if model.kind != "mimdp":
+        return [{}]
+
+    rows = []
+    for row in model.choices:
+        for ch in row:
+            exprs = [p for p, _ in ch.branches if not isinstance(p, Fraction)]
+            if exprs:
+                concrete = sum(
+                    (p for p, _ in ch.branches if isinstance(p, Fraction)),
+                    Fraction(0),
+                )
+                rows.append((concrete, exprs))
+    cost_exprs = [c for c in model.costs if not isinstance(c, Fraction)]
+
+    def value(e: Expr, u) -> Fraction:
+        v = eval_expr(e, u)
+        if isinstance(v, bool):
+            raise ModelError(f"boolean where a number was expected: {to_text(e)}")
+        return v
+
+    result = []
+    for u in all_valuations(model):
+        ok = True
+        for concrete, exprs in rows:
+            total = concrete
+            for e in exprs:
+                v = value(e, u)
+                if not (0 <= v <= 1):
+                    ok = False
+                    break
+                total += v
+            if not ok or (total != 1 and abs(total - 1) > SUM_TOL):
+                ok = False
+                break
+        if ok:
+            for c in cost_exprs:
+                if value(c, u) < 0:
+                    ok = False
+                    break
+        if ok:
+            result.append(u)
+    return result

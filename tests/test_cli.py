@@ -53,6 +53,36 @@ def test_check_value(capsys, models_dir):
     assert json.loads(out)["value"] == 0.42
 
 
+def test_check_ill_defined_valuation_names_the_state(capsys, models_dir):
+    code, out, err = run(
+        capsys,
+        "check",
+        str(models_dir / "two_stage.mgcl"),
+        "--valuation",
+        "p=0.4,q=0.3,r=0.4,s=0.7",
+        "--prop",
+        'P=? [F "s2"]',
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: well-definedness violation at state (loc=0), action tau: "
+        "probabilities sum to 0.8\n"
+    )
+
+
+def test_check_negative_cost_valuation_gives_the_cost(capsys, tmp_path):
+    model = tmp_path / "negative.mgcl"
+    model.write_text(
+        "param p in {0.5, 2};\n"
+        "module m\n  s : [0..1] init 0;\n  [] s=0 -> (s'=1);\n  [] s=1 -> true;\nendmodule\n"
+        "rewards\n  s=0 : 1 - p;\nendrewards\n"
+        'label "done" = s=1;\n'
+    )
+    code, out, err = run(capsys, "check", str(model), "--valuation", "p=2", "--prop", 'P=? [F "done"]')
+    assert code == 2 and out == ""
+    assert err == "error: negative cost -1 at state (s=0)\n"
+
+
 def test_check_violated_property_exits_one(capsys, models_dir):
     code, out, _ = run(
         capsys,

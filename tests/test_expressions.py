@@ -3,13 +3,18 @@ from fractions import Fraction as F
 import pytest
 
 from mimdp.expressions import (
+    FALSE,
+    TRUE,
     Binary,
     DivisionByZero,
+    ExprError,
     Extremum,
+    MemoEvaluator,
     Name,
     Num,
     SortError,
     UnboundName,
+    Unary,
     eval_expr,
     expr_value_set,
     fold,
@@ -130,3 +135,46 @@ def test_to_text_precedence():
 
 def Name_eq(n, v):
     return Binary("=", Name(n), Num(F(v)))
+
+
+# --- the memoised evaluator against eval_expr ---------------------------------
+
+X, Y, B = Name("x"), Name("y"), Name("b")
+ONE = Num(F(1))
+
+EVALUATOR_CASES = [
+    Binary("+", TRUE, ONE),
+    Binary("/", X, Num(F(0))),
+    Binary("/", X, Y),
+    Extremum("min", (TRUE, ONE)),
+    Extremum("min", (ONE, TRUE, Binary("/", X, Y))),
+    Extremum("max", (X, Binary("*", X, X), Num(F(-1)))),
+    Binary("-", Binary("/", X, Num(F(3))), Binary("*", X, X)),
+    Binary("&", FALSE, Binary("+", TRUE, ONE)),
+    Binary("|", B, Name("nope")),
+    Binary("&", B, Binary("<", X, Y)),
+    Binary("&", X, TRUE),
+    Binary("=", TRUE, TRUE),
+    Unary("-", TRUE),
+    Unary("!", ONE),
+    Unary("!", B),
+    Unary("-", Binary("+", X, Num(F(1, 3)))),
+    Name("nope"),
+] + [Binary(op, X, Num(F(2))) for op in ("=", "!=", "<", "<=", ">", ">=")]
+
+
+def _outcome(evaluate, e, env):
+    try:
+        v = evaluate(e, env)
+    except ExprError as ex:
+        return type(ex), str(ex)
+    return type(v), v
+
+
+@pytest.mark.parametrize("e", EVALUATOR_CASES, ids=to_text)
+def test_memo_evaluator_returns_or_raises_what_eval_expr_does(e):
+    env = {"x": F(2), "y": F(0), "b": True}
+    want = _outcome(eval_expr, e, env)
+    memo = MemoEvaluator(["x", "y", "b"])
+    assert _outcome(memo.eval, e, env) == want
+    assert _outcome(memo.eval, e, env) == want  # answered from the tables

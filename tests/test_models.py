@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
+from mimdp import shipyard
 from mimdp.models import (
     BlockedActionWarning,
     DeadlockError,
@@ -10,11 +12,13 @@ from mimdp.models import (
     StateCapExceeded,
     Strategy,
     WellDefinednessError,
+    all_valuations,
     build_model,
     compose,
     induced_mc,
     instantiate,
     to_dot,
+    well_defined_instances,
     well_defined_valuations,
 )
 from mimdp.parser import parse_program
@@ -288,6 +292,49 @@ def test_instantiation_rejects_partial_valuations(two_stage):
     model = build_model(two_stage)
     with pytest.raises(ModelError, match="missing parameter"):
         instantiate(model, {"p": F("0.4")})
+
+
+# --- differential: the memoised instantiation path against the former code ---
+
+def _families(two_stage, die):
+    rng = random.Random(11)
+    programs = [random_mimdp_program(rng)[0] for _ in range(40)]
+    programs += [two_stage, die]
+    cfg = shipyard.ShipyardConfig(missions=1)
+    programs.append(parse_program(shipyard.generate_program(cfg, True)))
+    return programs
+
+
+def _same_outcome(model, u):
+    """``instantiate`` on ``model`` (its memo warm from earlier valuations)
+    returns what the former code returns, or raises the same error."""
+    try:
+        want = oracles.seed_instantiate(model, u)
+    except WellDefinednessError as e:
+        with pytest.raises(WellDefinednessError) as got:
+            instantiate(model, u)
+        assert (str(got.value), got.value.state, got.value.action) == (str(e), e.state, e.action)
+        return None
+    inst = instantiate(model, u)
+    assert (inst.choices, inst.costs, inst.kind) == (want.choices, want.costs, want.kind)
+    assert inst == want
+    return inst
+
+
+def test_instantiation_equals_the_former_code(two_stage, die):
+    ill_defined = 0
+    for program in _families(two_stage, die):
+        model = build_model(program)
+        kept = []
+        for u in all_valuations(model):
+            inst = _same_outcome(model, u)
+            if inst is None:
+                ill_defined += 1
+            else:
+                kept.append((u, inst))
+        assert kept == list(well_defined_instances(model))
+        assert well_defined_valuations(model) == oracles.seed_well_defined_valuations(model)
+    assert ill_defined > 50
 
 
 # --- induced chains ----------------------------------------------------------

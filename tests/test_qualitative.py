@@ -131,3 +131,14 @@ def test_sparse_polish_agrees_with_the_dense_solve(monkeypatch):
         got = reach_prob(model, "target", "max")[0]
         assert got.polished == want.polished
         assert np.max(np.abs(got.values - want.values)) < 1e-12
+
+
+def test_chains_skip_the_nested_fixpoint(monkeypatch):
+    def nested(*_):
+        raise AssertionError("a chain needs no nested fixpoint")
+
+    monkeypatch.setattr(checking, "_prob1_max", nested)
+    for model in CORPUS[240:250]:
+        for direction in ("min", "max"):
+            _same_result(reach_prob(model, "bad", direction),
+                         oracles.seed_reach_prob(model, "bad", "max"))
