@@ -202,9 +202,12 @@ def _prob0_min(arr: _Arrays, targets: set) -> set:
     return set(range(arr.num_states)) - hit
 
 
-def _prob1_min(arr: _Arrays, targets: set) -> set:
-    """States reaching the targets almost surely under every strategy."""
-    bad = _backward(arr, _prob0_min(arr, targets), stop=targets)
+def _prob1_min(arr: _Arrays, targets: set, zero: Optional[set] = None) -> set:
+    """States reaching the targets almost surely under every strategy;
+    ``zero`` is ``_prob0_min(arr, targets)`` when the caller has it."""
+    if zero is None:
+        zero = _prob0_min(arr, targets)
+    bad = _backward(arr, zero, stop=targets)
     return set(range(arr.num_states)) - bad
 
 
@@ -375,7 +378,7 @@ def reach_prob(
     # skips the nested fixpoint of _prob1_max
     if direction == "min" or model.kind == "mc":
         z0 = _prob0_min(arr, tset)
-        z1 = _prob1_min(arr, tset)
+        z1 = _prob1_min(arr, tset, z0)
     else:
         z0 = _prob0_max(arr, tset)
         z1 = _prob1_max(arr, tset)

@@ -183,6 +183,65 @@ def names_in(expr: Expr) -> frozenset:
     return frozenset(out)
 
 
+def equality_conjuncts(
+    guard: Expr, variables: Iterable[str], constants: Iterable[str]
+) -> Optional[dict]:
+    """The state variables ``guard`` fixes to literals, as ``{v: c}`` for
+    every ``v = c`` or ``c = v`` conjunct of its top-level ``&`` chain, or
+    None when two conjuncts fix one variable to different values.
+
+    Only the prefix of the chain that cannot raise is read: conjuncts free
+    of division that sort-check as booleans over ``variables`` and
+    ``constants`` (all numeric).  So wherever some ``v`` differs from its
+    ``c``, the guard evaluates to False without raising, and a caller may
+    skip it there; under None it is False everywhere.
+    """
+    variables = set(variables)
+    sorts = {n: SORT_NUM for n in itertools.chain(variables, constants)}
+    fixed: dict = {}
+    for c in _conjuncts(guard):
+        if any(isinstance(e, Binary) and e.op == "/" for e in _nodes(c)):
+            break
+        try:
+            if infer_sort(c, sorts) != SORT_BOOL:
+                break
+        except ExprError:
+            break
+        if not (isinstance(c, Binary) and c.op == "="):
+            continue
+        if isinstance(c.right, Name) and isinstance(c.left, Num):
+            var, value = c.right.ident, c.left.value
+        elif isinstance(c.left, Name) and isinstance(c.right, Num):
+            var, value = c.left.ident, c.right.value
+        else:
+            continue
+        if var not in variables:
+            continue
+        if fixed.setdefault(var, value) != value:
+            return None
+    return fixed
+
+
+def _conjuncts(expr: Expr) -> list:
+    """The operands of a top-level ``&`` chain, in evaluation order."""
+    if isinstance(expr, Binary) and expr.op == "&":
+        return _conjuncts(expr.left) + _conjuncts(expr.right)
+    return [expr]
+
+
+def _nodes(expr: Expr) -> Iterator[Expr]:
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, Unary):
+            stack.append(e.operand)
+        elif isinstance(e, Binary):
+            stack.extend((e.left, e.right))
+        elif isinstance(e, Extremum):
+            stack.extend(e.args)
+
+
 def fold(expr: Expr) -> Expr:
     """Fold literal-only subtrees into literals (bottom-up, exact).
 

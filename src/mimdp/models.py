@@ -25,8 +25,10 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .expressions import (
     Expr,
+    ExprError,
     MemoEvaluator,
     Num,
+    equality_conjuncts,
     eval_expr,
     format_fraction,
     joint_valuations,
@@ -256,6 +258,16 @@ def build_model(
     'error' or 'absorb' (add a marked internal self-loop; used for
     transformed models whose dead ends encode inconsistent parameter
     commitments).
+
+    Guards are indexed on their equality conjuncts (``v = c`` with ``v`` a
+    state variable and ``c`` a literal, see ``equality_conjuncts``): before
+    the exploration, each command and reward declaration is entered, per
+    variable it fixes, under the value it fixes.  At a state only the
+    commands whose fixed values all match are candidates, and only their
+    guards are evaluated, in ascending command order.  Every skipped guard
+    would be False there without raising, so the model, and any error, is
+    the one a full scan of the guards gives.  Labels are evaluated once per
+    state on that state's environment.
     """
     diags = [d for d in check_program(program) if d.severity == "error"]
     if diags:
@@ -300,15 +312,22 @@ def build_model(
         reduced = substitute(expr, env_consts)
         return reduced.value if isinstance(reduced, Num) else reduced
 
+    commands, rewards = module.commands, program.rewards
+    command_index = _guard_index([c.guard for c in commands], var_names, program.constants)
+    reward_index = _guard_index([r.guard for r in rewards], var_names, program.constants)
+    label_exprs = list(program.labels.values())
+    members: list = [[] for _ in label_exprs]
+    label_errors: dict = {}  # label position -> error at its first failing state
+
     while qhead < len(queue):
         si = queue[qhead]
         qhead += 1
         state = states[si]
         env = var_env(state)
         out: list = []
-        for ci, cmd in enumerate(module.commands):
-            g = eval_expr(cmd.guard, env)
-            if not g:
+        for ci in _candidates(command_index, state):
+            cmd = commands[ci]
+            if not eval_expr(cmd.guard, env):
                 continue
             merged: dict = {}
             order: list = []
@@ -359,20 +378,29 @@ def build_model(
         rows.append(out)
         # state cost: sum of reward declarations whose guard holds
         cost: Prob = Fraction(0)
-        for r in program.rewards:
+        for ri in _candidates(reward_index, state):
+            r = rewards[ri]
             if eval_expr(r.guard, env):
                 c = prob_value(r.cost, env)
                 cost = _add_probs(cost, c)
         if isinstance(cost, Fraction) and cost < 0:
             raise ModelError(f"negative cost at state {_fmt(var_names, state)}")
         costs.append(cost)
+        # labels share the state's environment; a failing label is raised
+        # after the exploration, the first in declaration order, as if the
+        # labels were evaluated one after another over all states
+        for k, lexpr in enumerate(label_exprs):
+            if k in label_errors:
+                continue
+            try:
+                if eval_expr(lexpr, env):
+                    members[k].append(si)
+            except ExprError as e:
+                label_errors[k] = e
 
-    labels = {}
-    for label, lexpr in program.labels.items():
-        members = frozenset(
-            i for i, st in enumerate(states) if eval_expr(lexpr, var_env(st))
-        )
-        labels[label] = members
+    if label_errors:
+        raise label_errors[min(label_errors)]
+    labels = {label: frozenset(m) for label, m in zip(program.labels, members)}
 
     parametric = len(program.parameters) > 0
     if parametric:
@@ -391,6 +419,45 @@ def build_model(
         deadlocks=frozenset(deadlocks),
     )
     return model if valuation is None else instantiate(model, valuation)
+
+
+def _guard_index(guards: Sequence[Expr], var_names: tuple, constants) -> tuple:
+    """Bit sets over guard indices for ``_candidates``: the guards that can
+    hold at all, and per state position that some guard's equality
+    conjuncts fix, a table from each fixed value to the guards that admit
+    it, with the guards fixing nothing there as the default.  A guard whose
+    conjuncts contradict each other never holds and is in no set."""
+    every = 0
+    fixing: dict = {}  # position -> {value: guards fixing that value}
+    for i, guard in enumerate(guards):
+        fixed = equality_conjuncts(guard, var_names, constants)
+        if fixed is None:
+            continue
+        every |= 1 << i
+        for var, value in fixed.items():
+            table = fixing.setdefault(var_names.index(var), {})
+            table[value] = table.get(value, 0) | 1 << i
+    columns = []
+    for position, table in sorted(fixing.items()):
+        free = every
+        for bits in table.values():
+            free &= ~bits
+        columns.append((position, {v: bits | free for v, bits in table.items()}, free))
+    return every, columns
+
+
+def _candidates(index: tuple, state: tuple) -> list:
+    """Ascending indices of the guards whose equality conjuncts ``state``
+    satisfies: every other guard is False there without raising."""
+    bits, columns = index
+    for position, table, free in columns:
+        bits &= table.get(state[position], free)
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(low.bit_length() - 1)
+        bits ^= low
+    return found
 
 
 def _fmt(var_names, state) -> str:

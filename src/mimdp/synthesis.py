@@ -38,7 +38,7 @@ from .checking import (
     expected_cost,
     reach_prob,
 )
-from .expressions import Expr, eval_expr, format_fraction
+from .expressions import Expr, format_fraction
 from .lp import LinearProgram, solve_lp
 from .models import (
     Choice,
@@ -672,37 +672,29 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
     model = build_model(program)
     tset = sorted(model.label_states(query.target))
     gset = sorted(model.label_states(query.goal))
-    if model.kind == "mimdp":
-        valuations = well_defined_valuations(model)
-        if not valuations:
-            raise SynthesisError("no well-defined valuation exists")
-    else:
-        valuations = [{}]
+    # every value below is read off the instance of its valuation; the
+    # instances share the parametric model's states, choices and branches
+    instances = [inst for _, inst in well_defined_instances(model)]
+    if not instances:
+        raise SynthesisError("no well-defined valuation exists")
 
-    def prob_value(p, u) -> Fraction:
-        if isinstance(p, Expr):
-            return eval_expr(p, u)
-        return p
-
-    exprs = set()
+    values = set()
     num_sa = 0
     for s, row in enumerate(model.choices):
         num_sa += len(row)
-        for ch in row:
-            for p, _ in ch.branches:
+        for a, ch in enumerate(row):
+            for j, (p, _) in enumerate(ch.branches):
                 if isinstance(p, Expr):
-                    exprs.add(p)
+                    values.update(inst.choices[s][a].branches[j][0] for inst in instances)
         if isinstance(model.costs[s], Expr):
-            exprs.add(model.costs[s])
-    value_count = len(
-        {prob_value(e, u) for e in exprs for u in valuations}
-    ) if exprs else 0
+            values.update(inst.costs[s] for inst in instances)
+    value_count = len(values)
     size_expr = model.num_states * num_sa + value_count ** 2
 
     lines = [
         "# structured-synthesis integer program",
         f"# states: {model.num_states}  state-action pairs: {num_sa}  "
-        f"expression values: {value_count}  well-defined valuations: {len(valuations)}",
+        f"expression values: {value_count}  well-defined valuations: {len(instances)}",
         f"# problem size |S|*|A| + |Val(L)|^2 = {model.num_states}*{num_sa} + {value_count}^2 = {size_expr}",
         f"# bound: Pr(F \"{query.target}\") <= {format_fraction(Fraction(query.bound))}"
         f"   objective: EC(F \"{query.goal}\")",
@@ -715,7 +707,7 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         lines.append(f"  target_s{s}: p[s{s}] = 1")
     for s in gset:
         lines.append(f"  goal_s{s}: c[s{s}] = 0")
-    onehot = " + ".join(f"x[u{k}]" for k in range(len(valuations)))
+    onehot = " + ".join(f"x[u{k}]" for k in range(len(instances)))
     lines.append(f"  onehot: {onehot} = 1")
 
     def terms_join(terms: List[str]) -> str:
@@ -729,10 +721,9 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         if s in tset_set:
             continue
         terms = [f"p[s{s}]"]
-        for a, ch in enumerate(model.choices[s]):
-            for k, u in enumerate(valuations):
-                for p, t in ch.branches:
-                    v = prob_value(p, u)
+        for a in range(len(model.choices[s])):
+            for k, inst in enumerate(instances):
+                for v, t in inst.choices[s][a].branches:
                     if v == 0:
                         continue
                     terms.append(f"-{_coef(v)} sig[s{s},a{a}] * x[u{k}] * p[s{t}]")
@@ -741,13 +732,12 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         if s in gset_set:
             continue
         terms = [f"c[s{s}]"]
-        for a, ch in enumerate(model.choices[s]):
-            for k, u in enumerate(valuations):
-                cost = prob_value(model.costs[s], u)
+        for a in range(len(model.choices[s])):
+            for k, inst in enumerate(instances):
+                cost = inst.costs[s]
                 if cost != 0:
                     terms.append(f"-{_coef(cost)} sig[s{s},a{a}] * x[u{k}]")
-                for p, t in ch.branches:
-                    v = prob_value(p, u)
+                for v, t in inst.choices[s][a].branches:
                     if v == 0:
                         continue
                     terms.append(f"-{_coef(v)} sig[s{s},a{a}] * x[u{k}] * c[s{t}]")
@@ -757,9 +747,9 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
             if not any(isinstance(p, Expr) for p, _ in ch.branches):
                 continue
             terms = []
-            for p, _ in ch.branches:
-                for k, u in enumerate(valuations):
-                    v = prob_value(p, u)
+            for j in range(len(ch.branches)):
+                for k, inst in enumerate(instances):
+                    v = inst.choices[s][a].branches[j][0]
                     terms.append(f"{_coef(v)} x[u{k}]")
             lines.append(f"  wd_s{s}_a{a}: {terms_join(terms)} = 1")
     for s in range(model.num_states):
@@ -775,7 +765,7 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         for a in range(len(model.choices[s])):
             lines.append(f"  0 <= sig[s{s},a{a}] <= 1")
     lines.append("BINARY")
-    for k in range(len(valuations)):
+    for k in range(len(instances)):
         lines.append(f"  x[u{k}]")
     lines.append("END")
     return "\n".join(lines) + "\n"

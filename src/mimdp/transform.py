@@ -22,6 +22,16 @@ Three rewrites over a composed (single-module) program:
 
 Transformations are deterministic: identical input programs yield
 byte-identical pretty-printed output.
+
+Whether a command anchors a parametric reward (its guard implies the
+reward guard) and whether two parametric reward guards overlap is decided
+by enumerating the domains of the variables the two guards mention, under
+a cap on the size of that product.  Points where an equality conjunct of
+the first guard fails (``equality_conjuncts``) are skipped: the first guard
+is False there without raising, and the second is never evaluated, so the
+answer and any error are those of the full enumeration.  Each row-expanded
+and selector command is itself guarded by such an equality, which is what
+makes the controlled model cheap to explore (``models.build_model``).
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from .expressions import (
     Num,
     TRUE,
     conjoin,
+    equality_conjuncts,
     eval_expr,
     format_fraction,
     joint_valuations,
@@ -103,26 +114,37 @@ def _fresh(base: str, taken: set) -> str:
     return name
 
 
-def _domain_product(guard_vars, variables, cap=IMPLICATION_CAP):
+def _domain_points(g: Expr, h: Expr, program: Program):
+    """The variables ``g`` and ``h`` mention, sorted, and the points of
+    their domains in lexicographic order, less those where an equality
+    conjunct of ``g`` fails: there ``g`` is False without raising, so
+    neither caller evaluates ``h``.  The cap applies to the full product."""
+    variables = program.variables()
+    used = sorted((names_in(g) | names_in(h)) & set(variables))
+    decls = [variables[v] for v in used]
     sizes = 1
-    decls = [variables[v] for v in guard_vars]
     for d in decls:
         sizes *= d.hi - d.lo + 1
-        if sizes > cap:
+        if sizes > IMPLICATION_CAP:
             raise TransformError(
                 "guard implication check exceeds the enumeration cap; "
                 "simplify the reward guards"
             )
-    ranges = [range(d.lo, d.hi + 1) for d in decls]
-    return itertools.product(*ranges)
+    fixed = equality_conjuncts(g, variables, program.constants)
+    if fixed is None:
+        return used, ()
+    ranges = [
+        [x for x in range(d.lo, d.hi + 1) if d.name not in fixed or x == fixed[d.name]]
+        for d in decls
+    ]
+    return used, itertools.product(*ranges)
 
 
 def _guard_implies(g: Expr, h: Expr, program: Program) -> bool:
     """g |= h, decided by enumerating the domains of the mentioned variables."""
-    variables = program.variables()
     consts = program.constants
-    used = sorted((names_in(g) | names_in(h)) & set(variables))
-    for combo in _domain_product(used, variables):
+    used, points = _domain_points(g, h, program)
+    for combo in points:
         env = dict(consts)
         env.update(zip(used, combo))
         if eval_expr(g, env) and not eval_expr(h, env):
@@ -131,10 +153,9 @@ def _guard_implies(g: Expr, h: Expr, program: Program) -> bool:
 
 
 def _guards_overlap(g: Expr, h: Expr, program: Program) -> bool:
-    variables = program.variables()
     consts = program.constants
-    used = sorted((names_in(g) | names_in(h)) & set(variables))
-    for combo in _domain_product(used, variables):
+    used, points = _domain_points(g, h, program)
+    for combo in points:
         env = dict(consts)
         env.update(zip(used, combo))
         if eval_expr(g, env) and eval_expr(h, env):

@@ -3,15 +3,17 @@
 Exact-rational Gaussian elimination for reachability probabilities and
 expected costs on Markov chains.  Deliberately naive and fully exact
 (fractions end to end): the engine under test uses precomputation plus
-value iteration, this does not.  Below it, the former checker and the
-former instantiation and well-definedness filter, kept as references for
-the differential tests of the code that replaced them.
+value iteration, this does not.  Below it, the former checker, the
+former instantiation and well-definedness filter, the former exploration,
+guard implication checks and integer-program emitter, kept as references
+for the differential tests of the code that replaced them.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -23,15 +25,27 @@ from mimdp.checking import (
     _POLISH_DENSE_LIMIT,
     _target_set,
 )
-from mimdp.expressions import Expr, eval_expr, format_fraction, to_text
+from mimdp.expressions import Expr, Num, eval_expr, format_fraction, names_in, substitute, to_text
 from mimdp.models import (
+    DEFAULT_STATE_CAP,
     Choice,
+    DeadlockError,
     ExplicitModel,
     ModelError,
+    StateCapExceeded,
     Strategy,
     WellDefinednessError,
+    _add_probs,
+    _fmt,
     all_valuations,
+    build_model,
+    compose,
+    instantiate,
+    well_defined_valuations,
 )
+from mimdp.program import Program, check_program
+from mimdp.synthesis import SynthesisError, SynthesisQuery, _coef
+from mimdp.transform import IMPLICATION_CAP, TransformError
 
 
 def _single_row(model: ExplicitModel, s: int):
@@ -559,3 +573,329 @@ def seed_well_defined_valuations(model: ExplicitModel) -> list:
         if ok:
             result.append(u)
     return result
+
+
+# ---------------------------------------------------------------------------
+# the former exploration, implication checks and integer-program emitter
+#
+# Reference implementations for the differential tests of the guard index
+# and of the instance-based emitter, kept as they were apart from their
+# names: ``seed_build_model`` evaluates every guard at every state,
+# ``seed_guard_implies`` and ``seed_guards_overlap`` enumerate the full
+# domain product, and ``seed_emit_nilp`` evaluates every parametric entry
+# with plain ``eval_expr``.
+
+def seed_build_model(
+    program: Program,
+    valuation: Optional[Mapping[str, Fraction]] = None,
+    *,
+    state_cap: int = DEFAULT_STATE_CAP,
+    on_deadlock: str = "error",
+) -> ExplicitModel:
+    """Breadth-first exploration of the reachable variable valuations.
+
+    Without a ``valuation`` the result is a multi-instance MDP whose
+    transition entries are residual parameter expressions; with a total one
+    it is that model passed through ``instantiate``, a fully concrete MC/MDP
+    whose every distribution is validated.  State indices follow BFS
+    discovery order, so builds are deterministic.  ``on_deadlock`` is
+    'error' or 'absorb' (add a marked internal self-loop; used for
+    transformed models whose dead ends encode inconsistent parameter
+    commitments).
+    """
+    diags = [d for d in check_program(program) if d.severity == "error"]
+    if diags:
+        raise ModelError("program is not well-formed: " + "; ".join(map(str, diags)))
+    if on_deadlock not in ("error", "absorb"):
+        raise ValueError("on_deadlock must be 'error' or 'absorb'")
+
+    program = compose(program)
+    module = program.single_module()
+    var_decls = list(program.variables().values())
+    var_names = tuple(v.name for v in var_decls)
+    domains = {v.name: (v.lo, v.hi) for v in var_decls}
+
+    if valuation is not None:
+        missing = sorted(set(program.parameters) - set(valuation))
+        if missing:
+            raise ModelError(f"valuation missing parameter(s): {', '.join(missing)}")
+        for p, values in program.parameters.items():
+            v = Fraction(valuation[p])
+            if v not in values:
+                raise ModelError(
+                    f"value {format_fraction(v)} not in the declared set of '{p}'"
+                )
+
+    base_env = dict(program.constants)
+    initial = tuple(v.init for v in var_decls)
+    index = {initial: 0}
+    states = [initial]
+    rows: list = []
+    costs: list = []
+    deadlocks = set()
+    queue = [0]
+    qhead = 0
+
+    def var_env(state) -> dict:
+        env = dict(base_env)
+        env.update(zip(var_names, (Fraction(x) for x in state)))
+        return env
+
+    def prob_value(expr: Expr, env_consts) -> Prob:
+        # guards/updates are parameter-free; probabilities/costs may not be
+        reduced = substitute(expr, env_consts)
+        return reduced.value if isinstance(reduced, Num) else reduced
+
+    while qhead < len(queue):
+        si = queue[qhead]
+        qhead += 1
+        state = states[si]
+        env = var_env(state)
+        out: list = []
+        for ci, cmd in enumerate(module.commands):
+            g = eval_expr(cmd.guard, env)
+            if not g:
+                continue
+            merged: dict = {}
+            order: list = []
+            for prob, update in cmd.branches:
+                p = prob_value(prob, env)
+                target = list(state)
+                for var, rhs in update:
+                    val = eval_expr(rhs, env)
+                    if isinstance(val, bool) or val.denominator != 1:
+                        raise ModelError(
+                            f"non-integer update of '{var}' at state {_fmt(var_names, state)}"
+                        )
+                    lo, hi = domains[var]
+                    iv = int(val)
+                    if not (lo <= iv <= hi):
+                        raise ModelError(
+                            f"update leaves domain: {var}'={iv} not in [{lo}..{hi}] "
+                            f"at state {_fmt(var_names, state)}"
+                        )
+                    target[var_names.index(var)] = iv
+                tkey = tuple(target)
+                if tkey not in merged:
+                    merged[tkey] = p
+                    order.append(tkey)
+                else:
+                    merged[tkey] = _add_probs(merged[tkey], p)
+            # an all-concrete row is a product of distributions that
+            # check_program validated exactly, so it needs no check here
+            branches = []
+            for tkey in order:
+                if tkey not in index:
+                    if len(states) >= state_cap:
+                        raise StateCapExceeded(
+                            f"state cap of {state_cap} states exceeded"
+                        )
+                    index[tkey] = len(states)
+                    states.append(tkey)
+                    queue.append(index[tkey])
+                branches.append((merged[tkey], index[tkey]))
+            out.append(Choice(cmd.action, tuple(branches)))
+        if not out:
+            if on_deadlock == "error":
+                raise DeadlockError(
+                    f"deadlock state {_fmt(var_names, state)}: no command enabled"
+                )
+            deadlocks.add(si)
+            out.append(Choice(None, ((Fraction(1), si),)))
+        rows.append(out)
+        # state cost: sum of reward declarations whose guard holds
+        cost: Prob = Fraction(0)
+        for r in program.rewards:
+            if eval_expr(r.guard, env):
+                c = prob_value(r.cost, env)
+                cost = _add_probs(cost, c)
+        if isinstance(cost, Fraction) and cost < 0:
+            raise ModelError(f"negative cost at state {_fmt(var_names, state)}")
+        costs.append(cost)
+
+    labels = {}
+    for label, lexpr in program.labels.items():
+        members = frozenset(
+            i for i, st in enumerate(states) if eval_expr(lexpr, var_env(st))
+        )
+        labels[label] = members
+
+    parametric = len(program.parameters) > 0
+    if parametric:
+        kind = "mimdp"
+    else:
+        kind = "mc" if all(len(row) == 1 for row in rows) else "mdp"
+    model = ExplicitModel(
+        kind=kind,
+        var_names=var_names,
+        states=states,
+        initial=0,
+        choices=rows,
+        costs=costs,
+        labels=labels,
+        parameters=dict(program.parameters) if parametric else {},
+        deadlocks=frozenset(deadlocks),
+    )
+    return model if valuation is None else instantiate(model, valuation)
+
+
+def _seed_domain_product(guard_vars, variables, cap=IMPLICATION_CAP):
+    sizes = 1
+    decls = [variables[v] for v in guard_vars]
+    for d in decls:
+        sizes *= d.hi - d.lo + 1
+        if sizes > cap:
+            raise TransformError(
+                "guard implication check exceeds the enumeration cap; "
+                "simplify the reward guards"
+            )
+    ranges = [range(d.lo, d.hi + 1) for d in decls]
+    return itertools.product(*ranges)
+
+
+def seed_guard_implies(g: Expr, h: Expr, program: Program) -> bool:
+    """g |= h, decided by enumerating the domains of the mentioned variables."""
+    variables = program.variables()
+    consts = program.constants
+    used = sorted((names_in(g) | names_in(h)) & set(variables))
+    for combo in _seed_domain_product(used, variables):
+        env = dict(consts)
+        env.update(zip(used, combo))
+        if eval_expr(g, env) and not eval_expr(h, env):
+            return False
+    return True
+
+
+def seed_guards_overlap(g: Expr, h: Expr, program: Program) -> bool:
+    variables = program.variables()
+    consts = program.constants
+    used = sorted((names_in(g) | names_in(h)) & set(variables))
+    for combo in _seed_domain_product(used, variables):
+        env = dict(consts)
+        env.update(zip(used, combo))
+        if eval_expr(g, env) and eval_expr(h, env):
+            return True
+    return False
+
+
+def seed_emit_nilp(program: Program, query: SynthesisQuery) -> str:
+    """Text of the direct encoding.
+
+    Sections MINIMIZE / SUBJECT TO / BOUNDS / BINARY; one constraint per
+    line, products written ``sig[s,a] * x[u] * p[s']``.  One binary
+    characteristic variable per *well-defined* valuation with a single
+    one-hot row; the probability/cost recursions are emitted for non-target
+    and non-goal states respectively (targets and goals carry their fixed
+    rows instead); well-definedness rows appear for every state/action pair
+    with a parametric entry.
+    """
+    model = build_model(program)
+    tset = sorted(model.label_states(query.target))
+    gset = sorted(model.label_states(query.goal))
+    if model.kind == "mimdp":
+        valuations = well_defined_valuations(model)
+        if not valuations:
+            raise SynthesisError("no well-defined valuation exists")
+    else:
+        valuations = [{}]
+
+    def prob_value(p, u) -> Fraction:
+        if isinstance(p, Expr):
+            return eval_expr(p, u)
+        return p
+
+    exprs = set()
+    num_sa = 0
+    for s, row in enumerate(model.choices):
+        num_sa += len(row)
+        for ch in row:
+            for p, _ in ch.branches:
+                if isinstance(p, Expr):
+                    exprs.add(p)
+        if isinstance(model.costs[s], Expr):
+            exprs.add(model.costs[s])
+    value_count = len(
+        {prob_value(e, u) for e in exprs for u in valuations}
+    ) if exprs else 0
+    size_expr = model.num_states * num_sa + value_count ** 2
+
+    lines = [
+        "# structured-synthesis integer program",
+        f"# states: {model.num_states}  state-action pairs: {num_sa}  "
+        f"expression values: {value_count}  well-defined valuations: {len(valuations)}",
+        f"# problem size |S|*|A| + |Val(L)|^2 = {model.num_states}*{num_sa} + {value_count}^2 = {size_expr}",
+        f"# bound: Pr(F \"{query.target}\") <= {format_fraction(Fraction(query.bound))}"
+        f"   objective: EC(F \"{query.goal}\")",
+        "MINIMIZE",
+        f"  c[s{model.initial}]",
+        "SUBJECT TO",
+        f"  bound: p[s{model.initial}] <= {_coef(Fraction(query.bound))}",
+    ]
+    for s in tset:
+        lines.append(f"  target_s{s}: p[s{s}] = 1")
+    for s in gset:
+        lines.append(f"  goal_s{s}: c[s{s}] = 0")
+    onehot = " + ".join(f"x[u{k}]" for k in range(len(valuations)))
+    lines.append(f"  onehot: {onehot} = 1")
+
+    def terms_join(terms: List[str]) -> str:
+        out = terms[0]
+        for t in terms[1:]:
+            out += (" - " + t[1:]) if t.startswith("-") else (" + " + t)
+        return out
+
+    tset_set, gset_set = set(tset), set(gset)
+    for s in range(model.num_states):
+        if s in tset_set:
+            continue
+        terms = [f"p[s{s}]"]
+        for a, ch in enumerate(model.choices[s]):
+            for k, u in enumerate(valuations):
+                for p, t in ch.branches:
+                    v = prob_value(p, u)
+                    if v == 0:
+                        continue
+                    terms.append(f"-{_coef(v)} sig[s{s},a{a}] * x[u{k}] * p[s{t}]")
+        lines.append(f"  pdef_s{s}: {terms_join(terms)} = 0")
+    for s in range(model.num_states):
+        if s in gset_set:
+            continue
+        terms = [f"c[s{s}]"]
+        for a, ch in enumerate(model.choices[s]):
+            for k, u in enumerate(valuations):
+                cost = prob_value(model.costs[s], u)
+                if cost != 0:
+                    terms.append(f"-{_coef(cost)} sig[s{s},a{a}] * x[u{k}]")
+                for p, t in ch.branches:
+                    v = prob_value(p, u)
+                    if v == 0:
+                        continue
+                    terms.append(f"-{_coef(v)} sig[s{s},a{a}] * x[u{k}] * c[s{t}]")
+        lines.append(f"  cdef_s{s}: {terms_join(terms)} = 0")
+    for s in range(model.num_states):
+        for a, ch in enumerate(model.choices[s]):
+            if not any(isinstance(p, Expr) for p, _ in ch.branches):
+                continue
+            terms = []
+            for p, _ in ch.branches:
+                for k, u in enumerate(valuations):
+                    v = prob_value(p, u)
+                    terms.append(f"{_coef(v)} x[u{k}]")
+            lines.append(f"  wd_s{s}_a{a}: {terms_join(terms)} = 1")
+    for s in range(model.num_states):
+        row = " + ".join(f"sig[s{s},a{a}]" for a in range(len(model.choices[s])))
+        lines.append(f"  strat_s{s}: {row} = 1")
+
+    lines.append("BOUNDS")
+    for s in range(model.num_states):
+        lines.append(f"  0 <= p[s{s}] <= 1")
+    for s in range(model.num_states):
+        lines.append(f"  c[s{s}] >= 0")
+    for s in range(model.num_states):
+        for a in range(len(model.choices[s])):
+            lines.append(f"  0 <= sig[s{s},a{a}] <= 1")
+    lines.append("BINARY")
+    for k in range(len(valuations)):
+        lines.append(f"  x[u{k}]")
+    lines.append("END")
+    return "\n".join(lines) + "\n"

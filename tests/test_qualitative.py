@@ -142,3 +142,23 @@ def test_chains_skip_the_nested_fixpoint(monkeypatch):
         for direction in ("min", "max"):
             _same_result(reach_prob(model, "bad", direction),
                          oracles.seed_reach_prob(model, "bad", "max"))
+
+
+def test_min_sets_compute_the_zero_set_once(monkeypatch):
+    calls = []
+    real = checking._prob0_min
+
+    def counted(arr, targets):
+        calls.append(targets)
+        return real(arr, targets)
+
+    monkeypatch.setattr(checking, "_prob0_min", counted)
+    # chains in both directions (the former checker took the max path on
+    # them) and MDPs in the min direction
+    cases = [(m, "bad", d, "max") for m in CORPUS[240:250] for d in ("min", "max")]
+    cases += [(m, "target", "min", "min") for m in CORPUS[:10]]
+    for model, label, direction, seed_direction in cases:
+        calls.clear()
+        got = reach_prob(model, label, direction)
+        assert len(calls) == 1
+        _same_result(got, oracles.seed_reach_prob(model, label, seed_direction))

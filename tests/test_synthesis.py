@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
+from mimdp import shipyard
 from mimdp.checking import expected_cost, reach_prob
 from mimdp.models import (
     Strategy,
@@ -358,6 +360,18 @@ def test_parameter_free_encoding_degenerates(two_stage):
     text = emit_nilp(prog, SynthesisQuery("t", F(1), "g"))
     assert "onehot: x[u0] = 1" in text
     assert "x[u1]" not in text
+
+
+def test_emitted_encoding_equals_the_former_emitter(two_stage, die):
+    cfg = shipyard.ShipyardConfig(missions=1)
+    uniform = parse_program(shipyard.generate_program(cfg, True))
+    cases = [
+        (two_stage, _query("0.2")),
+        (die, SynthesisQuery("one", F("0.15"), "rolled")),
+        (uniform, SynthesisQuery("failure", F("0.2"), "done")),
+    ]
+    for program, query in cases:
+        assert emit_nilp(program, query) == oracles.seed_emit_nilp(program, query)
 
 
 def test_size_header_reports_dominant_terms(two_stage):
