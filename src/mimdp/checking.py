@@ -17,8 +17,15 @@ to a relative residual of 1e-8; the extracted strategy is then evaluated
 exactly by solving its induced linear system, which is what the returned
 values report.  The system is dense up to 3000 states and sparse above, so
 memory stays linear in the model size.  If that polish step fails its sanity
-checks (possible only for greedy ties in the max direction), the raw
-iteration values are kept and ``ValueVector.polished`` is False.
+checks (a greedy tie in the max direction, or iteration that stopped far
+from the fixpoint), the raw iteration values are kept and
+``ValueVector.polished`` is False.
+
+Value iteration and the polish work on stacks of configurations that share
+one structure: ``reach_prob`` and ``expected_cost`` run a stack of one, and
+``chain_family`` checks a family of chains one support pattern at a time,
+each configuration stopping at its own residual and keeping its own polish
+checks, so every row is what checking that configuration alone gives.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,16 +70,22 @@ class _Arrays:
     Zero-probability branches are dropped: they are not edges of the graph,
     so the qualitative sets ignore them, and value iteration never forms
     ``0 * inf``.
+
+    A family of configurations shares one structure: given ``support`` (per
+    branch of ``model``, flat in model order, whether it is an edge) and
+    ``probs`` (configurations × edges), the arrays hold the edges of that
+    support and one row of probabilities per configuration.
     """
 
-    def __init__(self, model: ExplicitModel):
-        if model.kind == "mimdp":
+    def __init__(self, model: ExplicitModel, support=None, probs=None):
+        if model.kind == "mimdp" and support is None:
             raise ModelError("model checking needs a concrete model; instantiate first")
         choice_state = []
         branch_start = [0]
         choice_start = [0]
         targets: list = []
-        probs: list = []
+        floats: list = []
+        edges = iter(support) if support is not None else None
         # per state, the choices with a branch into it (ascending; a choice
         # appears once per such branch): the graph searches walk these
         pred: list = [[] for _ in range(model.num_states)]
@@ -81,10 +94,11 @@ class _Arrays:
                 c = len(choice_state)
                 choice_state.append(si)
                 for p, t in ch.branches:
-                    if not p:
+                    if not (p if edges is None else next(edges)):
                         continue
                     targets.append(t)
-                    probs.append(float(p))
+                    if edges is None:
+                        floats.append(float(p))
                     pred[t].append(c)
                 if len(targets) == branch_start[-1]:
                     raise ModelError(
@@ -99,16 +113,20 @@ class _Arrays:
         self.choice_start = np.asarray(choice_start, dtype=np.int64)
         self.branch_start = np.asarray(branch_start, dtype=np.int64)
         self.targets = np.asarray(targets, dtype=np.int64)
-        self.probs = np.asarray(probs, dtype=np.float64)
+        # one row of branch probabilities, or one per configuration
+        self.probs = np.asarray(floats if probs is None else probs, dtype=np.float64)
         self.num_choices = len(choice_state)
 
-    def choice_values(self, x: np.ndarray) -> np.ndarray:
-        contrib = self.probs * x[self.targets]
-        return np.add.reduceat(contrib, self.branch_start[:-1])
+    def choice_values(self, x: np.ndarray, probs: Optional[np.ndarray] = None) -> np.ndarray:
+        """Each choice's expected successor value; ``x`` is one value per
+        state, or a stack of them (one row per configuration)."""
+        probs = self.probs if probs is None else probs
+        contrib = probs * x.take(self.targets, axis=-1)
+        return np.add.reduceat(contrib, self.branch_start[:-1], axis=-1)
 
     def state_opt(self, q: np.ndarray, direction: str) -> np.ndarray:
         op = np.maximum if direction == "max" else np.minimum
-        return op.reduceat(q, self.choice_start[:-1])
+        return op.reduceat(q, self.choice_start[:-1], axis=-1)
 
 
 def _reachable_from(arr: _Arrays, start: int) -> set:
@@ -214,16 +232,21 @@ def _prob1_min(arr: _Arrays, targets: set, zero: Optional[set] = None) -> set:
 # ---------------------------------------------------------------------------
 # value iteration core
 
-def _sweep_residual(new: np.ndarray, old: np.ndarray, mask: np.ndarray) -> float:
-    if not mask.any():
-        return 0.0
-    diff = np.abs(new[mask] - old[mask])
-    denom = np.maximum(np.abs(new[mask]), 1.0e-300)
-    finite = np.isfinite(new[mask])
-    if not finite.any():
-        return 0.0
-    rel = np.where(new[mask] > 0, diff / denom, diff)
-    return float(np.max(rel[finite]))
+def _sweep_residual(new: np.ndarray, old: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Per row of the stacks: the largest relative change over the finite
+    entries at the indices ``free`` (absolute where the new value is not
+    positive), 0 when there is none."""
+    if not len(free):
+        return np.zeros(len(new))
+    new, old = new.take(free, axis=1), old.take(free, axis=1)
+    diff = np.abs(new - old)
+    rel = np.where(new > 0, diff / np.maximum(np.abs(new), 1.0e-300), diff)
+    finite = np.isfinite(new)
+    if finite.all():
+        return rel.max(axis=1)
+    out = np.where(finite, rel, -np.inf).max(axis=1)
+    out[~finite.any(axis=1)] = 0.0
+    return out
 
 
 def _iterate(
@@ -234,22 +257,43 @@ def _iterate(
     tol: float,
     state_cost: Optional[np.ndarray] = None,
     trace: Optional[list] = None,
-) -> Tuple[np.ndarray, int, float]:
-    iterations = 0
-    residual = np.inf
-    while residual > tol:
-        q = arr.choice_values(x)
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value iteration on a stack of configurations: ``x`` and
+    ``state_cost`` have one row per configuration, and so does
+    ``arr.probs`` unless all rows share it.  Each row stops at its own
+    residual, with the values and sweep count it would reach alone.
+    Returns the final stack, and per row the sweeps and last residual;
+    ``trace`` receives a copy of the stack after every sweep."""
+    k = len(x)
+    iterations = np.zeros(k, dtype=np.int64)
+    residual = np.zeros(k)
+    active = np.arange(k)
+    sweeps = 0
+    free = np.flatnonzero(free_mask)
+    while len(active):
+        whole = len(active) == k
+        xa = x if whole else x[active]
+        probs = arr.probs if whole or arr.probs.ndim == 1 else arr.probs[active]
+        q = arr.choice_values(xa, probs)
         if state_cost is not None:
-            q = q + state_cost[arr.choice_state]
+            q = q + (state_cost if whole else state_cost[active]).take(arr.choice_state, axis=1)
         v = arr.state_opt(q, direction)
-        new = np.where(free_mask, v, x)
-        residual = _sweep_residual(new, x, free_mask)
-        x = new
-        iterations += 1
+        new = np.where(free_mask, v, xa)
+        res = _sweep_residual(new, xa, free)
+        if whole:
+            x = new
+        else:
+            x[active] = new
+        sweeps += 1
         if trace is not None:
             trace.append(x.copy())
-        if iterations > _MAX_SWEEPS:
+        if sweeps > _MAX_SWEEPS:
             raise ModelError("value iteration failed to converge")
+        done = ~(res > tol)
+        if done.any():
+            iterations[active[done]] = sweeps
+            residual[active[done]] = res[done]
+            active = active[~done]
     return x, iterations, residual
 
 
@@ -274,7 +318,7 @@ def _chosen_branches(arr: _Arrays, picks: np.ndarray, region: np.ndarray):
     counts = arr.branch_start[chosen + 1] - lo
     rows = np.repeat(np.arange(len(region)), counts)
     idx = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return rows, arr.targets[idx], arr.probs[idx]
+    return rows, arr.targets[idx], arr.probs[..., idx]
 
 
 def _polish(
@@ -284,55 +328,89 @@ def _polish(
     region: np.ndarray,
     rhs: np.ndarray,
     clip: Optional[Tuple[float, float]],
-) -> Optional[np.ndarray]:
-    """Exact policy evaluation on ``region``: solve (I - P) x = rhs.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact policy evaluation on ``region``: solve (I - P) x = rhs for
+    every row of the stacks ``vi_values`` and ``rhs``, all under the
+    strategy ``picks``, with each row's own probabilities.
 
-    Up to ``_POLISH_DENSE_LIMIT`` states the system is one dense array;
-    above it, a sparse matrix built from the transition arrays, so memory
-    stays linear in the region.  Returns the refined values for the region,
-    or None when the chosen strategy is not proper there (singular or badly
-    deviating system).
+    Up to ``_POLISH_DENSE_LIMIT`` states the systems are dense arrays,
+    stacked at most ``_POLISH_DENSE_LIMIT ** 2`` entries at a time and
+    solved together; above it, one sparse matrix per row built from the
+    transition arrays, so memory stays linear in the region.  Returns the
+    refined region values per row, and per row whether they are accepted:
+    False when the strategy is not proper there (singular or badly
+    deviating system), in which case the row is meaningless.
     """
-    n = len(region)
+    k, n = rhs.shape
     if not n:
-        return np.zeros(0)
+        return np.zeros((k, 0)), np.ones(k, dtype=bool)
     rows, targets, probs = _chosen_branches(arr, picks, region)
     col_of = np.full(arr.num_states, -1, dtype=np.int64)
     col_of[region] = np.arange(n)
     cols = col_of[targets]
     kept = cols >= 0
-    rows, cols, probs = rows[kept], cols[kept], probs[kept]
+    rows, cols = rows[kept], cols[kept]
+    probs = np.broadcast_to(probs[..., kept], (k, len(rows)))
+    sol = np.empty((k, n))
+    residual = np.empty(k)
+    # a failed solve may leave NaNs or infinities, rejected below
+    with np.errstate(invalid="ignore", over="ignore"):
+        _solve_stack(rows, cols, probs, rhs, sol, residual)
+    vi_region = vi_values[:, region]
+    accepted = np.all(np.isfinite(sol), axis=1)
+    accepted &= ~(residual > 1e-7 * _at_least_one(np.max(np.abs(rhs), axis=1)))
+    scale = _at_least_one(np.max(np.abs(vi_region), axis=1))
+    accepted &= ~(np.max(np.abs(sol - vi_region), axis=1) > 1e-5 * scale)
+    if clip is not None:
+        sol = np.clip(sol, clip[0], clip[1])
+    return sol, accepted
+
+
+def _solve_stack(rows, cols, probs, rhs, sol, residual) -> None:
+    """Solve (I - P) x = rhs for each row of ``rhs``, P having the entries
+    ``probs`` at (``rows``, ``cols``); fill ``sol`` and, per row, the
+    largest residual."""
+    k, n = rhs.shape
     if n <= _POLISH_DENSE_LIMIT:
-        a = np.zeros((n, n))
-        np.add.at(a, (rows, cols), probs)  # P, summed in branch order
+        step = max(1, _POLISH_DENSE_LIMIT ** 2 // (n * n))
         diag = np.diag_indices(n)
-        ones_minus = 1.0 - a[diag]
-        np.subtract(0.0, a, out=a)
-        a[diag] = ones_minus  # I - P, entry for entry as np.eye(n) - P
-        try:
-            sol = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError:
-            return None
+        for lo in range(0, k, step):
+            part = slice(lo, min(lo + step, k))
+            a = np.zeros((part.stop - lo, n, n))
+            np.add.at(a, (slice(None), rows, cols), probs[part])  # P, in branch order
+            ones_minus = 1.0 - a[:, diag[0], diag[1]]
+            np.subtract(0.0, a, out=a)
+            a[:, diag[0], diag[1]] = ones_minus  # I - P, entry for entry as np.eye(n) - P
+            b = rhs[part, :, None]
+            try:
+                x = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                x = np.stack([_solve_or_nan(a[i], b[i]) for i in range(len(a))])
+            sol[part] = x[..., 0]
+            residual[part] = np.max(np.abs(a @ x - b)[..., 0], axis=1)
     else:
         from scipy.sparse import csr_matrix, identity
         from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-        a = identity(n, format="csr") - csr_matrix((probs, (rows, cols)), shape=(n, n))
-        with warnings.catch_warnings():
-            # a singular system comes back as NaNs, rejected below
-            warnings.simplefilter("ignore", MatrixRankWarning)
-            sol = spsolve(a, rhs)
-    if not np.all(np.isfinite(sol)):
-        return None
-    if np.max(np.abs(a @ sol - rhs)) > 1e-7 * max(1.0, float(np.max(np.abs(rhs)))):
-        return None
-    vi_region = vi_values[region]
-    scale = max(1.0, float(np.max(np.abs(vi_region))))
-    if np.max(np.abs(sol - vi_region)) > 1e-5 * scale:
-        return None
-    if clip is not None:
-        sol = np.clip(sol, clip[0], clip[1])
-    return sol
+        for i in range(k):
+            a = identity(n, format="csr") - csr_matrix((probs[i], (rows, cols)), shape=(n, n))
+            with warnings.catch_warnings():
+                # a singular system comes back as NaNs, rejected below
+                warnings.simplefilter("ignore", MatrixRankWarning)
+                sol[i] = spsolve(a, rhs[i])
+            residual[i] = np.max(np.abs(a @ sol[i] - rhs[i]))
+
+
+def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.full(b.shape, np.nan)
+
+
+def _at_least_one(m: np.ndarray) -> np.ndarray:
+    # max(1.0, m) per entry, as Python's max takes it (a NaN gives 1.0)
+    return np.where(m > 1.0, m, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +451,22 @@ def reach_prob(
         raise ValueError("direction must be 'min' or 'max'")
     arr = _Arrays(model)
     tset = _target_set(model, targets)
+    x, iters, residual, polished, picks = _reach(
+        arr, tset, direction, model.kind == "mc", 1, tol, trace
+    )
+    vec = ValueVector(x[0], int(iters[0]), float(residual[0]), bool(polished[0]))
+    return vec, Strategy.deterministic(picks.tolist())
 
+
+def _reach(arr: _Arrays, tset: set, direction: str, chain: bool, k: int,
+           tol: float, trace: Optional[list] = None):
+    """``reach_prob`` on ``k`` configurations that share the structure of
+    ``arr`` (``k`` > 1 only on chains, whose one strategy they share):
+    the value stack, per row the sweeps, last residual and whether the
+    polish was accepted, and the strategy's picks."""
     # on a chain each min set equals its max counterpart, and _prob1_min
     # skips the nested fixpoint of _prob1_max
-    if direction == "min" or model.kind == "mc":
+    if direction == "min" or chain:
         z0 = _prob0_min(arr, tset)
         z1 = _prob1_min(arr, tset, z0)
     else:
@@ -388,24 +478,28 @@ def reach_prob(
     one = _mask(arr.num_states, z1)
     free = ~(one | _mask(arr.num_states, z0))
 
-    x = np.where(one, 1.0, 0.0)
+    x = np.tile(np.where(one, 1.0, 0.0), (k, 1))
     x, iters, residual = _iterate(arr, x, free, direction, tol, trace=trace)
-    picks = _greedy(arr, x, direction)
+    picks = _picks(arr, x, direction, chain)
 
-    polished = True
+    polished = np.ones(k, dtype=bool)
     maybe = np.flatnonzero(free)
     if len(maybe):
         rows, succ, probs = _chosen_branches(arr, picks, maybe)
         into = one[succ]
-        rhs = np.bincount(rows[into], weights=probs[into], minlength=len(maybe))
-        refined = _polish(arr, picks, x, maybe, rhs, clip=(0.0, 1.0))
-        polished = refined is not None
-        if polished:
-            x = x.copy()
-            x[maybe] = refined
+        rhs = np.zeros((k, len(maybe)))
+        np.add.at(rhs, (slice(None), rows[into]), probs[..., into])
+        refined, polished = _polish(arr, picks, x, maybe, rhs, clip=(0.0, 1.0))
+        x[np.ix_(polished, maybe)] = refined[polished]
+    return x, iters, residual, polished, picks
 
-    strategy = Strategy.deterministic(picks.tolist())
-    return ValueVector(x, iters, residual, polished), strategy
+
+def _picks(arr: _Arrays, x: np.ndarray, direction: str, chain: bool,
+           state_cost: Optional[np.ndarray] = None) -> np.ndarray:
+    # a chain's one choice per state is the strategy of every configuration
+    if chain:
+        return np.zeros(arr.num_states, dtype=np.int64)
+    return _greedy(arr, x[0], direction, None if state_cost is None else state_cost[0])
 
 
 def expected_cost(
@@ -432,7 +526,18 @@ def expected_cost(
             raise ModelError("expected cost needs concrete state costs")
         if c < 0:
             raise ModelError(f"negative cost at state {s}")
+    cost = np.array([[float(c) for c in model.costs]])
+    x, iters, residual, polished, picks = _expected(
+        model, arr, gset, cost, direction, model.kind == "mc", tol, trace
+    )
+    vec = ValueVector(x[0], int(iters[0]), float(residual[0]), bool(polished[0]))
+    return vec, Strategy.deterministic(picks.tolist())
 
+
+def _expected(model: ExplicitModel, arr: _Arrays, gset: set, cost: np.ndarray,
+              direction: str, chain: bool, tol: float, trace: Optional[list] = None):
+    """``expected_cost`` on the configurations of ``arr`` (one row of
+    ``cost`` each; several only on chains), returned as ``_reach`` returns."""
     sure = _prob1_min(arr, gset)
     required = _reachable_from(arr, model.initial)
     lacking = sorted(required - sure)
@@ -442,30 +547,64 @@ def expected_cost(
             f"state {model.state_text(lacking[0])}"
         )
 
-    cost = np.array([float(c) for c in model.costs])
     goal = _mask(arr.num_states, gset)
     cost_masked = np.where(goal, 0.0, cost)
 
     outside = ~_mask(arr.num_states, sure)
-    x = np.where(outside, np.inf, 0.0)
+    x = np.tile(np.where(outside, np.inf, 0.0), (len(cost), 1))
     free = ~(goal | outside)
 
     x, iters, residual = _iterate(
         arr, x, free, direction, tol, state_cost=cost_masked, trace=trace
     )
-    picks = _greedy(arr, x, direction, state_cost=cost_masked)
+    picks = _picks(arr, x, direction, chain, cost_masked)
 
-    polished = True
+    polished = np.ones(len(cost), dtype=bool)
     region = np.flatnonzero(free)
     if len(region):
-        refined = _polish(arr, picks, x, region, cost[region], clip=(0.0, np.inf))
-        polished = refined is not None
-        if polished:
-            x = x.copy()
-            x[region] = refined
+        refined, polished = _polish(arr, picks, x, region, cost[:, region], clip=(0.0, np.inf))
+        x[np.ix_(polished, region)] = refined[polished]
+    return x, iters, residual, polished, picks
 
-    strategy = Strategy.deterministic(picks.tolist())
-    return ValueVector(x, iters, residual, polished), strategy
+
+def chain_family(
+    model: ExplicitModel,
+    entries: Sequence[Tuple[Sequence[Fraction], Sequence[Fraction]]],
+    targets,
+    goals,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per configuration of a family of chains, the probability of reaching
+    ``targets`` and the expected cost to ``goals`` at the initial state,
+    as ``reach_prob`` and ``expected_cost`` give them on its instance
+    (the cost is inf where it is undefined).
+
+    ``model`` has one choice per state and gives the structure every
+    configuration shares; ``entries`` holds per configuration its exact
+    branch probabilities (flat in model order) and state costs.
+    Configurations with the same support, the branches of nonzero
+    probability, share one set of arrays and qualitative sets, and run as
+    one stack through value iteration and the polish.
+    """
+    tset = _target_set(model, targets)
+    gset = _target_set(model, goals)
+    groups: dict = {}  # support -> configurations
+    for i, (probs, _) in enumerate(entries):
+        groups.setdefault(tuple(map(bool, probs)), []).append(i)
+    pr = np.empty(len(entries))
+    ec = np.empty(len(entries))
+    for support, members in groups.items():
+        probs = [[float(p) for p, edge in zip(entries[i][0], support) if edge] for i in members]
+        arr = _Arrays(model, support, probs)
+        x = _reach(arr, tset, "max", True, len(members), DEFAULT_TOL)[0]
+        pr[members] = x[:, model.initial]
+        cost = np.array([[float(c) for c in entries[i][1]] for i in members])
+        try:
+            x = _expected(model, arr, gset, cost, "min", True, DEFAULT_TOL)[0]
+        except ExpectedCostUndefined:
+            ec[members] = np.inf
+        else:
+            ec[members] = x[:, model.initial]
+    return pr, ec
 
 
 def cost_bounded_reach(

@@ -54,6 +54,12 @@ class Num(Expr):
 class BoolLit(Expr):
     value: bool
 
+    def __post_init__(self):
+        # equal literals must evaluate alike (``MemoEvaluator`` shares the
+        # tables of equal subexpressions), so ``BoolLit(1)`` is ``TRUE``
+        if not isinstance(self.value, bool):
+            object.__setattr__(self, "value", bool(self.value))
+
 
 @dataclass(frozen=True)
 class Name(Expr):
@@ -308,19 +314,28 @@ class MemoEvaluator:
     Every subexpression is memoized on the values of the parameters it
     actually mentions, so shared factors (a polynomial in two of four
     parameters, say) are computed once per relevant combination rather than
-    once per full valuation.
+    once per full valuation.  Tables are keyed on the subexpression's
+    structure, so equal subtrees anywhere in the evaluated expressions share
+    one table.  Equal expressions evaluate alike (source positions are not
+    part of equality), and an error is never stored: it is raised, each
+    time, by the node being evaluated.
     """
 
     def __init__(self, param_order: Sequence[str]):
         self._rank = {p: i for i, p in enumerate(param_order)}
-        self._info: dict = {}  # id(node) -> (names, value table, node ref)
+        self._tables: dict = {}  # subexpression -> (names, value table)
+        # id(node) -> (names, value table, node): skips hashing a tree on
+        # every visit; the node reference pins its id
+        self._by_id: dict = {}
 
     def _entry(self, e: Expr):
-        entry = self._info.get(id(e))
+        entry = self._by_id.get(id(e))
         if entry is None:
-            names = sorted(names_in(e) & set(self._rank), key=self._rank.__getitem__)
-            entry = (tuple(names), {}, e)  # the ref pins the node's id
-            self._info[id(e)] = entry
+            shared = self._tables.get(e)
+            if shared is None:
+                names = sorted(names_in(e) & self._rank.keys(), key=self._rank.__getitem__)
+                shared = self._tables[e] = (tuple(names), {})
+            entry = self._by_id[id(e)] = (*shared, e)
         return entry
 
     def eval(self, e: Expr, u: Mapping[str, Fraction]) -> Value:

@@ -5,14 +5,17 @@ instantiation, the well-definedness filter over parameter valuations, and
 strategy-induced chains.  Probabilities are exact rationals or residual
 parameter expressions; a model is immutable once built.
 
-There is one path from a family to its configurations: ``instantiate``.
-A concrete build is the parametric build instantiated, and one pass of
-``well_defined_instances`` yields every well-defined valuation with its
-instance.  ``instantiate`` evaluates through a memo kept on the model, so
-consecutive valuations share every subexpression value that depends only
-on parameters they agree on.  Well-definedness is exact: probabilities are
-rationals, and a distribution has entries in [0,1] summing to exactly one
-(``distribution_fault``).
+There is one path from a family to its configurations: the exact entries
+of a valuation, read off a memo kept on the model and checked for
+well-definedness.  ``instantiate`` builds the instance from them; a
+concrete build is the parametric build instantiated.  One pass of
+``well_defined_entries`` yields every well-defined valuation with its
+entries and builds no instance (the valuation filter and the batched check
+of chain families use it); ``well_defined_instances`` adds the instances.
+The memo shares every subexpression value that depends only on parameters
+two valuations agree on, and equal subexpressions share one table.
+Well-definedness is exact: probabilities are rationals, and a distribution
+has entries in [0,1] summing to exactly one (``distribution_fault``).
 """
 
 from __future__ import annotations
@@ -507,6 +510,13 @@ def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Expl
     missing = sorted(set(model.parameters) - set(valuation))
     if missing:
         raise ModelError(f"valuation missing parameter(s): {', '.join(missing)}")
+    return _instance(model, *_entries(model, valuation))
+
+
+def _entries(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Tuple[list, list]:
+    """The exact branch probabilities of every choice, flat in model order,
+    and the state costs of ``model`` under ``valuation``, read off the
+    model's memo.  Raises what ``instantiate`` raises, in the same order."""
     env = {p: Fraction(valuation[p]) for p in model.parameters}
     memo = model._memo
     if memo is None:
@@ -520,12 +530,11 @@ def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Expl
             raise ModelError(f"boolean where a number was expected: {to_text(p)}")
         return v
 
-    new_rows = []
+    probs: list = []
     for si, row in enumerate(model.choices):
-        new_row = []
         for ch in row:
-            branches = tuple((concrete(p), t) for p, t in ch.branches)
-            fault = distribution_fault([p for p, _ in branches])
+            values = [concrete(p) for p, _ in ch.branches]
+            fault = distribution_fault(values)
             if fault is not None:
                 raise WellDefinednessError(
                     f"well-definedness violation at state {model.state_text(si)}, "
@@ -533,9 +542,8 @@ def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Expl
                     state=si,
                     action=ch.action,
                 )
-            new_row.append(Choice(ch.action, branches))
-        new_rows.append(new_row)
-    new_costs = []
+            probs.extend(values)
+    costs = []
     for si, c in enumerate(model.costs):
         v = concrete(c)
         if v < 0:
@@ -543,7 +551,17 @@ def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Expl
                 f"negative cost {format_fraction(v)} at state {model.state_text(si)}",
                 state=si,
             )
-        new_costs.append(v)
+        costs.append(v)
+    return probs, costs
+
+
+def _instance(model: ExplicitModel, probs: Sequence[Fraction], costs: list) -> ExplicitModel:
+    """The concrete model with the flat branch probabilities ``probs``."""
+    values = iter(probs)
+    new_rows = [
+        [Choice(ch.action, tuple((next(values), t) for _, t in ch.branches)) for ch in row]
+        for row in model.choices
+    ]
     kind = "mc" if all(len(row) == 1 for row in new_rows) else "mdp"
     return ExplicitModel(
         kind=kind,
@@ -551,7 +569,7 @@ def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Expl
         states=list(model.states),
         initial=model.initial,
         choices=new_rows,
-        costs=new_costs,
+        costs=costs,
         labels=dict(model.labels),
         parameters={},
         deadlocks=model.deadlocks,
@@ -565,25 +583,38 @@ def all_valuations(model: ExplicitModel) -> Iterable[Valuation]:
     return joint_valuations(names, model.parameters)
 
 
-def well_defined_instances(model: ExplicitModel) -> Iterator[Tuple[Valuation, ExplicitModel]]:
-    """Every well-defined valuation with its instance, in ``all_valuations``
-    order.  A parameter-free model yields itself under the empty valuation
-    (the empty product)."""
+def well_defined_entries(model: ExplicitModel) -> Iterator[Tuple[Valuation, list, list]]:
+    """Every well-defined valuation in ``all_valuations`` order, with the
+    exact entries of its instance: the branch probabilities of every choice,
+    flat in model order (the shared structure of the family), and the state
+    costs.  No instance is built.  A parameter-free model yields its own
+    entries under the empty valuation (the empty product)."""
     if model.kind != "mimdp":
-        yield {}, model
+        probs = [p for row in model.choices for ch in row for p, _ in ch.branches]
+        yield {}, probs, list(model.costs)
         return
     for u in all_valuations(model):
         try:
-            inst = instantiate(model, u)
+            probs, costs = _entries(model, u)
         except WellDefinednessError:
             continue
-        yield u, inst
+        yield u, probs, costs
+
+
+def well_defined_instances(model: ExplicitModel) -> Iterator[Tuple[Valuation, ExplicitModel]]:
+    """Every well-defined valuation with its instance, in ``all_valuations``
+    order.  A parameter-free model yields itself under the empty valuation."""
+    if model.kind != "mimdp":
+        yield {}, model
+        return
+    for u, probs, costs in well_defined_entries(model):
+        yield u, _instance(model, probs, costs)
 
 
 def well_defined_valuations(model: ExplicitModel) -> list:
     """All valuations under which ``instantiate`` succeeds: every induced
     distribution sums to exactly one and no cost is negative."""
-    return [u for u, _ in well_defined_instances(model)]
+    return [u for u, _, _ in well_defined_entries(model)]
 
 
 # ---------------------------------------------------------------------------

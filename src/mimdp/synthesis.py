@@ -5,10 +5,10 @@ is minimal.
 Two independent routes:
 
 * ``synthesize_enumerate`` makes one pass over the well-defined
-  valuations and their instances (``well_defined_instances``, memoised
-  instantiation, single-threaded) and evaluates each instance directly
-  (chains) or through the constrained occupation-measure LP (MDPs).  This
-  is the oracle route.
+  valuations.  A family of chains is checked from the valuations' exact
+  entries, one stacked batch per support pattern
+  (``checking.chain_family``); an MDP family solves the constrained
+  occupation-measure LP per instance.  This is the oracle route.
 
 * ``synthesize_transformed`` rewrites the program into the controlled MDP
   and solves the constrained LP there.  A randomized LP optimum may split
@@ -26,15 +26,16 @@ against every emitted constraint.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .checking import (
-    ExpectedCostUndefined,
     _Arrays,
     _prob1_min,
+    chain_family,
     expected_cost,
     reach_prob,
 )
@@ -47,6 +48,7 @@ from .models import (
     Strategy,
     build_model,
     instantiate,
+    well_defined_entries,
     well_defined_instances,
     well_defined_valuations,
 )
@@ -335,17 +337,28 @@ def constrained_mdp_lp(
 # ---------------------------------------------------------------------------
 # route 1: exhaustive enumeration
 
-def _evaluate_valuation(inst: ExplicitModel, u: dict, tset, gset, lam: float):
-    if inst.kind == "mc":
-        vec, strat = reach_prob(inst, tset, "max")
-        pr = vec.at_initial(inst)
-        try:
-            cvec, _ = expected_cost(inst, gset, "min")
-            ec = cvec.at_initial(inst)
-        except ExpectedCostUndefined:
-            ec = math.inf
-        feasible = pr <= lam + FEASIBILITY_TOL and math.isfinite(ec)
-        return TableEntry(u, ec, pr, feasible), (strat if feasible else None)
+# configurations whose entries are held and checked at once: bounds the
+# float matrices of a chain family by about this many numbers
+_FAMILY_BLOCK = 1 << 20
+
+
+def _evaluate_chains(model: ExplicitModel, tset, gset, lam: float) -> List[TableEntry]:
+    """The table of a family whose instances are chains, checked in blocks
+    of configurations by ``chain_family``."""
+    entries = well_defined_entries(model)
+    block = max(1, _FAMILY_BLOCK // (model.num_transitions + model.num_states))
+    table = []
+    while True:
+        chunk = list(itertools.islice(entries, block))
+        if not chunk:
+            return table
+        prs, ecs = chain_family(model, [(p, c) for _, p, c in chunk], tset, gset)
+        for (u, _, _), pr, ec in zip(chunk, prs.tolist(), ecs.tolist()):
+            feasible = pr <= lam + FEASIBILITY_TOL and math.isfinite(ec)
+            table.append(TableEntry(u, ec, pr, feasible))
+
+
+def _evaluate_mdp(inst: ExplicitModel, u: dict, tset, gset, lam: float):
     try:
         res = constrained_mdp_lp(inst, tset, lam, gset)
     except InfeasibleError:
@@ -358,41 +371,56 @@ def _evaluate_valuation(inst: ExplicitModel, u: dict, tset, gset, lam: float):
 
 
 def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisResult:
-    """The oracle route: instantiate every well-defined valuation, evaluate,
-    and return the feasible valuation of minimal expected cost
-    (lexicographically smallest on ties)."""
+    """The oracle route: evaluate every well-defined valuation and return
+    the feasible valuation of minimal expected cost (lexicographically
+    smallest on ties).
+
+    Guards and updates are parameter-free, so all instances share one
+    state graph and one kind.  A family of chains is checked from its
+    entries alone, in one stacked pass per support pattern
+    (``checking.chain_family``); every instance's strategy is the chain's
+    one choice per state.  An MDP family solves the constrained LP per
+    instance.
+    """
     model = build_model(program)
     tset = model.label_states(query.target)
     gset = model.label_states(query.goal)
     lam = float(query.bound)
 
-    outcomes = [
-        _evaluate_valuation(inst, u, tset, gset, lam)
-        for u, inst in well_defined_instances(model)
-    ]
-    if not outcomes:
+    chains = all(len(row) == 1 for row in model.choices)
+    if chains:
+        table = _evaluate_chains(model, tset, gset, lam)
+    else:
+        outcomes = [
+            _evaluate_mdp(inst, u, tset, gset, lam)
+            for u, inst in well_defined_instances(model)
+        ]
+        table = [entry for entry, _ in outcomes]
+    if not table:
         raise SynthesisError("no well-defined valuation exists")
 
-    table = [entry for entry, _ in outcomes]
     best = None
-    best_strategy = None
-    for entry, strat in outcomes:
+    for i, entry in enumerate(table):
         if not entry.feasible:
             continue
-        if best is None or entry.expected_cost < best.expected_cost - TIE_TOL:
-            best = entry
-            best_strategy = strat
+        if best is None or entry.expected_cost < table[best].expected_cost - TIE_TOL:
+            best = i
     if best is None:
         return SynthesisResult(
             "enumerate", False, None, None, math.inf, None, table
         )
+    if chains:
+        strategy = Strategy.deterministic([0] * model.num_states)
+    else:
+        strategy = outcomes[best][1]
+    entry = table[best]
     return SynthesisResult(
         "enumerate",
         True,
-        best.valuation,
-        best_strategy,
-        best.expected_cost,
-        best.reach_probability,
+        entry.valuation,
+        strategy,
+        entry.expected_cost,
+        entry.reach_probability,
         table,
     )
 

@@ -44,6 +44,7 @@ from typing import Dict, List, Tuple
 from .expressions import (
     Binary,
     Expr,
+    MemoEvaluator,
     Name,
     Num,
     TRUE,
@@ -337,6 +338,9 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
     Rows whose probabilities leave [0,1] or do not sum to one are dropped
     (the local well-definedness filter); a command losing all rows is an
     error, since no instantiation of the program would be well-defined.
+    Rows are evaluated through one ``MemoEvaluator``, so a subexpression is
+    computed once per combination of the parameters it mentions, across
+    rows and commands.
     """
     program = _ensure_single_module(program)
     module = program.single_module()
@@ -346,11 +350,10 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
 
     report = TransformReport()
     commands: List[CommandDecl] = []
+    memo = MemoEvaluator(list(params))  # constants are fixed in every row
     for ci, cmd in enumerate(module.commands):
-        occurring = [
-            p for p in params
-            if any(p in names_in(prob) for prob, _ in cmd.branches)
-        ]
+        mentioned = frozenset().union(*(names_in(prob) for prob, _ in cmd.branches))
+        occurring = [p for p in params if p in mentioned]
         if not occurring:
             report.command_mapping[ci] = (len(commands),)
             commands.append(cmd)
@@ -359,7 +362,7 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
         for i, row in enumerate(joint_valuations(occurring, params), start=1):
             env = dict(consts)
             env.update(row)
-            probs = [eval_expr(prob, env) for prob, _ in cmd.branches]
+            probs = [memo.eval(prob, env) for prob, _ in cmd.branches]
             if any(isinstance(v, bool) for v in probs) or distribution_fault(probs) is not None:
                 continue
             action = _fresh(f"_row{ci}_{i}", taken_actions)

@@ -5,13 +5,15 @@ expected costs on Markov chains.  Deliberately naive and fully exact
 (fractions end to end): the engine under test uses precomputation plus
 value iteration, this does not.  Below it, the former checker, the
 former instantiation and well-definedness filter, the former exploration,
-guard implication checks and integer-program emitter, kept as references
-for the differential tests of the code that replaced them.
+guard implication checks, integer-program emitter and enumeration route,
+kept as references for the differential tests of the code that replaced
+them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import List, Mapping, Optional, Tuple
 
@@ -20,12 +22,23 @@ import numpy as np
 from mimdp.checking import (
     DEFAULT_TOL,
     ExpectedCostUndefined,
+    _MAX_SWEEPS,
     _Arrays,
-    _iterate,
     _POLISH_DENSE_LIMIT,
     _target_set,
+    expected_cost,
+    reach_prob,
 )
-from mimdp.expressions import Expr, Num, eval_expr, format_fraction, names_in, substitute, to_text
+from mimdp.expressions import (
+    Expr,
+    Num,
+    eval_expr,
+    format_fraction,
+    joint_valuations,
+    names_in,
+    substitute,
+    to_text,
+)
 from mimdp.models import (
     DEFAULT_STATE_CAP,
     Choice,
@@ -40,12 +53,31 @@ from mimdp.models import (
     all_valuations,
     build_model,
     compose,
+    distribution_fault,
     instantiate,
+    well_defined_instances,
     well_defined_valuations,
 )
-from mimdp.program import Program, check_program
-from mimdp.synthesis import SynthesisError, SynthesisQuery, _coef
-from mimdp.transform import IMPLICATION_CAP, TransformError
+from mimdp.program import CommandDecl, ModuleDecl, Program, check_program
+from mimdp.synthesis import (
+    FEASIBILITY_TOL,
+    TIE_TOL,
+    InfeasibleError,
+    SynthesisError,
+    SynthesisQuery,
+    SynthesisResult,
+    TableEntry,
+    _coef,
+    constrained_mdp_lp,
+)
+from mimdp.transform import (
+    IMPLICATION_CAP,
+    TransformError,
+    TransformReport,
+    _ensure_single_module,
+    _fresh,
+    _prune_parameters,
+)
 
 
 def _single_row(model: ExplicitModel, s: int):
@@ -147,7 +179,48 @@ def mc_expected_cost_exact(model: ExplicitModel, goals) -> list:
 # (quadratic), and the polish always builds the dense matrix.  They are kept
 # as they were, apart from the names of the two public operations
 # (``seed_reach_prob``, ``seed_expected_cost``), which return
-# ``(values, iterations, residual)`` instead of a ValueVector.
+# ``(values, iterations, residual)`` instead of a ValueVector.  Value
+# iteration is the former one-configuration loop (``_iterate``), which the
+# checker has since replaced by a loop over stacks of configurations.
+
+
+def _sweep_residual(new: np.ndarray, old: np.ndarray, mask: np.ndarray) -> float:
+    if not mask.any():
+        return 0.0
+    diff = np.abs(new[mask] - old[mask])
+    denom = np.maximum(np.abs(new[mask]), 1.0e-300)
+    finite = np.isfinite(new[mask])
+    if not finite.any():
+        return 0.0
+    rel = np.where(new[mask] > 0, diff / denom, diff)
+    return float(np.max(rel[finite]))
+
+
+def _iterate(
+    arr: _Arrays,
+    x: np.ndarray,
+    free_mask: np.ndarray,
+    direction: str,
+    tol: float,
+    state_cost: Optional[np.ndarray] = None,
+    trace: Optional[list] = None,
+) -> Tuple[np.ndarray, int, float]:
+    iterations = 0
+    residual = np.inf
+    while residual > tol:
+        q = arr.choice_values(x)
+        if state_cost is not None:
+            q = q + state_cost[arr.choice_state]
+        v = arr.state_opt(q, direction)
+        new = np.where(free_mask, v, x)
+        residual = _sweep_residual(new, x, free_mask)
+        x = new
+        iterations += 1
+        if trace is not None:
+            trace.append(x.copy())
+        if iterations > _MAX_SWEEPS:
+            raise ModelError("value iteration failed to converge")
+    return x, iterations, residual
 
 
 class SeedArrays(_Arrays):
@@ -899,3 +972,142 @@ def seed_emit_nilp(program: Program, query: SynthesisQuery) -> str:
         lines.append(f"  x[u{k}]")
     lines.append("END")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the former enumeration route
+#
+# Reference for the differential tests of the batched check of chain
+# families: every configuration is instantiated and checked on its own,
+# chains with ``reach_prob`` and ``expected_cost``.  Kept as it was apart
+# from the names (``seed_evaluate_valuation``, ``seed_synthesize_enumerate``).
+
+
+def seed_evaluate_valuation(inst: ExplicitModel, u: dict, tset, gset, lam: float):
+    if inst.kind == "mc":
+        vec, strat = reach_prob(inst, tset, "max")
+        pr = vec.at_initial(inst)
+        try:
+            cvec, _ = expected_cost(inst, gset, "min")
+            ec = cvec.at_initial(inst)
+        except ExpectedCostUndefined:
+            ec = math.inf
+        feasible = pr <= lam + FEASIBILITY_TOL and math.isfinite(ec)
+        return TableEntry(u, ec, pr, feasible), (strat if feasible else None)
+    try:
+        res = constrained_mdp_lp(inst, tset, lam, gset)
+    except InfeasibleError:
+        vec, _ = reach_prob(inst, tset, "min")
+        return TableEntry(u, math.inf, vec.at_initial(inst), False), None
+    return (
+        TableEntry(u, res.expected_cost, res.reach_probability, True),
+        res.strategy,
+    )
+
+
+def seed_synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisResult:
+    """The oracle route: instantiate every well-defined valuation, evaluate,
+    and return the feasible valuation of minimal expected cost
+    (lexicographically smallest on ties)."""
+    model = build_model(program)
+    tset = model.label_states(query.target)
+    gset = model.label_states(query.goal)
+    lam = float(query.bound)
+
+    outcomes = [
+        seed_evaluate_valuation(inst, u, tset, gset, lam)
+        for u, inst in well_defined_instances(model)
+    ]
+    if not outcomes:
+        raise SynthesisError("no well-defined valuation exists")
+
+    table = [entry for entry, _ in outcomes]
+    best = None
+    best_strategy = None
+    for entry, strat in outcomes:
+        if not entry.feasible:
+            continue
+        if best is None or entry.expected_cost < best.expected_cost - TIE_TOL:
+            best = entry
+            best_strategy = strat
+    if best is None:
+        return SynthesisResult(
+            "enumerate", False, None, None, math.inf, None, table
+        )
+    return SynthesisResult(
+        "enumerate",
+        True,
+        best.valuation,
+        best_strategy,
+        best.expected_cost,
+        best.reach_probability,
+        table,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the former row expansion of parametric probabilities
+#
+# Reference for the differential test of the memoised row evaluation: every
+# branch probability is evaluated with plain ``eval_expr`` in every row.
+# Kept as it was apart from the name (``seed_transform_probabilities``).
+
+
+def seed_transform_probabilities(program: Program) -> Tuple[Program, TransformReport]:
+    """Expand each command with parametric branch probabilities into one
+    concrete command per joint parameter row, under fresh action labels.
+
+    Rows whose probabilities leave [0,1] or do not sum to one are dropped
+    (the local well-definedness filter); a command losing all rows is an
+    error, since no instantiation of the program would be well-defined.
+    """
+    program = _ensure_single_module(program)
+    module = program.single_module()
+    params = program.parameters
+    consts = program.constants
+    taken_actions = set(module.actions)
+
+    report = TransformReport()
+    commands: List[CommandDecl] = []
+    for ci, cmd in enumerate(module.commands):
+        occurring = [
+            p for p in params
+            if any(p in names_in(prob) for prob, _ in cmd.branches)
+        ]
+        if not occurring:
+            report.command_mapping[ci] = (len(commands),)
+            commands.append(cmd)
+            continue
+        produced = []
+        for i, row in enumerate(joint_valuations(occurring, params), start=1):
+            env = dict(consts)
+            env.update(row)
+            probs = [eval_expr(prob, env) for prob, _ in cmd.branches]
+            if any(isinstance(v, bool) for v in probs) or distribution_fault(probs) is not None:
+                continue
+            action = _fresh(f"_row{ci}_{i}", taken_actions)
+            report.fresh_actions[action] = tuple((p, row[p]) for p in row)
+            branches = tuple(
+                (Num(v), update) for v, (_, update) in zip(probs, cmd.branches)
+            )
+            produced.append(CommandDecl(action, cmd.guard, branches))
+        if not produced:
+            raise TransformError(
+                f"command {ci + 1} has no well-defined parameter row; "
+                "no instantiation of the program is well-defined"
+            )
+        report.command_mapping[ci] = tuple(
+            range(len(commands), len(commands) + len(produced))
+        )
+        commands.extend(produced)
+
+    actions = frozenset(c.action for c in commands if c.action is not None)
+    new_module = ModuleDecl(module.name, module.variables, actions, tuple(commands))
+    new_program = Program(
+        constants=dict(consts),
+        parameters=dict(params),
+        modules=(new_module,),
+        rewards=tuple(program.rewards),
+        labels=dict(program.labels),
+    )
+    return _prune_parameters(new_program), report

@@ -6,6 +6,7 @@ from mimdp.expressions import (
     FALSE,
     TRUE,
     Binary,
+    BoolLit,
     DivisionByZero,
     ExprError,
     Extremum,
@@ -160,6 +161,14 @@ EVALUATOR_CASES = [
     Unary("!", B),
     Unary("-", Binary("+", X, Num(F(1, 3)))),
     Name("nope"),
+    # equal subtrees (distinct objects) share one table
+    Binary("+", Binary("*", X, Y), Binary("*", X, Y)),
+    Binary("-", Binary("/", X, Y), Binary("/", X, Y)),
+    Extremum("max", (Binary("-", X, ONE), Binary("-", X, ONE), Binary("/", ONE, Y))),
+    # names equal up to their source position
+    Binary("&", Binary("<", Name("x", pos=(1, 1)), Y), Binary(">", Name("x", pos=(2, 7)), Y)),
+    Binary("/", Name("x", pos=(1, 1)), Binary("-", Name("x", pos=(1, 5)), X)),
+    Binary("|", Unary("!", BoolLit(1)), Unary("!", TRUE)),
 ] + [Binary(op, X, Num(F(2))) for op in ("=", "!=", "<", "<=", ">", ">=")]
 
 
@@ -178,3 +187,28 @@ def test_memo_evaluator_returns_or_raises_what_eval_expr_does(e):
     memo = MemoEvaluator(["x", "y", "b"])
     assert _outcome(memo.eval, e, env) == want
     assert _outcome(memo.eval, e, env) == want  # answered from the tables
+
+
+def test_memo_evaluator_shares_tables_between_equal_subtrees():
+    # built twice: equal, but no node object is shared
+    def poly():
+        return Binary("+", Binary("*", X, Y), Binary("/", X, Binary("-", Y, ONE)))
+
+    first, second = poly(), Unary("-", poly())
+    memo = MemoEvaluator(["x", "y"])
+    envs = [{"x": F(a), "y": F(b)} for a in (1, 2) for b in (0, 1, 3)]
+    for e in (first, second):
+        for env in envs:
+            assert _outcome(memo.eval, e, env) == _outcome(eval_expr, e, env)
+    # poly, its three inner nodes and the negation: five tables; the
+    # second poly answers from the first one's tables
+    assert len(memo._tables) == 5
+    # x * y and y - 1 hold every value they take; y = 1 divides by zero,
+    # which is never stored, so the division, the sum and the negation
+    # hold four values each
+    assert sorted(len(table) for _, table in memo._tables.values()) == [3, 4, 4, 4, 6]
+
+
+def test_equal_literals_evaluate_alike():
+    assert BoolLit(1) == TRUE and BoolLit(1).value is True
+    assert eval_expr(Unary("!", BoolLit(1)), {}) is False

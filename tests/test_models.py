@@ -337,6 +337,31 @@ def test_instantiation_equals_the_former_code(two_stage, die):
     assert ill_defined > 50
 
 
+def test_the_valuation_filter_builds_no_instance(monkeypatch, two_stage, die):
+    from mimdp import models
+
+    programs = _families(two_stage, die)
+    want = [well_defined_valuations(build_model(p)) for p in programs]
+
+    def no_instance(*_):
+        raise AssertionError("the filter reads entries only")
+
+    monkeypatch.setattr(models, "_instance", no_instance)
+    assert [well_defined_valuations(build_model(p)) for p in programs] == want
+
+
+def test_equal_subexpressions_share_memo_tables():
+    # the per-sensor shipyard family cut to fp in {0.2, 0.9}: 360
+    # configurations; keyed per node object, the tables held 22969 entries
+    config = shipyard.ShipyardConfig(missions=1)
+    text = shipyard.generate_program(config, True, per_sensor_grades=True)
+    line = next(l for l in text.splitlines() if l.startswith("param fp in {"))
+    model = build_model(parse_program(text.replace(line, "param fp in {0.2, 0.9};")))
+    assert len(well_defined_valuations(model)) == 360
+    tables = model._memo._tables.values()
+    assert (len(tables), sum(len(table) for _, table in tables)) == (680, 11411)
+
+
 # --- induced chains ----------------------------------------------------------
 
 def _tiny_mdp():

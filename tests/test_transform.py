@@ -3,6 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
+from mimdp import shipyard
+from mimdp.expressions import DivisionByZero, ExprError
 from mimdp.models import build_model
 from mimdp.parser import parse_program
 from mimdp.program import pretty
@@ -138,6 +141,36 @@ def test_command_with_no_well_defined_row_is_an_error():
     """
     with pytest.raises(TransformError, match="no well-defined"):
         transform_probabilities(parse_program(src))
+
+
+def _rows(expand, program):
+    """The row expansion, or the type and text of what it raises."""
+    try:
+        out, report = expand(program)
+    except (TransformError, ExprError) as e:
+        return type(e), str(e)
+    return pretty(out), report
+
+
+def test_memoised_rows_equal_the_former_expansion(two_stage, die):
+    rng = random.Random(17)
+    programs = [random_mimdp_program(rng)[0] for _ in range(40)] + [two_stage, die]
+    config = shipyard.ShipyardConfig(missions=1)
+    text = shipyard.generate_program(config, True, per_sensor_grades=True)
+    line = next(l for l in text.splitlines() if l.startswith("param fp in {"))
+    programs.append(parse_program(text.replace(line, "param fp in {0.2, 0.9};")))
+    programs.append(parse_program(shipyard.generate_program(config, True)))
+    programs.append(parse_program("""
+    param p in {0, 0.5};
+    module m
+      s : [0..1] init 0;
+      [] s=0 -> p/(2*p):(s'=1) + 1/2:(s'=0);
+      [] s=1 -> true;
+    endmodule
+    """))
+    outcomes = [_rows(transform_probabilities, program) for program in programs]
+    assert outcomes == [_rows(oracles.seed_transform_probabilities, p) for p in programs]
+    assert outcomes[-1][0] is DivisionByZero
 
 
 def test_row_expansion_preserves_the_reachable_state_set(die):
