@@ -12,7 +12,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 Value = Union[Fraction, bool]
@@ -55,8 +55,8 @@ class BoolLit(Expr):
     value: bool
 
     def __post_init__(self):
-        # equal literals must evaluate alike (``MemoEvaluator`` shares the
-        # tables of equal subexpressions), so ``BoolLit(1)`` is ``TRUE``
+        # equal literals must evaluate alike (``CompiledExprs`` shares one
+        # node between equal subexpressions), so ``BoolLit(1)`` is ``TRUE``
         if not isinstance(self.value, bool):
             object.__setattr__(self, "value", bool(self.value))
 
@@ -252,35 +252,53 @@ def fold(expr: Expr) -> Expr:
     """Fold literal-only subtrees into literals (bottom-up, exact).
 
     The parser folds on construction, so programmatically built expressions
-    should be folded too when textual round-tripping matters.
+    should be folded too when textual round-tripping matters.  A subtree
+    with nothing to fold is returned as it is, the same object.
     """
     if isinstance(expr, (Num, BoolLit, Name)):
         return expr
     if isinstance(expr, Unary):
-        inner = fold(expr.operand)
-        if expr.op == "-" and isinstance(inner, Num):
-            return Num(-inner.value)
-        if expr.op == "!" and isinstance(inner, BoolLit):
-            return BoolLit(not inner.value)
-        return Unary(expr.op, inner)
+        return _fold_unary(expr, fold(expr.operand))
     if isinstance(expr, Binary):
-        left, right = fold(expr.left), fold(expr.right)
-        folded = Binary(expr.op, left, right)
-        if isinstance(left, (Num, BoolLit)) and isinstance(right, (Num, BoolLit)):
-            v = eval_expr(folded, {})
-            return Num(v) if isinstance(v, Fraction) else BoolLit(v)
-        return folded
+        return _fold_binary(expr, fold(expr.left), fold(expr.right))
     if isinstance(expr, Extremum):
-        args = tuple(fold(a) for a in expr.args)
-        if all(isinstance(a, Num) for a in args):
-            vals = [a.value for a in args]
-            return Num(min(vals) if expr.op == "min" else max(vals))
-        return Extremum(expr.op, args)
+        return _fold_extremum(expr, tuple(fold(a) for a in expr.args))
     raise TypeError(f"not an expression: {expr!r}")
 
 
+# one level of ``fold``: ``expr`` with its children replaced by the folded
+# ones given, itself when they are the children it has and nothing folds
+
+
+def _fold_unary(expr: Unary, inner: Expr) -> Expr:
+    if expr.op == "-" and isinstance(inner, Num):
+        return Num(-inner.value)
+    if expr.op == "!" and isinstance(inner, BoolLit):
+        return BoolLit(not inner.value)
+    return expr if inner is expr.operand else Unary(expr.op, inner)
+
+
+def _fold_binary(expr: Binary, left: Expr, right: Expr) -> Expr:
+    if left is not expr.left or right is not expr.right:
+        expr = Binary(expr.op, left, right)
+    if isinstance(left, (Num, BoolLit)) and isinstance(right, (Num, BoolLit)):
+        v = eval_expr(expr, {})
+        return Num(v) if isinstance(v, Fraction) else BoolLit(v)
+    return expr
+
+
+def _fold_extremum(expr: Extremum, args: tuple) -> Expr:
+    if all(isinstance(a, Num) for a in args):
+        vals = [a.value for a in args]
+        return Num(min(vals) if expr.op == "min" else max(vals))
+    if all(a is b for a, b in zip(args, expr.args)):
+        return expr
+    return Extremum(expr.op, args)
+
+
 def substitute(expr: Expr, env: Mapping[str, Union[Fraction, int, bool]]) -> Expr:
-    """Replace bound names by literals and fold; unbound names stay symbolic."""
+    """Replace bound names by literals and fold; unbound names stay symbolic.
+    A subtree with nothing to replace or fold is returned as it is."""
     if isinstance(expr, (Num, BoolLit)):
         return expr
     if isinstance(expr, Name):
@@ -291,11 +309,11 @@ def substitute(expr: Expr, env: Mapping[str, Union[Fraction, int, bool]]) -> Exp
             return Num(v if isinstance(v, Fraction) else Fraction(v))
         return expr
     if isinstance(expr, Unary):
-        return fold(Unary(expr.op, substitute(expr.operand, env)))
+        return _fold_unary(expr, substitute(expr.operand, env))
     if isinstance(expr, Binary):
-        return fold(Binary(expr.op, substitute(expr.left, env), substitute(expr.right, env)))
+        return _fold_binary(expr, substitute(expr.left, env), substitute(expr.right, env))
     if isinstance(expr, Extremum):
-        return fold(Extremum(expr.op, tuple(substitute(a, env) for a in expr.args)))
+        return _fold_extremum(expr, tuple(substitute(a, env) for a in expr.args))
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -308,62 +326,211 @@ def joint_valuations(
         yield dict(zip(names, combo))
 
 
-class MemoEvaluator:
-    """Evaluate expressions repeatedly over a product of parameter values.
+_LIT, _PARAM, _UNBOUND, _UNARY, _BINARY, _AND, _OR, _EXTREMUM = range(8)
+_KIND = {"&": _AND, "|": _OR}
 
-    Every subexpression is memoized on the values of the parameters it
-    actually mentions, so shared factors (a polynomial in two of four
-    parameters, say) are computed once per relevant combination rather than
-    once per full valuation.  Tables are keyed on the subexpression's
-    structure, so equal subtrees anywhere in the evaluated expressions share
-    one table.  Equal expressions evaluate alike (source positions are not
-    part of equality), and an error is never stored: it is raised, each
-    time, by the node being evaluated.
+
+class CompiledExprs:
+    """Expressions over a finite product of parameter values, compiled once
+    into a hash-consed DAG and evaluated lazily at points of the product.
+
+    ``add`` enters an expression bottom-up.  Each distinct subexpression is
+    one node, keyed on its kind, its operator or literal and the ids of its
+    children, which are canonical already, so no tree is hashed; equal
+    subtrees anywhere share one node, and an expression object seen before
+    is found by its ``id``.  A compound node keeps the parameters below it
+    and their mixed-radix strides.  At a point, given as one value index
+    per parameter, its value is stored under the int
+    ``sum(index[p] * stride[p])``, so it is computed once per combination
+    of the parameters it mentions, and only the values computed are held.
+
+    Evaluation is exact and lazy: ``&`` and ``|`` short-circuit and
+    ``min``/``max`` stop at a sort error, as in ``eval_expr``.  An error is
+    never stored: it is raised, each time, by the node being evaluated
+    (equal expressions render alike, so its message is the one
+    ``eval_expr`` gives).  Names bound in ``constants`` are literals; a
+    name that is neither raises ``UnboundName`` when it is reached.  An
+    evaluator (``points``, ``at``) evaluates the nodes added before it.
     """
 
-    def __init__(self, param_order: Sequence[str]):
-        self._rank = {p: i for i, p in enumerate(param_order)}
-        self._tables: dict = {}  # subexpression -> (names, value table)
-        # id(node) -> (names, value table, node): skips hashing a tree on
-        # every visit; the node reference pins its id
-        self._by_id: dict = {}
+    def __init__(
+        self,
+        domains: Mapping[str, Sequence[Value]],
+        constants: Optional[Mapping[str, Union[Fraction, int, bool]]] = None,
+    ):
+        self._names = list(domains)
+        self._domains = [list(domains[p]) for p in self._names]
+        self._position = {p: i for i, p in enumerate(self._names)}
+        self._constants = constants or {}
+        self._canon: dict = {}  # (kind, op or literal, child ids) -> node
+        self._by_id: dict = {}  # id(expr) -> (node, expr); the expr pins its id
+        # per node: kind, representative expression, children, literal value
+        # or parameter position or name, parameter group, value table
+        self._kind: list = []
+        self._expr: list = []
+        self._args: list = []
+        self._datum: list = []
+        self._group: list = []
+        self._tables: list = []
+        self._groups: dict = {}  # parameter positions -> group
+        self._positions: list = []  # per group: its parameter positions
+        self._strides: list = []  # per group: the stride of each position
 
-    def _entry(self, e: Expr):
-        entry = self._by_id.get(id(e))
-        if entry is None:
-            shared = self._tables.get(e)
-            if shared is None:
-                names = sorted(names_in(e) & self._rank.keys(), key=self._rank.__getitem__)
-                shared = self._tables[e] = (tuple(names), {})
-            entry = self._by_id[id(e)] = (*shared, e)
-        return entry
+    def add(self, e: Expr) -> int:
+        """The node of ``e``, compiling what is new below it."""
+        hit = self._by_id.get(id(e))
+        if hit is not None:
+            return hit[0]
+        if isinstance(e, Num):
+            key = (_LIT, "num", e.value)
+        elif isinstance(e, BoolLit):
+            key = (_LIT, "bool", e.value)
+        elif isinstance(e, Name):
+            key = (_PARAM, e.ident)
+        elif isinstance(e, Unary):
+            key = (_UNARY, e.op, self.add(e.operand))
+        elif isinstance(e, Binary):
+            key = (_KIND.get(e.op, _BINARY), e.op, self.add(e.left), self.add(e.right))
+        elif isinstance(e, Extremum):
+            key = (_EXTREMUM, e.op, tuple(self.add(a) for a in e.args))
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+        node = self._canon.get(key)
+        if node is None:
+            node = self._canon[key] = self._new(e, key)
+        self._by_id[id(e)] = (node, e)
+        return node
 
-    def eval(self, e: Expr, u: Mapping[str, Fraction]) -> Value:
-        if isinstance(e, (Num, BoolLit)):
-            return e.value
-        if isinstance(e, Name):
-            return _lookup(e, u)
-        names, table, _ = self._entry(e)
-        key = tuple(u[p] for p in names)
+    def _new(self, e: Expr, key: tuple) -> int:
+        kind, group, table = key[0], -1, None
+        if kind == _LIT:
+            args, datum = (), e.value
+        elif kind == _PARAM:
+            args = ()
+            if e.ident in self._position:
+                datum = self._position[e.ident]
+            elif e.ident in self._constants:
+                kind, datum = _LIT, _lookup(e, self._constants)
+            else:
+                kind, datum = _UNBOUND, e.ident
+        else:
+            args = key[2] if kind == _EXTREMUM else key[2:]
+            datum, table, group = None, {}, self._group_of(args)
+        self._kind.append(kind)
+        self._expr.append(e)
+        self._args.append(args)
+        self._datum.append(datum)
+        self._group.append(group)
+        self._tables.append(table)
+        return len(self._kind) - 1
+
+    def _group_of(self, args: tuple) -> int:
+        """The group of the parameters below the children ``args``."""
+        below = set()
+        for a in args:
+            if self._kind[a] == _PARAM:
+                below.add(self._datum[a])
+            elif self._group[a] >= 0:
+                below.update(self._positions[self._group[a]])
+        positions = tuple(sorted(below))
+        group = self._groups.get(positions)
+        if group is None:
+            group = self._groups[positions] = len(self._positions)
+            strides, stride = [], 1
+            for p in positions:
+                strides.append(stride)
+                stride *= len(self._domains[p])
+            self._positions.append(positions)
+            self._strides.append(tuple(strides))
+        return group
+
+    def tables(self) -> list:
+        """The value table of every compound node, keyed by the mixed-radix
+        index of its parameters' values."""
+        return [t for t in self._tables if t is not None]
+
+    def expr(self, node: int) -> Expr:
+        """The first expression entered as ``node``."""
+        return self._expr[node]
+
+    def points(self, names: Sequence[str]) -> Iterator[Tuple[dict, Callable[[int], Value]]]:
+        """Every joint valuation of the parameters ``names``, in
+        ``joint_valuations`` order, with the evaluator of nodes there.  A
+        parameter outside ``names`` is unbound."""
+        positions = [self._position[p] for p in names]
+        domains = [self._domains[p] for p in positions]
+        index = [0] * len(self._names)
+        for combo in itertools.product(*(range(len(d)) for d in domains)):
+            values: list = [None] * len(self._names)
+            row = {}
+            for name, p, domain, i in zip(names, positions, domains, combo):
+                index[p] = i
+                values[p] = row[name] = domain[i]
+            yield row, self._evaluator(tuple(index), values, self._tables)
+
+    def at(self, valuation: Mapping[str, Value]) -> Callable[[int], Value]:
+        """The evaluator of nodes under ``valuation``, which binds every
+        parameter.  A value outside its parameter's domain has no index:
+        then nothing is stored, and values are kept for this call only."""
+        values = [valuation[name] for name in self._names]
+        if all(v in domain for v, domain in zip(values, self._domains)):
+            index = tuple(domain.index(v) for v, domain in zip(values, self._domains))
+            return self._evaluator(index, values, self._tables)
+        scratch = [None if t is None else {} for t in self._tables]
+        return self._evaluator((0,) * len(values), values, scratch)
+
+    def _evaluator(self, index: tuple, values: list, tables: list) -> Callable[[int], Value]:
+        return _Point(self, index, values, tables).value
+
+
+class _Point:
+    """The nodes of a ``CompiledExprs`` at one point of the product.  A
+    method rather than a closure: a recursive closure is a reference cycle,
+    which would hold every table until the garbage collector ran."""
+
+    __slots__ = ("kinds", "exprs", "args", "data", "groups", "positions", "strides",
+                 "names", "index", "values", "tables", "keys")
+
+    def __init__(self, dag: CompiledExprs, index: tuple, values: list, tables: list):
+        self.kinds, self.exprs, self.args = dag._kind, dag._expr, dag._args
+        self.data, self.groups = dag._datum, dag._group
+        self.positions, self.strides = dag._positions, dag._strides
+        self.names = dag._names
+        self.index, self.values, self.tables = index, values, tables
+        self.keys: list = [None] * len(dag._strides)  # per group, on first use
+
+    def value(self, n: int) -> Value:
+        kind = self.kinds[n]
+        if kind == _LIT:
+            return self.data[n]
+        if kind == _PARAM:
+            v = self.values[self.data[n]]
+            if v is None:
+                raise UnboundName(self.names[self.data[n]])
+            return v
+        if kind == _UNBOUND:
+            raise UnboundName(self.data[n])
+        g = self.groups[n]
+        key = self.keys[g]
+        if key is None:
+            indices = map(self.index.__getitem__, self.positions[g])
+            key = self.keys[g] = sum(map(operator.mul, indices, self.strides[g]))
+        table = self.tables[n]
         v = table.get(key)
         if v is None:
-            v = self._apply(e, u)
+            e, a = self.exprs[n], self.args[n]
+            if kind == _BINARY:
+                v = _binary(e, self.value(a[0]), self.value(a[1]))
+            elif kind == _UNARY:
+                v = _unary(e, self.value(a[0]))
+            elif kind == _AND:
+                v = _as_bool(self.value(a[0]), e) and _as_bool(self.value(a[1]), e)
+            elif kind == _OR:
+                v = _as_bool(self.value(a[0]), e) or _as_bool(self.value(a[1]), e)
+            else:
+                v = _extremum(e, map(self.value, a))
             table[key] = v
         return v
-
-    def _apply(self, e: Expr, u) -> Value:
-        if isinstance(e, Unary):
-            return _unary(e, self.eval(e.operand, u))
-        if isinstance(e, Binary):
-            op = e.op
-            if op == "&":
-                return _as_bool(self.eval(e.left, u), e) and _as_bool(self.eval(e.right, u), e)
-            if op == "|":
-                return _as_bool(self.eval(e.left, u), e) or _as_bool(self.eval(e.right, u), e)
-            return _binary(e, self.eval(e.left, u), self.eval(e.right, u))
-        if isinstance(e, Extremum):
-            return _extremum(e, (self.eval(a, u) for a in e.args))
-        raise TypeError(f"not an expression: {e!r}")
 
 
 def expr_value_set(expr: Expr, param_domains: Mapping[str, Sequence[Fraction]]) -> list:
@@ -379,11 +546,10 @@ def expr_value_set(expr: Expr, param_domains: Mapping[str, Sequence[Fraction]]) 
         raise ExprError(
             f"expression {to_text(expr)} references non-parameter name(s) {', '.join(missing)}"
         )
-    occurring = [n for n in param_domains if n in free]
-    values = set()
-    for u in joint_valuations(occurring, param_domains):
-        values.add(_as_fraction(eval_expr(expr, u), expr))
-    return sorted(values)
+    exprs = CompiledExprs({n: param_domains[n] for n in param_domains if n in free})
+    node = exprs.add(expr)
+    points = exprs.points([n for n in param_domains if n in free])
+    return sorted({_as_fraction(value(node), expr) for _, value in points})
 
 
 # ---------------------------------------------------------------------------

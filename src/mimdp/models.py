@@ -6,16 +6,18 @@ strategy-induced chains.  Probabilities are exact rationals or residual
 parameter expressions; a model is immutable once built.
 
 There is one path from a family to its configurations: the exact entries
-of a valuation, read off a memo kept on the model and checked for
-well-definedness.  ``instantiate`` builds the instance from them; a
-concrete build is the parametric build instantiated.  One pass of
-``well_defined_entries`` yields every well-defined valuation with its
-entries and builds no instance (the valuation filter and the batched check
-of chain families use it); ``well_defined_instances`` adds the instances.
-The memo shares every subexpression value that depends only on parameters
-two valuations agree on, and equal subexpressions share one table.
-Well-definedness is exact: probabilities are rationals, and a distribution
-has entries in [0,1] summing to exactly one (``distribution_fault``).
+of a valuation, read off the model's entries compiled once (``_Entries``,
+kept on the model) and checked for well-definedness.  ``instantiate``
+builds the instance from them; a concrete build is the parametric build
+instantiated.  One pass of ``well_defined_entries`` yields every
+well-defined valuation with its entries and builds no instance (the
+valuation filter and the batched check of chain families use it);
+``well_defined_instances`` adds the instances.  The compiled entries are
+one hash-consed ``expressions.CompiledExprs``: equal subexpressions are one
+node, and a node's value is computed once per combination of the values of
+the parameters it mentions.  Well-definedness is exact: probabilities are
+rationals, and a distribution has entries in [0,1] summing to exactly one
+(``distribution_fault``).
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .expressions import (
+    CompiledExprs,
     Expr,
     ExprError,
-    MemoEvaluator,
     Num,
     equality_conjuncts,
     eval_expr,
@@ -88,8 +90,9 @@ class ExplicitModel:
     labels: dict  # label -> frozenset[int]
     parameters: dict  # residual parameter domains (mimdp only)
     deadlocks: frozenset = frozenset()
-    # instantiate's subexpression values, shared across valuations
-    _memo: Optional[MemoEvaluator] = field(default=None, init=False, compare=False, repr=False)
+    # the compiled entries of a parametric model, with every subexpression
+    # value computed so far, shared across valuations (``_compiled``)
+    _memo: Optional[_Entries] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def num_states(self) -> int:
@@ -501,9 +504,11 @@ def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Expl
 
     Every distribution is checked to have entries in [0,1] summing to
     exactly one; a violation raises WellDefinednessError naming the state
-    and action.  Values come from the model's memo, so instantiating one
-    model under many valuations evaluates each subexpression once per
-    combination of the parameters it mentions.
+    and action.  Values come from the model's compiled entries, which are
+    built on first use and kept on the model, so instantiating one model
+    under many valuations evaluates each distinct subexpression once per
+    combination of the values of the parameters it mentions.  A value
+    outside its parameter's declared set is evaluated but not kept.
     """
     if model.kind != "mimdp":
         return model
@@ -516,43 +521,78 @@ def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Expl
 def _entries(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Tuple[list, list]:
     """The exact branch probabilities of every choice, flat in model order,
     and the state costs of ``model`` under ``valuation``, read off the
-    model's memo.  Raises what ``instantiate`` raises, in the same order."""
+    model's compiled entries.  Raises what ``instantiate`` raises, in the
+    same order."""
+    entries = _compiled(model)
     env = {p: Fraction(valuation[p]) for p in model.parameters}
-    memo = model._memo
-    if memo is None:
-        memo = model._memo = MemoEvaluator(list(model.parameters))
+    return entries.read(model, entries.exprs.at(env))
 
-    def concrete(p: Prob) -> Fraction:
-        if isinstance(p, Fraction):
-            return p
-        v = memo.eval(p, env)
+
+def _compiled(model: ExplicitModel) -> _Entries:
+    if model._memo is None:
+        model._memo = _Entries(model)
+    return model._memo
+
+
+class _Entries:
+    """The entries of a parametric model, compiled once: every parametric
+    branch probability and state cost is a node of one ``CompiledExprs``
+    over the model's parameters, whose tables keep each subexpression value
+    for every valuation read.  A choice whose branches are all concrete has
+    the same verdict under every valuation, so it is checked here, once."""
+
+    def __init__(self, model: ExplicitModel):
+        self.exprs = CompiledExprs(model.parameters)
+        # (state, action, nodes, values, fault): the nodes of a parametric
+        # choice, or the values and verdict of a concrete one
+        self.steps: list = []
+        for si, row in enumerate(model.choices):
+            for ch in row:
+                probs = [p for p, _ in ch.branches]
+                if all(isinstance(p, Fraction) for p in probs):
+                    step = (si, ch.action, None, probs, distribution_fault(probs))
+                else:
+                    step = (si, ch.action, tuple(map(self._node, probs)), None, None)
+                self.steps.append(step)
+        self.costs = [self._node(c) for c in model.costs]
+
+    def _node(self, p: Prob) -> int:
+        return self.exprs.add(Num(p) if isinstance(p, Fraction) else p)
+
+    def _number(self, value, node: int) -> Fraction:
+        v = value(node)
         if isinstance(v, bool):
-            raise ModelError(f"boolean where a number was expected: {to_text(p)}")
+            raise ModelError(
+                f"boolean where a number was expected: {to_text(self.exprs.expr(node))}"
+            )
         return v
 
-    probs: list = []
-    for si, row in enumerate(model.choices):
-        for ch in row:
-            values = [concrete(p) for p, _ in ch.branches]
-            fault = distribution_fault(values)
+    def read(self, model: ExplicitModel, value) -> Tuple[list, list]:
+        """The entries under the evaluator ``value`` (``CompiledExprs``),
+        checked choice by choice in model order, then cost by cost."""
+        probs: list = []
+        for si, action, nodes, values, fault in self.steps:
+            if nodes is not None:
+                values = [self._number(value, n) for n in nodes]
+                fault = distribution_fault(values)
             if fault is not None:
                 raise WellDefinednessError(
                     f"well-definedness violation at state {model.state_text(si)}, "
-                    f"action {ch.action or 'tau'}: {fault}",
+                    f"action {action or 'tau'}: {fault}",
                     state=si,
-                    action=ch.action,
+                    action=action,
                 )
             probs.extend(values)
-    costs = []
-    for si, c in enumerate(model.costs):
-        v = concrete(c)
-        if v < 0:
-            raise WellDefinednessError(
-                f"negative cost {format_fraction(v)} at state {model.state_text(si)}",
-                state=si,
-            )
-        costs.append(v)
-    return probs, costs
+        costs = []
+        for si, node in enumerate(self.costs):
+            v = self._number(value, node)
+            if v < 0:
+                raise WellDefinednessError(
+                    f"negative cost {format_fraction(v)} at state {model.state_text(si)}",
+                    state=si,
+                )
+            costs.append(v)
+        return probs, costs
 
 
 def _instance(model: ExplicitModel, probs: Sequence[Fraction], costs: list) -> ExplicitModel:
@@ -593,9 +633,10 @@ def well_defined_entries(model: ExplicitModel) -> Iterator[Tuple[Valuation, list
         probs = [p for row in model.choices for ch in row for p, _ in ch.branches]
         yield {}, probs, list(model.costs)
         return
-    for u in all_valuations(model):
+    entries = _compiled(model)
+    for u, value in entries.exprs.points(list(model.parameters)):
         try:
-            probs, costs = _entries(model, u)
+            probs, costs = entries.read(model, value)
         except WellDefinednessError:
             continue
         yield u, probs, costs

@@ -43,8 +43,8 @@ from typing import Dict, List, Tuple
 
 from .expressions import (
     Binary,
+    CompiledExprs,
     Expr,
-    MemoEvaluator,
     Name,
     Num,
     TRUE,
@@ -52,7 +52,6 @@ from .expressions import (
     equality_conjuncts,
     eval_expr,
     format_fraction,
-    joint_valuations,
     names_in,
 )
 from .models import compose, distribution_fault
@@ -228,14 +227,14 @@ def transform_rewards(program: Program) -> Tuple[Program, TransformReport]:
     taken_actions = set(module.actions)
 
     selectors = []  # (decl index, decl, selector var, row valuations, row values)
+    exprs = CompiledExprs(params, program.constants)
     for k, (ri, decl) in enumerate(parametric):
         occurring = [p for p in params if p in names_in(decl.cost)]
-        rows = list(joint_valuations(occurring, params))
-        values = []
-        for row in rows:
-            env = dict(program.constants)
-            env.update(row)
-            v = eval_expr(decl.cost, env)
+        node = exprs.add(decl.cost)
+        rows, values = [], []
+        for row, value in exprs.points(occurring):
+            rows.append(row)
+            v = value(node)
             if isinstance(v, bool):
                 raise TransformError(f"reward {ri + 1} is boolean-sorted")
             if v < 0:
@@ -338,7 +337,8 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
     Rows whose probabilities leave [0,1] or do not sum to one are dropped
     (the local well-definedness filter); a command losing all rows is an
     error, since no instantiation of the program would be well-defined.
-    Rows are evaluated through one ``MemoEvaluator``, so a subexpression is
+    The probabilities of all commands are compiled into one
+    ``CompiledExprs``, so equal subexpressions share one node and each is
     computed once per combination of the parameters it mentions, across
     rows and commands.
     """
@@ -350,7 +350,7 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
 
     report = TransformReport()
     commands: List[CommandDecl] = []
-    memo = MemoEvaluator(list(params))  # constants are fixed in every row
+    exprs = CompiledExprs(params, consts)
     for ci, cmd in enumerate(module.commands):
         mentioned = frozenset().union(*(names_in(prob) for prob, _ in cmd.branches))
         occurring = [p for p in params if p in mentioned]
@@ -359,10 +359,9 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
             commands.append(cmd)
             continue
         produced = []
-        for i, row in enumerate(joint_valuations(occurring, params), start=1):
-            env = dict(consts)
-            env.update(row)
-            probs = [memo.eval(prob, env) for prob, _ in cmd.branches]
+        nodes = [exprs.add(prob) for prob, _ in cmd.branches]
+        for i, (row, value) in enumerate(exprs.points(occurring), start=1):
+            probs = [value(n) for n in nodes]
             if any(isinstance(v, bool) for v in probs) or distribution_fault(probs) is not None:
                 continue
             action = _fresh(f"_row{ci}_{i}", taken_actions)

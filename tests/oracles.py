@@ -5,8 +5,8 @@ expected costs on Markov chains.  Deliberately naive and fully exact
 (fractions end to end): the engine under test uses precomputation plus
 value iteration, this does not.  Below it, the former checker, the
 former instantiation and well-definedness filter, the former exploration,
-guard implication checks, integer-program emitter and enumeration route,
-kept as references for the differential tests of the code that replaced
+guard implication checks, integer-program emitter, enumeration route,
+memoised evaluator and reward selection, kept as references for the differential tests of the code that replaced
 them.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,8 +30,20 @@ from mimdp.checking import (
     reach_prob,
 )
 from mimdp.expressions import (
+    Binary,
+    BoolLit,
     Expr,
+    Extremum,
+    Name,
     Num,
+    Unary,
+    Value,
+    _as_bool,
+    _binary,
+    _extremum,
+    _lookup,
+    _unary,
+    conjoin,
     eval_expr,
     format_fraction,
     joint_valuations,
@@ -47,6 +59,7 @@ from mimdp.models import (
     ModelError,
     StateCapExceeded,
     Strategy,
+    Valuation,
     WellDefinednessError,
     _add_probs,
     _fmt,
@@ -58,7 +71,7 @@ from mimdp.models import (
     well_defined_instances,
     well_defined_valuations,
 )
-from mimdp.program import CommandDecl, ModuleDecl, Program, check_program
+from mimdp.program import CommandDecl, ModuleDecl, Program, RewardDecl, VarDecl, check_program
 from mimdp.synthesis import (
     FEASIBILITY_TOL,
     TIE_TOL,
@@ -76,6 +89,8 @@ from mimdp.transform import (
     TransformReport,
     _ensure_single_module,
     _fresh,
+    _guard_implies,
+    _guards_overlap,
     _prune_parameters,
 )
 
@@ -1111,3 +1126,323 @@ def seed_transform_probabilities(program: Program) -> Tuple[Program, TransformRe
         labels=dict(program.labels),
     )
     return _prune_parameters(new_program), report
+
+
+# ---------------------------------------------------------------------------
+# the former memoised evaluator, entries pass and reward selection
+#
+# References for the differential tests of the compiled, hash-consed
+# entries (``expressions.CompiledExprs``): the evaluator keyed its tables on
+# each subexpression's structure and on the tuple of its parameters'
+# values, ``transform_rewards`` evaluated each reward row with plain
+# ``eval_expr``, and ``fold`` and ``substitute`` rebuilt every node.  Kept
+# as they were apart from the names (``SeedMemoEvaluator``,
+# ``seed_memo_entries``, ``seed_memo_well_defined_entries``,
+# ``seed_transform_rewards``, ``seed_fold``, ``seed_substitute``) and one
+# change: the memo is passed in instead of being kept on the model, so the
+# references never share the tables under test.
+
+
+class SeedMemoEvaluator:
+    """Evaluate expressions repeatedly over a product of parameter values.
+
+    Every subexpression is memoized on the values of the parameters it
+    actually mentions, so shared factors (a polynomial in two of four
+    parameters, say) are computed once per relevant combination rather than
+    once per full valuation.  Tables are keyed on the subexpression's
+    structure, so equal subtrees anywhere in the evaluated expressions share
+    one table.  Equal expressions evaluate alike (source positions are not
+    part of equality), and an error is never stored: it is raised, each
+    time, by the node being evaluated.
+    """
+
+    def __init__(self, param_order: Sequence[str]):
+        self._rank = {p: i for i, p in enumerate(param_order)}
+        self._tables: dict = {}  # subexpression -> (names, value table)
+        # id(node) -> (names, value table, node): skips hashing a tree on
+        # every visit; the node reference pins its id
+        self._by_id: dict = {}
+
+    def _entry(self, e: Expr):
+        entry = self._by_id.get(id(e))
+        if entry is None:
+            shared = self._tables.get(e)
+            if shared is None:
+                names = sorted(names_in(e) & self._rank.keys(), key=self._rank.__getitem__)
+                shared = self._tables[e] = (tuple(names), {})
+            entry = self._by_id[id(e)] = (*shared, e)
+        return entry
+
+    def eval(self, e: Expr, u: Mapping[str, Fraction]) -> Value:
+        if isinstance(e, (Num, BoolLit)):
+            return e.value
+        if isinstance(e, Name):
+            return _lookup(e, u)
+        names, table, _ = self._entry(e)
+        key = tuple(u[p] for p in names)
+        v = table.get(key)
+        if v is None:
+            v = self._apply(e, u)
+            table[key] = v
+        return v
+
+    def _apply(self, e: Expr, u) -> Value:
+        if isinstance(e, Unary):
+            return _unary(e, self.eval(e.operand, u))
+        if isinstance(e, Binary):
+            op = e.op
+            if op == "&":
+                return _as_bool(self.eval(e.left, u), e) and _as_bool(self.eval(e.right, u), e)
+            if op == "|":
+                return _as_bool(self.eval(e.left, u), e) or _as_bool(self.eval(e.right, u), e)
+            return _binary(e, self.eval(e.left, u), self.eval(e.right, u))
+        if isinstance(e, Extremum):
+            return _extremum(e, (self.eval(a, u) for a in e.args))
+        raise TypeError(f"not an expression: {e!r}")
+
+
+def seed_memo_entries(
+    model: ExplicitModel, valuation: Mapping[str, Fraction], memo: SeedMemoEvaluator
+) -> Tuple[list, list]:
+    """The exact branch probabilities of every choice, flat in model order,
+    and the state costs of ``model`` under ``valuation``, read off the
+    model's memo.  Raises what ``instantiate`` raises, in the same order."""
+    env = {p: Fraction(valuation[p]) for p in model.parameters}
+
+    def concrete(p: Prob) -> Fraction:
+        if isinstance(p, Fraction):
+            return p
+        v = memo.eval(p, env)
+        if isinstance(v, bool):
+            raise ModelError(f"boolean where a number was expected: {to_text(p)}")
+        return v
+
+    probs: list = []
+    for si, row in enumerate(model.choices):
+        for ch in row:
+            values = [concrete(p) for p, _ in ch.branches]
+            fault = distribution_fault(values)
+            if fault is not None:
+                raise WellDefinednessError(
+                    f"well-definedness violation at state {model.state_text(si)}, "
+                    f"action {ch.action or 'tau'}: {fault}",
+                    state=si,
+                    action=ch.action,
+                )
+            probs.extend(values)
+    costs = []
+    for si, c in enumerate(model.costs):
+        v = concrete(c)
+        if v < 0:
+            raise WellDefinednessError(
+                f"negative cost {format_fraction(v)} at state {model.state_text(si)}",
+                state=si,
+            )
+        costs.append(v)
+    return probs, costs
+
+
+def seed_memo_well_defined_entries(model: ExplicitModel) -> Iterator[Tuple[Valuation, list, list]]:
+    """Every well-defined valuation in ``all_valuations`` order, with the
+    exact entries of its instance: the branch probabilities of every choice,
+    flat in model order (the shared structure of the family), and the state
+    costs.  No instance is built.  A parameter-free model yields its own
+    entries under the empty valuation (the empty product)."""
+    if model.kind != "mimdp":
+        probs = [p for row in model.choices for ch in row for p, _ in ch.branches]
+        yield {}, probs, list(model.costs)
+        return
+    memo = SeedMemoEvaluator(list(model.parameters))
+    for u in all_valuations(model):
+        try:
+            probs, costs = seed_memo_entries(model, u, memo)
+        except WellDefinednessError:
+            continue
+        yield u, probs, costs
+
+
+def seed_transform_rewards(program: Program) -> Tuple[Program, TransformReport]:
+    """Replace parametric reward expressions by nondeterministic selection.
+
+    For each reward declaration whose cost mentions parameters, the joint
+    valuations of those parameters are enumerated as rows 1..m.  Every
+    command whose guard implies the reward guard gains m selector commands
+    (guarded by "selector = 0") and is itself re-guarded behind
+    "selector >= 1" with a reset appended to every branch; the declaration
+    is replaced by m concrete declarations guarded by the selector value.
+    Parametric reward guards must be pairwise disjoint.
+    """
+    program = _ensure_single_module(program)
+    module = program.single_module()
+    params = program.parameters
+
+    parametric = [
+        (ri, decl)
+        for ri, decl in enumerate(program.rewards)
+        if names_in(decl.cost) & set(params)
+    ]
+    if not parametric:
+        return program, TransformReport(
+            command_mapping={ci: (ci,) for ci in range(len(module.commands))}
+        )
+
+    for (ri, a), (rj, b) in itertools.combinations(parametric, 2):
+        if _guards_overlap(a.guard, b.guard, program):
+            raise TransformError(
+                f"parametric reward guards {ri + 1} and {rj + 1} overlap; "
+                "selection would double-accrue"
+            )
+
+    taken = set(program.constants) | set(params) | set(program.variables())
+    taken_actions = set(module.actions)
+
+    selectors = []  # (decl index, decl, selector var, row valuations, row values)
+    for k, (ri, decl) in enumerate(parametric):
+        occurring = [p for p in params if p in names_in(decl.cost)]
+        rows = list(joint_valuations(occurring, params))
+        values = []
+        for row in rows:
+            env = dict(program.constants)
+            env.update(row)
+            v = eval_expr(decl.cost, env)
+            if isinstance(v, bool):
+                raise TransformError(f"reward {ri + 1} is boolean-sorted")
+            if v < 0:
+                raise TransformError(
+                    f"reward {ri + 1} evaluates to {format_fraction(v)} < 0"
+                )
+            values.append(v)
+        var = _fresh(f"_sel{k}", taken)
+        selectors.append((ri, decl, var, rows, values))
+
+    anchored: Dict[int, list] = {}
+    for ci, cmd in enumerate(module.commands):
+        for entry in selectors:
+            if _guard_implies(cmd.guard, entry[1].guard, program):
+                anchored.setdefault(ci, []).append(entry)
+
+    for ri, decl, var, rows, values in selectors:
+        if not any(
+            any(e[0] == ri for e in entries) for entries in anchored.values()
+        ):
+            raise TransformError(
+                f"no command anchors parametric reward {ri + 1}; "
+                "its cost would be lost under selection"
+            )
+
+    report = TransformReport()
+    for _, _, var, rows, _ in selectors:
+        report.fresh_variables[var] = (0, len(rows))
+
+    commands: List[CommandDecl] = []
+    for ci, cmd in enumerate(module.commands):
+        if ci not in anchored:
+            report.command_mapping[ci] = (len(commands),)
+            commands.append(cmd)
+            continue
+        produced = []
+        entries = anchored[ci]
+        for ri, decl, var, rows, values in entries:
+            for i, row in enumerate(rows, start=1):
+                action = _fresh(f"_set{ci}_{var}_{i}", taken_actions)
+                # one selector action per (command, reward, row)
+                report.fresh_actions[action] = tuple(
+                    (p, row[p]) for p in row
+                )
+                guard = conjoin(cmd.guard, Binary("=", Name(var), Num(Fraction(0))))
+                produced.append(
+                    CommandDecl(action, guard, ((Num(Fraction(1)), ((var, Num(Fraction(i))),)),))
+                )
+        guard = cmd.guard
+        resets = []
+        for ri, decl, var, rows, values in entries:
+            guard = conjoin(guard, Binary(">=", Name(var), Num(Fraction(1))))
+            resets.append((var, Num(Fraction(0))))
+        branches = tuple(
+            (prob, update + tuple(resets)) for prob, update in cmd.branches
+        )
+        produced.append(CommandDecl(cmd.action, guard, branches))
+        report.command_mapping[ci] = tuple(
+            range(len(commands), len(commands) + len(produced))
+        )
+        commands.extend(produced)
+
+    selector_zero = [
+        Binary("=", Name(var), Num(Fraction(0))) for _, _, var, _, _ in selectors
+    ]
+    rewards: List[RewardDecl] = []
+    by_index = {ri: (decl, var, rows, values) for ri, decl, var, rows, values in selectors}
+    for ri, decl in enumerate(program.rewards):
+        if ri not in by_index:
+            rewards.append(RewardDecl(conjoin(decl.guard, *selector_zero), decl.cost))
+            continue
+        _, var, rows, values = by_index[ri]
+        for i, value in enumerate(values, start=1):
+            rewards.append(
+                RewardDecl(Binary("=", Name(var), Num(Fraction(i))), Num(value))
+            )
+
+    variables = module.variables + tuple(
+        VarDecl(var, 0, len(rows), 0) for _, _, var, rows, _ in selectors
+    )
+    actions = module.actions | frozenset(report.fresh_actions)
+    new_module = ModuleDecl(module.name, variables, actions, tuple(commands))
+    new_program = Program(
+        constants=dict(program.constants),
+        parameters=dict(program.parameters),
+        modules=(new_module,),
+        rewards=tuple(rewards),
+        labels=dict(program.labels),
+    )
+    return _prune_parameters(new_program), report
+
+
+def seed_fold(expr: Expr) -> Expr:
+    """Fold literal-only subtrees into literals (bottom-up, exact).
+
+    The parser folds on construction, so programmatically built expressions
+    should be folded too when textual round-tripping matters.
+    """
+    if isinstance(expr, (Num, BoolLit, Name)):
+        return expr
+    if isinstance(expr, Unary):
+        inner = seed_fold(expr.operand)
+        if expr.op == "-" and isinstance(inner, Num):
+            return Num(-inner.value)
+        if expr.op == "!" and isinstance(inner, BoolLit):
+            return BoolLit(not inner.value)
+        return Unary(expr.op, inner)
+    if isinstance(expr, Binary):
+        left, right = seed_fold(expr.left), seed_fold(expr.right)
+        folded = Binary(expr.op, left, right)
+        if isinstance(left, (Num, BoolLit)) and isinstance(right, (Num, BoolLit)):
+            v = eval_expr(folded, {})
+            return Num(v) if isinstance(v, Fraction) else BoolLit(v)
+        return folded
+    if isinstance(expr, Extremum):
+        args = tuple(seed_fold(a) for a in expr.args)
+        if all(isinstance(a, Num) for a in args):
+            vals = [a.value for a in args]
+            return Num(min(vals) if expr.op == "min" else max(vals))
+        return Extremum(expr.op, args)
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def seed_substitute(expr: Expr, env: Mapping[str, Union[Fraction, int, bool]]) -> Expr:
+    """Replace bound names by literals and fold; unbound names stay symbolic."""
+    if isinstance(expr, (Num, BoolLit)):
+        return expr
+    if isinstance(expr, Name):
+        if expr.ident in env:
+            v = env[expr.ident]
+            if isinstance(v, bool):
+                return BoolLit(v)
+            return Num(v if isinstance(v, Fraction) else Fraction(v))
+        return expr
+    if isinstance(expr, Unary):
+        return seed_fold(Unary(expr.op, seed_substitute(expr.operand, env)))
+    if isinstance(expr, Binary):
+        return seed_fold(Binary(expr.op, seed_substitute(expr.left, env), seed_substitute(expr.right, env)))
+    if isinstance(expr, Extremum):
+        return seed_fold(Extremum(expr.op, tuple(seed_substitute(a, env) for a in expr.args)))
+    raise TypeError(f"not an expression: {expr!r}")

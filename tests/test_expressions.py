@@ -2,15 +2,17 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
+
 from mimdp.expressions import (
     FALSE,
     TRUE,
     Binary,
     BoolLit,
+    CompiledExprs,
     DivisionByZero,
     ExprError,
     Extremum,
-    MemoEvaluator,
     Name,
     Num,
     SortError,
@@ -138,7 +140,7 @@ def Name_eq(n, v):
     return Binary("=", Name(n), Num(F(v)))
 
 
-# --- the memoised evaluator against eval_expr ---------------------------------
+# --- the compiled evaluator against eval_expr and the former memo -------------
 
 X, Y, B = Name("x"), Name("y"), Name("b")
 ONE = Num(F(1))
@@ -161,7 +163,7 @@ EVALUATOR_CASES = [
     Unary("!", B),
     Unary("-", Binary("+", X, Num(F(1, 3)))),
     Name("nope"),
-    # equal subtrees (distinct objects) share one table
+    # equal subtrees (distinct objects) share one node
     Binary("+", Binary("*", X, Y), Binary("*", X, Y)),
     Binary("-", Binary("/", X, Y), Binary("/", X, Y)),
     Extremum("max", (Binary("-", X, ONE), Binary("-", X, ONE), Binary("/", ONE, Y))),
@@ -184,9 +186,16 @@ def _outcome(evaluate, e, env):
 def test_memo_evaluator_returns_or_raises_what_eval_expr_does(e):
     env = {"x": F(2), "y": F(0), "b": True}
     want = _outcome(eval_expr, e, env)
-    memo = MemoEvaluator(["x", "y", "b"])
-    assert _outcome(memo.eval, e, env) == want
-    assert _outcome(memo.eval, e, env) == want  # answered from the tables
+    seed = oracles.SeedMemoEvaluator(["x", "y", "b"])
+    assert _outcome(seed.eval, e, env) == want
+    exprs = CompiledExprs({"x": [F(1), F(2)], "y": [F(0), F(3)], "b": [False, True]})
+
+    def compiled(e, env):
+        node = exprs.add(e)
+        return exprs.at(env)(node)
+
+    assert _outcome(compiled, e, env) == want
+    assert _outcome(compiled, e, env) == want  # answered from the tables
 
 
 def test_memo_evaluator_shares_tables_between_equal_subtrees():
@@ -195,18 +204,23 @@ def test_memo_evaluator_shares_tables_between_equal_subtrees():
         return Binary("+", Binary("*", X, Y), Binary("/", X, Binary("-", Y, ONE)))
 
     first, second = poly(), Unary("-", poly())
-    memo = MemoEvaluator(["x", "y"])
-    envs = [{"x": F(a), "y": F(b)} for a in (1, 2) for b in (0, 1, 3)]
-    for e in (first, second):
-        for env in envs:
-            assert _outcome(memo.eval, e, env) == _outcome(eval_expr, e, env)
+    exprs = CompiledExprs({"x": [F(1), F(2)], "y": [F(0), F(1), F(3)]})
+    nodes = [exprs.add(e) for e in (first, second)]
+    assert exprs.add(second.operand) == nodes[0]
+    points = list(exprs.points(["x", "y"]))
+    assert [env for env, _ in points] == [{"x": F(a), "y": F(b)} for a in (1, 2) for b in (0, 1, 3)]
+    for e, node in zip((first, second), nodes):
+        for env, value in points:
+            assert _outcome(lambda n, _: value(n), node, env) == _outcome(eval_expr, e, env)
     # poly, its three inner nodes and the negation: five tables; the
-    # second poly answers from the first one's tables
-    assert len(memo._tables) == 5
+    # second poly is the first one's node
+    tables = exprs.tables()
+    assert len(tables) == 5
     # x * y and y - 1 hold every value they take; y = 1 divides by zero,
     # which is never stored, so the division, the sum and the negation
-    # hold four values each
-    assert sorted(len(table) for _, table in memo._tables.values()) == [3, 4, 4, 4, 6]
+    # hold four values each: the former memo's counts, so no value is
+    # computed twice
+    assert sorted(map(len, tables)) == [3, 4, 4, 4, 6]
 
 
 def test_equal_literals_evaluate_alike():

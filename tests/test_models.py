@@ -358,8 +358,10 @@ def test_equal_subexpressions_share_memo_tables():
     line = next(l for l in text.splitlines() if l.startswith("param fp in {"))
     model = build_model(parse_program(text.replace(line, "param fp in {0.2, 0.9};")))
     assert len(well_defined_valuations(model)) == 360
-    tables = model._memo._tables.values()
-    assert (len(tables), sum(len(table) for _, table in tables)) == (680, 11411)
+    # the former memo's counts: one table per distinct compound
+    # subexpression, and no value computed twice
+    tables = model._memo.exprs.tables()
+    assert (len(tables), sum(map(len, tables))) == (680, 11411)
 
 
 # --- induced chains ----------------------------------------------------------
