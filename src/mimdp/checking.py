@@ -21,6 +21,11 @@ checks (a greedy tie in the max direction, or iteration that stopped far
 from the fixpoint), the raw iteration values are kept and
 ``ValueVector.polished`` is False.
 
+The checker works on flat arrays of a model's transition structure, built
+once per model on first use and kept on it (models are immutable once
+built).  The cost-bounded product's arrays are derived from the base
+model's with a few vectorised index operations, not built from objects.
+
 Value iteration and the polish work on stacks of configurations that share
 one structure: ``reach_prob`` and ``expected_cost`` run a stack of one, and
 ``chain_family`` checks a family of chains one support pattern at a time,
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
@@ -106,16 +112,21 @@ class _Arrays:
                     )
                 branch_start.append(len(targets))
             choice_start.append(len(choice_state))
-        self.num_states = model.num_states
-        self.owner = choice_state  # the state of each choice, as a list
+        self._fill(model.num_states, choice_state, pred, choice_start, branch_start,
+                   targets, floats if probs is None else probs)
+
+    def _fill(self, num_states, choice_state, pred, choice_start, branch_start,
+              targets, probs) -> None:
+        self.num_states = num_states
         self.predecessors = pred
         self.choice_state = np.asarray(choice_state, dtype=np.int64)
+        self.owner = self.choice_state.tolist()  # the state of each choice
         self.choice_start = np.asarray(choice_start, dtype=np.int64)
         self.branch_start = np.asarray(branch_start, dtype=np.int64)
         self.targets = np.asarray(targets, dtype=np.int64)
         # one row of branch probabilities, or one per configuration
-        self.probs = np.asarray(floats if probs is None else probs, dtype=np.float64)
-        self.num_choices = len(choice_state)
+        self.probs = np.asarray(probs, dtype=np.float64)
+        self.num_choices = len(self.owner)
 
     def choice_values(self, x: np.ndarray, probs: Optional[np.ndarray] = None) -> np.ndarray:
         """Each choice's expected successor value; ``x`` is one value per
@@ -127,6 +138,14 @@ class _Arrays:
     def state_opt(self, q: np.ndarray, direction: str) -> np.ndarray:
         op = np.maximum if direction == "max" else np.minimum
         return op.reduceat(q, self.choice_start[:-1], axis=-1)
+
+
+def _model_arrays(model: ExplicitModel) -> _Arrays:
+    """The flat arrays of a concrete model, built on first use and kept on
+    the model.  A model they cannot be built for raises on every call."""
+    if model._arrays is None:
+        model._arrays = _Arrays(model)
+    return model._arrays
 
 
 def _reachable_from(arr: _Arrays, start: int) -> set:
@@ -426,8 +445,9 @@ def _target_set(model: ExplicitModel, targets) -> set:
     if isinstance(targets, str):
         return set(model.label_states(targets))
     out = set(int(t) for t in targets)
+    n = model.num_states
     for t in out:
-        if not (0 <= t < model.num_states):
+        if not (0 <= t < n):
             raise ModelError(f"target state {t} out of range")
     return out
 
@@ -449,7 +469,7 @@ def reach_prob(
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    arr = _Arrays(model)
+    arr = _model_arrays(model)
     tset = _target_set(model, targets)
     x, iters, residual, polished, picks = _reach(
         arr, tset, direction, model.kind == "mc", 1, tol, trace
@@ -519,7 +539,7 @@ def expected_cost(
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    arr = _Arrays(model)
+    arr = _model_arrays(model)
     gset = _target_set(model, goals)
     for s, c in enumerate(model.costs):
         if isinstance(c, Expr):
@@ -621,7 +641,13 @@ def cost_bounded_reach(
     Cost accrues when a state is visited; entering a target stops accrual
     (the target's own cost does not count), so a path succeeds iff the sum
     of the costs of the states strictly before the first target visit is
-    below the bound.  Computed on the budget-unfolded product.
+    below the bound.  Computed by ``reach_prob`` on the budget-unfolded
+    product: state ``s * (bound + 1) + b`` is ``s`` with budget ``b`` left;
+    it has the choices of ``s`` with every branch into ``t`` sent to
+    ``t`` with budget ``max(b - cost(s), 0)``, or one self-loop if ``s`` is
+    a target.  The product's arrays are derived from the base model's,
+    which are built once per model; its rows (``choices``) are built only
+    when read.
     """
     if bound < 0:
         raise ValueError("cost bound must be nonnegative")
@@ -635,43 +661,113 @@ def cost_bounded_reach(
         costs.append(int(c))
 
     width = bound + 1  # remaining budget in 0..bound
-
-    def node(s: int, b: int) -> int:
-        return s * width + b
-
     n = model.num_states * width
-    states = [None] * n
-    rows: list = [None] * n
-    for s in range(model.num_states):
-        for b in range(width):
-            i = node(s, b)
-            states[i] = model.states[s] + (b,)
-            if s in tset:
-                rows[i] = [Choice(None, ((Fraction(1), i),))]
-            else:
-                b2 = max(b - costs[s], 0)
-                new_row = []
-                for ch in model.choices[s]:
-                    new_row.append(
-                        Choice(ch.action, tuple((p, node(t, b2)) for p, t in ch.branches))
-                    )
-                rows[i] = new_row
-
     product = ExplicitModel(
         kind="mc" if model.kind == "mc" else "mdp",
         var_names=model.var_names + ("_budget",),
-        states=states,
-        initial=node(model.initial, bound),
-        choices=rows,
+        states=[state + (b,) for state in model.states for b in range(width)],
+        initial=model.initial * width + bound,
+        choices=_ProductRows(model, tset, costs, width),
         costs=[Fraction(0)] * n,
         labels={},
         parameters={},
     )
-    goal = {node(s, b) for s in tset for b in range(1, width)}
+    goal = {s * width + b for s in tset for b in range(1, width)}
     if not goal:
         return 0.0
+    # with a negative cost, or a base model without arrays (parametric, or
+    # a choice with no positive branch), the slot stays empty: reach_prob
+    # builds the arrays from the rows and raises where they are faulty
+    if all(c >= 0 for c in costs):
+        try:
+            base = _model_arrays(model)
+        except ModelError:
+            pass
+        else:
+            # clamped to fit int64: any cost of at least the width drains
+            # every budget
+            cost = np.array([min(c, width) for c in costs], dtype=np.int64)
+            product._arrays = _product_arrays(
+                base, _mask(model.num_states, tset), cost, width
+            )
     vec, _ = reach_prob(product, goal, direction, tol=tol)
     return float(vec.values[product.initial])
+
+
+class _ProductRows(abc.Sequence):
+    """The choices of the budget product of ``cost_bounded_reach``, each
+    row built when it is read."""
+
+    def __init__(self, model: ExplicitModel, tset: set, costs: list, width: int):
+        self._model, self._tset, self._costs, self._width = model, tset, costs, width
+
+    def __len__(self) -> int:
+        return self._model.num_states * self._width
+
+    def __getitem__(self, i: int) -> list:
+        i = range(len(self))[i]
+        s, b = divmod(i, self._width)
+        if s in self._tset:
+            return [Choice(None, ((Fraction(1), i),))]
+        b2 = max(b - self._costs[s], 0)
+        return [
+            Choice(ch.action, tuple((p, t * self._width + b2) for p, t in ch.branches))
+            for ch in self._model.choices[s]
+        ]
+
+
+def _repeat_blocks(first: np.ndarray, length: np.ndarray, width: int):
+    """Per state ``s``, the block of ``length[s]`` entries of a base array
+    from ``first[s]`` on, once per budget: per entry of the result, the base
+    index it copies and its product state ``s * width + b``."""
+    length = np.repeat(length, width)
+    state = np.repeat(np.arange(len(length)), length)
+    shift = np.repeat(first, width) - (np.cumsum(length) - length)
+    return np.arange(len(state)) + np.repeat(shift, length), state
+
+
+def _product_arrays(base: _Arrays, target: np.ndarray, cost: np.ndarray,
+                    width: int) -> _Arrays:
+    """The arrays of the budget product (see ``cost_bounded_reach``) from
+    those of its base model, ``target`` the mask of target states and
+    ``cost`` their integer costs: field for field what ``_Arrays`` builds
+    from the product's rows."""
+    size = base.num_states * width
+    # a target's row is one choice with one branch, a self-loop, and the
+    # base index it copies is a placeholder: one past the end at worst,
+    # hence the padding below
+    first_branch = base.branch_start[base.choice_start]
+    choice_of, choice_state = _repeat_blocks(
+        base.choice_start[:-1], np.where(target, 1, np.diff(base.choice_start)), width
+    )
+    branch_of, branch_state = _repeat_blocks(
+        first_branch[:-1], np.where(target, 1, np.diff(first_branch)), width
+    )
+    count = np.append(np.diff(base.branch_start), 1)[choice_of]
+    count[target[choice_state // width]] = 1
+    s, b = np.divmod(branch_state, width)
+    loop = target[s]
+    succ = np.append(base.targets, 0)[branch_of] * width + np.maximum(b - cost[s], 0)
+    targets = np.where(loop, branch_state, succ)
+    probs = np.where(loop, 1.0, np.append(base.probs, 1.0)[branch_of])
+
+    # per state, the choice of each branch into it, ascending
+    into = np.argsort(targets, kind="stable")
+    flat = np.repeat(np.arange(len(count)), count)[into].tolist()
+    ends = np.cumsum(np.bincount(targets, minlength=size)).tolist()
+    pred = [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+    arr = _Arrays.__new__(_Arrays)
+    arr._fill(
+        size,
+        choice_state,
+        pred,
+        np.append(0, np.cumsum(np.bincount(choice_state, minlength=size))),
+        np.append(0, np.cumsum(count)),
+        targets,
+        probs,
+    )
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,9 @@ class ExplicitModel:
     # the compiled entries of a parametric model, with every subexpression
     # value computed so far, shared across valuations (``_compiled``)
     _memo: Optional[_Entries] = field(default=None, init=False, compare=False, repr=False)
+    # the checker's flat arrays of a concrete model, built on first use
+    # (``checking._model_arrays``)
+    _arrays: Optional[object] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def num_states(self) -> int:

@@ -35,7 +35,9 @@ from .expressions import (
     Num,
     TRUE,
     Unary,
-    fold,
+    _fold_binary,
+    _fold_extremum,
+    _fold_unary,
 )
 from .program import (
     CommandDecl,
@@ -128,6 +130,18 @@ def tokenize(text: str) -> List[Token]:
         pos = m.end()
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+# The parser's operands come out folded already, so folding the one new node
+# folds the whole expression; ``fold`` would walk the operands again, which
+# makes a chain of n operators cost O(n^2).
+
+def _binary_node(op: str, left: Expr, right: Expr) -> Expr:
+    return _fold_binary(Binary(op, left, right), left, right)
+
+
+def _unary_node(op: str, operand: Expr) -> Expr:
+    return _fold_unary(Unary(op, operand), operand)
 
 
 class _Parser:
@@ -372,47 +386,47 @@ class _Parser:
         e = self._and()
         while self.at("|"):
             self.advance()
-            e = fold(Binary("|", e, self._and()))
+            e = _binary_node("|", e, self._and())
         return e
 
     def _and(self) -> Expr:
         e = self._not()
         while self.at("&"):
             self.advance()
-            e = fold(Binary("&", e, self._not()))
+            e = _binary_node("&", e, self._not())
         return e
 
     def _not(self) -> Expr:
         if self.at("!"):
             self.advance()
-            return fold(Unary("!", self._not()))
+            return _unary_node("!", self._not())
         return self._comparison()
 
     def _comparison(self) -> Expr:
         e = self._additive()
         if self.at("=", "!=", "<", "<=", ">", ">="):
             op = self.advance().kind
-            e = fold(Binary(op, e, self._additive()))
+            e = _binary_node(op, e, self._additive())
         return e
 
     def _additive(self) -> Expr:
         e = self._multiplicative()
         while self.at("+", "-"):
             op = self.advance().kind
-            e = fold(Binary(op, e, self._multiplicative()))
+            e = _binary_node(op, e, self._multiplicative())
         return e
 
     def _multiplicative(self) -> Expr:
         e = self._unary()
         while self.at("*", "/"):
             op = self.advance().kind
-            e = fold(Binary(op, e, self._unary()))
+            e = _binary_node(op, e, self._unary())
         return e
 
     def _unary(self) -> Expr:
         if self.at("-"):
             self.advance()
-            return fold(Unary("-", self._unary()))
+            return _unary_node("-", self._unary())
         return self._atom()
 
     def _atom(self) -> Expr:
@@ -434,7 +448,8 @@ class _Parser:
                 self.advance()
                 args.append(self.expression())
             self.expect(")")
-            return fold(Extremum(tok.kind, tuple(args)))
+            args = tuple(args)
+            return _fold_extremum(Extremum(tok.kind, args), args)
         if tok.kind == "ident":
             self.advance()
             return Name(tok.text, pos=(tok.line, tok.col))

@@ -4,10 +4,10 @@ Exact-rational Gaussian elimination for reachability probabilities and
 expected costs on Markov chains.  Deliberately naive and fully exact
 (fractions end to end): the engine under test uses precomputation plus
 value iteration, this does not.  Below it, the former checker, the
-former instantiation and well-definedness filter, the former exploration,
-guard implication checks, integer-program emitter, enumeration route,
-memoised evaluator and reward selection, kept as references for the differential tests of the code that replaced
-them.
+former cost-bounded product, instantiation and well-definedness filter,
+exploration, guard implication checks, integer-program emitter,
+enumeration route, memoised evaluator and reward selection, kept as
+references for the differential tests of the code that replaced them.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from mimdp.expressions import (
     _unary,
     conjoin,
     eval_expr,
+    fold,
     format_fraction,
     joint_valuations,
     names_in,
@@ -71,6 +72,7 @@ from mimdp.models import (
     well_defined_instances,
     well_defined_valuations,
 )
+from mimdp.parser import TRUE, _Parser, tokenize
 from mimdp.program import CommandDecl, ModuleDecl, Program, RewardDecl, VarDecl, check_program
 from mimdp.synthesis import (
     FEASIBILITY_TOL,
@@ -539,6 +541,78 @@ def seed_expected_cost(
 
     strategy = Strategy.deterministic(picks)
     return (x, iters, residual), strategy
+
+
+# ---------------------------------------------------------------------------
+# the former cost-bounded reachability, which built its budget product out of
+# ``Choice`` objects with exact probabilities and left ``reach_prob`` to turn
+# them into arrays; kept verbatim (it calls the current ``reach_prob``)
+
+def seed_cost_bounded_reach(
+    model: ExplicitModel,
+    targets,
+    bound: int,
+    direction: str = "max",
+    *,
+    tol: float = DEFAULT_TOL,
+) -> float:
+    """Probability of reaching ``targets`` with accumulated cost strictly
+    below ``bound``.
+
+    Cost accrues when a state is visited; entering a target stops accrual
+    (the target's own cost does not count), so a path succeeds iff the sum
+    of the costs of the states strictly before the first target visit is
+    below the bound.  Computed on the budget-unfolded product.
+    """
+    if bound < 0:
+        raise ValueError("cost bound must be nonnegative")
+    tset = _target_set(model, targets)
+    costs = []
+    for s, c in enumerate(model.costs):
+        if isinstance(c, Expr):
+            raise ModelError("cost-bounded reachability needs concrete costs")
+        if c.denominator != 1:
+            raise ModelError(f"non-integer cost {c} at state {s}")
+        costs.append(int(c))
+
+    width = bound + 1  # remaining budget in 0..bound
+
+    def node(s: int, b: int) -> int:
+        return s * width + b
+
+    n = model.num_states * width
+    states = [None] * n
+    rows: list = [None] * n
+    for s in range(model.num_states):
+        for b in range(width):
+            i = node(s, b)
+            states[i] = model.states[s] + (b,)
+            if s in tset:
+                rows[i] = [Choice(None, ((Fraction(1), i),))]
+            else:
+                b2 = max(b - costs[s], 0)
+                new_row = []
+                for ch in model.choices[s]:
+                    new_row.append(
+                        Choice(ch.action, tuple((p, node(t, b2)) for p, t in ch.branches))
+                    )
+                rows[i] = new_row
+
+    product = ExplicitModel(
+        kind="mc" if model.kind == "mc" else "mdp",
+        var_names=model.var_names + ("_budget",),
+        states=states,
+        initial=node(model.initial, bound),
+        choices=rows,
+        costs=[Fraction(0)] * n,
+        labels={},
+        parameters={},
+    )
+    goal = {node(s, b) for s in tset for b in range(1, width)}
+    if not goal:
+        return 0.0
+    vec, _ = reach_prob(product, goal, direction, tol=tol)
+    return float(vec.values[product.initial])
 
 
 # ---------------------------------------------------------------------------
@@ -1446,3 +1520,96 @@ def seed_substitute(expr: Expr, env: Mapping[str, Union[Fraction, int, bool]]) -
     if isinstance(expr, Extremum):
         return seed_fold(Extremum(expr.op, tuple(seed_substitute(a, env) for a in expr.args)))
     raise TypeError(f"not an expression: {expr!r}")
+
+
+# ---------------------------------------------------------------------------
+# the former expression parser, which folded each new node with ``fold`` and
+# so walked its already-folded operands again; kept verbatim
+
+
+class SeedParser(_Parser):
+    def _or(self) -> Expr:
+        e = self._and()
+        while self.at("|"):
+            self.advance()
+            e = fold(Binary("|", e, self._and()))
+        return e
+
+    def _and(self) -> Expr:
+        e = self._not()
+        while self.at("&"):
+            self.advance()
+            e = fold(Binary("&", e, self._not()))
+        return e
+
+    def _not(self) -> Expr:
+        if self.at("!"):
+            self.advance()
+            return fold(Unary("!", self._not()))
+        return self._comparison()
+
+    def _comparison(self) -> Expr:
+        e = self._additive()
+        if self.at("=", "!=", "<", "<=", ">", ">="):
+            op = self.advance().kind
+            e = fold(Binary(op, e, self._additive()))
+        return e
+
+    def _additive(self) -> Expr:
+        e = self._multiplicative()
+        while self.at("+", "-"):
+            op = self.advance().kind
+            e = fold(Binary(op, e, self._multiplicative()))
+        return e
+
+    def _multiplicative(self) -> Expr:
+        e = self._unary()
+        while self.at("*", "/"):
+            op = self.advance().kind
+            e = fold(Binary(op, e, self._unary()))
+        return e
+
+    def _unary(self) -> Expr:
+        if self.at("-"):
+            self.advance()
+            return fold(Unary("-", self._unary()))
+        return self._atom()
+
+    def _atom(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "number":
+            self.advance()
+            return Num(Fraction(tok.text))
+        if tok.kind == "true":
+            self.advance()
+            return TRUE
+        if tok.kind == "false":
+            self.advance()
+            return BoolLit(False)
+        if tok.kind in ("min", "max"):
+            self.advance()
+            self.expect("(")
+            args = [self.expression()]
+            while self.at(","):
+                self.advance()
+                args.append(self.expression())
+            self.expect(")")
+            return fold(Extremum(tok.kind, tuple(args)))
+        if tok.kind == "ident":
+            self.advance()
+            return Name(tok.text, pos=(tok.line, tok.col))
+        if tok.kind == "(":
+            self.advance()
+            e = self.expression()
+            self.expect(")")
+            return e
+        found = repr(tok.text) if tok.text else "end of input"
+        self.fail(
+            f"expected an expression, found {found}",
+            expected=("number", "ident", "("),
+        )
+
+
+def seed_parse_program(text: str) -> Program:
+    """The former parse, without the semantic checks (which are unchanged)."""
+    return SeedParser(tokenize(text)).parse_program()

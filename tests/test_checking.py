@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from mimdp import checking
 from mimdp.checking import (
     CostBoundQuery,
     ExpectedCostQuery,
@@ -17,10 +19,13 @@ from mimdp.checking import (
     parse_property,
     reach_prob,
 )
+from mimdp.expressions import Name
 from mimdp.models import Choice, ExplicitModel, ModelError, build_model, instantiate
 from mimdp.parser import parse_program
+from mimdp.transform import transform_all
 
-from generators import random_mc
+import oracles
+from generators import random_mc, random_mdp
 from oracles import mc_expected_cost_exact, mc_reach_exact
 
 U3 = {"p": F("0.6"), "q": F("0.3"), "r": F("0.4"), "s": F("0.7")}
@@ -414,3 +419,230 @@ def test_large_polish_stays_sparse_and_exact():
     i = np.arange(1, n + 1)
     want = k + lo * r1 ** i + hi * r2 ** (i - n - 1.0)
     assert np.max(np.abs(vec.values[1:n + 1] - want)) < 1e-9
+
+
+# --- the array-built cost-bounded product against the former object-built one ---
+
+_ARRAY_FIELDS = ("choice_state", "choice_start", "branch_start", "targets", "probs")
+_LIST_FIELDS = ("num_states", "num_choices", "owner", "predecessors")
+
+
+def _recording(monkeypatch, module, products):
+    """Patch ``module.reach_prob`` to record the model it is given."""
+    inner = module.reach_prob
+
+    def record(model, *args, **kwargs):
+        products.append(model)
+        return inner(model, *args, **kwargs)
+
+    monkeypatch.setattr(module, "reach_prob", record)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as e:  # the error's type and text must match too
+        return "error", type(e), str(e)
+
+
+def _assert_same_arrays(a, b):
+    for name in _LIST_FIELDS:
+        assert getattr(a, name) == getattr(b, name), name
+    for name in _ARRAY_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y), name
+
+
+def _assert_same_cbr(monkeypatch, model, targets, bound, direction="max"):
+    """``cost_bounded_reach`` and the former code give bit-identical values
+    or identical errors, and hand ``reach_prob`` the same product: the same
+    states, arrays and (read lazily) rows."""
+    new, old = [], []
+    with monkeypatch.context() as m:
+        _recording(m, checking, new)
+        _recording(m, oracles, old)
+        got = _outcome(checking.cost_bounded_reach, model, targets, bound, direction)
+        want = _outcome(oracles.seed_cost_bounded_reach, model, targets, bound, direction)
+    assert got == want
+    assert len(new) == len(old) <= 1
+    for a, b in zip(new, old):
+        assert (a.kind, a.var_names, a.initial) == (b.kind, b.var_names, b.initial)
+        assert a.states == b.states and a.costs == b.costs
+        assert len(a.choices) == len(b.choices)
+        assert list(a.choices) == b.choices
+        assert a.num_transitions == b.num_transitions
+        if got[0] == "value":
+            _assert_same_arrays(a._arrays, checking._Arrays(b))
+    return got
+
+
+def _integer_costs(model):
+    return replace(model, costs=[F(round(c)) for c in model.costs])
+
+
+def test_array_built_product_equals_the_former_on_random_models(monkeypatch):
+    rng = random.Random(17)
+    cases = [(random_mdp(rng), label) for _ in range(30) for label in ("target", "stop")]
+    cases += [(_integer_costs(random_mc(rng, 20)), label) for _ in range(15)
+              for label in ("ok", "goal")]
+    values = set()
+    for model, label in cases:
+        for bound in range(9):
+            for direction in ("min", "max"):
+                outcome = _assert_same_cbr(monkeypatch, model, label, bound, direction)
+                assert outcome[0] == "value"
+                values.add(outcome[1])
+    assert len(values) > 50  # the corpus is not degenerate
+
+
+def _retry_models(models_dir, retries=40):
+    program = parse_program(
+        (models_dir / "retry_channel.mgcl").read_text(encoding="utf-8")
+        .replace("const retries = 40;", f"const retries = {retries};")
+    )
+    chain = build_model(program, {"loss": F("0.1")})
+    controlled, _ = transform_all(program)
+    return chain, build_model(controlled, on_deadlock="absorb")
+
+
+def test_array_built_product_equals_the_former_on_the_retry_channel(monkeypatch, models_dir):
+    chain, mdp = _retry_models(models_dir)
+    for model in (chain, mdp):
+        for label in ("delivered", "gaveup"):
+            for bound in range(9):
+                for direction in ("min", "max"):
+                    _assert_same_cbr(monkeypatch, model, label, bound, direction)
+    assert _assert_same_cbr(monkeypatch, chain, "delivered", 20)[0] == "value"
+
+
+def _hand_model(rows, costs, kind="mdp"):
+    n = len(rows)
+    return ExplicitModel(
+        kind=kind,
+        var_names=("s",),
+        states=[(i,) for i in range(n)],
+        initial=0,
+        choices=rows,
+        costs=[c if isinstance(c, Name) else F(c) for c in costs],
+        labels={"t": frozenset({n - 1}), "both": frozenset({n - 2, n - 1})},
+        parameters={},
+    )
+
+
+def _ch(*branches, action=None):
+    return Choice(action, tuple((F(p), t) for p, t in branches))
+
+
+# zero-probability branches, a branch repeated into one target, self-loops
+# on and off the target, a free state and a costly one
+_CORNERS = [
+    [_ch(("0", 1), ("1/2", 2), ("1/2", 2)), _ch((1, 0), action="stay")],
+    [_ch(("1/3", 1), ("2/3", 3), ("0", 0)), _ch(("1/4", 2), ("3/4", 2))],
+    [_ch(("1/2", 3), ("1/2", 0)), _ch(("0", 3), (1, 2))],
+    [_ch(("0", 0), (1, 3))],
+]
+
+
+def test_array_built_product_equals_the_former_on_corner_cases(monkeypatch):
+    for costs in ([1, 0, 2, 0], [0, 0, 0, 0], [3, 1, 9, 5]):
+        model = _hand_model(_CORNERS, costs)
+        for label in ("t", "both"):
+            for bound in range(9):
+                for direction in ("min", "max"):
+                    assert _assert_same_cbr(
+                        monkeypatch, model, label, bound, direction
+                    )[0] == "value"
+
+
+def test_errors_equal_the_former(monkeypatch):
+    dead = _ch(("0", 1), ("0", 0))
+    # a choice with no positive branch: the error names the product state
+    faulty = _hand_model([[_ch((1, 1))], [_ch((1, 2)), dead], [_ch((1, 2))]], [1, 1, 0])
+    got = _assert_same_cbr(monkeypatch, faulty, "t", 3)
+    assert got == ("error", ModelError,
+                   "choice with no positive branch at state (s=1,_budget=0)")
+    # ... but not where the state is a target: its row is a self-loop
+    on_target = _hand_model([[_ch((1, 1))], [_ch((1, 2))], [dead]], [1, 1, 0])
+    assert _assert_same_cbr(monkeypatch, on_target, "t", 3)[0] == "value"
+    with pytest.raises(ModelError, match="no positive branch"):
+        reach_prob(on_target, "t")
+    # a negative cost (which build_model never makes) reaches past the budget
+    for costs in ([-1, 1, 0], [-3, 0, 0], [1, -1, 0]):
+        chain = _hand_model([[_ch((1, 1))], [_ch(("1/2", 2), ("1/2", 0))], [_ch((1, 2))]], costs)
+        for bound in range(4):
+            _assert_same_cbr(monkeypatch, chain, "t", bound)
+    # states without choices (which build_model never makes), the last a
+    # target: its loop copies nothing from the base arrays
+    bare = _hand_model([[_ch(("1/2", 1), ("1/2", 2))], [], []], [1, 0, 0])
+    for label in ("t", "both"):
+        for bound in range(4):
+            _assert_same_cbr(monkeypatch, bare, label, bound)
+    unit = _hand_model([[_ch((1, 1))], [_ch((1, 1))]], [1, 0], kind="mc")
+    cases = [
+        (_hand_model([[_ch((1, 1))], [_ch((1, 1))]], ["1/2", 0]), "t", 3, "max"),
+        (_hand_model([[_ch((1, 1))], [_ch((1, 1))]], [Name("c"), 0]), "t", 3, "max"),
+        (unit, "t", -1, "max"),
+        (unit, "t", 3, "sideways"),
+        (unit, "t", 0, "sideways"),
+        (unit, {5}, 3, "max"),
+        (unit, "missing", 3, "max"),
+        (unit, set(), 3, "max"),
+    ]
+    outcomes = [_assert_same_cbr(monkeypatch, *case) for case in cases]
+    assert [o[0] for o in outcomes] == ["error"] * 4 + ["value"] + ["error"] * 2 + ["value"]
+    assert outcomes[4] == outcomes[7] == ("value", 0.0)
+
+
+def test_a_parametric_model_raises_as_before_and_caches_nothing(monkeypatch, die, two_stage):
+    for program, label in ((die, "rolled"), (two_stage, "s2")):
+        model = build_model(program)
+        assert model.kind == "mimdp"
+        for bound in (0, 3):
+            _assert_same_cbr(monkeypatch, model, label, bound)
+        for _ in range(2):
+            with pytest.raises(ModelError, match="concrete model"):
+                reach_prob(model, label)
+        assert model._arrays is None
+
+
+def test_arrays_are_built_once_per_model(monkeypatch, models_dir):
+    built = []
+
+    class Counted(checking._Arrays):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(checking, "_Arrays", Counted)
+    chain, mdp = _retry_models(models_dir, 10)
+    for model in (chain, mdp):
+        reach_prob(model, "delivered", "min")
+        reach_prob(model, "gaveup", "max")
+        expected_cost(model, "stopped")
+        cost_bounded_reach(model, "delivered", 5)
+        check_spec(model, parse_property('Pmax=? [F{C<4} "delivered"]'))
+    assert built == [chain, mdp]
+
+
+def test_a_cached_model_checks_as_a_fresh_one(models_dir):
+    rng = random.Random(23)
+    chain, mdp = _retry_models(models_dir, 12)
+    models = [(chain, "delivered", "stopped"), (mdp, "delivered", "stopped")]
+    models += [(random_mc(rng, 15), "ok", "goal") for _ in range(5)]
+    for model, target, goal in models:
+        fresh = replace(model)
+        assert fresh._arrays is None
+        for run in range(2):
+            for direction in ("min", "max"):
+                for fn, label in ((reach_prob, target), (expected_cost, goal)):
+                    vec, strategy = fn(model, label, direction)
+                    again, again_strategy = fn(replace(fresh), label, direction)
+                    assert np.array_equal(vec.values, again.values)
+                    assert (vec.iterations, vec.residual, vec.polished) == (
+                        again.iterations, again.residual, again.polished)
+                    assert strategy.choice_probs == again_strategy.choice_probs
+            if model.costs and all(c.denominator == 1 for c in model.costs):
+                assert cost_bounded_reach(model, target, 6) == cost_bounded_reach(
+                    replace(fresh), target, 6)
+        assert model._arrays is not None

@@ -1,8 +1,9 @@
 """Golden CLI outputs: stdout, stderr and exit code of fixed invocations,
 compared byte for byte with files under ``tests/golden/``.
 
-Every output here is exact (rationals, counts, pretty-printed programs), with
-no value-iteration floats, so the files do not depend on the platform.  To
+Every output here but ``check``'s is exact (rationals, counts, pretty-printed
+programs); ``check`` prints its values at 9 significant digits, far above
+the checker's tolerance, so the files do not depend on the platform.  To
 regenerate them after an intended output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -11,12 +12,15 @@ and review the diff.
 """
 
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
 import pytest
 
 from mimdp.cli import main
+from mimdp.expressions import format_fraction
+from mimdp.parser import parse_file
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -46,6 +50,48 @@ def _cases() -> dict:
         cases[f"emit-nilp-{model}"] = ["emit-nilp", path, "--phi", phi, "--goal", goal]
     cases["casestudy-generate-per-sensor"] = ["casestudy", "generate", "--per-sensor"]
     cases["casestudy-generate-uniform"] = ["casestudy", "generate"]
+    cases.update(_check_cases())
+    return cases
+
+
+# extra cost-bounded queries: (model, valuation, property); the last one
+# fails on the non-integer state cost p+q
+_COST_BOUNDED = {
+    "check-cbr-retry_channel-loss0.1": (
+        "retry_channel", "loss=0.1", 'P=? [F{C<3} "delivered"]'),
+    "check-cbr-retry_channel-loss0.4": (
+        "retry_channel", "loss=0.4", 'P=? [F{C<20} "delivered"]'),
+    "check-cbr-die-p0.5": ("die", "p=0.5", 'P=? [F{C<4} "rolled"]'),
+    "check-cbr-two_stage-p0.4-q0.3-r0.6-s0.7": (
+        "two_stage", "p=0.4,q=0.3,r=0.6,s=0.7", 'P=? [F{C<2} "s2"]'),
+}
+
+
+def _check_cases() -> dict:
+    """``check`` of every property in each bundled model's ``.props`` file
+    at every valuation of its parameters (ill-defined valuations give their
+    error), plus the cost-bounded queries above."""
+    cases = {}
+    for model in sorted(_NILP):
+        path = str(MODELS / f"{model}.mgcl")
+        props = [
+            line.strip()
+            for line in (MODELS / f"{model}.props").read_text(encoding="utf-8").splitlines()
+            if line.strip() and not line.lstrip().startswith("//")
+        ]
+        params = parse_file(path).parameters
+        for values in itertools.product(*params.values()):
+            pairs = [(n, format_fraction(v)) for n, v in zip(params, values)]
+            valuation = ",".join(f"{n}={v}" for n, v in pairs)
+            slug = "-".join(f"{n}{v}" for n, v in pairs)
+            for i, prop in enumerate(props):
+                suffix = f"-{i}" if len(props) > 1 else ""
+                cases[f"check-{model}-{slug}{suffix}"] = [
+                    "check", path, "--valuation", valuation, "--prop", prop
+                ]
+    for name, (model, valuation, prop) in _COST_BOUNDED.items():
+        path = str(MODELS / f"{model}.mgcl")
+        cases[name] = ["check", path, "--valuation", valuation, "--prop", prop]
     return cases
 
 

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from mimdp.parser import ParseError, parse_program
+from mimdp.expressions import Binary
+from mimdp.parser import ParseError, _Parser, parse_program, tokenize
 from mimdp.program import pretty
 
 
@@ -166,3 +168,85 @@ def test_round_trip_on_the_random_corpus():
     for _ in range(20):
         program, _ = random_mimdp_program(rng)
         assert parse_program(pretty(program)) == program
+
+
+# --- folding on construction, one level at a time ---------------------------------
+
+_LEAVES = ("0", "1", "2", "1/2", "0.25", "x", "p", "true", "false")
+_OPERATORS = ("+", "-", "*", "/", "&", "|", "=", "!=", "<", "<=", ">", ">=")
+
+
+def _random_text(rng, depth):
+    """Expression text mixing literals, names, every operator, unary signs,
+    parentheses and extrema; some of it fails to fold (1/0, 1 + true)."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(_LEAVES)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(("-", "!")) + _random_text(rng, depth - 1)
+    if kind == 1:
+        text = _random_text(rng, depth - 1)
+        for _ in range(rng.randint(1, 4)):
+            text += f" {rng.choice(_OPERATORS)} {_random_text(rng, depth - 1)}"
+        return text if rng.random() < 0.5 else f"({text})"
+    if kind == 2:
+        args = ", ".join(_random_text(rng, depth - 1) for _ in range(rng.randint(1, 3)))
+        return f"{rng.choice(('min', 'max'))}({args})"
+    return f"({_random_text(rng, depth - 1)})"
+
+
+def _parse_outcome(parser_class, text):
+    try:
+        return "value", parser_class(tokenize(text)).expression()
+    except Exception as e:  # the error's type and text must match too
+        return "error", type(e), str(e)
+
+
+def test_parse_equals_the_former_fold_on_construction(models_dir):
+    from generators import random_mimdp_program
+    from mimdp import shipyard
+    from oracles import seed_parse_program
+
+    texts = [path.read_text(encoding="utf-8") for path in sorted(models_dir.glob("*.mgcl"))]
+    config = shipyard.ShipyardConfig(missions=1)
+    texts += [shipyard.generate_program(config, True, per_sensor)
+              for per_sensor in (False, True)]
+    rng = random.Random(41)
+    texts += [pretty(random_mimdp_program(rng)[0]) for _ in range(40)]
+    for text in texts:
+        assert parse_program(text, check=False) == seed_parse_program(text)
+
+
+def test_expression_parse_equals_the_former_on_random_texts():
+    from oracles import SeedParser
+
+    rng = random.Random(7)
+    outcomes = []
+    for _ in range(600):
+        text = _random_text(rng, 4)
+        outcome = _parse_outcome(_Parser, text)
+        assert outcome == _parse_outcome(SeedParser, text), text
+        outcomes.append(outcome[0])
+    assert 50 < outcomes.count("error") < 550
+
+
+def test_a_long_sum_parses_with_linear_fold_visits(monkeypatch):
+    from mimdp import expressions, parser
+
+    visits = []
+    for name in ("fold", "_fold_binary", "_fold_unary", "_fold_extremum"):
+        for module in (expressions, parser):
+            inner = getattr(module, name, None)
+            if inner is not None:
+                def counted(*args, _inner=inner):
+                    visits.append(1)
+                    return _inner(*args)
+                monkeypatch.setattr(module, name, counted)
+    n = 2000
+    text = " + ".join(f"{k % 7} * x" for k in range(n))
+    e = _Parser(tokenize(text)).expression()
+    assert len(visits) <= 2 * n
+    terms = 1
+    while isinstance(e, Binary) and e.op == "+":
+        terms, e = terms + 1, e.left
+    assert terms == n
