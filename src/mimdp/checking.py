@@ -48,6 +48,7 @@ from .expressions import Expr
 from .models import Choice, ExplicitModel, ModelError, Strategy
 
 DEFAULT_TOL = 1e-8
+FEASIBILITY_TOL = 1e-9  # slack of a probability bound, here and in synthesis
 _MAX_SWEEPS = 1_000_000
 _POLISH_DENSE_LIMIT = 3000
 
@@ -167,15 +168,17 @@ def _reachable_from(arr: _Arrays, start: int) -> set:
 # qualitative precomputation: linear-time graph searches over the
 # predecessor lists (Baier & Katoen, Principles of Model Checking, 10.6)
 
-def _backward(arr: _Arrays, seeds: set, stop=frozenset()) -> set:
-    """The seeds plus every state outside ``stop`` with a path into them."""
+def _backward(arr: _Arrays, seeds: set, stop=frozenset(), enabled=None) -> set:
+    """The seeds plus every state outside ``stop`` with a path into them
+    through the choices ``enabled`` (a mask; every choice when None)."""
     pred, owner = arr.predecessors, arr.owner
+    on = None if enabled is None else enabled.tolist()
     seen = set(seeds)
     stack = list(seeds)
     while stack:
         for c in pred[stack.pop()]:
             s = owner[c]
-            if s not in seen and s not in stop:
+            if s not in seen and s not in stop and (on is None or on[c]):
                 seen.add(s)
                 stack.append(s)
     return seen
@@ -215,15 +218,22 @@ def _prob1_max(arr: _Arrays, targets: set) -> set:
         b = r
 
 
-def _prob0_min(arr: _Arrays, targets: set) -> set:
-    """States with a strategy avoiding the targets with probability one.
+def _prob0_min(arr: _Arrays, targets: set, enabled=None) -> set:
+    """States with a strategy avoiding the targets with probability one,
+    taking only the choices ``enabled`` (a mask; every choice when None).
 
     Least fixpoint of the states all of whose (at least one) choices hit
     the set, counted down per state as choices start hitting it.
     """
     pred, owner = arr.predecessors, arr.owner
-    missing = np.diff(arr.choice_start).tolist()  # choices not yet hitting
-    hits = [False] * arr.num_choices
+    if enabled is None:
+        missing = np.diff(arr.choice_start).tolist()  # choices not yet hitting
+        hits = [False] * arr.num_choices
+    else:
+        # a disabled choice is never counted, and is passed over as if it
+        # hit already
+        missing = np.bincount(arr.choice_state[enabled], minlength=arr.num_states).tolist()
+        hits = (~enabled).tolist()
     hit = set(targets)
     stack = list(targets)
     while stack:
@@ -239,12 +249,15 @@ def _prob0_min(arr: _Arrays, targets: set) -> set:
     return set(range(arr.num_states)) - hit
 
 
-def _prob1_min(arr: _Arrays, targets: set, zero: Optional[set] = None) -> set:
-    """States reaching the targets almost surely under every strategy;
-    ``zero`` is ``_prob0_min(arr, targets)`` when the caller has it."""
+def _prob1_min(arr: _Arrays, targets: set, zero: Optional[set] = None,
+               enabled=None) -> set:
+    """States reaching the targets almost surely under every strategy that
+    takes only the choices ``enabled`` (a mask; every choice when None);
+    ``zero`` is ``_prob0_min(arr, targets)`` when the caller has it.  A
+    state outside the targets needs an enabled choice."""
     if zero is None:
-        zero = _prob0_min(arr, targets)
-    bad = _backward(arr, zero, stop=targets)
+        zero = _prob0_min(arr, targets, enabled)
+    bad = _backward(arr, zero, stop=targets, enabled=enabled)
     return set(range(arr.num_states)) - bad
 
 
@@ -837,9 +850,6 @@ def parse_property(text: str) -> Specification:
     if limit is not None:
         return CostBoundQuery(label, int(limit), direction)
     return ReachabilityQuery(label, direction)
-
-
-FEASIBILITY_TOL = 1e-9
 
 
 def check_spec(

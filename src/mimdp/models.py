@@ -10,9 +10,10 @@ of a valuation, read off the model's entries compiled once (``_Entries``,
 kept on the model) and checked for well-definedness.  ``instantiate``
 builds the instance from them; a concrete build is the parametric build
 instantiated.  One pass of ``well_defined_entries`` yields every
-well-defined valuation with its entries and builds no instance (the
-valuation filter and the batched check of chain families use it);
-``well_defined_instances`` adds the instances.  The compiled entries are
+well-defined valuation with its entries and builds no instance: the
+valuation filter, the enumeration route (which checks chain families in
+batches and solves an MDP family's LP on arrays built from the entries) and
+the integer-program emitter all read them.  The compiled entries are
 one hash-consed ``expressions.CompiledExprs``: equal subexpressions are one
 node, and a node's value is computed once per combination of the values of
 the parameters it mentions.  Well-definedness is exact: probabilities are
@@ -106,8 +107,7 @@ class ExplicitModel:
         return sum(len(ch.branches) for row in self.choices for ch in row)
 
     def state_text(self, index: int) -> str:
-        vals = self.states[index]
-        return "(" + ",".join(f"{n}={v}" for n, v in zip(self.var_names, vals)) + ")"
+        return _fmt(self.var_names, self.states[index])
 
     def label_states(self, label: str) -> frozenset:
         try:
@@ -643,16 +643,6 @@ def well_defined_entries(model: ExplicitModel) -> Iterator[Tuple[Valuation, list
         except WellDefinednessError:
             continue
         yield u, probs, costs
-
-
-def well_defined_instances(model: ExplicitModel) -> Iterator[Tuple[Valuation, ExplicitModel]]:
-    """Every well-defined valuation with its instance, in ``all_valuations``
-    order.  A parameter-free model yields itself under the empty valuation."""
-    if model.kind != "mimdp":
-        yield {}, model
-        return
-    for u, probs, costs in well_defined_entries(model):
-        yield u, _instance(model, probs, costs)
 
 
 def well_defined_valuations(model: ExplicitModel) -> list:

@@ -5,17 +5,20 @@ is minimal.
 Two independent routes:
 
 * ``synthesize_enumerate`` makes one pass over the well-defined
-  valuations.  A family of chains is checked from the valuations' exact
-  entries, one stacked batch per support pattern
+  valuations and builds no instance.  A family of chains is checked from
+  the valuations' exact entries, one stacked batch per support pattern
   (``checking.chain_family``); an MDP family solves the constrained
-  occupation-measure LP per instance.  This is the oracle route.
+  occupation-measure LP once per valuation, on the checker's arrays built
+  from its entries.  This is the oracle route.
 
 * ``synthesize_transformed`` rewrites the program into the controlled MDP
-  and solves the constrained LP there.  A randomized LP optimum may split
-  its mass between different values of one parameter (a mixture of
-  configurations, which no single valuation realizes); when that happens we
-  branch on the conflicted parameter, and a final lexicographic pass pins
-  the tie-broken valuation, so both routes return the same answer.
+  and solves the constrained LP there; every branch-and-bound node reads
+  the model's one set of arrays and only switches choices off.  A
+  randomized LP optimum may split its mass between different values of one
+  parameter (a mixture of configurations, which no single valuation
+  realizes); when that happens we branch on the conflicted parameter, and a
+  final lexicographic pass pins the tie-broken valuation, so both routes
+  return the same answer.
 
 ``emit_nilp`` writes the direct nonlinear integer encoding (binary
 characteristic variable per well-defined valuation, bilinear probability
@@ -32,9 +35,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from .checking import (
+    DEFAULT_TOL,
+    FEASIBILITY_TOL,
     _Arrays,
+    _model_arrays,
     _prob1_min,
+    _reach,
     chain_family,
     expected_cost,
     reach_prob,
@@ -42,20 +51,17 @@ from .checking import (
 from .expressions import Expr, format_fraction
 from .lp import LinearProgram, solve_lp
 from .models import (
-    Choice,
     ExplicitModel,
     ModelError,
     Strategy,
     build_model,
     instantiate,
     well_defined_entries,
-    well_defined_instances,
     well_defined_valuations,
 )
 from .program import Program
 from .transform import TransformReport, transform_all
 
-FEASIBILITY_TOL = 1e-9
 TIE_TOL = 1e-9
 AGREEMENT_TOL = 1e-6
 SUPPORT_TOL = 1e-9
@@ -144,38 +150,10 @@ class ConstrainedSolution:
     strategy: Strategy
     expected_cost: float
     reach_probability: float
-    model: ExplicitModel  # the absorbed model the LP was built on
 
 
 # ---------------------------------------------------------------------------
 # the occupation-measure LP
-
-def _absorb(model: ExplicitModel, closed: set) -> ExplicitModel:
-    rows = []
-    for s, row in enumerate(model.choices):
-        if s in closed:
-            rows.append([Choice(None, ((Fraction(1), s),))])
-        else:
-            rows.append(list(row))
-    return ExplicitModel(
-        kind=model.kind,
-        var_names=model.var_names,
-        states=list(model.states),
-        initial=model.initial,
-        choices=rows,
-        costs=list(model.costs),
-        labels=dict(model.labels),
-        parameters={},
-        deadlocks=model.deadlocks,
-    )
-
-
-def _self_loop_only(model: ExplicitModel, s: int) -> bool:
-    row = model.choices[s]
-    return all(
-        len(ch.branches) == 1 and ch.branches[0][1] == s for ch in row
-    )
-
 
 def constrained_mdp_lp(
     model: ExplicitModel,
@@ -191,112 +169,95 @@ def constrained_mdp_lp(
     states, flow conservation with a unit source at the initial state, the
     bound as one row over the flow into the target set, and the cost-
     weighted flow as objective.  The recovered strategy is y-proportional
-    (uniform where no mass flows).  Targets and goals are made absorbing
-    first; absorption must be almost-sure under every remaining strategy.
+    (uniform where no mass flows).  Targets and goals are absorbing, as are
+    sinks (states whose every choice is one positive branch back to the
+    state itself; zero-probability branches are not edges); absorption must
+    be almost-sure under every remaining strategy.
 
     Dead ends (deadlock-marked states and states whose every choice is
     disabled) stay *transient*: their conservation rows have no outflow
     variables, which forces their inflow to zero — strategies must avoid
     them entirely rather than park probability mass there.
+
+    The LP is read off the model's flat arrays (``checking._model_arrays``,
+    built once per model); the disabled actions only switch choices off.
     """
     if model.kind == "mimdp":
         raise ModelError("instantiate or transform the model before the LP")
     lam = float(bound)
     tset = set(model.label_states(targets)) if isinstance(targets, str) else set(targets)
     gset = set(model.label_states(goals)) if isinstance(goals, str) else set(goals)
+    arr = _model_arrays(model)
+    enabled = np.fromiter(
+        (ch.action not in disabled_actions for row in model.choices for ch in row),
+        dtype=bool, count=arr.num_choices,
+    )
+    return _occupation_lp(model, arr, model.costs, tset, gset, lam, enabled)
 
-    absorbed = _absorb(model, tset | gset)
-    dead = set(model.deadlocks)
-    for s in range(absorbed.num_states):
-        if s in tset or s in gset or s in dead:
-            continue
-        enabled = [
-            ch for ch in absorbed.choices[s] if ch.action not in disabled_actions
-        ]
-        if not enabled:
-            dead.add(s)
 
-    sinks = {
-        s
-        for s in range(absorbed.num_states)
-        if _self_loop_only(absorbed, s) and s not in dead
-    }
-    closed = tset | gset | sinks  # mass may rest here
+def _state_mask(n: int, states) -> np.ndarray:
+    # states outside 0..n-1 mark nothing
+    return np.fromiter((s in states for s in range(n)), dtype=bool, count=n)
+
+
+def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, tset, gset,
+                   lam: float, enabled: np.ndarray) -> ConstrainedSolution:
+    """``constrained_mdp_lp`` on the arrays ``arr`` of a configuration of
+    ``model`` (which gives the states, initial state and deadlocks), its
+    state costs and the mask of enabled choices."""
+    n = arr.num_states
+    owner = arr.choice_state
+    closed = _state_mask(n, tset | gset)  # mass may rest here
+    live = np.bincount(owner[enabled], minlength=n) > 0
+    dead = _state_mask(n, model.deadlocks) | ~(closed | live)
+    loop = (np.diff(arr.branch_start) == 1) & (arr.targets[arr.branch_start[:-1]] == owner)
+    closed |= (np.bincount(owner[~loop], minlength=n) == 0) & ~dead  # sinks
     terminal = closed | dead
 
-    # qualitative absorption check on the restricted model
-    restricted_rows = []
-    for s, row in enumerate(absorbed.choices):
-        if s in dead:
-            restricted_rows.append([Choice(None, ((Fraction(1), s),))])
-            continue
-        enabled = [ch for ch in row if ch.action not in disabled_actions or s in closed]
-        restricted_rows.append(enabled if enabled else [Choice(None, ((Fraction(1), s),))])
-    restricted = ExplicitModel(
-        kind="mdp",
-        var_names=absorbed.var_names,
-        states=list(absorbed.states),
-        initial=absorbed.initial,
-        choices=restricted_rows,
-        costs=list(absorbed.costs),
-        labels={},
-        parameters={},
-    )
-    arr = _Arrays(restricted)
-    sure = _prob1_min(arr, terminal)
-    if len(sure) != restricted.num_states:
-        missing = sorted(set(range(restricted.num_states)) - sure)[0]
+    sure = _prob1_min(arr, set(np.flatnonzero(terminal).tolist()), enabled=enabled)
+    if len(sure) != n:
+        missing = sorted(set(range(n)) - sure)[0]
         raise ImproperModelError(
             "absorption is not almost-sure under every strategy "
             f"(state {model.state_text(missing)})"
         )
 
-    init = absorbed.initial
-    if init in closed:
+    init = model.initial
+    if closed[init]:
         pr = 1.0 if init in tset else 0.0
         if pr > lam + FEASIBILITY_TOL:
             raise InfeasibleError("initial state lies in the target set")
-        picks = [0] * absorbed.num_states
-        return ConstrainedSolution(
-            Strategy.deterministic(picks), 0.0, pr, absorbed
-        )
+        return ConstrainedSolution(Strategy.deterministic([0] * n), 0.0, pr)
 
-    transient = [s for s in range(absorbed.num_states) if s not in closed]
-    tr_index = {s: i for i, s in enumerate(transient)}
-
-    variables = []  # (state, choice index)
-    var_index: Dict[Tuple[int, int], int] = {}
-    for s in transient:
-        if s in dead:
-            continue
-        for ci, ch in enumerate(absorbed.choices[s]):
-            if ch.action in disabled_actions:
-                continue
-            var_index[(s, ci)] = len(variables)
-            variables.append((s, ci))
+    transient = np.flatnonzero(~closed).tolist()
+    row_of = dict(zip(transient, range(len(transient))))
+    # one variable per enabled choice of a transient state that is not a
+    # dead end, in state order, then choice order
+    variables = np.flatnonzero(enabled & ~terminal[owner]).tolist()
+    state_of, first = arr.owner, arr.choice_start.tolist()
+    start, succ, probs = arr.branch_start.tolist(), arr.targets.tolist(), arr.probs.tolist()
+    cost = [float(c) for c in costs]
 
     lp = LinearProgram(num_vars=len(variables))
-    for j, (s, ci) in enumerate(variables):
-        c = float(absorbed.costs[s])
-        if c != 0.0:
-            lp.objective[j] = lp.objective.get(j, 0.0) + c
-
     rows: List[Dict[int, float]] = [dict() for _ in transient]
-    for j, (s, ci) in enumerate(variables):
-        r = rows[tr_index[s]]
-        r[j] = r.get(j, 0.0) + 1.0
-        for p, t in absorbed.choices[s][ci].branches:
-            if t in tr_index:
-                rr = rows[tr_index[t]]
-                rr[j] = rr.get(j, 0.0) - float(p)
+    bound_row: Dict[int, float] = {}
+    for j, c in enumerate(variables):
+        s = state_of[c]
+        if cost[s] != 0.0:
+            lp.objective[j] = cost[s]
+        rows[row_of[s]][j] = 1.0
+        into_t = 0
+        for b in range(start[c], start[c + 1]):
+            t = succ[b]
+            if t in row_of:
+                r = rows[row_of[t]]
+                r[j] = r.get(j, 0.0) - probs[b]
+            if t in tset:
+                into_t += probs[b]
+        if into_t:
+            bound_row[j] = into_t
     for i, s in enumerate(transient):
         lp.add(rows[i], "=", 1.0 if s == init else 0.0)
-
-    bound_row: Dict[int, float] = {}
-    for j, (s, ci) in enumerate(variables):
-        into_t = sum(float(p) for p, t in absorbed.choices[s][ci].branches if t in tset)
-        if into_t:
-            bound_row[j] = bound_row.get(j, 0.0) + into_t
     lp.add(bound_row, "<=", lam)
 
     # among cost-minimal strategies, canonicalize to the one with the
@@ -309,29 +270,18 @@ def constrained_mdp_lp(
         raise SynthesisError(f"unexpected LP status {sol.status}")
 
     y = sol.x
-    choice_probs = []
-    for s in range(absorbed.num_states):
-        row = absorbed.choices[s]
-        if s in closed or s in dead:
-            choice_probs.append({0: Fraction(1)})
-            continue
-        mass = {}
-        total = 0.0
-        for ci in range(len(row)):
-            j = var_index.get((s, ci))
-            if j is not None and y[j] > SUPPORT_TOL:
-                mass[ci] = Fraction(y[j])
-                total += y[j]
-        if not mass:
-            enabled = [
-                ci for ci in range(len(row)) if row[ci].action not in disabled_actions
-            ]
-            mass = {ci: Fraction(1) for ci in (enabled or [0])}
-        choice_probs.append(mass)
+    choice_probs = [{0: Fraction(1)} for _ in range(n)]
+    by_state: Dict[int, list] = {}  # state -> its (variable, choice index)
+    for j, c in enumerate(variables):
+        s = state_of[c]
+        by_state.setdefault(s, []).append((j, c - first[s]))
+    for s, own in by_state.items():
+        mass = {ci: Fraction(y[j]) for j, ci in own if y[j] > SUPPORT_TOL}
+        choice_probs[s] = mass or {ci: Fraction(1) for _, ci in own}
 
     pr = float(sum(v * y[j] for j, v in bound_row.items()))
     ec = float(sol.objective)
-    return ConstrainedSolution(Strategy(choice_probs), ec, pr, absorbed)
+    return ConstrainedSolution(Strategy(choice_probs), ec, pr)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +308,19 @@ def _evaluate_chains(model: ExplicitModel, tset, gset, lam: float) -> List[Table
             table.append(TableEntry(u, ec, pr, feasible))
 
 
-def _evaluate_mdp(inst: ExplicitModel, u: dict, tset, gset, lam: float):
+def _evaluate_mdp(model: ExplicitModel, u: dict, probs: list, costs: list,
+                  tset, gset, lam: float):
+    """One configuration of an MDP family, from its exact entries: the LP
+    on the arrays of its support, or where no strategy meets the bound, its
+    minimal probability of reaching the targets."""
+    support = [p != 0 for p in probs]
+    arr = _Arrays(model, support, [float(p) for p in probs if p != 0])
     try:
-        res = constrained_mdp_lp(inst, tset, lam, gset)
+        res = _occupation_lp(model, arr, costs, tset, gset, lam,
+                             np.ones(arr.num_choices, dtype=bool))
     except InfeasibleError:
-        vec, _ = reach_prob(inst, tset, "min")
-        return TableEntry(u, math.inf, vec.at_initial(inst), False), None
+        x = _reach(arr, tset, "min", False, 1, DEFAULT_TOL)[0]
+        return TableEntry(u, math.inf, float(x[0, model.initial]), False), None
     return (
         TableEntry(u, res.expected_cost, res.reach_probability, True),
         res.strategy,
@@ -375,12 +332,12 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
     the feasible valuation of minimal expected cost (lexicographically
     smallest on ties).
 
-    Guards and updates are parameter-free, so all instances share one
-    state graph and one kind.  A family of chains is checked from its
-    entries alone, in one stacked pass per support pattern
-    (``checking.chain_family``); every instance's strategy is the chain's
-    one choice per state.  An MDP family solves the constrained LP per
-    instance.
+    Guards and updates are parameter-free, so all configurations share
+    one state graph and one kind, and each is read off its entries alone.
+    A family of chains is checked in one stacked pass per support pattern
+    (``checking.chain_family``); every configuration's strategy is the
+    chain's one choice per state.  An MDP family solves the constrained LP
+    once per configuration, on the arrays of its support.
     """
     model = build_model(program)
     tset = model.label_states(query.target)
@@ -392,8 +349,8 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
         table = _evaluate_chains(model, tset, gset, lam)
     else:
         outcomes = [
-            _evaluate_mdp(inst, u, tset, gset, lam)
-            for u, inst in well_defined_instances(model)
+            _evaluate_mdp(model, u, probs, costs, tset, gset, lam)
+            for u, probs, costs in well_defined_entries(model)
         ]
         table = [entry for entry, _ in outcomes]
     if not table:
@@ -700,11 +657,19 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
     model = build_model(program)
     tset = sorted(model.label_states(query.target))
     gset = sorted(model.label_states(query.goal))
-    # every value below is read off the instance of its valuation; the
-    # instances share the parametric model's states, choices and branches
-    instances = [inst for _, inst in well_defined_instances(model)]
-    if not instances:
+    # every value below is read off the entries of its valuation: branch
+    # probabilities flat in model order, from ``first[s][a]`` on for choice
+    # a of state s, and state costs
+    entries = [(probs, costs) for _, probs, costs in well_defined_entries(model)]
+    if not entries:
         raise SynthesisError("no well-defined valuation exists")
+    first = []
+    flat = 0
+    for row in model.choices:
+        first.append([])
+        for ch in row:
+            first[-1].append(flat)
+            flat += len(ch.branches)
 
     values = set()
     num_sa = 0
@@ -713,16 +678,16 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         for a, ch in enumerate(row):
             for j, (p, _) in enumerate(ch.branches):
                 if isinstance(p, Expr):
-                    values.update(inst.choices[s][a].branches[j][0] for inst in instances)
+                    values.update(probs[first[s][a] + j] for probs, _ in entries)
         if isinstance(model.costs[s], Expr):
-            values.update(inst.costs[s] for inst in instances)
+            values.update(costs[s] for _, costs in entries)
     value_count = len(values)
     size_expr = model.num_states * num_sa + value_count ** 2
 
     lines = [
         "# structured-synthesis integer program",
         f"# states: {model.num_states}  state-action pairs: {num_sa}  "
-        f"expression values: {value_count}  well-defined valuations: {len(instances)}",
+        f"expression values: {value_count}  well-defined valuations: {len(entries)}",
         f"# problem size |S|*|A| + |Val(L)|^2 = {model.num_states}*{num_sa} + {value_count}^2 = {size_expr}",
         f"# bound: Pr(F \"{query.target}\") <= {format_fraction(Fraction(query.bound))}"
         f"   objective: EC(F \"{query.goal}\")",
@@ -735,7 +700,7 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         lines.append(f"  target_s{s}: p[s{s}] = 1")
     for s in gset:
         lines.append(f"  goal_s{s}: c[s{s}] = 0")
-    onehot = " + ".join(f"x[u{k}]" for k in range(len(instances)))
+    onehot = " + ".join(f"x[u{k}]" for k in range(len(entries)))
     lines.append(f"  onehot: {onehot} = 1")
 
     def terms_join(terms: List[str]) -> str:
@@ -749,9 +714,10 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         if s in tset_set:
             continue
         terms = [f"p[s{s}]"]
-        for a in range(len(model.choices[s])):
-            for k, inst in enumerate(instances):
-                for v, t in inst.choices[s][a].branches:
+        for a, ch in enumerate(model.choices[s]):
+            for k, (probs, _) in enumerate(entries):
+                for j, (_, t) in enumerate(ch.branches, first[s][a]):
+                    v = probs[j]
                     if v == 0:
                         continue
                     terms.append(f"-{_coef(v)} sig[s{s},a{a}] * x[u{k}] * p[s{t}]")
@@ -760,12 +726,12 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         if s in gset_set:
             continue
         terms = [f"c[s{s}]"]
-        for a in range(len(model.choices[s])):
-            for k, inst in enumerate(instances):
-                cost = inst.costs[s]
-                if cost != 0:
-                    terms.append(f"-{_coef(cost)} sig[s{s},a{a}] * x[u{k}]")
-                for v, t in inst.choices[s][a].branches:
+        for a, ch in enumerate(model.choices[s]):
+            for k, (probs, costs) in enumerate(entries):
+                if costs[s] != 0:
+                    terms.append(f"-{_coef(costs[s])} sig[s{s},a{a}] * x[u{k}]")
+                for j, (_, t) in enumerate(ch.branches, first[s][a]):
+                    v = probs[j]
                     if v == 0:
                         continue
                     terms.append(f"-{_coef(v)} sig[s{s},a{a}] * x[u{k}] * c[s{t}]")
@@ -775,10 +741,9 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
             if not any(isinstance(p, Expr) for p, _ in ch.branches):
                 continue
             terms = []
-            for j in range(len(ch.branches)):
-                for k, inst in enumerate(instances):
-                    v = inst.choices[s][a].branches[j][0]
-                    terms.append(f"{_coef(v)} x[u{k}]")
+            for j in range(first[s][a], first[s][a] + len(ch.branches)):
+                for k, (probs, _) in enumerate(entries):
+                    terms.append(f"{_coef(probs[j])} x[u{k}]")
             lines.append(f"  wd_s{s}_a{a}: {terms_join(terms)} = 1")
     for s in range(model.num_states):
         row = " + ".join(f"sig[s{s},a{a}]" for a in range(len(model.choices[s])))
@@ -793,7 +758,7 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         for a in range(len(model.choices[s])):
             lines.append(f"  0 <= sig[s{s},a{a}] <= 1")
     lines.append("BINARY")
-    for k in range(len(instances)):
+    for k in range(len(entries)):
         lines.append(f"  x[u{k}]")
     lines.append("END")
     return "\n".join(lines) + "\n"

@@ -74,13 +74,6 @@ class TransformReport:
     # original command index -> indices of the produced commands
     command_mapping: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
-    def committing_actions(self, parameter: str):
-        """Actions committing the given parameter, as (action, value) pairs."""
-        for action, commits in self.fresh_actions.items():
-            for p, v in commits:
-                if p == parameter:
-                    yield action, v
-
     def to_json_dict(self) -> dict:
         return {
             "fresh_variables": {k: list(v) for k, v in self.fresh_variables.items()},
@@ -163,10 +156,6 @@ def _guards_overlap(g: Expr, h: Expr, program: Program) -> bool:
     return False
 
 
-def _ensure_single_module(program: Program) -> Program:
-    return compose(program) if len(program.modules) > 1 else program
-
-
 def _prune_parameters(program: Program) -> Program:
     """Drop parameter declarations no expression references any more."""
     used: set = set()
@@ -202,7 +191,7 @@ def transform_rewards(program: Program) -> Tuple[Program, TransformReport]:
     is replaced by m concrete declarations guarded by the selector value.
     Parametric reward guards must be pairwise disjoint.
     """
-    program = _ensure_single_module(program)
+    program = compose(program)
     module = program.single_module()
     params = program.parameters
 
@@ -342,7 +331,7 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
     computed once per combination of the parameters it mentions, across
     rows and commands.
     """
-    program = _ensure_single_module(program)
+    program = compose(program)
     module = program.single_module()
     params = program.parameters
     consts = program.constants
@@ -480,7 +469,7 @@ def add_control(program: Program, report: TransformReport) -> Program:
 
 def transform_all(program: Program) -> Tuple[Program, TransformReport]:
     """compose, then rewards, then probabilities, then the control module."""
-    composed = _ensure_single_module(program)
+    composed = compose(program)
     p1, r1 = transform_rewards(composed)
     p2, r2 = transform_probabilities(p1)
     report = _chain(r1, r2)

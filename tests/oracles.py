@@ -6,8 +6,9 @@ expected costs on Markov chains.  Deliberately naive and fully exact
 value iteration, this does not.  Below it, the former checker, the
 former cost-bounded product, instantiation and well-definedness filter,
 exploration, guard implication checks, integer-program emitter,
-enumeration route, memoised evaluator and reward selection, kept as
-references for the differential tests of the code that replaced them.
+constrained LP and family instances, enumeration route, memoised evaluator
+and reward selection, kept as references for the differential tests of the
+code that replaced them.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from mimdp.checking import _prob1_min as checking_prob1_min
 from mimdp.checking import (
     DEFAULT_TOL,
+    FEASIBILITY_TOL,
     ExpectedCostUndefined,
     _MAX_SWEEPS,
     _Arrays,
@@ -52,6 +55,7 @@ from mimdp.expressions import (
     substitute,
     to_text,
 )
+from mimdp.lp import LinearProgram, solve_lp
 from mimdp.models import (
     DEFAULT_STATE_CAP,
     Choice,
@@ -64,32 +68,33 @@ from mimdp.models import (
     WellDefinednessError,
     _add_probs,
     _fmt,
+    _instance,
     all_valuations,
     build_model,
     compose,
     distribution_fault,
     instantiate,
-    well_defined_instances,
+    well_defined_entries,
     well_defined_valuations,
 )
 from mimdp.parser import TRUE, _Parser, tokenize
 from mimdp.program import CommandDecl, ModuleDecl, Program, RewardDecl, VarDecl, check_program
 from mimdp.synthesis import (
-    FEASIBILITY_TOL,
+    SUPPORT_TOL,
     TIE_TOL,
+    ConstrainedSolution,
+    ImproperModelError,
     InfeasibleError,
     SynthesisError,
     SynthesisQuery,
     SynthesisResult,
     TableEntry,
     _coef,
-    constrained_mdp_lp,
 )
 from mimdp.transform import (
     IMPLICATION_CAP,
     TransformError,
     TransformReport,
-    _ensure_single_module,
     _fresh,
     _guard_implies,
     _guards_overlap,
@@ -1064,6 +1069,214 @@ def seed_emit_nilp(program: Program, query: SynthesisQuery) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the former constrained LP and instances of a family
+#
+# Reference for the differential tests of the LP read off the checker's
+# arrays: the model is copied with its targets and goals made absorbing
+# (``seed_absorb``), then restricted to the enabled choices and flattened
+# again for the absorption check.  Kept as it was apart from the names and
+# the absorbed model, which the solution no longer carries (the tests that
+# induce the LP's chain call ``seed_absorb``).  ``checking_prob1_min`` is
+# the checker's ``_prob1_min``, which the former LP called.
+# ``seed_well_defined_instances`` builds every well-defined configuration's
+# instance, as the enumeration route did for MDP families.
+
+
+def seed_absorb(model: ExplicitModel, closed: set) -> ExplicitModel:
+    rows = []
+    for s, row in enumerate(model.choices):
+        if s in closed:
+            rows.append([Choice(None, ((Fraction(1), s),))])
+        else:
+            rows.append(list(row))
+    return ExplicitModel(
+        kind=model.kind,
+        var_names=model.var_names,
+        states=list(model.states),
+        initial=model.initial,
+        choices=rows,
+        costs=list(model.costs),
+        labels=dict(model.labels),
+        parameters={},
+        deadlocks=model.deadlocks,
+    )
+
+
+def _seed_self_loop_only(model: ExplicitModel, s: int) -> bool:
+    row = model.choices[s]
+    return all(
+        len(ch.branches) == 1 and ch.branches[0][1] == s for ch in row
+    )
+
+
+def seed_constrained_mdp_lp(
+    model: ExplicitModel,
+    targets,
+    bound,
+    goals,
+    *,
+    disabled_actions: FrozenSet[str] = frozenset(),
+) -> ConstrainedSolution:
+    """Minimize expected cost subject to Pr(reach targets) <= bound.
+
+    Occupation-measure formulation: variables y[s,a] >= 0 for transient
+    states, flow conservation with a unit source at the initial state, the
+    bound as one row over the flow into the target set, and the cost-
+    weighted flow as objective.  The recovered strategy is y-proportional
+    (uniform where no mass flows).  Targets and goals are made absorbing
+    first; absorption must be almost-sure under every remaining strategy.
+
+    Dead ends (deadlock-marked states and states whose every choice is
+    disabled) stay *transient*: their conservation rows have no outflow
+    variables, which forces their inflow to zero — strategies must avoid
+    them entirely rather than park probability mass there.
+    """
+    if model.kind == "mimdp":
+        raise ModelError("instantiate or transform the model before the LP")
+    lam = float(bound)
+    tset = set(model.label_states(targets)) if isinstance(targets, str) else set(targets)
+    gset = set(model.label_states(goals)) if isinstance(goals, str) else set(goals)
+
+    absorbed = seed_absorb(model, tset | gset)
+    dead = set(model.deadlocks)
+    for s in range(absorbed.num_states):
+        if s in tset or s in gset or s in dead:
+            continue
+        enabled = [
+            ch for ch in absorbed.choices[s] if ch.action not in disabled_actions
+        ]
+        if not enabled:
+            dead.add(s)
+
+    sinks = {
+        s
+        for s in range(absorbed.num_states)
+        if _seed_self_loop_only(absorbed, s) and s not in dead
+    }
+    closed = tset | gset | sinks  # mass may rest here
+    terminal = closed | dead
+
+    # qualitative absorption check on the restricted model
+    restricted_rows = []
+    for s, row in enumerate(absorbed.choices):
+        if s in dead:
+            restricted_rows.append([Choice(None, ((Fraction(1), s),))])
+            continue
+        enabled = [ch for ch in row if ch.action not in disabled_actions or s in closed]
+        restricted_rows.append(enabled if enabled else [Choice(None, ((Fraction(1), s),))])
+    restricted = ExplicitModel(
+        kind="mdp",
+        var_names=absorbed.var_names,
+        states=list(absorbed.states),
+        initial=absorbed.initial,
+        choices=restricted_rows,
+        costs=list(absorbed.costs),
+        labels={},
+        parameters={},
+    )
+    arr = _Arrays(restricted)
+    sure = checking_prob1_min(arr, terminal)
+    if len(sure) != restricted.num_states:
+        missing = sorted(set(range(restricted.num_states)) - sure)[0]
+        raise ImproperModelError(
+            "absorption is not almost-sure under every strategy "
+            f"(state {model.state_text(missing)})"
+        )
+
+    init = absorbed.initial
+    if init in closed:
+        pr = 1.0 if init in tset else 0.0
+        if pr > lam + FEASIBILITY_TOL:
+            raise InfeasibleError("initial state lies in the target set")
+        picks = [0] * absorbed.num_states
+        return ConstrainedSolution(
+            Strategy.deterministic(picks), 0.0, pr
+        )
+
+    transient = [s for s in range(absorbed.num_states) if s not in closed]
+    tr_index = {s: i for i, s in enumerate(transient)}
+
+    variables = []  # (state, choice index)
+    var_index: Dict[Tuple[int, int], int] = {}
+    for s in transient:
+        if s in dead:
+            continue
+        for ci, ch in enumerate(absorbed.choices[s]):
+            if ch.action in disabled_actions:
+                continue
+            var_index[(s, ci)] = len(variables)
+            variables.append((s, ci))
+
+    lp = LinearProgram(num_vars=len(variables))
+    for j, (s, ci) in enumerate(variables):
+        c = float(absorbed.costs[s])
+        if c != 0.0:
+            lp.objective[j] = lp.objective.get(j, 0.0) + c
+
+    rows: List[Dict[int, float]] = [dict() for _ in transient]
+    for j, (s, ci) in enumerate(variables):
+        r = rows[tr_index[s]]
+        r[j] = r.get(j, 0.0) + 1.0
+        for p, t in absorbed.choices[s][ci].branches:
+            if t in tr_index:
+                rr = rows[tr_index[t]]
+                rr[j] = rr.get(j, 0.0) - float(p)
+    for i, s in enumerate(transient):
+        lp.add(rows[i], "=", 1.0 if s == init else 0.0)
+
+    bound_row: Dict[int, float] = {}
+    for j, (s, ci) in enumerate(variables):
+        into_t = sum(float(p) for p, t in absorbed.choices[s][ci].branches if t in tset)
+        if into_t:
+            bound_row[j] = bound_row.get(j, 0.0) + into_t
+    lp.add(bound_row, "<=", lam)
+
+    # among cost-minimal strategies, canonicalize to the one with the
+    # smallest target probability (the cost optimum alone can be a flat face
+    # on which the probability varies, and both synthesis routes must agree)
+    sol = solve_lp(lp, secondary=bound_row or None)
+    if sol.status == "infeasible":
+        raise InfeasibleError(f"no strategy meets the bound {lam}")
+    if sol.status != "optimal":
+        raise SynthesisError(f"unexpected LP status {sol.status}")
+
+    y = sol.x
+    choice_probs = []
+    for s in range(absorbed.num_states):
+        row = absorbed.choices[s]
+        if s in closed or s in dead:
+            choice_probs.append({0: Fraction(1)})
+            continue
+        mass = {}
+        total = 0.0
+        for ci in range(len(row)):
+            j = var_index.get((s, ci))
+            if j is not None and y[j] > SUPPORT_TOL:
+                mass[ci] = Fraction(y[j])
+                total += y[j]
+        if not mass:
+            enabled = [
+                ci for ci in range(len(row)) if row[ci].action not in disabled_actions
+            ]
+            mass = {ci: Fraction(1) for ci in (enabled or [0])}
+        choice_probs.append(mass)
+
+    pr = float(sum(v * y[j] for j, v in bound_row.items()))
+    ec = float(sol.objective)
+    return ConstrainedSolution(Strategy(choice_probs), ec, pr)
+
+
+def seed_well_defined_instances(model: ExplicitModel) -> Iterator[Tuple[Valuation, ExplicitModel]]:
+    """Every well-defined valuation with its instance, in ``all_valuations``
+    order.  A parameter-free model yields itself under the empty valuation."""
+    if model.kind != "mimdp":
+        yield {}, model
+        return
+    for u, probs, costs in well_defined_entries(model):
+        yield u, _instance(model, probs, costs)
+
+
+# ---------------------------------------------------------------------------
 # the former enumeration route
 #
 # Reference for the differential tests of the batched check of chain
@@ -1084,7 +1297,7 @@ def seed_evaluate_valuation(inst: ExplicitModel, u: dict, tset, gset, lam: float
         feasible = pr <= lam + FEASIBILITY_TOL and math.isfinite(ec)
         return TableEntry(u, ec, pr, feasible), (strat if feasible else None)
     try:
-        res = constrained_mdp_lp(inst, tset, lam, gset)
+        res = seed_constrained_mdp_lp(inst, tset, lam, gset)
     except InfeasibleError:
         vec, _ = reach_prob(inst, tset, "min")
         return TableEntry(u, math.inf, vec.at_initial(inst), False), None
@@ -1105,7 +1318,7 @@ def seed_synthesize_enumerate(program: Program, query: SynthesisQuery) -> Synthe
 
     outcomes = [
         seed_evaluate_valuation(inst, u, tset, gset, lam)
-        for u, inst in well_defined_instances(model)
+        for u, inst in seed_well_defined_instances(model)
     ]
     if not outcomes:
         raise SynthesisError("no well-defined valuation exists")
@@ -1150,7 +1363,7 @@ def seed_transform_probabilities(program: Program) -> Tuple[Program, TransformRe
     (the local well-definedness filter); a command losing all rows is an
     error, since no instantiation of the program would be well-defined.
     """
-    program = _ensure_single_module(program)
+    program = compose(program)
     module = program.single_module()
     params = program.parameters
     consts = program.constants
@@ -1346,7 +1559,7 @@ def seed_transform_rewards(program: Program) -> Tuple[Program, TransformReport]:
     is replaced by m concrete declarations guarded by the selector value.
     Parametric reward guards must be pairwise disjoint.
     """
-    program = _ensure_single_module(program)
+    program = compose(program)
     module = program.single_module()
     params = program.parameters
 

@@ -48,6 +48,11 @@ def _cases() -> dict:
             ]
         phi, goal = _NILP[model]
         cases[f"emit-nilp-{model}"] = ["emit-nilp", path, "--phi", phi, "--goal", goal]
+        for method in ("enum", "transformed", "both"):
+            for bound, bound_phi in (("nilp", phi), ("p0", phi.replace("0.2", "0", 1))):
+                cases[f"synthesize-{method}-{bound}-{model}"] = [
+                    "synthesize", path, "--phi", bound_phi, "--goal", goal, "--method", method
+                ]
     cases["casestudy-generate-per-sensor"] = ["casestudy", "generate", "--per-sensor"]
     cases["casestudy-generate-uniform"] = ["casestudy", "generate"]
     cases.update(_check_cases())

@@ -64,6 +64,24 @@ def test_random_families_equal_the_former_route():
     assert chains == 20 and feasible > 40
 
 
+def test_random_mdp_families_synthesise_as_the_former_routes(monkeypatch):
+    """On the random MDP families, ``synthesize(method="both")`` gives
+    exactly what it gives with the former enumeration route and the former
+    LP patched in."""
+    feasible = 0
+    for program, query in _random_families():
+        if _is_chain_family(program):
+            continue
+        for q in _queries(query):
+            got = _outcome(synthesis.synthesize, program, q)
+            with monkeypatch.context() as former:
+                former.setattr(synthesis, "synthesize_enumerate", oracles.seed_synthesize_enumerate)
+                former.setattr(synthesis, "constrained_mdp_lp", oracles.seed_constrained_mdp_lp)
+                assert _outcome(synthesis.synthesize, program, q) == got
+            feasible += not isinstance(got, tuple) and got[0].feasible
+    assert feasible > 20
+
+
 def test_bundled_families_equal_the_former_route(two_stage, die):
     for lam in ("0.1", "0.2", "0.5", "1"):
         _same_as_the_former_route(two_stage, SynthesisQuery("s2", F(lam), "absorb"))
@@ -215,7 +233,6 @@ def test_chain_families_are_checked_once_per_support_group(monkeypatch):
     monkeypatch.setattr(checking, "_Arrays", Counted)
     monkeypatch.setattr(synthesis, "reach_prob", per_configuration)
     monkeypatch.setattr(synthesis, "expected_cost", per_configuration)
-    monkeypatch.setattr(synthesis, "well_defined_instances", per_configuration)
     synthesize_enumerate(parse_program(VARYING_SUPPORT), SynthesisQuery("t", F(1), "g"))
     assert len(built) == 2
     built.clear()

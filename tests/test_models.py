@@ -18,7 +18,6 @@ from mimdp.models import (
     induced_mc,
     instantiate,
     to_dot,
-    well_defined_instances,
     well_defined_valuations,
 )
 from mimdp.parser import parse_program
@@ -332,7 +331,7 @@ def test_instantiation_equals_the_former_code(two_stage, die):
                 ill_defined += 1
             else:
                 kept.append((u, inst))
-        assert kept == list(well_defined_instances(model))
+        assert kept == list(oracles.seed_well_defined_instances(model))
         assert well_defined_valuations(model) == oracles.seed_well_defined_valuations(model)
     assert ill_defined > 50
 

@@ -12,6 +12,7 @@ from mimdp.models import (
     build_model,
     induced_mc,
     instantiate,
+    well_defined_valuations,
 )
 from mimdp.parser import parse_program
 from mimdp.synthesis import (
@@ -135,7 +136,8 @@ def test_lp_zero_bound_with_unavoidable_target_is_infeasible():
 def test_lp_recovery_reproduces_objective_and_constraint(two_stage):
     model = instantiate(build_model(two_stage), U_BEST_LOOSE)
     res = constrained_mdp_lp(model, "s2", F(1), "absorb")
-    chain = induced_mc(res.model, res.strategy)
+    absorbed = oracles.seed_absorb(model, model.labels["s2"] | model.labels["absorb"])
+    chain = induced_mc(absorbed, res.strategy)
     vec, _ = reach_prob(chain, "s2")
     cvec, _ = expected_cost(chain, "absorb")
     assert abs(vec.at_initial(chain) - res.reach_probability) < 1e-7
@@ -145,7 +147,8 @@ def test_lp_recovery_reproduces_objective_and_constraint(two_stage):
 def test_lp_recovery_on_gadget_mixture():
     model = _gadget()
     res = constrained_mdp_lp(model, "t", F("0.25"), "g")
-    chain = induced_mc(res.model, res.strategy)
+    absorbed = oracles.seed_absorb(model, model.labels["t"] | model.labels["g"])
+    chain = induced_mc(absorbed, res.strategy)
     vec, _ = reach_prob(chain, "t")
     cvec, _ = expected_cost(chain, "g")
     assert abs(vec.at_initial(chain) - res.reach_probability) < 1e-7
@@ -370,6 +373,14 @@ def test_emitted_encoding_equals_the_former_emitter(two_stage, die):
         (die, SynthesisQuery("one", F("0.15"), "rolled")),
         (uniform, SynthesisQuery("failure", F("0.2"), "done")),
     ]
+    # families with several choices per state, where a choice's entries
+    # do not start at its state's first branch
+    rng = random.Random(12)
+    while len(cases) < 9:
+        program, query = random_mimdp_program(rng, max_states=8)
+        model = build_model(program)
+        if any(len(row) > 1 for row in model.choices) and well_defined_valuations(model):
+            cases.append((program, query))
     for program, query in cases:
         assert emit_nilp(program, query) == oracles.seed_emit_nilp(program, query)
 
