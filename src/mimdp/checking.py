@@ -342,13 +342,12 @@ def _greedy(arr: _Arrays, x: np.ndarray, direction: str,
     return optimal[np.searchsorted(optimal, first)] - first
 
 
-def _chosen_branches(arr: _Arrays, picks: np.ndarray, region: np.ndarray):
-    """The branches of each region state's picked choice, in order, as
-    (row in ``region``, target state, probability)."""
-    chosen = arr.choice_start[region] + picks[region]
-    lo = arr.branch_start[chosen]
-    counts = arr.branch_start[chosen + 1] - lo
-    rows = np.repeat(np.arange(len(region)), counts)
+def _branches(arr: _Arrays, choices: np.ndarray):
+    """The branches of the given choices, choice by choice and in order, as
+    (position in ``choices``, target state, probability)."""
+    lo = arr.branch_start[choices]
+    counts = arr.branch_start[choices + 1] - lo
+    rows = np.repeat(np.arange(len(choices)), counts)
     idx = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     return rows, arr.targets[idx], arr.probs[..., idx]
 
@@ -376,7 +375,7 @@ def _polish(
     k, n = rhs.shape
     if not n:
         return np.zeros((k, 0)), np.ones(k, dtype=bool)
-    rows, targets, probs = _chosen_branches(arr, picks, region)
+    rows, targets, probs = _branches(arr, arr.choice_start[region] + picks[region])
     col_of = np.full(arr.num_states, -1, dtype=np.int64)
     col_of[region] = np.arange(n)
     cols = col_of[targets]
@@ -518,7 +517,7 @@ def _reach(arr: _Arrays, tset: set, direction: str, chain: bool, k: int,
     polished = np.ones(k, dtype=bool)
     maybe = np.flatnonzero(free)
     if len(maybe):
-        rows, succ, probs = _chosen_branches(arr, picks, maybe)
+        rows, succ, probs = _branches(arr, arr.choice_start[maybe] + picks[maybe])
         into = one[succ]
         rhs = np.zeros((k, len(maybe)))
         np.add.at(rhs, (slice(None), rows[into]), probs[..., into])
@@ -651,16 +650,16 @@ def cost_bounded_reach(
     """Probability of reaching ``targets`` with accumulated cost strictly
     below ``bound``.
 
-    Cost accrues when a state is visited; entering a target stops accrual
-    (the target's own cost does not count), so a path succeeds iff the sum
-    of the costs of the states strictly before the first target visit is
-    below the bound.  Computed by ``reach_prob`` on the budget-unfolded
-    product: state ``s * (bound + 1) + b`` is ``s`` with budget ``b`` left;
-    it has the choices of ``s`` with every branch into ``t`` sent to
-    ``t`` with budget ``max(b - cost(s), 0)``, or one self-loop if ``s`` is
-    a target.  The product's arrays are derived from the base model's,
-    which are built once per model; its rows (``choices``) are built only
-    when read.
+    Costs are nonnegative integers.  Cost accrues when a state is visited;
+    entering a target stops accrual (the target's own cost does not
+    count), so a path succeeds iff the sum of the costs of the states
+    strictly before the first target visit is below the bound.  Computed
+    by ``reach_prob`` on the budget-unfolded product: state
+    ``s * (bound + 1) + b`` is ``s`` with budget ``b`` left; it has the
+    choices of ``s`` with every branch into ``t`` sent to ``t`` with budget
+    ``max(b - cost(s), 0)``, or one self-loop if ``s`` is a target.  The
+    product's arrays are derived from the base model's, which are built
+    once per model; its rows (``choices``) are built only when read.
     """
     if bound < 0:
         raise ValueError("cost bound must be nonnegative")
@@ -671,6 +670,8 @@ def cost_bounded_reach(
             raise ModelError("cost-bounded reachability needs concrete costs")
         if c.denominator != 1:
             raise ModelError(f"non-integer cost {c} at state {s}")
+        if c < 0:
+            raise ModelError(f"negative cost at state {s}")
         costs.append(int(c))
 
     width = bound + 1  # remaining budget in 0..bound
@@ -688,21 +689,20 @@ def cost_bounded_reach(
     goal = {s * width + b for s in tset for b in range(1, width)}
     if not goal:
         return 0.0
-    # with a negative cost, or a base model without arrays (parametric, or
-    # a choice with no positive branch), the slot stays empty: reach_prob
-    # builds the arrays from the rows and raises where they are faulty
-    if all(c >= 0 for c in costs):
-        try:
-            base = _model_arrays(model)
-        except ModelError:
-            pass
-        else:
-            # clamped to fit int64: any cost of at least the width drains
-            # every budget
-            cost = np.array([min(c, width) for c in costs], dtype=np.int64)
-            product._arrays = _product_arrays(
-                base, _mask(model.num_states, tset), cost, width
-            )
+    # with a base model without arrays (parametric, or a choice with no
+    # positive branch), the slot stays empty: reach_prob builds the arrays
+    # from the rows and raises where they are faulty
+    try:
+        base = _model_arrays(model)
+    except ModelError:
+        pass
+    else:
+        # clamped to fit int64: any cost of at least the width drains
+        # every budget
+        cost = np.array([min(c, width) for c in costs], dtype=np.int64)
+        product._arrays = _product_arrays(
+            base, _mask(model.num_states, tset), cost, width
+        )
     vec, _ = reach_prob(product, goal, direction, tol=tol)
     return float(vec.values[product.initial])
 

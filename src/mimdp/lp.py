@@ -2,13 +2,16 @@
 
 Desk-scale only (a soft cap of 1e4 variables): the point is zero external
 solver dependencies and bit-reproducible pivoting, not speed.  Variables are
-nonnegative; constraints may be <=, = or >=.
+nonnegative; constraints may be <=, = or >=.  A program is its dense
+constraint matrix with one sense and one right-hand side per row, the form
+``scipy.optimize.linprog`` also takes; the matrix goes into the tableau in
+one assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,27 +27,38 @@ class LpSizeError(LpError):
     pass
 
 
-@dataclass
-class LinearConstraint:
-    coeffs: Dict[int, float]
-    sense: str  # '<=' | '=' | '>='
-    rhs: float
-
-    def __post_init__(self):
-        if self.sense not in ("<=", "=", ">="):
-            raise LpError(f"bad constraint sense {self.sense!r}")
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 @dataclass
 class LinearProgram:
-    """min objective . x  subject to the constraints, x >= 0."""
+    """min objective . x  subject to  constraints @ x (senses) rhs,  x >= 0.
 
-    num_vars: int
-    objective: Dict[int, float] = field(default_factory=dict)
-    constraints: List[LinearConstraint] = field(default_factory=list)
+    ``objective`` has one entry per variable, ``constraints`` one row per
+    constraint and one column per variable, and ``senses`` ('<=', '=' or
+    '>=') and ``rhs`` one entry per row.  ``solve_lp`` copies the matrix
+    into the simplex tableau in one assignment, negating the rows with a
+    negative right-hand side."""
 
-    def add(self, coeffs: Dict[int, float], sense: str, rhs: float) -> None:
-        self.constraints.append(LinearConstraint(dict(coeffs), sense, float(rhs)))
+    objective: np.ndarray
+    constraints: np.ndarray
+    senses: Sequence[str]
+    rhs: np.ndarray
+
+    def __post_init__(self):
+        self.objective = np.asarray(self.objective, dtype=np.float64)
+        self.constraints = np.asarray(self.constraints, dtype=np.float64)
+        self.rhs = np.asarray(self.rhs, dtype=np.float64)
+        shape = (len(self.rhs), self.num_vars)
+        if self.constraints.shape != shape or len(self.senses) != shape[0]:
+            raise LpError(f"a {self.constraints.shape} matrix and {len(self.senses)} "
+                          f"senses for {shape[0]} rows of {shape[1]} variables")
+        if not set(self.senses) <= _FLIPPED.keys():
+            raise LpError(f"bad constraint senses {self.senses!r}")
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
 
 
 @dataclass
@@ -58,43 +72,36 @@ def solve_lp(
     lp: LinearProgram,
     *,
     var_cap: int = DEFAULT_VAR_CAP,
-    secondary: Optional[Dict[int, float]] = None,
+    secondary: Optional[np.ndarray] = None,
 ) -> LpSolution:
-    """Solve the program; with ``secondary``, lexicographically minimize the
-    secondary objective over the primary-optimal face (entering columns are
-    restricted to zero reduced cost in the primary, so the primary optimum
-    is preserved exactly)."""
+    """Solve the program; with ``secondary`` (one coefficient per variable),
+    lexicographically minimize the secondary objective over the
+    primary-optimal face (entering columns are restricted to zero reduced
+    cost in the primary, so the primary optimum is preserved exactly)."""
     if lp.num_vars > var_cap:
         raise LpSizeError(
             f"{lp.num_vars} variables exceed the desk-scale cap of {var_cap}"
         )
     n = lp.num_vars
-    m = len(lp.constraints)
+    m = len(lp.rhs)
 
     # count auxiliary columns: slack for <=, surplus for >=, artificial for =/>=
     # rows are first normalized to nonnegative right-hand sides
-    senses = []
-    rows = np.zeros((m, n))
-    rhs = np.zeros(m)
-    for i, c in enumerate(lp.constraints):
-        sense = c.sense
-        scale = 1.0
-        if c.rhs < 0:
-            scale = -1.0
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        senses.append(sense)
-        rhs[i] = scale * c.rhs
-        for j, v in c.coeffs.items():
-            if not 0 <= j < n:
-                raise LpError(f"variable index {j} out of range")
-            rows[i, j] += scale * v
+    flip = lp.rhs < 0
+    scale = np.where(flip, -1.0, 1.0)
+    senses = [_FLIPPED[s] if f else s for s, f in zip(lp.senses, flip.tolist())]
+    rhs = scale * lp.rhs
 
     n_slack = sum(1 for s in senses if s == "<=")
     n_surplus = sum(1 for s in senses if s == ">=")
     n_art = sum(1 for s in senses if s in ("=", ">="))
     total = n + n_slack + n_surplus + n_art
     tab = np.zeros((m, total + 1))
-    tab[:, :n] = rows
+    tab[:, :n] = lp.constraints
+    # 0.0 + scale * v per entry, in place: every zero is +0.0 (-v would
+    # make the zeros of a negated row -0.0)
+    tab[:, :n] *= scale[:, None]
+    tab[:, :n] += 0.0
     tab[:, -1] = rhs
 
     basis = [-1] * m
@@ -134,10 +141,7 @@ def solve_lp(
         allowed[art_cols] = False
 
     cost2 = np.zeros(total)
-    for j, v in lp.objective.items():
-        if not 0 <= j < n:
-            raise LpError(f"objective index {j} out of range")
-        cost2[j] += v
+    cost2[:n] = lp.objective
     z = _price_out(tab, basis, cost2)
     status = _pivot_loop(tab, basis, z, allowed)
     if status == "unbounded":
@@ -150,8 +154,7 @@ def solve_lp(
             if 0 <= b < total:
                 face[b] = allowed[b]
         cost3 = np.zeros(total)
-        for j, v in secondary.items():
-            cost3[j] += v
+        cost3[:n] = secondary
         z3 = _price_out(tab, basis, cost3)
         _pivot_loop(tab, basis, z3, face)  # unbounded face: keep current point
 
@@ -159,7 +162,8 @@ def solve_lp(
     for i, b in enumerate(basis):
         if 0 <= b < n:
             x[b] = tab[i, -1]
-    objective = float(sum(v * x[j] for j, v in lp.objective.items()))
+    used = np.flatnonzero(lp.objective)  # summed in index order, as a float
+    objective = float(sum(lp.objective[used] * x[used]))
     return LpSolution("optimal", x, objective)
 
 

@@ -671,7 +671,7 @@ def induced_mc(model: ExplicitModel, strategy: Strategy) -> ExplicitModel:
                 )
         merged: dict = {}
         order: list = []
-        action = row[strategy_support_first(dist)].action if row else None
+        action = row[min(dist)].action if row else None
         for a, w in dist.items():
             for p, t in row[a].branches:
                 q = w * p
@@ -692,10 +692,6 @@ def induced_mc(model: ExplicitModel, strategy: Strategy) -> ExplicitModel:
         parameters={},
         deadlocks=model.deadlocks,
     )
-
-
-def strategy_support_first(dist: Mapping[int, Fraction]) -> int:
-    return min(dist)
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,12 @@ from .checking import (
     DEFAULT_TOL,
     FEASIBILITY_TOL,
     _Arrays,
+    _branches,
+    _mask,
     _model_arrays,
     _prob1_min,
     _reach,
+    _target_set,
     chain_family,
     expected_cost,
     reach_prob,
@@ -179,14 +182,16 @@ def constrained_mdp_lp(
     variables, which forces their inflow to zero — strategies must avoid
     them entirely rather than park probability mass there.
 
-    The LP is read off the model's flat arrays (``checking._model_arrays``,
-    built once per model); the disabled actions only switch choices off.
+    ``targets`` and ``goals`` are labels or sets of states; a state out of
+    range raises ``ModelError``, as in ``reach_prob``.  The LP is read off
+    the model's flat arrays (``checking._model_arrays``, built once per
+    model); the disabled actions only switch choices off.
     """
     if model.kind == "mimdp":
         raise ModelError("instantiate or transform the model before the LP")
     lam = float(bound)
-    tset = set(model.label_states(targets)) if isinstance(targets, str) else set(targets)
-    gset = set(model.label_states(goals)) if isinstance(goals, str) else set(goals)
+    tset = _target_set(model, targets)
+    gset = _target_set(model, goals)
     arr = _model_arrays(model)
     enabled = np.fromiter(
         (ch.action not in disabled_actions for row in model.choices for ch in row),
@@ -195,21 +200,19 @@ def constrained_mdp_lp(
     return _occupation_lp(model, arr, model.costs, tset, gset, lam, enabled)
 
 
-def _state_mask(n: int, states) -> np.ndarray:
-    # states outside 0..n-1 mark nothing
-    return np.fromiter((s in states for s in range(n)), dtype=bool, count=n)
-
-
 def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, tset, gset,
                    lam: float, enabled: np.ndarray) -> ConstrainedSolution:
     """``constrained_mdp_lp`` on the arrays ``arr`` of a configuration of
     ``model`` (which gives the states, initial state and deadlocks), its
-    state costs and the mask of enabled choices."""
+    state costs and the mask of enabled choices; ``tset`` and ``gset`` are
+    states of the model.  The LP is one dense matrix, a column per
+    variable: a conservation row per transient state, then the bound row."""
     n = arr.num_states
     owner = arr.choice_state
-    closed = _state_mask(n, tset | gset)  # mass may rest here
+    target = _mask(n, tset)
+    closed = target | _mask(n, gset)  # mass may rest here
     live = np.bincount(owner[enabled], minlength=n) > 0
-    dead = _state_mask(n, model.deadlocks) | ~(closed | live)
+    dead = _mask(n, model.deadlocks) | ~(closed | live)
     loop = (np.diff(arr.branch_start) == 1) & (arr.targets[arr.branch_start[:-1]] == owner)
     closed |= (np.bincount(owner[~loop], minlength=n) == 0) & ~dead  # sinks
     terminal = closed | dead
@@ -229,41 +232,33 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, tset, gset,
             raise InfeasibleError("initial state lies in the target set")
         return ConstrainedSolution(Strategy.deterministic([0] * n), 0.0, pr)
 
-    transient = np.flatnonzero(~closed).tolist()
-    row_of = dict(zip(transient, range(len(transient))))
+    transient = np.flatnonzero(~closed)
+    m = len(transient)  # conservation rows; the bound row is row m
+    row_of = np.full(n, -1)
+    row_of[transient] = np.arange(m)
     # one variable per enabled choice of a transient state that is not a
     # dead end, in state order, then choice order
-    variables = np.flatnonzero(enabled & ~terminal[owner]).tolist()
-    state_of, first = arr.owner, arr.choice_start.tolist()
-    start, succ, probs = arr.branch_start.tolist(), arr.targets.tolist(), arr.probs.tolist()
-    cost = [float(c) for c in costs]
+    variables = np.flatnonzero(enabled & ~terminal[owner])
+    states = owner[variables]
+    var, succ, probs = _branches(arr, variables)
 
-    lp = LinearProgram(num_vars=len(variables))
-    rows: List[Dict[int, float]] = [dict() for _ in transient]
-    bound_row: Dict[int, float] = {}
-    for j, c in enumerate(variables):
-        s = state_of[c]
-        if cost[s] != 0.0:
-            lp.objective[j] = cost[s]
-        rows[row_of[s]][j] = 1.0
-        into_t = 0
-        for b in range(start[c], start[c + 1]):
-            t = succ[b]
-            if t in row_of:
-                r = rows[row_of[t]]
-                r[j] = r.get(j, 0.0) - probs[b]
-            if t in tset:
-                into_t += probs[b]
-        if into_t:
-            bound_row[j] = into_t
-    for i, s in enumerate(transient):
-        lp.add(rows[i], "=", 1.0 if s == init else 0.0)
-    lp.add(bound_row, "<=", lam)
+    # a variable's flow leaves its own state's row and enters its
+    # transient successors' rows; the flow into the targets is bounded.
+    # Summed per entry in variable, then branch, order, as floats
+    a = np.zeros((m + 1, len(variables)))
+    a[row_of[states], np.arange(len(variables))] = 1.0
+    into_t = target[succ]
+    row = np.where(into_t, m, row_of[succ])
+    kept = row >= 0
+    np.add.at(a, (row[kept], var[kept]), np.where(into_t, probs, -probs)[kept])
+    rhs = np.append(np.where(transient == init, 1.0, 0.0), lam)
+    cost = np.array([float(c) for c in costs])[states]
+    bound_row = a[m]
 
     # among cost-minimal strategies, canonicalize to the one with the
     # smallest target probability (the cost optimum alone can be a flat face
     # on which the probability varies, and both synthesis routes must agree)
-    sol = solve_lp(lp, secondary=bound_row or None)
+    sol = solve_lp(LinearProgram(cost, a, ["="] * m + ["<="], rhs), secondary=bound_row)
     if sol.status == "infeasible":
         raise InfeasibleError(f"no strategy meets the bound {lam}")
     if sol.status != "optimal":
@@ -272,14 +267,15 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, tset, gset,
     y = sol.x
     choice_probs = [{0: Fraction(1)} for _ in range(n)]
     by_state: Dict[int, list] = {}  # state -> its (variable, choice index)
-    for j, c in enumerate(variables):
-        s = state_of[c]
+    first = arr.choice_start.tolist()
+    for j, (s, c) in enumerate(zip(states.tolist(), variables.tolist())):
         by_state.setdefault(s, []).append((j, c - first[s]))
     for s, own in by_state.items():
         mass = {ci: Fraction(y[j]) for j, ci in own if y[j] > SUPPORT_TOL}
         choice_probs[s] = mass or {ci: Fraction(1) for _, ci in own}
 
-    pr = float(sum(v * y[j] for j, v in bound_row.items()))
+    into = np.flatnonzero(bound_row)  # summed in variable order, as a float
+    pr = float(sum(bound_row[into] * y[into]))
     ec = float(sol.objective)
     return ConstrainedSolution(Strategy(choice_probs), ec, pr)
 

@@ -111,7 +111,8 @@ def _domain_points(g: Expr, h: Expr, program: Program):
     """The variables ``g`` and ``h`` mention, sorted, and the points of
     their domains in lexicographic order, less those where an equality
     conjunct of ``g`` fails: there ``g`` is False without raising, so
-    neither caller evaluates ``h``.  The cap applies to the full product."""
+    ``_guard_witness`` does not evaluate ``h``.  The cap applies to the
+    full product."""
     variables = program.variables()
     used = sorted((names_in(g) | names_in(h)) & set(variables))
     decls = [variables[v] for v in used]
@@ -133,27 +134,27 @@ def _domain_points(g: Expr, h: Expr, program: Program):
     return used, itertools.product(*ranges)
 
 
-def _guard_implies(g: Expr, h: Expr, program: Program) -> bool:
-    """g |= h, decided by enumerating the domains of the mentioned variables."""
+def _guard_witness(g: Expr, h: Expr, program: Program, h_value: bool) -> bool:
+    """Whether some point of the mentioned variables' domains satisfies
+    ``g`` and gives ``h`` the truth value ``h_value`` (``h`` is evaluated
+    only where ``g`` holds)."""
     consts = program.constants
     used, points = _domain_points(g, h, program)
     for combo in points:
         env = dict(consts)
         env.update(zip(used, combo))
-        if eval_expr(g, env) and not eval_expr(h, env):
-            return False
-    return True
+        if eval_expr(g, env) and bool(eval_expr(h, env)) is h_value:
+            return True
+    return False
+
+
+def _guard_implies(g: Expr, h: Expr, program: Program) -> bool:
+    """g |= h, decided by enumerating the domains of the mentioned variables."""
+    return not _guard_witness(g, h, program, False)
 
 
 def _guards_overlap(g: Expr, h: Expr, program: Program) -> bool:
-    consts = program.constants
-    used, points = _domain_points(g, h, program)
-    for combo in points:
-        env = dict(consts)
-        env.update(zip(used, combo))
-        if eval_expr(g, env) and eval_expr(h, env):
-            return True
-    return False
+    return _guard_witness(g, h, program, True)
 
 
 def _prune_parameters(program: Program) -> Program:

@@ -5,8 +5,8 @@ expected costs on Markov chains.  Deliberately naive and fully exact
 (fractions end to end): the engine under test uses precomputation plus
 value iteration, this does not.  Below it, the former checker, the
 former cost-bounded product, instantiation and well-definedness filter,
-exploration, guard implication checks, integer-program emitter,
-constrained LP and family instances, enumeration route, memoised evaluator
+exploration, guard implication checks, integer-program emitter, LP
+solver, constrained LP and family instances, enumeration route, memoised evaluator
 and reward selection, kept as references for the differential tests of the
 code that replaced them.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -55,7 +56,7 @@ from mimdp.expressions import (
     substitute,
     to_text,
 )
-from mimdp.lp import LinearProgram, solve_lp
+from mimdp.lp import DEFAULT_VAR_CAP, PIVOT_TOL, LpError, LpSizeError, LpSolution
 from mimdp.models import (
     DEFAULT_STATE_CAP,
     Choice,
@@ -1069,6 +1070,210 @@ def seed_emit_nilp(program: Program, query: SynthesisQuery) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the former LP solver: programs as per-row dicts, densified entry by entry
+# into the simplex tableau
+
+@dataclass
+class SeedLinearConstraint:
+    coeffs: Dict[int, float]
+    sense: str  # '<=' | '=' | '>='
+    rhs: float
+
+    def __post_init__(self):
+        if self.sense not in ("<=", "=", ">="):
+            raise LpError(f"bad constraint sense {self.sense!r}")
+
+
+@dataclass
+class SeedLinearProgram:
+    """min objective . x  subject to the constraints, x >= 0."""
+
+    num_vars: int
+    objective: Dict[int, float] = field(default_factory=dict)
+    constraints: List[SeedLinearConstraint] = field(default_factory=list)
+
+    def add(self, coeffs: Dict[int, float], sense: str, rhs: float) -> None:
+        self.constraints.append(SeedLinearConstraint(dict(coeffs), sense, float(rhs)))
+
+
+def seed_solve_lp(
+    lp: SeedLinearProgram,
+    *,
+    var_cap: int = DEFAULT_VAR_CAP,
+    secondary: Optional[Dict[int, float]] = None,
+) -> LpSolution:
+    """Solve the program; with ``secondary``, lexicographically minimize the
+    secondary objective over the primary-optimal face (entering columns are
+    restricted to zero reduced cost in the primary, so the primary optimum
+    is preserved exactly)."""
+    if lp.num_vars > var_cap:
+        raise LpSizeError(
+            f"{lp.num_vars} variables exceed the desk-scale cap of {var_cap}"
+        )
+    n = lp.num_vars
+    m = len(lp.constraints)
+
+    # count auxiliary columns: slack for <=, surplus for >=, artificial for =/>=
+    # rows are first normalized to nonnegative right-hand sides
+    senses = []
+    rows = np.zeros((m, n))
+    rhs = np.zeros(m)
+    for i, c in enumerate(lp.constraints):
+        sense = c.sense
+        scale = 1.0
+        if c.rhs < 0:
+            scale = -1.0
+            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
+        senses.append(sense)
+        rhs[i] = scale * c.rhs
+        for j, v in c.coeffs.items():
+            if not 0 <= j < n:
+                raise LpError(f"variable index {j} out of range")
+            rows[i, j] += scale * v
+
+    n_slack = sum(1 for s in senses if s == "<=")
+    n_surplus = sum(1 for s in senses if s == ">=")
+    n_art = sum(1 for s in senses if s in ("=", ">="))
+    total = n + n_slack + n_surplus + n_art
+    tab = np.zeros((m, total + 1))
+    tab[:, :n] = rows
+    tab[:, -1] = rhs
+
+    basis = [-1] * m
+    art_cols = []
+    col = n
+    for i, s in enumerate(senses):
+        if s == "<=":
+            tab[i, col] = 1.0
+            basis[i] = col
+            col += 1
+    for i, s in enumerate(senses):
+        if s == ">=":
+            tab[i, col] = -1.0
+            col += 1
+    for i, s in enumerate(senses):
+        if s in ("=", ">="):
+            tab[i, col] = 1.0
+            basis[i] = col
+            art_cols.append(col)
+            col += 1
+    assert col == total
+
+    allowed = np.ones(total, dtype=bool)
+
+    # phase 1: minimize the sum of artificials
+    if art_cols:
+        cost1 = np.zeros(total)
+        cost1[art_cols] = 1.0
+        z = _price_out(tab, basis, cost1)
+        status = _pivot_loop(tab, basis, z, allowed)
+        if status != "optimal":  # phase-1 objective is bounded below by 0
+            return LpSolution("infeasible", None, None)
+        if z[-1] < -PIVOT_TOL * max(1.0, float(np.max(np.abs(rhs))) ):
+            # z holds the negated objective value in its last entry
+            return LpSolution("infeasible", None, None)
+        _drive_out_artificials(tab, basis, set(art_cols))
+        allowed[art_cols] = False
+
+    cost2 = np.zeros(total)
+    for j, v in lp.objective.items():
+        if not 0 <= j < n:
+            raise LpError(f"objective index {j} out of range")
+        cost2[j] += v
+    z = _price_out(tab, basis, cost2)
+    status = _pivot_loop(tab, basis, z, allowed)
+    if status == "unbounded":
+        return LpSolution("unbounded", None, None)
+
+    if secondary is not None:
+        # restrict to the optimal face of the primary objective
+        face = allowed & (np.abs(z[:-1]) <= PIVOT_TOL * max(1.0, float(np.max(np.abs(cost2)))))
+        for b in basis:
+            if 0 <= b < total:
+                face[b] = allowed[b]
+        cost3 = np.zeros(total)
+        for j, v in secondary.items():
+            cost3[j] += v
+        z3 = _price_out(tab, basis, cost3)
+        _pivot_loop(tab, basis, z3, face)  # unbounded face: keep current point
+
+    x = np.zeros(n)
+    for i, b in enumerate(basis):
+        if 0 <= b < n:
+            x[b] = tab[i, -1]
+    objective = float(sum(v * x[j] for j, v in lp.objective.items()))
+    return LpSolution("optimal", x, objective)
+
+
+def _price_out(tab: np.ndarray, basis: List[int], cost: np.ndarray) -> np.ndarray:
+    """Objective row [reduced costs | -objective] for the current basis."""
+    z = np.zeros(tab.shape[1])
+    z[:-1] = cost
+    for i, b in enumerate(basis):
+        cb = cost[b]
+        if cb != 0.0:
+            z -= cb * tab[i]
+    return z
+
+
+def _pivot_loop(tab: np.ndarray, basis: List[int], z: np.ndarray, allowed: np.ndarray) -> str:
+    m = tab.shape[0]
+    while True:
+        enter = -1
+        for j in range(tab.shape[1] - 1):
+            if allowed[j] and z[j] < -PIVOT_TOL:
+                enter = j  # Bland: lowest eligible index
+                break
+        if enter < 0:
+            return "optimal"
+        best_ratio = None
+        leave = -1
+        for i in range(m):
+            a = tab[i, enter]
+            if a > PIVOT_TOL:
+                ratio = tab[i, -1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio - PIVOT_TOL
+                    or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _pivot(tab, z, leave, enter)
+        basis[leave] = enter
+
+
+def _pivot(tab: np.ndarray, z: np.ndarray, row: int, col: int) -> None:
+    tab[row] /= tab[row, col]
+    piv = tab[row]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, piv)
+    if z[col] != 0.0:
+        z -= z[col] * piv
+
+
+def _drive_out_artificials(tab: np.ndarray, basis: List[int], art: set) -> None:
+    m, ncols = tab.shape
+    for i in range(m):
+        if basis[i] in art:
+            pivot_col = -1
+            for j in range(ncols - 1):
+                if j not in art and abs(tab[i, j]) > PIVOT_TOL:
+                    pivot_col = j
+                    break
+            if pivot_col >= 0:
+                dummy = np.zeros(ncols)
+                _pivot(tab, dummy, i, pivot_col)
+                basis[i] = pivot_col
+            else:
+                # redundant row: basic artificial at level ~0, leave in place
+                tab[i, :] = 0.0
+
+
+# ---------------------------------------------------------------------------
 # the former constrained LP and instances of a family
 #
 # Reference for the differential tests of the LP read off the checker's
@@ -1207,7 +1412,7 @@ def seed_constrained_mdp_lp(
             var_index[(s, ci)] = len(variables)
             variables.append((s, ci))
 
-    lp = LinearProgram(num_vars=len(variables))
+    lp = SeedLinearProgram(num_vars=len(variables))
     for j, (s, ci) in enumerate(variables):
         c = float(absorbed.costs[s])
         if c != 0.0:
@@ -1234,7 +1439,7 @@ def seed_constrained_mdp_lp(
     # among cost-minimal strategies, canonicalize to the one with the
     # smallest target probability (the cost optimum alone can be a flat face
     # on which the probability varies, and both synthesis routes must agree)
-    sol = solve_lp(lp, secondary=bound_row or None)
+    sol = seed_solve_lp(lp, secondary=bound_row or None)
     if sol.status == "infeasible":
         raise InfeasibleError(f"no strategy meets the bound {lam}")
     if sol.status != "optimal":

@@ -567,11 +567,14 @@ def test_errors_equal_the_former(monkeypatch):
     assert _assert_same_cbr(monkeypatch, on_target, "t", 3)[0] == "value"
     with pytest.raises(ModelError, match="no positive branch"):
         reach_prob(on_target, "t")
-    # a negative cost (which build_model never makes) reaches past the budget
+    # a negative cost (which build_model never makes) is rejected as by
+    # expected_cost, also at bound 0, where no budget leaves a goal
     for costs in ([-1, 1, 0], [-3, 0, 0], [1, -1, 0]):
         chain = _hand_model([[_ch((1, 1))], [_ch(("1/2", 2), ("1/2", 0))], [_ch((1, 2))]], costs)
+        state = costs.index(min(costs))
         for bound in range(4):
-            _assert_same_cbr(monkeypatch, chain, "t", bound)
+            with pytest.raises(ModelError, match=f"^negative cost at state {state}$"):
+                cost_bounded_reach(chain, "t", bound)
     # states without choices (which build_model never makes), the last a
     # target: its loop copies nothing from the base arrays
     bare = _hand_model([[_ch(("1/2", 1), ("1/2", 2))], [], []], [1, 0, 0])

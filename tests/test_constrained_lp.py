@@ -129,6 +129,15 @@ def test_branch_and_bound_nodes_share_one_set_of_arrays(monkeypatch, two_stage):
     assert len(set(lps)) > 1 and len(built) == 1
 
 
+def test_a_state_out_of_range_raises_as_in_reach_prob():
+    model = build_model(parse_program(SINK.format(param="", loop="1:(s'=1)")))
+    for targets, goals, bad in (({3, 4}, {2}, 4), ({3}, {-1, 2}, -1)):
+        with pytest.raises(models.ModelError, match=rf"^target state {bad} out of range$"):
+            constrained_mdp_lp(model, targets, F(1), goals)
+    with pytest.raises(models.ModelError, match=r"^target state 4 out of range$"):
+        checking.reach_prob(model, {3, 4})
+
+
 # one nondeterministic state and a state s=1 that loops back with
 # probability one; in the family it does so under p = 0 only
 SINK = """
