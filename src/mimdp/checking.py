@@ -78,6 +78,11 @@ class _Arrays:
     so the qualitative sets ignore them, and value iteration never forms
     ``0 * inf``.
 
+    ``_fill`` sets every field from the flat arrays, and builds the
+    predecessor lists of the graph searches from ``branch_start`` and
+    ``targets``, for every construction: a model, a family's support, or
+    the budget product of ``cost_bounded_reach``.
+
     A family of configurations shares one structure: given ``support`` (per
     branch of ``model``, flat in model order, whether it is an edge) and
     ``probs`` (configurations × edges), the arrays hold the edges of that
@@ -93,12 +98,8 @@ class _Arrays:
         targets: list = []
         floats: list = []
         edges = iter(support) if support is not None else None
-        # per state, the choices with a branch into it (ascending; a choice
-        # appears once per such branch): the graph searches walk these
-        pred: list = [[] for _ in range(model.num_states)]
         for si, row in enumerate(model.choices):
             for ch in row:
-                c = len(choice_state)
                 choice_state.append(si)
                 for p, t in ch.branches:
                     if not (p if edges is None else next(edges)):
@@ -106,20 +107,18 @@ class _Arrays:
                     targets.append(t)
                     if edges is None:
                         floats.append(float(p))
-                    pred[t].append(c)
                 if len(targets) == branch_start[-1]:
                     raise ModelError(
                         f"choice with no positive branch at state {model.state_text(si)}"
                     )
                 branch_start.append(len(targets))
             choice_start.append(len(choice_state))
-        self._fill(model.num_states, choice_state, pred, choice_start, branch_start,
+        self._fill(model.num_states, choice_state, choice_start, branch_start,
                    targets, floats if probs is None else probs)
 
-    def _fill(self, num_states, choice_state, pred, choice_start, branch_start,
+    def _fill(self, num_states, choice_state, choice_start, branch_start,
               targets, probs) -> None:
         self.num_states = num_states
-        self.predecessors = pred
         self.choice_state = np.asarray(choice_state, dtype=np.int64)
         self.owner = self.choice_state.tolist()  # the state of each choice
         self.choice_start = np.asarray(choice_start, dtype=np.int64)
@@ -128,6 +127,13 @@ class _Arrays:
         # one row of branch probabilities, or one per configuration
         self.probs = np.asarray(probs, dtype=np.float64)
         self.num_choices = len(self.owner)
+        # per state, the choices with a branch into it (ascending; a choice
+        # appears once per such branch): the graph searches walk these
+        pred: list = [[] for _ in range(num_states)]
+        of_branch = np.repeat(np.arange(self.num_choices), np.diff(self.branch_start))
+        for c, t in zip(of_branch.tolist(), self.targets.tolist()):
+            pred[t].append(c)
+        self.predecessors = pred
 
     def choice_values(self, x: np.ndarray, probs: Optional[np.ndarray] = None) -> np.ndarray:
         """Each choice's expected successor value; ``x`` is one value per
@@ -172,13 +178,13 @@ def _backward(arr: _Arrays, seeds: set, stop=frozenset(), enabled=None) -> set:
     """The seeds plus every state outside ``stop`` with a path into them
     through the choices ``enabled`` (a mask; every choice when None)."""
     pred, owner = arr.predecessors, arr.owner
-    on = None if enabled is None else enabled.tolist()
+    on = [True] * arr.num_choices if enabled is None else enabled.tolist()
     seen = set(seeds)
     stack = list(seeds)
     while stack:
         for c in pred[stack.pop()]:
             s = owner[c]
-            if s not in seen and s not in stop and (on is None or on[c]):
+            if on[c] and s not in seen and s not in stop:
                 seen.add(s)
                 stack.append(s)
     return seen
@@ -227,13 +233,11 @@ def _prob0_min(arr: _Arrays, targets: set, enabled=None) -> set:
     """
     pred, owner = arr.predecessors, arr.owner
     if enabled is None:
-        missing = np.diff(arr.choice_start).tolist()  # choices not yet hitting
-        hits = [False] * arr.num_choices
-    else:
-        # a disabled choice is never counted, and is passed over as if it
-        # hit already
-        missing = np.bincount(arr.choice_state[enabled], minlength=arr.num_states).tolist()
-        hits = (~enabled).tolist()
+        enabled = np.ones(arr.num_choices, dtype=bool)
+    # per state, its enabled choices not yet hitting; a disabled choice is
+    # never counted, and is passed over as if it hit already
+    missing = np.bincount(arr.choice_state[enabled], minlength=arr.num_states).tolist()
+    hits = (~enabled).tolist()
     hit = set(targets)
     stack = list(targets)
     while stack:
@@ -659,7 +663,10 @@ def cost_bounded_reach(
     choices of ``s`` with every branch into ``t`` sent to ``t`` with budget
     ``max(b - cost(s), 0)``, or one self-loop if ``s`` is a target.  The
     product's arrays are derived from the base model's, which are built
-    once per model; its rows (``choices``) are built only when read.
+    once per model; its rows (``choices``) are built only when read.  A
+    model the checker cannot take (parametric, or with a choice that has
+    no positive branch) raises the checker's ``ModelError``, as in
+    ``reach_prob``.
     """
     if bound < 0:
         raise ValueError("cost bound must be nonnegative")
@@ -689,20 +696,12 @@ def cost_bounded_reach(
     goal = {s * width + b for s in tset for b in range(1, width)}
     if not goal:
         return 0.0
-    # with a base model without arrays (parametric, or a choice with no
-    # positive branch), the slot stays empty: reach_prob builds the arrays
-    # from the rows and raises where they are faulty
-    try:
-        base = _model_arrays(model)
-    except ModelError:
-        pass
-    else:
-        # clamped to fit int64: any cost of at least the width drains
-        # every budget
-        cost = np.array([min(c, width) for c in costs], dtype=np.int64)
-        product._arrays = _product_arrays(
-            base, _mask(model.num_states, tset), cost, width
-        )
+    # clamped to fit int64: any cost of at least the width drains every
+    # budget
+    cost = np.array([min(c, width) for c in costs], dtype=np.int64)
+    product._arrays = _product_arrays(
+        _model_arrays(model), _mask(model.num_states, tset), cost, width
+    )
     vec, _ = reach_prob(product, goal, direction, tol=tol)
     return float(vec.values[product.initial])
 
@@ -764,17 +763,10 @@ def _product_arrays(base: _Arrays, target: np.ndarray, cost: np.ndarray,
     targets = np.where(loop, branch_state, succ)
     probs = np.where(loop, 1.0, np.append(base.probs, 1.0)[branch_of])
 
-    # per state, the choice of each branch into it, ascending
-    into = np.argsort(targets, kind="stable")
-    flat = np.repeat(np.arange(len(count)), count)[into].tolist()
-    ends = np.cumsum(np.bincount(targets, minlength=size)).tolist()
-    pred = [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
-
     arr = _Arrays.__new__(_Arrays)
     arr._fill(
         size,
         choice_state,
-        pred,
         np.append(0, np.cumsum(np.bincount(choice_state, minlength=size))),
         np.append(0, np.cumsum(count)),
         targets,

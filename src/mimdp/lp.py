@@ -1,11 +1,12 @@
 """Dense two-phase primal simplex with Bland's anti-cycling rule.
 
-Desk-scale only (a soft cap of 1e4 variables): the point is zero external
-solver dependencies and bit-reproducible pivoting, not speed.  Variables are
-nonnegative; constraints may be <=, = or >=.  A program is its dense
-constraint matrix with one sense and one right-hand side per row, the form
-``scipy.optimize.linprog`` also takes; the matrix goes into the tableau in
-one assignment.
+Desk-scale only (a fixed cap of 1e4 variables, ``DEFAULT_VAR_CAP``): the
+point is zero external solver dependencies and bit-reproducible pivoting,
+not speed.  Variables are nonnegative; constraints may be <=, = or >=.  A
+program is its dense constraint matrix with one sense and one right-hand
+side per row, the form ``scipy.optimize.linprog`` also takes; the matrix
+goes into the tableau in one assignment.  ``solve_lp(lp, *, secondary)``
+solves it.
 """
 
 from __future__ import annotations
@@ -68,19 +69,16 @@ class LpSolution:
     objective: Optional[float]
 
 
-def solve_lp(
-    lp: LinearProgram,
-    *,
-    var_cap: int = DEFAULT_VAR_CAP,
-    secondary: Optional[np.ndarray] = None,
-) -> LpSolution:
+def solve_lp(lp: LinearProgram, *, secondary: Optional[np.ndarray] = None) -> LpSolution:
     """Solve the program; with ``secondary`` (one coefficient per variable),
     lexicographically minimize the secondary objective over the
     primary-optimal face (entering columns are restricted to zero reduced
-    cost in the primary, so the primary optimum is preserved exactly)."""
-    if lp.num_vars > var_cap:
+    cost in the primary, so the primary optimum is preserved exactly).  A
+    program of more than ``DEFAULT_VAR_CAP`` variables raises
+    ``LpSizeError``."""
+    if lp.num_vars > DEFAULT_VAR_CAP:
         raise LpSizeError(
-            f"{lp.num_vars} variables exceed the desk-scale cap of {var_cap}"
+            f"{lp.num_vars} variables exceed the desk-scale cap of {DEFAULT_VAR_CAP}"
         )
     n = lp.num_vars
     m = len(lp.rhs)
@@ -149,7 +147,8 @@ def solve_lp(
 
     if secondary is not None:
         # restrict to the optimal face of the primary objective
-        face = allowed & (np.abs(z[:-1]) <= PIVOT_TOL * max(1.0, float(np.max(np.abs(cost2)))))
+        tol = PIVOT_TOL * max(1.0, float(np.max(np.abs(cost2), initial=0.0)))
+        face = allowed & (np.abs(z[:-1]) <= tol)
         for b in basis:
             if 0 <= b < total:
                 face[b] = allowed[b]

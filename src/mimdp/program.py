@@ -22,6 +22,7 @@ from .expressions import (
     Name,
     Num,
     UnboundName,
+    _nodes,
     eval_expr,
     format_fraction,
     infer_sort,
@@ -102,26 +103,10 @@ class Diagnostic:
 
 def _pos_of(expr: Expr):
     """First source position found in the expression, if any."""
-    for n in _walk_names(expr):
-        if n.pos is not None:
+    for n in _nodes(expr):
+        if isinstance(n, Name) and n.pos is not None:
             return n.pos
     return None
-
-
-def _walk_names(expr: Expr):
-    stack = [expr]
-    from .expressions import Binary, Extremum, Unary
-
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Name):
-            yield e
-        elif isinstance(e, Unary):
-            stack.append(e.operand)
-        elif isinstance(e, Binary):
-            stack.extend((e.left, e.right))
-        elif isinstance(e, Extremum):
-            stack.extend(e.args)
 
 
 def check_program(program: Program) -> list:

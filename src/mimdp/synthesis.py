@@ -419,13 +419,7 @@ def recover_valuation(
     # transformed models carry no residual parameters; read the parameters
     # and their value order off the report (rows enumerate values in
     # declaration order, so first appearance is the first declared value)
-    params: Dict[str, list] = {}
-    for action, pairs in report.fresh_actions.items():
-        for p, v in pairs:
-            values = params.setdefault(p, [])
-            if v not in values:
-                values.append(v)
-    for p, values in params.items():
+    for p, values in report.committed_values().items():
         got = commits.get(p, set())
         assert len(got) <= 1, f"conflicting commitments for parameter '{p}'"
         if got:
@@ -456,13 +450,9 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
     # valuations a reported answer may come from: a strategy can avoid every
     # state where some parameter matters, in which case its value must still
     # be completed consistently with global well-definedness
-    base = build_model(program)
-    if base.kind == "mimdp":
-        admissible = well_defined_valuations(base)
-        if not admissible:
-            raise SynthesisError("no well-defined valuation exists")
-    else:
-        admissible = [{}]
+    admissible = well_defined_valuations(build_model(program))
+    if not admissible:
+        raise SynthesisError("no well-defined valuation exists")
 
     def extendable(fixed: dict) -> bool:
         return any(
@@ -542,7 +532,8 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
     # lexicographic certification: fix parameters one by one to the earliest
     # declared value that still achieves the optimum and still lies under
     # some well-defined valuation
-    occurring = [p for p in params if _param_occurs(report, p)]
+    committed = report.committed_values()
+    occurring = [p for p in params if p in committed]
     flags = []
     fixed: dict = {}
     final = root
@@ -594,10 +585,6 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
         [],
         tuple(flags),
     )
-
-
-def _param_occurs(report: TransformReport, p: str) -> bool:
-    return any(cp == p for commits in report.fresh_actions.values() for cp, _ in commits)
 
 
 def synthesize(program: Program, query: SynthesisQuery) -> List[SynthesisResult]:

@@ -74,6 +74,19 @@ class TransformReport:
     # original command index -> indices of the produced commands
     command_mapping: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
+    def committed_values(self) -> Dict[str, List[Fraction]]:
+        """Per parameter, the values the fresh actions commit it to, in
+        first-appearance order: fresh actions in report order, and each
+        action's commitments in order.  Parameters no fresh action commits
+        are absent."""
+        values: Dict[str, List[Fraction]] = {}
+        for commits in self.fresh_actions.values():
+            for p, v in commits:
+                seen = values.setdefault(p, [])
+                if v not in seen:
+                    seen.append(v)
+        return values
+
     def to_json_dict(self) -> dict:
         return {
             "fresh_variables": {k: list(v) for k, v in self.fresh_variables.items()},
@@ -403,34 +416,22 @@ def add_control(program: Program, report: TransformReport) -> Program:
                 f"report action '{action}' does not occur in the program"
             )
 
-    # committed value sets per parameter, in first-appearance order; the
-    # transformed program no longer declares the original parameters
-    params: Dict[str, list] = {}
-    for commits in report.fresh_actions.values():
-        for p, v in commits:
-            values = params.setdefault(p, [])
-            if v not in values:
-                values.append(v)
-
-    committed_pairs = []  # (param, value) in appearance order
-    for p, values in params.items():
-        for v in values:
-            committed_pairs.append((p, v))
-
+    # the transformed program no longer declares the original parameters
+    params = report.committed_values()
     taken = set(program.constants) | set(params) | set(program.variables())
     flag: Dict[Tuple[str, Fraction], str] = {}
     flag_decls = []
-    for p, v in committed_pairs:
-        vi = list(params[p]).index(v)
-        name = _fresh(f"_q_{p}_{vi}", taken)
-        flag[(p, v)] = name
-        flag_decls.append(VarDecl(name, 0, 1, 0))
+    for p, values in params.items():
+        for vi, v in enumerate(values):
+            name = _fresh(f"_q_{p}_{vi}", taken)
+            flag[(p, v)] = name
+            flag_decls.append(VarDecl(name, 0, 1, 0))
 
     def conflict_guard(commits) -> Expr:
         terms = []
         for p, v in commits:
             for v2 in params[p]:
-                if v2 != v and (p, v2) in flag:
+                if v2 != v:
                     terms.append(Binary("=", Name(flag[(p, v2)]), Num(Fraction(0))))
         return conjoin(*terms)
 
@@ -447,9 +448,7 @@ def add_control(program: Program, report: TransformReport) -> Program:
 
     control_cmds = []
     for action, commits in report.fresh_actions.items():
-        update = tuple(
-            (flag[(p, v)], Num(Fraction(1))) for p, v in commits if (p, v) in flag
-        )
+        update = tuple((flag[(p, v)], Num(Fraction(1))) for p, v in commits)
         control_cmds.append(
             CommandDecl(action, TRUE, ((Num(Fraction(1)), update),))
         )

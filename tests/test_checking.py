@@ -557,16 +557,18 @@ def test_array_built_product_equals_the_former_on_corner_cases(monkeypatch):
 
 def test_errors_equal_the_former(monkeypatch):
     dead = _ch(("0", 1), ("0", 0))
-    # a choice with no positive branch: the error names the product state
+    # a choice with no positive branch raises the checker's error on the base
+    # model, naming the base state (the former code named the product state
+    # "(s=1,_budget=0)")
     faulty = _hand_model([[_ch((1, 1))], [_ch((1, 2)), dead], [_ch((1, 2))]], [1, 1, 0])
-    got = _assert_same_cbr(monkeypatch, faulty, "t", 3)
-    assert got == ("error", ModelError,
-                   "choice with no positive branch at state (s=1,_budget=0)")
-    # ... but not where the state is a target: its row is a self-loop
+    with pytest.raises(ModelError, match=r"^choice with no positive branch at state \(s=1\)$"):
+        cost_bounded_reach(faulty, "t", 3)
+    # ... also where the state is a target, as reach_prob on the same model
+    # does (the former code returned a value: the target's row is a loop)
     on_target = _hand_model([[_ch((1, 1))], [_ch((1, 2))], [dead]], [1, 1, 0])
-    assert _assert_same_cbr(monkeypatch, on_target, "t", 3)[0] == "value"
-    with pytest.raises(ModelError, match="no positive branch"):
-        reach_prob(on_target, "t")
+    for fn in (lambda m: cost_bounded_reach(m, "t", 3), lambda m: reach_prob(m, "t")):
+        with pytest.raises(ModelError, match=r"^choice with no positive branch at state \(s=2\)$"):
+            fn(on_target)
     # a negative cost (which build_model never makes) is rejected as by
     # expected_cost, also at bound 0, where no budget leaves a goal
     for costs in ([-1, 1, 0], [-3, 0, 0], [1, -1, 0]):
@@ -598,11 +600,21 @@ def test_errors_equal_the_former(monkeypatch):
 
 
 def test_a_parametric_model_raises_as_before_and_caches_nothing(monkeypatch, die, two_stage):
-    for program, label in ((die, "rolled"), (two_stage, "s2")):
-        model = build_model(program)
+    die_model, two_stage_model = build_model(die), build_model(two_stage)
+    # the die's costs are concrete: at bound 0 no budget leaves a goal, and
+    # the value is 0.0 as before; at bound 3 the checker's error is raised,
+    # as in reach_prob (the former code raised a TypeError from float() on a
+    # parametric probability)
+    assert _assert_same_cbr(monkeypatch, die_model, "rolled", 0) == ("value", 0.0)
+    for _ in range(2):
+        with pytest.raises(ModelError, match="^model checking needs a concrete model; instantiate first$"):
+            cost_bounded_reach(die_model, "rolled", 3)
+    # two_stage's costs are parametric: the cost check raises first, as before
+    for bound in (0, 3):
+        got = _assert_same_cbr(monkeypatch, two_stage_model, "s2", bound)
+        assert got == ("error", ModelError, "cost-bounded reachability needs concrete costs")
+    for model, label in ((die_model, "rolled"), (two_stage_model, "s2")):
         assert model.kind == "mimdp"
-        for bound in (0, 3):
-            _assert_same_cbr(monkeypatch, model, label, bound)
         for _ in range(2):
             with pytest.raises(ModelError, match="concrete model"):
                 reach_prob(model, label)

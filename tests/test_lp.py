@@ -76,8 +76,9 @@ def test_degenerate_vertex():
 
 
 def test_zero_variable_program():
-    sol = solve_lp(_lp([], [], [], []))
-    assert sol.status == "optimal" and sol.objective == 0.0
+    for kwargs in ({}, {"secondary": np.zeros(0)}):
+        sol = solve_lp(_lp([], [], [], []), **kwargs)
+        assert sol.status == "optimal" and sol.objective == 0.0
 
 
 def test_size_cap():

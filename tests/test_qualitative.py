@@ -2,6 +2,7 @@
 policy polish against the fixpoint code they replaced (``oracles``)."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,58 @@ def test_graph_sets_equal_the_former_fixpoints():
                 new = getattr(checking, name)(arr, set(targets))
                 old = getattr(oracles, name)(arr, set(targets))
                 assert new == old, (name, model.choices, targets)
+
+
+def _former_predecessors(arr):
+    return [[c for _, c in into] for into in oracles._predecessors(arr)]
+
+
+def test_predecessor_lists_equal_the_former_per_branch_lists():
+    # ascending choices, each listed once per branch into the state, for
+    # every construction: a model, a family's support and the budget product
+    rng = random.Random(12)
+    repeated = 0  # a choice with two branches into one state
+    for model in CORPUS:
+        arr = checking._Arrays(model)
+        assert arr.predecessors == _former_predecessors(arr)
+        repeated += any(len(set(cs)) < len(cs) for cs in arr.predecessors)
+        support = [rng.random() < 0.7 or j == 0 for row in model.choices for ch in row
+                   for j in range(len(ch.branches))]
+        family = checking._Arrays(model, support, np.ones((2, sum(support))))
+        assert family.predecessors == _former_predecessors(family)
+        target = checking._mask(model.num_states, {rng.randrange(model.num_states)})
+        cost = np.array([rng.randint(0, 2) for _ in range(model.num_states)])
+        for width in (1, 3):
+            product = checking._product_arrays(arr, target, cost, width)
+            assert product.predecessors == _former_predecessors(product)
+    assert repeated > 20
+
+
+def _restricted(model, on):
+    """The model with only the choices ``on`` (a flat mask) left."""
+    flags = iter(on.tolist())
+    return replace(model, choices=[[ch for ch in row if next(flags)] for row in model.choices])
+
+
+def test_masked_searches_equal_the_former_fixpoints_on_the_restricted_model():
+    rng = random.Random(11)
+    np_rng = np.random.default_rng(11)
+    choiceless = 0  # states left with no enabled choice, summed over the cases
+    for model in CORPUS:
+        arr = oracles.SeedArrays(model)
+        for share in (0.3, 0.7, 1.0):
+            on = np_rng.random(arr.num_choices) < share
+            restricted = oracles.SeedArrays(_restricted(model, on))
+            choiceless += int(np.sum(np.diff(restricted.choice_start) == 0))
+            for targets in _target_sets(model, rng):
+                zero = checking._prob0_min(arr, set(targets), on)
+                assert zero == oracles._prob0_min(restricted, set(targets))
+                assert checking._prob1_min(arr, set(targets), enabled=on) == \
+                    oracles._prob1_min(restricted, set(targets))
+                for stop in (frozenset(), frozenset(targets)):
+                    assert checking._backward(arr, zero, stop, on) == \
+                        checking._backward(restricted, zero, stop)
+    assert choiceless > 500
 
 
 def test_greedy_equals_the_former_per_state_argmax():
