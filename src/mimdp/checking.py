@@ -15,11 +15,11 @@ backward search.  Zero-probability branches are not edges of the graph.
 Value iteration starts from zero (iterates are monotone from below) and runs
 to a relative residual of 1e-8; the extracted strategy is then evaluated
 exactly by solving its induced linear system, which is what the returned
-values report.  The system is dense up to 3000 states and sparse above, so
-memory stays linear in the model size.  If that polish step fails its sanity
-checks (a greedy tie in the max direction, or iteration that stopped far
-from the fixpoint), the raw iteration values are kept and
-``ValueVector.polished`` is False.
+values report.  The system is dense up to 128 states and a sparse LU above,
+so the work and memory of a larger region grow with its nonzeros.  If that
+polish step fails its sanity checks (a greedy tie in the max direction, or
+iteration that stopped far from the fixpoint), the raw iteration values are
+kept and ``ValueVector.polished`` is False.
 
 The checker works on flat arrays of a model's transition structure, built
 once per model on first use and kept on it (models are immutable once
@@ -50,7 +50,10 @@ from .models import Choice, ExplicitModel, ModelError, Strategy
 DEFAULT_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9  # slack of a probability bound, here and in synthesis
 _MAX_SWEEPS = 1_000_000
-_POLISH_DENSE_LIMIT = 3000
+# the region size up to which the polish solves dense systems: measured
+# crossover against the sparse LU on birth-death regions, for stacks of one
+# and of 32 configurations
+_POLISH_DENSE_LIMIT = 128
 
 
 class ExpectedCostUndefined(ModelError):
@@ -368,13 +371,11 @@ def _polish(
     every row of the stacks ``vi_values`` and ``rhs``, all under the
     strategy ``picks``, with each row's own probabilities.
 
-    Up to ``_POLISH_DENSE_LIMIT`` states the systems are dense arrays,
-    stacked at most ``_POLISH_DENSE_LIMIT ** 2`` entries at a time and
-    solved together; above it, one sparse matrix per row built from the
-    transition arrays, so memory stays linear in the region.  Returns the
-    refined region values per row, and per row whether they are accepted:
-    False when the strategy is not proper there (singular or badly
-    deviating system), in which case the row is meaningless.
+    The systems are solved by ``_solve_stack``: dense up to
+    ``_POLISH_DENSE_LIMIT`` states, a sparse LU above.  Returns the refined
+    region values per row, and per row whether they are accepted: False
+    when the strategy is not proper there (singular or badly deviating
+    system), in which case the row is meaningless.
     """
     k, n = rhs.shape
     if not n:
@@ -404,7 +405,14 @@ def _polish(
 def _solve_stack(rows, cols, probs, rhs, sol, residual) -> None:
     """Solve (I - P) x = rhs for each row of ``rhs``, P having the entries
     ``probs`` at (``rows``, ``cols``); fill ``sol`` and, per row, the
-    largest residual."""
+    largest residual.
+
+    Up to ``_POLISH_DENSE_LIMIT`` states the systems are dense arrays,
+    stacked at most ``_POLISH_DENSE_LIMIT ** 2`` entries (128 KB) at a time
+    and solved together: below the limit that beats a sparse LU per row.
+    Above it, each row is one sparse matrix factored by SuperLU, so time and
+    memory follow the region's nonzeros and no n x n array is built.  The
+    sparse solver is imported only when a region needs it."""
     k, n = rhs.shape
     if n <= _POLISH_DENSE_LIMIT:
         step = max(1, _POLISH_DENSE_LIMIT ** 2 // (n * n))
@@ -663,10 +671,10 @@ def cost_bounded_reach(
     choices of ``s`` with every branch into ``t`` sent to ``t`` with budget
     ``max(b - cost(s), 0)``, or one self-loop if ``s`` is a target.  The
     product's arrays are derived from the base model's, which are built
-    once per model; its rows (``choices``) are built only when read.  A
-    model the checker cannot take (parametric, or with a choice that has
-    no positive branch) raises the checker's ``ModelError``, as in
-    ``reach_prob``.
+    once per model; its ``states`` and rows (``choices``) are built only
+    when read.  A model the checker cannot take (parametric, or with a
+    choice that has no positive branch) raises the checker's
+    ``ModelError``, as in ``reach_prob``.
     """
     if bound < 0:
         raise ValueError("cost bound must be nonnegative")
@@ -686,7 +694,7 @@ def cost_bounded_reach(
     product = ExplicitModel(
         kind="mc" if model.kind == "mc" else "mdp",
         var_names=model.var_names + ("_budget",),
-        states=[state + (b,) for state in model.states for b in range(width)],
+        states=_ProductStates(model.states, width),
         initial=model.initial * width + bound,
         choices=_ProductRows(model, tset, costs, width),
         costs=[Fraction(0)] * n,
@@ -704,6 +712,22 @@ def cost_bounded_reach(
     )
     vec, _ = reach_prob(product, goal, direction, tol=tol)
     return float(vec.values[product.initial])
+
+
+class _ProductStates(abc.Sequence):
+    """The states of the budget product of ``cost_bounded_reach``: state
+    ``s * width + b`` is the base state ``s`` extended by the budget ``b``,
+    built when it is read."""
+
+    def __init__(self, states: Sequence[tuple], width: int):
+        self._states, self._width = states, width
+
+    def __len__(self) -> int:
+        return len(self._states) * self._width
+
+    def __getitem__(self, i: int) -> tuple:
+        s, b = divmod(range(len(self))[i], self._width)
+        return self._states[s] + (b,)
 
 
 class _ProductRows(abc.Sequence):

@@ -1,12 +1,12 @@
 """Dense two-phase primal simplex with Bland's anti-cycling rule.
 
-Desk-scale only (a fixed cap of 1e4 variables, ``DEFAULT_VAR_CAP``): the
-point is zero external solver dependencies and bit-reproducible pivoting,
-not speed.  Variables are nonnegative; constraints may be <=, = or >=.  A
-program is its dense constraint matrix with one sense and one right-hand
-side per row, the form ``scipy.optimize.linprog`` also takes; the matrix
-goes into the tableau in one assignment.  ``solve_lp(lp, *, secondary)``
-solves it.
+Desk-scale only (fixed caps of 1e4 variables, ``DEFAULT_VAR_CAP``, and of
+2.5e7 tableau entries, ``DEFAULT_TABLEAU_CAP``): the point is zero external
+solver dependencies and bit-reproducible pivoting, not speed.  Variables
+are nonnegative; constraints may be <=, = or >=.  A program is its dense
+constraint matrix with one sense and one right-hand side per row, the form
+``scipy.optimize.linprog`` also takes; the matrix goes into the tableau in
+one assignment.  ``solve_lp(lp, *, secondary)`` solves it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 DEFAULT_VAR_CAP = 10_000
+# 200 MB of float64, which admits the largest tableaux of the one-mission
+# shipyard model's transformed route: 740 x 1839 entries with uniform
+# grades, 2954 x 7347 with per-sensor grades
+DEFAULT_TABLEAU_CAP = 25_000_000
 
 
 class LpError(ValueError):
@@ -74,8 +78,9 @@ def solve_lp(lp: LinearProgram, *, secondary: Optional[np.ndarray] = None) -> Lp
     lexicographically minimize the secondary objective over the
     primary-optimal face (entering columns are restricted to zero reduced
     cost in the primary, so the primary optimum is preserved exactly).  A
-    program of more than ``DEFAULT_VAR_CAP`` variables raises
-    ``LpSizeError``."""
+    program of more than ``DEFAULT_VAR_CAP`` variables, or whose tableau
+    would have more than ``DEFAULT_TABLEAU_CAP`` entries, raises
+    ``LpSizeError`` before the tableau is allocated."""
     if lp.num_vars > DEFAULT_VAR_CAP:
         raise LpSizeError(
             f"{lp.num_vars} variables exceed the desk-scale cap of {DEFAULT_VAR_CAP}"
@@ -94,6 +99,11 @@ def solve_lp(lp: LinearProgram, *, secondary: Optional[np.ndarray] = None) -> Lp
     n_surplus = sum(1 for s in senses if s == ">=")
     n_art = sum(1 for s in senses if s in ("=", ">="))
     total = n + n_slack + n_surplus + n_art
+    if m * (total + 1) > DEFAULT_TABLEAU_CAP:
+        raise LpSizeError(
+            f"a tableau of {m} rows and {total + 1} columns exceeds the desk-scale "
+            f"cap of {DEFAULT_TABLEAU_CAP} entries"
+        )
     tab = np.zeros((m, total + 1))
     tab[:, :n] = lp.constraints
     # 0.0 + scale * v per entry, in place: every zero is +0.0 (-v would

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import abc
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -41,7 +42,7 @@ from .expressions import (
     substitute,
     to_text,
 )
-from .program import CommandDecl, ModuleDecl, Program, check_program
+from .program import CommandDecl, ModuleDecl, Program, program_errors
 
 Valuation = dict  # parameter name -> Fraction, in declaration order
 Prob = Union[Fraction, Expr]
@@ -138,11 +139,15 @@ class Strategy:
 
     @classmethod
     def deterministic(cls, picks: Sequence[int]) -> "Strategy":
-        # a single weight of exactly one is already normalized: skip the
-        # per-state rational arithmetic of __post_init__
-        one = Fraction(1)
+        """The strategy taking choice ``picks[s]`` at each state ``s``.
+
+        A single weight of exactly one is already normalized, so the
+        per-state rational arithmetic of ``__post_init__`` is skipped, and
+        ``choice_probs`` keeps only the picks: each ``{pick: Fraction(1)}``
+        is built when it is read.  It compares equal to, and prints as, the
+        list of those dicts."""
         strategy = cls.__new__(cls)
-        strategy.choice_probs = [{int(a): one} for a in picks]
+        strategy.choice_probs = _Picks(picks)
         return strategy
 
     def pick(self, state: int) -> int:
@@ -151,6 +156,30 @@ class Strategy:
         if len(dist) != 1:
             raise ModelError(f"strategy is randomized at state {state}")
         return next(iter(dist))
+
+
+class _Picks(abc.Sequence):
+    """The ``choice_probs`` of ``Strategy.deterministic``: per state, the
+    weight ``{pick: Fraction(1)}``, built when it is read."""
+
+    _ONE = Fraction(1)
+
+    def __init__(self, picks: Sequence[int]):
+        self._picks = list(picks)
+
+    def __len__(self) -> int:
+        return len(self._picks)
+
+    def __getitem__(self, state: int) -> dict:
+        return {int(self._picks[state]): self._ONE}
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, _Picks)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +306,12 @@ def build_model(
     would be False there without raising, so the model, and any error, is
     the one a full scan of the guards gives.  Labels are evaluated once per
     state on that state's environment.
+
+    The program is checked with ``check_program`` first, unless it is
+    marked as checked already (``program.program_errors``): one that
+    ``parse_program`` or an earlier build found well-formed.
     """
-    diags = [d for d in check_program(program) if d.severity == "error"]
+    diags = program_errors(program)
     if diags:
         raise ModelError("program is not well-formed: " + "; ".join(map(str, diags)))
     if on_deadlock not in ("error", "absorb"):

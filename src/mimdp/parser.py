@@ -45,7 +45,7 @@ from .program import (
     Program,
     RewardDecl,
     VarDecl,
-    check_program,
+    program_errors,
 )
 
 KEYWORDS = {
@@ -470,11 +470,13 @@ def parse_program(text: str, *, check: bool = True) -> Program:
 
     Raises ParseError with line/column on syntax errors; with ``check`` (the
     default) semantic diagnostics from ``check_program`` are attached and
-    raised as well, so a returned program is well-formed.
+    raised as well, so a returned program is well-formed, and it is marked
+    as checked (``program_errors``), so ``build_model`` does not check it
+    again.
     """
     program = _Parser(tokenize(text)).parse_program()
     if check:
-        diags = [d for d in check_program(program) if d.severity == "error"]
+        diags = program_errors(program)
         if diags:
             first = diags[0]
             raise ParseError(

@@ -10,7 +10,7 @@ structurally equal to ``p`` for every well-formed program.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -74,6 +74,9 @@ class Program:
     modules: tuple  # tuple[ModuleDecl, ...]
     rewards: tuple  # tuple[RewardDecl, ...]
     labels: dict  # name -> Expr, declaration order
+    # set by ``program_errors`` once ``check_program`` found no error; a copy
+    # made with ``dataclasses.replace`` starts unmarked
+    _checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     def variables(self) -> dict:
         """All variables in module order as name -> VarDecl."""
@@ -107,6 +110,18 @@ def _pos_of(expr: Expr):
         if isinstance(n, Name) and n.pos is not None:
             return n.pos
     return None
+
+
+def program_errors(program: Program) -> list:
+    """The error diagnostics of ``check_program``.  A program found without
+    errors is marked, and a marked program is not checked again: a Program
+    is immutable once built."""
+    if program._checked:
+        return []
+    errors = [d for d in check_program(program) if d.severity == "error"]
+    if not errors:
+        object.__setattr__(program, "_checked", True)
+    return errors
 
 
 def check_program(program: Program) -> list:

@@ -28,7 +28,6 @@ from mimdp.checking import (
     ExpectedCostUndefined,
     _MAX_SWEEPS,
     _Arrays,
-    _POLISH_DENSE_LIMIT,
     _target_set,
     expected_cost,
     reach_prob,
@@ -406,7 +405,7 @@ def _polish(
     n = len(region)
     a = np.eye(n) - mat
     try:
-        if n <= _POLISH_DENSE_LIMIT:
+        if n <= 3000:  # the checker's former dense limit
             sol = np.linalg.solve(a, rhs)
         else:
             from scipy.sparse import csr_matrix

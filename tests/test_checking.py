@@ -421,6 +421,72 @@ def test_large_polish_stays_sparse_and_exact():
     assert np.max(np.abs(vec.values[1:n + 1] - want)) < 1e-9
 
 
+def test_a_mid_size_polish_peaks_below_one_dense_matrix():
+    import scipy.sparse.linalg  # noqa: F401  (its import is not the polish's memory)
+
+    n = 598
+    model = _birth_death(n)
+    reach_prob(model, "t")  # the model's arrays are built once, outside the count
+    tracemalloc.start()
+    try:
+        vec, _ = reach_prob(model, "t")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vec.polished
+    assert peak < n * n * 8
+
+
+def _solves(monkeypatch, model, prop):
+    """The value vectors of the solver calls ``check_spec`` makes, and the
+    size of every region the polish solves."""
+    vectors, sizes = [], []
+    with monkeypatch.context() as m:
+        for name in ("reach_prob", "expected_cost"):
+            def solve(*args, inner=getattr(checking, name), **kwargs):
+                vec, strategy = inner(*args, **kwargs)
+                vectors.append(vec)
+                return vec, strategy
+
+            m.setattr(checking, name, solve)
+        inner_stack = checking._solve_stack
+
+        def solve_stack(rows, cols, probs, rhs, *out):
+            sizes.append(rhs.shape[1])
+            inner_stack(rows, cols, probs, rhs, *out)
+
+        m.setattr(checking, "_solve_stack", solve_stack)
+        check_spec(model, parse_property(prop))
+    return vectors, sizes
+
+
+def test_the_sparse_polish_agrees_with_the_former_dense_one(monkeypatch, models_dir):
+    """On the retry channel scaled to 200 retries, the regions the polish
+    now hands to the sparse LU give the polished flags and, within 1e-12
+    relative, the values of the former dense solve (dense up to 3000
+    states)."""
+    program = parse_program(
+        (models_dir / "retry_channel.mgcl").read_text(encoding="utf-8")
+        .replace("const retries = 40;", "const retries = 200;")
+    )
+    controlled, _ = transform_all(program)
+    mdp = build_model(controlled, on_deadlock="absorb")
+    cases = [(mdp, 'Pmax=? [F "gaveup"]'), (mdp, 'Pmin=? [F "gaveup"]')]
+    for loss in ("0.1", "0.2", "0.4"):
+        chain = build_model(program, {"loss": F(loss)})
+        cases += [(chain, 'Pmax=? [F "gaveup"]'), (chain, 'ECmin=? [F "stopped"]'),
+                  (chain, 'P=? [F{C<20} "delivered"]')]
+    for model, prop in cases:
+        got, sizes = _solves(monkeypatch, model, prop)
+        assert max(sizes) > checking._POLISH_DENSE_LIMIT, prop
+        with monkeypatch.context() as m:
+            m.setattr(checking, "_POLISH_DENSE_LIMIT", 3000)
+            want, _ = _solves(monkeypatch, model, prop)
+        assert len(got) == len(want) == 1
+        assert got[0].polished == want[0].polished, prop
+        np.testing.assert_allclose(got[0].values, want[0].values, rtol=1e-12, atol=0, err_msg=prop)
+
+
 # --- the array-built cost-bounded product against the former object-built one ---
 
 _ARRAY_FIELDS = ("choice_state", "choice_start", "branch_start", "targets", "probs")
@@ -468,7 +534,7 @@ def _assert_same_cbr(monkeypatch, model, targets, bound, direction="max"):
     assert len(new) == len(old) <= 1
     for a, b in zip(new, old):
         assert (a.kind, a.var_names, a.initial) == (b.kind, b.var_names, b.initial)
-        assert a.states == b.states and a.costs == b.costs
+        assert list(a.states) == b.states and a.costs == b.costs
         assert len(a.choices) == len(b.choices)
         assert list(a.choices) == b.choices
         assert a.num_transitions == b.num_transitions

@@ -3,6 +3,7 @@
 into the tableau entry by entry."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ def test_zero_variable_program():
 def test_size_cap():
     with pytest.raises(LpSizeError):
         solve_lp(_lp(np.zeros(20_001), [], [], []))
+
+
+def test_tableau_cap_raises_before_allocating():
+    # one variable, but every >= row brings a surplus and an artificial
+    # column: 3600 rows make a tableau of 3600 x 7202 entries (207 MB)
+    m = 3600
+    lp = _lp([1.0], np.ones((m, 1)), [">="] * m, np.ones(m))
+    tracemalloc.start()
+    try:
+        with pytest.raises(LpSizeError, match="3600 rows and 7202 columns exceeds .* 25000000"):
+            solve_lp(lp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_determinism():

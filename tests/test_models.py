@@ -384,6 +384,20 @@ def test_induced_mc_deterministic_strategy_copies_rows():
     assert mc.choices[0][0].branches == ((F(1), 2),)
 
 
+def test_a_deterministic_strategy_reads_as_its_eager_weights():
+    picks = [1, 0, 2]
+    lazy = Strategy.deterministic(picks)
+    eager = Strategy([{a: F(1)} for a in picks])
+    assert lazy == eager and eager == lazy
+    assert lazy != Strategy.deterministic([1, 0, 0])
+    assert list(lazy.choice_probs) == eager.choice_probs
+    assert [lazy.choice_probs[s] for s in (-1, 0, 1)] == [{2: F(1)}, {1: F(1)}, {0: F(1)}]
+    assert len(lazy.choice_probs) == 3 and [lazy.pick(s) for s in range(3)] == picks
+    assert repr(lazy) == repr(eager)
+    picks[0] = 2  # the strategy keeps its own copy
+    assert lazy == eager
+
+
 def test_induced_mc_uniform_strategy_mixes():
     model = _tiny_mdp()
     strat = Strategy([{0: F(1, 2), 1: F(1, 2)}, {0: F(1)}, {0: F(1)}])

@@ -1,4 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction as F
+
+import pytest
 
 from mimdp.expressions import Binary, Name, Num, TRUE
 from mimdp.parser import parse_program
@@ -9,6 +12,7 @@ from mimdp.program import (
     VarDecl,
     check_program,
 )
+from mimdp.models import ModelError, build_model
 
 
 def _cmd(guard=TRUE, branches=((Num(F(1)), ()),), action=None):
@@ -159,3 +163,24 @@ def test_undeclared_action_label():
         labels={},
     )
     assert any("not in the module alphabet" in d.message for d in check_program(prog))
+
+
+def test_only_a_program_found_well_formed_is_marked_as_checked():
+    src = """
+    module m
+      x : [0..1] init 0;
+      [] x=0 -> 0.5:(x'=1) + 0.4:(x'=0);
+      [] x=1 -> true;
+    endmodule
+    """
+    bad = parse_program(src, check=False)
+    for _ in range(2):  # a failed check leaves no mark: the error is raised again
+        with pytest.raises(ModelError, match="program is not well-formed: .*sum to"):
+            build_model(bad)
+    good = parse_program(src.replace("0.4", "0.5"), check=False)
+    assert not good._checked
+    build_model(good)
+    assert good._checked
+    assert parse_program(src.replace("0.4", "0.5"))._checked
+    copy = replace(good, labels={})
+    assert copy == good and not copy._checked

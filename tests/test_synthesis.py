@@ -491,3 +491,22 @@ def test_synthesis_on_the_retry_channel(models_dir):
     # expected attempts under the chosen rate: sum of loss^k over the budget
     want = sum(0.1 ** k for k in range(0, 41))
     assert abs(a.expected_cost - want) < 1e-6
+
+
+def test_a_parsed_program_is_checked_once(monkeypatch, models_dir):
+    from mimdp import program as program_module
+
+    checked = []
+    inner = program_module.check_program
+
+    def counting(prog):
+        checked.append(prog)
+        return inner(prog)
+
+    monkeypatch.setattr(program_module, "check_program", counting)
+    program = parse_program((models_dir / "two_stage.mgcl").read_text(encoding="utf-8"))
+    assert checked == [program]
+    synthesize(program, SynthesisQuery("s2", F("0.2"), "absorb", "both"))
+    # both routes build the parsed program without checking it again; the
+    # transformed program is a new program, checked when it is built
+    assert len(checked) == 2 and checked[1] is not program
