@@ -4,6 +4,12 @@ All numeric literals are exact rationals (``fractions.Fraction``); evaluation
 is exact, and floats only appear once a caller converts results for a numeric
 solver.  Expressions are immutable and compare structurally, which the
 round-trip guarantee of the pretty printer relies on.
+
+``eval_expr`` evaluates on ``Fraction``s.  ``CompiledExprs``, which
+evaluates many expressions at many points of a parameter product, holds its
+values as exact, normalized ``(numerator, denominator)`` pairs of ints and
+makes ``Fraction``s only where values leave it; its errors are raised by
+the helpers ``eval_expr`` raises them with.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from math import gcd
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 Value = Union[Fraction, bool]
@@ -100,6 +107,7 @@ def num(x) -> Num:
 
 
 def _as_fraction(v: Value, ctx: Expr) -> Fraction:
+    # also the sort check of ``CompiledExprs``, whose numbers are int pairs
     if isinstance(v, bool):
         raise SortError(f"expected a number, got a boolean in {to_text(ctx)}")
     return v
@@ -141,8 +149,12 @@ def _binary(expr: Binary, lv: Value, rv: Value) -> Value:
     """An arithmetic or comparison operator applied to evaluated operands."""
     a, b = _as_fraction(lv, expr), _as_fraction(rv, expr)
     if expr.op == "/" and b == 0:
-        raise DivisionByZero(f"division by zero in {to_text(expr)}")
+        raise _division_by_zero(expr)
     return _OPS[expr.op](a, b)
+
+
+def _division_by_zero(expr: Binary) -> DivisionByZero:
+    return DivisionByZero(f"division by zero in {to_text(expr)}")
 
 
 def _extremum(expr: Extremum, values: Iterable[Value]) -> Fraction:
@@ -330,6 +342,21 @@ _LIT, _PARAM, _UNBOUND, _UNARY, _BINARY, _AND, _OR, _EXTREMUM = range(8)
 _KIND = {"&": _AND, "|": _OR}
 
 
+def _pair(v: Value):
+    """A value as ``CompiledExprs`` holds it: a bool as it is, a number as
+    its normalized ``(numerator, denominator)`` pair, denominator > 0."""
+    if isinstance(v, bool):
+        return v
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return v.numerator, v.denominator
+
+
+def _fraction(v) -> Value:
+    """A value held as ``_pair`` holds it, as a ``Fraction`` or a bool."""
+    return v if v.__class__ is bool else Fraction(*v)
+
+
 class CompiledExprs:
     """Expressions over a finite product of parameter values, compiled once
     into a hash-consed DAG and evaluated lazily at points of the product.
@@ -344,13 +371,24 @@ class CompiledExprs:
     ``sum(index[p] * stride[p])``, so it is computed once per combination
     of the parameters it mentions, and only the values computed are held.
 
+    Inside the DAG a number is an exact, normalized ``(numerator,
+    denominator)`` pair of ints with a positive denominator, and a boolean
+    is a bool.  Literals and constants become pairs when they are compiled,
+    parameter values when the evaluator of a point is made.  ``+ - * /``
+    make one ``gcd`` per result, and the comparisons and ``min``/``max``
+    compare cross products.  ``Fraction``s are made only at the boundary:
+    an evaluator called with a node, and ``tables``, give ``Fraction``s
+    and bools, each built at most once per node and key.  An evaluator's
+    ``pair`` gives a value as the DAG holds it.
+
     Evaluation is exact and lazy: ``&`` and ``|`` short-circuit and
     ``min``/``max`` stop at a sort error, as in ``eval_expr``.  An error is
-    never stored: it is raised, each time, by the node being evaluated
-    (equal expressions render alike, so its message is the one
-    ``eval_expr`` gives).  Names bound in ``constants`` are literals; a
-    name that is neither raises ``UnboundName`` when it is reached.  An
-    evaluator (``points``, ``at``) evaluates the nodes added before it.
+    never stored: it is raised, each time, by the node being evaluated,
+    through the helpers ``eval_expr`` raises it with, so its type and
+    message are the ones ``eval_expr`` gives (equal expressions render
+    alike).  Names bound in ``constants`` are literals; a name that is
+    neither raises ``UnboundName`` when it is reached.  An evaluator
+    (``points``, ``at``) evaluates the nodes added before it.
     """
 
     def __init__(
@@ -360,18 +398,23 @@ class CompiledExprs:
     ):
         self._names = list(domains)
         self._domains = [list(domains[p]) for p in self._names]
+        self._pairs = [[_pair(v) for v in d] for d in self._domains]
         self._position = {p: i for i, p in enumerate(self._names)}
         self._constants = constants or {}
         self._canon: dict = {}  # (kind, op or literal, child ids) -> node
         self._by_id: dict = {}  # id(expr) -> (node, expr); the expr pins its id
-        # per node: kind, representative expression, children, literal value
-        # or parameter position or name, parameter group, value table
+        # per node: kind, representative expression, children, datum (a
+        # literal's pair or bool, a parameter's position, an unbound name or
+        # a compound node's operator), parameter group, value table (pairs
+        # and bools by key) and boundary values (a literal's value, or a
+        # compound node's Fractions and bools by key, made when asked for)
         self._kind: list = []
         self._expr: list = []
         self._args: list = []
         self._datum: list = []
         self._group: list = []
         self._tables: list = []
+        self._fractions: list = []
         self._groups: dict = {}  # parameter positions -> group
         self._positions: list = []  # per group: its parameter positions
         self._strides: list = []  # per group: the stride of each position
@@ -402,26 +445,29 @@ class CompiledExprs:
         return node
 
     def _new(self, e: Expr, key: tuple) -> int:
-        kind, group, table = key[0], -1, None
+        kind, group, table, boundary = key[0], -1, None, None
         if kind == _LIT:
-            args, datum = (), e.value
+            args, boundary = (), e.value
         elif kind == _PARAM:
             args = ()
             if e.ident in self._position:
                 datum = self._position[e.ident]
             elif e.ident in self._constants:
-                kind, datum = _LIT, _lookup(e, self._constants)
+                kind, boundary = _LIT, _lookup(e, self._constants)
             else:
                 kind, datum = _UNBOUND, e.ident
         else:
             args = key[2] if kind == _EXTREMUM else key[2:]
-            datum, table, group = None, {}, self._group_of(args)
+            datum, table, boundary, group = e.op, {}, {}, self._group_of(args)
+        if kind == _LIT:
+            datum = _pair(boundary)
         self._kind.append(kind)
         self._expr.append(e)
         self._args.append(args)
         self._datum.append(datum)
         self._group.append(group)
         self._tables.append(table)
+        self._fractions.append(boundary)
         return len(self._kind) - 1
 
     def _group_of(self, args: tuple) -> int:
@@ -446,63 +492,82 @@ class CompiledExprs:
 
     def tables(self) -> list:
         """The value table of every compound node, keyed by the mixed-radix
-        index of its parameters' values."""
-        return [t for t in self._tables if t is not None]
+        index of its parameters' values, with the values an evaluator gives
+        (``Fraction``s and bools)."""
+        out = []
+        for table, fractions in zip(self._tables, self._fractions):
+            if table is not None:
+                for key, v in table.items():
+                    if key not in fractions:
+                        fractions[key] = _fraction(v)
+                out.append({key: fractions[key] for key in table})
+        return out
 
     def expr(self, node: int) -> Expr:
         """The first expression entered as ``node``."""
         return self._expr[node]
 
-    def points(self, names: Sequence[str]) -> Iterator[Tuple[dict, Callable[[int], Value]]]:
+    def points(self, names: Sequence[str]) -> Iterator[Tuple[dict, "_Point"]]:
         """Every joint valuation of the parameters ``names``, in
         ``joint_valuations`` order, with the evaluator of nodes there.  A
         parameter outside ``names`` is unbound."""
         positions = [self._position[p] for p in names]
         domains = [self._domains[p] for p in positions]
+        pairs = [self._pairs[p] for p in positions]
         index = [0] * len(self._names)
         for combo in itertools.product(*(range(len(d)) for d in domains)):
             values: list = [None] * len(self._names)
+            held: list = [None] * len(self._names)
             row = {}
-            for name, p, domain, i in zip(names, positions, domains, combo):
+            for name, p, domain, held_domain, i in zip(names, positions, domains, pairs, combo):
                 index[p] = i
                 values[p] = row[name] = domain[i]
-            yield row, self._evaluator(tuple(index), values, self._tables)
+                held[p] = held_domain[i]
+            yield row, _Point(self, tuple(index), values, held, self._tables, self._fractions)
 
-    def at(self, valuation: Mapping[str, Value]) -> Callable[[int], Value]:
+    def at(self, valuation: Mapping[str, Value]) -> "_Point":
         """The evaluator of nodes under ``valuation``, which binds every
         parameter.  A value outside its parameter's domain has no index:
         then nothing is stored, and values are kept for this call only."""
         values = [valuation[name] for name in self._names]
+        held = [_pair(v) for v in values]
         if all(v in domain for v, domain in zip(values, self._domains)):
             index = tuple(domain.index(v) for v, domain in zip(values, self._domains))
-            return self._evaluator(index, values, self._tables)
-        scratch = [None if t is None else {} for t in self._tables]
-        return self._evaluator((0,) * len(values), values, scratch)
-
-    def _evaluator(self, index: tuple, values: list, tables: list) -> Callable[[int], Value]:
-        return _Point(self, index, values, tables).value
+            return _Point(self, index, values, held, self._tables, self._fractions)
+        tables = [None if t is None else {} for t in self._tables]
+        fractions = [f if t is None else {} for t, f in zip(self._tables, self._fractions)]
+        return _Point(self, (0,) * len(values), values, held, tables, fractions)
 
 
 class _Point:
-    """The nodes of a ``CompiledExprs`` at one point of the product.  A
-    method rather than a closure: a recursive closure is a reference cycle,
-    which would hold every table until the garbage collector ran."""
+    """The nodes of a ``CompiledExprs`` at one point of the product: called
+    with a node, its value as a ``Fraction`` or a bool; ``pair`` gives it as
+    the DAG holds it.  An object rather than a closure: a recursive closure
+    is a reference cycle, which would hold every table until the garbage
+    collector ran."""
 
     __slots__ = ("kinds", "exprs", "args", "data", "groups", "positions", "strides",
-                 "names", "index", "values", "tables", "keys")
+                 "names", "index", "values", "pairs", "tables", "fractions", "keys")
 
-    def __init__(self, dag: CompiledExprs, index: tuple, values: list, tables: list):
+    def __init__(self, dag: CompiledExprs, index: tuple, values: list, pairs: list,
+                 tables: list, fractions: list):
         self.kinds, self.exprs, self.args = dag._kind, dag._expr, dag._args
         self.data, self.groups = dag._datum, dag._group
         self.positions, self.strides = dag._positions, dag._strides
         self.names = dag._names
-        self.index, self.values, self.tables = index, values, tables
+        self.index, self.values, self.pairs = index, values, pairs
+        self.tables, self.fractions = tables, fractions
         self.keys: list = [None] * len(dag._strides)  # per group, on first use
 
-    def value(self, n: int) -> Value:
+    def _key(self, g: int) -> int:
+        indices = map(self.index.__getitem__, self.positions[g])
+        key = self.keys[g] = sum(map(operator.mul, indices, self.strides[g]))
+        return key
+
+    def __call__(self, n: int) -> Value:
         kind = self.kinds[n]
         if kind == _LIT:
-            return self.data[n]
+            return self.fractions[n]
         if kind == _PARAM:
             v = self.values[self.data[n]]
             if v is None:
@@ -510,26 +575,76 @@ class _Point:
             return v
         if kind == _UNBOUND:
             raise UnboundName(self.data[n])
-        g = self.groups[n]
-        key = self.keys[g]
+        key = self.keys[self.groups[n]]
         if key is None:
-            indices = map(self.index.__getitem__, self.positions[g])
-            key = self.keys[g] = sum(map(operator.mul, indices, self.strides[g]))
+            key = self._key(self.groups[n])
+        fractions = self.fractions[n]
+        v = fractions.get(key)
+        if v is None:
+            v = fractions[key] = _fraction(self.pair(n))
+        return v
+
+    def pair(self, n: int):
+        """The value of node ``n`` as the DAG holds it: a normalized
+        ``(numerator, denominator)`` pair, or a bool."""
+        kind = self.kinds[n]
+        if kind == _LIT:
+            return self.data[n]
+        if kind == _PARAM:
+            v = self.pairs[self.data[n]]
+            if v is None:
+                raise UnboundName(self.names[self.data[n]])
+            return v
+        if kind == _UNBOUND:
+            raise UnboundName(self.data[n])
+        key = self.keys[self.groups[n]]
+        if key is None:
+            key = self._key(self.groups[n])
         table = self.tables[n]
         v = table.get(key)
-        if v is None:
-            e, a = self.exprs[n], self.args[n]
-            if kind == _BINARY:
-                v = _binary(e, self.value(a[0]), self.value(a[1]))
-            elif kind == _UNARY:
-                v = _unary(e, self.value(a[0]))
-            elif kind == _AND:
-                v = _as_bool(self.value(a[0]), e) and _as_bool(self.value(a[1]), e)
-            elif kind == _OR:
-                v = _as_bool(self.value(a[0]), e) or _as_bool(self.value(a[1]), e)
+        if v is not None:
+            return v
+        op, a, e = self.data[n], self.args[n], self.exprs[n]
+        if kind == _BINARY:
+            x, y = self.pair(a[0]), self.pair(a[1])
+            if x.__class__ is bool or y.__class__ is bool:  # a sort error
+                _as_fraction(x, e)
+                _as_fraction(y, e)
+            (p, q), (r, s) = x, y
+            if op == "*":
+                p, q = p * r, q * s
+            elif op == "+":
+                p, q = (p + r, q) if q == s else (p * s + r * q, q * s)
+            elif op == "-":
+                p, q = (p - r, q) if q == s else (p * s - r * q, q * s)
+            elif op == "/":
+                if r == 0:
+                    raise _division_by_zero(e)
+                p, q = (p * s, q * r) if r > 0 else (-p * s, -q * r)
             else:
-                v = _extremum(e, map(self.value, a))
-            table[key] = v
+                v = _OPS[op](p * s, r * q)
+            if v is None:
+                d = gcd(p, q)
+                v = (p // d, q // d)
+        elif kind == _UNARY:
+            x = self.pair(a[0])
+            if op == "-":
+                p, q = _as_fraction(x, e)
+                v = (-p, q)
+            else:
+                v = not _as_bool(x, e)
+        elif kind == _AND:
+            v = _as_bool(self.pair(a[0]), e) and _as_bool(self.pair(a[1]), e)
+        elif kind == _OR:
+            v = _as_bool(self.pair(a[0]), e) or _as_bool(self.pair(a[1]), e)
+        else:
+            for c in a:
+                p, q = x = _as_fraction(self.pair(c), e)
+                if v is None or ((p * v[1] < v[0] * q) if op == "min" else (p * v[1] > v[0] * q)):
+                    v = x
+            if v is None:
+                v = _extremum(e, ())  # no arguments: raises as ``eval_expr`` does
+        table[key] = v
         return v
 
 

@@ -188,21 +188,23 @@ def _price_out(tab: np.ndarray, basis: List[int], cost: np.ndarray) -> np.ndarra
 
 
 def _pivot_loop(tab: np.ndarray, basis: List[int], z: np.ndarray, allowed: np.ndarray) -> str:
-    m = tab.shape[0]
+    # the scans read Python lists of the rows and columns: one conversion
+    # each instead of one numpy scalar per entry, with the same comparisons
+    # and the same IEEE divisions
+    allowed = allowed.tolist()
     while True:
         enter = -1
-        for j in range(tab.shape[1] - 1):
-            if allowed[j] and z[j] < -PIVOT_TOL:
+        for j, (ok, r) in enumerate(zip(allowed, z[:-1].tolist())):
+            if ok and r < -PIVOT_TOL:
                 enter = j  # Bland: lowest eligible index
                 break
         if enter < 0:
             return "optimal"
         best_ratio = None
         leave = -1
-        for i in range(m):
-            a = tab[i, enter]
+        for i, (a, b) in enumerate(zip(tab[:, enter].tolist(), tab[:, -1].tolist())):
             if a > PIVOT_TOL:
-                ratio = tab[i, -1] / a
+                ratio = b / a
                 if (
                     best_ratio is None
                     or ratio < best_ratio - PIVOT_TOL
@@ -231,8 +233,8 @@ def _drive_out_artificials(tab: np.ndarray, basis: List[int], art: set) -> None:
     for i in range(m):
         if basis[i] in art:
             pivot_col = -1
-            for j in range(ncols - 1):
-                if j not in art and abs(tab[i, j]) > PIVOT_TOL:
+            for j, v in enumerate(tab[i, :-1].tolist()):
+                if j not in art and abs(v) > PIVOT_TOL:
                     pivot_col = j
                     break
             if pivot_col >= 0:

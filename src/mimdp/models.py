@@ -18,7 +18,10 @@ one hash-consed ``expressions.CompiledExprs``: equal subexpressions are one
 node, and a node's value is computed once per combination of the values of
 the parameters it mentions.  Well-definedness is exact: probabilities are
 rationals, and a distribution has entries in [0,1] summing to exactly one
-(``distribution_fault``).
+(``distribution_fault``).  The compiled entries are checked on the exact
+(numerator, denominator) pairs the compiled form holds
+(``pair_distribution_fault``); ``Fraction``s are made for the entries read
+out, once per node and table key, and to name a fault.
 """
 
 from __future__ import annotations
@@ -523,12 +526,24 @@ def _add_probs(a: Prob, b: Prob) -> Prob:
 def distribution_fault(probs: Sequence[Fraction]) -> Optional[str]:
     """Why the exact values ``probs`` are not a probability distribution, or
     None when every entry lies in [0,1] and they sum to exactly one."""
-    for p in probs:
-        if not (0 <= p <= 1):
-            return f"probability {format_fraction(p)}"
-    total = sum(probs, Fraction(0))
-    if total != 1:
-        return f"probabilities sum to {format_fraction(total)}"
+    return pair_distribution_fault([(p.numerator, p.denominator) for p in probs])
+
+
+def pair_distribution_fault(pairs: Sequence[Tuple[int, int]]) -> Optional[str]:
+    """``distribution_fault`` of the values given as ``(numerator,
+    denominator)`` pairs, denominators positive.  The sum is exact and
+    unreduced, and a ``Fraction`` is made only to name a fault."""
+    for p, q in pairs:
+        if p < 0 or p > q:
+            return f"probability {format_fraction(Fraction(p, q))}"
+    total, common = 0, 1
+    for p, q in pairs:
+        if q == common:
+            total += p
+        else:
+            total, common = total * q + p * common, common * q
+    if total != common:
+        return f"probabilities sum to {format_fraction(Fraction(total, common))}"
     return None
 
 
@@ -595,22 +610,26 @@ class _Entries:
     def _node(self, p: Prob) -> int:
         return self.exprs.add(Num(p) if isinstance(p, Fraction) else p)
 
-    def _number(self, value, node: int) -> Fraction:
-        v = value(node)
-        if isinstance(v, bool):
+    def _number(self, point, node: int) -> Tuple[int, int]:
+        v = point.pair(node)
+        if v.__class__ is bool:
             raise ModelError(
                 f"boolean where a number was expected: {to_text(self.exprs.expr(node))}"
             )
         return v
 
-    def read(self, model: ExplicitModel, value) -> Tuple[list, list]:
-        """The entries under the evaluator ``value`` (``CompiledExprs``),
-        checked choice by choice in model order, then cost by cost."""
+    def read(self, model: ExplicitModel, point) -> Tuple[list, list]:
+        """The entries at the evaluator ``point`` (``CompiledExprs``),
+        checked choice by choice in model order, then cost by cost.  The
+        checks run on the exact pairs the evaluator holds; the entries are
+        its ``Fraction``s, and a fault is formatted from a ``Fraction``
+        made for it."""
         probs: list = []
         for si, action, nodes, values, fault in self.steps:
             if nodes is not None:
-                values = [self._number(value, n) for n in nodes]
-                fault = distribution_fault(values)
+                fault = pair_distribution_fault([self._number(point, n) for n in nodes])
+                if fault is None:
+                    values = list(map(point, nodes))
             if fault is not None:
                 raise WellDefinednessError(
                     f"well-definedness violation at state {model.state_text(si)}, "
@@ -621,13 +640,13 @@ class _Entries:
             probs.extend(values)
         costs = []
         for si, node in enumerate(self.costs):
-            v = self._number(value, node)
-            if v < 0:
+            p, q = self._number(point, node)
+            if p < 0:
                 raise WellDefinednessError(
-                    f"negative cost {format_fraction(v)} at state {model.state_text(si)}",
+                    f"negative cost {format_fraction(Fraction(p, q))} at state {model.state_text(si)}",
                     state=si,
                 )
-            costs.append(v)
+            costs.append(point(node))
         return probs, costs
 
 

@@ -54,7 +54,7 @@ from .expressions import (
     format_fraction,
     names_in,
 )
-from .models import compose, distribution_fault
+from .models import compose, pair_distribution_fault
 from .program import CommandDecl, ModuleDecl, Program, RewardDecl, VarDecl
 
 IMPLICATION_CAP = 1_000_000
@@ -235,16 +235,16 @@ def transform_rewards(program: Program) -> Tuple[Program, TransformReport]:
         occurring = [p for p in params if p in names_in(decl.cost)]
         node = exprs.add(decl.cost)
         rows, values = [], []
-        for row, value in exprs.points(occurring):
+        for row, point in exprs.points(occurring):
             rows.append(row)
-            v = value(node)
-            if isinstance(v, bool):
+            v = point.pair(node)
+            if v.__class__ is bool:
                 raise TransformError(f"reward {ri + 1} is boolean-sorted")
-            if v < 0:
+            if v[0] < 0:
                 raise TransformError(
-                    f"reward {ri + 1} evaluates to {format_fraction(v)} < 0"
+                    f"reward {ri + 1} evaluates to {format_fraction(point(node))} < 0"
                 )
-            values.append(v)
+            values.append(point(node))
         var = _fresh(f"_sel{k}", taken)
         selectors.append((ri, decl, var, rows, values))
 
@@ -343,7 +343,8 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
     The probabilities of all commands are compiled into one
     ``CompiledExprs``, so equal subexpressions share one node and each is
     computed once per combination of the parameters it mentions, across
-    rows and commands.
+    rows and commands.  A row is checked on the exact pairs the compiled
+    expressions hold, and only a kept row's probabilities become literals.
     """
     program = compose(program)
     module = program.single_module()
@@ -363,14 +364,14 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
             continue
         produced = []
         nodes = [exprs.add(prob) for prob, _ in cmd.branches]
-        for i, (row, value) in enumerate(exprs.points(occurring), start=1):
-            probs = [value(n) for n in nodes]
-            if any(isinstance(v, bool) for v in probs) or distribution_fault(probs) is not None:
+        for i, (row, point) in enumerate(exprs.points(occurring), start=1):
+            held = [point.pair(n) for n in nodes]
+            if any(v.__class__ is bool for v in held) or pair_distribution_fault(held) is not None:
                 continue
             action = _fresh(f"_row{ci}_{i}", taken_actions)
             report.fresh_actions[action] = tuple((p, row[p]) for p in row)
             branches = tuple(
-                (Num(v), update) for v, (_, update) in zip(probs, cmd.branches)
+                (Num(point(n)), update) for n, (_, update) in zip(nodes, cmd.branches)
             )
             produced.append(CommandDecl(action, cmd.guard, branches))
         if not produced:

@@ -6,18 +6,20 @@ expected costs on Markov chains.  Deliberately naive and fully exact
 value iteration, this does not.  Below it, the former checker, the
 former cost-bounded product, instantiation and well-definedness filter,
 exploration, guard implication checks, integer-program emitter, LP
-solver, constrained LP and family instances, enumeration route, memoised evaluator
-and reward selection, kept as references for the differential tests of the
-code that replaced them.
+solver, constrained LP and family instances, enumeration route, memoised
+evaluator, reward selection and compiled expressions on ``Fraction``
+values, kept as references for the differential tests of the code that
+replaced them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from mimdp.expressions import (
     Extremum,
     Name,
     Num,
+    UnboundName,
     Unary,
     Value,
     _as_bool,
@@ -2030,3 +2033,232 @@ class SeedParser(_Parser):
 def seed_parse_program(text: str) -> Program:
     """The former parse, without the semantic checks (which are unchanged)."""
     return SeedParser(tokenize(text)).parse_program()
+
+
+# ---------------------------------------------------------------------------
+# the former compiled expressions, on Fraction values
+#
+# Reference for the differential tests of the integer-pair kernel of
+# ``expressions.CompiledExprs``: the compiled DAG held every node value as a
+# ``Fraction`` (or bool) and computed it with ``_binary``/``_unary``/
+# ``_extremum``, one new ``Fraction`` per operation.  Kept as it was apart
+# from the names (``SeedCompiledExprs``, ``SeedPoint``), and the former
+# ``distribution_fault`` as ``seed_distribution_fault``.
+
+
+_LIT, _PARAM, _UNBOUND, _UNARY, _BINARY, _AND, _OR, _EXTREMUM = range(8)
+_KIND = {"&": _AND, "|": _OR}
+
+
+class SeedCompiledExprs:
+    """Expressions over a finite product of parameter values, compiled once
+    into a hash-consed DAG and evaluated lazily at points of the product.
+
+    ``add`` enters an expression bottom-up.  Each distinct subexpression is
+    one node, keyed on its kind, its operator or literal and the ids of its
+    children, which are canonical already, so no tree is hashed; equal
+    subtrees anywhere share one node, and an expression object seen before
+    is found by its ``id``.  A compound node keeps the parameters below it
+    and their mixed-radix strides.  At a point, given as one value index
+    per parameter, its value is stored under the int
+    ``sum(index[p] * stride[p])``, so it is computed once per combination
+    of the parameters it mentions, and only the values computed are held.
+
+    Evaluation is exact and lazy: ``&`` and ``|`` short-circuit and
+    ``min``/``max`` stop at a sort error, as in ``eval_expr``.  An error is
+    never stored: it is raised, each time, by the node being evaluated
+    (equal expressions render alike, so its message is the one
+    ``eval_expr`` gives).  Names bound in ``constants`` are literals; a
+    name that is neither raises ``UnboundName`` when it is reached.  An
+    evaluator (``points``, ``at``) evaluates the nodes added before it.
+    """
+
+    def __init__(
+        self,
+        domains: Mapping[str, Sequence[Value]],
+        constants: Optional[Mapping[str, Union[Fraction, int, bool]]] = None,
+    ):
+        self._names = list(domains)
+        self._domains = [list(domains[p]) for p in self._names]
+        self._position = {p: i for i, p in enumerate(self._names)}
+        self._constants = constants or {}
+        self._canon: dict = {}  # (kind, op or literal, child ids) -> node
+        self._by_id: dict = {}  # id(expr) -> (node, expr); the expr pins its id
+        # per node: kind, representative expression, children, literal value
+        # or parameter position or name, parameter group, value table
+        self._kind: list = []
+        self._expr: list = []
+        self._args: list = []
+        self._datum: list = []
+        self._group: list = []
+        self._tables: list = []
+        self._groups: dict = {}  # parameter positions -> group
+        self._positions: list = []  # per group: its parameter positions
+        self._strides: list = []  # per group: the stride of each position
+
+    def add(self, e: Expr) -> int:
+        """The node of ``e``, compiling what is new below it."""
+        hit = self._by_id.get(id(e))
+        if hit is not None:
+            return hit[0]
+        if isinstance(e, Num):
+            key = (_LIT, "num", e.value)
+        elif isinstance(e, BoolLit):
+            key = (_LIT, "bool", e.value)
+        elif isinstance(e, Name):
+            key = (_PARAM, e.ident)
+        elif isinstance(e, Unary):
+            key = (_UNARY, e.op, self.add(e.operand))
+        elif isinstance(e, Binary):
+            key = (_KIND.get(e.op, _BINARY), e.op, self.add(e.left), self.add(e.right))
+        elif isinstance(e, Extremum):
+            key = (_EXTREMUM, e.op, tuple(self.add(a) for a in e.args))
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+        node = self._canon.get(key)
+        if node is None:
+            node = self._canon[key] = self._new(e, key)
+        self._by_id[id(e)] = (node, e)
+        return node
+
+    def _new(self, e: Expr, key: tuple) -> int:
+        kind, group, table = key[0], -1, None
+        if kind == _LIT:
+            args, datum = (), e.value
+        elif kind == _PARAM:
+            args = ()
+            if e.ident in self._position:
+                datum = self._position[e.ident]
+            elif e.ident in self._constants:
+                kind, datum = _LIT, _lookup(e, self._constants)
+            else:
+                kind, datum = _UNBOUND, e.ident
+        else:
+            args = key[2] if kind == _EXTREMUM else key[2:]
+            datum, table, group = None, {}, self._group_of(args)
+        self._kind.append(kind)
+        self._expr.append(e)
+        self._args.append(args)
+        self._datum.append(datum)
+        self._group.append(group)
+        self._tables.append(table)
+        return len(self._kind) - 1
+
+    def _group_of(self, args: tuple) -> int:
+        """The group of the parameters below the children ``args``."""
+        below = set()
+        for a in args:
+            if self._kind[a] == _PARAM:
+                below.add(self._datum[a])
+            elif self._group[a] >= 0:
+                below.update(self._positions[self._group[a]])
+        positions = tuple(sorted(below))
+        group = self._groups.get(positions)
+        if group is None:
+            group = self._groups[positions] = len(self._positions)
+            strides, stride = [], 1
+            for p in positions:
+                strides.append(stride)
+                stride *= len(self._domains[p])
+            self._positions.append(positions)
+            self._strides.append(tuple(strides))
+        return group
+
+    def tables(self) -> list:
+        """The value table of every compound node, keyed by the mixed-radix
+        index of its parameters' values."""
+        return [t for t in self._tables if t is not None]
+
+    def expr(self, node: int) -> Expr:
+        """The first expression entered as ``node``."""
+        return self._expr[node]
+
+    def points(self, names: Sequence[str]) -> Iterator[Tuple[dict, Callable[[int], Value]]]:
+        """Every joint valuation of the parameters ``names``, in
+        ``joint_valuations`` order, with the evaluator of nodes there.  A
+        parameter outside ``names`` is unbound."""
+        positions = [self._position[p] for p in names]
+        domains = [self._domains[p] for p in positions]
+        index = [0] * len(self._names)
+        for combo in itertools.product(*(range(len(d)) for d in domains)):
+            values: list = [None] * len(self._names)
+            row = {}
+            for name, p, domain, i in zip(names, positions, domains, combo):
+                index[p] = i
+                values[p] = row[name] = domain[i]
+            yield row, self._evaluator(tuple(index), values, self._tables)
+
+    def at(self, valuation: Mapping[str, Value]) -> Callable[[int], Value]:
+        """The evaluator of nodes under ``valuation``, which binds every
+        parameter.  A value outside its parameter's domain has no index:
+        then nothing is stored, and values are kept for this call only."""
+        values = [valuation[name] for name in self._names]
+        if all(v in domain for v, domain in zip(values, self._domains)):
+            index = tuple(domain.index(v) for v, domain in zip(values, self._domains))
+            return self._evaluator(index, values, self._tables)
+        scratch = [None if t is None else {} for t in self._tables]
+        return self._evaluator((0,) * len(values), values, scratch)
+
+    def _evaluator(self, index: tuple, values: list, tables: list) -> Callable[[int], Value]:
+        return SeedPoint(self, index, values, tables).value
+
+
+class SeedPoint:
+    """The nodes of a ``CompiledExprs`` at one point of the product.  A
+    method rather than a closure: a recursive closure is a reference cycle,
+    which would hold every table until the garbage collector ran."""
+
+    __slots__ = ("kinds", "exprs", "args", "data", "groups", "positions", "strides",
+                 "names", "index", "values", "tables", "keys")
+
+    def __init__(self, dag: SeedCompiledExprs, index: tuple, values: list, tables: list):
+        self.kinds, self.exprs, self.args = dag._kind, dag._expr, dag._args
+        self.data, self.groups = dag._datum, dag._group
+        self.positions, self.strides = dag._positions, dag._strides
+        self.names = dag._names
+        self.index, self.values, self.tables = index, values, tables
+        self.keys: list = [None] * len(dag._strides)  # per group, on first use
+
+    def value(self, n: int) -> Value:
+        kind = self.kinds[n]
+        if kind == _LIT:
+            return self.data[n]
+        if kind == _PARAM:
+            v = self.values[self.data[n]]
+            if v is None:
+                raise UnboundName(self.names[self.data[n]])
+            return v
+        if kind == _UNBOUND:
+            raise UnboundName(self.data[n])
+        g = self.groups[n]
+        key = self.keys[g]
+        if key is None:
+            indices = map(self.index.__getitem__, self.positions[g])
+            key = self.keys[g] = sum(map(operator.mul, indices, self.strides[g]))
+        table = self.tables[n]
+        v = table.get(key)
+        if v is None:
+            e, a = self.exprs[n], self.args[n]
+            if kind == _BINARY:
+                v = _binary(e, self.value(a[0]), self.value(a[1]))
+            elif kind == _UNARY:
+                v = _unary(e, self.value(a[0]))
+            elif kind == _AND:
+                v = _as_bool(self.value(a[0]), e) and _as_bool(self.value(a[1]), e)
+            elif kind == _OR:
+                v = _as_bool(self.value(a[0]), e) or _as_bool(self.value(a[1]), e)
+            else:
+                v = _extremum(e, map(self.value, a))
+            table[key] = v
+        return v
+
+
+def seed_distribution_fault(probs: Sequence[Fraction]) -> Optional[str]:
+    """The former ``models.distribution_fault``, on ``Fraction`` sums."""
+    for p in probs:
+        if not (0 <= p <= 1):
+            return f"probability {format_fraction(p)}"
+    total = sum(probs, Fraction(0))
+    if total != 1:
+        return f"probabilities sum to {format_fraction(total)}"
+    return None

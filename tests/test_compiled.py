@@ -35,7 +35,9 @@ from mimdp.models import (
     _instance,
     all_valuations,
     build_model,
+    distribution_fault,
     instantiate,
+    pair_distribution_fault,
     well_defined_entries,
 )
 from mimdp.parser import parse_program
@@ -437,3 +439,174 @@ def test_row_expansions_equal_the_former_code(two_stage, die):
         assert outcomes == [_expanded(former, p) for p in programs]
     kinds = {type(o[0]) for o in (_expanded(transform_rewards, p) for p in programs)}
     assert kinds == {str, type}
+
+
+# --- the integer-pair kernel --------------------------------------------------
+
+def _node_outcome(value, node):
+    outcome = _outcome(value, node)
+    if outcome[0] is F:
+        # the held pair is the Fraction's normalized numerator and denominator
+        held = value.pair(node)
+        assert held == (outcome[1].numerator, outcome[1].denominator) and held[1] > 0
+    return outcome
+
+
+def _agree_with_the_former_fraction_dag(exprs, seed, names):
+    """Every node of ``exprs`` at every point of ``names``, against the
+    former ``Fraction`` DAG ``seed`` (entered in node order): values, their
+    types and every error's type and message, then the tables."""
+    for node in range(len(exprs._kind)):
+        assert seed.add(exprs.expr(node)) == node
+    points = list(exprs.points(names))
+    former = list(seed.points(names))
+    assert [row for row, _ in points] == [row for row, _ in former]
+    kinds = set()
+    for (_, value), (_, want) in zip(points, former):
+        for node in range(len(exprs._kind)):
+            outcome = _node_outcome(value, node)
+            assert outcome == _outcome(want, node)
+            kinds.add(outcome[0])
+    got, held = exprs.tables(), seed.tables()
+    assert got == held
+    assert [[type(v) for v in t.values()] for t in got] == [[type(v) for v in t.values()] for t in held]
+    return kinds
+
+
+def test_every_node_at_every_point_equals_the_former_fraction_dag():
+    exprs = CompiledExprs(DOMAINS, CONSTANTS)
+    for e in _corpus():
+        exprs.add(e)
+    seed = oracles.SeedCompiledExprs(DOMAINS, CONSTANTS)
+    kinds = _agree_with_the_former_fraction_dag(exprs, seed, list(DOMAINS))
+    assert {DivisionByZero, SortError, UnboundName, F, bool} <= kinds
+
+
+def test_the_shipyard_entries_equal_the_former_fraction_dag():
+    from mimdp.models import _Entries
+
+    model = build_model(_per_sensor_cut())
+    exprs = _Entries(model).exprs
+    assert len(exprs.tables()) == 680  # one per distinct compound subexpression
+    seed = oracles.SeedCompiledExprs(model.parameters)
+    kinds = _agree_with_the_former_fraction_dag(exprs, seed, list(model.parameters))
+    assert kinds == {F}
+
+
+def _single(expr, domains, names=None):
+    """The outcomes of ``expr`` at every point, with the held pairs."""
+    exprs = CompiledExprs(domains)
+    node = exprs.add(expr)
+    out = []
+    for row, value in exprs.points(names or list(domains)):
+        outcome = _node_outcome(value, node)
+        assert outcome == _outcome(eval_expr, expr, row)
+        out.append((outcome, value.pair(node) if outcome[0] is F else None))
+    return out
+
+
+def test_division_by_a_negative_number_keeps_the_denominator_positive():
+    x = Name("x")
+    got = _single(Binary("/", x, Num(F(-4))), {"x": [F(-3), F(2), F(1, 3)]})
+    assert [held for _, held in got] == [(3, 4), (-1, 2), (-1, 12)]
+    got = _single(Binary("/", Num(F(3, 5)), x), {"x": [F(-6), F(-3, 10), F(1, 2)]})
+    assert [held for _, held in got] == [(-1, 10), (-2, 1), (6, 5)]
+
+
+def test_comparisons_between_negative_values():
+    x, y = Name("x"), Name("y")
+    domains = {"x": [F(-3, 2), F(-1, 3), F(-1)], "y": [F(-1), F(-2, 3)]}
+    for op in ("<", ">=", "<=", ">", "=", "!="):
+        got = _single(Binary(op, x, y), domains)
+        assert {outcome for outcome, _ in got} == {(bool, True), (bool, False)}
+    assert [o[1] for o, _ in _single(Binary("<", x, Num(F(-1))), domains, ["x"])] == [True, False, False]
+
+
+def test_min_and_max_over_equal_values():
+    x = Name("x")
+    twice = Binary("/", Binary("*", Num(F(2)), x), Num(F(2)))
+    for op in ("min", "max"):
+        got = _single(Extremum(op, (x, twice, x)), {"x": [F(-2, 3), F(0), F(5)]})
+        assert [o for o, _ in got] == [(F, F(-2, 3)), (F, F(0)), (F, F(5))]
+
+
+def test_negative_zero_is_zero():
+    x = Name("x")
+    for e in (Unary("-", Num(F(0))), Unary("-", Binary("-", x, x)), Binary("*", Num(F(-1)), Binary("*", x, Num(F(0))))):
+        assert [held for _, held in _single(e, {"x": [F(-1, 2), F(3)]})] == [(0, 1), (0, 1)]
+
+
+def test_a_boolean_in_a_numeric_position_raises_the_former_sort_error():
+    x, b = Name("x"), Name("b")
+    cases = [
+        Binary("*", Binary("+", x, b), Num(F(2))),
+        Binary("-", b, x),
+        Unary("-", Binary("<", x, Num(F(1)))),
+        Extremum("max", (x, Binary("=", x, x))),
+        Binary("<", Num(F(1)), BoolLit(True)),
+    ]
+    for e in cases:
+        got = _single(e, {"x": [F(1, 2)], "b": [True]})
+        assert got[0][0][0] is SortError and "expected a number, got a boolean in" in got[0][0][1]
+
+
+def test_a_division_by_zero_behind_a_short_circuit_is_not_reached():
+    b, y = Name("b"), Name("y")
+    guarded = Binary(">", Binary("/", Num(F(1)), y), Num(F(0)))
+    got = _single(Binary("&", b, guarded), {"b": [False, True], "y": [F(0), F(-1)]})
+    assert [o for o, _ in got] == [
+        (bool, False), (bool, False), (DivisionByZero, "division by zero in 1 / y"), (bool, False)
+    ]
+    got = _single(Binary("|", Unary("!", b), guarded), {"b": [False, True], "y": [F(0)]})
+    assert [o for o, _ in got] == [(bool, True), (DivisionByZero, "division by zero in 1 / y")]
+
+
+def test_a_valuation_outside_the_domain_is_evaluated_exactly_and_not_stored():
+    x, y = Name("x"), Name("y")
+    exprs = CompiledExprs({"x": [F(1), F(2)], "y": [F(1, 3)]})
+    node = exprs.add(Binary("/", Binary("-", x, y), Num(F(-2))))
+    value = exprs.at({"x": F(-7, 2), "y": F(1, 3)})
+    assert value(node) == F(23, 12) and value.pair(node) == (23, 12)
+    assert exprs.tables() == [{}, {}]
+    assert exprs.at({"x": F(2), "y": F(1, 3)})(node) == F(-5, 6)
+    assert exprs.tables() == [{1: F(5, 3)}, {1: F(-5, 6)}]
+
+
+def test_tables_hold_fractions_and_bools_under_the_former_keys():
+    x, y = Name("x"), Name("y")
+    domains = {"x": [F(1), F(2)], "y": [F(1, 2), F(3)]}
+    exprs = CompiledExprs(domains)
+    seed = oracles.SeedCompiledExprs(domains)
+    corpus = [Binary("*", x, y), Binary("<", Binary("+", x, y), Num(F(3))), Unary("-", y)]
+    for e in corpus:
+        assert exprs.add(e) == seed.add(e)
+    for (_, value), (_, want) in zip(exprs.points(["x", "y"]), seed.points(["x", "y"])):
+        for node in range(len(exprs._kind)):
+            assert value.pair(node) is not None and value(node) == want(node)
+    # the boundary values are made once per node and key, by the evaluator
+    # or by ``tables``
+    given = []
+    for _, value in exprs.points(["x", "y"]):
+        for node in range(len(exprs._kind)):
+            v = value(node)
+            assert value(node) is v
+            given.append(v)
+    tables = exprs.tables()
+    assert tables == seed.tables()
+    assert {id(v) for t in tables for v in t.values()} <= {id(v) for v in given}
+    assert tables[0] == {0: F(1, 2), 1: F(1), 2: F(3), 3: F(6)}
+    assert {type(v) for t in tables for v in t.values()} == {F, bool}
+    assert all(a is b for a, b in zip(tables[0].values(), exprs.tables()[0].values()))
+
+
+def test_distribution_faults_on_pairs_equal_the_former_fraction_sums():
+    rng = random.Random(11)
+    values = [F(0), F(1), F(-1, 3), F(1, 3), F(2, 3), F(1, 2), F(3, 2), F(1, 10), F(9, 10), F(7, 4)]
+    faults = set()
+    for _ in range(3000):
+        probs = [rng.choice(values) for _ in range(rng.randint(0, 4))]
+        want = oracles.seed_distribution_fault(probs)
+        assert distribution_fault(probs) == want
+        assert pair_distribution_fault([(p.numerator, p.denominator) for p in probs]) == want
+        faults.add(want and want.split()[0])
+    assert faults == {None, "probability", "probabilities"}
