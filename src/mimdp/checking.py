@@ -624,7 +624,10 @@ def chain_family(
 
     ``model`` has one choice per state and gives the structure every
     configuration shares; ``entries`` holds per configuration its exact
-    branch probabilities (flat in model order) and state costs.
+    branch probabilities (flat in model order) and state costs, as
+    ``Fraction`` or ``int`` values.  Each becomes a float as its numerator
+    over its denominator, the int division ``float()`` of a ``Fraction``
+    makes, so the floats are the same.
     Configurations with the same support, the branches of nonzero
     probability, share one set of arrays and qualitative sets, and run as
     one stack through value iteration and the polish.
@@ -637,11 +640,14 @@ def chain_family(
     pr = np.empty(len(entries))
     ec = np.empty(len(entries))
     for support, members in groups.items():
-        probs = [[float(p) for p, edge in zip(entries[i][0], support) if edge] for i in members]
+        probs = [
+            [p.numerator / p.denominator for p, edge in zip(entries[i][0], support) if edge]
+            for i in members
+        ]
         arr = _Arrays(model, support, probs)
         x = _reach(arr, tset, "max", True, len(members), DEFAULT_TOL)[0]
         pr[members] = x[:, model.initial]
-        cost = np.array([[float(c) for c in entries[i][1]] for i in members])
+        cost = np.array([[c.numerator / c.denominator for c in entries[i][1]] for i in members])
         try:
             x = _expected(model, arr, gset, cost, "min", True, DEFAULT_TOL)[0]
         except ExpectedCostUndefined:

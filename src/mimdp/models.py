@@ -312,7 +312,8 @@ def build_model(
 
     The program is checked with ``check_program`` first, unless it is
     marked as checked already (``program.program_errors``): one that
-    ``parse_program`` or an earlier build found well-formed.
+    ``parse_program`` or an earlier build found well-formed, or the
+    controlled program ``transform.transform_all`` made from such a one.
     """
     diags = program_errors(program)
     if diags:

@@ -148,11 +148,68 @@ class SynthesisResult:
         return out
 
 
-@dataclass
 class ConstrainedSolution:
-    strategy: Strategy
-    expected_cost: float
-    reach_probability: float
+    """An optimum of the occupation LP: its expected cost, its probability
+    of reaching the targets, and its strategy.
+
+    ``support[s]`` holds the choice indices the strategy takes at state
+    ``s``, in choice order; branch-and-bound reads only these.  A solution
+    of the LP keeps the LP's flows and builds the exact ``Strategy`` when
+    ``strategy`` is first read, so the rational normalisation is paid only
+    for a strategy that is reported.  Made from a strategy, as
+    ``ConstrainedSolution(strategy, expected_cost, reach_probability)``,
+    its support is that strategy's.
+    """
+
+    __slots__ = ("expected_cost", "reach_probability", "_strategy", "_support", "_flows")
+
+    def __init__(self, strategy: Strategy, expected_cost: float, reach_probability: float):
+        self.expected_cost = expected_cost
+        self.reach_probability = reach_probability
+        self._strategy = strategy
+        self._support = None
+        self._flows = None
+
+    @classmethod
+    def _of_flows(cls, flows: tuple, expected_cost: float, reach_probability: float):
+        """The solution whose strategy is read off ``flows``: the number of
+        states, and per LP variable its state, its choice index there and
+        its flow, as arrays in variable order."""
+        res = cls(None, expected_cost, reach_probability)
+        res._flows = flows
+        return res
+
+    def _weights(self) -> list:
+        """Per state, the (choice index, weight) pairs of its strategy: the
+        flows above ``SUPPORT_TOL``, or one each on all of the state's own
+        choices where none has such a flow; the first choice at a state
+        without variables."""
+        n, states, choices, y = self._flows
+        own: Dict[int, list] = {}
+        for s, ci, w in zip(states.tolist(), choices.tolist(), y.tolist()):
+            own.setdefault(s, []).append((ci, w))
+        weights = [((0, 1),)] * n
+        for s, pairs in own.items():
+            weights[s] = [(ci, w) for ci, w in pairs if w > SUPPORT_TOL] or [(ci, 1) for ci, _ in pairs]
+        return weights
+
+    @property
+    def support(self) -> list:
+        if self._support is None:
+            if self._strategy is None:
+                self._support = [tuple(ci for ci, _ in pairs) for pairs in self._weights()]
+            else:
+                self._support = [tuple(dist) for dist in self._strategy.choice_probs]
+        return self._support
+
+    @property
+    def strategy(self) -> Strategy:
+        if self._strategy is None:
+            self._strategy = Strategy([
+                {ci: Fraction(w) for ci, w in pairs} for pairs in self._weights()
+            ])
+            self._flows = None
+        return self._strategy
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +263,11 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, tset, gset,
     ``model`` (which gives the states, initial state and deadlocks), its
     state costs and the mask of enabled choices; ``tset`` and ``gset`` are
     states of the model.  The LP is one dense matrix, a column per
-    variable: a conservation row per transient state, then the bound row."""
+    variable: a conservation row per transient state, then the bound row.
+
+    The solution keeps the LP's flows, from which it reads its support;
+    the exact ``Strategy`` is built only if the solution's ``strategy`` is
+    read (``ConstrainedSolution``)."""
     n = arr.num_states
     owner = arr.choice_state
     target = _mask(n, tset)
@@ -265,19 +326,11 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, tset, gset,
         raise SynthesisError(f"unexpected LP status {sol.status}")
 
     y = sol.x
-    choice_probs = [{0: Fraction(1)} for _ in range(n)]
-    by_state: Dict[int, list] = {}  # state -> its (variable, choice index)
-    first = arr.choice_start.tolist()
-    for j, (s, c) in enumerate(zip(states.tolist(), variables.tolist())):
-        by_state.setdefault(s, []).append((j, c - first[s]))
-    for s, own in by_state.items():
-        mass = {ci: Fraction(y[j]) for j, ci in own if y[j] > SUPPORT_TOL}
-        choice_probs[s] = mass or {ci: Fraction(1) for _, ci in own}
-
     into = np.flatnonzero(bound_row)  # summed in variable order, as a float
     pr = float(sum(bound_row[into] * y[into]))
     ec = float(sol.objective)
-    return ConstrainedSolution(Strategy(choice_probs), ec, pr)
+    flows = (n, states, variables - arr.choice_start[states], y)
+    return ConstrainedSolution._of_flows(flows, ec, pr)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +359,10 @@ def _evaluate_chains(model: ExplicitModel, tset, gset, lam: float) -> List[Table
 
 def _evaluate_mdp(model: ExplicitModel, u: dict, probs: list, costs: list,
                   tset, gset, lam: float):
-    """One configuration of an MDP family, from its exact entries: the LP
-    on the arrays of its support, or where no strategy meets the bound, its
-    minimal probability of reaching the targets."""
+    """One configuration of an MDP family, from its exact entries: its
+    table entry and the solution of the LP on the arrays of its support,
+    or, where no strategy meets the bound, its minimal probability of
+    reaching the targets and None."""
     support = [p != 0 for p in probs]
     arr = _Arrays(model, support, [float(p) for p in probs if p != 0])
     try:
@@ -317,10 +371,7 @@ def _evaluate_mdp(model: ExplicitModel, u: dict, probs: list, costs: list,
     except InfeasibleError:
         x = _reach(arr, tset, "min", False, 1, DEFAULT_TOL)[0]
         return TableEntry(u, math.inf, float(x[0, model.initial]), False), None
-    return (
-        TableEntry(u, res.expected_cost, res.reach_probability, True),
-        res.strategy,
-    )
+    return TableEntry(u, res.expected_cost, res.reach_probability, True), res
 
 
 def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisResult:
@@ -333,7 +384,8 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
     A family of chains is checked in one stacked pass per support pattern
     (``checking.chain_family``); every configuration's strategy is the
     chain's one choice per state.  An MDP family solves the constrained LP
-    once per configuration, on the arrays of its support.
+    once per configuration, on the arrays of its support, and builds the
+    exact strategy of the reported configuration only.
     """
     model = build_model(program)
     tset = model.label_states(query.target)
@@ -365,7 +417,7 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
     if chains:
         strategy = Strategy.deterministic([0] * model.num_states)
     else:
-        strategy = outcomes[best][1]
+        strategy = outcomes[best][1].strategy
     entry = table[best]
     return SynthesisResult(
         "enumerate",
@@ -382,17 +434,18 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
 # route 2: the controlled transformed MDP
 
 def _support_commitments(
-    model: ExplicitModel, report: TransformReport, strategy: Strategy
+    model: ExplicitModel, report: TransformReport, support
 ) -> Dict[str, set]:
-    """Parameter commitments along the strategy's reachable support."""
+    """Parameter commitments along the reachable support of a strategy:
+    ``support[s]`` iterates over the choice indices the strategy takes at
+    state ``s`` with positive weight (as ``ConstrainedSolution.support``
+    and a normalized ``Strategy.choice_probs`` entry do)."""
     commits: Dict[str, set] = {}
     seen = {model.initial}
     stack = [model.initial]
     while stack:
         s = stack.pop()
-        for ci, w in strategy.choice_probs[s].items():
-            if w <= 0:
-                continue
+        for ci in support[s]:
             ch = model.choices[s][ci]
             if ch.action in report.fresh_actions:
                 for p, v in report.fresh_actions[ch.action]:
@@ -413,7 +466,7 @@ def recover_valuation(
     declared value and is flagged.  Conflicting commitments indicate a
     transformation bug and trip an assertion.
     """
-    commits = _support_commitments(model, report, strategy)
+    commits = _support_commitments(model, report, strategy.choice_probs)
     valuation = {}
     flags = []
     # transformed models carry no residual parameters; read the parameters
@@ -438,7 +491,8 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
     joint commitments extend to no well-defined valuation, keeping the best
     admissible pure outcome; finally certifies the lexicographically
     smallest valuation among ties so the result matches the enumeration
-    route's tie-break.
+    route's tie-break.  The nodes read only their solutions' supports; the
+    exact strategy is built for the reported solution alone.
     """
     transformed, report = transform_all(program)
     model = build_model(transformed, on_deadlock="absorb")
@@ -495,7 +549,7 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
         except InfeasibleError:
             cache[key] = None
             return None
-        commits = _support_commitments(model, report, res.strategy)
+        commits = _support_commitments(model, report, res.support)
         conflicted = [p for p in params if len(commits.get(p, ())) > 1]
         branch_on = None
         if conflicted:

@@ -29,7 +29,9 @@ by enumerating the domains of the variables the two guards mention, under
 a cap on the size of that product.  Points where an equality conjunct of
 the first guard fails (``equality_conjuncts``) are skipped: the first guard
 is False there without raising, and the second is never evaluated, so the
-answer and any error are those of the full enumeration.  Each row-expanded
+answer and any error are those of the full enumeration.  Each guard's
+mentioned variables and equality conjuncts are worked out once per
+program (``_guard_facts``), not once per pair of guards.  Each row-expanded
 and selector command is itself guarded by such an equality, which is what
 makes the controlled model cheap to explore (``models.build_model``).
 """
@@ -120,6 +122,29 @@ def _fresh(base: str, taken: set) -> str:
     return name
 
 
+def _guard_facts(g: Expr, program: Program):
+    """The variables of ``program`` that ``g`` mentions, and the points of
+    those ``g`` fixes (``equality_conjuncts``): per fixed variable, its
+    literal as an int where that is an integer inside the domain, else no
+    point; None where two equalities contradict.  Worked out once per guard
+    of a program, and kept on the program until ``transform_rewards``
+    clears it."""
+    # an entry holds its guard, so no other expression can take its id
+    facts = program._guard_facts.get(id(g))
+    if facts is None:
+        variables = program.variables()
+        fixed = equality_conjuncts(g, variables, program.constants)
+        if fixed is not None:
+            fixed = {
+                v: [c.numerator] if c.denominator == 1
+                and variables[v].lo <= c.numerator <= variables[v].hi else []
+                for v, c in fixed.items()
+            }
+        facts = (g, names_in(g) & variables.keys(), fixed)
+        program._guard_facts[id(g)] = facts
+    return facts[1], facts[2]
+
+
 def _domain_points(g: Expr, h: Expr, program: Program):
     """The variables ``g`` and ``h`` mention, sorted, and the points of
     their domains in lexicographic order, less those where an equality
@@ -127,7 +152,8 @@ def _domain_points(g: Expr, h: Expr, program: Program):
     ``_guard_witness`` does not evaluate ``h``.  The cap applies to the
     full product."""
     variables = program.variables()
-    used = sorted((names_in(g) | names_in(h)) & set(variables))
+    mentioned, fixed = _guard_facts(g, program)
+    used = sorted(mentioned | _guard_facts(h, program)[0])
     decls = [variables[v] for v in used]
     sizes = 1
     for d in decls:
@@ -137,13 +163,9 @@ def _domain_points(g: Expr, h: Expr, program: Program):
                 "guard implication check exceeds the enumeration cap; "
                 "simplify the reward guards"
             )
-    fixed = equality_conjuncts(g, variables, program.constants)
     if fixed is None:
         return used, ()
-    ranges = [
-        [x for x in range(d.lo, d.hi + 1) if d.name not in fixed or x == fixed[d.name]]
-        for d in decls
-    ]
+    ranges = [fixed[d.name] if d.name in fixed else range(d.lo, d.hi + 1) for d in decls]
     return used, itertools.product(*ranges)
 
 
@@ -204,8 +226,19 @@ def transform_rewards(program: Program) -> Tuple[Program, TransformReport]:
     "selector >= 1" with a reset appended to every branch; the declaration
     is replaced by m concrete declarations guarded by the selector value.
     Parametric reward guards must be pairwise disjoint.
+
+    The implication checks analyse each guard once (``_guard_facts``); the
+    analysis is dropped when the rewrite ends.
     """
     program = compose(program)
+    try:
+        return _select_rewards(program)
+    finally:
+        program._guard_facts.clear()
+
+
+def _select_rewards(program: Program) -> Tuple[Program, TransformReport]:
+    """``transform_rewards`` on a composed program."""
     module = program.single_module()
     params = program.parameters
 
@@ -469,11 +502,19 @@ def add_control(program: Program, report: TransformReport) -> Program:
 
 
 def transform_all(program: Program) -> Tuple[Program, TransformReport]:
-    """compose, then rewards, then probabilities, then the control module."""
+    """compose, then rewards, then probabilities, then the control module.
+
+    The rewrite of a program marked as checked (``program.program_errors``)
+    is marked too, so ``models.build_model`` does not check it again: the
+    rewrites keep a well-formed program well-formed (fresh names, selector
+    values inside their domains, literal probabilities only from rows that
+    form distributions).  The rewrite of an unmarked program is unmarked.
+    """
     composed = compose(program)
     p1, r1 = transform_rewards(composed)
     p2, r2 = transform_probabilities(p1)
     report = _chain(r1, r2)
-    if report.fresh_actions:
-        return add_control(p2, report), report
-    return p2, report
+    out = add_control(p2, report) if report.fresh_actions else p2
+    if program._checked:
+        object.__setattr__(out, "_checked", True)
+    return out, report

@@ -507,6 +507,6 @@ def test_a_parsed_program_is_checked_once(monkeypatch, models_dir):
     program = parse_program((models_dir / "two_stage.mgcl").read_text(encoding="utf-8"))
     assert checked == [program]
     synthesize(program, SynthesisQuery("s2", F("0.2"), "absorb", "both"))
-    # both routes build the parsed program without checking it again; the
-    # transformed program is a new program, checked when it is built
-    assert len(checked) == 2 and checked[1] is not program
+    # both routes build the parsed program without checking it again, and
+    # the transformed program of a checked program is marked as checked
+    assert checked == [program]

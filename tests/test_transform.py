@@ -286,3 +286,57 @@ def test_transform_all_on_random_corpus_builds():
         out, report = transform_all(program)
         model = build_model(out, on_deadlock="absorb")
         assert model.num_states >= 1
+
+
+GUARD_POOL = """
+const two = 2;
+module m
+  loc : [0..3] init 0;
+  x : [-1..2] init 0;
+  [] loc = 3 -> true;
+  [] 0 = loc & x = -1 -> true;
+  [] loc = 4 -> true;
+  [] x = -2 -> true;
+  [] loc = 1/2 -> true;
+  [] loc = 1 & x < 2 & loc = 2 -> true;
+  [] loc = two & x = 2 -> true;
+  [] x > 0 & loc = 0 -> true;
+  [] !(loc = 1) -> true;
+  [] true -> true;
+endmodule
+rewards
+  loc = 3 : 1;
+  loc < 2 : 1;
+  x = 2 | loc = 0 : 1;
+  loc = 1 & x / loc > 0 : 1;
+  x / loc > 0 : 1;
+endrewards
+"""
+
+
+def test_implication_checks_equal_the_former_checks_on_every_pair_of_guards():
+    # literals at, outside and between the domain bounds, contradicting
+    # equalities, and reward guards that divide by zero at loc = 0; each
+    # pair twice, so the second answer comes from the kept analysis
+    from mimdp import transform
+
+    program = parse_program(GUARD_POOL)
+    guards = [c.guard for c in program.single_module().commands]
+    guards += [r.guard for r in program.rewards]
+
+    def outcome(fn, g, h):
+        try:
+            return fn(g, h, program)
+        except ExprError as e:
+            return type(e), str(e)
+
+    kinds = set()
+    for _ in range(2):
+        for g in guards:
+            for h in guards:
+                for new, former in ((transform._guard_implies, oracles.seed_guard_implies),
+                                    (transform._guards_overlap, oracles.seed_guards_overlap)):
+                    got = outcome(new, g, h)
+                    assert got == outcome(former, g, h)
+                    kinds.add(got if isinstance(got, bool) else got[0])
+    assert kinds == {True, False, DivisionByZero}
