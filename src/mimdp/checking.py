@@ -13,13 +13,16 @@ maximal probability-1 set the nested fixpoint whose rounds are each one
 backward search.  Zero-probability branches are not edges of the graph.
 
 Value iteration starts from zero (iterates are monotone from below) and runs
-to a relative residual of 1e-8; the extracted strategy is then evaluated
-exactly by solving its induced linear system, which is what the returned
-values report.  The system is dense up to 128 states and a sparse LU above,
-so the work and memory of a larger region grow with its nonzeros.  If that
-polish step fails its sanity checks (a greedy tie in the max direction, or
-iteration that stopped far from the fixpoint), the raw iteration values are
-kept and ``ValueVector.polished`` is False.
+to a relative residual of 1e-8.  It sweeps only the free states, those the
+qualitative sets leave open: their choices and branches are gathered once
+per call, in model order, so every sum adds the same terms in the same
+order as a sweep of the whole model would.  The extracted strategy is then
+evaluated exactly by solving its induced linear system, which is what the
+returned values report.  The system is dense up to 128 states and a sparse
+LU above, so the work and memory of a larger region grow with its
+nonzeros.  If that polish step fails its sanity checks (a greedy tie in the
+max direction, or iteration that stopped far from the fixpoint), the raw
+iteration values are kept and ``ValueVector.polished`` is False.
 
 The checker works on flat arrays of a model's transition structure, built
 once per model on first use and kept on it (models are immutable once
@@ -35,6 +38,7 @@ checks, so every row is what checking that configuration alone gives.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from collections import abc
@@ -132,11 +136,10 @@ class _Arrays:
         self.num_choices = len(self.owner)
         # per state, the choices with a branch into it (ascending; a choice
         # appears once per such branch): the graph searches walk these
-        pred: list = [[] for _ in range(num_states)]
         of_branch = np.repeat(np.arange(self.num_choices), np.diff(self.branch_start))
-        for c, t in zip(of_branch.tolist(), self.targets.tolist()):
-            pred[t].append(c)
-        self.predecessors = pred
+        into = of_branch[np.argsort(self.targets, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(self.targets, minlength=num_states)).tolist()
+        self.predecessors = [into[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     def choice_values(self, x: np.ndarray, probs: Optional[np.ndarray] = None) -> np.ndarray:
         """Each choice's expected successor value; ``x`` is one value per
@@ -271,20 +274,18 @@ def _prob1_min(arr: _Arrays, targets: set, zero: Optional[set] = None,
 # ---------------------------------------------------------------------------
 # value iteration core
 
-def _sweep_residual(new: np.ndarray, old: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Per row of the stacks: the largest relative change over the finite
-    entries at the indices ``free`` (absolute where the new value is not
+def _sweep_residual(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Per row of the stacks of free entries: the largest relative change
+    over the finite entries of ``new`` (absolute where the new value is not
     positive), 0 when there is none."""
-    if not len(free):
-        return np.zeros(len(new))
-    new, old = new.take(free, axis=1), old.take(free, axis=1)
-    diff = np.abs(new - old)
-    rel = np.where(new > 0, diff / np.maximum(np.abs(new), 1.0e-300), diff)
-    finite = np.isfinite(new)
-    if finite.all():
-        return rel.max(axis=1)
-    out = np.where(finite, rel, -np.inf).max(axis=1)
-    out[~finite.any(axis=1)] = 0.0
+    rel = np.subtract(new, old)
+    np.abs(rel, out=rel)
+    np.divide(rel, np.maximum(new, 1.0e-300), out=rel, where=new > 0)
+    # rel is never negative, and an infinite or NaN entry of new makes its
+    # rel, and so the row's maximum, infinite or NaN
+    out = np.maximum.reduce(rel, axis=1, initial=0.0)
+    if not math.isfinite(np.add.reduce(out)):
+        out = np.maximum.reduce(np.where(np.isfinite(new), rel, 0.0), axis=1, initial=0.0)
     return out
 
 
@@ -301,38 +302,79 @@ def _iterate(
     ``state_cost`` have one row per configuration, and so does
     ``arr.probs`` unless all rows share it.  Each row stops at its own
     residual, with the values and sweep count it would reach alone.
-    Returns the final stack, and per row the sweeps and last residual;
-    ``trace`` receives a copy of the stack after every sweep."""
-    k = len(x)
+    Returns the final stack (``x``, updated in place), and per row the
+    sweeps and last residual; ``trace`` receives a copy of the stack after
+    every sweep.
+
+    Only the free states (``free_mask``) are swept.  Their choices and
+    branches are gathered once, in model order, so each sweep sums the same
+    branches in the same order as a sweep over the whole model would.  The
+    sweeps work on ``w``: the columns of ``x`` with the free states first,
+    then one column of -0.0, a branch that adds nothing to any sum."""
+    k, n = x.shape
     iterations = np.zeros(k, dtype=np.int64)
     residual = np.zeros(k)
     active = np.arange(k)
     sweeps = 0
     free = np.flatnonzero(free_mask)
+    m = len(free)
+    order = np.concatenate((free, np.flatnonzero(~free_mask)))
+    column = np.empty(n, dtype=np.int64)  # of each state in w
+    column[order] = np.arange(n)
+    first = arr.choice_start[free]
+    count = arr.choice_start[free + 1] - first  # choices per free state
+    choices, state_at = _spans(first, count)
+    first = arr.branch_start[choices]
+    width = arr.branch_start[choices + 1] - first  # branches per choice
+    branches, choice_at = _spans(first, width)
+    succ = column[arr.targets[branches]]
+    probs = arr.probs[..., branches]
+    pairs = not (width > 2).any()
+    if pairs:
+        # one vector addition in place of reduceat's per-segment work: every
+        # choice padded to two branches, a single one with a branch of
+        # probability 0 into the -0.0 column (its sum a + -0.0 is a)
+        at = np.full(2 * len(choices), len(branches))
+        at[0::2] = choice_at
+        at[1::2][width == 2] = choice_at[width == 2] + 1
+        succ = np.append(succ, n)[at]
+        probs = np.append(probs, np.zeros(probs.shape[:-1] + (1,)), axis=-1)[..., at]
+    cost = None if state_cost is None else state_cost.take(arr.choice_state[choices], axis=1)
+    several = (count > 1).any()  # some free state has several choices
+    best = np.maximum if direction == "max" else np.minimum
+    w = np.empty((k, n + 1))
+    w[:, :n] = x.take(order, axis=1)
+    w[:, n] = -0.0
     while len(active):
         whole = len(active) == k
-        xa = x if whole else x[active]
-        probs = arr.probs if whole or arr.probs.ndim == 1 else arr.probs[active]
-        q = arr.choice_values(xa, probs)
-        if state_cost is not None:
-            q = q + (state_cost if whole else state_cost[active]).take(arr.choice_state, axis=1)
-        v = arr.state_opt(q, direction)
-        new = np.where(free_mask, v, xa)
-        res = _sweep_residual(new, xa, free)
-        if whole:
-            x = new
+        wa = w if whole else w[active]
+        new = wa.take(succ, axis=1)
+        new *= probs if whole or probs.ndim == 1 else probs[active]
+        if pairs:
+            new = new[:, 0::2] + new[:, 1::2]
         else:
-            x[active] = new
+            new = np.add.reduceat(new, choice_at, axis=1)
+        if cost is not None:
+            new += cost if whole else cost[active]
+        if several:
+            new = best.reduceat(new, state_at, axis=1)
+        res = _sweep_residual(new, wa[:, :m])
+        if whole:
+            w[:, :m] = new
+        else:
+            w[active, :m] = new
         sweeps += 1
         if trace is not None:
+            x[:, free] = w[:, :m]
             trace.append(x.copy())
         if sweeps > _MAX_SWEEPS:
             raise ModelError("value iteration failed to converge")
-        done = ~(res > tol)
-        if done.any():
+        if not np.minimum.reduce(res) > tol:
+            done = ~(res > tol)
             iterations[active[done]] = sweeps
             residual[active[done]] = res[done]
             active = active[~done]
+    x[:, free] = w[:, :m]
     return x, iterations, residual
 
 
@@ -349,13 +391,20 @@ def _greedy(arr: _Arrays, x: np.ndarray, direction: str,
     return optimal[np.searchsorted(optimal, first)] - first
 
 
+def _spans(first: np.ndarray, length: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The index ranges ``first[i] .. first[i] + length[i] - 1`` laid end to
+    end, and where each range starts among them."""
+    start = np.cumsum(length) - length
+    return np.arange(int(length.sum())) + np.repeat(first - start, length), start
+
+
 def _branches(arr: _Arrays, choices: np.ndarray):
     """The branches of the given choices, choice by choice and in order, as
     (position in ``choices``, target state, probability)."""
     lo = arr.branch_start[choices]
     counts = arr.branch_start[choices + 1] - lo
     rows = np.repeat(np.arange(len(choices)), counts)
-    idx = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    idx, _ = _spans(lo, counts)
     return rows, arr.targets[idx], arr.probs[..., idx]
 
 
@@ -764,8 +813,7 @@ def _repeat_blocks(first: np.ndarray, length: np.ndarray, width: int):
     index it copies and its product state ``s * width + b``."""
     length = np.repeat(length, width)
     state = np.repeat(np.arange(len(length)), length)
-    shift = np.repeat(first, width) - (np.cumsum(length) - length)
-    return np.arange(len(state)) + np.repeat(shift, length), state
+    return _spans(np.repeat(first, width), length)[0], state
 
 
 def _product_arrays(base: _Arrays, target: np.ndarray, cost: np.ndarray,

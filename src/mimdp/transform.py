@@ -455,24 +455,24 @@ def add_control(program: Program, report: TransformReport) -> Program:
     taken = set(program.constants) | set(params) | set(program.variables())
     flag: Dict[Tuple[str, Fraction], str] = {}
     flag_decls = []
+    # per commitment, the terms saying no other value of its parameter is
+    # committed: built once here, not per fresh action
+    conflicts: Dict[Tuple[str, Fraction], Tuple[Expr, ...]] = {}
     for p, values in params.items():
+        unset = []
         for vi, v in enumerate(values):
             name = _fresh(f"_q_{p}_{vi}", taken)
             flag[(p, v)] = name
             flag_decls.append(VarDecl(name, 0, 1, 0))
-
-    def conflict_guard(commits) -> Expr:
-        terms = []
-        for p, v in commits:
-            for v2 in params[p]:
-                if v2 != v:
-                    terms.append(Binary("=", Name(flag[(p, v2)]), Num(Fraction(0))))
-        return conjoin(*terms)
+            unset.append(Binary("=", Name(name), Num(Fraction(0))))
+        for vi, v in enumerate(values):  # the values are distinct
+            conflicts[(p, v)] = tuple(unset[:vi] + unset[vi + 1:])
 
     new_commands = []
     for cmd in module.commands:
         if cmd.action in report.fresh_actions:
-            extra = conflict_guard(report.fresh_actions[cmd.action])
+            commits = report.fresh_actions[cmd.action]
+            extra = conjoin(*(t for pv in commits for t in conflicts[pv]))
             new_commands.append(
                 CommandDecl(cmd.action, conjoin(cmd.guard, extra), cmd.branches)
             )

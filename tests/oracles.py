@@ -9,7 +9,9 @@ exploration, guard implication checks, integer-program emitter, LP
 solver, constrained LP and family instances, enumeration route, memoised
 evaluator, reward selection and compiled expressions on ``Fraction``
 values, kept as references for the differential tests of the code that
-replaced them.
+replaced them.  Value iteration is kept twice: the one-configuration loop
+(``_iterate``, ``_sweep_residual``) and the stacked loop that swept every
+state of the model (``stacked_iterate``, ``_stacked_sweep_residual``).
 """
 
 from __future__ import annotations
@@ -245,6 +247,75 @@ def _iterate(
             trace.append(x.copy())
         if iterations > _MAX_SWEEPS:
             raise ModelError("value iteration failed to converge")
+    return x, iterations, residual
+
+
+# The stacked loop that followed it, verbatim apart from the two names: each
+# sweep ran over every state and masked the fixed ones back, and the
+# residual took the free entries out of the whole stacks.
+
+def _stacked_sweep_residual(new: np.ndarray, old: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Per row of the stacks: the largest relative change over the finite
+    entries at the indices ``free`` (absolute where the new value is not
+    positive), 0 when there is none."""
+    if not len(free):
+        return np.zeros(len(new))
+    new, old = new.take(free, axis=1), old.take(free, axis=1)
+    diff = np.abs(new - old)
+    rel = np.where(new > 0, diff / np.maximum(np.abs(new), 1.0e-300), diff)
+    finite = np.isfinite(new)
+    if finite.all():
+        return rel.max(axis=1)
+    out = np.where(finite, rel, -np.inf).max(axis=1)
+    out[~finite.any(axis=1)] = 0.0
+    return out
+
+
+def stacked_iterate(
+    arr: _Arrays,
+    x: np.ndarray,
+    free_mask: np.ndarray,
+    direction: str,
+    tol: float,
+    state_cost: Optional[np.ndarray] = None,
+    trace: Optional[list] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value iteration on a stack of configurations: ``x`` and
+    ``state_cost`` have one row per configuration, and so does
+    ``arr.probs`` unless all rows share it.  Each row stops at its own
+    residual, with the values and sweep count it would reach alone.
+    Returns the final stack, and per row the sweeps and last residual;
+    ``trace`` receives a copy of the stack after every sweep."""
+    k = len(x)
+    iterations = np.zeros(k, dtype=np.int64)
+    residual = np.zeros(k)
+    active = np.arange(k)
+    sweeps = 0
+    free = np.flatnonzero(free_mask)
+    while len(active):
+        whole = len(active) == k
+        xa = x if whole else x[active]
+        probs = arr.probs if whole or arr.probs.ndim == 1 else arr.probs[active]
+        q = arr.choice_values(xa, probs)
+        if state_cost is not None:
+            q = q + (state_cost if whole else state_cost[active]).take(arr.choice_state, axis=1)
+        v = arr.state_opt(q, direction)
+        new = np.where(free_mask, v, xa)
+        res = _stacked_sweep_residual(new, xa, free)
+        if whole:
+            x = new
+        else:
+            x[active] = new
+        sweeps += 1
+        if trace is not None:
+            trace.append(x.copy())
+        if sweeps > _MAX_SWEEPS:
+            raise ModelError("value iteration failed to converge")
+        done = ~(res > tol)
+        if done.any():
+            iterations[active[done]] = sweeps
+            residual[active[done]] = res[done]
+            active = active[~done]
     return x, iterations, residual
 
 

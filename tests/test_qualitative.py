@@ -1,8 +1,10 @@
-"""Differential tests of the checker's graph searches, greedy pick and
-policy polish against the fixpoint code they replaced (``oracles``)."""
+"""Differential tests of the checker's graph searches, greedy pick,
+value iteration and policy polish against the code they replaced
+(``oracles``)."""
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,10 @@ import pytest
 import oracles
 from generators import random_mc, random_mdp
 from mimdp import checking
-from mimdp.checking import ExpectedCostUndefined, expected_cost, reach_prob
+from mimdp.checking import ExpectedCostUndefined, cost_bounded_reach, expected_cost, reach_prob
+from mimdp.models import Choice, ExplicitModel, build_model, well_defined_entries
+from mimdp.parser import parse_file, parse_program
+from test_family import SLOW_SELF_LOOP
 
 QUALITATIVE = ("_prob0_max", "_prob1_max", "_prob0_min", "_prob1_min")
 
@@ -215,3 +220,163 @@ def test_min_sets_compute_the_zero_set_once(monkeypatch):
         got = reach_prob(model, label, direction)
         assert len(calls) == 1
         _same_result(got, oracles.seed_reach_prob(model, label, seed_direction))
+
+
+# ---------------------------------------------------------------------------
+# value iteration over the free states against the former whole-model sweeps
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+def _iterate_calls(monkeypatch, run) -> list:
+    """The arguments of every ``_iterate`` call ``run()`` makes, as they
+    were on entry."""
+    calls = []
+    inner = checking._iterate
+
+    def capture(arr, x, free_mask, direction, tol, state_cost=None, trace=None):
+        calls.append((arr, x.copy(), free_mask.copy(), direction, tol, state_cost))
+        return inner(arr, x, free_mask, direction, tol, state_cost, trace)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checking, "_iterate", capture)
+        try:
+            run()
+        except ExpectedCostUndefined:
+            pass
+    return calls
+
+
+def _sweeps_equal_the_former(arr, x, free_mask, direction, tol, state_cost):
+    """Both loops from the same stack: the final stack, per-row sweeps and
+    residuals, and the stack after every sweep are equal bit for bit.
+    Returns the former loop's result."""
+    new_trace, old_trace = [], []
+    new = checking._iterate(arr, x.copy(), free_mask, direction, tol, state_cost, new_trace)
+    old = oracles.stacked_iterate(arr, x.copy(), free_mask, direction, tol, state_cost, old_trace)
+    assert [_bits(a) for a in new] == [_bits(a) for a in old]
+    assert [_bits(a) for a in new_trace] == [_bits(a) for a in old_trace]
+    return old
+
+
+def _shape(arr, free_mask):
+    """Whether some free choice has more than two branches, and whether
+    some free state has more than one choice."""
+    free = np.flatnonzero(free_mask)
+    choices = np.diff(arr.choice_start)[free]
+    wide = any(
+        np.diff(arr.branch_start)[arr.choice_start[s]:arr.choice_start[s + 1]].max() > 2
+        for s in free
+    )
+    return wide, bool((choices > 1).any())
+
+
+def _wide_chain():
+    """Twelve transient states, each with one choice of twelve branches of
+    uneven weights (sums long enough for pairwise summation), and two
+    absorbing states."""
+    rows = []
+    for s in range(12):
+        branches = tuple((Fraction(j + 1, 78), (s + j + 1) % 14) for j in range(12))
+        rows.append([Choice(None, branches)])
+    rows += [[Choice(None, ((Fraction(1), s),))] for s in (12, 13)]
+    return ExplicitModel(
+        kind="mc", var_names=("s",), states=[(s,) for s in range(14)], initial=0,
+        choices=rows, costs=[Fraction(s % 5) for s in range(12)] + [Fraction(0)] * 2,
+        labels={"t": frozenset({12}), "g": frozenset({12, 13})}, parameters={},
+    )
+
+
+def test_value_iteration_equals_the_former_sweeps_on_the_corpus(monkeypatch):
+    rng = random.Random(14)
+    seen = {"wide": 0, "narrow": 0, "several": 0, "infinite": 0, "reach": 0, "cost": 0}
+    for model in CORPUS + [_wide_chain()]:
+        directions = ("max",) if model.kind == "mc" else ("min", "max")
+        for targets in _target_sets(model, rng):
+            for direction in directions:
+                for kind, run in (("reach", reach_prob), ("cost", expected_cost)):
+                    calls = _iterate_calls(monkeypatch, lambda: run(model, targets, direction))
+                    for arr, x, free_mask, *rest in calls:
+                        _sweeps_equal_the_former(arr, x, free_mask, *rest)
+                        wide, several = _shape(arr, free_mask)
+                        seen[kind] += 1
+                        seen["wide" if wide else "narrow"] += 1
+                        seen["several"] += several
+                        seen["infinite"] += bool(np.isinf(x).any() and free_mask.any())
+    assert seen["reach"] > 1500 and seen["cost"] > 400, seen
+    assert min(seen["wide"], seen["narrow"], seen["several"]) > 500, seen
+    assert seen["infinite"] > 100, seen
+
+
+def test_rows_of_a_family_stack_stop_at_their_own_sweeps_as_before(monkeypatch):
+    # rows with their own probabilities, stopping after about 30, 180 and
+    # 1800 sweeps
+    model = build_model(parse_program(SLOW_SELF_LOOP.replace("0.5, 0.9997", "0.5, 0.9, 0.99")))
+    entries = [(probs, costs) for _, probs, costs in well_defined_entries(model)]
+    calls = _iterate_calls(monkeypatch, lambda: checking.chain_family(model, entries, "t", "g"))
+    assert len(calls) == 2
+    for arr, x, free_mask, *rest in calls:
+        assert arr.probs.ndim == 2 and len(x) == 3
+        _, iterations, _ = _sweeps_equal_the_former(arr, x, free_mask, *rest)
+        assert len(set(iterations.tolist())) == 3
+
+
+def test_an_empty_free_set_takes_one_sweep_as_before(monkeypatch):
+    model = CORPUS[0]
+    arr = checking._Arrays(model)
+    none = np.zeros(arr.num_states, dtype=bool)
+    x = np.random.default_rng(3).random((3, arr.num_states))
+    x[1, 0] = np.inf
+    for direction in ("min", "max"):
+        for cost in (None, np.ones((3, arr.num_states))):
+            _, iterations, residual = _sweeps_equal_the_former(arr, x, none, direction, 1e-8, cost)
+            assert iterations.tolist() == [1, 1, 1] and residual.tolist() == [0.0] * 3
+    every = set(range(model.num_states))
+    calls = _iterate_calls(monkeypatch, lambda: reach_prob(model, every))
+    (arr, x, free_mask, *rest), = calls
+    assert not free_mask.any()
+    _sweeps_equal_the_former(arr, x, free_mask, *rest)
+
+
+def test_value_iteration_on_budget_products_equals_the_former_sweeps(monkeypatch, models_dir):
+    rng = random.Random(15)
+    cases = []
+    for model in CORPUS[:240:4]:  # the MDPs, whose costs are integers
+        target = {rng.randrange(model.num_states)}
+        for bound in (1, 4):
+            for direction in ("min", "max"):
+                cases.append((model, target, bound, direction))
+    retry = build_model(parse_file(models_dir / "retry_channel.mgcl"), {"loss": Fraction(2, 5)})
+    cases.append((retry, "delivered", 20, "max"))
+    products = 0
+    for model, target, bound, direction in cases:
+        calls = _iterate_calls(
+            monkeypatch, lambda: cost_bounded_reach(model, target, bound, direction)
+        )
+        for arr, x, free_mask, *rest in calls:
+            assert arr.num_states == model.num_states * (bound + 1)
+            _sweeps_equal_the_former(arr, x, free_mask, *rest)
+            products += 1
+    assert products > 100
+
+
+def test_the_residual_equals_the_former_on_odd_entries():
+    # zeros of both signs, values below the 1e-300 floor, negatives,
+    # infinities and NaNs, in stacks of one to three rows
+    rng = np.random.default_rng(16)
+    pool = np.array([0.0, -0.0, 1e-310, 1e-300, 3e-300, 0.5, 1.0, 3.0, -2.0,
+                     np.inf, -np.inf, np.nan])
+    odd = 0
+    for _ in range(3000):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(0, 6))
+        new, old = rng.choice(pool, (k, n)), rng.choice(pool, (k, n))
+        free = np.flatnonzero(rng.random(n) < 0.7)
+        with np.errstate(all="ignore"):
+            want = oracles._stacked_sweep_residual(new, old, free)
+            got = checking._sweep_residual(new.take(free, axis=1), old.take(free, axis=1))
+        assert _bits(got) == _bits(want), (new, old, free)
+        odd += not np.isfinite(new.take(free, axis=1)).all()
+    assert odd > 1000
