@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
@@ -49,7 +48,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .expressions import Expr
-from .models import Choice, ExplicitModel, ModelError, Strategy
+from .models import Choice, ExplicitModel, LazySequence, ModelError, Strategy
 
 DEFAULT_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9  # slack of a probability bound, here and in synthesis
@@ -749,9 +748,9 @@ def cost_bounded_reach(
     product = ExplicitModel(
         kind="mc" if model.kind == "mc" else "mdp",
         var_names=model.var_names + ("_budget",),
-        states=_ProductStates(model.states, width),
+        states=LazySequence(n, lambda i: model.states[i // width] + (i % width,)),
         initial=model.initial * width + bound,
-        choices=_ProductRows(model, tset, costs, width),
+        choices=LazySequence(n, lambda i: _product_row(model, tset, costs, width, i)),
         costs=[Fraction(0)] * n,
         labels={},
         parameters={},
@@ -769,42 +768,17 @@ def cost_bounded_reach(
     return float(vec.values[product.initial])
 
 
-class _ProductStates(abc.Sequence):
-    """The states of the budget product of ``cost_bounded_reach``: state
-    ``s * width + b`` is the base state ``s`` extended by the budget ``b``,
-    built when it is read."""
-
-    def __init__(self, states: Sequence[tuple], width: int):
-        self._states, self._width = states, width
-
-    def __len__(self) -> int:
-        return len(self._states) * self._width
-
-    def __getitem__(self, i: int) -> tuple:
-        s, b = divmod(range(len(self))[i], self._width)
-        return self._states[s] + (b,)
-
-
-class _ProductRows(abc.Sequence):
-    """The choices of the budget product of ``cost_bounded_reach``, each
-    row built when it is read."""
-
-    def __init__(self, model: ExplicitModel, tset: set, costs: list, width: int):
-        self._model, self._tset, self._costs, self._width = model, tset, costs, width
-
-    def __len__(self) -> int:
-        return self._model.num_states * self._width
-
-    def __getitem__(self, i: int) -> list:
-        i = range(len(self))[i]
-        s, b = divmod(i, self._width)
-        if s in self._tset:
-            return [Choice(None, ((Fraction(1), i),))]
-        b2 = max(b - self._costs[s], 0)
-        return [
-            Choice(ch.action, tuple((p, t * self._width + b2) for p, t in ch.branches))
-            for ch in self._model.choices[s]
-        ]
+def _product_row(model: ExplicitModel, tset: set, costs: list, width: int, i: int) -> list:
+    """The choices of state ``i`` of the budget product of
+    ``cost_bounded_reach``."""
+    s, b = divmod(i, width)
+    if s in tset:
+        return [Choice(None, ((Fraction(1), i),))]
+    b2 = max(b - costs[s], 0)
+    return [
+        Choice(ch.action, tuple((p, t * width + b2) for p, t in ch.branches))
+        for ch in model.choices[s]
+    ]
 
 
 def _repeat_blocks(first: np.ndarray, length: np.ndarray, width: int):
@@ -941,22 +915,23 @@ def check_spec(
         value = vec.at_initial(model)
         return value <= float(spec.bound) + FEASIBILITY_TOL, value
     if isinstance(spec, ReachabilityQuery):
-        direction = spec.direction
-        if direction is None:
-            if model.kind == "mdp":
-                raise ModelError("P=? needs Pmin/Pmax on an MDP")
-            direction = "max"
-        vec, _ = reach_prob(model, spec.target, direction, tol=tol)
+        vec, _ = reach_prob(model, spec.target, _query_direction(model, spec), tol=tol)
         return None, vec.at_initial(model)
     if isinstance(spec, ExpectedCostQuery):
         vec, _ = expected_cost(model, spec.goal, spec.direction, tol=tol)
         return None, vec.at_initial(model)
     if isinstance(spec, CostBoundQuery):
-        direction = spec.direction
-        if direction is None:
-            if model.kind == "mdp":
-                raise ModelError("P=? needs Pmin/Pmax on an MDP")
-            direction = "max"
+        direction = _query_direction(model, spec)
         value = cost_bounded_reach(model, spec.target, spec.limit, direction, tol=tol)
         return None, value
     raise TypeError(f"not a specification: {spec!r}")
+
+
+def _query_direction(model: ExplicitModel, spec) -> str:
+    """The direction of a ``P=?`` query: as written, else 'max', which on
+    a chain is the only one; an MDP needs it written."""
+    if spec.direction is not None:
+        return spec.direction
+    if model.kind == "mdp":
+        raise ModelError("P=? needs Pmin/Pmax on an MDP")
+    return "max"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -19,11 +18,12 @@ from pathlib import Path
 
 from . import shipyard
 from .checking import (
+    DEFAULT_TOL,
     ReachabilityBound,
     check_spec,
     parse_property,
 )
-from .models import build_model, to_dot, well_defined_valuations
+from .models import DEFAULT_STATE_CAP, build_model, to_dot, well_defined_valuations
 from .parser import ParseError, parse_file
 from .program import check_program, pretty
 from .synthesis import (
@@ -89,16 +89,6 @@ def _load(path):
         raise CliError(f"cannot read {path}")
     except ParseError as e:
         raise CliError(f"{path}:{e}")
-
-
-def _int_env(name, default):
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
-
-
-def _float_env(name, default):
-    raw = os.environ.get(name)
-    return float(raw) if raw else default
 
 
 def _build(args, program, *, need_concrete=False):
@@ -286,21 +276,18 @@ def _cmd_bench(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# argument wiring: each subcommand takes only the options it reads
 
-def _add_common(p):
+def _add_state_cap(p):
     p.add_argument(
         "--state-cap",
         type=int,
-        default=_int_env("MIMDP_STATE_CAP", 10**7),
+        default=DEFAULT_STATE_CAP,
         help="abort exploration beyond this many states",
     )
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=_float_env("MIMDP_TOL", 1e-8),
-        help="value-iteration residual tolerance",
-    )
+
+
+def _add_output(p):
     p.add_argument("-o", "--output", default=None, help="write output here instead of stdout")
 
 
@@ -314,7 +301,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse and validate a model file")
     p.add_argument("file")
     p.add_argument("--emit", default=None, help="pretty-print the program to this path")
-    _add_common(p)
     p.set_defaults(fn=_cmd_parse)
 
     p = sub.add_parser("build", help="explore the explicit state space")
@@ -322,14 +308,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--valuation", default=None, help="p=0.4,q=0.3 ... instantiate")
     p.add_argument("--dot", default=None, help="write a DOT rendering here")
     p.add_argument("--valuations", action="store_true", help="count well-defined valuations")
-    _add_common(p)
+    _add_state_cap(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("transform", help="apply the program transformations")
     p.add_argument("file")
     p.add_argument("--stage", choices=("rewards", "probs", "control", "all"), default="all")
     p.add_argument("--report", default=None, help="write the fresh-name report as JSON")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("check", help="model-check a property")
@@ -341,7 +328,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check bounded properties against the minimizing strategy",
     )
-    _add_common(p)
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL, help="value-iteration residual tolerance"
+    )
+    _add_state_cap(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("synthesize", help="solve the configuration synthesis problem")
@@ -349,14 +340,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True, help='bounded property, e.g. P<=0.2 [F "bad"]')
     p.add_argument("--goal", required=True, help="label of the cost goal set")
     p.add_argument("--method", choices=("enum", "transformed", "both"), default="both")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_synthesize)
 
     p = sub.add_parser("emit-nilp", help="emit the nonlinear integer encoding")
     p.add_argument("file")
     p.add_argument("--phi", required=True)
     p.add_argument("--goal", required=True)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_emit_nilp)
 
     p = sub.add_parser("casestudy", help="shipyard surveillance model generator")
@@ -368,12 +359,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--dalt", type=int, default=0)
     p.add_argument("--per-sensor", action="store_true", help="free per-sensor grades")
     p.add_argument("--concrete", action="store_true", help="inline the configuration")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_casestudy)
 
     p = sub.add_parser("bench", help="size/timing table over a directory of models")
     p.add_argument("dir")
-    _add_common(p)
+    _add_state_cap(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_bench)
 
     return ap

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 Value = Union[Fraction, bool]
@@ -201,29 +201,22 @@ def names_in(expr: Expr) -> frozenset:
     return frozenset(out)
 
 
-def equality_conjuncts(
-    guard: Expr, variables: Iterable[str], constants: Iterable[str]
-) -> Optional[dict]:
+def equality_conjuncts(guard: Expr, variables: Container[str]) -> Optional[dict]:
     """The state variables ``guard`` fixes to literals, as ``{v: c}`` for
-    every ``v = c`` or ``c = v`` conjunct of its top-level ``&`` chain, or
-    None when two conjuncts fix one variable to different values.
+    every ``v = c`` or ``c = v`` conjunct of its top-level ``&`` chain with
+    ``v`` in ``variables``, or None when two conjuncts fix one variable to
+    different values.
 
-    Only the prefix of the chain that cannot raise is read: conjuncts free
-    of division that sort-check as booleans over ``variables`` and
-    ``constants`` (all numeric).  So wherever some ``v`` differs from its
+    ``guard`` is a guard of a well-formed program (``check_program``): it
+    is boolean-sorted over bound names, so evaluating it can raise only at
+    a division.  Only the prefix of the chain before the first conjunct
+    with a division is read.  So wherever some ``v`` differs from its
     ``c``, the guard evaluates to False without raising, and a caller may
     skip it there; under None it is False everywhere.
     """
-    variables = set(variables)
-    sorts = {n: SORT_NUM for n in itertools.chain(variables, constants)}
     fixed: dict = {}
     for c in _conjuncts(guard):
         if any(isinstance(e, Binary) and e.op == "/" for e in _nodes(c)):
-            break
-        try:
-            if infer_sort(c, sorts) != SORT_BOOL:
-                break
-        except ExprError:
             break
         if not (isinstance(c, Binary) and c.op == "="):
             continue
@@ -261,21 +254,14 @@ def _nodes(expr: Expr) -> Iterator[Expr]:
 
 
 def fold(expr: Expr) -> Expr:
-    """Fold literal-only subtrees into literals (bottom-up, exact).
+    """Fold literal-only subtrees into literals (bottom-up, exact):
+    ``substitute`` with nothing to replace.
 
     The parser folds on construction, so programmatically built expressions
     should be folded too when textual round-tripping matters.  A subtree
     with nothing to fold is returned as it is, the same object.
     """
-    if isinstance(expr, (Num, BoolLit, Name)):
-        return expr
-    if isinstance(expr, Unary):
-        return _fold_unary(expr, fold(expr.operand))
-    if isinstance(expr, Binary):
-        return _fold_binary(expr, fold(expr.left), fold(expr.right))
-    if isinstance(expr, Extremum):
-        return _fold_extremum(expr, tuple(fold(a) for a in expr.args))
-    raise TypeError(f"not an expression: {expr!r}")
+    return substitute(expr, {})
 
 
 # one level of ``fold``: ``expr`` with its children replaced by the folded

@@ -31,7 +31,7 @@ import warnings
 from collections import abc
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .expressions import (
     CompiledExprs,
@@ -149,8 +149,9 @@ class Strategy:
         ``choice_probs`` keeps only the picks: each ``{pick: Fraction(1)}``
         is built when it is read.  It compares equal to, and prints as, the
         list of those dicts."""
+        picks, one = list(picks), Fraction(1)
         strategy = cls.__new__(cls)
-        strategy.choice_probs = _Picks(picks)
+        strategy.choice_probs = LazySequence(len(picks), lambda s: {int(picks[s]): one})
         return strategy
 
     def pick(self, state: int) -> int:
@@ -161,23 +162,23 @@ class Strategy:
         return next(iter(dist))
 
 
-class _Picks(abc.Sequence):
-    """The ``choice_probs`` of ``Strategy.deterministic``: per state, the
-    weight ``{pick: Fraction(1)}``, built when it is read."""
+class LazySequence(abc.Sequence):
+    """The read-only sequence of ``length`` items whose item ``i`` is
+    ``item(i)``, made each time it is read.  Negative indices count from
+    the end, and an index out of range raises ``IndexError``.  It is equal
+    to, and prints as, the list of its items."""
 
-    _ONE = Fraction(1)
-
-    def __init__(self, picks: Sequence[int]):
-        self._picks = list(picks)
+    def __init__(self, length: int, item: Callable[[int], object]):
+        self._length, self._item = length, item
 
     def __len__(self) -> int:
-        return len(self._picks)
+        return self._length
 
-    def __getitem__(self, state: int) -> dict:
-        return {int(self._picks[state]): self._ONE}
+    def __getitem__(self, i: int):
+        return self._item(range(self._length)[i])
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (list, _Picks)):
+        if isinstance(other, (list, LazySequence)):
             return list(self) == list(other)
         return NotImplemented
 
@@ -232,8 +233,12 @@ def compose(program: Program) -> Program:
     variables = tuple(v for m in modules for v in m.variables)
     actions = frozenset(c.action for c in commands if c.action is not None)
     name = "_".join(m.name for m in modules)
-    composed = ModuleDecl(name, variables, actions, tuple(commands))
-    return replace(program, modules=(composed,))
+    composed = replace(program, modules=(ModuleDecl(name, variables, actions, tuple(commands)),))
+    # composing keeps a program well-formed: one module owns every
+    # variable and action, guards are conjoined, and each combined
+    # distribution is a product of distributions
+    object.__setattr__(composed, "_checked", program._checked)
+    return composed
 
 
 def _stable_action_order(modules) -> list:
@@ -312,8 +317,9 @@ def build_model(
 
     The program is checked with ``check_program`` first, unless it is
     marked as checked already (``program.program_errors``): one that
-    ``parse_program`` or an earlier build found well-formed, or the
-    controlled program ``transform.transform_all`` made from such a one.
+    ``parse_program``, an earlier build or a rewrite found well-formed, the
+    composition of such a one, or the output of a rewrite of ``transform``,
+    which takes only well-formed programs and keeps them well-formed.
     """
     diags = program_errors(program)
     if diags:
@@ -359,8 +365,8 @@ def build_model(
         return reduced.value if isinstance(reduced, Num) else reduced
 
     commands, rewards = module.commands, program.rewards
-    command_index = _guard_index([c.guard for c in commands], var_names, program.constants)
-    reward_index = _guard_index([r.guard for r in rewards], var_names, program.constants)
+    command_index = _guard_index([c.guard for c in commands], var_names)
+    reward_index = _guard_index([r.guard for r in rewards], var_names)
     label_exprs = list(program.labels.values())
     members: list = [[] for _ in label_exprs]
     label_errors: dict = {}  # label position -> error at its first failing state
@@ -467,7 +473,7 @@ def build_model(
     return model if valuation is None else instantiate(model, valuation)
 
 
-def _guard_index(guards: Sequence[Expr], var_names: tuple, constants) -> tuple:
+def _guard_index(guards: Sequence[Expr], var_names: tuple) -> tuple:
     """Bit sets over guard indices for ``_candidates``: the guards that can
     hold at all, and per state position that some guard's equality
     conjuncts fix, a table from each fixed value to the guards that admit
@@ -476,7 +482,7 @@ def _guard_index(guards: Sequence[Expr], var_names: tuple, constants) -> tuple:
     every = 0
     fixing: dict = {}  # position -> {value: guards fixing that value}
     for i, guard in enumerate(guards):
-        fixed = equality_conjuncts(guard, var_names, constants)
+        fixed = equality_conjuncts(guard, var_names)
         if fixed is None:
             continue
         every |= 1 << i

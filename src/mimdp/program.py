@@ -74,9 +74,9 @@ class Program:
     modules: tuple  # tuple[ModuleDecl, ...]
     rewards: tuple  # tuple[RewardDecl, ...]
     labels: dict  # name -> Expr, declaration order
-    # set by ``program_errors`` once ``check_program`` found no error, and
-    # by ``transform.transform_all`` on the rewrite of a marked program; a
-    # copy made with ``dataclasses.replace`` starts unmarked
+    # set by ``program_errors`` once ``check_program`` found no error, kept
+    # by ``models.compose`` and set by each rewrite of ``transform`` on its
+    # output; a copy made with ``dataclasses.replace`` starts unmarked
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
     # the implication checks' analysis of each guard (``transform._guard_facts``),
     # kept while ``transform.transform_rewards`` runs

@@ -360,11 +360,6 @@ class ShipyardConfig:
         if isinstance(self.grades, tuple) and len(self.grades) != 4:
             raise ValueError("per-sensor grades need exactly 4 entries")
 
-    def uniform_grade(self) -> SensorGrade:
-        if isinstance(self.grades, SensorGrade):
-            return self.grades
-        raise ValueError("configuration uses per-sensor grades")
-
 
 def intruder_area_cost(task: TaskGeometry, config: ShipyardConfig) -> float:
     """Cost of an intruder-prompted area search, exactly as published

@@ -508,10 +508,11 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
     if not admissible:
         raise SynthesisError("no well-defined valuation exists")
 
+    def matches(u: dict, fixed: dict) -> bool:
+        return all(u.get(p) == v for p, v in fixed.items())
+
     def extendable(fixed: dict) -> bool:
-        return any(
-            all(u.get(p) == v for p, v in fixed.items()) for u in admissible
-        )
+        return any(matches(u, fixed) for u in admissible)
 
     disabled_for: Dict[Tuple[str, Fraction], FrozenSet[str]] = {}
     for p, values in params.items():
@@ -585,7 +586,9 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
 
     # lexicographic certification: fix parameters one by one to the earliest
     # declared value that still achieves the optimum and still lies under
-    # some well-defined valuation
+    # some well-defined valuation.  If none does, the optimum rests on
+    # commitments outside every well-defined valuation: a second pass takes
+    # the earliest value that achieves it, and says so
     committed = report.committed_values()
     occurring = [p for p in params if p in committed]
     flags = []
@@ -593,35 +596,25 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
     final = root
     for p in occurring:
         chosen = None
-        for v in params[p]:
-            if not extendable({**fixed, p: v}):
-                continue
-            sub = solve_fixed({**fixed, p: v})
-            if sub is not None and sub[0].expected_cost <= best_value + TIE_TOL:
-                chosen = (v, sub)
-                break
-        if chosen is None:
-            # the optimum rests on commitments outside every well-defined
-            # valuation; fall back to the pure value filter and say so
+        for well_defined in (True, False):
             for v in params[p]:
+                if well_defined and not extendable({**fixed, p: v}):
+                    continue
                 sub = solve_fixed({**fixed, p: v})
                 if sub is not None and sub[0].expected_cost <= best_value + TIE_TOL:
                     chosen = (v, sub)
-                    flags.append(
-                        f"parameter '{p}' fixed outside the well-defined set"
-                    )
                     break
+            if chosen is not None:
+                break
         if chosen is None:
             raise SynthesisError("lexicographic certification lost the optimum")
+        if not well_defined:
+            flags.append(f"parameter '{p}' fixed outside the well-defined set")
         fixed[p] = chosen[0]
         final = chosen[1]
 
     res, commits, _ = final
-    valuation = None
-    for u in admissible:
-        if all(u.get(p) == v for p, v in fixed.items()):
-            valuation = dict(u)
-            break
+    valuation = next((dict(u) for u in admissible if matches(u, fixed)), None)
     if valuation is None:
         valuation = dict(fixed)
         for p in params:

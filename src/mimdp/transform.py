@@ -21,7 +21,13 @@ Three rewrites over a composed (single-module) program:
    to two different values along a path.
 
 Transformations are deterministic: identical input programs yield
-byte-identical pretty-printed output.
+byte-identical pretty-printed output.  Each rewrite takes only a
+well-formed program: it raises ``TransformError`` with the diagnostics of
+``check_program`` otherwise, a check that costs nothing for a program
+marked as checked (``program.program_errors``).  Its output is well-formed
+again (fresh names, selector values inside their domains, literal
+probabilities only from rows that form distributions) and is marked as
+checked, so ``models.build_model`` does not check it again.
 
 Whether a command anchors a parametric reward (its guard implies the
 reward guard) and whether two parametric reward guards overlap is decided
@@ -39,7 +45,7 @@ makes the controlled model cheap to explore (``models.build_model``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -57,7 +63,7 @@ from .expressions import (
     names_in,
 )
 from .models import compose, pair_distribution_fault
-from .program import CommandDecl, ModuleDecl, Program, RewardDecl, VarDecl
+from .program import CommandDecl, ModuleDecl, Program, RewardDecl, VarDecl, program_errors
 
 IMPLICATION_CAP = 1_000_000
 
@@ -122,6 +128,23 @@ def _fresh(base: str, taken: set) -> str:
     return name
 
 
+def _require_well_formed(program: Program) -> None:
+    """Raise ``TransformError`` with the diagnostics of ``check_program``
+    unless ``program`` is well-formed; a marked program is not checked
+    again (``program.program_errors``)."""
+    diags = program_errors(program)
+    if diags:
+        raise TransformError("program is not well-formed: " + "; ".join(map(str, diags)))
+
+
+def _derive(program: Program, **changes) -> Program:
+    """``program`` with ``changes``, marked as checked: a rewrite takes a
+    well-formed program and keeps it well-formed."""
+    out = replace(program, **changes)
+    object.__setattr__(out, "_checked", True)
+    return out
+
+
 def _guard_facts(g: Expr, program: Program):
     """The variables of ``program`` that ``g`` mentions, and the points of
     those ``g`` fixes (``equality_conjuncts``): per fixed variable, its
@@ -133,7 +156,7 @@ def _guard_facts(g: Expr, program: Program):
     facts = program._guard_facts.get(id(g))
     if facts is None:
         variables = program.variables()
-        fixed = equality_conjuncts(g, variables, program.constants)
+        fixed = equality_conjuncts(g, variables)
         if fixed is not None:
             fixed = {
                 v: [c.numerator] if c.denominator == 1
@@ -178,7 +201,7 @@ def _guard_witness(g: Expr, h: Expr, program: Program, h_value: bool) -> bool:
     for combo in points:
         env = dict(consts)
         env.update(zip(used, combo))
-        if eval_expr(g, env) and bool(eval_expr(h, env)) is h_value:
+        if eval_expr(g, env) and eval_expr(h, env) is h_value:
             return True
     return False
 
@@ -204,13 +227,7 @@ def _prune_parameters(program: Program) -> Program:
     kept = {p: v for p, v in program.parameters.items() if p in used}
     if len(kept) == len(program.parameters):
         return program
-    return Program(
-        constants=dict(program.constants),
-        parameters=kept,
-        modules=program.modules,
-        rewards=program.rewards,
-        labels=dict(program.labels),
-    )
+    return _derive(program, parameters=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +245,10 @@ def transform_rewards(program: Program) -> Tuple[Program, TransformReport]:
     Parametric reward guards must be pairwise disjoint.
 
     The implication checks analyse each guard once (``_guard_facts``); the
-    analysis is dropped when the rewrite ends.
+    analysis is dropped when the rewrite ends.  Raises ``TransformError``
+    on a program that is not well-formed.
     """
+    _require_well_formed(program)
     program = compose(program)
     try:
         return _select_rewards(program)
@@ -270,10 +289,7 @@ def _select_rewards(program: Program) -> Tuple[Program, TransformReport]:
         rows, values = [], []
         for row, point in exprs.points(occurring):
             rows.append(row)
-            v = point.pair(node)
-            if v.__class__ is bool:
-                raise TransformError(f"reward {ri + 1} is boolean-sorted")
-            if v[0] < 0:
+            if point.pair(node)[0] < 0:
                 raise TransformError(
                     f"reward {ri + 1} evaluates to {format_fraction(point(node))} < 0"
                 )
@@ -353,13 +369,7 @@ def _select_rewards(program: Program) -> Tuple[Program, TransformReport]:
     )
     actions = module.actions | frozenset(report.fresh_actions)
     new_module = ModuleDecl(module.name, variables, actions, tuple(commands))
-    new_program = Program(
-        constants=dict(program.constants),
-        parameters=dict(program.parameters),
-        modules=(new_module,),
-        rewards=tuple(rewards),
-        labels=dict(program.labels),
-    )
+    new_program = _derive(program, modules=(new_module,), rewards=tuple(rewards))
     return _prune_parameters(new_program), report
 
 
@@ -378,7 +388,9 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
     computed once per combination of the parameters it mentions, across
     rows and commands.  A row is checked on the exact pairs the compiled
     expressions hold, and only a kept row's probabilities become literals.
+    Raises ``TransformError`` on a program that is not well-formed.
     """
+    _require_well_formed(program)
     program = compose(program)
     module = program.single_module()
     params = program.parameters
@@ -399,7 +411,7 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
         nodes = [exprs.add(prob) for prob, _ in cmd.branches]
         for i, (row, point) in enumerate(exprs.points(occurring), start=1):
             held = [point.pair(n) for n in nodes]
-            if any(v.__class__ is bool for v in held) or pair_distribution_fault(held) is not None:
+            if pair_distribution_fault(held) is not None:
                 continue
             action = _fresh(f"_row{ci}_{i}", taken_actions)
             report.fresh_actions[action] = tuple((p, row[p]) for p in row)
@@ -419,14 +431,7 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
 
     actions = frozenset(c.action for c in commands if c.action is not None)
     new_module = ModuleDecl(module.name, module.variables, actions, tuple(commands))
-    new_program = Program(
-        constants=dict(consts),
-        parameters=dict(params),
-        modules=(new_module,),
-        rewards=tuple(program.rewards),
-        labels=dict(program.labels),
-    )
-    return _prune_parameters(new_program), report
+    return _prune_parameters(_derive(program, modules=(new_module,))), report
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +443,10 @@ def add_control(program: Program, report: TransformReport) -> Program:
     One boolean per (parameter, value) pair appearing in the report; every
     fresh action synchronizes with a control command raising its pair
     booleans, and the committing command is additionally guarded by the
-    negation of all conflicting pair booleans.
+    negation of all conflicting pair booleans.  Raises ``TransformError``
+    on a program that is not well-formed.
     """
+    _require_well_formed(program)
     if not report.fresh_actions:
         return program
     module = program.single_module()
@@ -452,7 +459,8 @@ def add_control(program: Program, report: TransformReport) -> Program:
 
     # the transformed program no longer declares the original parameters
     params = report.committed_values()
-    taken = set(program.constants) | set(params) | set(program.variables())
+    taken = (set(program.constants) | set(program.parameters) | set(params)
+             | set(program.variables()))
     flag: Dict[Tuple[str, Fraction], str] = {}
     flag_decls = []
     # per commitment, the terms saying no other value of its parameter is
@@ -492,29 +500,16 @@ def add_control(program: Program, report: TransformReport) -> Program:
         frozenset(report.fresh_actions),
         tuple(control_cmds),
     )
-    return Program(
-        constants=dict(program.constants),
-        parameters=dict(program.parameters),
-        modules=(main, control),
-        rewards=tuple(program.rewards),
-        labels=dict(program.labels),
-    )
+    return _derive(program, modules=(main, control))
 
 
 def transform_all(program: Program) -> Tuple[Program, TransformReport]:
     """compose, then rewards, then probabilities, then the control module.
 
-    The rewrite of a program marked as checked (``program.program_errors``)
-    is marked too, so ``models.build_model`` does not check it again: the
-    rewrites keep a well-formed program well-formed (fresh names, selector
-    values inside their domains, literal probabilities only from rows that
-    form distributions).  The rewrite of an unmarked program is unmarked.
+    An unmarked well-formed program is checked once, by the first rewrite;
+    the output of each is marked as checked, and so is the result.
     """
-    composed = compose(program)
-    p1, r1 = transform_rewards(composed)
+    p1, r1 = transform_rewards(program)
     p2, r2 = transform_probabilities(p1)
     report = _chain(r1, r2)
-    out = add_control(p2, report) if report.fresh_actions else p2
-    if program._checked:
-        object.__setattr__(out, "_checked", True)
-    return out, report
+    return add_control(p2, report), report

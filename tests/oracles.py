@@ -12,6 +12,9 @@ values, kept as references for the differential tests of the code that
 replaced them.  Value iteration is kept twice: the one-configuration loop
 (``_iterate``, ``_sweep_residual``) and the stacked loop that swept every
 state of the model (``stacked_iterate``, ``_stacked_sweep_residual``).
+At the end, the three hand-written lazy sequences (``_Picks``,
+``_ProductStates``, ``_ProductRows``) and the ``equality_conjuncts`` that
+sort-checked each conjunct (``seed_equality_conjuncts``).
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,9 +41,12 @@ from mimdp.checking import (
     reach_prob,
 )
 from mimdp.expressions import (
+    SORT_BOOL,
+    SORT_NUM,
     Binary,
     BoolLit,
     Expr,
+    ExprError,
     Extremum,
     Name,
     Num,
@@ -48,13 +55,16 @@ from mimdp.expressions import (
     Value,
     _as_bool,
     _binary,
+    _conjuncts,
     _extremum,
     _lookup,
+    _nodes,
     _unary,
     conjoin,
     eval_expr,
     fold,
     format_fraction,
+    infer_sort,
     joint_valuations,
     names_in,
     substitute,
@@ -2333,3 +2343,111 @@ def seed_distribution_fault(probs: Sequence[Fraction]) -> Optional[str]:
     if total != 1:
         return f"probabilities sum to {format_fraction(total)}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# the former lazy sequences: the picks of ``Strategy.deterministic`` and the
+# states and rows of the budget product of ``cost_bounded_reach``
+
+class _Picks(abc.Sequence):
+    """The ``choice_probs`` of ``Strategy.deterministic``: per state, the
+    weight ``{pick: Fraction(1)}``, built when it is read."""
+
+    _ONE = Fraction(1)
+
+    def __init__(self, picks: Sequence[int]):
+        self._picks = list(picks)
+
+    def __len__(self) -> int:
+        return len(self._picks)
+
+    def __getitem__(self, state: int) -> dict:
+        return {int(self._picks[state]): self._ONE}
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, _Picks)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class _ProductStates(abc.Sequence):
+    """The states of the budget product of ``cost_bounded_reach``: state
+    ``s * width + b`` is the base state ``s`` extended by the budget ``b``,
+    built when it is read."""
+
+    def __init__(self, states: Sequence[tuple], width: int):
+        self._states, self._width = states, width
+
+    def __len__(self) -> int:
+        return len(self._states) * self._width
+
+    def __getitem__(self, i: int) -> tuple:
+        s, b = divmod(range(len(self))[i], self._width)
+        return self._states[s] + (b,)
+
+
+class _ProductRows(abc.Sequence):
+    """The choices of the budget product of ``cost_bounded_reach``, each
+    row built when it is read."""
+
+    def __init__(self, model: ExplicitModel, tset: set, costs: list, width: int):
+        self._model, self._tset, self._costs, self._width = model, tset, costs, width
+
+    def __len__(self) -> int:
+        return self._model.num_states * self._width
+
+    def __getitem__(self, i: int) -> list:
+        i = range(len(self))[i]
+        s, b = divmod(i, self._width)
+        if s in self._tset:
+            return [Choice(None, ((Fraction(1), i),))]
+        b2 = max(b - self._costs[s], 0)
+        return [
+            Choice(ch.action, tuple((p, t * self._width + b2) for p, t in ch.branches))
+            for ch in self._model.choices[s]
+        ]
+
+
+# ---------------------------------------------------------------------------
+# the former equality conjuncts, which sort-checked every conjunct
+
+def seed_equality_conjuncts(
+    guard: Expr, variables: Iterable[str], constants: Iterable[str]
+) -> Optional[dict]:
+    """The state variables ``guard`` fixes to literals, as ``{v: c}`` for
+    every ``v = c`` or ``c = v`` conjunct of its top-level ``&`` chain, or
+    None when two conjuncts fix one variable to different values.
+
+    Only the prefix of the chain that cannot raise is read: conjuncts free
+    of division that sort-check as booleans over ``variables`` and
+    ``constants`` (all numeric).  So wherever some ``v`` differs from its
+    ``c``, the guard evaluates to False without raising, and a caller may
+    skip it there; under None it is False everywhere.
+    """
+    variables = set(variables)
+    sorts = {n: SORT_NUM for n in itertools.chain(variables, constants)}
+    fixed: dict = {}
+    for c in _conjuncts(guard):
+        if any(isinstance(e, Binary) and e.op == "/" for e in _nodes(c)):
+            break
+        try:
+            if infer_sort(c, sorts) != SORT_BOOL:
+                break
+        except ExprError:
+            break
+        if not (isinstance(c, Binary) and c.op == "="):
+            continue
+        if isinstance(c.right, Name) and isinstance(c.left, Num):
+            var, value = c.right.ident, c.left.value
+        elif isinstance(c.left, Name) and isinstance(c.right, Num):
+            var, value = c.left.ident, c.right.value
+        else:
+            continue
+        if var not in variables:
+            continue
+        if fixed.setdefault(var, value) != value:
+            return None
+    return fixed

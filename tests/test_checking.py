@@ -20,7 +20,7 @@ from mimdp.checking import (
     reach_prob,
 )
 from mimdp.expressions import Name
-from mimdp.models import Choice, ExplicitModel, ModelError, build_model, instantiate
+from mimdp.models import Choice, ExplicitModel, ModelError, Strategy, build_model, instantiate
 from mimdp.parser import parse_program
 from mimdp.transform import transform_all
 
@@ -580,6 +580,63 @@ def test_array_built_product_equals_the_former_on_the_retry_channel(monkeypatch,
                 for direction in ("min", "max"):
                     _assert_same_cbr(monkeypatch, model, label, bound, direction)
     assert _assert_same_cbr(monkeypatch, chain, "delivered", 20)[0] == "value"
+
+
+def _same_items(new, former):
+    """``new`` reads as the former lazy sequence ``former``: item for item,
+    from either end, and with ``IndexError`` past either end."""
+    n = len(former)
+    assert len(new) == n
+    assert [new[i] for i in range(-n, n)] == [former[i] for i in range(-n, n)]
+    for i in (n, -n - 1):
+        for seq in (new, former):
+            with pytest.raises(IndexError):
+                seq[i]
+    assert new == list(former)
+
+
+def test_the_lazy_sequences_equal_the_former_ones(monkeypatch, models_dir):
+    """The budget product's states and rows, and the picks of the
+    strategies ``reach_prob`` returns, against the former hand-written
+    sequences (``oracles``): on the C<20 product of the 200-retry chain, a
+    unit-cost chain's product and the controlled 200-retry MDP."""
+    chain, mdp = _retry_models(models_dir, retries=200)
+    products, made = [], []
+    real = Strategy.deterministic.__func__
+
+    def deterministic(cls, picks):
+        strategy = real(cls, picks)
+        made.append((list(picks), strategy))
+        return strategy
+
+    # the hand model's last state is a target that leaves: its product rows
+    # are self-loops on the index read, normalized when read from the end
+    hand = _hand_model([[_ch((1, 1))], [_ch((0.5, 0), (0.5, 2))], [_ch((1, 0), action="a")]],
+                       [1, 2, 0])
+    cases = [(chain, "delivered", 20), (_unit_chain(), "t", 4), (hand, "t", 3)]
+    with monkeypatch.context() as m:
+        _recording(m, checking, products)
+        m.setattr(Strategy, "deterministic", classmethod(deterministic))
+        for model, target, bound in cases:
+            cost_bounded_reach(model, target, bound)
+        for direction in ("min", "max"):
+            reach_prob(mdp, "gaveup", direction)
+    assert len(products) == 3 and len(products[0].states) == 8421
+    for product, (model, target, bound) in zip(products, cases):
+        width = bound + 1
+        tset = checking._target_set(model, target)
+        costs = [int(c) for c in model.costs]
+        _same_items(product.states, oracles._ProductStates(model.states, width))
+        _same_items(product.choices, oracles._ProductRows(model, tset, costs, width))
+    assert [len(picks) for picks, _ in made] == [8421, 20, 12, mdp.num_states, mdp.num_states]
+    for picks, strategy in made:
+        former = oracles._Picks(picks)
+        _same_items(strategy.choice_probs, former)
+        assert repr(strategy.choice_probs) == repr(former)
+    # picks are converted to int when read
+    lazy = Strategy.deterministic(np.array(made[-1][0]))
+    assert all(type(a) is int for dist in lazy.choice_probs for a in dist)
+    _same_items(lazy.choice_probs, oracles._Picks(np.array(made[-1][0])))
 
 
 def _hand_model(rows, costs, kind="mdp"):

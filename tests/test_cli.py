@@ -1,6 +1,6 @@
 import json
 
-from mimdp.cli import main
+from mimdp.cli import _fmt9, main
 
 
 def run(capsys, *argv):
@@ -233,3 +233,29 @@ def test_unreadable_input_exits_two(capsys):
     code, _, err = run(capsys, "parse", "no_such_file.mgcl")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_a_subcommand_refuses_an_option_it_does_not_read(capsys, models_dir):
+    path = str(models_dir / "two_stage.mgcl")
+    synthesize = ("synthesize", path, "--phi", 'P<=0.2 [F "s2"]', "--goal", "absorb")
+    for extra in (("--tol", "1e-3"), ("--state-cap", "10")):
+        code, out, err = run(capsys, *synthesize, *extra)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {extra[0]}" in err
+    code, _, err = run(capsys, "parse", path, "-o", "out.mgcl")
+    assert code == 2 and "unrecognized arguments: -o" in err
+
+
+def test_check_reads_its_tolerance_and_state_cap(capsys, models_dir):
+    check = ("check", str(models_dir / "retry_channel.mgcl"), "--valuation", "loss=0.4",
+             "--prop", 'ECmin=? [F "stopped"]')
+    values = []
+    for tol in ("1e-8", "1e-3"):
+        code, out, _ = run(capsys, *check, "--tol", tol)
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    # value iteration stops earlier under the looser tolerance
+    assert values[0] == _fmt9(1 / 0.6) and values[1] != values[0]
+    assert abs(values[1] - values[0]) <= 1e-2
+    code, _, err = run(capsys, *check, "--state-cap", "10")
+    assert code == 2 and "state cap of 10 states exceeded" in err

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from generators import random_mimdp_program
 from mimdp import models, shipyard, transform
-from mimdp.expressions import DivisionByZero, ExprError, SortError, equality_conjuncts
+from mimdp.expressions import DivisionByZero, ExprError, equality_conjuncts
 from mimdp.models import ModelError, build_model
 from mimdp.parser import parse_file, parse_program
 from mimdp.program import pretty
@@ -128,7 +128,7 @@ def test_adversarial_guards_build_as_before():
     assert model.num_states > 4
     module = program.single_module()
     var_names = ("loc", "x")
-    fixed = [equality_conjuncts(c.guard, var_names, program.constants) for c in module.commands]
+    fixed = [equality_conjuncts(c.guard, var_names) for c in module.commands]
     assert fixed[0] == {"loc": 3}
     assert fixed[1] is None
     assert fixed[2] == {"loc": 0}  # an equality after a non-equality conjunct
@@ -170,19 +170,56 @@ def _division_program(guard, extra=""):
     """)
 
 
-@pytest.mark.parametrize("guard, rewards", [
+DIVISIONS = [
     ("x / (y - 1) > 0 & loc = 2", ""),
     ("loc = 2 & x / (y - 1) > 0", ""),
     ("loc = 2 & (x / (y - 1) > 0 & y = 0)", ""),
     ("true", "rewards loc = 2 & 1 / (y - 1) > 0 : 1; endrewards"),
     ("true", "rewards 1 / (y - 1) > 0 & loc = 2 : 1; endrewards"),
-])
+]
+
+
+@pytest.mark.parametrize("guard, rewards", DIVISIONS)
 def test_a_failing_guard_raises_the_same_error_at_the_same_state(
         guard, rewards, monkeypatch):
     program = _division_program(guard, rewards)
     got = _raise_site(models, build_model, program, monkeypatch)
     want = _raise_site(oracles, oracles.seed_build_model, program, monkeypatch)
     assert got == want
+
+
+def _same_conjuncts(program) -> int:
+    """``equality_conjuncts`` equals the former, sort-checking one on every
+    command and reward guard of ``program``; the number of guards."""
+    variables = tuple(program.variables())
+    guards = [c.guard for m in program.modules for c in m.commands]
+    guards += [r.guard for r in program.rewards]
+    for g in guards:
+        want = oracles.seed_equality_conjuncts(g, variables, program.constants)
+        assert equality_conjuncts(g, variables) == want, g
+    return len(guards)
+
+
+def test_equality_conjuncts_equal_the_former_on_every_guard(models_dir):
+    programs = [parse_program(ADVERSARIAL)]
+    programs += [_division_program(guard, rewards) for guard, rewards in DIVISIONS]
+    rng = random.Random(13)
+    programs += [random_mimdp_program(rng, max_states=rng.choice((6, 14)))[0]
+                 for _ in range(100)]
+    programs += [parse_file(path) for path in sorted(models_dir.glob("*.mgcl"))]
+    for per_sensor in (False, True):
+        text = shipyard.generate_program(
+            shipyard.ShipyardConfig(missions=1), True, per_sensor_grades=per_sensor
+        )
+        programs.append(parse_program(text))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        programs += [transform_all(p)[0] for p in programs]
+    assert len(programs) == 2 * (1 + 5 + 100 + 3 + 2)
+    assert sum(map(_same_conjuncts, programs)) > 10_000
+    # a division stops the reading: the equality after it fixes nothing
+    first = _division_program(*DIVISIONS[0])
+    assert equality_conjuncts(first.single_module().commands[2].guard, ("loc", "x", "y")) == {}
 
 
 def test_the_first_failing_label_is_raised():
@@ -215,28 +252,6 @@ def test_implication_checks_skip_only_points_where_the_guard_is_false():
     assert _outcome(transform_all, program) == want
 
 
-def test_an_unchecked_guard_fails_where_its_equality_does_not_hold():
-    # "loc" is no boolean: the first conjunct raises a sort error at
-    # loc = 0 and holds at loc = 1, so the equality after it must not
-    # narrow the points of an unchecked program
-    src = """
-    param p in {1, 2};
-    module m
-      loc : [0..1] init 0;
-      [] (loc = 1 | loc) & loc = 1 -> true;
-      [] loc = 0 -> (loc'=1);
-    endmodule
-    rewards
-      loc = 1 : p;
-    endrewards
-    """
-    program = parse_program(src, check=False)
-    assert equality_conjuncts(program.single_module().commands[0].guard, ("loc",), ()) == {}
-    want = _outcome(_former_transform_all, program)
-    assert want[0] is SortError
-    assert _outcome(transform_all, program) == want
-
-
 def test_an_oversized_implication_check_is_refused_as_before():
     src = """
     param p in {1, 2};
@@ -266,7 +281,7 @@ def test_the_build_evaluates_only_candidate_guards(uniform_shipyard, monkeypatch
         composed = real_compose(program)
         var_names = tuple(composed.variables())
         for c in composed.single_module().commands:
-            fixed[id(c.guard)] = equality_conjuncts(c.guard, var_names, composed.constants)
+            fixed[id(c.guard)] = equality_conjuncts(c.guard, var_names)
         return composed
 
     evaluated = []
