@@ -5,11 +5,16 @@ is exact, and floats only appear once a caller converts results for a numeric
 solver.  Expressions are immutable and compare structurally, which the
 round-trip guarantee of the pretty printer relies on.
 
-``eval_expr`` evaluates on ``Fraction``s.  ``CompiledExprs``, which
-evaluates many expressions at many points of a parameter product, holds its
-values as exact, normalized ``(numerator, denominator)`` pairs of ints and
-makes ``Fraction``s only where values leave it; its errors are raised by
-the helpers ``eval_expr`` raises them with.
+Each operator is written once, in one kernel on exact, normalized
+``(numerator, denominator)`` pairs of ints and bools, with its sort and
+division-by-zero checks.  Three traversals apply it: ``eval_pairs``, the
+tree walk on pair environments (``eval_expr`` is that walk with its
+environment and value converted from and to ``Fraction``s at the
+boundary), ``fold``/``substitute``, which fold literal subtrees through
+it, and ``CompiledExprs``, which evaluates many expressions at many points
+of a parameter product and makes ``Fraction``s only where values leave it.
+Each keeps only its own short-circuit of ``&`` and ``|``, so values, error
+types and messages agree.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
-Rational = Fraction
 Value = Union[Fraction, bool]
 
 
@@ -99,43 +103,34 @@ FALSE = BoolLit(False)
 
 _ARITH_BIN = {"+", "-", "*", "/"}
 _CMP_BIN = {"=", "!=", "<", "<=", ">", ">="}
-_BOOL_BIN = {"&", "|"}
 
 
-def num(x) -> Num:
-    return Num(Fraction(x))
+# ---------------------------------------------------------------------------
+# the operator kernel, on values in pair form: a number is an exact,
+# normalized ``(numerator, denominator)`` pair of ints with a positive
+# denominator, a boolean is a bool.  ``e`` is the node applied: errors name it.
 
-
-def _as_fraction(v: Value, ctx: Expr) -> Fraction:
-    # also the sort check of ``CompiledExprs``, whose numbers are int pairs
-    if isinstance(v, bool):
-        raise SortError(f"expected a number, got a boolean in {to_text(ctx)}")
+def _as_number(v, e: Expr):
+    if v.__class__ is bool:
+        raise SortError(f"expected a number, got a boolean in {to_text(e)}")
     return v
 
 
-def _as_bool(v: Value, ctx: Expr) -> bool:
-    if not isinstance(v, bool):
-        raise SortError(f"expected a boolean, got a number in {to_text(ctx)}")
+def _as_bool(v, e: Expr) -> bool:
+    if v.__class__ is not bool:
+        raise SortError(f"expected a boolean, got a number in {to_text(e)}")
     return v
 
 
-def _lookup(expr: Name, env: Mapping[str, Union[Fraction, int, bool]]) -> Value:
-    try:
-        v = env[expr.ident]
-    except KeyError:
-        raise UnboundName(expr.ident) from None
-    return v if isinstance(v, (Fraction, bool)) else Fraction(v)
+def _unary_op(op: str, x, e: Expr):
+    """``-x`` or ``!x``."""
+    if op == "-":
+        p, q = _as_number(x, e)
+        return -p, q
+    return not _as_bool(x, e)
 
 
-def _unary(expr: Unary, v: Value) -> Value:
-    return -_as_fraction(v, expr) if expr.op == "-" else not _as_bool(v, expr)
-
-
-_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
+_COMPARE = {
     "=": operator.eq,
     "!=": operator.ne,
     "<": operator.lt,
@@ -145,42 +140,92 @@ _OPS = {
 }
 
 
-def _binary(expr: Binary, lv: Value, rv: Value) -> Value:
-    """An arithmetic or comparison operator applied to evaluated operands."""
-    a, b = _as_fraction(lv, expr), _as_fraction(rv, expr)
-    if expr.op == "/" and b == 0:
-        raise _division_by_zero(expr)
-    return _OPS[expr.op](a, b)
+def _binary_op(op: str, x, y, e: Expr):
+    """An arithmetic or comparison operator: one ``gcd`` per arithmetic
+    result, cross products for a comparison (the denominators are
+    positive)."""
+    if x.__class__ is bool or y.__class__ is bool:
+        _as_number(x, e)
+        _as_number(y, e)
+    (p, q), (r, s) = x, y
+    if op == "*":
+        p, q = p * r, q * s
+    elif op == "+":
+        p, q = (p + r, q) if q == s else (p * s + r * q, q * s)
+    elif op == "-":
+        p, q = (p - r, q) if q == s else (p * s - r * q, q * s)
+    elif op == "/":
+        if r == 0:
+            raise DivisionByZero(f"division by zero in {to_text(e)}")
+        p, q = (p * s, q * r) if r > 0 else (-p * s, -q * r)
+    else:
+        return _COMPARE[op](p * s, r * q)
+    d = gcd(p, q)
+    return p // d, q // d
 
 
-def _division_by_zero(expr: Binary) -> DivisionByZero:
-    return DivisionByZero(f"division by zero in {to_text(expr)}")
+def _extremum_op(op: str, values: Iterable, e: Expr) -> Tuple[int, int]:
+    """``min`` or ``max`` of ``values``, the first of equal ones.  They may
+    be lazy: a sort error stops evaluation at its argument."""
+    v = None
+    for x in values:
+        p, q = x = _as_number(x, e)
+        if v is None or ((p * v[1] < v[0] * q) if op == "min" else (p * v[1] > v[0] * q)):
+            v = x
+    if v is None:
+        return (min if op == "min" else max)(())  # raises as on an empty list
+    return v
 
 
-def _extremum(expr: Extremum, values: Iterable[Value]) -> Fraction:
-    # ``values`` may be lazy: a sort error stops evaluation at its argument
-    vals = [_as_fraction(v, expr) for v in values]
-    return min(vals) if expr.op == "min" else max(vals)
+def _pair(v):
+    """A value in pair form: a bool as it is, a number (``Fraction``, int
+    or float) as its normalized ``(numerator, denominator)`` pair."""
+    if v.__class__ is bool:
+        return v
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return v.numerator, v.denominator
 
 
-def eval_expr(expr: Expr, env: Mapping[str, Union[Fraction, int, bool]]) -> Value:
-    """Exact evaluation of ``expr`` under ``env`` (name -> rational/int/bool)."""
+def _fraction(v) -> Value:
+    """A value in pair form as a ``Fraction`` or a bool."""
+    return v if v.__class__ is bool else Fraction(*v)
+
+
+def eval_pairs(expr: Expr, env: Mapping[str, object]):
+    """Exact evaluation of ``expr`` in pair form: ``env`` maps names to
+    pairs and bools, and the value is a pair or a bool.  ``&`` and ``|``
+    short-circuit; a name missing from ``env`` raises ``UnboundName``."""
     if isinstance(expr, (Num, BoolLit)):
-        return expr.value
+        return _pair(expr.value)
     if isinstance(expr, Name):
-        return _lookup(expr, env)
-    if isinstance(expr, Unary):
-        return _unary(expr, eval_expr(expr.operand, env))
+        try:
+            return env[expr.ident]
+        except KeyError:
+            raise UnboundName(expr.ident) from None
     if isinstance(expr, Binary):
         op = expr.op
         if op == "&":
-            return _as_bool(eval_expr(expr.left, env), expr) and _as_bool(eval_expr(expr.right, env), expr)
+            return _as_bool(eval_pairs(expr.left, env), expr) and _as_bool(eval_pairs(expr.right, env), expr)
         if op == "|":
-            return _as_bool(eval_expr(expr.left, env), expr) or _as_bool(eval_expr(expr.right, env), expr)
-        return _binary(expr, eval_expr(expr.left, env), eval_expr(expr.right, env))
+            return _as_bool(eval_pairs(expr.left, env), expr) or _as_bool(eval_pairs(expr.right, env), expr)
+        return _binary_op(op, eval_pairs(expr.left, env), eval_pairs(expr.right, env), expr)
+    if isinstance(expr, Unary):
+        return _unary_op(expr.op, eval_pairs(expr.operand, env), expr)
     if isinstance(expr, Extremum):
-        return _extremum(expr, (eval_expr(a, env) for a in expr.args))
+        return _extremum_op(expr.op, (eval_pairs(a, env) for a in expr.args), expr)
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def pair_env(env: Mapping[str, Union[Fraction, int, bool]]) -> dict:
+    """``env`` (name -> rational/int/bool) in pair form, for ``eval_pairs``."""
+    return {name: _pair(v) for name, v in env.items()}
+
+
+def eval_expr(expr: Expr, env: Mapping[str, Union[Fraction, int, bool]]) -> Value:
+    """Exact evaluation of ``expr`` under ``env`` (name -> rational/int/bool):
+    ``eval_pairs``, with ``env`` and the value converted at the boundary."""
+    return _fraction(eval_pairs(expr, pair_env(env)))
 
 
 def names_in(expr: Expr) -> frozenset:
@@ -265,33 +310,37 @@ def fold(expr: Expr) -> Expr:
 
 
 # one level of ``fold``: ``expr`` with its children replaced by the folded
-# ones given, itself when they are the children it has and nothing folds
+# ones given, itself when they are the children it has and nothing folds.
+# A node over literals is folded by ``eval_pairs``, except that a unary
+# operator or ``min``/``max`` over a literal of the wrong sort is kept.
+
+
+def _literal(v) -> Expr:
+    return BoolLit(v) if v.__class__ is bool else Num(Fraction(*v))
 
 
 def _fold_unary(expr: Unary, inner: Expr) -> Expr:
-    if expr.op == "-" and isinstance(inner, Num):
-        return Num(-inner.value)
-    if expr.op == "!" and isinstance(inner, BoolLit):
-        return BoolLit(not inner.value)
-    return expr if inner is expr.operand else Unary(expr.op, inner)
+    if inner is not expr.operand:
+        expr = Unary(expr.op, inner)
+    if isinstance(inner, Num if expr.op == "-" else BoolLit):
+        return _literal(eval_pairs(expr, {}))
+    return expr
 
 
 def _fold_binary(expr: Binary, left: Expr, right: Expr) -> Expr:
     if left is not expr.left or right is not expr.right:
         expr = Binary(expr.op, left, right)
     if isinstance(left, (Num, BoolLit)) and isinstance(right, (Num, BoolLit)):
-        v = eval_expr(expr, {})
-        return Num(v) if isinstance(v, Fraction) else BoolLit(v)
+        return _literal(eval_pairs(expr, {}))
     return expr
 
 
 def _fold_extremum(expr: Extremum, args: tuple) -> Expr:
+    if any(a is not b for a, b in zip(args, expr.args)):
+        expr = Extremum(expr.op, args)
     if all(isinstance(a, Num) for a in args):
-        vals = [a.value for a in args]
-        return Num(min(vals) if expr.op == "min" else max(vals))
-    if all(a is b for a, b in zip(args, expr.args)):
-        return expr
-    return Extremum(expr.op, args)
+        return _literal(eval_pairs(expr, {}))
+    return expr
 
 
 def substitute(expr: Expr, env: Mapping[str, Union[Fraction, int, bool]]) -> Expr:
@@ -301,10 +350,7 @@ def substitute(expr: Expr, env: Mapping[str, Union[Fraction, int, bool]]) -> Exp
         return expr
     if isinstance(expr, Name):
         if expr.ident in env:
-            v = env[expr.ident]
-            if isinstance(v, bool):
-                return BoolLit(v)
-            return Num(v if isinstance(v, Fraction) else Fraction(v))
+            return _literal(_pair(env[expr.ident]))
         return expr
     if isinstance(expr, Unary):
         return _fold_unary(expr, substitute(expr.operand, env))
@@ -328,21 +374,6 @@ _LIT, _PARAM, _UNBOUND, _UNARY, _BINARY, _AND, _OR, _EXTREMUM = range(8)
 _KIND = {"&": _AND, "|": _OR}
 
 
-def _pair(v: Value):
-    """A value as ``CompiledExprs`` holds it: a bool as it is, a number as
-    its normalized ``(numerator, denominator)`` pair, denominator > 0."""
-    if isinstance(v, bool):
-        return v
-    if not isinstance(v, Fraction):
-        v = Fraction(v)
-    return v.numerator, v.denominator
-
-
-def _fraction(v) -> Value:
-    """A value held as ``_pair`` holds it, as a ``Fraction`` or a bool."""
-    return v if v.__class__ is bool else Fraction(*v)
-
-
 class CompiledExprs:
     """Expressions over a finite product of parameter values, compiled once
     into a hash-consed DAG and evaluated lazily at points of the product.
@@ -360,9 +391,9 @@ class CompiledExprs:
     Inside the DAG a number is an exact, normalized ``(numerator,
     denominator)`` pair of ints with a positive denominator, and a boolean
     is a bool.  Literals and constants become pairs when they are compiled,
-    parameter values when the evaluator of a point is made.  ``+ - * /``
-    make one ``gcd`` per result, and the comparisons and ``min``/``max``
-    compare cross products.  ``Fraction``s are made only at the boundary:
+    parameter values when the evaluator of a point is made.  Operators are
+    the kernel's (``_binary_op``, ``_unary_op``, ``_extremum_op``), as in
+    ``eval_pairs``.  ``Fraction``s are made only at the boundary:
     an evaluator called with a node, and ``tables``, give ``Fraction``s
     and bools, each built at most once per node and key.  An evaluator's
     ``pair`` gives a value as the DAG holds it.
@@ -370,11 +401,11 @@ class CompiledExprs:
     Evaluation is exact and lazy: ``&`` and ``|`` short-circuit and
     ``min``/``max`` stop at a sort error, as in ``eval_expr``.  An error is
     never stored: it is raised, each time, by the node being evaluated,
-    through the helpers ``eval_expr`` raises it with, so its type and
-    message are the ones ``eval_expr`` gives (equal expressions render
-    alike).  Names bound in ``constants`` are literals; a name that is
-    neither raises ``UnboundName`` when it is reached.  An evaluator
-    (``points``, ``at``) evaluates the nodes added before it.
+    through the kernel, so its type and message are the ones ``eval_expr``
+    gives (equal expressions render alike).  Names bound in ``constants``
+    are literals; a name that is neither raises ``UnboundName`` when it is
+    reached.  An evaluator (``points``, ``at``) evaluates the nodes added
+    before it.
     """
 
     def __init__(
@@ -439,7 +470,7 @@ class CompiledExprs:
             if e.ident in self._position:
                 datum = self._position[e.ident]
             elif e.ident in self._constants:
-                kind, boundary = _LIT, _lookup(e, self._constants)
+                kind, boundary = _LIT, _fraction(_pair(self._constants[e.ident]))
             else:
                 kind, datum = _UNBOUND, e.ident
         else:
@@ -554,13 +585,9 @@ class _Point:
         kind = self.kinds[n]
         if kind == _LIT:
             return self.fractions[n]
-        if kind == _PARAM:
-            v = self.values[self.data[n]]
-            if v is None:
-                raise UnboundName(self.names[self.data[n]])
-            return v
-        if kind == _UNBOUND:
-            raise UnboundName(self.data[n])
+        if kind == _PARAM or kind == _UNBOUND:
+            self.pair(n)  # raises where the name is unbound
+            return self.values[self.data[n]]
         key = self.keys[self.groups[n]]
         if key is None:
             key = self._key(self.groups[n])
@@ -592,44 +619,15 @@ class _Point:
             return v
         op, a, e = self.data[n], self.args[n], self.exprs[n]
         if kind == _BINARY:
-            x, y = self.pair(a[0]), self.pair(a[1])
-            if x.__class__ is bool or y.__class__ is bool:  # a sort error
-                _as_fraction(x, e)
-                _as_fraction(y, e)
-            (p, q), (r, s) = x, y
-            if op == "*":
-                p, q = p * r, q * s
-            elif op == "+":
-                p, q = (p + r, q) if q == s else (p * s + r * q, q * s)
-            elif op == "-":
-                p, q = (p - r, q) if q == s else (p * s - r * q, q * s)
-            elif op == "/":
-                if r == 0:
-                    raise _division_by_zero(e)
-                p, q = (p * s, q * r) if r > 0 else (-p * s, -q * r)
-            else:
-                v = _OPS[op](p * s, r * q)
-            if v is None:
-                d = gcd(p, q)
-                v = (p // d, q // d)
+            v = _binary_op(op, self.pair(a[0]), self.pair(a[1]), e)
         elif kind == _UNARY:
-            x = self.pair(a[0])
-            if op == "-":
-                p, q = _as_fraction(x, e)
-                v = (-p, q)
-            else:
-                v = not _as_bool(x, e)
+            v = _unary_op(op, self.pair(a[0]), e)
         elif kind == _AND:
             v = _as_bool(self.pair(a[0]), e) and _as_bool(self.pair(a[1]), e)
         elif kind == _OR:
             v = _as_bool(self.pair(a[0]), e) or _as_bool(self.pair(a[1]), e)
         else:
-            for c in a:
-                p, q = x = _as_fraction(self.pair(c), e)
-                if v is None or ((p * v[1] < v[0] * q) if op == "min" else (p * v[1] > v[0] * q)):
-                    v = x
-            if v is None:
-                v = _extremum(e, ())  # no arguments: raises as ``eval_expr`` does
+            v = _extremum_op(op, map(self.pair, a), e)
         table[key] = v
         return v
 
@@ -650,7 +648,7 @@ def expr_value_set(expr: Expr, param_domains: Mapping[str, Sequence[Fraction]]) 
     exprs = CompiledExprs({n: param_domains[n] for n in param_domains if n in free})
     node = exprs.add(expr)
     points = exprs.points([n for n in param_domains if n in free])
-    return sorted({_as_fraction(value(node), expr) for _, value in points})
+    return sorted({_as_number(value(node), expr) for _, value in points})
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,17 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .expressions import (
+    Binary,
     CompiledExprs,
     Expr,
     ExprError,
     Num,
     equality_conjuncts,
-    eval_expr,
+    eval_pairs,
+    fold,
     format_fraction,
     joint_valuations,
+    pair_env,
     substitute,
     to_text,
 )
@@ -255,8 +258,6 @@ def _stable_action_order(modules) -> list:
 
 def _combine(action: str, commands: Sequence[CommandDecl]) -> CommandDecl:
     guard = commands[0].guard
-    from .expressions import Binary
-
     for c in commands[1:]:
         guard = Binary("&", guard, c.guard)
     branches = [(Num(Fraction(1)), ())]
@@ -275,8 +276,6 @@ def _combine(action: str, commands: Sequence[CommandDecl]) -> CommandDecl:
 
 
 def _mul_probs(a: Expr, b: Expr) -> Expr:
-    from .expressions import Binary, fold
-
     if isinstance(a, Num) and a.value == 1:
         return b
     if isinstance(b, Num) and b.value == 1:
@@ -312,8 +311,10 @@ def build_model(
     commands whose fixed values all match are candidates, and only their
     guards are evaluated, in ascending command order.  Every skipped guard
     would be False there without raising, so the model, and any error, is
-    the one a full scan of the guards gives.  Labels are evaluated once per
-    state on that state's environment.
+    the one a full scan of the guards gives.  Guards, updates, reward
+    guards and labels are evaluated by ``expressions.eval_pairs`` on one
+    environment per state in pair form: the constants, converted once per
+    build, and the state's values.  Labels are evaluated once per state.
 
     The program is checked with ``check_program`` first, unless it is
     marked as checked already (``program.program_errors``): one that
@@ -344,7 +345,8 @@ def build_model(
                     f"value {format_fraction(v)} not in the declared set of '{p}'"
                 )
 
-    base_env = dict(program.constants)
+    constants = program.constants
+    base_env = pair_env(constants)
     initial = tuple(v.init for v in var_decls)
     index = {initial: 0}
     states = [initial]
@@ -354,14 +356,10 @@ def build_model(
     queue = [0]
     qhead = 0
 
-    def var_env(state) -> dict:
-        env = dict(base_env)
-        env.update(zip(var_names, (Fraction(x) for x in state)))
-        return env
-
-    def prob_value(expr: Expr, env_consts) -> Prob:
-        # guards/updates are parameter-free; probabilities/costs may not be
-        reduced = substitute(expr, env_consts)
+    def prob_value(expr: Expr) -> Prob:
+        # probabilities and costs mention no state variable, and may
+        # mention parameters, which stay symbolic
+        reduced = substitute(expr, constants)
         return reduced.value if isinstance(reduced, Num) else reduced
 
     commands, rewards = module.commands, program.rewards
@@ -375,25 +373,26 @@ def build_model(
         si = queue[qhead]
         qhead += 1
         state = states[si]
-        env = var_env(state)
+        env = dict(base_env)
+        env.update(zip(var_names, [(x, 1) for x in state]))
         out: list = []
         for ci in _candidates(command_index, state):
             cmd = commands[ci]
-            if not eval_expr(cmd.guard, env):
+            if not eval_pairs(cmd.guard, env):
                 continue
             merged: dict = {}
             order: list = []
             for prob, update in cmd.branches:
-                p = prob_value(prob, env)
+                p = prob_value(prob)
                 target = list(state)
                 for var, rhs in update:
-                    val = eval_expr(rhs, env)
-                    if isinstance(val, bool) or val.denominator != 1:
+                    val = eval_pairs(rhs, env)
+                    if val.__class__ is bool or val[1] != 1:
                         raise ModelError(
                             f"non-integer update of '{var}' at state {_fmt(var_names, state)}"
                         )
                     lo, hi = domains[var]
-                    iv = int(val)
+                    iv = val[0]
                     if not (lo <= iv <= hi):
                         raise ModelError(
                             f"update leaves domain: {var}'={iv} not in [{lo}..{hi}] "
@@ -432,8 +431,8 @@ def build_model(
         cost: Prob = Fraction(0)
         for ri in _candidates(reward_index, state):
             r = rewards[ri]
-            if eval_expr(r.guard, env):
-                c = prob_value(r.cost, env)
+            if eval_pairs(r.guard, env):
+                c = prob_value(r.cost)
                 cost = _add_probs(cost, c)
         if isinstance(cost, Fraction) and cost < 0:
             raise ModelError(f"negative cost at state {_fmt(var_names, state)}")
@@ -445,7 +444,7 @@ def build_model(
             if k in label_errors:
                 continue
             try:
-                if eval_expr(lexpr, env):
+                if eval_pairs(lexpr, env):
                     members[k].append(si)
             except ExprError as e:
                 label_errors[k] = e
@@ -517,8 +516,6 @@ def _fmt(var_names, state) -> str:
 
 
 def _add_probs(a: Prob, b: Prob) -> Prob:
-    from .expressions import Binary, fold
-
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
     ea = Num(a) if isinstance(a, Fraction) else a

@@ -208,7 +208,7 @@ def check_program(program: Program) -> list:
             all_concrete = True
             for prob, update in cmd.branches:
                 check_expr(prob, SORT_NUM, f"probability in {where}", no_vars=True)
-                if names_in(prob):
+                if names_in(prob) - program.constants.keys():
                     all_concrete = False
                 else:
                     try:

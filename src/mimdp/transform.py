@@ -58,9 +58,10 @@ from .expressions import (
     TRUE,
     conjoin,
     equality_conjuncts,
-    eval_expr,
+    eval_pairs,
     format_fraction,
     names_in,
+    pair_env,
 )
 from .models import compose, pair_distribution_fault
 from .program import CommandDecl, ModuleDecl, Program, RewardDecl, VarDecl, program_errors
@@ -196,12 +197,11 @@ def _guard_witness(g: Expr, h: Expr, program: Program, h_value: bool) -> bool:
     """Whether some point of the mentioned variables' domains satisfies
     ``g`` and gives ``h`` the truth value ``h_value`` (``h`` is evaluated
     only where ``g`` holds)."""
-    consts = program.constants
+    env = pair_env(program.constants)
     used, points = _domain_points(g, h, program)
     for combo in points:
-        env = dict(consts)
-        env.update(zip(used, combo))
-        if eval_expr(g, env) and eval_expr(h, env) is h_value:
+        env.update(zip(used, [(x, 1) for x in combo]))
+        if eval_pairs(g, env) and eval_pairs(h, env) is h_value:
             return True
     return False
 

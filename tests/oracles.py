@@ -3,8 +3,11 @@
 Exact-rational Gaussian elimination for reachability probabilities and
 expected costs on Markov chains.  Deliberately naive and fully exact
 (fractions end to end): the engine under test uses precomputation plus
-value iteration, this does not.  Below it, the former checker, the
-former cost-bounded product, instantiation and well-definedness filter,
+value iteration, this does not.  Then the former expression semantics on
+``Fraction`` values (``eval_expr`` with its operator helpers, ``fold`` and
+``substitute``), which the references below call where they used to call
+the library's.  Below them, the former checker, the former cost-bounded
+product, instantiation and well-definedness filter,
 exploration, guard implication checks, integer-program emitter, LP
 solver, constrained LP and family instances, enumeration route, memoised
 evaluator, reward selection and compiled expressions on ``Fraction``
@@ -45,29 +48,23 @@ from mimdp.expressions import (
     SORT_NUM,
     Binary,
     BoolLit,
+    DivisionByZero,
     Expr,
     ExprError,
     Extremum,
     Name,
     Num,
+    SortError,
     UnboundName,
     Unary,
     Value,
-    _as_bool,
-    _binary,
     _conjuncts,
-    _extremum,
-    _lookup,
     _nodes,
-    _unary,
     conjoin,
-    eval_expr,
-    fold,
     format_fraction,
     infer_sort,
     joint_valuations,
     names_in,
-    substitute,
     to_text,
 )
 from mimdp.lp import DEFAULT_VAR_CAP, PIVOT_TOL, LpError, LpSizeError, LpSolution
@@ -115,6 +112,154 @@ from mimdp.transform import (
     _guards_overlap,
     _prune_parameters,
 )
+
+
+# ---------------------------------------------------------------------------
+# the former expression semantics, on ``Fraction`` values
+#
+# ``eval_expr`` with its operator helpers (``_unary``, ``_binary``,
+# ``_extremum``), and ``fold``/``substitute`` with the one-level folds,
+# copied verbatim from before the operators moved into one kernel on
+# integer pairs.  The references below call these where they called the
+# library's ``eval_expr``, ``fold`` and ``substitute``.
+
+def _as_fraction(v: Value, ctx: Expr) -> Fraction:
+    # also the sort check of ``CompiledExprs``, whose numbers are int pairs
+    if isinstance(v, bool):
+        raise SortError(f"expected a number, got a boolean in {to_text(ctx)}")
+    return v
+
+
+def _as_bool(v: Value, ctx: Expr) -> bool:
+    if not isinstance(v, bool):
+        raise SortError(f"expected a boolean, got a number in {to_text(ctx)}")
+    return v
+
+
+def _lookup(expr: Name, env: Mapping[str, Union[Fraction, int, bool]]) -> Value:
+    try:
+        v = env[expr.ident]
+    except KeyError:
+        raise UnboundName(expr.ident) from None
+    return v if isinstance(v, (Fraction, bool)) else Fraction(v)
+
+
+def _unary(expr: Unary, v: Value) -> Value:
+    return -_as_fraction(v, expr) if expr.op == "-" else not _as_bool(v, expr)
+
+
+_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _binary(expr: Binary, lv: Value, rv: Value) -> Value:
+    """An arithmetic or comparison operator applied to evaluated operands."""
+    a, b = _as_fraction(lv, expr), _as_fraction(rv, expr)
+    if expr.op == "/" and b == 0:
+        raise _division_by_zero(expr)
+    return _OPS[expr.op](a, b)
+
+
+def _division_by_zero(expr: Binary) -> DivisionByZero:
+    return DivisionByZero(f"division by zero in {to_text(expr)}")
+
+
+def _extremum(expr: Extremum, values: Iterable[Value]) -> Fraction:
+    # ``values`` may be lazy: a sort error stops evaluation at its argument
+    vals = [_as_fraction(v, expr) for v in values]
+    return min(vals) if expr.op == "min" else max(vals)
+
+
+def eval_expr(expr: Expr, env: Mapping[str, Union[Fraction, int, bool]]) -> Value:
+    """Exact evaluation of ``expr`` under ``env`` (name -> rational/int/bool)."""
+    if isinstance(expr, (Num, BoolLit)):
+        return expr.value
+    if isinstance(expr, Name):
+        return _lookup(expr, env)
+    if isinstance(expr, Unary):
+        return _unary(expr, eval_expr(expr.operand, env))
+    if isinstance(expr, Binary):
+        op = expr.op
+        if op == "&":
+            return _as_bool(eval_expr(expr.left, env), expr) and _as_bool(eval_expr(expr.right, env), expr)
+        if op == "|":
+            return _as_bool(eval_expr(expr.left, env), expr) or _as_bool(eval_expr(expr.right, env), expr)
+        return _binary(expr, eval_expr(expr.left, env), eval_expr(expr.right, env))
+    if isinstance(expr, Extremum):
+        return _extremum(expr, (eval_expr(a, env) for a in expr.args))
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def fold(expr: Expr) -> Expr:
+    """Fold literal-only subtrees into literals (bottom-up, exact):
+    ``substitute`` with nothing to replace.
+
+    The parser folds on construction, so programmatically built expressions
+    should be folded too when textual round-tripping matters.  A subtree
+    with nothing to fold is returned as it is, the same object.
+    """
+    return substitute(expr, {})
+
+
+# one level of ``fold``: ``expr`` with its children replaced by the folded
+# ones given, itself when they are the children it has and nothing folds
+
+
+def _fold_unary(expr: Unary, inner: Expr) -> Expr:
+    if expr.op == "-" and isinstance(inner, Num):
+        return Num(-inner.value)
+    if expr.op == "!" and isinstance(inner, BoolLit):
+        return BoolLit(not inner.value)
+    return expr if inner is expr.operand else Unary(expr.op, inner)
+
+
+def _fold_binary(expr: Binary, left: Expr, right: Expr) -> Expr:
+    if left is not expr.left or right is not expr.right:
+        expr = Binary(expr.op, left, right)
+    if isinstance(left, (Num, BoolLit)) and isinstance(right, (Num, BoolLit)):
+        v = eval_expr(expr, {})
+        return Num(v) if isinstance(v, Fraction) else BoolLit(v)
+    return expr
+
+
+def _fold_extremum(expr: Extremum, args: tuple) -> Expr:
+    if all(isinstance(a, Num) for a in args):
+        vals = [a.value for a in args]
+        return Num(min(vals) if expr.op == "min" else max(vals))
+    if all(a is b for a, b in zip(args, expr.args)):
+        return expr
+    return Extremum(expr.op, args)
+
+
+def substitute(expr: Expr, env: Mapping[str, Union[Fraction, int, bool]]) -> Expr:
+    """Replace bound names by literals and fold; unbound names stay symbolic.
+    A subtree with nothing to replace or fold is returned as it is."""
+    if isinstance(expr, (Num, BoolLit)):
+        return expr
+    if isinstance(expr, Name):
+        if expr.ident in env:
+            v = env[expr.ident]
+            if isinstance(v, bool):
+                return BoolLit(v)
+            return Num(v if isinstance(v, Fraction) else Fraction(v))
+        return expr
+    if isinstance(expr, Unary):
+        return _fold_unary(expr, substitute(expr.operand, env))
+    if isinstance(expr, Binary):
+        return _fold_binary(expr, substitute(expr.left, env), substitute(expr.right, env))
+    if isinstance(expr, Extremum):
+        return _fold_extremum(expr, tuple(substitute(a, env) for a in expr.args))
+    raise TypeError(f"not an expression: {expr!r}")
 
 
 def _single_row(model: ExplicitModel, s: int):

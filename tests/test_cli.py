@@ -23,6 +23,17 @@ def test_parse_reports_errors(capsys, tmp_path):
     assert "expected" in err
 
 
+def test_parse_refuses_a_constant_probability_row_that_sums_past_one(capsys, tmp_path):
+    src = tmp_path / "constant.mgcl"
+    src.write_text(
+        "const h = 0.6;\nmodule m\n  s : [0..1] init 0;\n"
+        "  [] s=0 -> h:(s'=1) + h:(s'=0);\n  [] s=1 -> true;\nendmodule\n"
+    )
+    code, out, err = run(capsys, "parse", str(src))
+    assert code == 2 and out == ""
+    assert "sum to 1.2, not 1" in err
+
+
 def test_build_json(capsys, models_dir):
     code, out, _ = run(capsys, "build", str(models_dir / "die.mgcl"), "--valuations")
     assert code == 0

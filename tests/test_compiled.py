@@ -1,7 +1,9 @@
 """Differential tests of the compiled, hash-consed parametric entries
 (``expressions.CompiledExprs``, ``models._Entries``) against the former
-memoised evaluator and plain ``eval_expr``, and of the identity-preserving
-``fold``/``substitute`` against the former rebuilding ones."""
+memoised evaluator and the former ``Fraction`` ``eval_expr``
+(``oracles.eval_expr``), of ``eval_expr`` itself against that one, and of
+the identity-preserving ``fold``/``substitute`` against the former
+rebuilding ones and the former ``Fraction`` ones."""
 
 import random
 from fractions import Fraction as F
@@ -152,7 +154,8 @@ def test_random_corpus_matches_eval_expr_and_the_former_memo():
     for row, value in points:
         env = {**CONSTANTS, **row}
         for e, node in zip(corpus, nodes):
-            want = _outcome(eval_expr, e, env)
+            want = _outcome(oracles.eval_expr, e, env)
+            assert _outcome(eval_expr, e, env) == want
             assert _outcome(seed.eval, e, env) == want
             assert _outcome(value, node) == want
             assert _outcome(value, node) == want  # from the tables, or raised again
@@ -187,7 +190,9 @@ def test_every_expression_evaluates_alike_at_every_point_of_a_small_product():
     cases = [(e, exprs.add(e)) for e in EVALUATOR_CASES]
     for row, value in exprs.points(["x", "y", "b"]):
         for e, node in cases:
-            assert _outcome(value, node) == _outcome(eval_expr, e, row)
+            want = _outcome(oracles.eval_expr, e, row)
+            assert _outcome(value, node) == want
+            assert _outcome(eval_expr, e, row) == want
 
 
 def test_a_parameter_outside_the_point_is_unbound():
@@ -232,6 +237,50 @@ def test_fold_and_substitute_equal_the_former_code_and_keep_unchanged_subtrees()
             if want[0] not in (DivisionByZero, SortError) and want[1] == e:
                 assert got[1] is e
     assert kept > 20 and changed > 20
+
+
+def _unfolded(e, env):
+    """``e`` with the names bound in ``env`` replaced by literals, unfolded."""
+    if isinstance(e, Name) and e.ident in env:
+        v = env[e.ident]
+        return BoolLit(v) if isinstance(v, bool) else Num(v)
+    if isinstance(e, Unary):
+        return Unary(e.op, _unfolded(e.operand, env))
+    if isinstance(e, Binary):
+        return Binary(e.op, _unfolded(e.left, env), _unfolded(e.right, env))
+    if isinstance(e, Extremum):
+        return Extremum(e.op, tuple(_unfolded(a, env) for a in e.args))
+    return e
+
+
+def _fold_outcome(rewrite, e, *env):
+    """What ``rewrite`` returns for ``e``, or the type and text of the
+    error it raises (``min()`` of nothing raises a plain ``ValueError``)."""
+    try:
+        v = rewrite(e, *env)
+    except ValueError as ex:
+        return type(ex), str(ex)
+    return type(v), v
+
+
+def test_fold_and_substitute_equal_the_former_fraction_code_on_the_corpus():
+    corpus = _corpus()
+    # literal-only trees, unfolded: every operator folds, or raises
+    rows = [{**CONSTANTS, **row, "nope": F(-2)} for row in _points()[::17]]
+    corpus += [_unfolded(e, row) for row in rows for e in _corpus()]
+    corpus += [Extremum("min", ()), Unary("-", BoolLit(True)), Unary("!", Num(F(1)))]
+    envs = [{}, CONSTANTS] + [{**CONSTANTS, **row} for row in _points()[::7]]
+    kinds = set()
+    for e in corpus:
+        for rewrite, former, env in [(fold, oracles.fold, ())] + [
+                (substitute, oracles.substitute, (env,)) for env in envs]:
+            want = _fold_outcome(former, e, *env)
+            got = _fold_outcome(rewrite, e, *env)
+            assert got == want
+            if not issubclass(want[0], Exception):
+                assert (got[1] is e) == (want[1] is e)
+            kinds.add(want[0])
+    assert {DivisionByZero, SortError, ValueError, Num, BoolLit, Binary, Unary, Extremum} <= kinds
 
 
 # --- models: entries, instances and errors ------------------------------------
@@ -500,7 +549,8 @@ def _single(expr, domains, names=None):
     out = []
     for row, value in exprs.points(names or list(domains)):
         outcome = _node_outcome(value, node)
-        assert outcome == _outcome(eval_expr, expr, row)
+        assert outcome == _outcome(oracles.eval_expr, expr, row)
+        assert _outcome(eval_expr, expr, row) == outcome
         out.append((outcome, value.pair(node) if outcome[0] is F else None))
     return out
 

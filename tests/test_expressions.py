@@ -140,7 +140,7 @@ def Name_eq(n, v):
     return Binary("=", Name(n), Num(F(v)))
 
 
-# --- the compiled evaluator against eval_expr and the former memo -------------
+# --- eval_expr and the compiled evaluator against the former ones -------------
 
 X, Y, B = Name("x"), Name("y"), Name("b")
 ONE = Num(F(1))
@@ -185,7 +185,8 @@ def _outcome(evaluate, e, env):
 @pytest.mark.parametrize("e", EVALUATOR_CASES, ids=to_text)
 def test_memo_evaluator_returns_or_raises_what_eval_expr_does(e):
     env = {"x": F(2), "y": F(0), "b": True}
-    want = _outcome(eval_expr, e, env)
+    want = _outcome(oracles.eval_expr, e, env)
+    assert _outcome(eval_expr, e, env) == want
     seed = oracles.SeedMemoEvaluator(["x", "y", "b"])
     assert _outcome(seed.eval, e, env) == want
     exprs = CompiledExprs({"x": [F(1), F(2)], "y": [F(0), F(3)], "b": [False, True]})
@@ -211,7 +212,7 @@ def test_memo_evaluator_shares_tables_between_equal_subtrees():
     assert [env for env, _ in points] == [{"x": F(a), "y": F(b)} for a in (1, 2) for b in (0, 1, 3)]
     for e, node in zip((first, second), nodes):
         for env, value in points:
-            assert _outcome(lambda n, _: value(n), node, env) == _outcome(eval_expr, e, env)
+            assert _outcome(lambda n, _: value(n), node, env) == _outcome(oracles.eval_expr, e, env)
     # poly, its three inner nodes and the negation: five tables; the
     # second poly is the first one's node
     tables = exprs.tables()

@@ -4,6 +4,7 @@ which evaluates every guard at every state or domain point."""
 
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -138,21 +139,26 @@ def test_adversarial_guards_build_as_before():
     assert fixed[7] == {}  # no top-level equality
 
 
-def _raise_site(module, fn, program, monkeypatch):
+def _raise_site(module, evaluator, fn, program, monkeypatch):
     """The error ``fn(program)`` raises and the environment of the top-level
-    evaluation that raised it."""
+    evaluation that raised it, a call of ``module.<evaluator>``, with its
+    values as ``Fraction``s (``build_model`` evaluates in pair form)."""
     envs = []
-    real = module.eval_expr
+    real = getattr(module, evaluator)
 
     def spy(expr, env):
         envs.append(env)
         return real(expr, env)
 
     with monkeypatch.context() as m:
-        m.setattr(module, "eval_expr", spy)
+        m.setattr(module, evaluator, spy)
         with pytest.raises(DivisionByZero) as err:
             fn(program)
-    return str(err.value), envs[-1]
+    return str(err.value), {name: _fraction(v) for name, v in envs[-1].items()}
+
+
+def _fraction(v):
+    return v if isinstance(v, (bool, Fraction)) else Fraction(*v)
 
 
 def _division_program(guard, extra=""):
@@ -183,8 +189,8 @@ DIVISIONS = [
 def test_a_failing_guard_raises_the_same_error_at_the_same_state(
         guard, rewards, monkeypatch):
     program = _division_program(guard, rewards)
-    got = _raise_site(models, build_model, program, monkeypatch)
-    want = _raise_site(oracles, oracles.seed_build_model, program, monkeypatch)
+    got = _raise_site(models, "eval_pairs", build_model, program, monkeypatch)
+    want = _raise_site(oracles, "eval_expr", oracles.seed_build_model, program, monkeypatch)
     assert got == want
 
 
@@ -275,7 +281,7 @@ def test_an_oversized_implication_check_is_refused_as_before():
 def test_the_build_evaluates_only_candidate_guards(uniform_shipyard, monkeypatch):
     controlled, _ = transform_all(uniform_shipyard)
     fixed = {}  # id of a guard of the composed program -> its equality conjuncts
-    real_compose, real_eval = models.compose, models.eval_expr
+    real_compose, real_eval = models.compose, models.eval_pairs
 
     def compose(program):
         composed = real_compose(program)
@@ -292,12 +298,12 @@ def test_the_build_evaluates_only_candidate_guards(uniform_shipyard, monkeypatch
         return real_eval(expr, env)
 
     monkeypatch.setattr(models, "compose", compose)
-    monkeypatch.setattr(models, "eval_expr", spy)
+    monkeypatch.setattr(models, "eval_pairs", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = build_model(controlled, on_deadlock="absorb")
     for eqs, env in evaluated:
-        assert eqs is not None and all(env[v] == c for v, c in eqs.items())
+        assert eqs is not None and all(_fraction(env[v]) == c for v, c in eqs.items())
     pairs = model.num_states * len(fixed)
     assert pairs > 500_000
-    assert len(evaluated) * 100 < pairs
+    assert 0 < len(evaluated) * 100 < pairs

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mimdp.expressions import Binary, Name, Num, TRUE
-from mimdp.parser import parse_program
+from mimdp.parser import ParseError, parse_program
 from mimdp.program import (
     CommandDecl,
     ModuleDecl,
@@ -184,3 +184,48 @@ def test_only_a_program_found_well_formed_is_marked_as_checked():
     assert parse_program(src.replace("0.4", "0.5"))._checked
     copy = replace(good, labels={})
     assert copy == good and not copy._checked
+
+
+# --- probabilities that name only constants -----------------------------------
+
+def _constant_rows(*rows):
+    body = "\n".join(f"      [] s={i} -> {row};" for i, row in enumerate(rows))
+    return f"""
+    const h = 0.6;
+    const big = 3/2;
+    module m
+      s : [0..{len(rows)}] init 0;
+{body}
+      [] s={len(rows)} -> true;
+    endmodule
+    """
+
+
+def test_a_constant_probability_row_must_sum_to_one():
+    src = _constant_rows("h:(s'=1) + h:(s'=0)")
+    messages = [d.message for d in check_program(parse_program(src, check=False))]
+    assert messages == ["branch probabilities of command 1 of module 'm' sum to 1.2, not 1"]
+    with pytest.raises(ParseError, match="sum to 1.2, not 1"):
+        parse_program(src)
+    with pytest.raises(ModelError, match="program is not well-formed: .*sum to 1.2, not 1"):
+        build_model(parse_program(src, check=False))
+
+
+def test_a_constant_probability_must_lie_in_the_unit_interval():
+    src = _constant_rows("big:(s'=1) + (1-big):(s'=0)")
+    messages = [d.message for d in check_program(parse_program(src, check=False))]
+    assert messages == [
+        "probability 1.5 outside [0,1] in command 1 of module 'm'",
+        "probability -0.5 outside [0,1] in command 1 of module 'm'",
+    ]
+    with pytest.raises(ModelError, match=r"probability 1\.5 outside \[0,1\]"):
+        build_model(parse_program(src, check=False))
+
+
+def test_a_valid_constant_probability_row_builds_the_literal_model():
+    named = parse_program(_constant_rows("h:(s'=1) + (1-h):(s'=0)", "h*h:(s'=2) + 1-h*h:(s'=0)"))
+    literal = parse_program(_constant_rows("0.6:(s'=1) + 0.4:(s'=0)", "0.36:(s'=2) + 0.64:(s'=0)"))
+    model = build_model(named)
+    assert model == build_model(literal)
+    assert model.kind == "mc" and model.num_states == 3
+    assert [p for p, _ in model.choices[1][0].branches] == [F(9, 25), F(16, 25)]
