@@ -7,10 +7,12 @@ specification checking, and extraction of deterministic memoryless optimal
 strategies.
 
 The qualitative sets are the standard graph algorithms, linear in the model
-size per search: backward searches over one predecessor list per call, a
-per-state counter of choices not yet hitting the target set, and for the
-maximal probability-1 set the nested fixpoint whose rounds are each one
+size per search: backward searches over the predecessor graph, kept in CSR
+form, a per-state counter of choices not yet hitting the target set, and for
+the maximal probability-1 set the nested fixpoint whose rounds are each one
 backward search.  Zero-probability branches are not edges of the graph.
+A set of states is a boolean mask over the model's states throughout, from
+the label or the caller's states it is read from to the values it fixes.
 
 Value iteration starts from zero (iterates are monotone from below) and runs
 to a relative residual of 1e-8.  It sweeps only the free states, those the
@@ -84,10 +86,13 @@ class _Arrays:
     so the qualitative sets ignore them, and value iteration never forms
     ``0 * inf``.
 
-    ``_fill`` sets every field from the flat arrays, and builds the
-    predecessor lists of the graph searches from ``branch_start`` and
+    ``_fill`` sets every field from the flat arrays, and derives the
+    predecessor graph of the graph searches from ``branch_start`` and
     ``targets``, for every construction: a model, a family's support, or
-    the budget product of ``cost_bounded_reach``.
+    the budget product of ``cost_bounded_reach``.  The graph is in CSR
+    form: the choices with a branch into state ``t`` are
+    ``pred_choice[pred_start[t]:pred_start[t + 1]]``, ascending, a choice
+    listed once per such branch.
 
     A family of configurations shares one structure: given ``support`` (per
     branch of ``model``, flat in model order, whether it is an edge) and
@@ -126,19 +131,15 @@ class _Arrays:
               targets, probs) -> None:
         self.num_states = num_states
         self.choice_state = np.asarray(choice_state, dtype=np.int64)
-        self.owner = self.choice_state.tolist()  # the state of each choice
         self.choice_start = np.asarray(choice_start, dtype=np.int64)
         self.branch_start = np.asarray(branch_start, dtype=np.int64)
         self.targets = np.asarray(targets, dtype=np.int64)
         # one row of branch probabilities, or one per configuration
         self.probs = np.asarray(probs, dtype=np.float64)
-        self.num_choices = len(self.owner)
-        # per state, the choices with a branch into it (ascending; a choice
-        # appears once per such branch): the graph searches walk these
+        self.num_choices = len(self.choice_state)
         of_branch = np.repeat(np.arange(self.num_choices), np.diff(self.branch_start))
-        into = of_branch[np.argsort(self.targets, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(self.targets, minlength=num_states)).tolist()
-        self.predecessors = [into[lo:hi] for lo, hi in zip([0] + ends, ends)]
+        self.pred_choice = of_branch[np.argsort(self.targets, kind="stable")]
+        self.pred_start = np.append(0, np.cumsum(np.bincount(self.targets, minlength=num_states)))
 
     def choice_values(self, x: np.ndarray, probs: Optional[np.ndarray] = None) -> np.ndarray:
         """Each choice's expected successor value; ``x`` is one value per
@@ -160,114 +161,118 @@ def _model_arrays(model: ExplicitModel) -> _Arrays:
     return model._arrays
 
 
-def _reachable_from(arr: _Arrays, start: int) -> set:
+def _reachable_from(arr: _Arrays, start: int) -> np.ndarray:
     # a state's choices, and so its branches, are contiguous
     first_branch = arr.branch_start[arr.choice_start].tolist()
     succ = arr.targets.tolist()
-    seen = {start}
+    seen = bytearray(arr.num_states)
+    seen[start] = True
     stack = [start]
     while stack:
         s = stack.pop()
         for t in succ[first_branch[s]:first_branch[s + 1]]:
-            if t not in seen:
-                seen.add(t)
+            if not seen[t]:
+                seen[t] = True
                 stack.append(t)
-    return seen
+    return np.frombuffer(seen, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
 # qualitative precomputation: linear-time graph searches over the
-# predecessor lists (Baier & Katoen, Principles of Model Checking, 10.6)
+# predecessor graph, on masks of states (Baier & Katoen, Principles of Model
+# Checking, 10.6)
 
-def _backward(arr: _Arrays, seeds: set, stop=frozenset(), enabled=None) -> set:
+def _backward(arr: _Arrays, seeds: np.ndarray, stop: Optional[np.ndarray] = None,
+              enabled: Optional[np.ndarray] = None) -> np.ndarray:
     """The seeds plus every state outside ``stop`` with a path into them
-    through the choices ``enabled`` (a mask; every choice when None)."""
-    pred, owner = arr.predecessors, arr.owner
-    on = [True] * arr.num_choices if enabled is None else enabled.tolist()
-    seen = set(seeds)
-    stack = list(seeds)
+    through the choices ``enabled``; all three are masks (no state, or
+    every choice, when None).  Like the other searches, it marks states in
+    a ``bytearray``, one byte per state, which converts to and from a
+    boolean array without a per-element copy."""
+    n = arr.num_states
+    # per predecessor entry, its state, or the sentinel state n, seen from
+    # the start, where the search may not take the entry
+    via = arr.choice_state[arr.pred_choice]
+    if stop is not None:
+        via[stop[via]] = n
+    if enabled is not None:
+        via[~enabled[arr.pred_choice]] = n
+    via = via.tolist()
+    start = arr.pred_start.tolist()
+    seen = bytearray(seeds.tobytes()) + b"\x01"
+    stack = np.flatnonzero(seeds).tolist()
     while stack:
-        for c in pred[stack.pop()]:
-            s = owner[c]
-            if on[c] and s not in seen and s not in stop:
-                seen.add(s)
+        t = stack.pop()
+        for s in via[start[t]:start[t + 1]]:
+            if not seen[s]:
+                seen[s] = True
                 stack.append(s)
-    return seen
+    return np.frombuffer(seen, dtype=bool, count=n)
 
 
-def _prob0_max(arr: _Arrays, targets: set) -> set:
+def _prob0_max(arr: _Arrays, targets: np.ndarray) -> np.ndarray:
     """States whose maximal reachability probability is zero: the complement
-    of backward graph reachability from the target set."""
-    return set(range(arr.num_states)) - _backward(arr, targets)
+    of backward graph reachability from the targets."""
+    return ~_backward(arr, targets)
 
 
-def _prob1_max(arr: _Arrays, targets: set) -> set:
+def _prob1_max(arr: _Arrays, targets: np.ndarray) -> np.ndarray:
     """States with a strategy reaching the targets almost surely
     (greatest fixpoint over a least fixpoint).
 
     Each outer round is one backward search from the targets inside the
-    current set ``b``, over choices whose successors all lie in ``b``.  A
-    state that drops out of ``b`` switches off the choices leading into it.
+    current set ``b``, over the choices whose successors all lie in ``b``.
     """
-    pred, owner = arr.predecessors, arr.owner
-    inside = [True] * arr.num_choices  # every successor still in b
-    b = set(range(arr.num_states))
+    b = np.ones(arr.num_states, dtype=bool)
     while True:
-        r = set(targets)
-        stack = list(targets)
-        while stack:
-            for c in pred[stack.pop()]:
-                s = owner[c]
-                if inside[c] and s not in r and s in b:
-                    r.add(s)
-                    stack.append(s)
-        if r == b:
+        inside = np.logical_and.reduceat(b[arr.targets], arr.branch_start[:-1])
+        r = _backward(arr, targets, stop=~b, enabled=inside)
+        if np.array_equal(r, b):
             return b
-        for dropped in b - r:
-            for c in pred[dropped]:
-                inside[c] = False
         b = r
 
 
-def _prob0_min(arr: _Arrays, targets: set, enabled=None) -> set:
+def _prob0_min(arr: _Arrays, targets: np.ndarray,
+               enabled: Optional[np.ndarray] = None) -> np.ndarray:
     """States with a strategy avoiding the targets with probability one,
     taking only the choices ``enabled`` (a mask; every choice when None).
 
     Least fixpoint of the states all of whose (at least one) choices hit
     the set, counted down per state as choices start hitting it.
     """
-    pred, owner = arr.predecessors, arr.owner
     if enabled is None:
         enabled = np.ones(arr.num_choices, dtype=bool)
+    owner = arr.choice_state.tolist()
+    pred, start = arr.pred_choice.tolist(), arr.pred_start.tolist()
     # per state, its enabled choices not yet hitting; a disabled choice is
     # never counted, and is passed over as if it hit already
     missing = np.bincount(arr.choice_state[enabled], minlength=arr.num_states).tolist()
-    hits = (~enabled).tolist()
-    hit = set(targets)
-    stack = list(targets)
+    hits = bytearray((~enabled).tobytes())
+    hit = bytearray(targets.tobytes())
+    stack = np.flatnonzero(targets).tolist()
     while stack:
-        for c in pred[stack.pop()]:
+        t = stack.pop()
+        for c in pred[start[t]:start[t + 1]]:
             if hits[c]:
                 continue
             hits[c] = True
             s = owner[c]
             missing[s] -= 1
-            if missing[s] == 0 and s not in hit:
-                hit.add(s)
+            if missing[s] == 0 and not hit[s]:
+                hit[s] = True
                 stack.append(s)
-    return set(range(arr.num_states)) - hit
+    return ~np.frombuffer(hit, dtype=bool)
 
 
-def _prob1_min(arr: _Arrays, targets: set, zero: Optional[set] = None,
-               enabled=None) -> set:
+def _prob1_min(arr: _Arrays, targets: np.ndarray, zero: Optional[np.ndarray] = None,
+               enabled: Optional[np.ndarray] = None) -> np.ndarray:
     """States reaching the targets almost surely under every strategy that
     takes only the choices ``enabled`` (a mask; every choice when None);
-    ``zero`` is ``_prob0_min(arr, targets)`` when the caller has it.  A
-    state outside the targets needs an enabled choice."""
+    ``zero`` is ``_prob0_min(arr, targets, enabled)`` when the caller has
+    it.  A state outside the targets needs an enabled choice."""
     if zero is None:
         zero = _prob0_min(arr, targets, enabled)
-    bad = _backward(arr, zero, stop=targets, enabled=enabled)
-    return set(range(arr.num_states)) - bad
+    return ~_backward(arr, zero, stop=targets, enabled=enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +512,23 @@ def _at_least_one(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # public operations
 
-def _mask(n: int, states: set) -> np.ndarray:
-    out = np.zeros(n, dtype=bool)
-    out[list(states)] = True
-    return out
-
-
-def _target_set(model: ExplicitModel, targets) -> set:
-    if isinstance(targets, str):
-        return set(model.label_states(targets))
-    out = set(int(t) for t in targets)
+def _target_set(model: ExplicitModel, targets) -> np.ndarray:
+    """The states ``targets`` names, as a mask over the model's states:
+    ``targets`` is a label, a boolean mask of the model's length, which is
+    taken as it is, or state indices, each of which must be in range."""
     n = model.num_states
-    for t in out:
-        if not (0 <= t < n):
-            raise ModelError(f"target state {t} out of range")
-    return out
+    if isinstance(targets, np.ndarray) and targets.dtype == bool and targets.shape == (n,):
+        return targets
+    if isinstance(targets, str):
+        states = model.label_states(targets)
+    else:
+        states = set(int(t) for t in targets)
+        for t in states:
+            if not (0 <= t < n):
+                raise ModelError(f"target state {t} out of range")
+    mask = np.zeros(n, dtype=bool)
+    mask[list(states)] = True
+    return mask
 
 
 def reach_prob(
@@ -532,7 +539,8 @@ def reach_prob(
     tol: float = DEFAULT_TOL,
     trace: Optional[list] = None,
 ) -> Tuple[ValueVector, Strategy]:
-    """Optimal probability of eventually reaching ``targets``.
+    """Optimal probability of eventually reaching ``targets``: a label, a
+    boolean mask over the model's states, or a collection of states.
 
     Returns per-state values and a deterministic memoryless strategy
     (lowest-choice-index tie-break).  For Markov chains the direction is
@@ -542,33 +550,30 @@ def reach_prob(
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     arr = _model_arrays(model)
-    tset = _target_set(model, targets)
+    target = _target_set(model, targets)
     x, iters, residual, polished, picks = _reach(
-        arr, tset, direction, model.kind == "mc", 1, tol, trace
+        arr, target, direction, model.kind == "mc", 1, tol, trace
     )
     vec = ValueVector(x[0], int(iters[0]), float(residual[0]), bool(polished[0]))
     return vec, Strategy.deterministic(picks.tolist())
 
 
-def _reach(arr: _Arrays, tset: set, direction: str, chain: bool, k: int,
+def _reach(arr: _Arrays, target: np.ndarray, direction: str, chain: bool, k: int,
            tol: float, trace: Optional[list] = None):
     """``reach_prob`` on ``k`` configurations that share the structure of
-    ``arr`` (``k`` > 1 only on chains, whose one strategy they share):
-    the value stack, per row the sweeps, last residual and whether the
-    polish was accepted, and the strategy's picks."""
+    ``arr`` (``k`` > 1 only on chains, whose one strategy they share), with
+    the mask ``target``: the value stack, per row the sweeps, last residual
+    and whether the polish was accepted, and the strategy's picks."""
     # on a chain each min set equals its max counterpart, and _prob1_min
-    # skips the nested fixpoint of _prob1_max
+    # skips the nested fixpoint of _prob1_max; both sets leave the targets
+    # at probability one
     if direction == "min" or chain:
-        z0 = _prob0_min(arr, tset)
-        z1 = _prob1_min(arr, tset, z0)
+        zero = _prob0_min(arr, target)
+        one = _prob1_min(arr, target, zero)
     else:
-        z0 = _prob0_max(arr, tset)
-        z1 = _prob1_max(arr, tset)
-    # targets always have probability one
-    z1 |= tset
-    z0 -= tset
-    one = _mask(arr.num_states, z1)
-    free = ~(one | _mask(arr.num_states, z0))
+        zero = _prob0_max(arr, target)
+        one = _prob1_max(arr, target)
+    free = ~(one | zero)
 
     x = np.tile(np.where(one, 1.0, 0.0), (k, 1))
     x, iters, residual = _iterate(arr, x, free, direction, tol, trace=trace)
@@ -612,7 +617,7 @@ def expected_cost(
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     arr = _model_arrays(model)
-    gset = _target_set(model, goals)
+    goal = _target_set(model, goals)
     for s, c in enumerate(model.costs):
         if isinstance(c, Expr):
             raise ModelError("expected cost needs concrete state costs")
@@ -620,31 +625,28 @@ def expected_cost(
             raise ModelError(f"negative cost at state {s}")
     cost = np.array([[float(c) for c in model.costs]])
     x, iters, residual, polished, picks = _expected(
-        model, arr, gset, cost, direction, model.kind == "mc", tol, trace
+        model, arr, goal, cost, direction, model.kind == "mc", tol, trace
     )
     vec = ValueVector(x[0], int(iters[0]), float(residual[0]), bool(polished[0]))
     return vec, Strategy.deterministic(picks.tolist())
 
 
-def _expected(model: ExplicitModel, arr: _Arrays, gset: set, cost: np.ndarray,
+def _expected(model: ExplicitModel, arr: _Arrays, goal: np.ndarray, cost: np.ndarray,
               direction: str, chain: bool, tol: float, trace: Optional[list] = None):
     """``expected_cost`` on the configurations of ``arr`` (one row of
-    ``cost`` each; several only on chains), returned as ``_reach`` returns."""
-    sure = _prob1_min(arr, gset)
-    required = _reachable_from(arr, model.initial)
-    lacking = sorted(required - sure)
-    if lacking:
+    ``cost`` each; several only on chains) with the mask ``goal``,
+    returned as ``_reach`` returns."""
+    sure = _prob1_min(arr, goal)
+    lacking = np.flatnonzero(_reachable_from(arr, model.initial) & ~sure)
+    if len(lacking):
         raise ExpectedCostUndefined(
             "expected cost undefined: goal not reached almost surely from "
-            f"state {model.state_text(lacking[0])}"
+            f"state {model.state_text(int(lacking[0]))}"
         )
 
-    goal = _mask(arr.num_states, gset)
     cost_masked = np.where(goal, 0.0, cost)
-
-    outside = ~_mask(arr.num_states, sure)
-    x = np.tile(np.where(outside, np.inf, 0.0), (len(cost), 1))
-    free = ~(goal | outside)
+    x = np.tile(np.where(sure, 0.0, np.inf), (len(cost), 1))
+    free = sure & ~goal
 
     x, iters, residual = _iterate(
         arr, x, free, direction, tol, state_cost=cost_masked, trace=trace
@@ -680,8 +682,8 @@ def chain_family(
     probability, share one set of arrays and qualitative sets, and run as
     one stack through value iteration and the polish.
     """
-    tset = _target_set(model, targets)
-    gset = _target_set(model, goals)
+    target = _target_set(model, targets)
+    goal = _target_set(model, goals)
     groups: dict = {}  # support -> configurations
     for i, (probs, _) in enumerate(entries):
         groups.setdefault(tuple(map(bool, probs)), []).append(i)
@@ -693,11 +695,11 @@ def chain_family(
             for i in members
         ]
         arr = _Arrays(model, support, probs)
-        x = _reach(arr, tset, "max", True, len(members), DEFAULT_TOL)[0]
+        x = _reach(arr, target, "max", True, len(members), DEFAULT_TOL)[0]
         pr[members] = x[:, model.initial]
         cost = np.array([[c.numerator / c.denominator for c in entries[i][1]] for i in members])
         try:
-            x = _expected(model, arr, gset, cost, "min", True, DEFAULT_TOL)[0]
+            x = _expected(model, arr, goal, cost, "min", True, DEFAULT_TOL)[0]
         except ExpectedCostUndefined:
             ec[members] = np.inf
         else:
@@ -723,7 +725,8 @@ def cost_bounded_reach(
     by ``reach_prob`` on the budget-unfolded product: state
     ``s * (bound + 1) + b`` is ``s`` with budget ``b`` left; it has the
     choices of ``s`` with every branch into ``t`` sent to ``t`` with budget
-    ``max(b - cost(s), 0)``, or one self-loop if ``s`` is a target.  The
+    ``max(b - cost(s), 0)``, or one self-loop if ``s`` is a target; its
+    goal, the targets with budget left, is handed over as a mask.  The
     product's arrays are derived from the base model's, which are built
     once per model; its ``states`` and rows (``choices``) are built only
     when read.  A model the checker cannot take (parametric, or with a
@@ -732,7 +735,7 @@ def cost_bounded_reach(
     """
     if bound < 0:
         raise ValueError("cost bound must be nonnegative")
-    tset = _target_set(model, targets)
+    target = _target_set(model, targets)
     costs = []
     for s, c in enumerate(model.costs):
         if isinstance(c, Expr):
@@ -750,29 +753,29 @@ def cost_bounded_reach(
         var_names=model.var_names + ("_budget",),
         states=LazySequence(n, lambda i: model.states[i // width] + (i % width,)),
         initial=model.initial * width + bound,
-        choices=LazySequence(n, lambda i: _product_row(model, tset, costs, width, i)),
+        choices=LazySequence(n, lambda i: _product_row(model, target, costs, width, i)),
         costs=[Fraction(0)] * n,
         labels={},
         parameters={},
     )
-    goal = {s * width + b for s in tset for b in range(1, width)}
-    if not goal:
+    # a target with budget left, as a mask over the product's states
+    goal = (target[:, None] & (np.arange(width) > 0)).ravel()
+    if not goal.any():
         return 0.0
     # clamped to fit int64: any cost of at least the width drains every
     # budget
     cost = np.array([min(c, width) for c in costs], dtype=np.int64)
-    product._arrays = _product_arrays(
-        _model_arrays(model), _mask(model.num_states, tset), cost, width
-    )
+    product._arrays = _product_arrays(_model_arrays(model), target, cost, width)
     vec, _ = reach_prob(product, goal, direction, tol=tol)
     return float(vec.values[product.initial])
 
 
-def _product_row(model: ExplicitModel, tset: set, costs: list, width: int, i: int) -> list:
+def _product_row(model: ExplicitModel, target: np.ndarray, costs: list, width: int,
+                 i: int) -> list:
     """The choices of state ``i`` of the budget product of
-    ``cost_bounded_reach``."""
+    ``cost_bounded_reach``, ``target`` the mask of target states."""
     s, b = divmod(i, width)
-    if s in tset:
+    if target[s]:
         return [Choice(None, ((Fraction(1), i),))]
     b2 = max(b - costs[s], 0)
     return [

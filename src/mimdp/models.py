@@ -381,7 +381,6 @@ def build_model(
             if not eval_pairs(cmd.guard, env):
                 continue
             merged: dict = {}
-            order: list = []
             for prob, update in cmd.branches:
                 p = prob_value(prob)
                 target = list(state)
@@ -402,13 +401,12 @@ def build_model(
                 tkey = tuple(target)
                 if tkey not in merged:
                     merged[tkey] = p
-                    order.append(tkey)
                 else:
                     merged[tkey] = _add_probs(merged[tkey], p)
             # an all-concrete row is a product of distributions that
             # check_program validated exactly, so it needs no check here
             branches = []
-            for tkey in order:
+            for tkey, p in merged.items():
                 if tkey not in index:
                     if len(states) >= state_cap:
                         raise StateCapExceeded(
@@ -417,7 +415,7 @@ def build_model(
                     index[tkey] = len(states)
                     states.append(tkey)
                     queue.append(index[tkey])
-                branches.append((merged[tkey], index[tkey]))
+                branches.append((p, index[tkey]))
             out.append(Choice(cmd.action, tuple(branches)))
         if not out:
             if on_deadlock == "error":
@@ -726,17 +724,15 @@ def induced_mc(model: ExplicitModel, strategy: Strategy) -> ExplicitModel:
                     f"strategy puts mass on disabled action {a} at state {si}"
                 )
         merged: dict = {}
-        order: list = []
         action = row[min(dist)].action if row else None
         for a, w in dist.items():
             for p, t in row[a].branches:
                 q = w * p
                 if t not in merged:
                     merged[t] = q
-                    order.append(t)
                 else:
                     merged[t] += q
-        rows.append([Choice(action, tuple((merged[t], t) for t in order))])
+        rows.append([Choice(action, tuple((p, t) for t, p in merged.items()))])
     return ExplicitModel(
         kind="mc",
         var_names=model.var_names,

@@ -21,6 +21,7 @@ from .expressions import (
     ExprError,
     Name,
     Num,
+    SortError,
     UnboundName,
     _nodes,
     eval_expr,
@@ -207,13 +208,17 @@ def check_program(program: Program) -> list:
             total = Fraction(0)
             all_concrete = True
             for prob, update in cmd.branches:
-                check_expr(prob, SORT_NUM, f"probability in {where}", no_vars=True)
+                ctx = f"probability in {where}"
+                check_expr(prob, SORT_NUM, ctx, no_vars=True)
                 if names_in(prob) - program.constants.keys():
                     all_concrete = False
                 else:
                     try:
                         v = eval_expr(prob, program.constants)
-                    except ExprError:
+                    except SortError:  # check_expr reported it
+                        all_concrete = False
+                    except ExprError as ex:
+                        err(f"{ex} in {ctx}", _pos_of(prob))
                         all_concrete = False
                     else:
                         total += v

@@ -42,7 +42,6 @@ from .checking import (
     FEASIBILITY_TOL,
     _Arrays,
     _branches,
-    _mask,
     _model_arrays,
     _prob1_min,
     _reach,
@@ -153,31 +152,22 @@ class ConstrainedSolution:
     of reaching the targets, and its strategy.
 
     ``support[s]`` holds the choice indices the strategy takes at state
-    ``s``, in choice order; branch-and-bound reads only these.  A solution
-    of the LP keeps the LP's flows and builds the exact ``Strategy`` when
+    ``s``, in choice order; branch-and-bound reads only these.  The
+    solution keeps the LP's ``flows``, the number of states and per LP
+    variable its state, its choice index there and its flow, as arrays in
+    variable order.  It builds the exact ``Strategy`` from them when
     ``strategy`` is first read, so the rational normalisation is paid only
-    for a strategy that is reported.  Made from a strategy, as
-    ``ConstrainedSolution(strategy, expected_cost, reach_probability)``,
-    its support is that strategy's.
+    for a strategy that is reported.
     """
 
     __slots__ = ("expected_cost", "reach_probability", "_strategy", "_support", "_flows")
 
-    def __init__(self, strategy: Strategy, expected_cost: float, reach_probability: float):
+    def __init__(self, flows: tuple, expected_cost: float, reach_probability: float):
         self.expected_cost = expected_cost
         self.reach_probability = reach_probability
-        self._strategy = strategy
+        self._strategy = None
         self._support = None
-        self._flows = None
-
-    @classmethod
-    def _of_flows(cls, flows: tuple, expected_cost: float, reach_probability: float):
-        """The solution whose strategy is read off ``flows``: the number of
-        states, and per LP variable its state, its choice index there and
-        its flow, as arrays in variable order."""
-        res = cls(None, expected_cost, reach_probability)
-        res._flows = flows
-        return res
+        self._flows = flows
 
     def _weights(self) -> list:
         """Per state, the (choice index, weight) pairs of its strategy: the
@@ -196,10 +186,7 @@ class ConstrainedSolution:
     @property
     def support(self) -> list:
         if self._support is None:
-            if self._strategy is None:
-                self._support = [tuple(ci for ci, _ in pairs) for pairs in self._weights()]
-            else:
-                self._support = [tuple(dist) for dist in self._strategy.choice_probs]
+            self._support = [tuple(ci for ci, _ in pairs) for pairs in self._weights()]
         return self._support
 
     @property
@@ -208,7 +195,6 @@ class ConstrainedSolution:
             self._strategy = Strategy([
                 {ci: Fraction(w) for ci, w in pairs} for pairs in self._weights()
             ])
-            self._flows = None
         return self._strategy
 
 
@@ -239,59 +225,60 @@ def constrained_mdp_lp(
     variables, which forces their inflow to zero — strategies must avoid
     them entirely rather than park probability mass there.
 
-    ``targets`` and ``goals`` are labels or sets of states; a state out of
-    range raises ``ModelError``, as in ``reach_prob``.  The LP is read off
-    the model's flat arrays (``checking._model_arrays``, built once per
-    model); the disabled actions only switch choices off.
+    ``targets`` and ``goals`` are labels, boolean masks over the model's
+    states or sets of states; a state out of range raises ``ModelError``,
+    as in ``reach_prob``.  The LP is read off the model's flat arrays
+    (``checking._model_arrays``, built once per model); the disabled
+    actions only switch choices off.
     """
     if model.kind == "mimdp":
         raise ModelError("instantiate or transform the model before the LP")
     lam = float(bound)
-    tset = _target_set(model, targets)
-    gset = _target_set(model, goals)
+    target = _target_set(model, targets)
+    goal = _target_set(model, goals)
     arr = _model_arrays(model)
     enabled = np.fromiter(
         (ch.action not in disabled_actions for row in model.choices for ch in row),
         dtype=bool, count=arr.num_choices,
     )
-    return _occupation_lp(model, arr, model.costs, tset, gset, lam, enabled)
+    return _occupation_lp(model, arr, model.costs, target, goal, lam, enabled)
 
 
-def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, tset, gset,
-                   lam: float, enabled: np.ndarray) -> ConstrainedSolution:
+def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, target: np.ndarray,
+                   goal: np.ndarray, lam: float, enabled: np.ndarray) -> ConstrainedSolution:
     """``constrained_mdp_lp`` on the arrays ``arr`` of a configuration of
     ``model`` (which gives the states, initial state and deadlocks), its
-    state costs and the mask of enabled choices; ``tset`` and ``gset`` are
-    states of the model.  The LP is one dense matrix, a column per
-    variable: a conservation row per transient state, then the bound row.
+    state costs and the mask of enabled choices; ``target`` and ``goal``
+    are masks over the model's states.  The LP is one dense matrix, a
+    column per variable: a conservation row per transient state, then the
+    bound row.
 
     The solution keeps the LP's flows, from which it reads its support;
     the exact ``Strategy`` is built only if the solution's ``strategy`` is
     read (``ConstrainedSolution``)."""
     n = arr.num_states
     owner = arr.choice_state
-    target = _mask(n, tset)
-    closed = target | _mask(n, gset)  # mass may rest here
+    closed = target | goal  # mass may rest here
     live = np.bincount(owner[enabled], minlength=n) > 0
-    dead = _mask(n, model.deadlocks) | ~(closed | live)
+    dead = _target_set(model, model.deadlocks) | ~(closed | live)
     loop = (np.diff(arr.branch_start) == 1) & (arr.targets[arr.branch_start[:-1]] == owner)
     closed |= (np.bincount(owner[~loop], minlength=n) == 0) & ~dead  # sinks
     terminal = closed | dead
 
-    sure = _prob1_min(arr, set(np.flatnonzero(terminal).tolist()), enabled=enabled)
-    if len(sure) != n:
-        missing = sorted(set(range(n)) - sure)[0]
+    unsure = np.flatnonzero(~_prob1_min(arr, terminal, enabled=enabled))
+    if len(unsure):
         raise ImproperModelError(
             "absorption is not almost-sure under every strategy "
-            f"(state {model.state_text(missing)})"
+            f"(state {model.state_text(int(unsure[0]))})"
         )
 
     init = model.initial
     if closed[init]:
-        pr = 1.0 if init in tset else 0.0
+        pr = 1.0 if target[init] else 0.0
         if pr > lam + FEASIBILITY_TOL:
             raise InfeasibleError("initial state lies in the target set")
-        return ConstrainedSolution(Strategy.deterministic([0] * n), 0.0, pr)
+        none = np.zeros(0, dtype=np.int64)  # no variable: the first choice everywhere
+        return ConstrainedSolution((n, none, none, none), 0.0, pr)
 
     transient = np.flatnonzero(~closed)
     m = len(transient)  # conservation rows; the bound row is row m
@@ -330,7 +317,7 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, tset, gset,
     pr = float(sum(bound_row[into] * y[into]))
     ec = float(sol.objective)
     flows = (n, states, variables - arr.choice_start[states], y)
-    return ConstrainedSolution._of_flows(flows, ec, pr)
+    return ConstrainedSolution(flows, ec, pr)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +328,8 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, tset, gset,
 _FAMILY_BLOCK = 1 << 20
 
 
-def _evaluate_chains(model: ExplicitModel, tset, gset, lam: float) -> List[TableEntry]:
+def _evaluate_chains(model: ExplicitModel, target: np.ndarray, goal: np.ndarray,
+                     lam: float) -> List[TableEntry]:
     """The table of a family whose instances are chains, checked in blocks
     of configurations by ``chain_family``."""
     entries = well_defined_entries(model)
@@ -351,14 +339,14 @@ def _evaluate_chains(model: ExplicitModel, tset, gset, lam: float) -> List[Table
         chunk = list(itertools.islice(entries, block))
         if not chunk:
             return table
-        prs, ecs = chain_family(model, [(p, c) for _, p, c in chunk], tset, gset)
+        prs, ecs = chain_family(model, [(p, c) for _, p, c in chunk], target, goal)
         for (u, _, _), pr, ec in zip(chunk, prs.tolist(), ecs.tolist()):
             feasible = pr <= lam + FEASIBILITY_TOL and math.isfinite(ec)
             table.append(TableEntry(u, ec, pr, feasible))
 
 
 def _evaluate_mdp(model: ExplicitModel, u: dict, probs: list, costs: list,
-                  tset, gset, lam: float):
+                  target: np.ndarray, goal: np.ndarray, lam: float):
     """One configuration of an MDP family, from its exact entries: its
     table entry and the solution of the LP on the arrays of its support,
     or, where no strategy meets the bound, its minimal probability of
@@ -366,10 +354,10 @@ def _evaluate_mdp(model: ExplicitModel, u: dict, probs: list, costs: list,
     support = [p != 0 for p in probs]
     arr = _Arrays(model, support, [float(p) for p in probs if p != 0])
     try:
-        res = _occupation_lp(model, arr, costs, tset, gset, lam,
+        res = _occupation_lp(model, arr, costs, target, goal, lam,
                              np.ones(arr.num_choices, dtype=bool))
     except InfeasibleError:
-        x = _reach(arr, tset, "min", False, 1, DEFAULT_TOL)[0]
+        x = _reach(arr, target, "min", False, 1, DEFAULT_TOL)[0]
         return TableEntry(u, math.inf, float(x[0, model.initial]), False), None
     return TableEntry(u, res.expected_cost, res.reach_probability, True), res
 
@@ -388,16 +376,16 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
     exact strategy of the reported configuration only.
     """
     model = build_model(program)
-    tset = model.label_states(query.target)
-    gset = model.label_states(query.goal)
+    target = _target_set(model, query.target)
+    goal = _target_set(model, query.goal)
     lam = float(query.bound)
 
     chains = all(len(row) == 1 for row in model.choices)
     if chains:
-        table = _evaluate_chains(model, tset, gset, lam)
+        table = _evaluate_chains(model, target, goal, lam)
     else:
         outcomes = [
-            _evaluate_mdp(model, u, probs, costs, tset, gset, lam)
+            _evaluate_mdp(model, u, probs, costs, target, goal, lam)
             for u, probs, costs in well_defined_entries(model)
         ]
         table = [entry for entry, _ in outcomes]

@@ -6,12 +6,14 @@ expected costs on Markov chains.  Deliberately naive and fully exact
 value iteration, this does not.  Then the former expression semantics on
 ``Fraction`` values (``eval_expr`` with its operator helpers, ``fold`` and
 ``substitute``), which the references below call where they used to call
-the library's.  Below them, the former checker, the former cost-bounded
-product, instantiation and well-definedness filter,
+the library's.  Below them, the former checker, the former graph searches
+on Python sets of states (``set_backward`` and the others, over the
+per-state predecessor lists of ``PredecessorArrays``), the former
+cost-bounded product, instantiation and well-definedness filter,
 exploration, guard implication checks, integer-program emitter, LP
-solver, constrained LP and family instances, enumeration route, memoised
-evaluator, reward selection and compiled expressions on ``Fraction``
-values, kept as references for the differential tests of the code that
+solver, constrained LP (with its ``SeedConstrainedSolution``) and family
+instances, enumeration route, memoised evaluator, reward selection and
+compiled expressions on ``Fraction`` values, kept as references for the differential tests of the code that
 replaced them.  Value iteration is kept twice: the one-configuration loop
 (``_iterate``, ``_sweep_residual``) and the stacked loop that swept every
 state of the model (``stacked_iterate``, ``_stacked_sweep_residual``).
@@ -32,14 +34,12 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
 
 import numpy as np
 
-from mimdp.checking import _prob1_min as checking_prob1_min
 from mimdp.checking import (
     DEFAULT_TOL,
     FEASIBILITY_TOL,
     ExpectedCostUndefined,
     _MAX_SWEEPS,
     _Arrays,
-    _target_set,
     expected_cost,
     reach_prob,
 )
@@ -94,7 +94,6 @@ from mimdp.program import CommandDecl, ModuleDecl, Program, RewardDecl, VarDecl,
 from mimdp.synthesis import (
     SUPPORT_TOL,
     TIE_TOL,
-    ConstrainedSolution,
     ImproperModelError,
     InfeasibleError,
     SynthesisError,
@@ -674,7 +673,7 @@ def seed_reach_prob(
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     arr = SeedArrays(model)
-    tset = _target_set(model, targets)
+    tset = set_target_set(model, targets)
 
     if direction == "max" or model.kind == "mc":
         z0 = _prob0_max(arr, tset)
@@ -731,7 +730,7 @@ def seed_expected_cost(
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     arr = SeedArrays(model)
-    gset = _target_set(model, goals)
+    gset = set_target_set(model, goals)
     for s, c in enumerate(model.costs):
         if isinstance(c, Expr):
             raise ModelError("expected cost needs concrete state costs")
@@ -778,6 +777,154 @@ def seed_expected_cost(
 
 
 # ---------------------------------------------------------------------------
+# the former graph searches on Python sets of states
+#
+# Reference for the differential tests of the searches on boolean masks over
+# the flat predecessor arrays.  Until then the searches took and returned
+# sets, walked one predecessor list per state that ``_Arrays._fill`` built
+# on every construction (``PredecessorArrays`` adds that construction to the
+# current arrays), and callers turned the sets into masks with ``_mask``.
+# Kept verbatim apart from the names (the prefix ``set_``).
+
+class PredecessorArrays(_Arrays):
+    """The checker's arrays with the former per-state predecessor lists."""
+
+    def _fill(self, num_states, choice_state, choice_start, branch_start,
+              targets, probs) -> None:
+        super()._fill(num_states, choice_state, choice_start, branch_start, targets, probs)
+        self.owner = self.choice_state.tolist()  # the state of each choice
+        # per state, the choices with a branch into it (ascending; a choice
+        # appears once per such branch): the graph searches walk these
+        of_branch = np.repeat(np.arange(self.num_choices), np.diff(self.branch_start))
+        into = of_branch[np.argsort(self.targets, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(self.targets, minlength=num_states)).tolist()
+        self.predecessors = [into[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def set_reachable_from(arr: _Arrays, start: int) -> set:
+    # a state's choices, and so its branches, are contiguous
+    first_branch = arr.branch_start[arr.choice_start].tolist()
+    succ = arr.targets.tolist()
+    seen = {start}
+    stack = [start]
+    while stack:
+        s = stack.pop()
+        for t in succ[first_branch[s]:first_branch[s + 1]]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def set_backward(arr: _Arrays, seeds: set, stop=frozenset(), enabled=None) -> set:
+    """The seeds plus every state outside ``stop`` with a path into them
+    through the choices ``enabled`` (a mask; every choice when None)."""
+    pred, owner = arr.predecessors, arr.owner
+    on = [True] * arr.num_choices if enabled is None else enabled.tolist()
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for c in pred[stack.pop()]:
+            s = owner[c]
+            if on[c] and s not in seen and s not in stop:
+                seen.add(s)
+                stack.append(s)
+    return seen
+
+
+def set_prob0_max(arr: _Arrays, targets: set) -> set:
+    """States whose maximal reachability probability is zero: the complement
+    of backward graph reachability from the target set."""
+    return set(range(arr.num_states)) - set_backward(arr, targets)
+
+
+def set_prob1_max(arr: _Arrays, targets: set) -> set:
+    """States with a strategy reaching the targets almost surely
+    (greatest fixpoint over a least fixpoint).
+
+    Each outer round is one backward search from the targets inside the
+    current set ``b``, over choices whose successors all lie in ``b``.  A
+    state that drops out of ``b`` switches off the choices leading into it.
+    """
+    pred, owner = arr.predecessors, arr.owner
+    inside = [True] * arr.num_choices  # every successor still in b
+    b = set(range(arr.num_states))
+    while True:
+        r = set(targets)
+        stack = list(targets)
+        while stack:
+            for c in pred[stack.pop()]:
+                s = owner[c]
+                if inside[c] and s not in r and s in b:
+                    r.add(s)
+                    stack.append(s)
+        if r == b:
+            return b
+        for dropped in b - r:
+            for c in pred[dropped]:
+                inside[c] = False
+        b = r
+
+
+def set_prob0_min(arr: _Arrays, targets: set, enabled=None) -> set:
+    """States with a strategy avoiding the targets with probability one,
+    taking only the choices ``enabled`` (a mask; every choice when None).
+
+    Least fixpoint of the states all of whose (at least one) choices hit
+    the set, counted down per state as choices start hitting it.
+    """
+    pred, owner = arr.predecessors, arr.owner
+    if enabled is None:
+        enabled = np.ones(arr.num_choices, dtype=bool)
+    # per state, its enabled choices not yet hitting; a disabled choice is
+    # never counted, and is passed over as if it hit already
+    missing = np.bincount(arr.choice_state[enabled], minlength=arr.num_states).tolist()
+    hits = (~enabled).tolist()
+    hit = set(targets)
+    stack = list(targets)
+    while stack:
+        for c in pred[stack.pop()]:
+            if hits[c]:
+                continue
+            hits[c] = True
+            s = owner[c]
+            missing[s] -= 1
+            if missing[s] == 0 and s not in hit:
+                hit.add(s)
+                stack.append(s)
+    return set(range(arr.num_states)) - hit
+
+
+def set_prob1_min(arr: _Arrays, targets: set, zero: Optional[set] = None,
+                  enabled=None) -> set:
+    """States reaching the targets almost surely under every strategy that
+    takes only the choices ``enabled`` (a mask; every choice when None);
+    ``zero`` is ``_prob0_min(arr, targets)`` when the caller has it.  A
+    state outside the targets needs an enabled choice."""
+    if zero is None:
+        zero = set_prob0_min(arr, targets, enabled)
+    bad = set_backward(arr, zero, stop=targets, enabled=enabled)
+    return set(range(arr.num_states)) - bad
+
+
+def set_mask(n: int, states: set) -> np.ndarray:
+    out = np.zeros(n, dtype=bool)
+    out[list(states)] = True
+    return out
+
+
+def set_target_set(model: ExplicitModel, targets) -> set:
+    if isinstance(targets, str):
+        return set(model.label_states(targets))
+    out = set(int(t) for t in targets)
+    n = model.num_states
+    for t in out:
+        if not (0 <= t < n):
+            raise ModelError(f"target state {t} out of range")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the former cost-bounded reachability, which built its budget product out of
 # ``Choice`` objects with exact probabilities and left ``reach_prob`` to turn
 # them into arrays; kept verbatim (it calls the current ``reach_prob``)
@@ -800,7 +947,7 @@ def seed_cost_bounded_reach(
     """
     if bound < 0:
         raise ValueError("cost bound must be nonnegative")
-    tset = _target_set(model, targets)
+    tset = set_target_set(model, targets)
     costs = []
     for s, c in enumerate(model.costs):
         if isinstance(c, Expr):
@@ -1509,10 +1656,76 @@ def _drive_out_artificials(tab: np.ndarray, basis: List[int], art: set) -> None:
 # (``seed_absorb``), then restricted to the enabled choices and flattened
 # again for the absorption check.  Kept as it was apart from the names and
 # the absorbed model, which the solution no longer carries (the tests that
-# induce the LP's chain call ``seed_absorb``).  ``checking_prob1_min`` is
-# the checker's ``_prob1_min``, which the former LP called.
-# ``seed_well_defined_instances`` builds every well-defined configuration's
-# instance, as the enumeration route did for MDP families.
+# induce the LP's chain call ``seed_absorb``).  ``set_prob1_min`` is the
+# checker's former ``_prob1_min``, which the former LP called, and
+# ``SeedConstrainedSolution`` the former solution class, which could also be
+# made from a ``Strategy``.  ``seed_well_defined_instances`` builds every
+# well-defined configuration's instance, as the enumeration route did for
+# MDP families.
+
+
+class SeedConstrainedSolution:
+    """An optimum of the occupation LP: its expected cost, its probability
+    of reaching the targets, and its strategy.
+
+    ``support[s]`` holds the choice indices the strategy takes at state
+    ``s``, in choice order; branch-and-bound reads only these.  A solution
+    of the LP keeps the LP's flows and builds the exact ``Strategy`` when
+    ``strategy`` is first read, so the rational normalisation is paid only
+    for a strategy that is reported.  Made from a strategy, as
+    ``ConstrainedSolution(strategy, expected_cost, reach_probability)``,
+    its support is that strategy's.
+    """
+
+    __slots__ = ("expected_cost", "reach_probability", "_strategy", "_support", "_flows")
+
+    def __init__(self, strategy: Strategy, expected_cost: float, reach_probability: float):
+        self.expected_cost = expected_cost
+        self.reach_probability = reach_probability
+        self._strategy = strategy
+        self._support = None
+        self._flows = None
+
+    @classmethod
+    def _of_flows(cls, flows: tuple, expected_cost: float, reach_probability: float):
+        """The solution whose strategy is read off ``flows``: the number of
+        states, and per LP variable its state, its choice index there and
+        its flow, as arrays in variable order."""
+        res = cls(None, expected_cost, reach_probability)
+        res._flows = flows
+        return res
+
+    def _weights(self) -> list:
+        """Per state, the (choice index, weight) pairs of its strategy: the
+        flows above ``SUPPORT_TOL``, or one each on all of the state's own
+        choices where none has such a flow; the first choice at a state
+        without variables."""
+        n, states, choices, y = self._flows
+        own: Dict[int, list] = {}
+        for s, ci, w in zip(states.tolist(), choices.tolist(), y.tolist()):
+            own.setdefault(s, []).append((ci, w))
+        weights = [((0, 1),)] * n
+        for s, pairs in own.items():
+            weights[s] = [(ci, w) for ci, w in pairs if w > SUPPORT_TOL] or [(ci, 1) for ci, _ in pairs]
+        return weights
+
+    @property
+    def support(self) -> list:
+        if self._support is None:
+            if self._strategy is None:
+                self._support = [tuple(ci for ci, _ in pairs) for pairs in self._weights()]
+            else:
+                self._support = [tuple(dist) for dist in self._strategy.choice_probs]
+        return self._support
+
+    @property
+    def strategy(self) -> Strategy:
+        if self._strategy is None:
+            self._strategy = Strategy([
+                {ci: Fraction(w) for ci, w in pairs} for pairs in self._weights()
+            ])
+            self._flows = None
+        return self._strategy
 
 
 def seed_absorb(model: ExplicitModel, closed: set) -> ExplicitModel:
@@ -1549,7 +1762,7 @@ def seed_constrained_mdp_lp(
     goals,
     *,
     disabled_actions: FrozenSet[str] = frozenset(),
-) -> ConstrainedSolution:
+) -> SeedConstrainedSolution:
     """Minimize expected cost subject to Pr(reach targets) <= bound.
 
     Occupation-measure formulation: variables y[s,a] >= 0 for transient
@@ -1607,8 +1820,8 @@ def seed_constrained_mdp_lp(
         labels={},
         parameters={},
     )
-    arr = _Arrays(restricted)
-    sure = checking_prob1_min(arr, terminal)
+    arr = PredecessorArrays(restricted)
+    sure = set_prob1_min(arr, terminal)
     if len(sure) != restricted.num_states:
         missing = sorted(set(range(restricted.num_states)) - sure)[0]
         raise ImproperModelError(
@@ -1622,7 +1835,7 @@ def seed_constrained_mdp_lp(
         if pr > lam + FEASIBILITY_TOL:
             raise InfeasibleError("initial state lies in the target set")
         picks = [0] * absorbed.num_states
-        return ConstrainedSolution(
+        return SeedConstrainedSolution(
             Strategy.deterministic(picks), 0.0, pr
         )
 
@@ -1696,7 +1909,7 @@ def seed_constrained_mdp_lp(
 
     pr = float(sum(v * y[j] for j, v in bound_row.items()))
     ec = float(sol.objective)
-    return ConstrainedSolution(Strategy(choice_probs), ec, pr)
+    return SeedConstrainedSolution(Strategy(choice_probs), ec, pr)
 
 
 def seed_well_defined_instances(model: ExplicitModel) -> Iterator[Tuple[Valuation, ExplicitModel]]:

@@ -489,8 +489,9 @@ def test_the_sparse_polish_agrees_with_the_former_dense_one(monkeypatch, models_
 
 # --- the array-built cost-bounded product against the former object-built one ---
 
-_ARRAY_FIELDS = ("choice_state", "choice_start", "branch_start", "targets", "probs")
-_LIST_FIELDS = ("num_states", "num_choices", "owner", "predecessors")
+_ARRAY_FIELDS = ("choice_state", "choice_start", "branch_start", "targets", "probs",
+                 "pred_choice", "pred_start")
+_LIST_FIELDS = ("num_states", "num_choices")
 
 
 def _recording(monkeypatch, module, products):
@@ -582,6 +583,43 @@ def test_array_built_product_equals_the_former_on_the_retry_channel(monkeypatch,
     assert _assert_same_cbr(monkeypatch, chain, "delivered", 20)[0] == "value"
 
 
+def test_the_goal_mask_checks_as_the_former_goal_set(monkeypatch, models_dir):
+    """``cost_bounded_reach`` hands ``reach_prob`` the product's goal as a
+    boolean mask, made with array operations; the former goal set, built
+    state by state, gives bit-identical values and the same strategy."""
+    rng = random.Random(29)
+    chain, _ = _retry_models(models_dir)
+    cases = [(chain, "delivered", 20, "max")]
+    cases += [(random_mdp(rng), "target", rng.randint(1, 8), direction)
+              for _ in range(40) for direction in ("min", "max")]
+    inner = checking.reach_prob
+    calls = []
+
+    def record(model, targets, *args, **kwargs):
+        calls.append((model, targets))
+        return inner(model, targets, *args, **kwargs)
+
+    monkeypatch.setattr(checking, "reach_prob", record)
+    for model, label, bound, direction in cases:
+        calls.clear()
+        value = cost_bounded_reach(model, label, bound, direction)
+        width = bound + 1
+        former = {s * width + b for s in model.label_states(label) for b in range(1, width)}
+        if not former:  # no target: no product is checked
+            assert (calls, value) == ([], 0.0)
+            continue
+        (product, goal), = calls
+        assert goal.dtype == bool and goal.shape == (product.num_states,)
+        assert np.flatnonzero(goal).tolist() == sorted(former)
+        vec, strategy = inner(product, goal, direction)
+        want, want_strategy = inner(product, former, direction)
+        assert vec.values.tobytes() == want.values.tobytes()
+        assert (vec.iterations, vec.residual, vec.polished) == \
+            (want.iterations, want.residual, want.polished)
+        assert strategy.choice_probs == want_strategy.choice_probs
+        assert value == float(want.values[product.initial])
+
+
 def _same_items(new, former):
     """``new`` reads as the former lazy sequence ``former``: item for item,
     from either end, and with ``IndexError`` past either end."""
@@ -624,7 +662,7 @@ def test_the_lazy_sequences_equal_the_former_ones(monkeypatch, models_dir):
     assert len(products) == 3 and len(products[0].states) == 8421
     for product, (model, target, bound) in zip(products, cases):
         width = bound + 1
-        tset = checking._target_set(model, target)
+        tset = oracles.set_target_set(model, target)
         costs = [int(c) for c in model.costs]
         _same_items(product.states, oracles._ProductStates(model.states, width))
         _same_items(product.choices, oracles._ProductRows(model, tset, costs, width))

@@ -34,6 +34,17 @@ def test_parse_refuses_a_constant_probability_row_that_sums_past_one(capsys, tmp
     assert "sum to 1.2, not 1" in err
 
 
+def test_parse_refuses_a_constant_probability_that_divides_by_zero(capsys, tmp_path):
+    src = tmp_path / "constant.mgcl"
+    src.write_text(
+        "const c = 1;\nmodule m\n  s : [0..1] init 0;\n"
+        "  [] s=0 -> 1/(c-1):(s'=1) + (1-1/(c-1)):(s'=0);\n  [] s=1 -> true;\nendmodule\n"
+    )
+    code, out, err = run(capsys, "parse", str(src))
+    assert code == 2 and out == ""
+    assert "division by zero in 1 / (c - 1) in probability in command 1 of module 'm'" in err
+
+
 def test_build_json(capsys, models_dir):
     code, out, _ = run(capsys, "build", str(models_dir / "die.mgcl"), "--valuations")
     assert code == 0

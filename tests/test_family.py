@@ -190,10 +190,11 @@ def test_each_row_of_a_stack_stops_where_its_configuration_alone_stops():
     probs = [[float(p) for p, edge in zip(row, support) if edge] for _, row, _ in entries]
     arr = checking._Arrays(model, support, probs)
     cost = np.array([[float(c) for c in costs] for _, _, costs in entries])
-    tset, gset = set(model.label_states("t")), set(model.label_states("g"))
+    target, goal = checking._target_set(model, "t"), checking._target_set(model, "g")
     stacks = [
-        (checking._reach(arr, tset, "max", True, len(entries), checking.DEFAULT_TOL), reach_prob, "t"),
-        (checking._expected(model, arr, gset, cost, "min", True, checking.DEFAULT_TOL),
+        (checking._reach(arr, target, "max", True, len(entries), checking.DEFAULT_TOL),
+         reach_prob, "t"),
+        (checking._expected(model, arr, goal, cost, "min", True, checking.DEFAULT_TOL),
          expected_cost, "g"),
     ]
     for (x, iterations, residual, polished, _), alone, label in stacks:

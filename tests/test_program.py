@@ -229,3 +229,25 @@ def test_a_valid_constant_probability_row_builds_the_literal_model():
     assert model == build_model(literal)
     assert model.kind == "mc" and model.num_states == 3
     assert [p for p, _ in model.choices[1][0].branches] == [F(9, 25), F(16, 25)]
+
+
+def test_a_constant_probability_that_divides_by_zero_is_reported():
+    src = """
+    const c = 1;
+    module m
+      s : [0..1] init 0;
+      [] s=0 -> 1/(c-1):(s'=1) + (1-1/(c-1)):(s'=0);
+      [] s=1 -> true;
+    endmodule
+    """
+    message = "division by zero in 1 / (c - 1) in probability in command 1 of module 'm'"
+    assert [d.message for d in check_program(parse_program(src, check=False))] == [message] * 2
+    with pytest.raises(ParseError, match=r"division by zero in 1 / \(c - 1\) in probability"):
+        parse_program(src)
+    with pytest.raises(ModelError, match="program is not well-formed: .*division by zero"):
+        build_model(parse_program(src, check=False))
+    # a sort error is reported once, by the sort check
+    mixed = src.replace("1/(c-1):(s'=1) + (1-1/(c-1)):(s'=0)", "(c+true):(s'=1) + 0:(s'=0)")
+    assert [d.message for d in check_program(parse_program(mixed, check=False))] == [
+        "arithmetic on non-numbers in c + true in probability in command 1 of module 'm'"
+    ]

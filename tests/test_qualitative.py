@@ -58,19 +58,48 @@ def test_corpus_covers_the_graph_corner_cases():
     assert self_loops and unreachable > 20 and several > 150 and sinks > 20
 
 
+def _same_states(mask, states, n):
+    """``mask`` is the boolean mask over ``n`` states of the set ``states``."""
+    assert mask.dtype == bool and mask.shape == (n,)
+    assert np.flatnonzero(mask).tolist() == sorted(states)
+
+
 def test_graph_sets_equal_the_former_fixpoints():
+    # the searches on masks against the former searches on sets, and those
+    # against the fixpoints before them
     rng = random.Random(7)
     for model in CORPUS:
-        arr = oracles.SeedArrays(model)
+        n = model.num_states
+        arr = oracles.PredecessorArrays(model)
+        seed = oracles.SeedArrays(model)
+        _same_states(checking._reachable_from(arr, model.initial),
+                     oracles.set_reachable_from(arr, model.initial), n)
         for targets in _target_sets(model, rng):
+            mask = oracles.set_mask(n, targets)
             for name in QUALITATIVE:
-                new = getattr(checking, name)(arr, set(targets))
-                old = getattr(oracles, name)(arr, set(targets))
-                assert new == old, (name, model.choices, targets)
+                new = getattr(checking, name)(arr, mask)
+                former = getattr(oracles, "set" + name)(arr, set(targets))
+                _same_states(new, former, n)
+                assert former == getattr(oracles, name)(seed, set(targets)), (name, targets)
 
 
 def _former_predecessors(arr):
     return [[c for _, c in into] for into in oracles._predecessors(arr)]
+
+
+def _csr_lists(arr):
+    """The predecessor graph of ``arr`` as one list per state."""
+    pred, start = arr.pred_choice.tolist(), arr.pred_start.tolist()
+    return [pred[lo:hi] for lo, hi in zip(start, start[1:])]
+
+
+def _former_lists(arr):
+    """The per-state predecessor lists the former ``_fill`` built from the
+    flat arrays of ``arr``."""
+    former = oracles.PredecessorArrays.__new__(oracles.PredecessorArrays)
+    former._fill(arr.num_states, arr.choice_state, arr.choice_start, arr.branch_start,
+                 arr.targets, arr.probs)
+    return former.predecessors
 
 
 def test_predecessor_lists_equal_the_former_per_branch_lists():
@@ -80,17 +109,18 @@ def test_predecessor_lists_equal_the_former_per_branch_lists():
     repeated = 0  # a choice with two branches into one state
     for model in CORPUS:
         arr = checking._Arrays(model)
-        assert arr.predecessors == _former_predecessors(arr)
-        repeated += any(len(set(cs)) < len(cs) for cs in arr.predecessors)
+        lists = _csr_lists(arr)
+        assert lists == _former_lists(arr) == _former_predecessors(arr)
+        repeated += any(len(set(cs)) < len(cs) for cs in lists)
         support = [rng.random() < 0.7 or j == 0 for row in model.choices for ch in row
                    for j in range(len(ch.branches))]
         family = checking._Arrays(model, support, np.ones((2, sum(support))))
-        assert family.predecessors == _former_predecessors(family)
-        target = checking._mask(model.num_states, {rng.randrange(model.num_states)})
+        assert _csr_lists(family) == _former_lists(family) == _former_predecessors(family)
+        target = oracles.set_mask(model.num_states, {rng.randrange(model.num_states)})
         cost = np.array([rng.randint(0, 2) for _ in range(model.num_states)])
         for width in (1, 3):
             product = checking._product_arrays(arr, target, cost, width)
-            assert product.predecessors == _former_predecessors(product)
+            assert _csr_lists(product) == _former_lists(product) == _former_predecessors(product)
     assert repeated > 20
 
 
@@ -101,23 +131,32 @@ def _restricted(model, on):
 
 
 def test_masked_searches_equal_the_former_fixpoints_on_the_restricted_model():
+    # the searches on masks, with some choices disabled, against the former
+    # searches on sets with the same choices disabled, and those against
+    # the fixpoints before them on the model without those choices
     rng = random.Random(11)
     np_rng = np.random.default_rng(11)
     choiceless = 0  # states left with no enabled choice, summed over the cases
     for model in CORPUS:
-        arr = oracles.SeedArrays(model)
+        n = model.num_states
+        arr = oracles.PredecessorArrays(model)
         for share in (0.3, 0.7, 1.0):
             on = np_rng.random(arr.num_choices) < share
             restricted = oracles.SeedArrays(_restricted(model, on))
             choiceless += int(np.sum(np.diff(restricted.choice_start) == 0))
             for targets in _target_sets(model, rng):
-                zero = checking._prob0_min(arr, set(targets), on)
-                assert zero == oracles._prob0_min(restricted, set(targets))
-                assert checking._prob1_min(arr, set(targets), enabled=on) == \
-                    oracles._prob1_min(restricted, set(targets))
-                for stop in (frozenset(), frozenset(targets)):
-                    assert checking._backward(arr, zero, stop, on) == \
-                        checking._backward(restricted, zero, stop)
+                mask = oracles.set_mask(n, targets)
+                zero = checking._prob0_min(arr, mask, on)
+                former_zero = oracles.set_prob0_min(arr, set(targets), on)
+                _same_states(zero, former_zero, n)
+                assert former_zero == oracles._prob0_min(restricted, set(targets))
+                former_one = oracles.set_prob1_min(arr, set(targets), enabled=on)
+                _same_states(checking._prob1_min(arr, mask, enabled=on), former_one, n)
+                assert former_one == oracles._prob1_min(restricted, set(targets))
+                for stop, stop_mask in ((frozenset(), None), (frozenset(targets), mask)):
+                    got = checking._backward(arr, zero, stop_mask, on)
+                    _same_states(got, oracles.set_backward(arr, former_zero, stop, on), n)
+                    assert np.array_equal(got, checking._backward(restricted, zero, stop_mask))
     assert choiceless > 500
 
 
