@@ -1,8 +1,9 @@
 """Reachability, expected cost, cost-bounded reachability, properties.
 
 The engine precomputes the probability-0 and probability-1 sets by graph
-fixpoints, iterates values from below, and reports the exactly evaluated
-value of the extracted strategy.
+fixpoints.  A Markov chain such as the die is then solved exactly, with no
+value iteration; on an MDP values are iterated from below, and the exactly
+evaluated value of the extracted strategy is reported.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from mimdp import (
     parse_file,
     parse_property,
     reach_prob,
+    transform_all,
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -25,8 +27,7 @@ die = build_model(parse_file(MODELS / "die.mgcl"), {"p": Fraction("0.5")})
 print("fair die:")
 for outcome in ("one", "two", "three", "four", "five", "six"):
     vec, _ = reach_prob(die, outcome)
-    print(f"  Pr(roll {outcome:<5}) = {vec.at_initial(die):.10f}"
-          f"   ({vec.iterations} sweeps, residual {vec.residual:.2e})")
+    print(f"  Pr(roll {outcome:<5}) = {vec.at_initial(die):.10f}")
 
 flips, _ = expected_cost(die, "rolled")
 print(f"  expected coin flips = {flips.at_initial(die):.10f}  (exactly 11/3)")
@@ -49,3 +50,11 @@ chain = instantiate(
 )
 vec, _ = reach_prob(chain, "s2")
 print(f"\ntwo-stage chain at (0.6, 0.3, 0.4, 0.7): Pr(F s2) = {vec.at_initial(chain)}")
+
+# value iteration runs on MDPs: the two-stage family with its configuration
+# chosen by the controller
+controlled = build_model(transform_all(parse_file(MODELS / "two_stage.mgcl"))[0])
+for direction in ("min", "max"):
+    vec, _ = reach_prob(controlled, "s2", direction)
+    print(f"controlled two-stage MDP: P{direction}(F s2) = {vec.at_initial(controlled):.6f}"
+          f"   ({vec.iterations} sweeps, residual {vec.residual:.2e})")

@@ -1,10 +1,10 @@
 """Explicit-state model checking.
 
 Optimal reachability probabilities and expected costs via qualitative
-precomputation (the probability-0 and probability-1 sets) followed by value
-iteration, cost-bounded reachability on the cost-unfolded product,
-specification checking, and extraction of deterministic memoryless optimal
-strategies.
+precomputation (the probability-0 and probability-1 sets) followed by an
+exact solve on Markov chains and by value iteration on MDPs, cost-bounded
+reachability on the cost-unfolded product, specification checking, and
+extraction of deterministic memoryless optimal strategies.
 
 The qualitative sets are the standard graph algorithms, linear in the model
 size per search: backward searches over the predecessor graph, kept in CSR
@@ -14,28 +14,33 @@ backward search.  Zero-probability branches are not edges of the graph.
 A set of states is a boolean mask over the model's states throughout, from
 the label or the caller's states it is read from to the values it fixes.
 
-Value iteration starts from zero (iterates are monotone from below) and runs
-to a relative residual of 1e-8.  It sweeps only the free states, those the
-qualitative sets leave open: their choices and branches are gathered once
-per call, in model order, so every sum adds the same terms in the same
-order as a sweep of the whole model would.  The extracted strategy is then
-evaluated exactly by solving its induced linear system, which is what the
-returned values report.  The system is dense up to 128 states and a sparse
-LU above, so the work and memory of a larger region grow with its
-nonzeros.  If that polish step fails its sanity checks (a greedy tie in the
-max direction, or iteration that stopped far from the fixpoint), the raw
-iteration values are kept and ``ValueVector.polished`` is False.
+Once those sets are fixed, a chain's values on the remaining states are the
+unique solution of one linear system (Baier & Katoen, Principles of Model
+Checking, 10.1.1), which is solved directly: dense up to 128 states and a
+sparse LU above, so the work and memory of a larger region grow with its
+nonzeros.  A system the solve cannot meet (not finite, or a large
+residual) raises ``ModelError``.
+
+On an MDP, value iteration starts from zero (iterates are monotone from
+below) and runs to a relative residual of 1e-8.  It sweeps only the free
+states, those the qualitative sets leave open: their choices and branches
+are gathered once per call, in model order, so every sum adds the same
+terms in the same order as a sweep of the whole model would.  The extracted
+strategy is then evaluated exactly by the same solve, which is what the
+returned values report.  If that polish step fails its sanity checks (a
+greedy tie in the max direction, or iteration that stopped far from the
+fixpoint), the raw iteration values are kept and ``ValueVector.polished``
+is False.
 
 The checker works on flat arrays of a model's transition structure, built
 once per model on first use and kept on it (models are immutable once
 built).  The cost-bounded product's arrays are derived from the base
 model's with a few vectorised index operations, not built from objects.
 
-Value iteration and the polish work on stacks of configurations that share
-one structure: ``reach_prob`` and ``expected_cost`` run a stack of one, and
-``chain_family`` checks a family of chains one support pattern at a time,
-each configuration stopping at its own residual and keeping its own polish
-checks, so every row is what checking that configuration alone gives.
+``chain_family`` checks a family of chains one support pattern at a time:
+the configurations that share a support share one set of arrays and
+qualitative sets, and their systems are solved as one stack, so every row
+is what checking that configuration alone gives.
 """
 
 from __future__ import annotations
@@ -67,10 +72,15 @@ class ExpectedCostUndefined(ModelError):
 
 @dataclass
 class ValueVector:
+    """Per-state values.  On a chain, which is solved, ``iterations`` is 0,
+    ``residual`` 0.0 and ``polished`` True; on an MDP they are the sweeps
+    and last residual of value iteration, and whether the polish of its
+    strategy was accepted (False: the raw iteration values are kept)."""
+
     values: np.ndarray
     iterations: int
     residual: float
-    polished: bool  # False: the polish step was rejected, raw VI values kept
+    polished: bool
 
     def at_initial(self, model: ExplicitModel) -> float:
         return float(self.values[model.initial])
@@ -159,22 +169,6 @@ def _model_arrays(model: ExplicitModel) -> _Arrays:
     if model._arrays is None:
         model._arrays = _Arrays(model)
     return model._arrays
-
-
-def _reachable_from(arr: _Arrays, start: int) -> np.ndarray:
-    # a state's choices, and so its branches, are contiguous
-    first_branch = arr.branch_start[arr.choice_start].tolist()
-    succ = arr.targets.tolist()
-    seen = bytearray(arr.num_states)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        for t in succ[first_branch[s]:first_branch[s + 1]]:
-            if not seen[t]:
-                seen[t] = True
-                stack.append(t)
-    return np.frombuffer(seen, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +272,19 @@ def _prob1_min(arr: _Arrays, targets: np.ndarray, zero: Optional[np.ndarray] = N
 # ---------------------------------------------------------------------------
 # value iteration core
 
-def _sweep_residual(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """Per row of the stacks of free entries: the largest relative change
-    over the finite entries of ``new`` (absolute where the new value is not
-    positive), 0 when there is none."""
+def _sweep_residual(new: np.ndarray, old: np.ndarray) -> float:
+    """The largest relative change over the finite entries of ``new``
+    (absolute where the new value is not positive), 0 when there is
+    none."""
     rel = np.subtract(new, old)
     np.abs(rel, out=rel)
     np.divide(rel, np.maximum(new, 1.0e-300), out=rel, where=new > 0)
     # rel is never negative, and an infinite or NaN entry of new makes its
-    # rel, and so the row's maximum, infinite or NaN
-    out = np.maximum.reduce(rel, axis=1, initial=0.0)
-    if not math.isfinite(np.add.reduce(out)):
-        out = np.maximum.reduce(np.where(np.isfinite(new), rel, 0.0), axis=1, initial=0.0)
-    return out
+    # rel, and so the maximum, infinite or NaN
+    out = np.maximum.reduce(rel, initial=0.0)
+    if not math.isfinite(out):
+        out = np.maximum.reduce(np.where(np.isfinite(new), rel, 0.0), initial=0.0)
+    return float(out)
 
 
 def _iterate(
@@ -301,25 +295,18 @@ def _iterate(
     tol: float,
     state_cost: Optional[np.ndarray] = None,
     trace: Optional[list] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value iteration on a stack of configurations: ``x`` and
-    ``state_cost`` have one row per configuration, and so does
-    ``arr.probs`` unless all rows share it.  Each row stops at its own
-    residual, with the values and sweep count it would reach alone.
-    Returns the final stack (``x``, updated in place), and per row the
-    sweeps and last residual; ``trace`` receives a copy of the stack after
-    every sweep.
+) -> Tuple[int, float]:
+    """Value iteration on one MDP configuration, from the values ``x``,
+    which it updates in place, to a residual of at most ``tol``.  Returns
+    the sweeps and the last residual; ``trace`` receives a copy of ``x``
+    after every sweep.
 
     Only the free states (``free_mask``) are swept.  Their choices and
     branches are gathered once, in model order, so each sweep sums the same
     branches in the same order as a sweep over the whole model would.  The
-    sweeps work on ``w``: the columns of ``x`` with the free states first,
-    then one column of -0.0, a branch that adds nothing to any sum."""
-    k, n = x.shape
-    iterations = np.zeros(k, dtype=np.int64)
-    residual = np.zeros(k)
-    active = np.arange(k)
-    sweeps = 0
+    sweeps work on ``w``: the entries of ``x`` with the free states first,
+    then one entry of -0.0, a branch that adds nothing to any sum."""
+    n = len(x)
     free = np.flatnonzero(free_mask)
     m = len(free)
     order = np.concatenate((free, np.flatnonzero(~free_mask)))
@@ -332,54 +319,46 @@ def _iterate(
     width = arr.branch_start[choices + 1] - first  # branches per choice
     branches, choice_at = _spans(first, width)
     succ = column[arr.targets[branches]]
-    probs = arr.probs[..., branches]
+    probs = arr.probs[branches]
     pairs = not (width > 2).any()
     if pairs:
         # one vector addition in place of reduceat's per-segment work: every
         # choice padded to two branches, a single one with a branch of
-        # probability 0 into the -0.0 column (its sum a + -0.0 is a)
+        # probability 0 into the -0.0 entry (its sum a + -0.0 is a)
         at = np.full(2 * len(choices), len(branches))
         at[0::2] = choice_at
         at[1::2][width == 2] = choice_at[width == 2] + 1
         succ = np.append(succ, n)[at]
-        probs = np.append(probs, np.zeros(probs.shape[:-1] + (1,)), axis=-1)[..., at]
-    cost = None if state_cost is None else state_cost.take(arr.choice_state[choices], axis=1)
+        probs = np.append(probs, 0.0)[at]
+    cost = None if state_cost is None else state_cost[arr.choice_state[choices]]
     several = (count > 1).any()  # some free state has several choices
     best = np.maximum if direction == "max" else np.minimum
-    w = np.empty((k, n + 1))
-    w[:, :n] = x.take(order, axis=1)
-    w[:, n] = -0.0
-    while len(active):
-        whole = len(active) == k
-        wa = w if whole else w[active]
-        new = wa.take(succ, axis=1)
-        new *= probs if whole or probs.ndim == 1 else probs[active]
+    w = np.empty(n + 1)
+    w[:n] = x[order]
+    w[n] = -0.0
+    sweeps = 0
+    while True:
+        new = w.take(succ)
+        new *= probs
         if pairs:
-            new = new[:, 0::2] + new[:, 1::2]
+            new = new[0::2] + new[1::2]
         else:
-            new = np.add.reduceat(new, choice_at, axis=1)
+            new = np.add.reduceat(new, choice_at)
         if cost is not None:
-            new += cost if whole else cost[active]
+            new += cost
         if several:
-            new = best.reduceat(new, state_at, axis=1)
-        res = _sweep_residual(new, wa[:, :m])
-        if whole:
-            w[:, :m] = new
-        else:
-            w[active, :m] = new
+            new = best.reduceat(new, state_at)
+        residual = _sweep_residual(new, w[:m])
+        w[:m] = new
         sweeps += 1
         if trace is not None:
-            x[:, free] = w[:, :m]
+            x[free] = new
             trace.append(x.copy())
         if sweeps > _MAX_SWEEPS:
             raise ModelError("value iteration failed to converge")
-        if not np.minimum.reduce(res) > tol:
-            done = ~(res > tol)
-            iterations[active[done]] = sweeps
-            residual[active[done]] = res[done]
-            active = active[~done]
-    x[:, free] = w[:, :m]
-    return x, iterations, residual
+        if not residual > tol:
+            x[free] = new
+            return sweeps, residual
 
 
 def _greedy(arr: _Arrays, x: np.ndarray, direction: str,
@@ -415,24 +394,28 @@ def _branches(arr: _Arrays, choices: np.ndarray):
 def _polish(
     arr: _Arrays,
     picks: np.ndarray,
-    vi_values: np.ndarray,
+    x: np.ndarray,
     region: np.ndarray,
     rhs: np.ndarray,
-    clip: Optional[Tuple[float, float]],
-) -> Tuple[np.ndarray, np.ndarray]:
+    clip: Tuple[float, float],
+    chain: bool,
+) -> bool:
     """Exact policy evaluation on ``region``: solve (I - P) x = rhs for
-    every row of the stacks ``vi_values`` and ``rhs``, all under the
-    strategy ``picks``, with each row's own probabilities.
+    every row of the stacks ``x`` and ``rhs``, all under the strategy
+    ``picks``, with each row's own probabilities, and write each accepted
+    solution, clipped to ``clip``, into its row of ``x``.
 
     The systems are solved by ``_solve_stack``: dense up to
-    ``_POLISH_DENSE_LIMIT`` states, a sparse LU above.  Returns the refined
-    region values per row, and per row whether they are accepted: False
-    when the strategy is not proper there (singular or badly deviating
-    system), in which case the row is meaningless.
+    ``_POLISH_DENSE_LIMIT`` states, a sparse LU above.  A solution is
+    rejected when it is not finite or misses its system (the strategy is
+    not proper there), and on an MDP, whose one row of ``x`` holds the
+    value iteration values, also when it deviates from them.  Returns
+    whether the MDP's solution was accepted; a rejected row of a chain,
+    which has no other values, raises ``ModelError``.
     """
     k, n = rhs.shape
     if not n:
-        return np.zeros((k, 0)), np.ones(k, dtype=bool)
+        return True
     rows, targets, probs = _branches(arr, arr.choice_start[region] + picks[region])
     col_of = np.full(arr.num_states, -1, dtype=np.int64)
     col_of[region] = np.arange(n)
@@ -445,14 +428,19 @@ def _polish(
     # a failed solve may leave NaNs or infinities, rejected below
     with np.errstate(invalid="ignore", over="ignore"):
         _solve_stack(rows, cols, probs, rhs, sol, residual)
-    vi_region = vi_values[:, region]
     accepted = np.all(np.isfinite(sol), axis=1)
     accepted &= ~(residual > 1e-7 * _at_least_one(np.max(np.abs(rhs), axis=1)))
-    scale = _at_least_one(np.max(np.abs(vi_region), axis=1))
-    accepted &= ~(np.max(np.abs(sol - vi_region), axis=1) > 1e-5 * scale)
-    if clip is not None:
-        sol = np.clip(sol, clip[0], clip[1])
-    return sol, accepted
+    if chain:
+        if not accepted.all():
+            raise ModelError("the chain's linear system could not be solved: "
+                             "it is singular or too ill-conditioned in floating point")
+    else:
+        vi_region = x[:, region]
+        scale = _at_least_one(np.max(np.abs(vi_region), axis=1))
+        accepted &= ~(np.max(np.abs(sol - vi_region), axis=1) > 1e-5 * scale)
+    sol = np.clip(sol, clip[0], clip[1])
+    x[np.ix_(accepted, region)] = sol[accepted]
+    return bool(accepted.all())
 
 
 def _solve_stack(rows, cols, probs, rhs, sol, residual) -> None:
@@ -517,7 +505,11 @@ def _target_set(model: ExplicitModel, targets) -> np.ndarray:
     ``targets`` is a label, a boolean mask of the model's length, which is
     taken as it is, or state indices, each of which must be in range."""
     n = model.num_states
-    if isinstance(targets, np.ndarray) and targets.dtype == bool and targets.shape == (n,):
+    if isinstance(targets, np.ndarray) and targets.dtype == bool:
+        if targets.shape != (n,):
+            raise ModelError(
+                f"state mask of shape {targets.shape} for a model of {n} states"
+            )
         return targets
     if isinstance(targets, str):
         states = model.label_states(targets)
@@ -543,27 +535,30 @@ def reach_prob(
     boolean mask over the model's states, or a collection of states.
 
     Returns per-state values and a deterministic memoryless strategy
-    (lowest-choice-index tie-break).  For Markov chains the direction is
-    irrelevant.  Probability-0 and probability-1 states are set exactly by
-    the qualitative precomputation, not by iteration.
+    (lowest-choice-index tie-break).  Probability-0 and probability-1
+    states are set exactly by the qualitative precomputation.  On a Markov
+    chain the direction is irrelevant and the other values are the
+    solution of the chain's linear system; on an MDP they come from value
+    iteration to ``tol`` and its polish, and ``trace`` (a list) receives
+    the values after every sweep.
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     arr = _model_arrays(model)
     target = _target_set(model, targets)
-    x, iters, residual, polished, picks = _reach(
+    x, sweeps, residual, polished, picks = _reach(
         arr, target, direction, model.kind == "mc", 1, tol, trace
     )
-    vec = ValueVector(x[0], int(iters[0]), float(residual[0]), bool(polished[0]))
-    return vec, Strategy.deterministic(picks.tolist())
+    return ValueVector(x[0], sweeps, residual, polished), Strategy.deterministic(picks.tolist())
 
 
 def _reach(arr: _Arrays, target: np.ndarray, direction: str, chain: bool, k: int,
            tol: float, trace: Optional[list] = None):
     """``reach_prob`` on ``k`` configurations that share the structure of
     ``arr`` (``k`` > 1 only on chains, whose one strategy they share), with
-    the mask ``target``: the value stack, per row the sweeps, last residual
-    and whether the polish was accepted, and the strategy's picks."""
+    the mask ``target``: the value stack, the sweeps and last residual of
+    value iteration (an MDP's; 0 and 0.0 on a chain), whether the polish
+    was accepted, and the strategy's picks."""
     # on a chain each min set equals its max counterpart, and _prob1_min
     # skips the nested fixpoint of _prob1_max; both sets leave the targets
     # at probability one
@@ -576,27 +571,20 @@ def _reach(arr: _Arrays, target: np.ndarray, direction: str, chain: bool, k: int
     free = ~(one | zero)
 
     x = np.tile(np.where(one, 1.0, 0.0), (k, 1))
-    x, iters, residual = _iterate(arr, x, free, direction, tol, trace=trace)
-    picks = _picks(arr, x, direction, chain)
+    sweeps, residual = 0, 0.0
+    if chain:  # its one choice per state is every configuration's strategy
+        picks = np.zeros(arr.num_states, dtype=np.int64)
+    else:
+        sweeps, residual = _iterate(arr, x[0], free, direction, tol, trace=trace)
+        picks = _greedy(arr, x[0], direction)
 
-    polished = np.ones(k, dtype=bool)
     maybe = np.flatnonzero(free)
-    if len(maybe):
-        rows, succ, probs = _branches(arr, arr.choice_start[maybe] + picks[maybe])
-        into = one[succ]
-        rhs = np.zeros((k, len(maybe)))
-        np.add.at(rhs, (slice(None), rows[into]), probs[..., into])
-        refined, polished = _polish(arr, picks, x, maybe, rhs, clip=(0.0, 1.0))
-        x[np.ix_(polished, maybe)] = refined[polished]
-    return x, iters, residual, polished, picks
-
-
-def _picks(arr: _Arrays, x: np.ndarray, direction: str, chain: bool,
-           state_cost: Optional[np.ndarray] = None) -> np.ndarray:
-    # a chain's one choice per state is the strategy of every configuration
-    if chain:
-        return np.zeros(arr.num_states, dtype=np.int64)
-    return _greedy(arr, x[0], direction, None if state_cost is None else state_cost[0])
+    rows, succ, probs = _branches(arr, arr.choice_start[maybe] + picks[maybe])
+    into = one[succ]
+    rhs = np.zeros((k, len(maybe)))
+    np.add.at(rhs, (slice(None), rows[into]), probs[..., into])
+    polished = _polish(arr, picks, x, maybe, rhs, (0.0, 1.0), chain)
+    return x, sweeps, residual, polished, picks
 
 
 def expected_cost(
@@ -613,6 +601,7 @@ def expected_cost(
     Defined only where the goals are reached almost surely under every
     strategy (the conservative min-direction precondition); other states get
     +inf, and the operation fails if the initial state cannot satisfy it.
+    A chain is solved, an MDP iterated, as in ``reach_prob``.
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
@@ -624,41 +613,41 @@ def expected_cost(
         if c < 0:
             raise ModelError(f"negative cost at state {s}")
     cost = np.array([[float(c) for c in model.costs]])
-    x, iters, residual, polished, picks = _expected(
+    x, sweeps, residual, polished, picks = _expected(
         model, arr, goal, cost, direction, model.kind == "mc", tol, trace
     )
-    vec = ValueVector(x[0], int(iters[0]), float(residual[0]), bool(polished[0]))
-    return vec, Strategy.deterministic(picks.tolist())
+    return ValueVector(x[0], sweeps, residual, polished), Strategy.deterministic(picks.tolist())
 
 
 def _expected(model: ExplicitModel, arr: _Arrays, goal: np.ndarray, cost: np.ndarray,
               direction: str, chain: bool, tol: float, trace: Optional[list] = None):
     """``expected_cost`` on the configurations of ``arr`` (one row of
     ``cost`` each; several only on chains) with the mask ``goal``,
-    returned as ``_reach`` returns."""
+    returned as ``_reach`` returns.  The probability-1 set is closed along
+    the paths that avoid the goals, so the initial state in it is the
+    whole precondition."""
     sure = _prob1_min(arr, goal)
-    lacking = np.flatnonzero(_reachable_from(arr, model.initial) & ~sure)
-    if len(lacking):
+    if not sure[model.initial]:
         raise ExpectedCostUndefined(
             "expected cost undefined: goal not reached almost surely from "
-            f"state {model.state_text(int(lacking[0]))}"
+            f"state {model.state_text(model.initial)}"
         )
 
-    cost_masked = np.where(goal, 0.0, cost)
     x = np.tile(np.where(sure, 0.0, np.inf), (len(cost), 1))
     free = sure & ~goal
+    sweeps, residual = 0, 0.0
+    if chain:
+        picks = np.zeros(arr.num_states, dtype=np.int64)
+    else:
+        cost_masked = np.where(goal, 0.0, cost[0])
+        sweeps, residual = _iterate(
+            arr, x[0], free, direction, tol, state_cost=cost_masked, trace=trace
+        )
+        picks = _greedy(arr, x[0], direction, cost_masked)
 
-    x, iters, residual = _iterate(
-        arr, x, free, direction, tol, state_cost=cost_masked, trace=trace
-    )
-    picks = _picks(arr, x, direction, chain, cost_masked)
-
-    polished = np.ones(len(cost), dtype=bool)
     region = np.flatnonzero(free)
-    if len(region):
-        refined, polished = _polish(arr, picks, x, region, cost[:, region], clip=(0.0, np.inf))
-        x[np.ix_(polished, region)] = refined[polished]
-    return x, iters, residual, polished, picks
+    polished = _polish(arr, picks, x, region, cost[:, region], (0.0, np.inf), chain)
+    return x, sweeps, residual, polished, picks
 
 
 def chain_family(
@@ -679,8 +668,9 @@ def chain_family(
     over its denominator, the int division ``float()`` of a ``Fraction``
     makes, so the floats are the same.
     Configurations with the same support, the branches of nonzero
-    probability, share one set of arrays and qualitative sets, and run as
-    one stack through value iteration and the polish.
+    probability, share one set of arrays and qualitative sets, and their
+    linear systems are solved as one stack; a system the solve cannot meet
+    raises ``ModelError``, as on the configuration's instance.
     """
     target = _target_set(model, targets)
     goal = _target_set(model, goals)

@@ -329,7 +329,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="check bounded properties against the minimizing strategy",
     )
     p.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL, help="value-iteration residual tolerance"
+        "--tol", type=float, default=DEFAULT_TOL,
+        help="value-iteration residual tolerance (MDPs; a chain is solved exactly)"
     )
     _add_state_cap(p)
     _add_output(p)

@@ -30,6 +30,7 @@ from .expressions import (
     Binary,
     BoolLit,
     Expr,
+    ExprError,
     Extremum,
     Name,
     Num,
@@ -136,8 +137,13 @@ def tokenize(text: str) -> List[Token]:
 # folds the whole expression; ``fold`` would walk the operands again, which
 # makes a chain of n operators cost O(n^2).
 
-def _binary_node(op: str, left: Expr, right: Expr) -> Expr:
-    return _fold_binary(Binary(op, left, right), left, right)
+def _binary_node(op: Token, left: Expr, right: Expr) -> Expr:
+    """The folded node of the operator token ``op``; a fold that fails
+    (``1 + true``, ``1 / 0``) is a ``ParseError`` at the operator."""
+    try:
+        return _fold_binary(Binary(op.kind, left, right), left, right)
+    except ExprError as e:
+        raise ParseError(str(e), op.line, op.col) from None
 
 
 def _unary_node(op: str, operand: Expr) -> Expr:
@@ -254,7 +260,7 @@ class _Parser:
         """A literal rational: number, const name, or folded literal arithmetic."""
         tok = self.peek()
         e = self.expression()
-        from .expressions import eval_expr, ExprError, names_in
+        from .expressions import eval_expr, names_in
 
         free = names_in(e)
         unknown = free - set(constants)
@@ -385,15 +391,13 @@ class _Parser:
     def _or(self) -> Expr:
         e = self._and()
         while self.at("|"):
-            self.advance()
-            e = _binary_node("|", e, self._and())
+            e = _binary_node(self.advance(), e, self._and())
         return e
 
     def _and(self) -> Expr:
         e = self._not()
         while self.at("&"):
-            self.advance()
-            e = _binary_node("&", e, self._not())
+            e = _binary_node(self.advance(), e, self._not())
         return e
 
     def _not(self) -> Expr:
@@ -405,22 +409,19 @@ class _Parser:
     def _comparison(self) -> Expr:
         e = self._additive()
         if self.at("=", "!=", "<", "<=", ">", ">="):
-            op = self.advance().kind
-            e = _binary_node(op, e, self._additive())
+            e = _binary_node(self.advance(), e, self._additive())
         return e
 
     def _additive(self) -> Expr:
         e = self._multiplicative()
         while self.at("+", "-"):
-            op = self.advance().kind
-            e = _binary_node(op, e, self._multiplicative())
+            e = _binary_node(self.advance(), e, self._multiplicative())
         return e
 
     def _multiplicative(self) -> Expr:
         e = self._unary()
         while self.at("*", "/"):
-            op = self.advance().kind
-            e = _binary_node(op, e, self._unary())
+            e = _binary_node(self.advance(), e, self._unary())
         return e
 
     def _unary(self) -> Expr:

@@ -14,9 +14,12 @@ exploration, guard implication checks, integer-program emitter, LP
 solver, constrained LP (with its ``SeedConstrainedSolution``) and family
 instances, enumeration route, memoised evaluator, reward selection and
 compiled expressions on ``Fraction`` values, kept as references for the differential tests of the code that
-replaced them.  Value iteration is kept twice: the one-configuration loop
-(``_iterate``, ``_sweep_residual``) and the stacked loop that swept every
-state of the model (``stacked_iterate``, ``_stacked_sweep_residual``).
+replaced them.  Value iteration is kept three times: the one-configuration
+loop (``_iterate``, ``_sweep_residual``), the stacked loop that swept every
+state of the model (``stacked_iterate``, ``_stacked_sweep_residual``) and
+the stacked loop over the free states that also iterated chains
+(``former_iterate``, with the rest of that checker under the prefix
+``former_``).
 At the end, the three hand-written lazy sequences (``_Picks``,
 ``_ProductStates``, ``_ProductRows``) and the ``equality_conjuncts`` that
 sort-checked each conjunct (``seed_equality_conjuncts``).
@@ -34,10 +37,12 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
 
 import numpy as np
 
+from mimdp import checking
 from mimdp.checking import (
     DEFAULT_TOL,
     FEASIBILITY_TOL,
     ExpectedCostUndefined,
+    ValueVector,
     _MAX_SWEEPS,
     _Arrays,
     expected_cost,
@@ -774,6 +779,361 @@ def seed_expected_cost(
 
     strategy = Strategy.deterministic(picks)
     return (x, iters, residual), strategy
+
+
+# ---------------------------------------------------------------------------
+# the former checker, which iterated chains too
+#
+# Reference for the differential tests of the checker that solves a chain's
+# linear system without value iteration and iterates one MDP configuration
+# at a time.  Until then ``_reach`` and ``_expected`` ran value iteration on
+# every model, chains and stacks of chain configurations included, each row
+# stopping at its own residual (``former_iterate``); the polish compared its
+# solution with the iteration values on chains too, and a chain whose polish
+# was rejected kept the iteration values.  ``expected_cost`` refused a query
+# when any state reachable from the initial one, past the goals too, lacked
+# probability one (``former_reachable_from``).  Kept verbatim apart from the
+# names (the prefix ``former_``) and the checker's helpers, which this
+# module reads from ``checking`` (the graph searches, ``_greedy``,
+# ``_branches``, ``_spans``, ``_solve_stack``, ``_at_least_one``).
+
+def former_reachable_from(arr: _Arrays, start: int) -> np.ndarray:
+    # a state's choices, and so its branches, are contiguous
+    first_branch = arr.branch_start[arr.choice_start].tolist()
+    succ = arr.targets.tolist()
+    seen = bytearray(arr.num_states)
+    seen[start] = True
+    stack = [start]
+    while stack:
+        s = stack.pop()
+        for t in succ[first_branch[s]:first_branch[s + 1]]:
+            if not seen[t]:
+                seen[t] = True
+                stack.append(t)
+    return np.frombuffer(seen, dtype=bool)
+
+
+def former_sweep_residual(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Per row of the stacks of free entries: the largest relative change
+    over the finite entries of ``new`` (absolute where the new value is not
+    positive), 0 when there is none."""
+    rel = np.subtract(new, old)
+    np.abs(rel, out=rel)
+    np.divide(rel, np.maximum(new, 1.0e-300), out=rel, where=new > 0)
+    # rel is never negative, and an infinite or NaN entry of new makes its
+    # rel, and so the row's maximum, infinite or NaN
+    out = np.maximum.reduce(rel, axis=1, initial=0.0)
+    if not math.isfinite(np.add.reduce(out)):
+        out = np.maximum.reduce(np.where(np.isfinite(new), rel, 0.0), axis=1, initial=0.0)
+    return out
+
+
+def former_iterate(
+    arr: _Arrays,
+    x: np.ndarray,
+    free_mask: np.ndarray,
+    direction: str,
+    tol: float,
+    state_cost: Optional[np.ndarray] = None,
+    trace: Optional[list] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value iteration on a stack of configurations: ``x`` and
+    ``state_cost`` have one row per configuration, and so does
+    ``arr.probs`` unless all rows share it.  Each row stops at its own
+    residual, with the values and sweep count it would reach alone.
+    Returns the final stack (``x``, updated in place), and per row the
+    sweeps and last residual; ``trace`` receives a copy of the stack after
+    every sweep.
+
+    Only the free states (``free_mask``) are swept.  Their choices and
+    branches are gathered once, in model order, so each sweep sums the same
+    branches in the same order as a sweep over the whole model would.  The
+    sweeps work on ``w``: the columns of ``x`` with the free states first,
+    then one column of -0.0, a branch that adds nothing to any sum."""
+    k, n = x.shape
+    iterations = np.zeros(k, dtype=np.int64)
+    residual = np.zeros(k)
+    active = np.arange(k)
+    sweeps = 0
+    free = np.flatnonzero(free_mask)
+    m = len(free)
+    order = np.concatenate((free, np.flatnonzero(~free_mask)))
+    column = np.empty(n, dtype=np.int64)  # of each state in w
+    column[order] = np.arange(n)
+    first = arr.choice_start[free]
+    count = arr.choice_start[free + 1] - first  # choices per free state
+    choices, state_at = checking._spans(first, count)
+    first = arr.branch_start[choices]
+    width = arr.branch_start[choices + 1] - first  # branches per choice
+    branches, choice_at = checking._spans(first, width)
+    succ = column[arr.targets[branches]]
+    probs = arr.probs[..., branches]
+    pairs = not (width > 2).any()
+    if pairs:
+        # one vector addition in place of reduceat's per-segment work: every
+        # choice padded to two branches, a single one with a branch of
+        # probability 0 into the -0.0 column (its sum a + -0.0 is a)
+        at = np.full(2 * len(choices), len(branches))
+        at[0::2] = choice_at
+        at[1::2][width == 2] = choice_at[width == 2] + 1
+        succ = np.append(succ, n)[at]
+        probs = np.append(probs, np.zeros(probs.shape[:-1] + (1,)), axis=-1)[..., at]
+    cost = None if state_cost is None else state_cost.take(arr.choice_state[choices], axis=1)
+    several = (count > 1).any()  # some free state has several choices
+    best = np.maximum if direction == "max" else np.minimum
+    w = np.empty((k, n + 1))
+    w[:, :n] = x.take(order, axis=1)
+    w[:, n] = -0.0
+    while len(active):
+        whole = len(active) == k
+        wa = w if whole else w[active]
+        new = wa.take(succ, axis=1)
+        new *= probs if whole or probs.ndim == 1 else probs[active]
+        if pairs:
+            new = new[:, 0::2] + new[:, 1::2]
+        else:
+            new = np.add.reduceat(new, choice_at, axis=1)
+        if cost is not None:
+            new += cost if whole else cost[active]
+        if several:
+            new = best.reduceat(new, state_at, axis=1)
+        res = former_sweep_residual(new, wa[:, :m])
+        if whole:
+            w[:, :m] = new
+        else:
+            w[active, :m] = new
+        sweeps += 1
+        if trace is not None:
+            x[:, free] = w[:, :m]
+            trace.append(x.copy())
+        if sweeps > _MAX_SWEEPS:
+            raise ModelError("value iteration failed to converge")
+        if not np.minimum.reduce(res) > tol:
+            done = ~(res > tol)
+            iterations[active[done]] = sweeps
+            residual[active[done]] = res[done]
+            active = active[~done]
+    x[:, free] = w[:, :m]
+    return x, iterations, residual
+
+
+def former_polish(
+    arr: _Arrays,
+    picks: np.ndarray,
+    vi_values: np.ndarray,
+    region: np.ndarray,
+    rhs: np.ndarray,
+    clip: Optional[Tuple[float, float]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact policy evaluation on ``region``: solve (I - P) x = rhs for
+    every row of the stacks ``vi_values`` and ``rhs``, all under the
+    strategy ``picks``, with each row's own probabilities.
+
+    The systems are solved by ``_solve_stack``: dense up to
+    ``_POLISH_DENSE_LIMIT`` states, a sparse LU above.  Returns the refined
+    region values per row, and per row whether they are accepted: False
+    when the strategy is not proper there (singular or badly deviating
+    system), in which case the row is meaningless.
+    """
+    k, n = rhs.shape
+    if not n:
+        return np.zeros((k, 0)), np.ones(k, dtype=bool)
+    rows, targets, probs = checking._branches(arr, arr.choice_start[region] + picks[region])
+    col_of = np.full(arr.num_states, -1, dtype=np.int64)
+    col_of[region] = np.arange(n)
+    cols = col_of[targets]
+    kept = cols >= 0
+    rows, cols = rows[kept], cols[kept]
+    probs = np.broadcast_to(probs[..., kept], (k, len(rows)))
+    sol = np.empty((k, n))
+    residual = np.empty(k)
+    # a failed solve may leave NaNs or infinities, rejected below
+    with np.errstate(invalid="ignore", over="ignore"):
+        checking._solve_stack(rows, cols, probs, rhs, sol, residual)
+    vi_region = vi_values[:, region]
+    accepted = np.all(np.isfinite(sol), axis=1)
+    accepted &= ~(residual > 1e-7 * checking._at_least_one(np.max(np.abs(rhs), axis=1)))
+    scale = checking._at_least_one(np.max(np.abs(vi_region), axis=1))
+    accepted &= ~(np.max(np.abs(sol - vi_region), axis=1) > 1e-5 * scale)
+    if clip is not None:
+        sol = np.clip(sol, clip[0], clip[1])
+    return sol, accepted
+
+
+def former_reach_prob(
+    model: ExplicitModel,
+    targets,
+    direction: str = "max",
+    *,
+    tol: float = DEFAULT_TOL,
+    trace: Optional[list] = None,
+) -> Tuple[ValueVector, Strategy]:
+    """Optimal probability of eventually reaching ``targets``: a label, a
+    boolean mask over the model's states, or a collection of states.
+
+    Returns per-state values and a deterministic memoryless strategy
+    (lowest-choice-index tie-break).  For Markov chains the direction is
+    irrelevant.  Probability-0 and probability-1 states are set exactly by
+    the qualitative precomputation, not by iteration.
+    """
+    if direction not in ("min", "max"):
+        raise ValueError("direction must be 'min' or 'max'")
+    arr = checking._model_arrays(model)
+    target = checking._target_set(model, targets)
+    x, iters, residual, polished, picks = former_reach(
+        arr, target, direction, model.kind == "mc", 1, tol, trace
+    )
+    vec = ValueVector(x[0], int(iters[0]), float(residual[0]), bool(polished[0]))
+    return vec, Strategy.deterministic(picks.tolist())
+
+
+def former_reach(arr: _Arrays, target: np.ndarray, direction: str, chain: bool, k: int,
+                 tol: float, trace: Optional[list] = None):
+    """``reach_prob`` on ``k`` configurations that share the structure of
+    ``arr`` (``k`` > 1 only on chains, whose one strategy they share), with
+    the mask ``target``: the value stack, per row the sweeps, last residual
+    and whether the polish was accepted, and the strategy's picks."""
+    # on a chain each min set equals its max counterpart, and _prob1_min
+    # skips the nested fixpoint of _prob1_max; both sets leave the targets
+    # at probability one
+    if direction == "min" or chain:
+        zero = checking._prob0_min(arr, target)
+        one = checking._prob1_min(arr, target, zero)
+    else:
+        zero = checking._prob0_max(arr, target)
+        one = checking._prob1_max(arr, target)
+    free = ~(one | zero)
+
+    x = np.tile(np.where(one, 1.0, 0.0), (k, 1))
+    x, iters, residual = former_iterate(arr, x, free, direction, tol, trace=trace)
+    picks = former_picks(arr, x, direction, chain)
+
+    polished = np.ones(k, dtype=bool)
+    maybe = np.flatnonzero(free)
+    if len(maybe):
+        rows, succ, probs = checking._branches(arr, arr.choice_start[maybe] + picks[maybe])
+        into = one[succ]
+        rhs = np.zeros((k, len(maybe)))
+        np.add.at(rhs, (slice(None), rows[into]), probs[..., into])
+        refined, polished = former_polish(arr, picks, x, maybe, rhs, clip=(0.0, 1.0))
+        x[np.ix_(polished, maybe)] = refined[polished]
+    return x, iters, residual, polished, picks
+
+
+def former_picks(arr: _Arrays, x: np.ndarray, direction: str, chain: bool,
+                 state_cost: Optional[np.ndarray] = None) -> np.ndarray:
+    # a chain's one choice per state is the strategy of every configuration
+    if chain:
+        return np.zeros(arr.num_states, dtype=np.int64)
+    return checking._greedy(arr, x[0], direction, None if state_cost is None else state_cost[0])
+
+
+def former_expected_cost(
+    model: ExplicitModel,
+    goals,
+    direction: str = "min",
+    *,
+    tol: float = DEFAULT_TOL,
+    trace: Optional[list] = None,
+) -> Tuple[ValueVector, Strategy]:
+    """Optimal expected accumulated cost until first reaching ``goals``.
+
+    Cost accrues per visit of a non-goal state, including the initial one.
+    Defined only where the goals are reached almost surely under every
+    strategy (the conservative min-direction precondition); other states get
+    +inf, and the operation fails if the initial state cannot satisfy it.
+    """
+    if direction not in ("min", "max"):
+        raise ValueError("direction must be 'min' or 'max'")
+    arr = checking._model_arrays(model)
+    goal = checking._target_set(model, goals)
+    for s, c in enumerate(model.costs):
+        if isinstance(c, Expr):
+            raise ModelError("expected cost needs concrete state costs")
+        if c < 0:
+            raise ModelError(f"negative cost at state {s}")
+    cost = np.array([[float(c) for c in model.costs]])
+    x, iters, residual, polished, picks = former_expected(
+        model, arr, goal, cost, direction, model.kind == "mc", tol, trace
+    )
+    vec = ValueVector(x[0], int(iters[0]), float(residual[0]), bool(polished[0]))
+    return vec, Strategy.deterministic(picks.tolist())
+
+
+def former_expected(model: ExplicitModel, arr: _Arrays, goal: np.ndarray, cost: np.ndarray,
+                    direction: str, chain: bool, tol: float, trace: Optional[list] = None):
+    """``expected_cost`` on the configurations of ``arr`` (one row of
+    ``cost`` each; several only on chains) with the mask ``goal``,
+    returned as ``_reach`` returns."""
+    sure = checking._prob1_min(arr, goal)
+    lacking = np.flatnonzero(former_reachable_from(arr, model.initial) & ~sure)
+    if len(lacking):
+        raise ExpectedCostUndefined(
+            "expected cost undefined: goal not reached almost surely from "
+            f"state {model.state_text(int(lacking[0]))}"
+        )
+
+    cost_masked = np.where(goal, 0.0, cost)
+    x = np.tile(np.where(sure, 0.0, np.inf), (len(cost), 1))
+    free = sure & ~goal
+
+    x, iters, residual = former_iterate(
+        arr, x, free, direction, tol, state_cost=cost_masked, trace=trace
+    )
+    picks = former_picks(arr, x, direction, chain, cost_masked)
+
+    polished = np.ones(len(cost), dtype=bool)
+    region = np.flatnonzero(free)
+    if len(region):
+        refined, polished = former_polish(arr, picks, x, region, cost[:, region], clip=(0.0, np.inf))
+        x[np.ix_(polished, region)] = refined[polished]
+    return x, iters, residual, polished, picks
+
+
+def former_chain_family(
+    model: ExplicitModel,
+    entries: Sequence[Tuple[Sequence[Fraction], Sequence[Fraction]]],
+    targets,
+    goals,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per configuration of a family of chains, the probability of reaching
+    ``targets`` and the expected cost to ``goals`` at the initial state,
+    as ``reach_prob`` and ``expected_cost`` give them on its instance
+    (the cost is inf where it is undefined).
+
+    ``model`` has one choice per state and gives the structure every
+    configuration shares; ``entries`` holds per configuration its exact
+    branch probabilities (flat in model order) and state costs, as
+    ``Fraction`` or ``int`` values.  Each becomes a float as its numerator
+    over its denominator, the int division ``float()`` of a ``Fraction``
+    makes, so the floats are the same.
+    Configurations with the same support, the branches of nonzero
+    probability, share one set of arrays and qualitative sets, and run as
+    one stack through value iteration and the polish.
+    """
+    target = checking._target_set(model, targets)
+    goal = checking._target_set(model, goals)
+    groups: dict = {}  # support -> configurations
+    for i, (probs, _) in enumerate(entries):
+        groups.setdefault(tuple(map(bool, probs)), []).append(i)
+    pr = np.empty(len(entries))
+    ec = np.empty(len(entries))
+    for support, members in groups.items():
+        probs = [
+            [p.numerator / p.denominator for p, edge in zip(entries[i][0], support) if edge]
+            for i in members
+        ]
+        arr = _Arrays(model, support, probs)
+        x = former_reach(arr, target, "max", True, len(members), DEFAULT_TOL)[0]
+        pr[members] = x[:, model.initial]
+        cost = np.array([[c.numerator / c.denominator for c in entries[i][1]] for i in members])
+        try:
+            x = former_expected(model, arr, goal, cost, "min", True, DEFAULT_TOL)[0]
+        except ExpectedCostUndefined:
+            ec[members] = np.inf
+        else:
+            ec[members] = x[:, model.initial]
+    return pr, ec
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mimdp import checking
+from mimdp import checking, shipyard
 from mimdp.checking import (
     CostBoundQuery,
     ExpectedCostQuery,
@@ -22,6 +22,7 @@ from mimdp.checking import (
 from mimdp.expressions import Name
 from mimdp.models import Choice, ExplicitModel, ModelError, Strategy, build_model, instantiate
 from mimdp.parser import parse_program
+from mimdp.synthesis import SynthesisQuery, constrained_mdp_lp, synthesize_enumerate
 from mimdp.transform import transform_all
 
 import oracles
@@ -80,11 +81,15 @@ def test_prob0_and_prob1_are_exact(two_stage):
 
 
 def test_value_iteration_iterates_are_monotone(two_stage):
-    model = instantiate(build_model(two_stage), U1)
-    trace = []
-    reach_prob(model, "s2", trace=trace)
-    for earlier, later in zip(trace, trace[1:]):
-        assert np.all(later >= earlier - 1e-15)
+    # value iteration runs on MDPs: the controlled two-stage family
+    model = build_model(transform_all(two_stage)[0])
+    assert model.kind == "mdp"
+    for direction in ("min", "max"):
+        trace = []
+        vec, _ = reach_prob(model, "s2", direction, trace=trace)
+        assert len(trace) == vec.iterations > 1
+        for earlier, later in zip(trace, trace[1:]):
+            assert np.all(later >= earlier - 1e-15)
 
 
 def test_expected_cost_zero_cost_model():
@@ -120,6 +125,105 @@ def test_expected_cost_undefined_when_goal_unreachable():
     model = build_model(parse_program(src))
     with pytest.raises(ExpectedCostUndefined):
         expected_cost(model, "never")
+
+
+PAST_THE_GOAL = """
+module m
+  s : [0..2] init 0;
+  [] s=0 -> 1:(s'=1);
+  [] s=1 -> 1:(s'=2);
+  [] s=2 -> true;
+endmodule
+rewards
+  s=0 : 1;
+endrewards
+label "g" = s=1;
+"""
+
+
+def test_expected_cost_is_defined_where_only_states_past_the_goal_lack_it():
+    # s=2 never reaches the goal, but it is reached only through the goal
+    model = build_model(parse_program(PAST_THE_GOAL))
+    for direction in ("min", "max"):
+        vec, _ = expected_cost(model, "g", direction)
+        assert vec.values.tolist() == [1.0, 0.0, np.inf]
+    verdict, value = check_spec(model, parse_property('ECmin=? [F "g"]'))
+    assert (verdict, value) == (None, 1.0)
+    # refused where the initial state lacks it, naming the initial state
+    shifted = replace(model, initial=2)
+    with pytest.raises(ExpectedCostUndefined, match=r"from state \(s=2\)$"):
+        expected_cost(shifted, "g")
+
+
+def _three_states():
+    return _hand_model([[_ch((1, 1))], [_ch((1, 2))], [_ch((1, 2))]], [1, 1, 0], kind="mc")
+
+
+def test_a_mask_of_another_length_is_refused():
+    model = _three_states()
+    wrong = np.array([False, False, True, False])
+    calls = [
+        lambda t: reach_prob(model, t),
+        lambda t: expected_cost(model, t),
+        lambda t: cost_bounded_reach(model, t, 3),
+        lambda t: constrained_mdp_lp(model, t, 1, t),
+    ]
+    for call in calls:
+        with pytest.raises(ModelError, match=r"state mask of shape \(4,\) for a model of 3 states"):
+            call(wrong)
+        with pytest.raises(ModelError):
+            call(wrong[:2])
+        # a mask of the model's length, and state indices, as before
+        mask = call(np.array([False, False, True]))
+        listed = call([2])
+        if isinstance(mask, tuple):
+            assert np.array_equal(mask[0].values, listed[0].values)
+        elif isinstance(mask, float):
+            assert mask == listed == 1.0
+        else:
+            assert (mask.expected_cost, mask.reach_probability) == (
+                listed.expected_cost, listed.reach_probability)
+    assert reach_prob(model, [2])[0].values.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_chains_are_solved_without_value_iteration(monkeypatch, models_dir, die):
+    def iterate(*_, **__):
+        raise AssertionError("value iteration ran on a chain")
+
+    chain, _ = _retry_models(models_dir, 200)
+    program = parse_program(shipyard.generate_program(
+        shipyard.ShipyardConfig(missions=1), True, per_sensor_grades=True))
+    monkeypatch.setattr(checking, "_iterate", iterate)
+    for tol in (1e-8, 1e-2):
+        trace = []
+        vec, _ = reach_prob(chain, "gaveup", tol=tol, trace=trace)
+        assert trace == [] and (vec.iterations, vec.residual, vec.polished) == (0, 0.0, True)
+        assert abs(vec.at_initial(chain) - 0.1 ** 200) <= 1e-12 * 0.1 ** 200
+        vec, _ = expected_cost(chain, "stopped", tol=tol, trace=trace)
+        assert trace == [] and (vec.iterations, vec.residual, vec.polished) == (0, 0.0, True)
+        assert abs(vec.at_initial(chain) - 1 / 0.9) <= 1e-12
+    value = cost_bounded_reach(chain, "delivered", 20)
+    assert abs(value - (1 - 0.1 ** 20)) <= 1e-12
+    result = synthesize_enumerate(program, SynthesisQuery("failure", F("0.03"), "done"))
+    assert len(result.table) == 1440 and result.feasible
+    assert check_spec(instantiate(build_model(die), {"p": F(1, 2)}),
+                      parse_property('ECmin=? [F "rolled"]'))[1] == pytest.approx(11 / 3, rel=1e-12)
+
+
+def test_a_chain_whose_system_cannot_be_solved_raises():
+    # two branches of probability 1e-400, which is 0.0 as a float: the
+    # chain's graph reaches both states, its floating-point system is
+    # singular, and the exact value is 1/2
+    tiny = F(1, 10 ** 400)
+    model = _hand_model(
+        [[_ch((1 - 2 * tiny, 0), (tiny, 1), (tiny, 2))], [_ch((1, 1))], [_ch((1, 2))]],
+        [1, 0, 0], kind="mc",
+    )
+    assert mc_reach_exact(model, {1})[0] == F(1, 2)
+    for call in (lambda: reach_prob(model, {1}), lambda: expected_cost(model, {1, 2})):
+        with pytest.raises(ModelError, match="linear system could not be solved") as error:
+            call()
+        assert not isinstance(error.value, ExpectedCostUndefined)
 
 
 def test_zero_probability_branch_is_not_an_edge():

@@ -1,6 +1,6 @@
 import json
 
-from mimdp.cli import _fmt9, main
+from mimdp.cli import main
 
 
 def run(capsys, *argv):
@@ -21,6 +21,17 @@ def test_parse_reports_errors(capsys, tmp_path):
     code, _, err = run(capsys, "parse", str(bad))
     assert code == 2
     assert "expected" in err
+
+
+def test_parse_reports_where_a_fold_fails(capsys, tmp_path):
+    src = tmp_path / "fold.mgcl"
+    src.write_text(
+        "module m\n  s : [0..1] init 0;\n"
+        "  [] s=0 -> (1+true):(s'=1) + 0:(s'=0);\n  [] s=1 -> true;\nendmodule\n"
+    )
+    code, out, err = run(capsys, "parse", str(src))
+    assert (code, out) == (2, "")
+    assert err == f"error: {src}:3:15: expected a number, got a boolean in 1 + true\n"
 
 
 def test_parse_refuses_a_constant_probability_row_that_sums_past_one(capsys, tmp_path):
@@ -268,16 +279,48 @@ def test_a_subcommand_refuses_an_option_it_does_not_read(capsys, models_dir):
     assert code == 2 and "unrecognized arguments: -o" in err
 
 
-def test_check_reads_its_tolerance_and_state_cap(capsys, models_dir):
-    check = ("check", str(models_dir / "retry_channel.mgcl"), "--valuation", "loss=0.4",
-             "--prop", 'ECmin=? [F "stopped"]')
+SLOW_CHAIN = """\
+module m
+  s : [0..2] init 0;
+  [] s=0 -> 0.9997:(s'=0) + 0.00015:(s'=1) + 0.00015:(s'=2);
+  [] s>0 -> true;
+endmodule
+rewards
+  s=0 : 1;
+endrewards
+label "t" = s=1;
+label "g" = s>0;
+"""
+
+
+def test_check_prints_exact_chain_values(capsys, tmp_path):
+    # a chain is solved, not iterated: value iteration would stop short of
+    # these on the slow self-loop, and the tolerance does not apply
+    src = tmp_path / "slow.mgcl"
+    src.write_text(SLOW_CHAIN)
+    for prop, want in (('Pmax=? [F "t"]', 0.5), ('ECmin=? [F "g"]', 3333.33333)):
+        for tol in ("1e-8", "1e-2"):
+            code, out, _ = run(capsys, "check", str(src), "--prop", prop, "--tol", tol)
+            assert code == 0 and json.loads(out)["value"] == want
+
+
+def test_check_reads_its_tolerance_and_state_cap(capsys, models_dir, tmp_path):
+    # the tolerance of value iteration, which runs on MDPs: the controlled
+    # retry channel, where the maximising strategy delivers almost surely
+    controlled = tmp_path / "controlled.mgcl"
+    code, _, _ = run(capsys, "transform", str(models_dir / "retry_channel.mgcl"),
+                     "-o", str(controlled))
+    assert code == 0
+    check = ("check", str(controlled), "--prop", 'Pmax=? [F "delivered"]')
     values = []
     for tol in ("1e-8", "1e-3"):
         code, out, _ = run(capsys, *check, "--tol", tol)
         assert code == 0
         values.append(json.loads(out)["value"])
     # value iteration stops earlier under the looser tolerance
-    assert values[0] == _fmt9(1 / 0.6) and values[1] != values[0]
+    assert values[0] == 1.0 and values[1] != values[0]
     assert abs(values[1] - values[0]) <= 1e-2
+    check = ("check", str(models_dir / "retry_channel.mgcl"), "--valuation", "loss=0.4",
+             "--prop", 'ECmin=? [F "stopped"]')
     code, _, err = run(capsys, *check, "--state-cap", "10")
     assert code == 2 and "state cap of 10 states exceeded" in err

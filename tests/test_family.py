@@ -123,8 +123,10 @@ label "t" = s=1;
 label "g" = s=2;
 """
 
-# with p = 0.9997 value iteration stops far from the fixpoint and both
-# polish steps are rejected; with p = 0.5 they are accepted
+# with p = 0.9997 value iteration stops far from the fixpoint, so the
+# former checker, which iterated chains, rejected both polish steps and kept
+# the iteration values; with p = 0.5 it accepted them.  A chain is now
+# solved, and both configurations get their exact values
 SLOW_SELF_LOOP = """
 param p in {0.5, 0.9997};
 module m
@@ -173,17 +175,20 @@ def test_a_varying_support_and_an_undefined_cost_group():
 
 
 def test_one_rejected_polish_next_to_accepted_ones():
+    # the configuration whose polish the former checker rejected, next to
+    # one whose polish it accepted: both are exact up to rounding
     got = _same_as_the_former_route(parse_program(SLOW_SELF_LOOP), SynthesisQuery("t", F(1), "g"))
     accepted, rejected = got.table
-    # polished values are exact up to rounding; the rejected configuration
-    # keeps its raw iteration values, short of the fixpoint
     assert accepted.reach_probability == 0.5 and accepted.expected_cost == 2.0
-    assert 0.5 - rejected.reach_probability > 1e-5
-    assert 1 / (1 - 0.9997) - rejected.expected_cost > 1e-5 * rejected.expected_cost
+    assert abs(rejected.reach_probability - 0.5) <= 1e-12 * 0.5
+    want = 1 / (1 - F("0.9997"))  # 10000/3 visits of s=0
+    assert abs(rejected.expected_cost - float(want)) <= 1e-12 * float(want)
 
 
 def test_each_row_of_a_stack_stops_where_its_configuration_alone_stops():
-    # one support group whose rows take about 30, 180 and 1800 sweeps
+    # one support group whose rows the former checker iterated for about
+    # 30, 180 and 1800 sweeps: each row is solved, as its configuration
+    # alone is
     model = build_model(parse_program(SLOW_SELF_LOOP.replace("0.5, 0.9997", "0.5, 0.9, 0.99")))
     entries = list(well_defined_entries(model))
     support = tuple(map(bool, entries[0][1]))
@@ -197,14 +202,12 @@ def test_each_row_of_a_stack_stops_where_its_configuration_alone_stops():
         (checking._expected(model, arr, goal, cost, "min", True, checking.DEFAULT_TOL),
          expected_cost, "g"),
     ]
-    for (x, iterations, residual, polished, _), alone, label in stacks:
-        assert len(set(iterations.tolist())) == 3
+    for (x, sweeps, residual, polished, _), alone, label in stacks:
+        assert (sweeps, residual, polished) == (0, 0.0, True)
         for row, (u, _, _) in enumerate(entries):
             vec, _ = alone(instantiate(model, u), label)
             assert np.array_equal(x[row], vec.values)
-            assert (iterations[row], residual[row], polished[row]) == (
-                vec.iterations, vec.residual, vec.polished
-            )
+            assert (vec.iterations, vec.residual, vec.polished) == (0, 0.0, True)
 
 
 @pytest.mark.parametrize("source", [DIVIDES_BY_ZERO, NOTHING_WELL_DEFINED])

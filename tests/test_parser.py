@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mimdp.expressions import Binary
+from mimdp.expressions import Binary, ExprError
 from mimdp.parser import ParseError, _Parser, parse_program, tokenize
 from mimdp.program import pretty
 
@@ -222,12 +222,20 @@ def test_expression_parse_equals_the_former_on_random_texts():
 
     rng = random.Random(7)
     outcomes = []
+    folds = 0
     for _ in range(600):
         text = _random_text(rng, 4)
         outcome = _parse_outcome(_Parser, text)
-        assert outcome == _parse_outcome(SeedParser, text), text
+        former = _parse_outcome(SeedParser, text)
+        if former[0] == "error" and issubclass(former[1], ExprError):
+            # a fold that fails is now a ParseError at its operator
+            line, col = map(int, outcome[2].split(":")[:2])
+            assert line == 1 and text[col - 1] in "+-*/&|=!<>", (text, outcome)
+            former = ("error", ParseError, f"{line}:{col}: {former[2]}")
+            folds += 1
+        assert outcome == former, text
         outcomes.append(outcome[0])
-    assert 50 < outcomes.count("error") < 550
+    assert 50 < outcomes.count("error") < 550 and folds > 20
 
 
 def test_a_long_sum_parses_with_linear_fold_visits(monkeypatch):
@@ -250,3 +258,18 @@ def test_a_long_sum_parses_with_linear_fold_visits(monkeypatch):
     while isinstance(e, Binary) and e.op == "+":
         terms, e = terms + 1, e.left
     assert terms == n
+
+
+@pytest.mark.parametrize("expr, col, message", [
+    ("(1+true)", 15, "expected a number, got a boolean in 1 + true"),
+    ("(1/0)", 15, "division by zero in 1 / 0"),
+    ("(true & 2)", 19, "expected a boolean, got a number in true & 2"),
+])
+def test_a_fold_that_fails_is_a_parse_error_at_its_operator(expr, col, message):
+    text = (
+        "module m\n  s : [0..1] init 0;\n"
+        f"  [] s=0 -> {expr}:(s'=1) + 0:(s'=0);\n  [] s=1 -> true;\nendmodule\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert (exc.value.line, exc.value.col, exc.value.message) == (3, col, message)
