@@ -13,6 +13,13 @@ the maximal probability-1 set the nested fixpoint whose rounds are each one
 backward search.  Zero-probability branches are not edges of the graph.
 A set of states is a boolean mask over the model's states throughout, from
 the label or the caller's states it is read from to the values it fixes.
+A backward search on a graph of at least ``_SEARCH_LIMIT`` states runs in
+scipy's compiled breadth-first search over the CSR graph; a smaller one,
+and every counting search, is a Python worklist loop.  The limit is set by
+the one-time import of ``scipy.sparse.csgraph``, which costs far more than
+a small search in a process that has not loaded ``scipy.sparse``, so small
+models never pay it.  A chain's states have one choice each, so its
+probability-0 set is one backward search, not the counting one.
 
 Once those sets are fixed, a chain's values on the remaining states are the
 unique solution of one linear system (Baier & Katoen, Principles of Model
@@ -46,6 +53,7 @@ is what checking that configuration alone gives.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass
@@ -64,6 +72,13 @@ _MAX_SWEEPS = 1_000_000
 # crossover against the sparse LU on birth-death regions, for stacks of one
 # and of 32 configurations
 _POLISH_DENSE_LIMIT = 128
+# the graph size from which the backward search runs compiled.  Once
+# scipy.sparse is loaded, the compiled search beats the worklist loop from
+# about 256 states (measured on birth-death chains and random MDPs); the
+# limit sits higher so that checking small models never pays the first
+# import of scipy.sparse.csgraph, about 0.4 s and 33 MB in a process
+# without scipy.sparse
+_SEARCH_LIMIT = 1024
 
 
 class ExpectedCostUndefined(ModelError):
@@ -180,18 +195,37 @@ def _backward(arr: _Arrays, seeds: np.ndarray, stop: Optional[np.ndarray] = None
               enabled: Optional[np.ndarray] = None) -> np.ndarray:
     """The seeds plus every state outside ``stop`` with a path into them
     through the choices ``enabled``; all three are masks (no state, or
-    every choice, when None).  Like the other searches, it marks states in
-    a ``bytearray``, one byte per state, which converts to and from a
-    boolean array without a per-element copy."""
+    every choice, when None).
+
+    A graph of at least ``_SEARCH_LIMIT`` states is searched by scipy's
+    compiled breadth-first search (``_compiled_backward``), a smaller one
+    by a Python worklist loop (``_worklist_backward``); both give the same
+    mask."""
+    if arr.num_states >= _SEARCH_LIMIT:
+        return _compiled_backward(arr, seeds, stop, enabled)
+    return _worklist_backward(arr, seeds, stop, enabled)
+
+
+def _via(arr: _Arrays, stop: Optional[np.ndarray], enabled: Optional[np.ndarray]) -> np.ndarray:
+    """Per predecessor entry, its state, or the sentinel state
+    ``num_states``, seen from the start, where the search may not take the
+    entry: its state is in ``stop``, or its choice is not ``enabled``."""
     n = arr.num_states
-    # per predecessor entry, its state, or the sentinel state n, seen from
-    # the start, where the search may not take the entry
     via = arr.choice_state[arr.pred_choice]
     if stop is not None:
         via[stop[via]] = n
     if enabled is not None:
         via[~enabled[arr.pred_choice]] = n
-    via = via.tolist()
+    return via
+
+
+def _worklist_backward(arr: _Arrays, seeds: np.ndarray, stop: Optional[np.ndarray] = None,
+                       enabled: Optional[np.ndarray] = None) -> np.ndarray:
+    """``_backward`` as a Python worklist loop.  Like ``_prob0_min``, it
+    marks states in a ``bytearray``, one byte per state, which converts to
+    and from a boolean array without a per-element copy."""
+    n = arr.num_states
+    via = _via(arr, stop, enabled).tolist()
     start = arr.pred_start.tolist()
     seen = bytearray(seeds.tobytes()) + b"\x01"
     stack = np.flatnonzero(seeds).tolist()
@@ -202,6 +236,27 @@ def _backward(arr: _Arrays, seeds: np.ndarray, stop: Optional[np.ndarray] = None
                 seen[s] = True
                 stack.append(s)
     return np.frombuffer(seen, dtype=bool, count=n)
+
+
+def _compiled_backward(arr: _Arrays, seeds: np.ndarray, stop: Optional[np.ndarray] = None,
+                       enabled: Optional[np.ndarray] = None) -> np.ndarray:
+    """``_backward`` as one call of ``scipy.sparse.csgraph``'s
+    breadth-first search, on the predecessor graph in CSR form (row ``t``
+    holds the entries of ``_via`` into ``t``) with two more nodes: the
+    sentinel ``n``, which has no edges, and a super-source ``n + 1``,
+    whose edges go to the seeds.  The module is imported only when a graph
+    needs it (see ``_SEARCH_LIMIT``)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    n = arr.num_states
+    via = _via(arr, stop, enabled)
+    indices = np.concatenate((via, np.flatnonzero(seeds)))
+    indptr = np.append(arr.pred_start, (len(via), len(indices)))
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 2, n + 2))
+    seen = np.zeros(n + 2, dtype=bool)
+    seen[breadth_first_order(graph, n + 1, return_predecessors=False)] = True
+    return seen[:n]
 
 
 def _prob0_max(arr: _Arrays, targets: np.ndarray) -> np.ndarray:
@@ -232,7 +287,9 @@ def _prob0_min(arr: _Arrays, targets: np.ndarray,
     taking only the choices ``enabled`` (a mask; every choice when None).
 
     Least fixpoint of the states all of whose (at least one) choices hit
-    the set, counted down per state as choices start hitting it.
+    the set, counted down per state as choices start hitting it, in a
+    Python worklist loop at every size.  With one choice per state, as on
+    a chain, the set is ``_prob0_max``'s, which the checker uses there.
     """
     if enabled is None:
         enabled = np.ones(arr.num_choices, dtype=bool)
@@ -523,6 +580,13 @@ def _target_set(model: ExplicitModel, targets) -> np.ndarray:
     return mask
 
 
+def _check_tol(tol) -> None:
+    """Refuse a tolerance that is not a finite number of at least 0 (0:
+    iterate until the values stop changing)."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+
+
 def reach_prob(
     model: ExplicitModel,
     targets,
@@ -540,10 +604,13 @@ def reach_prob(
     chain the direction is irrelevant and the other values are the
     solution of the chain's linear system; on an MDP they come from value
     iteration to ``tol`` and its polish, and ``trace`` (a list) receives
-    the values after every sweep.
+    the values after every sweep.  ``tol`` must be a finite number of at
+    least 0, on chains too, or ``ValueError`` is raised; 0 iterates until
+    the values stop changing.
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
+    _check_tol(tol)
     arr = _model_arrays(model)
     target = _target_set(model, targets)
     x, sweeps, residual, polished, picks = _reach(
@@ -558,12 +625,14 @@ def _reach(arr: _Arrays, target: np.ndarray, direction: str, chain: bool, k: int
     ``arr`` (``k`` > 1 only on chains, whose one strategy they share), with
     the mask ``target``: the value stack, the sweeps and last residual of
     value iteration (an MDP's; 0 and 0.0 on a chain), whether the polish
-    was accepted, and the strategy's picks."""
-    # on a chain each min set equals its max counterpart, and _prob1_min
-    # skips the nested fixpoint of _prob1_max; both sets leave the targets
-    # at probability one
-    if direction == "min" or chain:
-        zero = _prob0_min(arr, target)
+    was accepted, and the strategy's picks.  A chain's probability-0 set
+    is ``_prob0_max``, one backward search; an MDP's is ``_prob0_min`` in
+    the min direction."""
+    # on a chain each min set equals its max counterpart, so its zero set
+    # is the cheaper one and _prob1_min skips the nested fixpoint of
+    # _prob1_max; both sets leave the targets at probability one
+    if chain or direction == "min":
+        zero = _prob0_max(arr, target) if chain else _prob0_min(arr, target)
         one = _prob1_min(arr, target, zero)
     else:
         zero = _prob0_max(arr, target)
@@ -601,10 +670,12 @@ def expected_cost(
     Defined only where the goals are reached almost surely under every
     strategy (the conservative min-direction precondition); other states get
     +inf, and the operation fails if the initial state cannot satisfy it.
-    A chain is solved, an MDP iterated, as in ``reach_prob``.
+    A chain is solved, an MDP iterated, and ``tol`` checked, as in
+    ``reach_prob``.
     """
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
+    _check_tol(tol)
     arr = _model_arrays(model)
     goal = _target_set(model, goals)
     for s, c in enumerate(model.costs):
@@ -625,8 +696,9 @@ def _expected(model: ExplicitModel, arr: _Arrays, goal: np.ndarray, cost: np.nda
     ``cost`` each; several only on chains) with the mask ``goal``,
     returned as ``_reach`` returns.  The probability-1 set is closed along
     the paths that avoid the goals, so the initial state in it is the
-    whole precondition."""
-    sure = _prob1_min(arr, goal)
+    whole precondition; on a chain it starts from ``_prob0_max``, as in
+    ``_reach``."""
+    sure = _prob1_min(arr, goal, _prob0_max(arr, goal) if chain else None)
     if not sure[model.initial]:
         raise ExpectedCostUndefined(
             "expected cost undefined: goal not reached almost surely from "
@@ -721,10 +793,13 @@ def cost_bounded_reach(
     once per model; its ``states`` and rows (``choices``) are built only
     when read.  A model the checker cannot take (parametric, or with a
     choice that has no positive branch) raises the checker's
-    ``ModelError``, as in ``reach_prob``.
+    ``ModelError``, as in ``reach_prob``, and so does a ``tol`` that is not
+    a finite number of at least 0 (``ValueError``), before the product is
+    built.
     """
     if bound < 0:
         raise ValueError("cost bound must be nonnegative")
+    _check_tol(tol)
     target = _target_set(model, targets)
     costs = []
     for s, c in enumerate(model.costs):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -278,6 +279,18 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring: each subcommand takes only the options it reads
 
+def _tolerance(text: str) -> float:
+    """``--tol``: a finite number of at least 0; argparse names the option
+    in its error and exits with code 2."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _add_state_cap(p):
     p.add_argument(
         "--state-cap",
@@ -329,8 +342,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="check bounded properties against the minimizing strategy",
     )
     p.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL,
-        help="value-iteration residual tolerance (MDPs; a chain is solved exactly)"
+        "--tol", type=_tolerance, default=DEFAULT_TOL,
+        help="value-iteration residual tolerance, a finite number >= 0 "
+             "(MDPs; a chain is solved exactly)"
     )
     _add_state_cap(p)
     _add_output(p)

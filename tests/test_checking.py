@@ -186,6 +186,49 @@ def test_a_mask_of_another_length_is_refused():
     assert reach_prob(model, [2])[0].values.tolist() == [1.0, 1.0, 1.0]
 
 
+TOL_MDP = """\
+module m
+  s : [0..5] init 0;
+  [a] s=0 -> (s'=1);
+  [b] s=0 -> 0.5:(s'=4) + 0.5:(s'=5);
+  [] s=1 -> (s'=2);
+  [] s=2 -> (s'=3);
+  [] s=3 -> 0.9:(s'=4) + 0.1:(s'=5);
+  [] s>=4 -> true;
+endmodule
+rewards
+  s<4 : 1;
+endrewards
+label "t" = s=4;
+label "g" = s>=4;
+"""
+
+
+def test_a_tolerance_that_is_not_a_finite_nonnegative_number_is_refused(die):
+    # value iteration stopped after one sweep under a NaN or infinite
+    # tolerance, and ran to its sweep limit under a negative one
+    mdp = build_model(parse_program(TOL_MDP))
+    chain = instantiate(build_model(die), {"p": F(1, 2)})
+    calls = [
+        lambda tol: reach_prob(mdp, "t", "max", tol=tol),
+        lambda tol: expected_cost(mdp, "g", "min", tol=tol),
+        lambda tol: cost_bounded_reach(mdp, "t", 5, "max", tol=tol),
+        lambda tol: reach_prob(chain, "rolled", tol=tol),
+        lambda tol: expected_cost(chain, "rolled", tol=tol),
+        lambda tol: cost_bounded_reach(chain, "rolled", 5, tol=tol),
+        lambda tol: check_spec(mdp, parse_property('Pmax=? [F "t"]'), tol=tol),
+    ]
+    for tol in (float("nan"), float("inf"), -float("inf"), -1.0, -1e-300, "1e-8", None):
+        for call in calls:
+            with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+                call(tol)
+    # 0 iterates until the values stop changing
+    for tol in (0, 0.0, 1e-8):
+        vec, _ = reach_prob(mdp, "t", "max", tol=tol)
+        assert vec.at_initial(mdp) == pytest.approx(0.9, rel=1e-12) and vec.polished
+    assert reach_prob(mdp, "t", "max", tol=0.0)[0].residual == 0.0
+
+
 def test_chains_are_solved_without_value_iteration(monkeypatch, models_dir, die):
     def iterate(*_, **__):
         raise AssertionError("value iteration ran on a chain")

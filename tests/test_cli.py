@@ -304,6 +304,38 @@ def test_check_prints_exact_chain_values(capsys, tmp_path):
             assert code == 0 and json.loads(out)["value"] == want
 
 
+TOL_MDP = """\
+module m
+  s : [0..5] init 0;
+  [a] s=0 -> (s'=1);
+  [b] s=0 -> 0.5:(s'=4) + 0.5:(s'=5);
+  [] s=1 -> (s'=2);
+  [] s=2 -> (s'=3);
+  [] s=3 -> 0.9:(s'=4) + 0.1:(s'=5);
+  [] s>=4 -> true;
+endmodule
+label "t" = s=4;
+"""
+
+
+def test_check_refuses_a_tolerance_that_is_not_a_finite_nonnegative_number(capsys, tmp_path):
+    # under --tol nan or inf value iteration stopped after one sweep and
+    # printed 0.5; under --tol -1 it ran to its sweep limit
+    src = tmp_path / "tol.mgcl"
+    src.write_text(TOL_MDP)
+    prop = ("--prop", 'Pmax=? [F "t"]')
+    for tol in ("nan", "inf", "-inf", "-1", "1e-8x"):
+        code, out, err = run(capsys, "check", str(src), *prop, f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in err
+    # refused before the file is read
+    code, _, err = run(capsys, "check", str(tmp_path / "missing.mgcl"), *prop, "--tol", "nan")
+    assert code == 2 and "argument --tol" in err and "cannot read" not in err
+    for tol in ("0", "1e-8"):
+        code, out, _ = run(capsys, "check", str(src), *prop, "--tol", tol)
+        assert code == 0 and json.loads(out)["value"] == 0.9
+
+
 def test_check_reads_its_tolerance_and_state_cap(capsys, models_dir, tmp_path):
     # the tolerance of value iteration, which runs on MDPs: the controlled
     # retry channel, where the maximising strategy delivers almost surely

@@ -267,21 +267,26 @@ def test_chains_skip_the_nested_fixpoint(monkeypatch):
 
 def test_min_sets_compute_the_zero_set_once(monkeypatch):
     calls = []
-    real = checking._prob0_min
 
-    def counted(arr, targets):
-        calls.append(targets)
-        return real(arr, targets)
+    def counted(name):
+        real = getattr(checking, name)
 
-    monkeypatch.setattr(checking, "_prob0_min", counted)
+        def search(arr, targets):
+            calls.append(name)
+            return real(arr, targets)
+        return search
+
+    for name in ("_prob0_min", "_prob0_max"):
+        monkeypatch.setattr(checking, name, counted(name))
     # chains in both directions (the former checker took the max path on
-    # them) and MDPs in the min direction
+    # them), whose zero set is one backward search, and MDPs in the min
+    # direction, whose zero set is the counting search
     cases = [(m, "bad", d, "max") for m in CORPUS[240:250] for d in ("min", "max")]
     cases += [(m, "target", "min", "min") for m in CORPUS[:10]]
     for model, label, direction, seed_direction in cases:
         calls.clear()
         got = reach_prob(model, label, direction)
-        assert len(calls) == 1
+        assert calls == ["_prob0_max" if model.kind == "mc" else "_prob0_min"]
         _same_result(got, oracles.seed_reach_prob(model, label, seed_direction),
                      model.kind == "mc")
 
@@ -663,3 +668,184 @@ def test_expected_cost_equals_the_former_with_absorbing_goals():
                 former = _refusal(oracles.former_expected_cost, model, label, direction)
                 seen["past goal"] += isinstance(former, str)
     assert min(seen.values()) > 5, seen
+
+
+# ---------------------------------------------------------------------------
+# the two forms of the backward search: scipy's compiled breadth-first
+# search, which runs from _SEARCH_LIMIT states, and the worklist loop below
+
+
+def _with_lists(arr):
+    """``arr`` with the former per-state predecessor lists, which the set
+    searches of ``oracles`` walk."""
+    out = oracles.PredecessorArrays.__new__(oracles.PredecessorArrays)
+    out._fill(arr.num_states, arr.choice_state, arr.choice_start, arr.branch_start,
+              arr.targets, arr.probs)
+    return out
+
+
+def _search_forms_agree(arr, seeds, rng):
+    """Both forms of the search from ``seeds`` (a set), with and without a
+    stop set and a mask of enabled choices, against each other, element
+    for element, and against the former set search.  Returns how many
+    states the searches found in all."""
+    n = arr.num_states
+    mask = oracles.set_mask(n, seeds)
+    on = np.array([rng.random() < 0.6 for _ in range(arr.num_choices)], dtype=bool)
+    blocked = {s for s in range(n) if rng.random() < 0.2}
+    found = 0
+    for stop in (frozenset(), frozenset(seeds), frozenset(blocked)):
+        stop_mask = oracles.set_mask(n, stop) if stop else None
+        for enabled in (None, on):
+            got = checking._compiled_backward(arr, mask, stop_mask, enabled)
+            assert _bits(got) == _bits(checking._worklist_backward(arr, mask, stop_mask, enabled))
+            _same_states(got, oracles.set_backward(arr, set(seeds), stop, enabled), n)
+            found += int(got.sum())
+    return found
+
+
+BACKWARD = checking._backward  # the search that picks its form by size
+
+
+def _sets_by(monkeypatch, search, arr, mask, on):
+    """The qualitative sets of ``mask`` with ``search`` as the backward
+    search, with every choice and with only the choices ``on``."""
+    monkeypatch.setattr(checking, "_backward", search)
+    zero = checking._prob0_min(arr, mask, on)
+    return [checking._prob0_max(arr, mask), checking._prob1_max(arr, mask),
+            checking._prob1_min(arr, mask), checking._prob1_min(arr, mask, zero, on)]
+
+
+def _qualitative_forms_agree(monkeypatch, arr, seeds, rng):
+    """The qualitative sets of ``seeds`` (a set) with either form of the
+    search, against each other and against the former set searches."""
+    n = arr.num_states
+    mask = oracles.set_mask(n, seeds)
+    on = np.array([rng.random() < 0.7 for _ in range(arr.num_choices)], dtype=bool)
+    got = _sets_by(monkeypatch, checking._compiled_backward, arr, mask, on)
+    loop = _sets_by(monkeypatch, checking._worklist_backward, arr, mask, on)
+    live = _sets_by(monkeypatch, BACKWARD, arr, mask, on)
+    former = [oracles.set_prob0_max(arr, set(seeds)), oracles.set_prob1_max(arr, set(seeds)),
+              oracles.set_prob1_min(arr, set(seeds)),
+              oracles.set_prob1_min(arr, set(seeds), enabled=on)]
+    for a, b, c, want in zip(got, loop, live, former):
+        assert _bits(a) == _bits(b) == _bits(c)
+        _same_states(a, want, n)
+
+
+def test_both_search_forms_equal_the_former_set_search_on_the_corpus(monkeypatch):
+    rng = random.Random(23)
+    found = 0
+    for model in CORPUS:
+        arr = oracles.PredecessorArrays(model)
+        assert arr.num_states < checking._SEARCH_LIMIT
+        for targets in _target_sets(model, rng):
+            found += _search_forms_agree(arr, targets, rng)
+            _qualitative_forms_agree(monkeypatch, arr, targets, rng)
+    assert found > 1000
+
+
+def _large_mdp(rng, n):
+    """A random MDP of ``n`` states, for searches above the limit: one to
+    three choices per state, one to four branches per choice, mostly to
+    nearby states (so paths are long) and some of probability zero, which
+    are not edges; about one state in fifteen is a deadlock closed with a
+    self-loop, as ``build_model`` closes one under ``absorb``."""
+    rows = []
+    for s in range(n):
+        if rng.random() < 1 / 15:
+            rows.append([Choice(None, ((Fraction(1), s),))])
+            continue
+        row = []
+        for _ in range(rng.randint(1, 3)):
+            succ = [min(max(s + rng.randint(-3, 3), 0), n - 1) if rng.random() < 0.9
+                    else rng.randrange(n) for _ in range(rng.randint(1, 4))]
+            weights = [0 if i and rng.random() < 0.25 else rng.randint(1, 4)
+                       for i in range(len(succ))]
+            total = sum(weights)
+            row.append(Choice(f"a{len(row)}", tuple(
+                (Fraction(w, total), t) for w, t in zip(weights, succ))))
+        rows.append(row)
+    target = frozenset(rng.sample(range(n), 3))
+    return ExplicitModel(kind="mdp", var_names=("s",), states=[(i,) for i in range(n)],
+                         initial=0, choices=rows, costs=[Fraction(0)] * n,
+                         labels={"target": target}, parameters={})
+
+
+def _large_cases(models_dir):
+    """Graphs above the limit, each with its seed sets: the ``C<20``
+    product of the 200-retry chain, the controlled 200-retry MDP and
+    random MDPs of two to four times the limit."""
+    text = (models_dir / "retry_channel.mgcl").read_text(encoding="utf-8")
+    chain = build_model(parse_program(text.replace("const retries = 40;", "const retries = 200;")),
+                        {"loss": Fraction(2, 5)})
+    target = checking._target_set(chain, "delivered")
+    cost = np.array([int(c) for c in chain.costs])
+    product = checking._product_arrays(checking._model_arrays(chain), target, cost, 21)
+    goal = (target[:, None] & (np.arange(21) > 0)).ravel()
+    yield product, [set(np.flatnonzero(goal).tolist()), {product.num_states - 1}]
+    mdp = _retry_mdp(models_dir, 200)
+    yield checking._model_arrays(mdp), [set(mdp.label_states(label))
+                                        for label in ("delivered", "gaveup", "stopped")]
+    rng = random.Random(29)
+    for factor in (2, 3, 4):
+        for _ in range(2):
+            model = _large_mdp(rng, factor * checking._SEARCH_LIMIT + rng.randrange(50))
+            yield checking._model_arrays(model), [
+                set(model.labels["target"]), {rng.randrange(model.num_states)},
+                set(rng.sample(range(model.num_states), model.num_states // 100)), set()]
+
+
+def test_both_search_forms_agree_above_the_limit(monkeypatch, models_dir):
+    rng = random.Random(31)
+    sizes = []
+    zero_branches = 0
+    for arr, seed_sets in _large_cases(models_dir):
+        assert arr.num_states >= checking._SEARCH_LIMIT
+        sizes.append(arr.num_states)
+        arr = _with_lists(arr)
+        for seeds in seed_sets:
+            _search_forms_agree(arr, seeds, rng)
+            _qualitative_forms_agree(monkeypatch, arr, seeds, rng)
+    assert sizes[:2] == [401 * 21, 1201]
+    assert min(sizes[2:]) >= 2 * checking._SEARCH_LIMIT and max(sizes) >= 4 * checking._SEARCH_LIMIT
+
+
+def test_the_large_random_mdps_have_zero_branches_and_deadlocks():
+    rng = random.Random(29)
+    model = _large_mdp(rng, 2 * checking._SEARCH_LIMIT)
+    arr = checking._model_arrays(model)
+    branches = sum(len(ch.branches) for row in model.choices for ch in row)
+    loops = sum(row == [Choice(None, ((Fraction(1), s),))] for s, row in enumerate(model.choices))
+    assert len(arr.targets) < branches - 500 and loops > 50
+    unreached = ~checking._backward(arr, oracles.set_mask(model.num_states, {0}))
+    assert unreached.any()  # not every state reaches state 0
+
+
+def test_a_chain_zero_set_is_one_backward_search(models_dir):
+    # with one choice per state, the states that avoid the targets under
+    # some strategy (_prob0_min) are those that cannot reach them
+    # (_prob0_max): on the corpus chains and on every support of the chain
+    # families, and on the C<20 product of the 200-retry chain
+    rng = random.Random(37)
+    cases = 0
+    for model in CORPUS[240:]:
+        arr = checking._Arrays(model)
+        for targets in _target_sets(model, rng):
+            mask = oracles.set_mask(model.num_states, targets)
+            assert _bits(checking._prob0_max(arr, mask)) == _bits(checking._prob0_min(arr, mask))
+            cases += 1
+    for program, target, goal in _family_cases():
+        model = build_model(program)
+        supports = {tuple(map(bool, p)) for _, p, _ in well_defined_entries(model)}
+        for support in supports:
+            arr = checking._Arrays(model, support, np.ones((1, sum(support))))
+            for label in (target, goal):
+                mask = checking._target_set(model, label)
+                assert _bits(checking._prob0_max(arr, mask)) == _bits(checking._prob0_min(arr, mask))
+                cases += 1
+    product, seed_sets = next(_large_cases(models_dir))
+    for seeds in seed_sets:
+        mask = oracles.set_mask(product.num_states, seeds)
+        assert _bits(checking._prob0_max(product, mask)) == _bits(checking._prob0_min(product, mask))
+    assert cases > 250
