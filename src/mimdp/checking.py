@@ -41,8 +41,11 @@ is False.
 
 The checker works on flat arrays of a model's transition structure, built
 once per model on first use and kept on it (models are immutable once
-built).  The cost-bounded product's arrays are derived from the base
-model's with a few vectorised index operations, not built from objects.
+built).  The state costs are checked and converted once per model too, and
+kept on those arrays (``_model_costs``).  The cost-bounded product's arrays
+are derived from the base model's with a few vectorised index operations,
+not built from objects; a product of more than ``models.DEFAULT_STATE_CAP``
+states is refused before anything is allocated for it.
 
 ``chain_family`` checks a family of chains one support pattern at a time:
 the configurations that share a support share one set of arrays and
@@ -63,7 +66,15 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .expressions import Expr
-from .models import Choice, ExplicitModel, LazySequence, ModelError, Strategy
+from .models import (
+    DEFAULT_STATE_CAP,
+    Choice,
+    ExplicitModel,
+    LazySequence,
+    ModelError,
+    StateCapExceeded,
+    Strategy,
+)
 
 DEFAULT_TOL = 1e-8
 FEASIBILITY_TOL = 1e-9  # slack of a probability bound, here and in synthesis
@@ -165,6 +176,8 @@ class _Arrays:
         of_branch = np.repeat(np.arange(self.num_choices), np.diff(self.branch_start))
         self.pred_choice = of_branch[np.argsort(self.targets, kind="stable")]
         self.pred_start = np.append(0, np.cumsum(np.bincount(self.targets, minlength=num_states)))
+        # a model's checked state costs, made on first use (``_model_costs``)
+        self.costs: Optional[_Costs] = None
 
     def choice_values(self, x: np.ndarray, probs: Optional[np.ndarray] = None) -> np.ndarray:
         """Each choice's expected successor value; ``x`` is one value per
@@ -184,6 +197,66 @@ def _model_arrays(model: ExplicitModel) -> _Arrays:
     if model._arrays is None:
         model._arrays = _Arrays(model)
     return model._arrays
+
+
+class _Costs:
+    """The state costs of a model as ``expected_cost`` (``real``) and
+    ``cost_bounded_reach`` (``integral``) read them: each checks them in
+    state order and raises ``ModelError`` at the first fault, or returns
+    the vector it computes on.  Either outcome is made once and kept."""
+
+    def __init__(self, costs: Sequence):
+        self._costs = costs
+        self._real = self._integral = None  # a vector, or a fault's text
+
+    def real(self) -> np.ndarray:
+        """The costs as floats, one row, read-only."""
+        if self._real is None:
+            self._real = self._fault("expected cost needs concrete state costs", False)
+            if self._real is None:
+                self._real = np.array([[float(c) for c in self._costs]])
+                self._real.flags.writeable = False
+        return self._checked(self._real)
+
+    def integral(self) -> np.ndarray:
+        """The integer costs as int64, read-only; a cost beyond int64 is
+        clamped to its largest value, which drains any budget that fits."""
+        if self._integral is None:
+            self._integral = self._fault("cost-bounded reachability needs concrete costs", True)
+            if self._integral is None:
+                top = np.iinfo(np.int64).max
+                self._integral = np.array([min(int(c), top) for c in self._costs], dtype=np.int64)
+                self._integral.flags.writeable = False
+        return self._checked(self._integral)
+
+    def _fault(self, symbolic: str, integers: bool) -> Optional[str]:
+        for s, c in enumerate(self._costs):
+            if isinstance(c, Expr):
+                return symbolic
+            if integers and c.denominator != 1:
+                return f"non-integer cost {c} at state {s}"
+            if c < 0:
+                return f"negative cost at state {s}"
+        return None
+
+    @staticmethod
+    def _checked(vector):
+        if isinstance(vector, str):
+            raise ModelError(vector)
+        return vector
+
+
+def _model_costs(model: ExplicitModel) -> _Costs:
+    """The costs of ``model``, kept on its arrays.  A model the arrays
+    cannot be built for gets costs kept nowhere: the checker raises its
+    own error for that model after any cost fault, as before."""
+    try:
+        arr = _model_arrays(model)
+    except ModelError:
+        return _Costs(model.costs)
+    if arr.costs is None:
+        arr.costs = _Costs(model.costs)
+    return arr.costs
 
 
 # ---------------------------------------------------------------------------
@@ -678,12 +751,7 @@ def expected_cost(
     _check_tol(tol)
     arr = _model_arrays(model)
     goal = _target_set(model, goals)
-    for s, c in enumerate(model.costs):
-        if isinstance(c, Expr):
-            raise ModelError("expected cost needs concrete state costs")
-        if c < 0:
-            raise ModelError(f"negative cost at state {s}")
-    cost = np.array([[float(c) for c in model.costs]])
+    cost = _model_costs(model).real()
     x, sweeps, residual, polished, picks = _expected(
         model, arr, goal, cost, direction, model.kind == "mc", tol, trace
     )
@@ -795,30 +863,27 @@ def cost_bounded_reach(
     choice that has no positive branch) raises the checker's
     ``ModelError``, as in ``reach_prob``, and so does a ``tol`` that is not
     a finite number of at least 0 (``ValueError``), before the product is
-    built.
+    built.  A product of more than ``models.DEFAULT_STATE_CAP`` states
+    raises ``StateCapExceeded`` before anything is allocated for it.
     """
     if bound < 0:
         raise ValueError("cost bound must be nonnegative")
     _check_tol(tol)
-    target = _target_set(model, targets)
-    costs = []
-    for s, c in enumerate(model.costs):
-        if isinstance(c, Expr):
-            raise ModelError("cost-bounded reachability needs concrete costs")
-        if c.denominator != 1:
-            raise ModelError(f"non-integer cost {c} at state {s}")
-        if c < 0:
-            raise ModelError(f"negative cost at state {s}")
-        costs.append(int(c))
-
     width = bound + 1  # remaining budget in 0..bound
     n = model.num_states * width
+    if n > DEFAULT_STATE_CAP:
+        raise StateCapExceeded(
+            f"cost-bounded product of {n} states ({model.num_states} states x "
+            f"{width} budgets) exceeds the state cap of {DEFAULT_STATE_CAP} states"
+        )
+    target = _target_set(model, targets)
+    cost = _model_costs(model).integral()
     product = ExplicitModel(
         kind="mc" if model.kind == "mc" else "mdp",
         var_names=model.var_names + ("_budget",),
         states=LazySequence(n, lambda i: model.states[i // width] + (i % width,)),
         initial=model.initial * width + bound,
-        choices=LazySequence(n, lambda i: _product_row(model, target, costs, width, i)),
+        choices=LazySequence(n, lambda i: _product_row(model, target, cost, width, i)),
         costs=[Fraction(0)] * n,
         labels={},
         parameters={},
@@ -827,22 +892,20 @@ def cost_bounded_reach(
     goal = (target[:, None] & (np.arange(width) > 0)).ravel()
     if not goal.any():
         return 0.0
-    # clamped to fit int64: any cost of at least the width drains every
-    # budget
-    cost = np.array([min(c, width) for c in costs], dtype=np.int64)
     product._arrays = _product_arrays(_model_arrays(model), target, cost, width)
     vec, _ = reach_prob(product, goal, direction, tol=tol)
     return float(vec.values[product.initial])
 
 
-def _product_row(model: ExplicitModel, target: np.ndarray, costs: list, width: int,
+def _product_row(model: ExplicitModel, target: np.ndarray, cost: np.ndarray, width: int,
                  i: int) -> list:
     """The choices of state ``i`` of the budget product of
-    ``cost_bounded_reach``, ``target`` the mask of target states."""
+    ``cost_bounded_reach``, ``target`` the mask of target states and
+    ``cost`` the integer state costs."""
     s, b = divmod(i, width)
     if target[s]:
         return [Choice(None, ((Fraction(1), i),))]
-    b2 = max(b - costs[s], 0)
+    b2 = max(b - int(cost[s]), 0)
     return [
         Choice(ch.action, tuple((p, t * width + b2) for p, t in ch.branches))
         for ch in model.choices[s]

@@ -304,6 +304,19 @@ def build_model(
     transformed models whose dead ends encode inconsistent parameter
     commitments).
 
+    The base model is explored once per program: it is kept on ``program``
+    (``Program._models``), keyed by ``(state_cap, on_deadlock)``, for as
+    long as the program lives, so a later call with the same key returns
+    the same model object, with the compiled entries and arrays it has
+    memoised since.  That relies on a program's dicts not being mutated
+    after its first build, which the check-once mark already assumes.  A
+    ``valuation`` is validated first (missing parameters, then values
+    outside their declared sets), and the cached base model instantiated;
+    instances are not kept.  A build that raises keeps nothing, so the
+    next call raises the same error again.  Programs made by ``compose``,
+    ``dataclasses.replace`` or a rewrite of ``transform`` start with no
+    model.
+
     Guards are indexed on their equality conjuncts (``v = c`` with ``v`` a
     state variable and ``c`` a literal, see ``equality_conjuncts``): before
     the exploration, each command and reward declaration is entered, per
@@ -327,13 +340,6 @@ def build_model(
         raise ModelError("program is not well-formed: " + "; ".join(map(str, diags)))
     if on_deadlock not in ("error", "absorb"):
         raise ValueError("on_deadlock must be 'error' or 'absorb'")
-
-    program = compose(program)
-    module = program.single_module()
-    var_decls = list(program.variables().values())
-    var_names = tuple(v.name for v in var_decls)
-    domains = {v.name: (v.lo, v.hi) for v in var_decls}
-
     if valuation is not None:
         missing = sorted(set(program.parameters) - set(valuation))
         if missing:
@@ -344,6 +350,21 @@ def build_model(
                 raise ModelError(
                     f"value {format_fraction(v)} not in the declared set of '{p}'"
                 )
+
+    key = (state_cap, on_deadlock)
+    model = program._models.get(key)
+    if model is None:
+        model = _explore(compose(program), state_cap, on_deadlock)
+        program._models[key] = model
+    return model if valuation is None else instantiate(model, valuation)
+
+
+def _explore(program: Program, state_cap: int, on_deadlock: str) -> ExplicitModel:
+    """The base model of the composed ``program`` (see ``build_model``)."""
+    module = program.single_module()
+    var_decls = list(program.variables().values())
+    var_names = tuple(v.name for v in var_decls)
+    domains = {v.name: (v.lo, v.hi) for v in var_decls}
 
     constants = program.constants
     base_env = pair_env(constants)
@@ -456,7 +477,7 @@ def build_model(
         kind = "mimdp"
     else:
         kind = "mc" if all(len(row) == 1 for row in rows) else "mdp"
-    model = ExplicitModel(
+    return ExplicitModel(
         kind=kind,
         var_names=var_names,
         states=states,
@@ -467,7 +488,6 @@ def build_model(
         parameters=dict(program.parameters) if parametric else {},
         deadlocks=frozenset(deadlocks),
     )
-    return model if valuation is None else instantiate(model, valuation)
 
 
 def _guard_index(guards: Sequence[Expr], var_names: tuple) -> tuple:

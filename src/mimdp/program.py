@@ -82,6 +82,12 @@ class Program:
     # the implication checks' analysis of each guard (``transform._guard_facts``),
     # kept while ``transform.transform_rewards`` runs
     _guard_facts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the explored base model per ``(state_cap, on_deadlock)``, with the
+    # memos it carries, kept by ``models.build_model`` for the lifetime of
+    # the program; ``compose``, ``dataclasses.replace`` and the rewrites of
+    # ``transform`` give new programs an empty one.  Like ``_checked``, it
+    # assumes that a program's dicts are not mutated after its first build
+    _models: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def variables(self) -> dict:
         """All variables in module order as name -> VarDecl."""

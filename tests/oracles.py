@@ -21,8 +21,10 @@ the stacked loop over the free states that also iterated chains
 (``former_iterate``, with the rest of that checker under the prefix
 ``former_``).
 At the end, the three hand-written lazy sequences (``_Picks``,
-``_ProductStates``, ``_ProductRows``) and the ``equality_conjuncts`` that
-sort-checked each conjunct (``seed_equality_conjuncts``).
+``_ProductStates``, ``_ProductRows``), the ``equality_conjuncts`` that
+sort-checked each conjunct (``seed_equality_conjuncts``), and the cost
+checks that ``expected_cost`` and ``cost_bounded_reach`` made on every
+call (``former_real_costs``, ``former_integral_costs``).
 """
 
 from __future__ import annotations
@@ -3169,3 +3171,39 @@ def seed_equality_conjuncts(
         if fixed.setdefault(var, value) != value:
             return None
     return fixed
+
+
+# ---------------------------------------------------------------------------
+# the former per-call cost checks
+#
+# ``expected_cost`` and ``cost_bounded_reach`` checked and converted the
+# model's state costs one value at a time on every call; the checker now
+# does it once per model (``checking._Costs``).  The two loops, verbatim
+# apart from being functions of their own that return what the caller
+# went on with: the float costs, and the integer costs with the int64
+# vector clamped to the product's width.
+
+def former_real_costs(model: ExplicitModel) -> np.ndarray:
+    for s, c in enumerate(model.costs):
+        if isinstance(c, Expr):
+            raise ModelError("expected cost needs concrete state costs")
+        if c < 0:
+            raise ModelError(f"negative cost at state {s}")
+    cost = np.array([[float(c) for c in model.costs]])
+    return cost
+
+
+def former_integral_costs(model: ExplicitModel, width: int) -> Tuple[list, np.ndarray]:
+    costs = []
+    for s, c in enumerate(model.costs):
+        if isinstance(c, Expr):
+            raise ModelError("cost-bounded reachability needs concrete costs")
+        if c.denominator != 1:
+            raise ModelError(f"non-integer cost {c} at state {s}")
+        if c < 0:
+            raise ModelError(f"negative cost at state {s}")
+        costs.append(int(c))
+    # clamped to fit int64: any cost of at least the width drains every
+    # budget
+    cost = np.array([min(c, width) for c in costs], dtype=np.int64)
+    return costs, cost

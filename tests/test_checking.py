@@ -20,7 +20,9 @@ from mimdp.checking import (
     reach_prob,
 )
 from mimdp.expressions import Name
-from mimdp.models import Choice, ExplicitModel, ModelError, Strategy, build_model, instantiate
+from mimdp.models import (
+    Choice, ExplicitModel, ModelError, StateCapExceeded, Strategy, build_model, instantiate,
+)
 from mimdp.parser import parse_program
 from mimdp.synthesis import SynthesisQuery, constrained_mdp_lp, synthesize_enumerate
 from mimdp.transform import transform_all
@@ -454,6 +456,54 @@ def test_non_integer_costs_are_rejected():
     model = build_model(parse_program(src))
     with pytest.raises(ModelError, match="non-integer"):
         cost_bounded_reach(model, "t", 2)
+
+
+TWO_STATE_CHAIN = """
+module m
+  x : [0..1] init 0;
+  [] x=0 -> (x'=1);
+  [] x=1 -> true;
+endmodule
+rewards
+  x=0 : 1;
+endrewards
+label "t" = x=1;
+"""
+
+# a budget product of 2 x (10^7 + 1) states: at the state cap of 10^7 it
+# is refused before any of its arrays are allocated, where building them
+# would take gigabytes
+OVER_THE_CAP = (
+    "cost-bounded product of 20000002 states (2 states x 10000001 budgets) "
+    "exceeds the state cap of 10000000 states"
+)
+
+
+def test_a_budget_product_over_the_state_cap_is_refused():
+    model = build_model(parse_program(TWO_STATE_CHAIN))
+    spec = parse_property('P=? [F{C<10000000} "t"]')
+    with pytest.raises(ModelError) as refused:
+        check_spec(model, spec)
+    assert str(refused.value) == OVER_THE_CAP
+    assert isinstance(refused.value, StateCapExceeded)
+    # it is refused on every call, and the model checks as before
+    with pytest.raises(StateCapExceeded):
+        cost_bounded_reach(model, "t", 10**7, "min")
+    assert cost_bounded_reach(model, "t", 2) == 1.0
+
+
+def test_the_budget_product_cap_counts_states_times_budgets(monkeypatch):
+    model = build_model(parse_program(TWO_STATE_CHAIN))
+    monkeypatch.setattr(checking, "DEFAULT_STATE_CAP", 10)
+    assert cost_bounded_reach(model, "t", 4) == 1.0  # 2 x 5 states
+    with pytest.raises(StateCapExceeded, match="^cost-bounded product of 12 states "
+                       r"\(2 states x 6 budgets\) exceeds the state cap of 10 states$"):
+        cost_bounded_reach(model, "t", 5)
+    # a negative bound is refused first, and the cap before the label is read
+    with pytest.raises(ValueError, match="cost bound must be nonnegative"):
+        cost_bounded_reach(model, "t", -1)
+    with pytest.raises(StateCapExceeded):
+        cost_bounded_reach(model, "no such label", 5)
 
 
 # --- specifications -------------------------------------------------------------

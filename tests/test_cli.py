@@ -116,6 +116,21 @@ def test_check_negative_cost_valuation_gives_the_cost(capsys, tmp_path):
     assert err == "error: negative cost -1 at state (s=0)\n"
 
 
+def test_check_refuses_a_budget_product_over_the_state_cap(capsys, tmp_path):
+    model = tmp_path / "two.mgcl"
+    model.write_text(
+        "module m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\n  [] x=1 -> true;\nendmodule\n"
+        "rewards\n  x=0 : 1;\nendrewards\n"
+        'label "t" = x=1;\n'
+    )
+    code, out, err = run(capsys, "check", str(model), "--prop", 'P=? [F{C<10000000} "t"]')
+    assert code == 2 and out == ""
+    assert err == (
+        "error: cost-bounded product of 20000002 states (2 states x 10000001 budgets) "
+        "exceeds the state cap of 10000000 states\n"
+    )
+
+
 def test_check_violated_property_exits_one(capsys, models_dir):
     code, out, _ = run(
         capsys,

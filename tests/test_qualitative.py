@@ -1,7 +1,8 @@
 """Differential tests of the checker's graph searches, greedy pick,
-value iteration and policy polish against the code they replaced
-(``oracles``), and of the checker that solves chains without value
-iteration against the former one, which iterated chains too."""
+value iteration, policy polish and once-per-model cost checks against the
+code they replaced (``oracles``), and of the checker that solves chains
+without value iteration against the former one, which iterated chains
+too."""
 
 import random
 from dataclasses import replace
@@ -13,8 +14,9 @@ import oracles
 from generators import random_mc, random_mdp
 from mimdp import checking
 from mimdp.checking import ExpectedCostUndefined, cost_bounded_reach, expected_cost, reach_prob
+from mimdp.expressions import Name
 from mimdp.models import (
-    Choice, ExplicitModel, Strategy, build_model, instantiate, well_defined_entries,
+    Choice, ExplicitModel, ModelError, Strategy, build_model, instantiate, well_defined_entries,
 )
 from mimdp.parser import parse_program
 from mimdp.transform import transform_all
@@ -849,3 +851,88 @@ def test_a_chain_zero_set_is_one_backward_search(models_dir):
         mask = oracles.set_mask(product.num_states, seeds)
         assert _bits(checking._prob0_max(product, mask)) == _bits(checking._prob0_min(product, mask))
     assert cases > 250
+
+
+def _cost_faults(model, rng):
+    """``model`` and copies with one state's cost made faulty for either
+    check: a parameter expression, a negative integer, a fraction, a
+    negative fraction, and a cost too large for int64."""
+    yield model
+    for bad in (Name("p"), Fraction(-2), Fraction(3, 2), Fraction(-1, 2), Fraction(10**30)):
+        costs = list(model.costs)
+        costs[rng.randrange(len(costs))] = bad
+        yield replace(model, costs=costs)
+
+
+def _attempt(call):
+    try:
+        return "value", call()
+    except ModelError as e:
+        return "error", type(e), str(e)
+
+
+def test_costs_are_checked_once_as_the_former_loops_checked_them():
+    """The costs ``expected_cost`` and ``cost_bounded_reach`` compute on,
+    made once per model, equal those of the loops they ran on every call,
+    and so do the first fault each reports (type, text and state), on the
+    corpus and on copies with one faulty cost.  A second read gives the
+    same again, from the model's arrays."""
+    rng = random.Random(61)
+    faults = set()
+    for model in CORPUS:
+        for case in _cost_faults(model, rng):
+            for _ in range(2):
+                got = _attempt(lambda: checking._model_costs(case).real())
+                want = _attempt(lambda: oracles.former_real_costs(case))
+                if want[0] == "value":
+                    assert got[0] == "value" and got[1].dtype == np.float64
+                    assert np.array_equal(got[1], want[1])
+                else:
+                    assert got == want
+                    faults.add(want[2])
+                for width in (1, 3, 10**9):
+                    got = _attempt(lambda: np.minimum(checking._model_costs(case).integral(), width))
+                    want = _attempt(lambda: oracles.former_integral_costs(case, width)[1])
+                    if want[0] == "value":
+                        assert got[0] == "value" and got[1].dtype == np.int64
+                        assert np.array_equal(got[1], want[1])
+                    else:
+                        assert got == want
+                        faults.add(want[2])
+            assert case._arrays.costs is checking._model_costs(case)
+    assert {f.split(" at state")[0] for f in faults} >= {
+        "expected cost needs concrete state costs", "negative cost",
+        "cost-bounded reachability needs concrete costs", "non-integer cost 3/2",
+        "non-integer cost -1/2",
+    }
+
+
+def test_cost_faults_reach_the_caller_as_before():
+    """Through ``expected_cost`` and ``cost_bounded_reach``, a faulty cost
+    raises what the former loops raised, before any solve, and on every
+    call; a parametric model still gets the checker's own error."""
+    rng = random.Random(67)
+    raised = 0
+    for model in CORPUS[::10]:
+        goal, target = ("stop", "target") if model.kind == "mdp" else ("goal", "ok")
+        for case in list(_cost_faults(model, rng))[1:]:
+            for call, former in (
+                (lambda: expected_cost(case, goal), lambda: oracles.former_real_costs(case)),
+                (lambda: cost_bounded_reach(case, target, 3),
+                 lambda: oracles.former_integral_costs(case, 4)),
+            ):
+                want = _attempt(former)
+                if want[0] == "error":
+                    raised += 1
+                    assert _attempt(call) == _attempt(call) == want
+    assert raised > 100
+    parametric = replace(CORPUS[0], kind="mimdp")
+    for call in (lambda m: cost_bounded_reach(m, "target", 3), lambda m: expected_cost(m, "stop")):
+        assert _attempt(lambda: call(parametric))[2] == (
+            "model checking needs a concrete model; instantiate first"
+        )
+    costs = list(parametric.costs)
+    costs[0] = Name("p")
+    assert _attempt(lambda: cost_bounded_reach(replace(parametric, costs=costs), "target", 3))[2] == (
+        "cost-bounded reachability needs concrete costs"
+    )
