@@ -792,7 +792,7 @@ def _expected(model: ExplicitModel, arr: _Arrays, goal: np.ndarray, cost: np.nda
 
 def chain_family(
     model: ExplicitModel,
-    entries: Sequence[Tuple[Sequence[Fraction], Sequence[Fraction]]],
+    entries: Sequence[Tuple[Sequence[Tuple[int, int]], Sequence[Tuple[int, int]]]],
     targets,
     goals,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -803,10 +803,11 @@ def chain_family(
 
     ``model`` has one choice per state and gives the structure every
     configuration shares; ``entries`` holds per configuration its exact
-    branch probabilities (flat in model order) and state costs, as
-    ``Fraction`` or ``int`` values.  Each becomes a float as its numerator
-    over its denominator, the int division ``float()`` of a ``Fraction``
-    makes, so the floats are the same.
+    branch probabilities (flat in model order) and state costs, as the
+    ``(numerator, denominator)`` pairs ``models.well_defined_entries``
+    yields.  Each becomes a float as its numerator over its denominator,
+    the int division ``float()`` of a ``Fraction`` makes, so the floats are
+    the same.
     Configurations with the same support, the branches of nonzero
     probability, share one set of arrays and qualitative sets, and their
     linear systems are solved as one stack; a system the solve cannot meet
@@ -816,18 +817,18 @@ def chain_family(
     goal = _target_set(model, goals)
     groups: dict = {}  # support -> configurations
     for i, (probs, _) in enumerate(entries):
-        groups.setdefault(tuple(map(bool, probs)), []).append(i)
+        groups.setdefault(tuple(p != 0 for p, _ in probs), []).append(i)
     pr = np.empty(len(entries))
     ec = np.empty(len(entries))
     for support, members in groups.items():
         probs = [
-            [p.numerator / p.denominator for p, edge in zip(entries[i][0], support) if edge]
+            [p / q for (p, q), edge in zip(entries[i][0], support) if edge]
             for i in members
         ]
         arr = _Arrays(model, support, probs)
         x = _reach(arr, target, "max", True, len(members), DEFAULT_TOL)[0]
         pr[members] = x[:, model.initial]
-        cost = np.array([[c.numerator / c.denominator for c in entries[i][1]] for i in members])
+        cost = np.array([[p / q for p, q in entries[i][1]] for i in members])
         try:
             x = _expected(model, arr, goal, cost, "min", True, DEFAULT_TOL)[0]
         except ExpectedCostUndefined:

@@ -1,10 +1,9 @@
 """Command-line driver.
 
 Subcommands: ``parse``, ``build``, ``transform``, ``check``, ``synthesize``,
-``emit-nilp``, ``casestudy generate|sweep`` and ``bench``.  Exit codes:
-0 success, 1 property violation or method divergence, 2 usage/input errors.
-Numeric output is deterministic: fixed orderings, floats at 9 significant
-digits; the one exception is the timing column of ``bench``.
+``emit-nilp`` and ``casestudy generate|sweep``.  Exit codes: 0 success,
+1 property violation or method divergence, 2 usage/input errors.  Numeric
+output is deterministic: fixed orderings, floats at 9 significant digits.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -240,42 +238,6 @@ def _cmd_casestudy(args) -> int:
     raise CliError(f"unknown casestudy action {args.action!r}")
 
 
-def _cmd_bench(args) -> int:
-    directory = Path(args.dir)
-    if not directory.is_dir():
-        raise CliError(f"{args.dir} is not a directory")
-    rows = ["model,variant,states,transitions,mc_seconds"]
-    for path in sorted(directory.glob("*.mgcl")):
-        program = _load(path)
-        prop = None
-        props_path = path.with_suffix(".props")
-        if props_path.exists():
-            prop = parse_property(props_path.read_text(encoding="utf-8").strip())
-
-        def clock(model):
-            if prop is None:
-                return ""
-            start = time.perf_counter()
-            check_spec(model, prop)
-            return format(time.perf_counter() - start, ".3f")
-
-        base = build_model(program, state_cap=args.state_cap)
-        rows.append(f"{path.stem},parametric,{base.num_states},{base.num_transitions},")
-        transformed, report = transform_rewards(program)
-        transformed, _ = transform_probabilities(transformed)
-        tmodel = build_model(transformed, state_cap=args.state_cap)
-        rows.append(
-            f"{path.stem},transformed,{tmodel.num_states},{tmodel.num_transitions},{clock(tmodel)}"
-        )
-        controlled, _ = transform_all(program)
-        cmodel = build_model(controlled, state_cap=args.state_cap, on_deadlock="absorb")
-        rows.append(
-            f"{path.stem},controlled,{cmodel.num_states},{cmodel.num_transitions},{clock(cmodel)}"
-        )
-    _emit("\n".join(rows) + "\n", args.output)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument wiring: each subcommand takes only the options it reads
 
@@ -376,12 +338,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--concrete", action="store_true", help="inline the configuration")
     _add_output(p)
     p.set_defaults(fn=_cmd_casestudy)
-
-    p = sub.add_parser("bench", help="size/timing table over a directory of models")
-    p.add_argument("dir")
-    _add_state_cap(p)
-    _add_output(p)
-    p.set_defaults(fn=_cmd_bench)
 
     return ap
 

@@ -393,10 +393,11 @@ class CompiledExprs:
     is a bool.  Literals and constants become pairs when they are compiled,
     parameter values when the evaluator of a point is made.  Operators are
     the kernel's (``_binary_op``, ``_unary_op``, ``_extremum_op``), as in
-    ``eval_pairs``.  ``Fraction``s are made only at the boundary:
-    an evaluator called with a node, and ``tables``, give ``Fraction``s
-    and bools, each built at most once per node and key.  An evaluator's
-    ``pair`` gives a value as the DAG holds it.
+    ``eval_pairs``.  Each compound node keeps one value table, in pair
+    form, and an evaluator's ``pair`` gives a value as the DAG holds it.
+    ``Fraction``s are made only where a caller asks for them: an evaluator
+    called with a node, and ``tables``, give ``Fraction``s and bools, made
+    anew on each call.
 
     Evaluation is exact and lazy: ``&`` and ``|`` short-circuit and
     ``min``/``max`` stop at a sort error, as in ``eval_expr``.  An error is
@@ -422,16 +423,14 @@ class CompiledExprs:
         self._by_id: dict = {}  # id(expr) -> (node, expr); the expr pins its id
         # per node: kind, representative expression, children, datum (a
         # literal's pair or bool, a parameter's position, an unbound name or
-        # a compound node's operator), parameter group, value table (pairs
-        # and bools by key) and boundary values (a literal's value, or a
-        # compound node's Fractions and bools by key, made when asked for)
+        # a compound node's operator), parameter group and value table
+        # (pairs and bools by key)
         self._kind: list = []
         self._expr: list = []
         self._args: list = []
         self._datum: list = []
         self._group: list = []
         self._tables: list = []
-        self._fractions: list = []
         self._groups: dict = {}  # parameter positions -> group
         self._positions: list = []  # per group: its parameter positions
         self._strides: list = []  # per group: the stride of each position
@@ -462,29 +461,25 @@ class CompiledExprs:
         return node
 
     def _new(self, e: Expr, key: tuple) -> int:
-        kind, group, table, boundary = key[0], -1, None, None
+        kind, group, table, args = key[0], -1, None, ()
         if kind == _LIT:
-            args, boundary = (), e.value
+            datum = _pair(e.value)
         elif kind == _PARAM:
-            args = ()
             if e.ident in self._position:
                 datum = self._position[e.ident]
             elif e.ident in self._constants:
-                kind, boundary = _LIT, _fraction(_pair(self._constants[e.ident]))
+                kind, datum = _LIT, _pair(self._constants[e.ident])
             else:
                 kind, datum = _UNBOUND, e.ident
         else:
             args = key[2] if kind == _EXTREMUM else key[2:]
-            datum, table, boundary, group = e.op, {}, {}, self._group_of(args)
-        if kind == _LIT:
-            datum = _pair(boundary)
+            datum, table, group = e.op, {}, self._group_of(args)
         self._kind.append(kind)
         self._expr.append(e)
         self._args.append(args)
         self._datum.append(datum)
         self._group.append(group)
         self._tables.append(table)
-        self._fractions.append(boundary)
         return len(self._kind) - 1
 
     def _group_of(self, args: tuple) -> int:
@@ -511,14 +506,10 @@ class CompiledExprs:
         """The value table of every compound node, keyed by the mixed-radix
         index of its parameters' values, with the values an evaluator gives
         (``Fraction``s and bools)."""
-        out = []
-        for table, fractions in zip(self._tables, self._fractions):
-            if table is not None:
-                for key, v in table.items():
-                    if key not in fractions:
-                        fractions[key] = _fraction(v)
-                out.append({key: fractions[key] for key in table})
-        return out
+        return [
+            {key: _fraction(v) for key, v in table.items()}
+            for table in self._tables if table is not None
+        ]
 
     def expr(self, node: int) -> Expr:
         """The first expression entered as ``node``."""
@@ -533,14 +524,13 @@ class CompiledExprs:
         pairs = [self._pairs[p] for p in positions]
         index = [0] * len(self._names)
         for combo in itertools.product(*(range(len(d)) for d in domains)):
-            values: list = [None] * len(self._names)
             held: list = [None] * len(self._names)
             row = {}
             for name, p, domain, held_domain, i in zip(names, positions, domains, pairs, combo):
                 index[p] = i
-                values[p] = row[name] = domain[i]
+                row[name] = domain[i]
                 held[p] = held_domain[i]
-            yield row, _Point(self, tuple(index), values, held, self._tables, self._fractions)
+            yield row, _Point(self, tuple(index), held, self._tables)
 
     def at(self, valuation: Mapping[str, Value]) -> "_Point":
         """The evaluator of nodes under ``valuation``, which binds every
@@ -550,10 +540,9 @@ class CompiledExprs:
         held = [_pair(v) for v in values]
         if all(v in domain for v, domain in zip(values, self._domains)):
             index = tuple(domain.index(v) for v, domain in zip(values, self._domains))
-            return _Point(self, index, values, held, self._tables, self._fractions)
+            return _Point(self, index, held, self._tables)
         tables = [None if t is None else {} for t in self._tables]
-        fractions = [f if t is None else {} for t, f in zip(self._tables, self._fractions)]
-        return _Point(self, (0,) * len(values), values, held, tables, fractions)
+        return _Point(self, (0,) * len(values), held, tables)
 
 
 class _Point:
@@ -564,16 +553,14 @@ class _Point:
     collector ran."""
 
     __slots__ = ("kinds", "exprs", "args", "data", "groups", "positions", "strides",
-                 "names", "index", "values", "pairs", "tables", "fractions", "keys")
+                 "names", "index", "pairs", "tables", "keys")
 
-    def __init__(self, dag: CompiledExprs, index: tuple, values: list, pairs: list,
-                 tables: list, fractions: list):
+    def __init__(self, dag: CompiledExprs, index: tuple, pairs: list, tables: list):
         self.kinds, self.exprs, self.args = dag._kind, dag._expr, dag._args
         self.data, self.groups = dag._datum, dag._group
         self.positions, self.strides = dag._positions, dag._strides
         self.names = dag._names
-        self.index, self.values, self.pairs = index, values, pairs
-        self.tables, self.fractions = tables, fractions
+        self.index, self.pairs, self.tables = index, pairs, tables
         self.keys: list = [None] * len(dag._strides)  # per group, on first use
 
     def _key(self, g: int) -> int:
@@ -582,20 +569,7 @@ class _Point:
         return key
 
     def __call__(self, n: int) -> Value:
-        kind = self.kinds[n]
-        if kind == _LIT:
-            return self.fractions[n]
-        if kind == _PARAM or kind == _UNBOUND:
-            self.pair(n)  # raises where the name is unbound
-            return self.values[self.data[n]]
-        key = self.keys[self.groups[n]]
-        if key is None:
-            key = self._key(self.groups[n])
-        fractions = self.fractions[n]
-        v = fractions.get(key)
-        if v is None:
-            v = fractions[key] = _fraction(self.pair(n))
-        return v
+        return _fraction(self.pair(n))
 
     def pair(self, n: int):
         """The value of node ``n`` as the DAG holds it: a normalized

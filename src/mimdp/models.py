@@ -18,10 +18,10 @@ one hash-consed ``expressions.CompiledExprs``: equal subexpressions are one
 node, and a node's value is computed once per combination of the values of
 the parameters it mentions.  Well-definedness is exact: probabilities are
 rationals, and a distribution has entries in [0,1] summing to exactly one
-(``distribution_fault``).  The compiled entries are checked on the exact
-(numerator, denominator) pairs the compiled form holds
-(``pair_distribution_fault``); ``Fraction``s are made for the entries read
-out, once per node and table key, and to name a fault.
+(``pair_distribution_fault``).  Entries stay the exact, normalized
+``(numerator, denominator)`` pairs the compiled form holds, from the check
+to the checker's floats; ``Fraction``s are made only by ``instantiate``,
+for the instance it builds, and to name a fault.
 """
 
 from __future__ import annotations
@@ -168,8 +168,9 @@ class Strategy:
 class LazySequence(abc.Sequence):
     """The read-only sequence of ``length`` items whose item ``i`` is
     ``item(i)``, made each time it is read.  Negative indices count from
-    the end, and an index out of range raises ``IndexError``.  It is equal
-    to, and prints as, the list of its items."""
+    the end, an index out of range raises ``IndexError``, and a slice is
+    the list of its items.  It is equal to, and prints as, the list of its
+    items."""
 
     def __init__(self, length: int, item: Callable[[int], object]):
         self._length, self._item = length, item
@@ -177,7 +178,9 @@ class LazySequence(abc.Sequence):
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, i: int):
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(self._length)[i]]
         return self._item(range(self._length)[i])
 
     def __eq__(self, other) -> bool:
@@ -545,16 +548,12 @@ def _add_probs(a: Prob, b: Prob) -> Prob:
     return fold(Binary("+", ea, eb))
 
 
-def distribution_fault(probs: Sequence[Fraction]) -> Optional[str]:
-    """Why the exact values ``probs`` are not a probability distribution, or
-    None when every entry lies in [0,1] and they sum to exactly one."""
-    return pair_distribution_fault([(p.numerator, p.denominator) for p in probs])
-
-
 def pair_distribution_fault(pairs: Sequence[Tuple[int, int]]) -> Optional[str]:
-    """``distribution_fault`` of the values given as ``(numerator,
-    denominator)`` pairs, denominators positive.  The sum is exact and
-    unreduced, and a ``Fraction`` is made only to name a fault."""
+    """Why the exact values ``pairs``, given as ``(numerator, denominator)``
+    pairs with positive denominators, are not a probability distribution,
+    or None when every entry lies in [0,1] and they sum to exactly one.
+    The sum is exact and unreduced, and a ``Fraction`` is made only to name
+    a fault."""
     for p, q in pairs:
         if p < 0 or p > q:
             return f"probability {format_fraction(Fraction(p, q))}"
@@ -581,21 +580,23 @@ def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Expl
     built on first use and kept on the model, so instantiating one model
     under many valuations evaluates each distinct subexpression once per
     combination of the values of the parameters it mentions.  A value
-    outside its parameter's declared set is evaluated but not kept.
+    outside its parameter's declared set is evaluated but not kept.  The
+    instance's ``Fraction``s are made from the entries' pairs.
     """
     if model.kind != "mimdp":
         return model
     missing = sorted(set(model.parameters) - set(valuation))
     if missing:
         raise ModelError(f"valuation missing parameter(s): {', '.join(missing)}")
-    return _instance(model, *_entries(model, valuation))
+    probs, costs = _entries(model, valuation)
+    return _instance(model, [Fraction(*p) for p in probs], [Fraction(*c) for c in costs])
 
 
 def _entries(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Tuple[list, list]:
     """The exact branch probabilities of every choice, flat in model order,
-    and the state costs of ``model`` under ``valuation``, read off the
-    model's compiled entries.  Raises what ``instantiate`` raises, in the
-    same order."""
+    and the state costs of ``model`` under ``valuation``, as ``(numerator,
+    denominator)`` pairs read off the model's compiled entries.  Raises
+    what ``instantiate`` raises, in the same order."""
     entries = _compiled(model)
     env = {p: Fraction(valuation[p]) for p in model.parameters}
     return entries.read(model, entries.exprs.at(env))
@@ -612,18 +613,20 @@ class _Entries:
     branch probability and state cost is a node of one ``CompiledExprs``
     over the model's parameters, whose tables keep each subexpression value
     for every valuation read.  A choice whose branches are all concrete has
-    the same verdict under every valuation, so it is checked here, once."""
+    the same verdict under every valuation, so it is checked here, once,
+    and its pairs are made here, once."""
 
     def __init__(self, model: ExplicitModel):
         self.exprs = CompiledExprs(model.parameters)
-        # (state, action, nodes, values, fault): the nodes of a parametric
-        # choice, or the values and verdict of a concrete one
+        # (state, action, nodes, pairs, fault): the nodes of a parametric
+        # choice, or the pairs and verdict of a concrete one
         self.steps: list = []
         for si, row in enumerate(model.choices):
             for ch in row:
                 probs = [p for p, _ in ch.branches]
                 if all(isinstance(p, Fraction) for p in probs):
-                    step = (si, ch.action, None, probs, distribution_fault(probs))
+                    pairs = [(p.numerator, p.denominator) for p in probs]
+                    step = (si, ch.action, None, pairs, pair_distribution_fault(pairs))
                 else:
                     step = (si, ch.action, tuple(map(self._node, probs)), None, None)
                 self.steps.append(step)
@@ -642,16 +645,14 @@ class _Entries:
 
     def read(self, model: ExplicitModel, point) -> Tuple[list, list]:
         """The entries at the evaluator ``point`` (``CompiledExprs``),
-        checked choice by choice in model order, then cost by cost.  The
-        checks run on the exact pairs the evaluator holds; the entries are
-        its ``Fraction``s, and a fault is formatted from a ``Fraction``
-        made for it."""
+        checked choice by choice in model order, then cost by cost: the
+        exact pairs the evaluator holds, each read once.  A fault is
+        formatted from a ``Fraction`` made for it."""
         probs: list = []
         for si, action, nodes, values, fault in self.steps:
             if nodes is not None:
-                fault = pair_distribution_fault([self._number(point, n) for n in nodes])
-                if fault is None:
-                    values = list(map(point, nodes))
+                values = [self._number(point, n) for n in nodes]
+                fault = pair_distribution_fault(values)
             if fault is not None:
                 raise WellDefinednessError(
                     f"well-definedness violation at state {model.state_text(si)}, "
@@ -662,13 +663,13 @@ class _Entries:
             probs.extend(values)
         costs = []
         for si, node in enumerate(self.costs):
-            p, q = self._number(point, node)
+            cost = p, q = self._number(point, node)
             if p < 0:
                 raise WellDefinednessError(
                     f"negative cost {format_fraction(Fraction(p, q))} at state {model.state_text(si)}",
                     state=si,
                 )
-            costs.append(point(node))
+            costs.append(cost)
         return probs, costs
 
 
@@ -702,13 +703,15 @@ def all_valuations(model: ExplicitModel) -> Iterable[Valuation]:
 
 def well_defined_entries(model: ExplicitModel) -> Iterator[Tuple[Valuation, list, list]]:
     """Every well-defined valuation in ``all_valuations`` order, with the
-    exact entries of its instance: the branch probabilities of every choice,
-    flat in model order (the shared structure of the family), and the state
-    costs.  No instance is built.  A parameter-free model yields its own
-    entries under the empty valuation (the empty product)."""
+    exact entries of its instance as normalized ``(numerator,
+    denominator)`` pairs: the branch probabilities of every choice, flat in
+    model order (the shared structure of the family), and the state costs.
+    No instance is built.  A parameter-free model yields its own entries
+    under the empty valuation (the empty product)."""
     if model.kind != "mimdp":
-        probs = [p for row in model.choices for ch in row for p, _ in ch.branches]
-        yield {}, probs, list(model.costs)
+        probs = [(p.numerator, p.denominator)
+                 for row in model.choices for ch in row for p, _ in ch.branches]
+        yield {}, probs, [(c.numerator, c.denominator) for c in model.costs]
         return
     entries = _compiled(model)
     for u, value in entries.exprs.points(list(model.parameters)):

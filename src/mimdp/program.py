@@ -79,9 +79,6 @@ class Program:
     # by ``models.compose`` and set by each rewrite of ``transform`` on its
     # output; a copy made with ``dataclasses.replace`` starts unmarked
     _checked: bool = field(default=False, init=False, compare=False, repr=False)
-    # the implication checks' analysis of each guard (``transform._guard_facts``),
-    # kept while ``transform.transform_rewards`` runs
-    _guard_facts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # the explored base model per ``(state_cap, on_deadlock)``, with the
     # memos it carries, kept by ``models.build_model`` for the lifetime of
     # the program; ``compose``, ``dataclasses.replace`` and the rewrites of

@@ -241,15 +241,16 @@ def constrained_mdp_lp(
         (ch.action not in disabled_actions for row in model.choices for ch in row),
         dtype=bool, count=arr.num_choices,
     )
-    return _occupation_lp(model, arr, model.costs, target, goal, lam, enabled)
+    costs = [float(c) for c in model.costs]
+    return _occupation_lp(model, arr, costs, target, goal, lam, enabled)
 
 
 def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, target: np.ndarray,
                    goal: np.ndarray, lam: float, enabled: np.ndarray) -> ConstrainedSolution:
     """``constrained_mdp_lp`` on the arrays ``arr`` of a configuration of
     ``model`` (which gives the states, initial state and deadlocks), its
-    state costs and the mask of enabled choices; ``target`` and ``goal``
-    are masks over the model's states.  The LP is one dense matrix, a
+    state costs as floats and the mask of enabled choices; ``target`` and
+    ``goal`` are masks over the model's states.  The LP is one dense matrix, a
     column per variable: a conservation row per transient state, then the
     bound row.
 
@@ -300,7 +301,7 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, target: np.ndarray
     kept = row >= 0
     np.add.at(a, (row[kept], var[kept]), np.where(into_t, probs, -probs)[kept])
     rhs = np.append(np.where(transient == init, 1.0, 0.0), lam)
-    cost = np.array([float(c) for c in costs])[states]
+    cost = np.array(costs)[states]
     bound_row = a[m]
 
     # among cost-minimal strategies, canonicalize to the one with the
@@ -347,14 +348,14 @@ def _evaluate_chains(model: ExplicitModel, target: np.ndarray, goal: np.ndarray,
 
 def _evaluate_mdp(model: ExplicitModel, u: dict, probs: list, costs: list,
                   target: np.ndarray, goal: np.ndarray, lam: float):
-    """One configuration of an MDP family, from its exact entries: its
-    table entry and the solution of the LP on the arrays of its support,
-    or, where no strategy meets the bound, its minimal probability of
-    reaching the targets and None."""
-    support = [p != 0 for p in probs]
-    arr = _Arrays(model, support, [float(p) for p in probs if p != 0])
+    """One configuration of an MDP family, from its exact entries (pairs):
+    its table entry and the solution of the LP on the arrays of its
+    support, or, where no strategy meets the bound, its minimal probability
+    of reaching the targets and None."""
+    support = [p != 0 for p, _ in probs]
+    arr = _Arrays(model, support, [p / q for p, q in probs if p != 0])
     try:
-        res = _occupation_lp(model, arr, costs, target, goal, lam,
+        res = _occupation_lp(model, arr, [p / q for p, q in costs], target, goal, lam,
                              np.ones(arr.num_choices, dtype=bool))
     except InfeasibleError:
         x = _reach(arr, target, "min", False, 1, DEFAULT_TOL)[0]
@@ -675,9 +676,9 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
     model = build_model(program)
     tset = sorted(model.label_states(query.target))
     gset = sorted(model.label_states(query.goal))
-    # every value below is read off the entries of its valuation: branch
-    # probabilities flat in model order, from ``first[s][a]`` on for choice
-    # a of state s, and state costs
+    # every value below is read off the entries of its valuation, exact
+    # (numerator, denominator) pairs: branch probabilities flat in model
+    # order, from ``first[s][a]`` on for choice a of state s, and state costs
     entries = [(probs, costs) for _, probs, costs in well_defined_entries(model)]
     if not entries:
         raise SynthesisError("no well-defined valuation exists")
@@ -735,10 +736,10 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         for a, ch in enumerate(model.choices[s]):
             for k, (probs, _) in enumerate(entries):
                 for j, (_, t) in enumerate(ch.branches, first[s][a]):
-                    v = probs[j]
-                    if v == 0:
+                    p, q = probs[j]
+                    if p == 0:
                         continue
-                    terms.append(f"-{_coef(v)} sig[s{s},a{a}] * x[u{k}] * p[s{t}]")
+                    terms.append(f"-{_coef(p / q)} sig[s{s},a{a}] * x[u{k}] * p[s{t}]")
         lines.append(f"  pdef_s{s}: {terms_join(terms)} = 0")
     for s in range(model.num_states):
         if s in gset_set:
@@ -746,13 +747,14 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         terms = [f"c[s{s}]"]
         for a, ch in enumerate(model.choices[s]):
             for k, (probs, costs) in enumerate(entries):
-                if costs[s] != 0:
-                    terms.append(f"-{_coef(costs[s])} sig[s{s},a{a}] * x[u{k}]")
+                p, q = costs[s]
+                if p != 0:
+                    terms.append(f"-{_coef(p / q)} sig[s{s},a{a}] * x[u{k}]")
                 for j, (_, t) in enumerate(ch.branches, first[s][a]):
-                    v = probs[j]
-                    if v == 0:
+                    p, q = probs[j]
+                    if p == 0:
                         continue
-                    terms.append(f"-{_coef(v)} sig[s{s},a{a}] * x[u{k}] * c[s{t}]")
+                    terms.append(f"-{_coef(p / q)} sig[s{s},a{a}] * x[u{k}] * c[s{t}]")
         lines.append(f"  cdef_s{s}: {terms_join(terms)} = 0")
     for s in range(model.num_states):
         for a, ch in enumerate(model.choices[s]):
@@ -761,7 +763,8 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
             terms = []
             for j in range(first[s][a], first[s][a] + len(ch.branches)):
                 for k, (probs, _) in enumerate(entries):
-                    terms.append(f"{_coef(probs[j])} x[u{k}]")
+                    p, q = probs[j]
+                    terms.append(f"{_coef(p / q)} x[u{k}]")
             lines.append(f"  wd_s{s}_a{a}: {terms_join(terms)} = 1")
     for s in range(model.num_states):
         row = " + ".join(f"sig[s{s},a{a}]" for a in range(len(model.choices[s])))

@@ -37,7 +37,7 @@ the first guard fails (``equality_conjuncts``) are skipped: the first guard
 is False there without raising, and the second is never evaluated, so the
 answer and any error are those of the full enumeration.  Each guard's
 mentioned variables and equality conjuncts are worked out once per
-program (``_guard_facts``), not once per pair of guards.  Each row-expanded
+rewrite (``_guard_facts``), not once per pair of guards.  Each row-expanded
 and selector command is itself guarded by such an equality, which is what
 makes the controlled model cheap to explore (``models.build_model``).
 """
@@ -146,15 +146,14 @@ def _derive(program: Program, **changes) -> Program:
     return out
 
 
-def _guard_facts(g: Expr, program: Program):
+def _guard_facts(g: Expr, program: Program, known: dict):
     """The variables of ``program`` that ``g`` mentions, and the points of
     those ``g`` fixes (``equality_conjuncts``): per fixed variable, its
     literal as an int where that is an integer inside the domain, else no
     point; None where two equalities contradict.  Worked out once per guard
-    of a program, and kept on the program until ``transform_rewards``
-    clears it."""
+    and kept in ``known``, which its caller owns, under the guard's id."""
     # an entry holds its guard, so no other expression can take its id
-    facts = program._guard_facts.get(id(g))
+    facts = known.get(id(g))
     if facts is None:
         variables = program.variables()
         fixed = equality_conjuncts(g, variables)
@@ -164,20 +163,19 @@ def _guard_facts(g: Expr, program: Program):
                 and variables[v].lo <= c.numerator <= variables[v].hi else []
                 for v, c in fixed.items()
             }
-        facts = (g, names_in(g) & variables.keys(), fixed)
-        program._guard_facts[id(g)] = facts
+        facts = known[id(g)] = (g, names_in(g) & variables.keys(), fixed)
     return facts[1], facts[2]
 
 
-def _domain_points(g: Expr, h: Expr, program: Program):
+def _domain_points(g: Expr, h: Expr, program: Program, known: dict):
     """The variables ``g`` and ``h`` mention, sorted, and the points of
     their domains in lexicographic order, less those where an equality
     conjunct of ``g`` fails: there ``g`` is False without raising, so
     ``_guard_witness`` does not evaluate ``h``.  The cap applies to the
     full product."""
     variables = program.variables()
-    mentioned, fixed = _guard_facts(g, program)
-    used = sorted(mentioned | _guard_facts(h, program)[0])
+    mentioned, fixed = _guard_facts(g, program, known)
+    used = sorted(mentioned | _guard_facts(h, program, known)[0])
     decls = [variables[v] for v in used]
     sizes = 1
     for d in decls:
@@ -193,12 +191,13 @@ def _domain_points(g: Expr, h: Expr, program: Program):
     return used, itertools.product(*ranges)
 
 
-def _guard_witness(g: Expr, h: Expr, program: Program, h_value: bool) -> bool:
+def _guard_witness(g: Expr, h: Expr, program: Program, known: dict, h_value: bool) -> bool:
     """Whether some point of the mentioned variables' domains satisfies
     ``g`` and gives ``h`` the truth value ``h_value`` (``h`` is evaluated
-    only where ``g`` holds)."""
+    only where ``g`` holds).  ``known`` keeps the guards' analysis
+    (``_guard_facts``)."""
     env = pair_env(program.constants)
-    used, points = _domain_points(g, h, program)
+    used, points = _domain_points(g, h, program, known)
     for combo in points:
         env.update(zip(used, [(x, 1) for x in combo]))
         if eval_pairs(g, env) and eval_pairs(h, env) is h_value:
@@ -206,13 +205,13 @@ def _guard_witness(g: Expr, h: Expr, program: Program, h_value: bool) -> bool:
     return False
 
 
-def _guard_implies(g: Expr, h: Expr, program: Program) -> bool:
+def _guard_implies(g: Expr, h: Expr, program: Program, known: dict) -> bool:
     """g |= h, decided by enumerating the domains of the mentioned variables."""
-    return not _guard_witness(g, h, program, False)
+    return not _guard_witness(g, h, program, known, False)
 
 
-def _guards_overlap(g: Expr, h: Expr, program: Program) -> bool:
-    return _guard_witness(g, h, program, True)
+def _guards_overlap(g: Expr, h: Expr, program: Program, known: dict) -> bool:
+    return _guard_witness(g, h, program, known, True)
 
 
 def _prune_parameters(program: Program) -> Program:
@@ -250,14 +249,7 @@ def transform_rewards(program: Program) -> Tuple[Program, TransformReport]:
     """
     _require_well_formed(program)
     program = compose(program)
-    try:
-        return _select_rewards(program)
-    finally:
-        program._guard_facts.clear()
-
-
-def _select_rewards(program: Program) -> Tuple[Program, TransformReport]:
-    """``transform_rewards`` on a composed program."""
+    known: dict = {}  # id(guard) -> the guard's analysis (``_guard_facts``)
     module = program.single_module()
     params = program.parameters
 
@@ -272,7 +264,7 @@ def _select_rewards(program: Program) -> Tuple[Program, TransformReport]:
         )
 
     for (ri, a), (rj, b) in itertools.combinations(parametric, 2):
-        if _guards_overlap(a.guard, b.guard, program):
+        if _guards_overlap(a.guard, b.guard, program, known):
             raise TransformError(
                 f"parametric reward guards {ri + 1} and {rj + 1} overlap; "
                 "selection would double-accrue"
@@ -300,7 +292,7 @@ def _select_rewards(program: Program) -> Tuple[Program, TransformReport]:
     anchored: Dict[int, list] = {}
     for ci, cmd in enumerate(module.commands):
         for entry in selectors:
-            if _guard_implies(cmd.guard, entry[1].guard, program):
+            if _guard_implies(cmd.guard, entry[1].guard, program, known):
                 anchored.setdefault(ci, []).append(entry)
 
     for ri, decl, var, rows, values in selectors:
@@ -416,7 +408,7 @@ def transform_probabilities(program: Program) -> Tuple[Program, TransformReport]
             action = _fresh(f"_row{ci}_{i}", taken_actions)
             report.fresh_actions[action] = tuple((p, row[p]) for p in row)
             branches = tuple(
-                (Num(point(n)), update) for n, (_, update) in zip(nodes, cmd.branches)
+                (Num(Fraction(*h)), update) for h, (_, update) in zip(held, cmd.branches)
             )
             produced.append(CommandDecl(action, cmd.guard, branches))
         if not produced:

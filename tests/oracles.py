@@ -91,8 +91,8 @@ from mimdp.models import (
     all_valuations,
     build_model,
     compose,
-    distribution_fault,
     instantiate,
+    pair_distribution_fault,
     well_defined_entries,
     well_defined_valuations,
 )
@@ -2280,7 +2280,7 @@ def seed_well_defined_instances(model: ExplicitModel) -> Iterator[Tuple[Valuatio
     if model.kind != "mimdp":
         yield {}, model
         return
-    for u, probs, costs in well_defined_entries(model):
+    for u, probs, costs in fraction_entries(model):
         yield u, _instance(model, probs, costs)
 
 
@@ -2568,6 +2568,7 @@ def seed_transform_rewards(program: Program) -> Tuple[Program, TransformReport]:
     Parametric reward guards must be pairwise disjoint.
     """
     program = compose(program)
+    known: dict = {}  # the guards' analysis, kept for this rewrite
     module = program.single_module()
     params = program.parameters
 
@@ -2582,7 +2583,7 @@ def seed_transform_rewards(program: Program) -> Tuple[Program, TransformReport]:
         )
 
     for (ri, a), (rj, b) in itertools.combinations(parametric, 2):
-        if _guards_overlap(a.guard, b.guard, program):
+        if _guards_overlap(a.guard, b.guard, program, known):
             raise TransformError(
                 f"parametric reward guards {ri + 1} and {rj + 1} overlap; "
                 "selection would double-accrue"
@@ -2613,7 +2614,7 @@ def seed_transform_rewards(program: Program) -> Tuple[Program, TransformReport]:
     anchored: Dict[int, list] = {}
     for ci, cmd in enumerate(module.commands):
         for entry in selectors:
-            if _guard_implies(cmd.guard, entry[1].guard, program):
+            if _guard_implies(cmd.guard, entry[1].guard, program, known):
                 anchored.setdefault(ci, []).append(entry)
 
     for ri, decl, var, rows, values in selectors:
@@ -2844,7 +2845,11 @@ def seed_parse_program(text: str) -> Program:
 # ``Fraction`` (or bool) and computed it with ``_binary``/``_unary``/
 # ``_extremum``, one new ``Fraction`` per operation.  Kept as it was apart
 # from the names (``SeedCompiledExprs``, ``SeedPoint``), and the former
-# ``distribution_fault`` as ``seed_distribution_fault``.
+# ``distribution_fault`` as ``seed_distribution_fault``.  The wrapper that
+# replaced it, ``distribution_fault`` (``pair_distribution_fault`` on the
+# pairs of ``Fraction``s), is kept as it was, and ``fraction_entries`` gives
+# the entries of ``well_defined_entries`` as the ``Fraction``s that the
+# former routes read.
 
 
 _LIT, _PARAM, _UNBOUND, _UNARY, _BINARY, _AND, _OR, _EXTREMUM = range(8)
@@ -3052,6 +3057,19 @@ class SeedPoint:
                 v = _extremum(e, map(self.value, a))
             table[key] = v
         return v
+
+
+def distribution_fault(probs: Sequence[Fraction]) -> Optional[str]:
+    """Why the exact values ``probs`` are not a probability distribution, or
+    None when every entry lies in [0,1] and they sum to exactly one."""
+    return pair_distribution_fault([(p.numerator, p.denominator) for p in probs])
+
+
+def fraction_entries(model: ExplicitModel) -> Iterator[Tuple[Valuation, list, list]]:
+    """``models.well_defined_entries`` with its ``(numerator, denominator)``
+    pairs made ``Fraction``s, the entries the former routes read."""
+    for u, probs, costs in well_defined_entries(model):
+        yield u, [Fraction(*p) for p in probs], [Fraction(*c) for c in costs]
 
 
 def seed_distribution_fault(probs: Sequence[Fraction]) -> Optional[str]:

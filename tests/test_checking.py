@@ -819,10 +819,14 @@ def test_the_goal_mask_checks_as_the_former_goal_set(monkeypatch, models_dir):
 
 def _same_items(new, former):
     """``new`` reads as the former lazy sequence ``former``: item for item,
-    from either end, and with ``IndexError`` past either end."""
+    from either end, with ``IndexError`` past either end, and a slice as
+    the list of its items."""
     n = len(former)
     assert len(new) == n
     assert [new[i] for i in range(-n, n)] == [former[i] for i in range(-n, n)]
+    items = [former[i] for i in range(n)]
+    for part in (slice(0, 2), slice(None, None, -1), slice(-3, None), slice(n, None)):
+        assert new[part] == items[part]
     for i in (n, -n - 1):
         for seq in (new, former):
             with pytest.raises(IndexError):

@@ -254,27 +254,12 @@ def test_casestudy_generate_and_sweep(capsys, tmp_path):
     assert values == sorted(values)
 
 
-def test_bench_csv(capsys, models_dir, tmp_path):
-    # property files drive the timing column
-    import shutil
-
-    bench_dir = tmp_path / "bench"
-    bench_dir.mkdir()
-    shutil.copy(models_dir / "die.mgcl", bench_dir / "die.mgcl")
-    (bench_dir / "die.props").write_text('Pmax=? [F "one"]\n')
-    code, out, _ = run(capsys, "bench", str(bench_dir))
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "model,variant,states,transitions,mc_seconds"
-    assert lines[1].startswith("die,parametric,13,20,")
-    assert lines[2].startswith("die,transformed,13,48,")
-    assert lines[3].startswith("die,controlled,37,60,")
-    assert lines[2].split(",")[4] != ""
-
-
 def test_unknown_flag_exits_two(capsys, models_dir):
     code, _, _ = run(capsys, "parse", str(models_dir / "die.mgcl"), "--bogus")
     assert code == 2
+    # the removed ``bench`` subcommand is a usage error like any unknown one
+    code, out, err = run(capsys, "bench", str(models_dir))
+    assert code == 2 and out == "" and "invalid choice: 'bench'" in err
 
 
 def test_unreadable_input_exits_two(capsys):

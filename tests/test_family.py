@@ -165,7 +165,7 @@ label "t" = s=1;
 def test_a_varying_support_and_an_undefined_cost_group():
     program = parse_program(VARYING_SUPPORT)
     model = build_model(program)
-    supports = {tuple(map(bool, probs)) for _, probs, _ in well_defined_entries(model)}
+    supports = {tuple(p != 0 for p, _ in probs) for _, probs, _ in well_defined_entries(model)}
     assert len(supports) == 2
     for lam in ("0.5", "1"):
         got = _same_as_the_former_route(program, SynthesisQuery("t", F(lam), "g"))
@@ -190,7 +190,7 @@ def test_each_row_of_a_stack_stops_where_its_configuration_alone_stops():
     # 30, 180 and 1800 sweeps: each row is solved, as its configuration
     # alone is
     model = build_model(parse_program(SLOW_SELF_LOOP.replace("0.5, 0.9997", "0.5, 0.9, 0.99")))
-    entries = list(well_defined_entries(model))
+    entries = list(oracles.fraction_entries(model))
     support = tuple(map(bool, entries[0][1]))
     probs = [[float(p) for p, edge in zip(row, support) if edge] for _, row, _ in entries]
     arr = checking._Arrays(model, support, probs)

@@ -36,8 +36,9 @@ def _same_build(program, **kwargs):
 
 def _former_transform_all(program):
     saved = transform._guard_implies, transform._guards_overlap
-    transform._guard_implies = oracles.seed_guard_implies
-    transform._guards_overlap = oracles.seed_guards_overlap
+    # the former checks analysed no guard: the analysis handed in is unused
+    transform._guard_implies = lambda g, h, program, _: oracles.seed_guard_implies(g, h, program)
+    transform._guards_overlap = lambda g, h, program, _: oracles.seed_guards_overlap(g, h, program)
     try:
         return transform_all(program)
     finally:

@@ -392,6 +392,8 @@ def test_a_deterministic_strategy_reads_as_its_eager_weights():
     assert lazy != Strategy.deterministic([1, 0, 0])
     assert list(lazy.choice_probs) == eager.choice_probs
     assert [lazy.choice_probs[s] for s in (-1, 0, 1)] == [{2: F(1)}, {1: F(1)}, {0: F(1)}]
+    assert lazy.choice_probs[0:2] == eager.choice_probs[0:2] == [{1: F(1)}, {0: F(1)}]
+    assert lazy.choice_probs[::-1] == eager.choice_probs[::-1]
     assert len(lazy.choice_probs) == 3 and [lazy.pick(s) for s in range(3)] == picks
     assert repr(lazy) == repr(eager)
     picks[0] = 2  # the strategy keeps its own copy

@@ -399,7 +399,7 @@ def test_rows_of_a_family_stack_stop_at_their_own_sweeps_as_before():
     # iterated alone stops where it stopped in the stack, after about 30,
     # 180 and 1800 sweeps
     model = build_model(parse_program(SLOW_SELF_LOOP.replace("0.5, 0.9997", "0.5, 0.9, 0.99")))
-    entries = list(well_defined_entries(model))
+    entries = list(oracles.fraction_entries(model))
     support = tuple(map(bool, entries[0][1]))
     probs = [[float(p) for p, edge in zip(row, support) if edge] for _, row, _ in entries]
     stack = checking._Arrays(model, support, probs)
@@ -637,7 +637,7 @@ def test_the_former_checker_runs_none_of_the_current_one(monkeypatch):
                  "reach_prob", "expected_cost", "chain_family"):
         monkeypatch.setattr(checking, name, current)
     model = build_model(parse_program(SLOW_SELF_LOOP))
-    entries = [(p, c) for _, p, c in well_defined_entries(model)]
+    entries = [(p, c) for _, p, c in oracles.fraction_entries(model)]
     pr, ec = oracles.former_chain_family(model, entries, "t", "g")
     assert pr[0] == 0.5 and 0.5 - pr[1] > 1e-5  # the former rows, one short
     chain = instantiate(model, {"p": Fraction(1, 2)})
@@ -839,7 +839,7 @@ def test_a_chain_zero_set_is_one_backward_search(models_dir):
             cases += 1
     for program, target, goal in _family_cases():
         model = build_model(program)
-        supports = {tuple(map(bool, p)) for _, p, _ in well_defined_entries(model)}
+        supports = {tuple(p != 0 for p, _ in probs) for _, probs, _ in well_defined_entries(model)}
         for support in supports:
             arr = checking._Arrays(model, support, np.ones((1, sum(support))))
             for label in (target, goal):

@@ -324,19 +324,20 @@ def test_implication_checks_equal_the_former_checks_on_every_pair_of_guards():
     guards = [c.guard for c in program.single_module().commands]
     guards += [r.guard for r in program.rewards]
 
-    def outcome(fn, g, h):
+    def outcome(fn, g, h, *known):
         try:
-            return fn(g, h, program)
+            return fn(g, h, program, *known)
         except ExprError as e:
             return type(e), str(e)
 
+    known: dict = {}
     kinds = set()
     for _ in range(2):
         for g in guards:
             for h in guards:
                 for new, former in ((transform._guard_implies, oracles.seed_guard_implies),
                                     (transform._guards_overlap, oracles.seed_guards_overlap)):
-                    got = outcome(new, g, h)
+                    got = outcome(new, g, h, known)
                     assert got == outcome(former, g, h)
                     kinds.add(got if isinstance(got, bool) else got[0])
     assert kinds == {True, False, DivisionByZero}
