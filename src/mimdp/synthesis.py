@@ -53,6 +53,7 @@ from .checking import (
 from .expressions import Expr, format_fraction
 from .lp import LinearProgram, solve_lp
 from .models import (
+    DEFAULT_STATE_CAP,
     ExplicitModel,
     ModelError,
     Strategy,
@@ -472,6 +473,71 @@ def recover_valuation(
     return valuation, tuple(flags)
 
 
+def _matches(u: dict, fixed: dict) -> bool:
+    return all(u.get(p) == v for p, v in fixed.items())
+
+
+class _Controlled:
+    """What the transformed route reads and no bound changes, kept on the
+    base program (``Program._controlled``) by the first call that returns.
+
+    ``model`` is the explored controlled MDP, with the arrays the LPs fill;
+    ``report`` keeps the report's fresh actions alone (equal commitments
+    share one tuple, which holds less), and ``committed`` their
+    ``committed_values()``;
+    ``admissible`` holds the well-defined valuations of the base model, in
+    its order.  ``extendable`` is memoised per fixing it is asked
+    (``_extendable``), not precomputed over every sub-fixing.
+    """
+
+    __slots__ = ("model", "report", "committed", "admissible", "_extendable")
+
+    def __init__(self, program: Program, model: ExplicitModel, report: TransformReport):
+        # valuations a reported answer may come from: a strategy can avoid
+        # every state where some parameter matters, in which case its value
+        # must still be completed consistently with global well-definedness
+        admissible = well_defined_valuations(build_model(program))
+        if not admissible:
+            raise SynthesisError("no well-defined valuation exists")
+        shared: dict = {}
+        self.model = model
+        self.report = TransformReport(fresh_actions={
+            a: shared.setdefault(commits, commits) for a, commits in report.fresh_actions.items()
+        })
+        self.committed = report.committed_values()
+        self.admissible = admissible
+        self._extendable: Dict[frozenset, bool] = {}
+
+    def extendable(self, fixed: dict) -> bool:
+        """Whether some admissible valuation agrees with ``fixed``."""
+        key = frozenset(fixed.items())
+        out = self._extendable.get(key)
+        if out is None:
+            out = self._extendable[key] = any(_matches(u, fixed) for u in self.admissible)
+        return out
+
+
+# the state cap and deadlock mode of the controlled build, and the key of
+# ``Program._controlled``
+_CONTROLLED_BUILD = (DEFAULT_STATE_CAP, "absorb")
+
+
+def _controlled(program: Program, query: SynthesisQuery) -> _Controlled:
+    """The kept ``_Controlled`` of ``program``, or a new one, not yet kept.
+    A new one transforms the program and explores the controlled model,
+    checks that the query's labels exist, and only then explores the base
+    model for the well-defined valuations, so each error is the one the
+    route raised when it made all of these anew on every call."""
+    kept = program._controlled.get(_CONTROLLED_BUILD)
+    if kept is not None:
+        return kept
+    transformed, report = transform_all(program)
+    model = build_model(transformed, on_deadlock="absorb")
+    model.label_states(query.target)
+    model.label_states(query.goal)
+    return _Controlled(program, model, report)
+
+
 def synthesize_transformed(program: Program, query: SynthesisQuery) -> SynthesisResult:
     """Transform, then optimize on the controlled MDP.
 
@@ -482,36 +548,32 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
     smallest valuation among ties so the result matches the enumeration
     route's tie-break.  The nodes read only their solutions' supports; the
     exact strategy is built for the reported solution alone.
+
+    No bound changes the controlled MDP, the fresh actions' commitments or
+    the well-defined valuations: they are made by the first call on
+    ``program`` that returns and kept on it (``Program._controlled``, see
+    ``_Controlled``), with the model's arrays and the ``extendable``
+    answers memoised since, and every later call re-reads them.  A call
+    that raises keeps nothing, so the next call raises the same error
+    again.  The LPs, the node cache and the certification are made per
+    call, and each node disables the fresh actions that commit a fixed
+    parameter to another value.
     """
-    transformed, report = transform_all(program)
-    model = build_model(transformed, on_deadlock="absorb")
+    problem = _controlled(program, query)
+    result = _branch_and_bound(problem, program, query)
+    program._controlled[_CONTROLLED_BUILD] = problem
+    return result
+
+
+def _branch_and_bound(problem: _Controlled, program: Program,
+                      query: SynthesisQuery) -> SynthesisResult:
+    """``synthesize_transformed`` on the controlled problem of ``program``."""
+    model, report, admissible = problem.model, problem.report, problem.admissible
+    extendable = problem.extendable
     tset = model.label_states(query.target)
     gset = model.label_states(query.goal)
     lam = float(query.bound)
     params = {p: list(vs) for p, vs in program.parameters.items()}
-
-    # valuations a reported answer may come from: a strategy can avoid every
-    # state where some parameter matters, in which case its value must still
-    # be completed consistently with global well-definedness
-    admissible = well_defined_valuations(build_model(program))
-    if not admissible:
-        raise SynthesisError("no well-defined valuation exists")
-
-    def matches(u: dict, fixed: dict) -> bool:
-        return all(u.get(p) == v for p, v in fixed.items())
-
-    def extendable(fixed: dict) -> bool:
-        return any(matches(u, fixed) for u in admissible)
-
-    disabled_for: Dict[Tuple[str, Fraction], FrozenSet[str]] = {}
-    for p, values in params.items():
-        for v in values:
-            bad = frozenset(
-                a
-                for a, commits in report.fresh_actions.items()
-                if any(cp == p and cv != v for cp, cv in commits)
-            )
-            disabled_for[(p, v)] = bad
 
     cache: Dict[frozenset, Optional[tuple]] = {}
 
@@ -529,13 +591,14 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
         key = frozenset(fixed.items())
         if key in cache:
             return cache[key]
-        disabled: set = set()
-        for pv in fixed.items():
-            disabled |= disabled_for[pv]
+        # the fresh actions that commit a fixed parameter to another value
+        disabled = frozenset(
+            a
+            for a, commits in report.fresh_actions.items()
+            if any(fixed.get(p, v) != v for p, v in commits)
+        )
         try:
-            res = constrained_mdp_lp(
-                model, tset, lam, gset, disabled_actions=frozenset(disabled)
-            )
+            res = constrained_mdp_lp(model, tset, lam, gset, disabled_actions=disabled)
         except InfeasibleError:
             cache[key] = None
             return None
@@ -578,8 +641,7 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
     # some well-defined valuation.  If none does, the optimum rests on
     # commitments outside every well-defined valuation: a second pass takes
     # the earliest value that achieves it, and says so
-    committed = report.committed_values()
-    occurring = [p for p in params if p in committed]
+    occurring = [p for p in params if p in problem.committed]
     flags = []
     fixed: dict = {}
     final = root
@@ -603,7 +665,7 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
         final = chosen[1]
 
     res, commits, _ = final
-    valuation = next((dict(u) for u in admissible if matches(u, fixed)), None)
+    valuation = next((dict(u) for u in admissible if _matches(u, fixed)), None)
     if valuation is None:
         valuation = dict(fixed)
         for p in params:

@@ -24,7 +24,9 @@ At the end, the three hand-written lazy sequences (``_Picks``,
 ``_ProductStates``, ``_ProductRows``), the ``equality_conjuncts`` that
 sort-checked each conjunct (``seed_equality_conjuncts``), and the cost
 checks that ``expected_cost`` and ``cost_bounded_reach`` made on every
-call (``former_real_costs``, ``former_integral_costs``).
+call (``former_real_costs``, ``former_integral_costs``).  Last, the
+transformed route's ``extendable``, which scanned every well-defined
+valuation on each branch-and-bound node (``extendable``).
 """
 
 from __future__ import annotations
@@ -3225,3 +3227,16 @@ def former_integral_costs(model: ExplicitModel, width: int) -> Tuple[list, np.nd
     # budget
     cost = np.array([min(c, width) for c in costs], dtype=np.int64)
     return costs, cost
+
+
+# ``synthesis.synthesize_transformed`` asked whether a partial fixing
+# extends to a well-defined valuation by scanning all of them, on every
+# node; the route now memoises the answer per fixing.  The two closures
+# over ``admissible``, verbatim, with ``admissible`` passed in.
+
+def matches(u: dict, fixed: dict) -> bool:
+    return all(u.get(p) == v for p, v in fixed.items())
+
+
+def extendable(admissible: list, fixed: dict) -> bool:
+    return any(matches(u, fixed) for u in admissible)

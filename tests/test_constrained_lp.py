@@ -124,8 +124,15 @@ def test_branch_and_bound_nodes_share_one_set_of_arrays(monkeypatch, two_stage):
 
     monkeypatch.setattr(checking, "_Arrays", Counted)
     monkeypatch.setattr(synthesis, "constrained_mdp_lp", counted_lp)
-    res = synthesize_transformed(two_stage, SynthesisQuery("s2", F("0.2"), "absorb"))
+    # a copy: the session's two_stage may have kept its controlled model already
+    program = replace(two_stage)
+    query = SynthesisQuery("s2", F("0.2"), "absorb")
+    res = synthesize_transformed(program, query)
     assert res.feasible
+    assert len(set(lps)) > 1 and len(built) == 1
+    # a second call reads the kept model's arrays and builds none
+    del lps[:]
+    assert synthesize_transformed(program, query).feasible
     assert len(set(lps)) > 1 and len(built) == 1
 
 

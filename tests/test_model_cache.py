@@ -257,8 +257,8 @@ def test_both_routes_explore_the_base_program_once(monkeypatch, two_stage):
     # the base model once, shared by both routes, and the controlled model
     assert calls == ["error", "absorb"]
     again = synthesize(program, query)
-    # the controlled program is made anew by each call, and so is its model
-    assert calls == ["error", "absorb", "absorb"]
+    # the controlled model is kept on the program: the second call explores nothing
+    assert calls == ["error", "absorb"]
     assert [r.to_json_dict() for r in again] == [r.to_json_dict() for r in first]
 
 
