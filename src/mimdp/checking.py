@@ -47,21 +47,28 @@ are derived from the base model's with a few vectorised index operations,
 not built from objects; a product of more than ``models.DEFAULT_STATE_CAP``
 states is refused before anything is allocated for it.
 
-``chain_family`` checks a family of chains one support pattern at a time:
-the configurations that share a support share one set of arrays and
-qualitative sets, and their systems are solved as one stack, so every row
-is what checking that configuration alone gives.
+A family is checked in two halves.  ``stack_family`` stacks it once: the
+configurations that share a support share one set of arrays, with one row
+of float probabilities per configuration, and one matrix of float costs.
+The stacks do not depend on the query, so enumeration keeps them with the
+model (``synthesis._Family``).  ``solve_stacks`` solves a family of chains'
+stacks for a query: per support, one set of qualitative sets and one
+stacked linear solve, so every row is what checking that configuration
+alone gives.  ``chain_family`` is the two halves in one call.  An MDP
+family's configurations are solved one at a time, each on its group's
+arrays with its own row (``_Arrays.rows``).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -178,6 +185,14 @@ class _Arrays:
         self.pred_start = np.append(0, np.cumsum(np.bincount(self.targets, minlength=num_states)))
         # a model's checked state costs, made on first use (``_model_costs``)
         self.costs: Optional[_Costs] = None
+
+    def rows(self, part) -> "_Arrays":
+        """These arrays with the probability rows ``part`` alone (an index
+        or a slice of the configurations): a shallow copy whose ``probs``
+        is a view, so no array is copied or rebuilt."""
+        view = copy.copy(self)
+        view.probs = self.probs[part]
+        return view
 
     def choice_values(self, x: np.ndarray, probs: Optional[np.ndarray] = None) -> np.ndarray:
         """Each choice's expected successor value; ``x`` is one value per
@@ -790,6 +805,82 @@ def _expected(model: ExplicitModel, arr: _Arrays, goal: np.ndarray, cost: np.nda
     return x, sweeps, residual, polished, picks
 
 
+class _Stack:
+    """The configurations of a family that share one support, as
+    ``stack_family`` stacks them: their indices in the family
+    (``members``), the arrays of that support with one row of branch
+    probabilities per member (``arr``), and their state costs, one row per
+    member (``cost``)."""
+
+    __slots__ = ("members", "arr", "cost")
+
+    def __init__(self, members: np.ndarray, arr: _Arrays, cost: np.ndarray):
+        self.members, self.arr, self.cost = members, arr, cost
+
+
+def stack_family(
+    model: ExplicitModel,
+    entries: Iterable[Tuple[Sequence[Tuple[int, int]], Sequence[Tuple[int, int]]]],
+) -> list:
+    """Stack a family: one ``_Stack`` per support, the branches of nonzero
+    probability, in the order of the supports' first configurations.
+
+    ``model`` gives the structure every configuration shares; ``entries``
+    yields per configuration its exact branch probabilities (flat in model
+    order) and state costs, as the ``(numerator, denominator)`` pairs
+    ``models.well_defined_entries`` yields, and is read once, in order.
+    Each becomes a float as its numerator over its denominator, the int
+    division ``float()`` of a ``Fraction`` makes, so the floats are the
+    same; a cost too large for a float raises ``OverflowError``.  A stack's
+    arrays are built through ``_Arrays``, once per support, and its floats
+    are read-only, as they may be kept and read by many queries."""
+    groups: dict = {}  # support -> (members, probability rows, cost rows)
+    for i, (probs, costs) in enumerate(entries):
+        members, rows, cost = groups.setdefault(tuple(p != 0 for p, _ in probs), ([], [], []))
+        members.append(i)
+        rows.append([p / q for p, q in probs if p != 0])
+        cost.append([p / q for p, q in costs])
+    stacks = []
+    for support, (members, rows, cost) in groups.items():
+        stack = _Stack(np.array(members, dtype=np.int64), _Arrays(model, support, rows),
+                       np.array(cost))
+        stack.arr.probs.flags.writeable = stack.cost.flags.writeable = False
+        stacks.append(stack)
+    return stacks
+
+
+def solve_stacks(model: ExplicitModel, stacks: Sequence[_Stack], target: np.ndarray,
+                 goal: np.ndarray, block: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve the stacks of a family of chains (``stack_family``): per
+    configuration, in the family's order, the probability of reaching the
+    mask ``target`` and the expected cost to the mask ``goal`` at the
+    initial state, as ``reach_prob`` and ``expected_cost`` give them on
+    its instance (the cost is inf where it is undefined).
+
+    A stack's configurations share its arrays and qualitative sets, and
+    their linear systems are solved as one stack, at most ``block`` rows at
+    a time (all of them when None); a system the solve cannot meet raises
+    ``ModelError``, as on the configuration's instance.  The stacks are
+    only read."""
+    count = sum(len(stack.members) for stack in stacks)
+    pr = np.empty(count)
+    ec = np.empty(count)
+    for stack in stacks:
+        step = block or len(stack.members)
+        for lo in range(0, len(stack.members), step):
+            part = slice(lo, lo + step)
+            members, arr = stack.members[part], stack.arr.rows(part)
+            x = _reach(arr, target, "max", True, len(members), DEFAULT_TOL)[0]
+            pr[members] = x[:, model.initial]
+            try:
+                x = _expected(model, arr, goal, stack.cost[part], "min", True, DEFAULT_TOL)[0]
+            except ExpectedCostUndefined:
+                ec[members] = np.inf
+            else:
+                ec[members] = x[:, model.initial]
+    return pr, ec
+
+
 def chain_family(
     model: ExplicitModel,
     entries: Sequence[Tuple[Sequence[Tuple[int, int]], Sequence[Tuple[int, int]]]],
@@ -799,43 +890,18 @@ def chain_family(
     """Per configuration of a family of chains, the probability of reaching
     ``targets`` and the expected cost to ``goals`` at the initial state,
     as ``reach_prob`` and ``expected_cost`` give them on its instance
-    (the cost is inf where it is undefined).
+    (the cost is inf where it is undefined): the family stacked by
+    ``stack_family`` and solved by ``solve_stacks``.
 
     ``model`` has one choice per state and gives the structure every
     configuration shares; ``entries`` holds per configuration its exact
     branch probabilities (flat in model order) and state costs, as the
     ``(numerator, denominator)`` pairs ``models.well_defined_entries``
-    yields.  Each becomes a float as its numerator over its denominator,
-    the int division ``float()`` of a ``Fraction`` makes, so the floats are
-    the same.
-    Configurations with the same support, the branches of nonzero
-    probability, share one set of arrays and qualitative sets, and their
-    linear systems are solved as one stack; a system the solve cannot meet
-    raises ``ModelError``, as on the configuration's instance.
+    yields.
     """
     target = _target_set(model, targets)
     goal = _target_set(model, goals)
-    groups: dict = {}  # support -> configurations
-    for i, (probs, _) in enumerate(entries):
-        groups.setdefault(tuple(p != 0 for p, _ in probs), []).append(i)
-    pr = np.empty(len(entries))
-    ec = np.empty(len(entries))
-    for support, members in groups.items():
-        probs = [
-            [p / q for (p, q), edge in zip(entries[i][0], support) if edge]
-            for i in members
-        ]
-        arr = _Arrays(model, support, probs)
-        x = _reach(arr, target, "max", True, len(members), DEFAULT_TOL)[0]
-        pr[members] = x[:, model.initial]
-        cost = np.array([[p / q for p, q in entries[i][1]] for i in members])
-        try:
-            x = _expected(model, arr, goal, cost, "min", True, DEFAULT_TOL)[0]
-        except ExpectedCostUndefined:
-            ec[members] = np.inf
-        else:
-            ec[members] = x[:, model.initial]
-    return pr, ec
+    return solve_stacks(model, stack_family(model, entries), target, goal)
 
 
 def cost_bounded_reach(

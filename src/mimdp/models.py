@@ -11,9 +11,12 @@ kept on the model) and checked for well-definedness.  ``instantiate``
 builds the instance from them; a concrete build is the parametric build
 instantiated.  One pass of ``well_defined_entries`` yields every
 well-defined valuation with its entries and builds no instance: the
-valuation filter, the enumeration route (which checks chain families in
-batches and solves an MDP family's LP on arrays built from the entries) and
-the integer-program emitter all read them.  The compiled entries are
+valuation filter, the enumeration route and the integer-program emitter
+all read them.  The enumeration route reads them once per model: it keeps
+the well-defined valuations and their entries as floats, stacked per
+support group, on the model (``_family``, see ``synthesis._Family``),
+solves those stacks for each query, and drops the compiled entries, which
+a later reader compiles again.  The compiled entries are
 one hash-consed ``expressions.CompiledExprs``: equal subexpressions are one
 node, and a node's value is computed once per combination of the values of
 the parameters it mentions.  Well-definedness is exact: probabilities are
@@ -99,11 +102,15 @@ class ExplicitModel:
     parameters: dict  # residual parameter domains (mimdp only)
     deadlocks: frozenset = frozenset()
     # the compiled entries of a parametric model, with every subexpression
-    # value computed so far, shared across valuations (``_compiled``)
+    # value computed so far, shared across valuations (``_compiled``);
+    # dropped when enumeration keeps the family below
     _memo: Optional[_Entries] = field(default=None, init=False, compare=False, repr=False)
     # the checker's flat arrays of a concrete model, built on first use
     # (``checking._model_arrays``)
     _arrays: Optional[object] = field(default=None, init=False, compare=False, repr=False)
+    # the well-defined configurations' float stacks, per support group, made
+    # by the first enumeration that reads them (``synthesis._Family``)
+    _family: Optional[object] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def num_states(self) -> int:
@@ -579,8 +586,9 @@ def instantiate(model: ExplicitModel, valuation: Mapping[str, Fraction]) -> Expl
     and action.  Values come from the model's compiled entries, which are
     built on first use and kept on the model, so instantiating one model
     under many valuations evaluates each distinct subexpression once per
-    combination of the values of the parameters it mentions.  A value
-    outside its parameter's declared set is evaluated but not kept.  The
+    combination of the values of the parameters it mentions (once more
+    after enumeration has dropped them).  A value outside its parameter's
+    declared set is evaluated but not kept.  The
     instance's ``Fraction``s are made from the entries' pairs.
     """
     if model.kind != "mimdp":

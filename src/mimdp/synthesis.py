@@ -46,9 +46,10 @@ from .checking import (
     _prob1_min,
     _reach,
     _target_set,
-    chain_family,
     expected_cost,
     reach_prob,
+    solve_stacks,
+    stack_family,
 )
 from .expressions import Expr, format_fraction
 from .lp import LinearProgram, solve_lp
@@ -325,38 +326,107 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, target: np.ndarray
 # ---------------------------------------------------------------------------
 # route 1: exhaustive enumeration
 
-# configurations whose entries are held and checked at once: bounds the
-# float matrices of a chain family by about this many numbers
+# configurations of one support group solved at once: bounds the value
+# stacks of one chain solve by about this many numbers
 _FAMILY_BLOCK = 1 << 20
 
 
-def _evaluate_chains(model: ExplicitModel, target: np.ndarray, goal: np.ndarray,
-                     lam: float) -> List[TableEntry]:
-    """The table of a family whose instances are chains, checked in blocks
-    of configurations by ``chain_family``."""
+class _Family:
+    """What enumeration reads of a family and no query changes, kept on its
+    base model (``ExplicitModel._family``) by the first enumeration whose
+    build returns: the well-defined valuations, in ``all_valuations``
+    order, and their entries as floats, stacked per support group by
+    ``checking.stack_family`` (``stacks``).  ``entries`` yields what
+    ``well_defined_entries`` yields and is read once."""
+
+    __slots__ = ("valuations", "stacks")
+
+    def __init__(self, model: ExplicitModel, entries):
+        self.valuations: list = []
+
+        def pairs():
+            for u, probs, costs in entries:
+                self.valuations.append(u)
+                yield probs, costs
+
+        self.stacks = stack_family(model, pairs())
+
+
+def _kept_family(model: ExplicitModel, chains: bool, target: np.ndarray, goal: np.ndarray,
+                 lam: float) -> _Family:
+    """The family kept on ``model``, or a new one, then kept.  A build that
+    raises keeps nothing; it raises what the route raised when it read
+    each configuration as it checked it (``_former_order``).  Once the
+    family is kept, the model's compiled entries are dropped: enumeration
+    reads the floats from then on, and their value tables would hold every
+    configuration's values a second time.  Another reader of the entries
+    (``instantiate``, the valuation filter) compiles them again."""
+    if model._family is None:
+        try:
+            family = _Family(model, well_defined_entries(model))
+        except Exception:
+            _former_order(model, chains, target, goal, lam)
+            raise
+        model._family = family
+        model._memo = None
+    return model._family
+
+
+def _former_order(model: ExplicitModel, chains: bool, target: np.ndarray, goal: np.ndarray,
+                  lam: float) -> None:
+    """Read and check the family as enumeration did before it kept one: a
+    block of configurations at a time on a chain family, one at a time on
+    an MDP family.  Called when the build raised, so it raises what that
+    order meets first: an earlier configuration's error, or the build's."""
     entries = well_defined_entries(model)
-    block = max(1, _FAMILY_BLOCK // (model.num_transitions + model.num_states))
-    table = []
+    size = _chain_block(model) if chains else 1
     while True:
-        chunk = list(itertools.islice(entries, block))
+        chunk = list(itertools.islice(entries, size))
         if not chunk:
-            return table
-        prs, ecs = chain_family(model, [(p, c) for _, p, c in chunk], target, goal)
-        for (u, _, _), pr, ec in zip(chunk, prs.tolist(), ecs.tolist()):
-            feasible = pr <= lam + FEASIBILITY_TOL and math.isfinite(ec)
-            table.append(TableEntry(u, ec, pr, feasible))
+            return
+        _evaluate(model, _Family(model, chunk), chains, target, goal, lam)
 
 
-def _evaluate_mdp(model: ExplicitModel, u: dict, probs: list, costs: list,
+def _chain_block(model: ExplicitModel) -> int:
+    return max(1, _FAMILY_BLOCK // (model.num_transitions + model.num_states))
+
+
+def _evaluate(model: ExplicitModel, family: _Family, chains: bool, target: np.ndarray,
+              goal: np.ndarray, lam: float) -> Tuple[List[TableEntry], Optional[list]]:
+    """The table of ``family`` under the query, and on an MDP family the LP
+    solution per configuration (None where no strategy meets the bound).
+    A chain family's stacks are solved by ``checking.solve_stacks``, at
+    most ``_chain_block`` configurations at a time; an MDP family's LPs
+    run configuration by configuration, in the family's order.  Each entry
+    gets a copy of its kept valuation, which the caller may change."""
+    if chains:
+        prs, ecs = solve_stacks(model, family.stacks, target, goal, _chain_block(model))
+        table = [
+            TableEntry(dict(u), ec, pr, pr <= lam + FEASIBILITY_TOL and math.isfinite(ec))
+            for u, pr, ec in zip(family.valuations, prs.tolist(), ecs.tolist())
+        ]
+        return table, None
+    where = {}  # configuration -> (its stack, its row there)
+    for stack in family.stacks:
+        for row, i in enumerate(stack.members.tolist()):
+            where[i] = (stack, row)
+    outcomes = [
+        _evaluate_mdp(model, dict(u), *where[i], target, goal, lam)
+        for i, u in enumerate(family.valuations)
+    ]
+    return [entry for entry, _ in outcomes], [res for _, res in outcomes]
+
+
+def _evaluate_mdp(model: ExplicitModel, u: dict, stack, row: int,
                   target: np.ndarray, goal: np.ndarray, lam: float):
-    """One configuration of an MDP family, from its exact entries (pairs):
-    its table entry and the solution of the LP on the arrays of its
-    support, or, where no strategy meets the bound, its minimal probability
-    of reaching the targets and None."""
-    support = [p != 0 for p, _ in probs]
-    arr = _Arrays(model, support, [p / q for p, q in probs if p != 0])
+    """One configuration of an MDP family, row ``row`` of its support
+    group's ``stack``: its table entry and the solution of the LP on the
+    group's arrays with that row's probabilities and costs, or, where no
+    strategy meets the bound, its minimal probability of reaching the
+    targets and None."""
+    arr = stack.arr.rows(row)
     try:
-        res = _occupation_lp(model, arr, [p / q for p, q in costs], target, goal, lam,
+        res = _occupation_lp(model, arr, stack.cost[row], target, goal, lam,
                              np.ones(arr.num_choices, dtype=bool))
     except InfeasibleError:
         x = _reach(arr, target, "min", False, 1, DEFAULT_TOL)[0]
@@ -371,11 +441,19 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
 
     Guards and updates are parameter-free, so all configurations share
     one state graph and one kind, and each is read off its entries alone.
-    A family of chains is checked in one stacked pass per support pattern
-    (``checking.chain_family``); every configuration's strategy is the
+    No query changes those entries: the first call on a model whose build
+    returns reads them once and keeps them on the base model as floats,
+    stacked per support group (``_Family``, ``ExplicitModel._family``), and
+    every later call, at any bound or label, re-reads the stacks and reads
+    no entry; the model's compiled entries are dropped once the family is
+    kept (``_kept_family``).  A build that raises keeps nothing, so the
+    next call raises the same error again; the query's labels are looked
+    up before it.  Per
+    call, a family of chains is solved one stack per support group
+    (``checking.solve_stacks``), and every configuration's strategy is the
     chain's one choice per state.  An MDP family solves the constrained LP
-    once per configuration, on the arrays of its support, and builds the
-    exact strategy of the reported configuration only.
+    once per configuration, on its group's arrays with its own row, and
+    builds the exact strategy of the reported configuration only.
     """
     model = build_model(program)
     target = _target_set(model, query.target)
@@ -383,14 +461,8 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
     lam = float(query.bound)
 
     chains = all(len(row) == 1 for row in model.choices)
-    if chains:
-        table = _evaluate_chains(model, target, goal, lam)
-    else:
-        outcomes = [
-            _evaluate_mdp(model, u, probs, costs, target, goal, lam)
-            for u, probs, costs in well_defined_entries(model)
-        ]
-        table = [entry for entry, _ in outcomes]
+    family = _kept_family(model, chains, target, goal, lam)
+    table, solutions = _evaluate(model, family, chains, target, goal, lam)
     if not table:
         raise SynthesisError("no well-defined valuation exists")
 
@@ -407,7 +479,7 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
     if chains:
         strategy = Strategy.deterministic([0] * model.num_states)
     else:
-        strategy = outcomes[best][1].strategy
+        strategy = solutions[best].strategy
     entry = table[best]
     return SynthesisResult(
         "enumerate",
@@ -488,9 +560,12 @@ class _Controlled:
     ``admissible`` holds the well-defined valuations of the base model, in
     its order.  ``extendable`` is memoised per fixing it is asked
     (``_extendable``), not precomputed over every sub-fixing.
+    ``_committing`` indexes the fresh actions by what they commit: per
+    parameter, per value, the actions committing the parameter to it, so
+    ``disabled`` reads only the fixed parameters' actions.
     """
 
-    __slots__ = ("model", "report", "committed", "admissible", "_extendable")
+    __slots__ = ("model", "report", "committed", "admissible", "_extendable", "_committing")
 
     def __init__(self, program: Program, model: ExplicitModel, report: TransformReport):
         # valuations a reported answer may come from: a strategy can avoid
@@ -507,6 +582,24 @@ class _Controlled:
         self.committed = report.committed_values()
         self.admissible = admissible
         self._extendable: Dict[frozenset, bool] = {}
+        committing: Dict[str, Dict[Fraction, list]] = {}
+        for a, commits in self.report.fresh_actions.items():
+            for p, v in commits:
+                committing.setdefault(p, {}).setdefault(v, []).append(a)
+        self._committing = {
+            p: {v: tuple(actions) for v, actions in values.items()}
+            for p, values in committing.items()
+        }
+
+    def disabled(self, fixed: dict) -> frozenset:
+        """The fresh actions that commit a parameter of ``fixed`` to
+        another value than the fixed one."""
+        out: set = set()
+        for p, u in fixed.items():
+            for v, actions in self._committing.get(p, {}).items():
+                if v != u:
+                    out.update(actions)
+        return frozenset(out)
 
     def extendable(self, fixed: dict) -> bool:
         """Whether some admissible valuation agrees with ``fixed``."""
@@ -557,7 +650,7 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
     that raises keeps nothing, so the next call raises the same error
     again.  The LPs, the node cache and the certification are made per
     call, and each node disables the fresh actions that commit a fixed
-    parameter to another value.
+    parameter to another value (``_Controlled.disabled``).
     """
     problem = _controlled(program, query)
     result = _branch_and_bound(problem, program, query)
@@ -591,14 +684,9 @@ def _branch_and_bound(problem: _Controlled, program: Program,
         key = frozenset(fixed.items())
         if key in cache:
             return cache[key]
-        # the fresh actions that commit a fixed parameter to another value
-        disabled = frozenset(
-            a
-            for a, commits in report.fresh_actions.items()
-            if any(fixed.get(p, v) != v for p, v in commits)
-        )
         try:
-            res = constrained_mdp_lp(model, tset, lam, gset, disabled_actions=disabled)
+            res = constrained_mdp_lp(model, tset, lam, gset,
+                                     disabled_actions=problem.disabled(fixed))
         except InfeasibleError:
             cache[key] = None
             return None

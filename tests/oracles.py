@@ -26,7 +26,11 @@ sort-checked each conjunct (``seed_equality_conjuncts``), and the cost
 checks that ``expected_cost`` and ``cost_bounded_reach`` made on every
 call (``former_real_costs``, ``former_integral_costs``).  Last, the
 transformed route's ``extendable``, which scanned every well-defined
-valuation on each branch-and-bound node (``extendable``).
+valuation on each branch-and-bound node (``extendable``), its scan of
+every fresh action for a node's disabled set (``disabled_actions``), and
+the enumeration route that read and stacked the family on every call
+(``percall_synthesize_enumerate`` with ``percall_chain_family``,
+``percall_evaluate_chains`` and ``percall_evaluate_mdp``).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
 
 import numpy as np
 
-from mimdp import checking
+from mimdp import checking, synthesis
 from mimdp.checking import (
     DEFAULT_TOL,
     FEASIBILITY_TOL,
@@ -3240,3 +3244,132 @@ def matches(u: dict, fixed: dict) -> bool:
 
 def extendable(admissible: list, fixed: dict) -> bool:
     return any(matches(u, fixed) for u in admissible)
+
+
+# ``synthesis.synthesize_transformed`` built each branch-and-bound node's
+# disabled set by scanning every fresh action; the kept problem now indexes
+# the fresh actions by the parameter and value they commit.  The scan,
+# verbatim, with the fresh actions passed in.
+
+def disabled_actions(fresh_actions: dict, fixed: dict) -> frozenset:
+    return frozenset(
+        a
+        for a, commits in fresh_actions.items()
+        if any(fixed.get(p, v) != v for p, v in commits)
+    )
+
+
+# ---------------------------------------------------------------------------
+# enumeration that read the family on every call
+#
+# ``synthesis.synthesize_enumerate`` read and checked every configuration's
+# entries on each call and grouped them by support anew
+# (``checking.chain_family``, ``synthesis._evaluate_chains`` and
+# ``_evaluate_mdp``); it now keeps the stacks on the model.  Kept verbatim
+# apart from the names (the prefix ``percall_``) and the module prefixes of
+# the checker's helpers.
+
+_PERCALL_FAMILY_BLOCK = 1 << 20
+
+
+def percall_chain_family(
+    model: ExplicitModel,
+    entries: Sequence[Tuple[Sequence[Tuple[int, int]], Sequence[Tuple[int, int]]]],
+    targets,
+    goals,
+) -> Tuple[np.ndarray, np.ndarray]:
+    target = checking._target_set(model, targets)
+    goal = checking._target_set(model, goals)
+    groups: dict = {}  # support -> configurations
+    for i, (probs, _) in enumerate(entries):
+        groups.setdefault(tuple(p != 0 for p, _ in probs), []).append(i)
+    pr = np.empty(len(entries))
+    ec = np.empty(len(entries))
+    for support, members in groups.items():
+        probs = [
+            [p / q for (p, q), edge in zip(entries[i][0], support) if edge]
+            for i in members
+        ]
+        arr = checking._Arrays(model, support, probs)
+        x = checking._reach(arr, target, "max", True, len(members), DEFAULT_TOL)[0]
+        pr[members] = x[:, model.initial]
+        cost = np.array([[p / q for p, q in entries[i][1]] for i in members])
+        try:
+            x = checking._expected(model, arr, goal, cost, "min", True, DEFAULT_TOL)[0]
+        except ExpectedCostUndefined:
+            ec[members] = np.inf
+        else:
+            ec[members] = x[:, model.initial]
+    return pr, ec
+
+
+def percall_evaluate_chains(model: ExplicitModel, target: np.ndarray, goal: np.ndarray,
+                            lam: float) -> List[TableEntry]:
+    entries = well_defined_entries(model)
+    block = max(1, _PERCALL_FAMILY_BLOCK // (model.num_transitions + model.num_states))
+    table = []
+    while True:
+        chunk = list(itertools.islice(entries, block))
+        if not chunk:
+            return table
+        prs, ecs = percall_chain_family(model, [(p, c) for _, p, c in chunk], target, goal)
+        for (u, _, _), pr, ec in zip(chunk, prs.tolist(), ecs.tolist()):
+            feasible = pr <= lam + FEASIBILITY_TOL and math.isfinite(ec)
+            table.append(TableEntry(u, ec, pr, feasible))
+
+
+def percall_evaluate_mdp(model: ExplicitModel, u: dict, probs: list, costs: list,
+                         target: np.ndarray, goal: np.ndarray, lam: float):
+    support = [p != 0 for p, _ in probs]
+    arr = _Arrays(model, support, [p / q for p, q in probs if p != 0])
+    try:
+        res = synthesis._occupation_lp(model, arr, [p / q for p, q in costs], target, goal, lam,
+                                       np.ones(arr.num_choices, dtype=bool))
+    except InfeasibleError:
+        x = checking._reach(arr, target, "min", False, 1, DEFAULT_TOL)[0]
+        return TableEntry(u, math.inf, float(x[0, model.initial]), False), None
+    return TableEntry(u, res.expected_cost, res.reach_probability, True), res
+
+
+def percall_synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisResult:
+    model = build_model(program)
+    target = checking._target_set(model, query.target)
+    goal = checking._target_set(model, query.goal)
+    lam = float(query.bound)
+
+    chains = all(len(row) == 1 for row in model.choices)
+    if chains:
+        table = percall_evaluate_chains(model, target, goal, lam)
+    else:
+        outcomes = [
+            percall_evaluate_mdp(model, u, probs, costs, target, goal, lam)
+            for u, probs, costs in well_defined_entries(model)
+        ]
+        table = [entry for entry, _ in outcomes]
+    if not table:
+        raise SynthesisError("no well-defined valuation exists")
+
+    best = None
+    for i, entry in enumerate(table):
+        if not entry.feasible:
+            continue
+        if best is None or entry.expected_cost < table[best].expected_cost - TIE_TOL:
+            best = i
+    if best is None:
+        return SynthesisResult(
+            "enumerate", False, None, None, math.inf, None, table
+        )
+    if chains:
+        strategy = Strategy.deterministic([0] * model.num_states)
+    else:
+        strategy = outcomes[best][1].strategy
+    entry = table[best]
+    return SynthesisResult(
+        "enumerate",
+        True,
+        entry.valuation,
+        strategy,
+        entry.expected_cost,
+        entry.reach_probability,
+        table,
+    )

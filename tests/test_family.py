@@ -4,6 +4,7 @@ exactly what the former route, which instantiated and checked every
 configuration on its own (``oracles.seed_synthesize_enumerate``), returns."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import oracles
 from generators import random_mimdp_program
-from mimdp import checking, shipyard, synthesis
+from mimdp import checking, models, shipyard, synthesis
 from mimdp.checking import expected_cost, reach_prob
 from mimdp.models import build_model, instantiate, well_defined_entries
 from mimdp.parser import parse_program
@@ -234,14 +235,33 @@ def test_chain_families_are_checked_once_per_support_group(monkeypatch):
     def per_configuration(*_, **__):
         raise AssertionError("a chain family is not checked per configuration")
 
+    reads = []
+    inner_read = models._Entries.read
+
+    def counted_read(self, *args):
+        reads.append(args)
+        return inner_read(self, *args)
+
     monkeypatch.setattr(checking, "_Arrays", Counted)
+    monkeypatch.setattr(models._Entries, "read", counted_read)
     monkeypatch.setattr(synthesis, "reach_prob", per_configuration)
     monkeypatch.setattr(synthesis, "expected_cost", per_configuration)
-    synthesize_enumerate(parse_program(VARYING_SUPPORT), SynthesisQuery("t", F(1), "g"))
-    assert len(built) == 2
+    varying = parse_program(VARYING_SUPPORT)
+    synthesize_enumerate(varying, SynthesisQuery("t", F(1), "g"))
+    assert len(built) == 2 and len(reads) == 3
+    # a second query, at another bound and with other labels, reads the
+    # kept stacks: it builds no arrays and reads no entry
     built.clear()
-    result = synthesize_enumerate(_shipyard(True), SynthesisQuery("failure", F("0.03"), "done"))
-    assert len(built) == 1 and len(result.table) == 360
+    reads.clear()
+    synthesize_enumerate(varying, SynthesisQuery("g", F("0.5"), "t"))
+    assert built == [] and reads == []
+    shipyard_family = _shipyard(True)
+    result = synthesize_enumerate(shipyard_family, SynthesisQuery("failure", F("0.03"), "done"))
+    assert len(built) == 1 and len(result.table) == 360 and len(reads) == 360
+    built.clear()
+    reads.clear()
+    again = synthesize_enumerate(shipyard_family, SynthesisQuery("failure", F("0.01"), "done"))
+    assert built == [] and reads == [] and len(again.table) == 360
 
 
 def test_stacked_polish_in_chunks_and_sparse_equals_one_system(monkeypatch):
@@ -263,5 +283,18 @@ def test_blocks_of_configurations_equal_one_block(monkeypatch):
     program = _shipyard(False)
     query = SynthesisQuery("failure", F("0.03"), "done")
     whole = synthesize_enumerate(program, query)
-    monkeypatch.setattr(synthesis, "_FAMILY_BLOCK", 1)
+    solved = []
+    inner = checking._reach
+
+    def counted(arr, target, direction, chain, k, *args):
+        solved.append(k)
+        return inner(arr, target, direction, chain, k, *args)
+
+    monkeypatch.setattr(checking, "_reach", counted)
     assert synthesize_enumerate(program, query) == whole
+    assert solved == [len(whole.table)]
+    # a fresh program: the kept stacks of the first are not read
+    solved.clear()
+    monkeypatch.setattr(synthesis, "_FAMILY_BLOCK", 1)
+    assert synthesize_enumerate(replace(program), query) == whole
+    assert solved == [1] * len(whole.table)
