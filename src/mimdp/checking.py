@@ -54,9 +54,8 @@ The stacks do not depend on the query, so enumeration keeps them with the
 model (``synthesis._Family``).  ``solve_stacks`` solves a family of chains'
 stacks for a query: per support, one set of qualitative sets and one
 stacked linear solve, so every row is what checking that configuration
-alone gives.  ``chain_family`` is the two halves in one call.  An MDP
-family's configurations are solved one at a time, each on its group's
-arrays with its own row (``_Arrays.rows``).
+alone gives.  An MDP family's configurations are solved one at a time,
+each on its group's arrays with its own row (``_Arrays.rows``).
 """
 
 from __future__ import annotations
@@ -879,29 +878,6 @@ def solve_stacks(model: ExplicitModel, stacks: Sequence[_Stack], target: np.ndar
             else:
                 ec[members] = x[:, model.initial]
     return pr, ec
-
-
-def chain_family(
-    model: ExplicitModel,
-    entries: Sequence[Tuple[Sequence[Tuple[int, int]], Sequence[Tuple[int, int]]]],
-    targets,
-    goals,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per configuration of a family of chains, the probability of reaching
-    ``targets`` and the expected cost to ``goals`` at the initial state,
-    as ``reach_prob`` and ``expected_cost`` give them on its instance
-    (the cost is inf where it is undefined): the family stacked by
-    ``stack_family`` and solved by ``solve_stacks``.
-
-    ``model`` has one choice per state and gives the structure every
-    configuration shares; ``entries`` holds per configuration its exact
-    branch probabilities (flat in model order) and state costs, as the
-    ``(numerator, denominator)`` pairs ``models.well_defined_entries``
-    yields.
-    """
-    target = _target_set(model, targets)
-    goal = _target_set(model, goals)
-    return solve_stacks(model, stack_family(model, entries), target, goal)
 
 
 def cost_bounded_reach(

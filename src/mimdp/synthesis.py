@@ -4,12 +4,14 @@ is minimal.
 
 Two independent routes:
 
-* ``synthesize_enumerate`` makes one pass over the well-defined
-  valuations and builds no instance.  A family of chains is checked from
-  the valuations' exact entries, one stacked batch per support pattern
-  (``checking.chain_family``); an MDP family solves the constrained
-  occupation-measure LP once per valuation, on the checker's arrays built
-  from its entries.  This is the oracle route.
+* ``synthesize_enumerate`` checks every well-defined valuation and
+  builds no instance.  The family is read once per base model: the first
+  call stacks the valuations' entries as floats, one set of checker arrays
+  per support group (``_Family``, ``checking.stack_family``), and keeps
+  the stacks on the model.  Each query solves them: a family of chains
+  one stacked batch per group (``checking.solve_stacks``), an MDP family
+  the constrained occupation-measure LP once per valuation, on its
+  group's arrays with its own row.  This is the oracle route.
 
 * ``synthesize_transformed`` rewrites the program into the controlled MDP
   and solves the constrained LP there; every branch-and-bound node reads
@@ -29,7 +31,6 @@ against every emitted constraint.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -352,39 +353,19 @@ class _Family:
         self.stacks = stack_family(model, pairs())
 
 
-def _kept_family(model: ExplicitModel, chains: bool, target: np.ndarray, goal: np.ndarray,
-                 lam: float) -> _Family:
+def _kept_family(model: ExplicitModel) -> _Family:
     """The family kept on ``model``, or a new one, then kept.  A build that
-    raises keeps nothing; it raises what the route raised when it read
-    each configuration as it checked it (``_former_order``).  Once the
+    raises keeps nothing, so the next call raises the same error.  Once the
     family is kept, the model's compiled entries are dropped: enumeration
-    reads the floats from then on, and their value tables would hold every
-    configuration's values a second time.  Another reader of the entries
-    (``instantiate``, the valuation filter) compiles them again."""
+    and the transformed route's valuation filter read the kept family from
+    then on, and the entries' value tables would hold every configuration's
+    values a second time.  Another reader of the entries (``instantiate``,
+    ``well_defined_entries``) compiles them again."""
     if model._family is None:
-        try:
-            family = _Family(model, well_defined_entries(model))
-        except Exception:
-            _former_order(model, chains, target, goal, lam)
-            raise
+        family = _Family(model, well_defined_entries(model))
         model._family = family
         model._memo = None
     return model._family
-
-
-def _former_order(model: ExplicitModel, chains: bool, target: np.ndarray, goal: np.ndarray,
-                  lam: float) -> None:
-    """Read and check the family as enumeration did before it kept one: a
-    block of configurations at a time on a chain family, one at a time on
-    an MDP family.  Called when the build raised, so it raises what that
-    order meets first: an earlier configuration's error, or the build's."""
-    entries = well_defined_entries(model)
-    size = _chain_block(model) if chains else 1
-    while True:
-        chunk = list(itertools.islice(entries, size))
-        if not chunk:
-            return
-        _evaluate(model, _Family(model, chunk), chains, target, goal, lam)
 
 
 def _chain_block(model: ExplicitModel) -> int:
@@ -461,7 +442,7 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
     lam = float(query.bound)
 
     chains = all(len(row) == 1 for row in model.choices)
-    family = _kept_family(model, chains, target, goal, lam)
+    family = _kept_family(model)
     table, solutions = _evaluate(model, family, chains, target, goal, lam)
     if not table:
         raise SynthesisError("no well-defined valuation exists")
@@ -558,8 +539,9 @@ class _Controlled:
     share one tuple, which holds less), and ``committed`` their
     ``committed_values()``;
     ``admissible`` holds the well-defined valuations of the base model, in
-    its order.  ``extendable`` is memoised per fixing it is asked
-    (``_extendable``), not precomputed over every sub-fixing.
+    its order (the list of its kept ``_Family`` if enumeration kept one;
+    neither reader changes it).  ``extendable`` is memoised per fixing it
+    is asked (``_extendable``), not precomputed over every sub-fixing.
     ``_committing`` indexes the fresh actions by what they commit: per
     parameter, per value, the actions committing the parameter to it, so
     ``disabled`` reads only the fixed parameters' actions.
@@ -570,8 +552,13 @@ class _Controlled:
     def __init__(self, program: Program, model: ExplicitModel, report: TransformReport):
         # valuations a reported answer may come from: a strategy can avoid
         # every state where some parameter matters, in which case its value
-        # must still be completed consistently with global well-definedness
-        admissible = well_defined_valuations(build_model(program))
+        # must still be completed consistently with global well-definedness.
+        # A family kept by enumeration holds them already, in the same order
+        base = build_model(program)
+        if base._family is not None:
+            admissible = base._family.valuations
+        else:
+            admissible = well_defined_valuations(base)
         if not admissible:
             raise SynthesisError("no well-defined valuation exists")
         shared: dict = {}

@@ -5,8 +5,9 @@ once and keeps them, as float stacks per support group, in
 sweep of bounds and labels on one program must give what each query gives
 on a freshly parsed program and what the route that read the family on
 every call gives (``oracles.percall_synthesize_enumerate``); the kept
-stacks must hold the floats that route made, bit for bit; and a family
-whose build raises keeps nothing and raises the same error again.  Last,
+stacks must hold the floats that route made, bit for bit; a family whose
+build raises keeps nothing and raises the same error again; and
+``synthesize(method="both")`` reads each entry once.  Last,
 branch-and-bound's disabled sets, read off an index by parameter, must
 equal the former scan's."""
 
@@ -21,15 +22,22 @@ import numpy as np
 import pytest
 
 import oracles
-from mimdp import checking, shipyard, synthesis
+from mimdp import checking, models, shipyard, synthesis
 from mimdp.expressions import Binary, ExprError, Name, Num
-from mimdp.models import ModelError, build_model, instantiate, well_defined_entries
+from mimdp.models import (
+    ModelError,
+    all_valuations,
+    build_model,
+    instantiate,
+    well_defined_entries,
+)
 from mimdp.parser import parse_program
 from mimdp.program import pretty
 from mimdp.synthesis import (
     ImproperModelError,
     SynthesisError,
     SynthesisQuery,
+    synthesize,
     synthesize_enumerate,
     synthesize_transformed,
 )
@@ -156,6 +164,34 @@ def test_changing_a_reported_valuation_changes_no_later_answer(two_stage):
     assert json.dumps(synthesize_enumerate(program, query).to_json_dict(), sort_keys=True) == want
 
 
+def test_both_routes_read_each_entry_once(monkeypatch, two_stage):
+    # the transformed route takes its admissible valuations from the family
+    # enumeration kept, not from a second read of every entry
+    reads = []
+    inner_read = models._Entries.read
+
+    def counted_read(self, *args):
+        reads.append(args)
+        return inner_read(self, *args)
+
+    def second_read(*_, **__):
+        raise AssertionError("the valuations were read again")
+
+    monkeypatch.setattr(models._Entries, "read", counted_read)
+    monkeypatch.setattr(synthesis, "well_defined_valuations", second_read)
+    for program, query in [
+        (replace(two_stage), SynthesisQuery("s2", F("0.2"), "absorb", "both")),
+        (parse_program(_shipyard_text(False)),
+         SynthesisQuery("failure", F("0.03"), "done", "both")),
+    ]:
+        reads.clear()
+        enum, transformed = synthesize(program, query)
+        model = build_model(program)
+        assert len(reads) == len(list(all_valuations(model)))
+        assert synthesis._controlled(program, query).admissible is model._family.valuations
+        assert transformed.valuation == enum.valuation
+
+
 # ---------------------------------------------------------------------------
 # the kept stacks are the floats the per-call route made
 
@@ -254,19 +290,21 @@ BIG_COST = DIVIDES_BY_ZERO.replace("p/(2*p)", "p").replace(
     "label", "rewards\n  s=0 : p*1" + "0" * 400 + ";\nendrewards\nlabel")
 
 # the first configuration's LP finds a strategy that stays at s=0 forever;
-# the second one's entry divides by zero.  The per-call route met the first
-# before it read the second
+# the second one's entry divides by zero.  The per-call route solved the
+# first before it read the second and raised the improper LP; enumeration
+# reads the whole family first and raises the entry's error
 IMPROPER_THEN_DIVISION = DIVIDES_BY_ZERO.replace(
     "[] s=1 -> true;", "[] s=0 -> (s'=0);\n  [] s=1 -> true;")
 
 
-@pytest.mark.parametrize("make, error, text", [
-    (_boolean_entry, ModelError, "boolean where a number was expected: p < 1"),
-    (lambda: parse_program(DIVIDES_BY_ZERO), ExprError, "division by zero"),
-    (lambda: parse_program(BIG_COST), OverflowError, "too large for a float"),
-    (lambda: parse_program(IMPROPER_THEN_DIVISION), ImproperModelError, "state (s=0)"),
+@pytest.mark.parametrize("make, error, text, former", [
+    (_boolean_entry, ModelError, "boolean where a number was expected: p < 1", None),
+    (lambda: parse_program(DIVIDES_BY_ZERO), ExprError, "division by zero", None),
+    (lambda: parse_program(BIG_COST), OverflowError, "too large for a float", None),
+    (lambda: parse_program(IMPROPER_THEN_DIVISION), ExprError, "division by zero",
+     (ImproperModelError, "state (s=0)")),
 ], ids=["boolean", "division", "overflow", "improper-first"])
-def test_a_failing_build_keeps_nothing_and_fails_again(make, error, text):
+def test_a_failing_build_keeps_nothing_and_fails_again(make, error, text, former):
     program = make()
     query = SynthesisQuery("t", F(1), "t")
     outcomes = []
@@ -276,9 +314,16 @@ def test_a_failing_build_keeps_nothing_and_fails_again(make, error, text):
         outcomes.append((type(err.value), str(err.value)))
         assert build_model(program)._family is None
     assert outcomes[0] == outcomes[1] and text in outcomes[0][1]
-    for route in (synthesize_enumerate, oracles.percall_synthesize_enumerate):
-        with pytest.raises(error) as err:
-            route(make(), query)
+    with pytest.raises(error) as err:
+        synthesize_enumerate(make(), query)
+    assert (type(err.value), str(err.value)) == outcomes[0]
+    # the per-call route raised the same, or, where an earlier
+    # configuration's LP failed, that LP's error
+    former_error, former_text = former or (error, text)
+    with pytest.raises(former_error) as err:
+        oracles.percall_synthesize_enumerate(make(), query)
+    assert former_text in str(err.value)
+    if former is None:
         assert (type(err.value), str(err.value)) == outcomes[0]
 
 

@@ -590,7 +590,9 @@ def test_chain_family_stacks_equal_the_former_checker_or_the_exact_solution():
         model = build_model(program)
         assert all(len(row) == 1 for row in model.choices)
         entries = list(well_defined_entries(model))
-        pr, ec = checking.chain_family(model, [(p, c) for _, p, c in entries], target, goal)
+        stacks = checking.stack_family(model, [(p, c) for _, p, c in entries])
+        pr, ec = checking.solve_stacks(model, stacks, checking._target_set(model, target),
+                                       checking._target_set(model, goal))
         for (u, _, _), got_pr, got_ec in zip(entries, pr, ec):
             inst = instantiate(model, u)
             vec, _ = reach_prob(inst, target)
@@ -634,7 +636,7 @@ def test_the_former_checker_runs_none_of_the_current_one(monkeypatch):
         raise AssertionError("the former checker called the current one")
 
     for name in ("_iterate", "_sweep_residual", "_polish", "_reach", "_expected",
-                 "reach_prob", "expected_cost", "chain_family"):
+                 "reach_prob", "expected_cost", "stack_family", "solve_stacks"):
         monkeypatch.setattr(checking, name, current)
     model = build_model(parse_program(SLOW_SELF_LOOP))
     entries = [(p, c) for _, p, c in oracles.fraction_entries(model)]
