@@ -85,14 +85,13 @@ class Program:
     # ``transform`` give new programs an empty one.  Like ``_checked``, it
     # assumes that a program's dicts are not mutated after its first build
     _models: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # the bound-independent part of the transformed route, kept by
-    # ``synthesis.synthesize_transformed`` under the key of its controlled
-    # build, ``(state_cap, on_deadlock)``, with the same lifetime and the
-    # same assumption as ``_models``: the explored controlled model with
-    # its memos, the fresh actions' commitments, the well-defined
-    # valuations and the memoised ``extendable`` answers
-    # (``synthesis._Controlled``).  The controlled program is not kept
-    _controlled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the bound-independent part of the transformed route, set by
+    # ``synthesis.synthesize_transformed`` on its first call that returns,
+    # with the lifetime and the assumption of ``_models``: the explored
+    # controlled model with its arrays and costs, its commitment table and
+    # the well-defined valuations (``synthesis._Controlled``).  The
+    # controlled program is not kept
+    _controlled: object = field(default=None, init=False, compare=False, repr=False)
 
     def variables(self) -> dict:
         """All variables in module order as name -> VarDecl."""

@@ -348,7 +348,6 @@ class ShipyardConfig:
     ground_speed: Fraction = GROUND_SPEED
     ascent_speed: Fraction = ASCENT_SPEED
     intruder_rate: Fraction = F("0.15")
-    detection_form: str = "quadratic"
     footprint_form: str = "linear"
 
     def __post_init__(self):
@@ -496,12 +495,12 @@ def _inverse_footprint_expr(eo_var: str, alt_var: str) -> Expr:
     return _add(_mul(b, Name(alt_var)), c)
 
 
-def _response_cost_expr(eo_var: str, alt_var: str, grade_var, nodes, task_of) -> Expr:
-    """Symbolic intruder-response cost; distances interpolate over the
-    folded sensor dimension in free mode and are constants otherwise."""
+def _response_cost_expr(config: ShipyardConfig, eo_var, alt_var, grade_var, nodes, task_of) -> Expr:
+    """Symbolic intruder-response cost at the rates of ``config``;
+    distances interpolate over the grade nodes: over the folded sensor
+    dimension in free mode, and constants (one task at every node)
+    otherwise."""
     def dist_expr(pick) -> Expr:
-        if grade_var is None:
-            return Num(F(pick(task_of(None))))
         return _lagrange_expr(grade_var, nodes, [F(pick(task_of(v))) for v in nodes])
 
     d_s = dist_expr(lambda t: t.d_s)
@@ -510,14 +509,14 @@ def _response_cost_expr(eo_var: str, alt_var: str, grade_var, nodes, task_of) ->
     dwdh = dist_expr(lambda t: t.d_w * t.d_h)
 
     inv_ew = _inverse_footprint_expr(eo_var, alt_var)
-    sweep = Binary("/", _mul(inv_ew, dwdh), Num(GROUND_SPEED))
+    sweep = Binary("/", _mul(inv_ew, dwdh), Num(F(config.ground_speed)))
     h0 = _lagrange_expr(eo_var, EO_NODES, [F(g.operating_altitude) for g in _EO_ORDER])
     climb = Binary(
         "/",
         _mul(Num(F(2)), _sub(_sub(Num(STANDARD_ALTITUDE), h0), Name(alt_var))),
-        Num(ASCENT_SPEED),
+        Num(F(config.ascent_speed)),
     )
-    return _mul(Num(COST_PER_SECOND), _add(d_s, d_sb, sweep, climb, d_gb))
+    return _mul(Num(F(config.cost_per_second)), _add(d_s, d_sb, sweep, climb, d_gb))
 
 
 def _purchase_expr(eo_var: str, grade_var: str, nodes, grade_of) -> Expr:
@@ -560,8 +559,14 @@ def generate_program(
     false-positive rate become parameters carrying the published value sets
     (the configuration space has 360 members with a uniform grade, 1440 with
     per-sensor grades); otherwise the configuration's concrete numbers are
-    inlined and the result is a plain chain.
+    inlined and the result is a plain chain.  Costs use the configuration's
+    dollars per second, ground speed and ascent speed, and the linear
+    footprint fit, the only one the model carries: another
+    ``footprint_form`` raises ``ValueError``.
     """
+    if config.footprint_form != "linear":
+        raise ValueError(f"footprint_form {config.footprint_form!r} is not generated, only 'linear'")
+    cost_per_second, ground_speed = F(config.cost_per_second), F(config.ground_speed)
     k = config.missions
     lines = [_HEADER]
 
@@ -588,7 +593,7 @@ def generate_program(
         pd = _detection_expr("eo", "dalt")
         tp = _truepos_expr(grade_var, "fp", nodes, grade_of)
         fp_expr: Expr = Name("fp")
-        response = _response_cost_expr("eo", "dalt", grade_var if per_sensor_grades else None, nodes, task_of)
+        response = _response_cost_expr(config, "eo", "dalt", grade_var, nodes, task_of)
         purchase = _purchase_expr("eo", grade_var, nodes, grade_of)
     else:
         grade = config.grades if isinstance(config.grades, SensorGrade) else config.grades[0]
@@ -603,10 +608,10 @@ def generate_program(
         fb, fc = FOOTPRINT_LINEAR[config.eo]
         inv_ew = fb * dh + fc
         task = area_task(SENSOR_TASKS[0])
-        sweep = inv_ew * F(task.d_w * task.d_h) / GROUND_SPEED
-        climb = 2 * (STANDARD_ALTITUDE - config.eo.operating_altitude - dh) / ASCENT_SPEED
+        sweep = inv_ew * F(task.d_w * task.d_h) / ground_speed
+        climb = 2 * (STANDARD_ALTITUDE - config.eo.operating_altitude - dh) / F(config.ascent_speed)
         response = Num(
-            COST_PER_SECOND * (F(task.d_s) + F(task.d_s_back) + sweep + climb + F(task.d_g_back))
+            cost_per_second * (F(task.d_s) + F(task.d_s_back) + sweep + climb + F(task.d_g_back))
         )
         purchase = Num(F(config.eo.purchase_cost + 4 * grade.purchase_cost))
 
@@ -616,7 +621,7 @@ def generate_program(
     resp_p = _add(_mul(ir, _mul(tp, pd)), _mul(_sub(Num(F(1)), ir), fp_expr))
     rest_p = _sub(_sub(Num(F(1)), fail_p), resp_p)
 
-    overhead = COST_PER_SECOND * F(task_distance(point_task("Main Gate"))) / GROUND_SPEED
+    overhead = cost_per_second * F(task_distance(point_task("Main Gate"))) / ground_speed
 
     lines += [
         f"const missions = {k};",

@@ -13,14 +13,17 @@ Two independent routes:
   the constrained occupation-measure LP once per valuation, on its
   group's arrays with its own row.  This is the oracle route.
 
-* ``synthesize_transformed`` rewrites the program into the controlled MDP
-  and solves the constrained LP there; every branch-and-bound node reads
-  the model's one set of arrays and only switches choices off.  A
-  randomized LP optimum may split its mass between different values of one
-  parameter (a mixture of configurations, which no single valuation
-  realizes); when that happens we branch on the conflicted parameter, and a
-  final lexicographic pass pins the tie-broken valuation, so both routes
-  return the same answer.
+* ``synthesize_transformed`` rewrites the program into the controlled MDP,
+  where each parameter value is an action, and solves the constrained LP
+  there.  One commitment table, a row per choice and a column per
+  parameter, says which value each choice commits; every branch-and-bound
+  node reads the model's one set of arrays with a choice mask made from
+  that table, and reads its strategy's commitments off the table along
+  the support's positive branches.  A randomized LP optimum may split its
+  mass between different values of one parameter (a mixture of
+  configurations, which no single valuation realizes); when that happens
+  we branch on the conflicted parameter, and a final lexicographic pass
+  pins the tie-broken valuation, so both routes return the same answer.
 
 ``emit_nilp`` writes the direct nonlinear integer encoding (binary
 characteristic variable per well-defined valuation, bilinear probability
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +58,6 @@ from .checking import (
 from .expressions import Expr, format_fraction
 from .lp import LinearProgram, solve_lp
 from .models import (
-    DEFAULT_STATE_CAP,
     ExplicitModel,
     ModelError,
     Strategy,
@@ -476,28 +478,45 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
 # ---------------------------------------------------------------------------
 # route 2: the controlled transformed MDP
 
-def _support_commitments(
-    model: ExplicitModel, report: TransformReport, support
-) -> Dict[str, set]:
-    """Parameter commitments along the reachable support of a strategy:
+def _commitment_table(model: ExplicitModel, report: TransformReport,
+                      params: Mapping[str, Sequence]) -> np.ndarray:
+    """What each choice of the controlled ``model`` commits: one row per
+    choice, in model order, and one column per parameter of ``params``,
+    holding the index in ``params[p]`` of the value the choice's fresh
+    action commits ``p`` to, or -1."""
+    names = list(params)
+    blank = [-1] * len(names)
+    rows = {}
+    for a, commits in report.fresh_actions.items():
+        row = rows[a] = list(blank)
+        for p, v in commits:
+            row[names.index(p)] = params[p].index(v)
+    table = [rows.get(ch.action, blank) for choices in model.choices for ch in choices]
+    return np.array(table, dtype=np.int32).reshape(len(table), len(names))
+
+
+def _support_commitments(arr: _Arrays, table: np.ndarray, initial: int, support) -> list:
+    """Per column of the commitment ``table``, the sorted value indices the
+    choices of a strategy commit on its support reachable from ``initial``:
     ``support[s]`` iterates over the choice indices the strategy takes at
     state ``s`` with positive weight (as ``ConstrainedSolution.support``
-    and a normalized ``Strategy.choice_probs`` entry do)."""
-    commits: Dict[str, set] = {}
-    seen = {model.initial}
-    stack = [model.initial]
+    and a normalized ``Strategy.choice_probs`` entry do).  The walk follows
+    the edges of ``arr``, the positive branches alone, as the strategy's
+    occupation measure does."""
+    choice_start, branch_start, targets = arr.choice_start, arr.branch_start, arr.targets
+    seen = {initial}
+    stack = [initial]
+    taken = []
     while stack:
         s = stack.pop()
         for ci in support[s]:
-            ch = model.choices[s][ci]
-            if ch.action in report.fresh_actions:
-                for p, v in report.fresh_actions[ch.action]:
-                    commits.setdefault(p, set()).add(v)
-            for _, t in ch.branches:
+            c = choice_start[s] + ci
+            taken.append(c)
+            for t in targets[branch_start[c]:branch_start[c + 1]].tolist():
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
-    return commits
+    return [sorted(set(col.tolist()) - {-1}) for col in table[taken].T]
 
 
 def recover_valuation(
@@ -505,49 +524,54 @@ def recover_valuation(
 ) -> Tuple[dict, tuple]:
     """Read the committed parameter values off the strategy's support.
 
-    A parameter never committed on the support falls back to its first
-    declared value and is flagged.  Conflicting commitments indicate a
-    transformation bug and trip an assertion.
+    The parameters and their values are those the report's fresh actions
+    commit (``TransformReport.committed_values``), and the support is
+    walked over the model's positive branches only.  A parameter never
+    committed on the support falls back to its first value and is
+    flagged; a parameter committed to two values raises ``SynthesisError``,
+    and a strategy with a choice the model does not have ``ModelError``.
     """
-    commits = _support_commitments(model, report, strategy.choice_probs)
+    probs = strategy.choice_probs
+    if len(probs) != model.num_states or any(
+            not 0 <= ci < len(row) for row, dist in zip(model.choices, probs) for ci in dist):
+        raise ModelError("strategy does not fit the model's choices")
+    params = report.committed_values()
+    table = _commitment_table(model, report, params)
+    commits = _support_commitments(_model_arrays(model), table, model.initial, probs)
     valuation = {}
     flags = []
-    # transformed models carry no residual parameters; read the parameters
-    # and their value order off the report (rows enumerate values in
-    # declaration order, so first appearance is the first declared value)
-    for p, values in report.committed_values().items():
-        got = commits.get(p, set())
-        assert len(got) <= 1, f"conflicting commitments for parameter '{p}'"
+    for (p, values), got in zip(params.items(), commits):
+        if len(got) > 1:
+            shown = ", ".join(format_fraction(v) for v in sorted(values[k] for k in got))
+            raise SynthesisError(f"conflicting commitments for parameter '{p}': {shown}")
         if got:
-            valuation[p] = next(iter(got))
+            valuation[p] = values[got[0]]
         else:
             valuation[p] = values[0]
             flags.append(f"parameter '{p}' never committed on the support")
     return valuation, tuple(flags)
 
 
-def _matches(u: dict, fixed: dict) -> bool:
-    return all(u.get(p) == v for p, v in fixed.items())
-
-
 class _Controlled:
     """What the transformed route reads and no bound changes, kept on the
     base program (``Program._controlled``) by the first call that returns.
 
-    ``model`` is the explored controlled MDP, with the arrays the LPs fill;
-    ``report`` keeps the report's fresh actions alone (equal commitments
-    share one tuple, which holds less), and ``committed`` their
-    ``committed_values()``;
-    ``admissible`` holds the well-defined valuations of the base model, in
-    its order (the list of its kept ``_Family`` if enumeration kept one;
-    neither reader changes it).  ``extendable`` is memoised per fixing it
-    is asked (``_extendable``), not precomputed over every sub-fixing.
-    ``_committing`` indexes the fresh actions by what they commit: per
-    parameter, per value, the actions committing the parameter to it, so
-    ``disabled`` reads only the fixed parameters' actions.
+    ``model`` is the explored controlled MDP, ``arr`` its arrays (the ones
+    kept on the model), which every LP reads, and ``costs`` its state
+    costs as floats.  ``table`` is its commitment table over the program's
+    declared parameters and values (``_commitment_table``), read by every
+    node's choice mask (``enabled``) and by the support walk;
+    ``occurring`` lists its columns that some fresh action of the report
+    commits, in declaration order, whether or not the model reaches a
+    choice of that action.  ``admissible`` holds the well-defined
+    valuations of the base model, in its order (the list of its kept
+    ``_Family`` if enumeration kept one; neither reader changes it), and
+    ``valuations`` the same as declared-value indices, one row each, read
+    by ``agreeing`` and ``extendable``.  A fixing is a tuple with one declared-value index
+    per parameter, -1 where the parameter is free.
     """
 
-    __slots__ = ("model", "report", "committed", "admissible", "_extendable", "_committing")
+    __slots__ = ("model", "arr", "costs", "table", "occurring", "admissible", "valuations")
 
     def __init__(self, program: Program, model: ExplicitModel, report: TransformReport):
         # valuations a reported answer may come from: a strategy can avoid
@@ -561,56 +585,43 @@ class _Controlled:
             admissible = well_defined_valuations(base)
         if not admissible:
             raise SynthesisError("no well-defined valuation exists")
-        shared: dict = {}
+        params = program.parameters
         self.model = model
-        self.report = TransformReport(fresh_actions={
-            a: shared.setdefault(commits, commits) for a, commits in report.fresh_actions.items()
-        })
-        self.committed = report.committed_values()
+        self.arr = _model_arrays(model)
+        self.costs = np.array([float(c) for c in model.costs])
+        self.table = _commitment_table(model, report, params)
+        committed = report.committed_values()
+        self.occurring = [j for j, p in enumerate(params) if p in committed]
         self.admissible = admissible
-        self._extendable: Dict[frozenset, bool] = {}
-        committing: Dict[str, Dict[Fraction, list]] = {}
-        for a, commits in self.report.fresh_actions.items():
-            for p, v in commits:
-                committing.setdefault(p, {}).setdefault(v, []).append(a)
-        self._committing = {
-            p: {v: tuple(actions) for v, actions in values.items()}
-            for p, values in committing.items()
-        }
+        self.valuations = np.array(
+            [[vs.index(u[p]) for p, vs in params.items()] for u in admissible], dtype=np.int32
+        ).reshape(len(admissible), len(params))
 
-    def disabled(self, fixed: dict) -> frozenset:
-        """The fresh actions that commit a parameter of ``fixed`` to
-        another value than the fixed one."""
-        out: set = set()
-        for p, u in fixed.items():
-            for v, actions in self._committing.get(p, {}).items():
-                if v != u:
-                    out.update(actions)
-        return frozenset(out)
+    def enabled(self, fixed: tuple) -> np.ndarray:
+        """The mask of the choices that commit no parameter of ``fixed``
+        to another value than the fixed one."""
+        f = np.array(fixed)
+        return ~((self.table != f) & (self.table >= 0) & (f >= 0)).any(axis=1)
 
-    def extendable(self, fixed: dict) -> bool:
+    def agreeing(self, fixed: tuple) -> np.ndarray:
+        """The mask of the admissible valuations that agree with ``fixed``."""
+        f = np.array(fixed)
+        return ((self.valuations == f) | (f < 0)).all(axis=1)
+
+    def extendable(self, fixed: tuple) -> bool:
         """Whether some admissible valuation agrees with ``fixed``."""
-        key = frozenset(fixed.items())
-        out = self._extendable.get(key)
-        if out is None:
-            out = self._extendable[key] = any(_matches(u, fixed) for u in self.admissible)
-        return out
-
-
-# the state cap and deadlock mode of the controlled build, and the key of
-# ``Program._controlled``
-_CONTROLLED_BUILD = (DEFAULT_STATE_CAP, "absorb")
+        return bool(self.agreeing(fixed).any())
 
 
 def _controlled(program: Program, query: SynthesisQuery) -> _Controlled:
     """The kept ``_Controlled`` of ``program``, or a new one, not yet kept.
-    A new one transforms the program and explores the controlled model,
-    checks that the query's labels exist, and only then explores the base
-    model for the well-defined valuations, so each error is the one the
-    route raised when it made all of these anew on every call."""
-    kept = program._controlled.get(_CONTROLLED_BUILD)
-    if kept is not None:
-        return kept
+    A new one transforms the program, explores the controlled model
+    (absorbing deadlocks, under the default state cap), checks that the
+    query's labels exist, explores the base model for the well-defined
+    valuations and builds the controlled model's arrays, in that order: the
+    first of these that fails gives the error."""
+    if program._controlled is not None:
+        return program._controlled
     transformed, report = transform_all(program)
     model = build_model(transformed, on_deadlock="absorb")
     model.label_states(query.target)
@@ -626,38 +637,42 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
     joint commitments extend to no well-defined valuation, keeping the best
     admissible pure outcome; finally certifies the lexicographically
     smallest valuation among ties so the result matches the enumeration
-    route's tie-break.  The nodes read only their solutions' supports; the
-    exact strategy is built for the reported solution alone.
+    route's tie-break.  The nodes read only their solutions' supports,
+    walked over positive branches; the exact strategy is built for the
+    reported solution alone.
 
-    No bound changes the controlled MDP, the fresh actions' commitments or
-    the well-defined valuations: they are made by the first call on
-    ``program`` that returns and kept on it (``Program._controlled``, see
-    ``_Controlled``), with the model's arrays and the ``extendable``
-    answers memoised since, and every later call re-reads them.  A call
-    that raises keeps nothing, so the next call raises the same error
-    again.  The LPs, the node cache and the certification are made per
-    call, and each node disables the fresh actions that commit a fixed
-    parameter to another value (``_Controlled.disabled``).
+    No bound changes the controlled MDP, its arrays and costs, its
+    commitment table or the well-defined valuations: they are made by the
+    first call on ``program`` that returns and kept on it
+    (``Program._controlled``, see ``_Controlled``), and every later call
+    re-reads them.  A call that raises keeps nothing, so the next call
+    raises the same error again.  The target and goal masks, the LPs, the
+    node cache and the certification are made per call; each node solves
+    the LP on the kept arrays with the choices that commit a fixed
+    parameter to another value switched off (``_Controlled.enabled``).
     """
     problem = _controlled(program, query)
     result = _branch_and_bound(problem, program, query)
-    program._controlled[_CONTROLLED_BUILD] = problem
+    object.__setattr__(program, "_controlled", problem)
     return result
 
 
 def _branch_and_bound(problem: _Controlled, program: Program,
                       query: SynthesisQuery) -> SynthesisResult:
     """``synthesize_transformed`` on the controlled problem of ``program``."""
-    model, report, admissible = problem.model, problem.report, problem.admissible
+    model, arr, table = problem.model, problem.arr, problem.table
     extendable = problem.extendable
-    tset = model.label_states(query.target)
-    gset = model.label_states(query.goal)
+    target = _target_set(model, query.target)
+    goal = _target_set(model, query.goal)
     lam = float(query.bound)
-    params = {p: list(vs) for p, vs in program.parameters.items()}
+    params = list(program.parameters.items())
 
-    cache: Dict[frozenset, Optional[tuple]] = {}
+    def fixing(fixed: tuple, j: int, k: int) -> tuple:
+        return fixed[:j] + (k,) + fixed[j + 1:]
 
-    def solve_fixed(fixed: dict) -> Optional[tuple]:
+    cache: Dict[tuple, Optional[tuple]] = {}
+
+    def solve_fixed(fixed: tuple) -> Optional[tuple]:
         """Best well-defined-valuation outcome under the partial fixing.
 
         Branches when the LP optimum mixes a parameter's values on its
@@ -668,45 +683,37 @@ def _branch_and_bound(problem: _Controlled, program: Program,
         extendable under the current fixing, so every leaf corresponds to a
         well-defined valuation.
         """
-        key = frozenset(fixed.items())
-        if key in cache:
-            return cache[key]
+        if fixed in cache:
+            return cache[fixed]
         try:
-            res = constrained_mdp_lp(model, tset, lam, gset,
-                                     disabled_actions=problem.disabled(fixed))
+            res = _occupation_lp(model, arr, problem.costs, target, goal, lam,
+                                 problem.enabled(fixed))
         except InfeasibleError:
-            cache[key] = None
+            cache[fixed] = None
             return None
-        commits = _support_commitments(model, report, res.support)
-        conflicted = [p for p in params if len(commits.get(p, ())) > 1]
-        branch_on = None
-        if conflicted:
-            branch_on = conflicted[0]
-        else:
-            joint = dict(fixed)
-            for p in params:
-                got = commits.get(p)
-                if got and p not in joint:
-                    joint[p] = next(iter(got))
-            if not extendable(joint):
-                branch_on = next(p for p in params if p in joint and p not in fixed)
-            else:
-                out = (res, commits, dict(fixed))
-                cache[key] = out
-                return out
+        commits = _support_commitments(arr, table, model.initial, res.support)
+        branch_on = next((j for j, got in enumerate(commits) if len(got) > 1), None)
+        if branch_on is None:
+            joint = tuple(got[0] if f < 0 and got else f
+                          for f, got in zip(fixed, commits))
+            if extendable(joint):
+                cache[fixed] = (res, commits)
+                return cache[fixed]
+            branch_on = next(j for j, f in enumerate(fixed) if joint[j] != f)
         best = None
-        for v in params[branch_on]:
-            if not extendable({**fixed, branch_on: v}):
+        for k in range(len(params[branch_on][1])):
+            if not extendable(fixing(fixed, branch_on, k)):
                 continue
-            sub = solve_fixed({**fixed, branch_on: v})
+            sub = solve_fixed(fixing(fixed, branch_on, k))
             if sub is None:
                 continue
             if best is None or sub[0].expected_cost < best[0].expected_cost - TIE_TOL:
                 best = sub
-        cache[key] = best
+        cache[fixed] = best
         return best
 
-    root = solve_fixed({})
+    fixed = (-1,) * len(params)
+    root = solve_fixed(fixed)
     if root is None:
         return SynthesisResult("transformed", False, None, None, math.inf, None)
     best_value = root[0].expected_cost
@@ -716,38 +723,38 @@ def _branch_and_bound(problem: _Controlled, program: Program,
     # some well-defined valuation.  If none does, the optimum rests on
     # commitments outside every well-defined valuation: a second pass takes
     # the earliest value that achieves it, and says so
-    occurring = [p for p in params if p in problem.committed]
     flags = []
-    fixed: dict = {}
     final = root
-    for p in occurring:
+    for j in problem.occurring:
         chosen = None
         for well_defined in (True, False):
-            for v in params[p]:
-                if well_defined and not extendable({**fixed, p: v}):
+            for k in range(len(params[j][1])):
+                if well_defined and not extendable(fixing(fixed, j, k)):
                     continue
-                sub = solve_fixed({**fixed, p: v})
+                sub = solve_fixed(fixing(fixed, j, k))
                 if sub is not None and sub[0].expected_cost <= best_value + TIE_TOL:
-                    chosen = (v, sub)
+                    chosen = (k, sub)
                     break
             if chosen is not None:
                 break
         if chosen is None:
             raise SynthesisError("lexicographic certification lost the optimum")
         if not well_defined:
-            flags.append(f"parameter '{p}' fixed outside the well-defined set")
-        fixed[p] = chosen[0]
+            flags.append(f"parameter '{params[j][0]}' fixed outside the well-defined set")
+        fixed = fixing(fixed, j, chosen[0])
         final = chosen[1]
 
-    res, commits, _ = final
-    valuation = next((dict(u) for u in admissible if _matches(u, fixed)), None)
-    if valuation is None:
-        valuation = dict(fixed)
-        for p in params:
-            valuation.setdefault(p, params[p][0])
-    for p in occurring:
-        if not commits.get(p, set()):
-            flags.append(f"parameter '{p}' never committed on the support")
+    res, commits = final
+    matching = np.flatnonzero(problem.agreeing(fixed))
+    if len(matching):
+        valuation = dict(problem.admissible[matching[0]])
+    else:
+        valuation = {p: vs[k] for (p, vs), k in zip(params, fixed) if k >= 0}
+        for p, vs in params:
+            valuation.setdefault(p, vs[0])
+    for j in problem.occurring:
+        if not commits[j]:
+            flags.append(f"parameter '{params[j][0]}' never committed on the support")
     return SynthesisResult(
         "transformed",
         True,

@@ -2280,6 +2280,27 @@ def seed_constrained_mdp_lp(
     return SeedConstrainedSolution(Strategy(choice_probs), ec, pr)
 
 
+def masked_actions(model: ExplicitModel, enabled: np.ndarray) -> frozenset:
+    """The actions of the choices a mask over ``model``'s choices switches
+    off.  Such a mask is a set of disabled actions only if it switches off
+    every choice of those actions, which is asserted."""
+    actions = [ch.action for row in model.choices for ch in row]
+    disabled = frozenset(a for a, on in zip(actions, enabled.tolist()) if not on)
+    assert all(a not in disabled for a, on in zip(actions, enabled.tolist()) if on)
+    return disabled
+
+
+def seed_occupation_lp(model: ExplicitModel, arr, costs, target: np.ndarray,
+                       goal: np.ndarray, lam: float, enabled: np.ndarray):
+    """``synthesis._occupation_lp`` as branch-and-bound calls it, answered
+    by the former LP: the mask becomes the disabled actions and the masks
+    of states become sets; the arrays and costs are read off the model."""
+    return seed_constrained_mdp_lp(
+        model, set(np.flatnonzero(target).tolist()), lam, set(np.flatnonzero(goal).tolist()),
+        disabled_actions=masked_actions(model, enabled),
+    )
+
+
 def seed_well_defined_instances(model: ExplicitModel) -> Iterator[Tuple[Valuation, ExplicitModel]]:
     """Every well-defined valuation with its instance, in ``all_valuations``
     order.  A parameter-free model yields itself under the empty valuation."""
@@ -3235,8 +3256,9 @@ def former_integral_costs(model: ExplicitModel, width: int) -> Tuple[list, np.nd
 
 # ``synthesis.synthesize_transformed`` asked whether a partial fixing
 # extends to a well-defined valuation by scanning all of them, on every
-# node; the route now memoises the answer per fixing.  The two closures
-# over ``admissible``, verbatim, with ``admissible`` passed in.
+# node; the kept problem now compares the fixing with an index matrix of
+# them.  The two closures over ``admissible``, verbatim, with
+# ``admissible`` passed in.
 
 def matches(u: dict, fixed: dict) -> bool:
     return all(u.get(p) == v for p, v in fixed.items())
@@ -3247,9 +3269,9 @@ def extendable(admissible: list, fixed: dict) -> bool:
 
 
 # ``synthesis.synthesize_transformed`` built each branch-and-bound node's
-# disabled set by scanning every fresh action; the kept problem now indexes
-# the fresh actions by the parameter and value they commit.  The scan,
-# verbatim, with the fresh actions passed in.
+# disabled set by scanning every fresh action; each node's choice mask is
+# now read off the kept problem's commitment table.  The scan, verbatim,
+# with the fresh actions passed in.
 
 def disabled_actions(fresh_actions: dict, fixed: dict) -> frozenset:
     return frozenset(
@@ -3257,6 +3279,35 @@ def disabled_actions(fresh_actions: dict, fixed: dict) -> frozenset:
         for a, commits in fresh_actions.items()
         if any(fixed.get(p, v) != v for p, v in commits)
     )
+
+
+# ``synthesis._support_commitments`` walked the ``Choice`` objects of the
+# support and followed every branch, zero-probability ones included; it
+# now reads the commitment table along the arrays' positive branches.  The
+# former walk, verbatim apart from its name.
+
+def former_support_commitments(
+    model: ExplicitModel, report: TransformReport, support
+) -> Dict[str, set]:
+    """Parameter commitments along the reachable support of a strategy:
+    ``support[s]`` iterates over the choice indices the strategy takes at
+    state ``s`` with positive weight (as ``ConstrainedSolution.support``
+    and a normalized ``Strategy.choice_probs`` entry do)."""
+    commits: Dict[str, set] = {}
+    seen = {model.initial}
+    stack = [model.initial]
+    while stack:
+        s = stack.pop()
+        for ci in support[s]:
+            ch = model.choices[s][ci]
+            if ch.action in report.fresh_actions:
+                for p, v in report.fresh_actions[ch.action]:
+                    commits.setdefault(p, set()).add(v)
+            for _, t in ch.branches:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return commits
 
 
 # ---------------------------------------------------------------------------

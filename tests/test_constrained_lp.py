@@ -118,22 +118,27 @@ def test_branch_and_bound_nodes_share_one_set_of_arrays(monkeypatch, two_stage):
             built.append(args)
             super().__init__(*args, **kwargs)
 
-    def counted_lp(*args, **kwargs):
-        lps.append(kwargs["disabled_actions"])
-        return constrained_mdp_lp(*args, **kwargs)
+    def counted_lp(model, arr, *args):
+        enabled = args[-1]
+        lps.append((oracles.masked_actions(model, enabled), arr))
+        return occupation_lp(model, arr, *args)
 
+    occupation_lp = synthesis._occupation_lp
     monkeypatch.setattr(checking, "_Arrays", Counted)
-    monkeypatch.setattr(synthesis, "constrained_mdp_lp", counted_lp)
+    monkeypatch.setattr(synthesis, "_occupation_lp", counted_lp)
     # a copy: the session's two_stage may have kept its controlled model already
     program = replace(two_stage)
     query = SynthesisQuery("s2", F("0.2"), "absorb")
     res = synthesize_transformed(program, query)
     assert res.feasible
-    assert len(set(lps)) > 1 and len(built) == 1
+    assert len({disabled for disabled, _ in lps}) > 1 and len(built) == 1
+    arrays = program._controlled.model._arrays
+    assert all(arr is arrays for _, arr in lps)
     # a second call reads the kept model's arrays and builds none
     del lps[:]
     assert synthesize_transformed(program, query).feasible
-    assert len(set(lps)) > 1 and len(built) == 1
+    assert len({disabled for disabled, _ in lps}) > 1 and len(built) == 1
+    assert all(arr is arrays for _, arr in lps)
 
 
 def test_a_state_out_of_range_raises_as_in_reach_prob():

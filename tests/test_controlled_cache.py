@@ -1,12 +1,11 @@
 """The transformed route keeps what no bound changes on the base program:
 ``synthesize_transformed`` transforms the program and explores the
-controlled MDP once, and keeps that model, the fresh actions'
-commitments, the well-defined valuations, the disabled-action table and
-its memoised ``extendable`` answers in ``Program._controlled``.  A sweep of
-bounds on one program must give what each bound gives on a freshly parsed
-program; the kept model must be the model a fresh build gives, field for
-field; every memoised ``extendable`` answer must be the full scan's; and a
-call that raises keeps nothing."""
+controlled MDP once, and keeps that model with its arrays, its commitment
+table and the well-defined valuations in ``Program._controlled``.  A sweep
+of bounds on one program must give what each bound gives on a freshly
+parsed program; the kept model must be the model a fresh build gives,
+field for field; the kept index matrix must spell the kept valuations; and
+a call that raises keeps nothing."""
 
 import importlib.util
 import json
@@ -108,7 +107,7 @@ def test_three_bounds_on_one_program_transform_and_explore_once(monkeypatch):
     assert explored.count("absorb") == 1 and explored == ["absorb", "error"]
     assert [r.feasible for r in results] == [True, True, False, False, True, True]
     assert results[0].to_json_dict() == results[-1].to_json_dict()
-    assert list(program._controlled) == [(models.DEFAULT_STATE_CAP, "absorb")]
+    assert isinstance(program._controlled, synthesis._Controlled)
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +122,21 @@ def test_sweeps_on_one_program_equal_fresh_programs_and_the_kept_problem_a_fresh
         for text, target, goal in _corpus(part):
             program, got = _swept(text, target, goal)
             answers.update(got)
-            kept = program._controlled.get((models.DEFAULT_STATE_CAP, "absorb"))
+            kept = program._controlled
             if kept is None:
                 # no call returned, so nothing is kept
-                assert program._controlled == {} and all(a.startswith('["') for a in got[1::2])
+                assert all(a.startswith('["') for a in got[1::2])
                 continue
-            assert list(program._controlled) == [(models.DEFAULT_STATE_CAP, "absorb")]
-            # branch-and-bound has filled the kept model's arrays
-            assert kept.model._arrays is not None
+            # branch-and-bound reads the kept model's own arrays
+            assert kept.arr is kept.model._arrays is not None
             fresh = build_model(transform_all(replace(program))[0], on_deadlock="absorb")
             assert _fields(kept.model) == _fields(fresh)
             assert kept.model == fresh
-            for key, out in kept._extendable.items():
-                assert out == oracles.extendable(kept.admissible, dict(key))
+            params = program.parameters.items()
+            assert kept.valuations.shape == (len(kept.admissible), len(params))
+            for u, row in zip(kept.admissible, kept.valuations.tolist()):
+                assert u == {p: vs[k] for (p, vs), k in zip(params, row)}
+                assert kept.extendable(tuple(row)) and oracles.extendable(kept.admissible, u)
                 asked += 1
     # feasible and infeasible answers both occur
     assert any('"feasible": true' in a for a in answers)
@@ -227,7 +228,7 @@ def test_a_failing_call_keeps_nothing_and_fails_again(monkeypatch, source, targe
         with pytest.raises(error) as err:
             synthesize_transformed(program, query)
         outcomes.append((type(err.value), str(err.value)))
-        assert program._controlled == {}
+        assert program._controlled is None
     assert outcomes[0] == outcomes[1] and text in outcomes[0][1]
     with pytest.raises(error) as err:
         synthesize_transformed(parse_program(source), query)
@@ -237,8 +238,8 @@ def test_a_failing_call_keeps_nothing_and_fails_again(monkeypatch, source, targe
 def test_a_failing_bound_keeps_what_an_earlier_call_kept(two_stage):
     program = replace(two_stage)
     synthesize_transformed(program, SynthesisQuery("s2", F(1), "absorb"))
-    kept = dict(program._controlled)
+    kept = program._controlled
+    assert kept is not None
     with pytest.raises(models.ModelError):
         synthesize_transformed(program, SynthesisQuery("nope", F(1), "absorb"))
-    assert program._controlled == kept
-    assert next(iter(program._controlled.values())) is next(iter(kept.values()))
+    assert program._controlled is kept

@@ -67,9 +67,15 @@ def test_random_families_equal_the_former_route():
 
 def test_random_mdp_families_synthesise_as_the_former_routes(monkeypatch):
     """On the random MDP families, ``synthesize(method="both")`` gives
-    exactly what it gives with the former enumeration route and the former
-    LP patched in."""
-    feasible = 0
+    exactly what it gives with the former enumeration route patched in and
+    the former LP answering branch-and-bound's nodes."""
+    feasible = nodes = 0
+
+    def former_lp(*args):
+        nonlocal nodes
+        nodes += 1
+        return oracles.seed_occupation_lp(*args)
+
     for program, query in _random_families():
         if _is_chain_family(program):
             continue
@@ -77,10 +83,10 @@ def test_random_mdp_families_synthesise_as_the_former_routes(monkeypatch):
             got = _outcome(synthesis.synthesize, program, q)
             with monkeypatch.context() as former:
                 former.setattr(synthesis, "synthesize_enumerate", oracles.seed_synthesize_enumerate)
-                former.setattr(synthesis, "constrained_mdp_lp", oracles.seed_constrained_mdp_lp)
+                former.setattr(synthesis, "_occupation_lp", former_lp)
                 assert _outcome(synthesis.synthesize, program, q) == got
             feasible += not isinstance(got, tuple) and got[0].feasible
-    assert feasible > 20
+    assert feasible > 20 and nodes > 20
 
 
 def test_bundled_families_equal_the_former_route(two_stage, die):

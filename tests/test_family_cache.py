@@ -8,8 +8,9 @@ every call gives (``oracles.percall_synthesize_enumerate``); the kept
 stacks must hold the floats that route made, bit for bit; a family whose
 build raises keeps nothing and raises the same error again; and
 ``synthesize(method="both")`` reads each entry once.  Last,
-branch-and-bound's disabled sets, read off an index by parameter, must
-equal the former scan's."""
+branch-and-bound's choice masks, support walks and ``extendable``
+answers, read off the kept commitment table and index matrix, must equal
+the former scans'."""
 
 import importlib.util
 import json
@@ -344,28 +345,78 @@ def test_a_family_with_no_well_defined_valuation_is_kept_and_refused_again():
 
 
 # ---------------------------------------------------------------------------
-# branch-and-bound reads the disabled sets off an index by parameter
+# branch-and-bound reads each node off the commitment table
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+def _bundled_queries() -> list:
+    """The bundled models with their targets and goals, at two bounds."""
+    out = []
+    for name, target, goal in (("two_stage", "s2", "absorb"), ("die", "one", "rolled"),
+                               ("retry_channel", "gaveup", "stopped")):
+        text = (MODELS / f"{name}.mgcl").read_text(encoding="utf-8")
+        out += [(parse_program(text), SynthesisQuery(target, F(lam), goal))
+                for lam in ("0.2", "1")]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, "bundled"])
 def test_disabled_sets_equal_the_former_scan_on_every_node(monkeypatch, seed):
-    nodes = fixed_nodes = 0
-    inner = synthesis._Controlled.disabled
+    """On every branch-and-bound node, the choice mask is the complement of
+    the former scan's disabled actions, the support walk finds what the
+    former walk over ``Choice`` objects found (these controlled models
+    have no zero-probability branch), and ``extendable`` answers what the
+    full scan of the admissible valuations answers."""
+    nodes = fixed_nodes = walks = asked = 0
+    current = {}
+    init, enabled, extendable = (synthesis._Controlled.__init__, synthesis._Controlled.enabled,
+                                 synthesis._Controlled.extendable)
+    walk = synthesis._support_commitments
 
-    def checked(problem, fixed):
+    def kept(problem, program, model, report):
+        init(problem, program, model, report)
+        current.update(program=program, model=model, report=report)
+
+    def named(fixed) -> dict:
+        params = current["program"].parameters.items()
+        return {p: vs[k] for (p, vs), k in zip(params, fixed) if k >= 0}
+
+    def checked_enabled(problem, fixed):
         nonlocal nodes, fixed_nodes
-        got = inner(problem, fixed)
-        assert got == oracles.disabled_actions(problem.report.fresh_actions, fixed)
+        mask = enabled(problem, fixed)
+        disabled = oracles.disabled_actions(current["report"].fresh_actions, named(fixed))
+        actions = [ch.action for row in problem.model.choices for ch in row]
+        assert mask.tolist() == [a not in disabled for a in actions]
         nodes += 1
-        fixed_nodes += bool(fixed)
+        fixed_nodes += any(k >= 0 for k in fixed)
+        return mask
+
+    def checked_extendable(problem, fixed):
+        nonlocal asked
+        got = extendable(problem, fixed)
+        assert got == oracles.extendable(problem.admissible, named(fixed))
+        asked += 1
         return got
 
-    monkeypatch.setattr(synthesis._Controlled, "disabled", checked)
+    def checked_walk(arr, table, initial, support):
+        nonlocal walks
+        got = walk(arr, table, initial, support)
+        params = current["program"].parameters.items()
+        assert {p: {vs[k] for k in ks} for (p, vs), ks in zip(params, got) if ks} \
+            == oracles.former_support_commitments(current["model"], current["report"], support)
+        walks += 1
+        return got
+
+    monkeypatch.setattr(synthesis._Controlled, "__init__", kept)
+    monkeypatch.setattr(synthesis._Controlled, "enabled", checked_enabled)
+    monkeypatch.setattr(synthesis._Controlled, "extendable", checked_extendable)
+    monkeypatch.setattr(synthesis, "_support_commitments", checked_walk)
+    corpus = _bundled_queries() if seed == "bundled" else _gen().random_corpus(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for program, query in _gen().random_corpus(seed):
+        for program, query in corpus:
             try:
                 synthesize_transformed(program, query)
             except SynthesisError:
                 pass
-    assert fixed_nodes > 50 and nodes > fixed_nodes
+    assert nodes > fixed_nodes > (0 if seed == "bundled" else 50)
+    assert walks > 0 and asked > 0

@@ -13,7 +13,9 @@ from generators import random_mimdp_program
 from mimdp import models
 from mimdp.models import build_model, instantiate, well_defined_valuations
 from mimdp.parser import parse_file
+from mimdp.checking import _model_arrays
 from mimdp.synthesis import (
+    _commitment_table,
     _support_commitments,
     constrained_mdp_lp,
     synthesize_enumerate,
@@ -87,6 +89,7 @@ def test_strategies_of_random_mdp_families_equal_the_former_lp():
                 res = _same_strategy(instantiate(family, u), query.target, bound, query.goal)
                 solved += res is not None
         model, report = _controlled(program)
+        table = _commitment_table(model, report, program.parameters)
         for disabled in _node_disabled_sets(program, report):
             for bound in (query.bound, F(1)):
                 res = _same_strategy(model, query.target, bound, query.goal, disabled)
@@ -96,8 +99,11 @@ def test_strategies_of_random_mdp_families_equal_the_former_lp():
                 randomized += any(len(ci) > 1 for ci in res.support)
                 # the commitments branch-and-bound reads off the support are
                 # those of the built strategy
-                assert _support_commitments(model, report, res.support) == \
-                    _support_commitments(model, report, res.strategy.choice_probs)
+                walks = [
+                    _support_commitments(_model_arrays(model), table, model.initial, support)
+                    for support in (res.support, res.strategy.choice_probs)
+                ]
+                assert walks[0] == walks[1]
     assert solved > 100 and randomized > 0
 
 

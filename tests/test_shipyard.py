@@ -4,7 +4,7 @@ import pytest
 
 from mimdp import shipyard as sy
 from mimdp.checking import reach_prob
-from mimdp.models import build_model, well_defined_valuations
+from mimdp.models import build_model, instantiate, well_defined_valuations
 from mimdp.parser import parse_program
 from mimdp.program import check_program
 from mimdp.shipyard import EoSensor, SensorGrade, ShipyardConfig
@@ -266,6 +266,43 @@ def test_concrete_program_builds_a_chain():
     assert model.kind == "mc"
     vec, _ = reach_prob(model, "failure")
     assert 0 < vec.at_initial(model) < 1
+
+
+# rates other than the module defaults: a dollar per three seconds, 30 m/s
+# over the ground, 4 m/s in the climb
+RATES = dict(cost_per_second=F(1, 3), ground_speed=F(30), ascent_speed=F(4))
+
+
+def _response_cost(model, valuation=None) -> float:
+    """The state cost of the response phase (``boot=1 & ph=1``)."""
+    if valuation is not None:
+        model = instantiate(model, valuation)
+    boot, ph = model.var_names.index("boot"), model.var_names.index("ph")
+    s = next(s for s, v in enumerate(model.states) if v[boot] == 1 and v[ph] == 1)
+    return float(model.costs[s])
+
+
+@pytest.mark.parametrize("eo, dh", [(EoSensor.R480P, 0), (EoSensor.R720P, 30),
+                                    (EoSensor.R1080P, -60)])
+def test_generated_response_cost_follows_the_configured_rates(eo, dh):
+    cfg = ShipyardConfig(eo=eo, altitude_delta=dh, missions=1, **RATES)
+    want = sy.intruder_area_cost(sy.area_task("Bridge"), cfg)
+    assert want != sy.intruder_area_cost(sy.area_task("Bridge"), ShipyardConfig(eo=eo, altitude_delta=dh))
+    concrete = build_model(parse_program(sy.generate_program(cfg, parametric=False)))
+    assert abs(_response_cost(concrete) - want) < 1e-9
+    # the parametric model, at the same configuration, charges the same
+    parametric = build_model(parse_program(sy.generate_program(cfg, parametric=True)))
+    u = {"eo": F(sy._EO_ORDER.index(eo)), "dalt": F(dh), "grade": F(0), "fp": F("0.2")}
+    assert abs(_response_cost(parametric, u) - want) < 1e-9
+
+
+def test_the_generator_refuses_a_footprint_fit_it_does_not_carry():
+    cfg = ShipyardConfig(footprint_form="quadratic")
+    for parametric in (True, False):
+        with pytest.raises(ValueError, match="'quadratic'"):
+            sy.generate_program(cfg, parametric)
+    with pytest.raises(TypeError):
+        ShipyardConfig(detection_form="bogus")
 
 
 def test_failure_curve_is_nondecreasing():

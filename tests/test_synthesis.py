@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from mimdp import shipyard
+from mimdp import shipyard, synthesis
 from mimdp.checking import expected_cost, reach_prob
 from mimdp.models import (
+    ModelError,
     Strategy,
     WellDefinednessError,
     build_model,
@@ -17,6 +18,7 @@ from mimdp.models import (
 from mimdp.parser import parse_program
 from mimdp.synthesis import (
     InfeasibleError,
+    SynthesisError,
     SynthesisQuery,
     check_nilp_assignment,
     constrained_mdp_lp,
@@ -476,6 +478,87 @@ def test_recover_valuation_reads_the_first_commitment():
     valuation, flags = recover_valuation(model, report, Strategy.deterministic(picks))
     assert valuation == {"p": F("0.6")}
     assert flags == ()
+
+
+def test_recover_valuation_refuses_conflicting_commitments():
+    # both rows of p at the initial state, half and half: a mixture of two
+    # configurations, which no valuation realizes
+    src = """
+    param p in {0.4, 0.6};
+    module m
+      loc : [0..1] init 0;
+      [] loc=0 -> p:(loc'=1) + 1-p:(loc'=0);
+      [] loc=1 -> true;
+    endmodule
+    label "t" = loc=1;
+    label "g" = loc=1;
+    """
+    prog = parse_program(src)
+    transformed, report = transform_all(prog)
+    model = build_model(transformed, on_deadlock="absorb")
+    rows = model.choices[model.initial]
+    both = [ci for ci, ch in enumerate(rows) if ch.action in report.fresh_actions]
+    assert len(both) == 2
+    probs = [{0: 1}] * model.num_states
+    probs[model.initial] = {ci: F(1, 2) for ci in both}
+    with pytest.raises(SynthesisError, match=r"^conflicting commitments for parameter 'p': 0\.4, 0\.6$"):
+        recover_valuation(model, report, Strategy(probs))
+    # a choice index past the state's own choices names no choice
+    probs[model.initial] = {len(rows): 1}
+    with pytest.raises(ModelError, match="strategy does not fit"):
+        recover_valuation(model, report, Strategy(probs))
+
+
+# under p = 0 the branch into s=1 has probability zero: s=1, where q is
+# committed, is not reachable, so no strategy commits q
+ZERO_PROBABILITY_ROW = """
+param p in {0, 0.5};
+param q in {0.25, 0.75};
+module m
+  s : [0..3] init 0;
+  [] s=0 -> p:(s'=1) + (1-p):(s'=2);
+  [] s=1 -> q:(s'=3) + (1-q):(s'=2);
+  [] s>=2 -> true;
+endmodule
+rewards
+  s=0 : 1;
+endrewards
+label "t" = s=3;
+label "g" = s>=2;
+"""
+
+
+@pytest.mark.parametrize("lam", ["0", "0.1", "1"])
+def test_zero_probability_rows_commit_nothing(monkeypatch, lam):
+    lps = []
+    inner = synthesis.solve_lp
+
+    def counted(*args, **kwargs):
+        lps.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "solve_lp", counted)
+    query = SynthesisQuery("t", F(lam), "g", "transformed")
+    transformed = synthesize_transformed(parse_program(ZERO_PROBABILITY_ROW), query)
+    # the root LP, then one per parameter certified; the walk does not
+    # follow the zero-probability branch, so q conflicts nowhere
+    assert len(lps) == 3
+    assert transformed.flags == ("parameter 'q' never committed on the support",)
+    enumerated, both = synthesize(parse_program(ZERO_PROBABILITY_ROW),
+                                  SynthesisQuery("t", F(lam), "g", "both"))
+    assert both.to_json_dict() == transformed.to_json_dict()
+    assert enumerated.valuation == transformed.valuation == {"p": F(0), "q": F(1, 4)}
+    assert (enumerated.expected_cost, enumerated.reach_probability) == (1.0, 0.0)
+    assert (transformed.expected_cost, transformed.reach_probability) == (1.0, 0.0)
+
+
+def test_the_root_strategy_of_a_zero_probability_row_recovers_a_valuation():
+    controlled, report = transform_all(parse_program(ZERO_PROBABILITY_ROW))
+    model = build_model(controlled, on_deadlock="absorb")
+    res = constrained_mdp_lp(model, "t", F(1), "g")
+    valuation, flags = recover_valuation(model, report, res.strategy)
+    assert valuation == {"p": F(0), "q": F(1, 4)}
+    assert flags == ("parameter 'q' never committed on the support",)
 
 
 def test_synthesis_on_the_retry_channel(models_dir):
