@@ -2,15 +2,33 @@
 
 Desk-scale only (fixed caps of 1e4 variables, ``DEFAULT_VAR_CAP``, and of
 2.5e7 tableau entries, ``DEFAULT_TABLEAU_CAP``): the point is zero external
-solver dependencies and bit-reproducible pivoting, not speed.  Variables
-are nonnegative; constraints may be <=, = or >=.  A program is its dense
+solver dependencies and bit-reproducible pivoting.  Variables are
+nonnegative; constraints may be <=, = or >=.  A program is its dense
 constraint matrix with one sense and one right-hand side per row, the form
 ``scipy.optimize.linprog`` also takes; the matrix goes into the tableau in
-one assignment.  ``solve_lp(lp, *, secondary)`` solves it.
+one assignment.  Every entry must be finite.  ``solve_lp(lp, *, secondary)``
+solves it.
+
+A pivot takes one of two forms, chosen from the tableau's row count.  Below
+``_WIDE_ROWS`` rows it subtracts the outer product of the pivot column and
+the pivot row from the whole tableau, and Python loops scan for the entering
+column and the leaving row.  From ``_WIDE_ROWS`` rows on it updates only the
+rows whose pivot-column factor is nonzero, and numpy finds the entering
+column, the ratio test's candidate rows and the column that drives an
+artificial variable out; the tie rule of the ratio test still runs in order
+over the candidates.  Both forms make the same pivots and the same tableau
+bits, because outside the right-hand-side column the tableau never holds
+-0.0: its zeros start as +0.0, and ``x - f * p`` is -0.0 only where ``x``
+is.  Subtracting ``0.0 * p`` from a row of the whole-tableau form is then a
+no-op, except that it turns a -0.0 into +0.0 in the pivot row (which a
+negative pivot or an underflow can leave) and in a right-hand side where
+``p`` has its sign bit set; the row-subset form makes exactly those two
+rewrites.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -22,6 +40,10 @@ DEFAULT_VAR_CAP = 10_000
 # shipyard model's transformed route: 740 x 1839 entries with uniform
 # grades, 2954 x 7347 with per-sensor grades
 DEFAULT_TABLEAU_CAP = 25_000_000
+# the row count from which a pivot updates only the rows it changes and the
+# scans run in numpy: below it the whole-tableau update and the Python
+# scans make fewer numpy calls (measured on the LPs of random programs)
+_WIDE_ROWS = 32
 
 
 class LpError(ValueError):
@@ -60,6 +82,9 @@ class LinearProgram:
                           f"senses for {shape[0]} rows of {shape[1]} variables")
         if not set(self.senses) <= _FLIPPED.keys():
             raise LpError(f"bad constraint senses {self.senses!r}")
+        for name in ("objective", "constraints", "rhs"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise LpError(f"non-finite entries in the {name}")
 
     @property
     def num_vars(self) -> int:
@@ -87,6 +112,13 @@ def solve_lp(lp: LinearProgram, *, secondary: Optional[np.ndarray] = None) -> Lp
         )
     n = lp.num_vars
     m = len(lp.rhs)
+    if secondary is not None:
+        secondary = np.asarray(secondary, dtype=np.float64)
+        if secondary.shape != (n,):
+            raise LpError(f"a secondary objective of shape {secondary.shape} "
+                          f"for {n} variables")
+        if not np.isfinite(secondary).all():
+            raise LpError("non-finite entries in the secondary objective")
 
     # count auxiliary columns: slack for <=, surplus for >=, artificial for =/>=
     # rows are first normalized to nonnegative right-hand sides
@@ -188,6 +220,8 @@ def _price_out(tab: np.ndarray, basis: List[int], cost: np.ndarray) -> np.ndarra
 
 
 def _pivot_loop(tab: np.ndarray, basis: List[int], z: np.ndarray, allowed: np.ndarray) -> str:
+    if tab.shape[0] >= _WIDE_ROWS:
+        return _wide_pivot_loop(tab, basis, z, allowed)
     # the scans read Python lists of the rows and columns: one conversion
     # each instead of one numpy scalar per entry, with the same comparisons
     # and the same IEEE divisions
@@ -218,25 +252,75 @@ def _pivot_loop(tab: np.ndarray, basis: List[int], z: np.ndarray, allowed: np.nd
         basis[leave] = enter
 
 
+def _wide_pivot_loop(tab: np.ndarray, basis: List[int], z: np.ndarray,
+                     allowed: np.ndarray) -> str:
+    """``_pivot_loop`` with numpy scans: the first eligible column, and the
+    ratios of the rows with a positive entry in it, which the tie rule then
+    reads in row order as the Python scan does."""
+    reduced = z[:-1]  # _pivot updates z in place
+    rhs = tab[:, -1]
+    while True:
+        eligible = allowed & (reduced < -PIVOT_TOL)
+        enter = int(eligible.argmax())  # Bland: lowest eligible index
+        if not eligible[enter]:
+            return "optimal"
+        col = tab[:, enter]
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if not len(rows):
+            return "unbounded"
+        best_ratio = None
+        leave = -1
+        for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
+            if (
+                best_ratio is None
+                or ratio < best_ratio - PIVOT_TOL
+                or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leave])
+            ):
+                best_ratio = ratio
+                leave = i
+        _pivot(tab, z, leave, enter)
+        basis[leave] = enter
+
+
 def _pivot(tab: np.ndarray, z: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
     piv = tab[row]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, piv)
+    if tab.shape[0] < _WIDE_ROWS:
+        tab -= factors[:, None] * piv
+    else:
+        # the whole-tableau update on the rows with a nonzero factor, by
+        # the pivot row as it came out of the division; a row with a zero
+        # factor only loses a -0.0 (see the module docstring)
+        rows = factors.nonzero()[0]
+        tab[rows] -= factors[rows, None] * piv
+        if math.copysign(1.0, piv[-1]) < 0.0:
+            tab[factors == 0.0, -1] += 0.0
+        tab[row] += 0.0
     if z[col] != 0.0:
         z -= z[col] * piv
 
 
 def _drive_out_artificials(tab: np.ndarray, basis: List[int], art: set) -> None:
     m, ncols = tab.shape
+    wide = m >= _WIDE_ROWS
+    if wide:
+        others = np.ones(ncols - 1, dtype=bool)
+        others[list(art)] = False
     for i in range(m):
         if basis[i] in art:
             pivot_col = -1
-            for j, v in enumerate(tab[i, :-1].tolist()):
-                if j not in art and abs(v) > PIVOT_TOL:
+            if wide:
+                eligible = others & (np.abs(tab[i, :-1]) > PIVOT_TOL)
+                j = int(eligible.argmax())
+                if eligible[j]:
                     pivot_col = j
-                    break
+            else:
+                for j, v in enumerate(tab[i, :-1].tolist()):
+                    if j not in art and abs(v) > PIVOT_TOL:
+                        pivot_col = j
+                        break
             if pivot_col >= 0:
                 dummy = np.zeros(ncols)
                 _pivot(tab, dummy, i, pivot_col)

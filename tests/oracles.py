@@ -11,7 +11,8 @@ on Python sets of states (``set_backward`` and the others, over the
 per-state predecessor lists of ``PredecessorArrays``), the former
 cost-bounded product, instantiation and well-definedness filter,
 exploration, guard implication checks, integer-program emitter, LP
-solver, constrained LP (with its ``SeedConstrainedSolution``) and family
+solver, the simplex that updated the whole tableau at every pivot
+(``former_solve_lp``), constrained LP (with its ``SeedConstrainedSolution``) and family
 instances, enumeration route, memoised evaluator, reward selection and
 compiled expressions on ``Fraction`` values, kept as references for the differential tests of the code that
 replaced them.  Value iteration is kept three times: the one-configuration
@@ -80,7 +81,16 @@ from mimdp.expressions import (
     names_in,
     to_text,
 )
-from mimdp.lp import DEFAULT_VAR_CAP, PIVOT_TOL, LpError, LpSizeError, LpSolution
+from mimdp.lp import (
+    _FLIPPED,
+    DEFAULT_TABLEAU_CAP,
+    DEFAULT_VAR_CAP,
+    PIVOT_TOL,
+    LinearProgram,
+    LpError,
+    LpSizeError,
+    LpSolution,
+)
 from mimdp.models import (
     DEFAULT_STATE_CAP,
     Choice,
@@ -2010,6 +2020,186 @@ def _drive_out_artificials(tab: np.ndarray, basis: List[int], art: set) -> None:
             if pivot_col >= 0:
                 dummy = np.zeros(ncols)
                 _pivot(tab, dummy, i, pivot_col)
+                basis[i] = pivot_col
+            else:
+                # redundant row: basic artificial at level ~0, leave in place
+                tab[i, :] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the former simplex: every pivot subtracted the outer product of the pivot
+# column and the pivot row from the whole tableau, and Python loops scanned
+# for the entering column and the leaving row at every size.  Kept verbatim
+# apart from the names (the prefix ``former_``); ``tests/test_lp.py``
+# compares it with ``solve_lp`` bit for bit, pivot count included.
+
+def former_solve_lp(lp: LinearProgram, *, secondary: Optional[np.ndarray] = None) -> LpSolution:
+    """Solve the program; with ``secondary`` (one coefficient per variable),
+    lexicographically minimize the secondary objective over the
+    primary-optimal face (entering columns are restricted to zero reduced
+    cost in the primary, so the primary optimum is preserved exactly).  A
+    program of more than ``DEFAULT_VAR_CAP`` variables, or whose tableau
+    would have more than ``DEFAULT_TABLEAU_CAP`` entries, raises
+    ``LpSizeError`` before the tableau is allocated."""
+    if lp.num_vars > DEFAULT_VAR_CAP:
+        raise LpSizeError(
+            f"{lp.num_vars} variables exceed the desk-scale cap of {DEFAULT_VAR_CAP}"
+        )
+    n = lp.num_vars
+    m = len(lp.rhs)
+
+    # count auxiliary columns: slack for <=, surplus for >=, artificial for =/>=
+    # rows are first normalized to nonnegative right-hand sides
+    flip = lp.rhs < 0
+    scale = np.where(flip, -1.0, 1.0)
+    senses = [_FLIPPED[s] if f else s for s, f in zip(lp.senses, flip.tolist())]
+    rhs = scale * lp.rhs
+
+    n_slack = sum(1 for s in senses if s == "<=")
+    n_surplus = sum(1 for s in senses if s == ">=")
+    n_art = sum(1 for s in senses if s in ("=", ">="))
+    total = n + n_slack + n_surplus + n_art
+    if m * (total + 1) > DEFAULT_TABLEAU_CAP:
+        raise LpSizeError(
+            f"a tableau of {m} rows and {total + 1} columns exceeds the desk-scale "
+            f"cap of {DEFAULT_TABLEAU_CAP} entries"
+        )
+    tab = np.zeros((m, total + 1))
+    tab[:, :n] = lp.constraints
+    # 0.0 + scale * v per entry, in place: every zero is +0.0 (-v would
+    # make the zeros of a negated row -0.0)
+    tab[:, :n] *= scale[:, None]
+    tab[:, :n] += 0.0
+    tab[:, -1] = rhs
+
+    basis = [-1] * m
+    art_cols = []
+    col = n
+    for i, s in enumerate(senses):
+        if s == "<=":
+            tab[i, col] = 1.0
+            basis[i] = col
+            col += 1
+    for i, s in enumerate(senses):
+        if s == ">=":
+            tab[i, col] = -1.0
+            col += 1
+    for i, s in enumerate(senses):
+        if s in ("=", ">="):
+            tab[i, col] = 1.0
+            basis[i] = col
+            art_cols.append(col)
+            col += 1
+    assert col == total
+
+    allowed = np.ones(total, dtype=bool)
+
+    # phase 1: minimize the sum of artificials
+    if art_cols:
+        cost1 = np.zeros(total)
+        cost1[art_cols] = 1.0
+        z = former_price_out(tab, basis, cost1)
+        status = former_pivot_loop(tab, basis, z, allowed)
+        if status != "optimal":  # phase-1 objective is bounded below by 0
+            return LpSolution("infeasible", None, None)
+        if z[-1] < -PIVOT_TOL * max(1.0, float(np.max(np.abs(rhs))) ):
+            # z holds the negated objective value in its last entry
+            return LpSolution("infeasible", None, None)
+        former_drive_out_artificials(tab, basis, set(art_cols))
+        allowed[art_cols] = False
+
+    cost2 = np.zeros(total)
+    cost2[:n] = lp.objective
+    z = former_price_out(tab, basis, cost2)
+    status = former_pivot_loop(tab, basis, z, allowed)
+    if status == "unbounded":
+        return LpSolution("unbounded", None, None)
+
+    if secondary is not None:
+        # restrict to the optimal face of the primary objective
+        tol = PIVOT_TOL * max(1.0, float(np.max(np.abs(cost2), initial=0.0)))
+        face = allowed & (np.abs(z[:-1]) <= tol)
+        for b in basis:
+            if 0 <= b < total:
+                face[b] = allowed[b]
+        cost3 = np.zeros(total)
+        cost3[:n] = secondary
+        z3 = former_price_out(tab, basis, cost3)
+        former_pivot_loop(tab, basis, z3, face)  # unbounded face: keep current point
+
+    x = np.zeros(n)
+    for i, b in enumerate(basis):
+        if 0 <= b < n:
+            x[b] = tab[i, -1]
+    used = np.flatnonzero(lp.objective)  # summed in index order, as a float
+    objective = float(sum(lp.objective[used] * x[used]))
+    return LpSolution("optimal", x, objective)
+
+
+def former_price_out(tab: np.ndarray, basis: List[int], cost: np.ndarray) -> np.ndarray:
+    """Objective row [reduced costs | -objective] for the current basis."""
+    z = np.zeros(tab.shape[1])
+    z[:-1] = cost
+    for i, b in enumerate(basis):
+        cb = cost[b]
+        if cb != 0.0:
+            z -= cb * tab[i]
+    return z
+
+
+def former_pivot_loop(tab: np.ndarray, basis: List[int], z: np.ndarray, allowed: np.ndarray) -> str:
+    # the scans read Python lists of the rows and columns: one conversion
+    # each instead of one numpy scalar per entry, with the same comparisons
+    # and the same IEEE divisions
+    allowed = allowed.tolist()
+    while True:
+        enter = -1
+        for j, (ok, r) in enumerate(zip(allowed, z[:-1].tolist())):
+            if ok and r < -PIVOT_TOL:
+                enter = j  # Bland: lowest eligible index
+                break
+        if enter < 0:
+            return "optimal"
+        best_ratio = None
+        leave = -1
+        for i, (a, b) in enumerate(zip(tab[:, enter].tolist(), tab[:, -1].tolist())):
+            if a > PIVOT_TOL:
+                ratio = b / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio - PIVOT_TOL
+                    or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        former_pivot(tab, z, leave, enter)
+        basis[leave] = enter
+
+
+def former_pivot(tab: np.ndarray, z: np.ndarray, row: int, col: int) -> None:
+    tab[row] /= tab[row, col]
+    piv = tab[row]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, piv)
+    if z[col] != 0.0:
+        z -= z[col] * piv
+
+
+def former_drive_out_artificials(tab: np.ndarray, basis: List[int], art: set) -> None:
+    m, ncols = tab.shape
+    for i in range(m):
+        if basis[i] in art:
+            pivot_col = -1
+            for j, v in enumerate(tab[i, :-1].tolist()):
+                if j not in art and abs(v) > PIVOT_TOL:
+                    pivot_col = j
+                    break
+            if pivot_col >= 0:
+                dummy = np.zeros(ncols)
+                former_pivot(tab, dummy, i, pivot_col)
                 basis[i] = pivot_col
             else:
                 # redundant row: basic artificial at level ~0, leave in place
