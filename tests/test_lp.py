@@ -250,11 +250,12 @@ class _Pivots:
         monkeypatch.setattr(module, name, spy)
 
     def solve(self, solver, lp, secondary):
+        """The solution, and its bits with the pivot count and digest."""
         before = self.count
         self.digest = hashlib.sha256()
         sol = solver(lp, secondary=secondary)
-        return (sol.status, _bits(sol.x), _bits(sol.objective), self.count - before,
-                self.digest.hexdigest())
+        return sol, (sol.status, _bits(sol.x), _bits(sol.objective), self.count - before,
+                     self.digest.hexdigest())
 
 
 def _differential(monkeypatch):
@@ -266,10 +267,10 @@ def _differential(monkeypatch):
     former = _Pivots(monkeypatch, oracles, "former_pivot")
 
     def solve(lp, *, secondary=None):
-        got = new.solve(solve_lp, lp, secondary)
-        want = former.solve(oracles.former_solve_lp, lp, secondary)
+        sol, got = new.solve(solve_lp, lp, secondary)
+        _, want = former.solve(oracles.former_solve_lp, lp, secondary)
         assert got == want, (lp.constraints.shape, got[0], want[0], got[3], want[3])
-        return solve_lp(lp, secondary=secondary)
+        return sol
 
     return solve, new
 
