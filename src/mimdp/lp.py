@@ -14,16 +14,20 @@ A pivot takes one of two forms, chosen from the tableau's row count.  Below
 the pivot row from the whole tableau, and Python loops scan for the entering
 column and the leaving row.  From ``_WIDE_ROWS`` rows on it updates only the
 rows whose pivot-column factor is nonzero, and numpy finds the entering
-column, the ratio test's candidate rows and the column that drives an
-artificial variable out; the tie rule of the ratio test still runs in order
-over the candidates.  Both forms make the same pivots and the same tableau
-bits, because outside the right-hand-side column the tableau never holds
--0.0: its zeros start as +0.0, and ``x - f * p`` is -0.0 only where ``x``
-is.  Subtracting ``0.0 * p`` from a row of the whole-tableau form is then a
+column and the ratio test's candidate rows; the tie rule of the ratio test
+still runs in order over the candidates.  Numpy finds the column that
+drives an artificial variable out at every size.  As long as no entry
+overflows, both forms make the same pivots and the same tableau bits,
+because outside the right-hand-side column the tableau never holds -0.0:
+its zeros start as +0.0, and ``x - f * p`` is -0.0 only where ``x`` is.
+Subtracting ``0.0 * p`` from a row of the whole-tableau form is then a
 no-op, except that it turns a -0.0 into +0.0 in the pivot row (which a
 negative pivot or an underflow can leave) and in a right-hand side where
 ``p`` has its sign bit set; the row-subset form makes exactly those two
-rewrites.
+rewrites.  Finite input does not rule out an overflow: dividing a pivot row
+of [[1e-8, 1e305], [0, 1]] by 1e-8 makes an infinity, and ``0.0 * inf``
+then writes NaN into the rows the whole-tableau form updates with a zero
+factor, which the row-subset form leaves alone.
 """
 
 from __future__ import annotations
@@ -41,8 +45,10 @@ DEFAULT_VAR_CAP = 10_000
 # grades, 2954 x 7347 with per-sensor grades
 DEFAULT_TABLEAU_CAP = 25_000_000
 # the row count from which a pivot updates only the rows it changes and the
-# scans run in numpy: below it the whole-tableau update and the Python
-# scans make fewer numpy calls (measured on the LPs of random programs)
+# pivot loop scans in numpy: on the LPs of random programs the two wide
+# forms together take more time than the whole-tableau update and the
+# Python scans below 32 rows and less from 32 rows on (per-size
+# measurements in BENCH_25.json)
 _WIDE_ROWS = 32
 
 
@@ -288,7 +294,7 @@ def _pivot(tab: np.ndarray, z: np.ndarray, row: int, col: int) -> None:
     factors = tab[:, col].copy()
     factors[row] = 0.0
     if tab.shape[0] < _WIDE_ROWS:
-        tab -= factors[:, None] * piv
+        tab -= np.outer(factors, piv)
     else:
         # the whole-tableau update on the rows with a nonzero factor, by
         # the pivot row as it came out of the division; a row with a zero
@@ -304,24 +310,13 @@ def _pivot(tab: np.ndarray, z: np.ndarray, row: int, col: int) -> None:
 
 def _drive_out_artificials(tab: np.ndarray, basis: List[int], art: set) -> None:
     m, ncols = tab.shape
-    wide = m >= _WIDE_ROWS
-    if wide:
-        others = np.ones(ncols - 1, dtype=bool)
-        others[list(art)] = False
+    others = np.ones(ncols - 1, dtype=bool)
+    others[list(art)] = False
     for i in range(m):
         if basis[i] in art:
-            pivot_col = -1
-            if wide:
-                eligible = others & (np.abs(tab[i, :-1]) > PIVOT_TOL)
-                j = int(eligible.argmax())
-                if eligible[j]:
-                    pivot_col = j
-            else:
-                for j, v in enumerate(tab[i, :-1].tolist()):
-                    if j not in art and abs(v) > PIVOT_TOL:
-                        pivot_col = j
-                        break
-            if pivot_col >= 0:
+            eligible = others & (np.abs(tab[i, :-1]) > PIVOT_TOL)
+            pivot_col = int(eligible.argmax())  # the first eligible column
+            if eligible[pivot_col]:
                 dummy = np.zeros(ncols)
                 _pivot(tab, dummy, i, pivot_col)
                 basis[i] = pivot_col
