@@ -146,6 +146,9 @@ class Strategy:
             items = [(a, Fraction(w)) for a, w in dist.items() if w > 0]
             if not items:
                 raise ModelError(f"strategy assigns no action at state {s}")
+            if len(items) == 1:  # w / w is exactly one
+                normalized.append({items[0][0]: Fraction(1)})
+                continue
             total = sum(w for _, w in items)
             normalized.append({a: w / total for a, w in items})
         self.choice_probs = normalized

@@ -59,6 +59,7 @@ from .expressions import Expr, format_fraction
 from .lp import LinearProgram, solve_lp
 from .models import (
     ExplicitModel,
+    LazySequence,
     ModelError,
     Strategy,
     build_model,
@@ -112,6 +113,26 @@ class TableEntry:
     feasible: bool
 
 
+class _Table(LazySequence):
+    """Enumeration's read-only table: per configuration, in the family's
+    order, its kept valuation, cost, probability and feasibility, as arrays.
+    An entry, with a copy of its valuation, is made each time one is read."""
+
+    def __init__(self, valuations: list, ecs: np.ndarray, prs: np.ndarray, feasible: np.ndarray):
+        self._length = len(valuations)
+        self.valuations, self.ecs, self.prs, self.feasible = valuations, ecs, prs, feasible
+
+    def _item(self, i: int) -> TableEntry:
+        return TableEntry(dict(self.valuations[i]), float(self.ecs[i]), float(self.prs[i]),
+                          bool(self.feasible[i]))
+
+    def __iter__(self):
+        return map(TableEntry, map(dict, self.valuations), *self.columns()[1:])
+
+    def columns(self) -> tuple:
+        return self.valuations, self.ecs.tolist(), self.prs.tolist(), self.feasible.tolist()
+
+
 @dataclass
 class SynthesisResult:
     method: str
@@ -120,7 +141,7 @@ class SynthesisResult:
     strategy: Optional[Strategy]
     expected_cost: float
     reach_probability: Optional[float]
-    table: List[TableEntry] = field(default_factory=list)
+    table: Sequence[TableEntry] = field(default_factory=list)
     flags: tuple = ()
 
     def to_json_dict(self) -> dict:
@@ -140,15 +161,10 @@ class SynthesisResult:
                 {str(a): float(w) for a, w in dist.items()}
                 for dist in self.strategy.choice_probs
             ]
-        out["table"] = [
-            {
-                "valuation": val_dict(e.valuation),
-                "ec": e.expected_cost if math.isfinite(e.expected_cost) else None,
-                "pr": e.reach_probability,
-                "feasible": e.feasible,
-            }
-            for e in self.table
-        ]
+        rows = zip(*self.table.columns()) if isinstance(self.table, _Table) else (
+            (e.valuation, e.expected_cost, e.reach_probability, e.feasible) for e in self.table)
+        out["table"] = [{"valuation": val_dict(u), "ec": ec if math.isfinite(ec) else None,
+                         "pr": pr, "feasible": feasible} for u, ec, pr, feasible in rows]
         return out
 
 
@@ -251,13 +267,15 @@ def constrained_mdp_lp(
 
 
 def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, target: np.ndarray,
-                   goal: np.ndarray, lam: float, enabled: np.ndarray) -> ConstrainedSolution:
+                   goal: np.ndarray, lam: float, enabled: np.ndarray,
+                   check: bool = True) -> ConstrainedSolution:
     """``constrained_mdp_lp`` on the arrays ``arr`` of a configuration of
     ``model`` (which gives the states, initial state and deadlocks), its
     state costs as floats and the mask of enabled choices; ``target`` and
     ``goal`` are masks over the model's states.  The LP is one dense matrix, a
     column per variable: a conservation row per transient state, then the
-    bound row.
+    bound row.  With ``check`` false the caller has made the improper-model
+    check on the same graph, targets, goals and mask already.
 
     The solution keeps the LP's flows, from which it reads its support;
     the exact ``Strategy`` is built only if the solution's ``strategy`` is
@@ -271,7 +289,7 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, target: np.ndarray
     closed |= (np.bincount(owner[~loop], minlength=n) == 0) & ~dead  # sinks
     terminal = closed | dead
 
-    unsure = np.flatnonzero(~_prob1_min(arr, terminal, enabled=enabled))
+    unsure = np.flatnonzero(~_prob1_min(arr, terminal, enabled=enabled)) if check else ()
     if len(unsure):
         raise ImproperModelError(
             "absorption is not almost-sure under every strategy "
@@ -375,46 +393,59 @@ def _chain_block(model: ExplicitModel) -> int:
 
 
 def _evaluate(model: ExplicitModel, family: _Family, chains: bool, target: np.ndarray,
-              goal: np.ndarray, lam: float) -> Tuple[List[TableEntry], Optional[list]]:
+              goal: np.ndarray, lam: float) -> Tuple[_Table, Optional[list]]:
     """The table of ``family`` under the query, and on an MDP family the LP
     solution per configuration (None where no strategy meets the bound).
     A chain family's stacks are solved by ``checking.solve_stacks``, at
     most ``_chain_block`` configurations at a time; an MDP family's LPs
-    run configuration by configuration, in the family's order.  Each entry
-    gets a copy of its kept valuation, which the caller may change."""
+    run configuration by configuration, in the family's order."""
     if chains:
         prs, ecs = solve_stacks(model, family.stacks, target, goal, _chain_block(model))
-        table = [
-            TableEntry(dict(u), ec, pr, pr <= lam + FEASIBILITY_TOL and math.isfinite(ec))
-            for u, pr, ec in zip(family.valuations, prs.tolist(), ecs.tolist())
-        ]
-        return table, None
+        feasible = (prs <= lam + FEASIBILITY_TOL) & np.isfinite(ecs)
+        return _Table(family.valuations, ecs, prs, feasible), None
     where = {}  # configuration -> (its stack, its row there)
     for stack in family.stacks:
         for row, i in enumerate(stack.members.tolist()):
             where[i] = (stack, row)
-    outcomes = [
-        _evaluate_mdp(model, dict(u), *where[i], target, goal, lam)
-        for i, u in enumerate(family.valuations)
-    ]
-    return [entry for entry, _ in outcomes], [res for _, res in outcomes]
+    outcomes = [_evaluate_mdp(model, *where[i], target, goal, lam)
+                for i in range(len(family.valuations))]
+    ecs, prs, solutions = zip(*outcomes) if outcomes else ((), (), ())
+    feasible = [res is not None for res in solutions]
+    return _Table(family.valuations, *map(np.array, (ecs, prs, feasible))), list(solutions)
 
 
-def _evaluate_mdp(model: ExplicitModel, u: dict, stack, row: int,
-                  target: np.ndarray, goal: np.ndarray, lam: float):
+def _evaluate_mdp(model: ExplicitModel, stack, row: int, target: np.ndarray, goal: np.ndarray,
+                  lam: float):
     """One configuration of an MDP family, row ``row`` of its support
-    group's ``stack``: its table entry and the solution of the LP on the
-    group's arrays with that row's probabilities and costs, or, where no
-    strategy meets the bound, its minimal probability of reaching the
-    targets and None."""
+    group's ``stack``: its cost, its probability of reaching the targets and
+    the LP's solution on the group's arrays with that row, or, where no
+    strategy meets the bound, inf, its minimal probability and None.  The
+    rows of a stack share one graph, so only the first, the first in the
+    family's order, checks that absorption is almost-sure."""
     arr = stack.arr.rows(row)
     try:
         res = _occupation_lp(model, arr, stack.cost[row], target, goal, lam,
-                             np.ones(arr.num_choices, dtype=bool))
+                             np.ones(arr.num_choices, dtype=bool), check=row == 0)
     except InfeasibleError:
         x = _reach(arr, target, "min", False, 1, DEFAULT_TOL)[0]
-        return TableEntry(u, math.inf, float(x[0, model.initial]), False), None
-    return TableEntry(u, res.expected_cost, res.reach_probability, True), res
+        return math.inf, float(x[0, model.initial]), None
+    return res.expected_cost, res.reach_probability, res
+
+
+def _best(ecs: np.ndarray, feasible: np.ndarray) -> Optional[int]:
+    """The row the sequential rule picks: the first feasible row, replaced
+    only by a later feasible one cheaper than the pick by more than
+    ``TIE_TOL``, or None.  Each replacement is a strict new prefix minimum
+    of the feasible costs, so only those rows are walked."""
+    rows = np.flatnonzero(feasible)
+    costs = ecs[rows]
+    lower = np.ones(len(rows), dtype=bool)
+    lower[1:] = costs[1:] < np.minimum.accumulate(costs)[:-1]
+    best = None
+    for i, ec in zip(rows[lower].tolist(), costs[lower].tolist()):
+        if best is None or ec < best_ec - TIE_TOL:
+            best, best_ec = i, ec
+    return best
 
 
 def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisResult:
@@ -431,12 +462,13 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
     no entry; the model's compiled entries are dropped once the family is
     kept (``_kept_family``).  A build that raises keeps nothing, so the
     next call raises the same error again; the query's labels are looked
-    up before it.  Per
-    call, a family of chains is solved one stack per support group
-    (``checking.solve_stacks``), and every configuration's strategy is the
-    chain's one choice per state.  An MDP family solves the constrained LP
-    once per configuration, on its group's arrays with its own row, and
-    builds the exact strategy of the reported configuration only.
+    up before it.  Per call, a family of chains is solved one stack per
+    support group (``checking.solve_stacks``), and every configuration's
+    strategy is the chain's one choice per state.  An MDP family solves the
+    constrained LP once per configuration, on its group's arrays with its
+    own row, and builds the exact strategy of the reported configuration
+    only.  The table keeps the results as arrays (``_Table``) and makes an
+    entry when it is read; the reported valuation is a copy.
     """
     model = build_model(program)
     target = _target_set(model, query.target)
@@ -449,12 +481,7 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
     if not table:
         raise SynthesisError("no well-defined valuation exists")
 
-    best = None
-    for i, entry in enumerate(table):
-        if not entry.feasible:
-            continue
-        if best is None or entry.expected_cost < table[best].expected_cost - TIE_TOL:
-            best = i
+    best = _best(table.ecs, table.feasible)
     if best is None:
         return SynthesisResult(
             "enumerate", False, None, None, math.inf, None, table

@@ -31,7 +31,11 @@ valuation on each branch-and-bound node (``extendable``), its scan of
 every fresh action for a node's disabled set (``disabled_actions``), and
 the enumeration route that read and stacked the family on every call
 (``percall_synthesize_enumerate`` with ``percall_chain_family``,
-``percall_evaluate_chains`` and ``percall_evaluate_mdp``).
+``percall_evaluate_chains`` and ``percall_evaluate_mdp``).  After it, the
+enumeration route that made every table entry on each query
+(``eager_synthesize_enumerate`` with ``eager_evaluate``,
+``eager_evaluate_mdp`` and ``eager_best``) and the strategy normalisation
+that divided at every state (``eager_strategy_choice_probs``).
 """
 
 from __future__ import annotations
@@ -3614,3 +3618,103 @@ def percall_synthesize_enumerate(program: Program, query: SynthesisQuery) -> Syn
         entry.reach_probability,
         table,
     )
+
+
+# ---------------------------------------------------------------------------
+# the eager enumeration table and the rational strategy normalisation
+#
+# ``synthesis.synthesize_enumerate`` made one ``TableEntry``, with a copy of
+# its valuation, per configuration on every query and walked them for the
+# best pick, and ran the improper-model check in every configuration's LP;
+# it now keeps each query's results as arrays (``synthesis._Table``), picks
+# from them (``synthesis._best``) and checks once per support stack.
+# ``Strategy.__post_init__`` summed and divided at every state, one
+# positive weight included.  Kept verbatim apart from the names (the prefix
+# ``eager_``, ``eager_strategy_choice_probs`` for the normalisation, which
+# takes and returns ``choice_probs``) and the module prefixes.
+
+def eager_evaluate(model: ExplicitModel, family, chains: bool, target: np.ndarray,
+                   goal: np.ndarray, lam: float) -> Tuple[List[TableEntry], Optional[list]]:
+    if chains:
+        prs, ecs = checking.solve_stacks(model, family.stacks, target, goal,
+                                         synthesis._chain_block(model))
+        table = [
+            TableEntry(dict(u), ec, pr, pr <= lam + FEASIBILITY_TOL and math.isfinite(ec))
+            for u, pr, ec in zip(family.valuations, prs.tolist(), ecs.tolist())
+        ]
+        return table, None
+    where = {}  # configuration -> (its stack, its row there)
+    for stack in family.stacks:
+        for row, i in enumerate(stack.members.tolist()):
+            where[i] = (stack, row)
+    outcomes = [
+        eager_evaluate_mdp(model, dict(u), *where[i], target, goal, lam)
+        for i, u in enumerate(family.valuations)
+    ]
+    return [entry for entry, _ in outcomes], [res for _, res in outcomes]
+
+
+def eager_evaluate_mdp(model: ExplicitModel, u: dict, stack, row: int,
+                       target: np.ndarray, goal: np.ndarray, lam: float):
+    arr = stack.arr.rows(row)
+    try:
+        res = synthesis._occupation_lp(model, arr, stack.cost[row], target, goal, lam,
+                                       np.ones(arr.num_choices, dtype=bool))
+    except InfeasibleError:
+        x = checking._reach(arr, target, "min", False, 1, DEFAULT_TOL)[0]
+        return TableEntry(u, math.inf, float(x[0, model.initial]), False), None
+    return TableEntry(u, res.expected_cost, res.reach_probability, True), res
+
+
+def eager_best(table: List[TableEntry]) -> Optional[int]:
+    best = None
+    for i, entry in enumerate(table):
+        if not entry.feasible:
+            continue
+        if best is None or entry.expected_cost < table[best].expected_cost - TIE_TOL:
+            best = i
+    return best
+
+
+def eager_synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisResult:
+    model = build_model(program)
+    target = checking._target_set(model, query.target)
+    goal = checking._target_set(model, query.goal)
+    lam = float(query.bound)
+
+    chains = all(len(row) == 1 for row in model.choices)
+    family = synthesis._kept_family(model)
+    table, solutions = eager_evaluate(model, family, chains, target, goal, lam)
+    if not table:
+        raise SynthesisError("no well-defined valuation exists")
+
+    best = eager_best(table)
+    if best is None:
+        return SynthesisResult(
+            "enumerate", False, None, None, math.inf, None, table
+        )
+    if chains:
+        strategy = Strategy.deterministic([0] * model.num_states)
+    else:
+        strategy = solutions[best].strategy
+    entry = table[best]
+    return SynthesisResult(
+        "enumerate",
+        True,
+        entry.valuation,
+        strategy,
+        entry.expected_cost,
+        entry.reach_probability,
+        table,
+    )
+
+
+def eager_strategy_choice_probs(choice_probs: list) -> list:
+    normalized = []
+    for s, dist in enumerate(choice_probs):
+        items = [(a, Fraction(w)) for a, w in dist.items() if w > 0]
+        if not items:
+            raise ModelError(f"strategy assigns no action at state {s}")
+        total = sum(w for _, w in items)
+        normalized.append({a: w / total for a, w in items})
+    return normalized
