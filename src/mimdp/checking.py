@@ -809,12 +809,17 @@ class _Stack:
     ``stack_family`` stacks them: their indices in the family
     (``members``), the arrays of that support with one row of branch
     probabilities per member (``arr``), and their state costs, one row per
-    member (``cost``)."""
+    member (``cost``).  Per row, ``first`` holds the first member whose
+    probabilities and costs are bit for bit the row's (its own member if no
+    earlier one's are), so a query may solve each distinct row once."""
 
-    __slots__ = ("members", "arr", "cost")
+    __slots__ = ("members", "arr", "cost", "first")
 
     def __init__(self, members: np.ndarray, arr: _Arrays, cost: np.ndarray):
         self.members, self.arr, self.cost = members, arr, cost
+        seen: dict = {}
+        self.first = tuple(seen.setdefault(row.tobytes(), i) for i, row in
+                           zip(members.tolist(), np.hstack((arr.probs, cost))))
 
 
 def stack_family(

@@ -146,12 +146,16 @@ class Strategy:
             items = [(a, Fraction(w)) for a, w in dist.items() if w > 0]
             if not items:
                 raise ModelError(f"strategy assigns no action at state {s}")
-            if len(items) == 1:  # w / w is exactly one
-                normalized.append({items[0][0]: Fraction(1)})
-                continue
-            total = sum(w for _, w in items)
-            normalized.append({a: w / total for a, w in items})
+            normalized.append(self.normalized(items))
         self.choice_probs = normalized
+
+    @staticmethod
+    def normalized(pairs: Sequence[tuple]) -> dict:
+        """One state's (choice, positive weight) pairs as exact rationals summing to one."""
+        if len(pairs) == 1:  # w / w is exactly one
+            return {pairs[0][0]: Fraction(1)}
+        total = sum(Fraction(w) for _, w in pairs)
+        return {a: Fraction(w) / total for a, w in pairs}
 
     @classmethod
     def deterministic(cls, picks: Sequence[int]) -> "Strategy":
@@ -163,8 +167,14 @@ class Strategy:
         is built when it is read.  It compares equal to, and prints as, the
         list of those dicts."""
         picks, one = list(picks), Fraction(1)
+        return cls.lazy(len(picks), lambda s: {int(picks[s]): one})
+
+    @classmethod
+    def lazy(cls, length: int, item: Callable[[int], dict]) -> "Strategy":
+        """The strategy whose ``choice_probs`` is ``LazySequence(length, item)``:
+        ``item(s)`` must be normalized as ``__post_init__`` normalizes."""
         strategy = cls.__new__(cls)
-        strategy.choice_probs = LazySequence(len(picks), lambda s: {int(picks[s]): one})
+        strategy.choice_probs = LazySequence(length, item)
         return strategy
 
     def pick(self, state: int) -> int:
@@ -187,6 +197,9 @@ class LazySequence(abc.Sequence):
 
     def __len__(self) -> int:
         return self._length
+
+    def __iter__(self):
+        return map(self._item, range(self._length))
 
     def __getitem__(self, i):
         if isinstance(i, slice):

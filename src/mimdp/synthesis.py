@@ -10,8 +10,8 @@ Two independent routes:
   per support group (``_Family``, ``checking.stack_family``), and keeps
   the stacks on the model.  Each query solves them: a family of chains
   one stacked batch per group (``checking.solve_stacks``), an MDP family
-  the constrained occupation-measure LP once per valuation, on its
-  group's arrays with its own row.  This is the oracle route.
+  the constrained occupation-measure LP once per distinct valuation, on
+  its group's arrays with its own row.  This is the oracle route.
 
 * ``synthesize_transformed`` rewrites the program into the controlled MDP,
   where each parameter value is an action, and solves the constrained LP
@@ -177,8 +177,9 @@ class ConstrainedSolution:
     solution keeps the LP's ``flows``, the number of states and per LP
     variable its state, its choice index there and its flow, as arrays in
     variable order.  It builds the exact ``Strategy`` from them when
-    ``strategy`` is first read, so the rational normalisation is paid only
-    for a strategy that is reported.
+    ``strategy`` is first read, and normalises a state's weights only when
+    that state is read, so the rational normalisation is paid only for a
+    strategy that is reported.
     """
 
     __slots__ = ("expected_cost", "reach_probability", "_strategy", "_support", "_flows")
@@ -213,9 +214,8 @@ class ConstrainedSolution:
     @property
     def strategy(self) -> Strategy:
         if self._strategy is None:
-            self._strategy = Strategy([
-                {ci: Fraction(w) for ci, w in pairs} for pairs in self._weights()
-            ])
+            weights = self._weights()
+            self._strategy = Strategy.lazy(len(weights), lambda s: Strategy.normalized(weights[s]))
         return self._strategy
 
 
@@ -398,17 +398,18 @@ def _evaluate(model: ExplicitModel, family: _Family, chains: bool, target: np.nd
     solution per configuration (None where no strategy meets the bound).
     A chain family's stacks are solved by ``checking.solve_stacks``, at
     most ``_chain_block`` configurations at a time; an MDP family's LPs
-    run configuration by configuration, in the family's order."""
+    run in the family's order, once per distinct row (``_Stack.first``):
+    a repeated configuration shares its first one's outcome."""
     if chains:
         prs, ecs = solve_stacks(model, family.stacks, target, goal, _chain_block(model))
         feasible = (prs <= lam + FEASIBILITY_TOL) & np.isfinite(ecs)
         return _Table(family.valuations, ecs, prs, feasible), None
-    where = {}  # configuration -> (its stack, its row there)
-    for stack in family.stacks:
-        for row, i in enumerate(stack.members.tolist()):
-            where[i] = (stack, row)
-    outcomes = [_evaluate_mdp(model, *where[i], target, goal, lam)
-                for i in range(len(family.valuations))]
+    where = {i: (stack, row) for stack in family.stacks  # configuration -> its stack and row
+             for row, i in enumerate(stack.members.tolist())}
+    outcomes = []
+    for i, (stack, row) in sorted(where.items()):
+        same = stack.first[row]
+        outcomes.append(outcomes[same] if same < i else _evaluate_mdp(model, stack, row, target, goal, lam))
     ecs, prs, solutions = zip(*outcomes) if outcomes else ((), (), ())
     feasible = [res is not None for res in solutions]
     return _Table(family.valuations, *map(np.array, (ecs, prs, feasible))), list(solutions)
@@ -465,9 +466,8 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
     up before it.  Per call, a family of chains is solved one stack per
     support group (``checking.solve_stacks``), and every configuration's
     strategy is the chain's one choice per state.  An MDP family solves the
-    constrained LP once per configuration, on its group's arrays with its
-    own row, and builds the exact strategy of the reported configuration
-    only.  The table keeps the results as arrays (``_Table``) and makes an
+    constrained LP once per distinct configuration, on its group's arrays
+    with its own row, and builds the exact strategy of the reported one.  The table keeps the results as arrays (``_Table``) and makes an
     entry when it is read; the reported valuation is a copy.
     """
     model = build_model(program)
@@ -664,9 +664,13 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
     joint commitments extend to no well-defined valuation, keeping the best
     admissible pure outcome; finally certifies the lexicographically
     smallest valuation among ties so the result matches the enumeration
-    route's tie-break.  The nodes read only their solutions' supports,
-    walked over positive branches; the exact strategy is built for the
-    reported solution alone.
+    route's tie-break.  A certification step solves no LP for a value its
+    current outcome proves: the support commits the parameter to it or not
+    at all, and the joint fixing is extendable; the last parameter's LP is
+    always solved, as its solution is reported.  The nodes read only their
+    solutions' supports, walked over positive branches; the exact strategy
+    is built for the reported solution alone, and only the root checks for
+    an improper model, as a node only switches choices off.
 
     No bound changes the controlled MDP, its arrays and costs, its
     commitment table or the well-defined valuations: they are made by the
@@ -714,7 +718,7 @@ def _branch_and_bound(problem: _Controlled, program: Program,
             return cache[fixed]
         try:
             res = _occupation_lp(model, arr, problem.costs, target, goal, lam,
-                                 problem.enabled(fixed))
+                                 problem.enabled(fixed), check=fixed == free)
         except InfeasibleError:
             cache[fixed] = None
             return None
@@ -739,7 +743,14 @@ def _branch_and_bound(problem: _Controlled, program: Program,
         cache[fixed] = best
         return best
 
-    fixed = (-1,) * len(params)
+    def proves(outcome: tuple, fixed: tuple, j: int, k: int) -> bool:
+        """Whether the leaf ``outcome`` under ``fixed`` is a leaf with ``j``
+        fixed to ``k`` too: feasible there at its cost, pure and extendable."""
+        commits = outcome[1]
+        return commits[j] in ([], [k]) and extendable(tuple(
+            got[0] if f < 0 and got else f for f, got in zip(fixing(fixed, j, k), commits)))
+
+    free = fixed = (-1,) * len(params)
     root = solve_fixed(fixed)
     if root is None:
         return SynthesisResult("transformed", False, None, None, math.inf, None)
@@ -758,7 +769,8 @@ def _branch_and_bound(problem: _Controlled, program: Program,
             for k in range(len(params[j][1])):
                 if well_defined and not extendable(fixing(fixed, j, k)):
                     continue
-                sub = solve_fixed(fixing(fixed, j, k))
+                proved = well_defined and j != problem.occurring[-1] and proves(final, fixed, j, k)
+                sub = final if proved else solve_fixed(fixing(fixed, j, k))
                 if sub is not None and sub[0].expected_cost <= best_value + TIE_TOL:
                     chosen = (k, sub)
                     break

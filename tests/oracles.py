@@ -35,7 +35,12 @@ the enumeration route that read and stacked the family on every call
 enumeration route that made every table entry on each query
 (``eager_synthesize_enumerate`` with ``eager_evaluate``,
 ``eager_evaluate_mdp`` and ``eager_best``) and the strategy normalisation
-that divided at every state (``eager_strategy_choice_probs``).
+that divided at every state (``eager_strategy_choice_probs``).  Last, the
+branch-and-bound that solved every certification step and checked every
+node for an improper model (``resolving_branch_and_bound``), the MDP
+family loop that solved every configuration (``resolving_evaluate``), and
+the LP solution's strategy normalised at every state when built
+(``eager_solution_strategy``).
 """
 
 from __future__ import annotations
@@ -3718,3 +3723,134 @@ def eager_strategy_choice_probs(choice_probs: list) -> list:
         total = sum(w for _, w in items)
         normalized.append({a: w / total for a, w in items})
     return normalized
+
+
+# ---------------------------------------------------------------------------
+# the branch-and-bound and the MDP family loop that solved every LP
+#
+# ``synthesis._branch_and_bound`` solved every certification step, one
+# already proved by its current outcome's support included, and ran the
+# improper-model check at every node; ``synthesis._evaluate`` solved every
+# configuration of an MDP family, one whose entries repeat an earlier
+# one's included; ``ConstrainedSolution.strategy`` normalised every state
+# when it was built.  Kept verbatim apart from the names (the prefix
+# ``resolving_``; ``eager_solution_strategy``, which takes the solution,
+# and which the former branch-and-bound calls for its reported strategy)
+# and the module prefixes.
+
+def resolving_evaluate(model: ExplicitModel, family, chains: bool, target: np.ndarray,
+                       goal: np.ndarray, lam: float):
+    if chains:
+        prs, ecs = checking.solve_stacks(model, family.stacks, target, goal,
+                                         synthesis._chain_block(model))
+        feasible = (prs <= lam + FEASIBILITY_TOL) & np.isfinite(ecs)
+        return synthesis._Table(family.valuations, ecs, prs, feasible), None
+    where = {}  # configuration -> (its stack, its row there)
+    for stack in family.stacks:
+        for row, i in enumerate(stack.members.tolist()):
+            where[i] = (stack, row)
+    outcomes = [synthesis._evaluate_mdp(model, *where[i], target, goal, lam)
+                for i in range(len(family.valuations))]
+    ecs, prs, solutions = zip(*outcomes) if outcomes else ((), (), ())
+    feasible = [res is not None for res in solutions]
+    return synthesis._Table(family.valuations, *map(np.array, (ecs, prs, feasible))), list(solutions)
+
+
+def eager_solution_strategy(solution) -> Strategy:
+    return Strategy([
+        {ci: Fraction(w) for ci, w in pairs} for pairs in solution._weights()
+    ])
+
+
+def resolving_branch_and_bound(problem, program: Program,
+                               query: SynthesisQuery) -> SynthesisResult:
+    model, arr, table = problem.model, problem.arr, problem.table
+    extendable = problem.extendable
+    target = checking._target_set(model, query.target)
+    goal = checking._target_set(model, query.goal)
+    lam = float(query.bound)
+    params = list(program.parameters.items())
+
+    def fixing(fixed: tuple, j: int, k: int) -> tuple:
+        return fixed[:j] + (k,) + fixed[j + 1:]
+
+    cache: Dict[tuple, Optional[tuple]] = {}
+
+    def solve_fixed(fixed: tuple) -> Optional[tuple]:
+        if fixed in cache:
+            return cache[fixed]
+        try:
+            res = synthesis._occupation_lp(model, arr, problem.costs, target, goal, lam,
+                                           problem.enabled(fixed))
+        except InfeasibleError:
+            cache[fixed] = None
+            return None
+        commits = synthesis._support_commitments(arr, table, model.initial, res.support)
+        branch_on = next((j for j, got in enumerate(commits) if len(got) > 1), None)
+        if branch_on is None:
+            joint = tuple(got[0] if f < 0 and got else f
+                          for f, got in zip(fixed, commits))
+            if extendable(joint):
+                cache[fixed] = (res, commits)
+                return cache[fixed]
+            branch_on = next(j for j, f in enumerate(fixed) if joint[j] != f)
+        best = None
+        for k in range(len(params[branch_on][1])):
+            if not extendable(fixing(fixed, branch_on, k)):
+                continue
+            sub = solve_fixed(fixing(fixed, branch_on, k))
+            if sub is None:
+                continue
+            if best is None or sub[0].expected_cost < best[0].expected_cost - TIE_TOL:
+                best = sub
+        cache[fixed] = best
+        return best
+
+    fixed = (-1,) * len(params)
+    root = solve_fixed(fixed)
+    if root is None:
+        return SynthesisResult("transformed", False, None, None, math.inf, None)
+    best_value = root[0].expected_cost
+
+    flags = []
+    final = root
+    for j in problem.occurring:
+        chosen = None
+        for well_defined in (True, False):
+            for k in range(len(params[j][1])):
+                if well_defined and not extendable(fixing(fixed, j, k)):
+                    continue
+                sub = solve_fixed(fixing(fixed, j, k))
+                if sub is not None and sub[0].expected_cost <= best_value + TIE_TOL:
+                    chosen = (k, sub)
+                    break
+            if chosen is not None:
+                break
+        if chosen is None:
+            raise SynthesisError("lexicographic certification lost the optimum")
+        if not well_defined:
+            flags.append(f"parameter '{params[j][0]}' fixed outside the well-defined set")
+        fixed = fixing(fixed, j, chosen[0])
+        final = chosen[1]
+
+    res, commits = final
+    matching = np.flatnonzero(problem.agreeing(fixed))
+    if len(matching):
+        valuation = dict(problem.admissible[matching[0]])
+    else:
+        valuation = {p: vs[k] for (p, vs), k in zip(params, fixed) if k >= 0}
+        for p, vs in params:
+            valuation.setdefault(p, vs[0])
+    for j in problem.occurring:
+        if not commits[j]:
+            flags.append(f"parameter '{params[j][0]}' never committed on the support")
+    return SynthesisResult(
+        "transformed",
+        True,
+        valuation,
+        eager_solution_strategy(res),
+        res.expected_cost,
+        res.reach_probability,
+        [],
+        tuple(flags),
+    )

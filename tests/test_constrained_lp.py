@@ -118,10 +118,10 @@ def test_branch_and_bound_nodes_share_one_set_of_arrays(monkeypatch, two_stage):
             built.append(args)
             super().__init__(*args, **kwargs)
 
-    def counted_lp(model, arr, *args):
+    def counted_lp(model, arr, *args, **kwargs):
         enabled = args[-1]
         lps.append((oracles.masked_actions(model, enabled), arr))
-        return occupation_lp(model, arr, *args)
+        return occupation_lp(model, arr, *args, **kwargs)
 
     occupation_lp = synthesis._occupation_lp
     monkeypatch.setattr(checking, "_Arrays", Counted)

@@ -71,7 +71,7 @@ def test_random_mdp_families_synthesise_as_the_former_routes(monkeypatch):
     the former LP answering branch-and-bound's nodes."""
     feasible = nodes = 0
 
-    def former_lp(*args):
+    def former_lp(*args, check=True):  # the former LP checks at every node
         nonlocal nodes
         nodes += 1
         return oracles.seed_occupation_lp(*args)

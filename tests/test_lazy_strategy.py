@@ -120,14 +120,22 @@ def test_strategies_of_the_bundled_models_equal_the_former_lp(models_dir):
 
 
 def _counting_strategies(monkeypatch) -> list:
+    """The strategies built from now on, normalised when built
+    (``Strategy.__post_init__``) or state by state when read
+    (``Strategy.lazy``, as the LP's solution builds its strategy)."""
     built = []
-    post_init = models.Strategy.__post_init__
+    post_init, lazy = models.Strategy.__post_init__, models.Strategy.lazy.__func__
 
     def counting(self):
         built.append(self)
         post_init(self)
 
+    def counting_lazy(cls, *args):
+        built.append(lazy(cls, *args))
+        return built[-1]
+
     monkeypatch.setattr(models.Strategy, "__post_init__", counting)
+    monkeypatch.setattr(models.Strategy, "lazy", classmethod(counting_lazy))
     return built
 
 
@@ -139,6 +147,7 @@ def test_a_synthesis_call_builds_only_the_strategy_it_reports(monkeypatch):
         res = synthesize_enumerate(program, query)
         if res.feasible:
             assert len(res.table) > 1 and len(built) == 1 and res.strategy is built[0]
+            assert isinstance(res.strategy.choice_probs, models.LazySequence)
             feasible += 1
         else:
             assert built == []

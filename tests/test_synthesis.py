@@ -540,9 +540,10 @@ def test_zero_probability_rows_commit_nothing(monkeypatch, lam):
     monkeypatch.setattr(synthesis, "solve_lp", counted)
     query = SynthesisQuery("t", F(lam), "g", "transformed")
     transformed = synthesize_transformed(parse_program(ZERO_PROBABILITY_ROW), query)
-    # the root LP, then one per parameter certified; the walk does not
+    # the root LP, then the last parameter's certification: the root's
+    # support commits p alone and proves its value; the walk does not
     # follow the zero-probability branch, so q conflicts nowhere
-    assert len(lps) == 3
+    assert len(lps) == 2
     assert transformed.flags == ("parameter 'q' never committed on the support",)
     enumerated, both = synthesize(parse_program(ZERO_PROBABILITY_ROW),
                                   SynthesisQuery("t", F(lam), "g", "both"))
