@@ -39,12 +39,12 @@ greedy tie in the max direction, or iteration that stopped far from the
 fixpoint), the raw iteration values are kept and ``ValueVector.polished``
 is False.
 
-The checker works on flat arrays of a model's transition structure, built
-once per model on first use and kept on it (models are immutable once
-built).  The state costs are checked and converted once per model too, and
-kept on those arrays (``_model_costs``).  The cost-bounded product's arrays
-are derived from the base model's with a few vectorised index operations,
-not built from objects; a product of more than ``models.DEFAULT_STATE_CAP``
+The checker works on flat arrays with float probabilities, taken from the
+model's flat transition fields with numpy masks once per model, on first
+use, and kept on it (models are immutable once built), with the state
+costs, checked and converted once (``_model_costs``).  The cost-bounded
+product's arrays are derived from the base model's with a few vectorised
+index operations; a product of more than ``models.DEFAULT_STATE_CAP``
 states is refused before anything is allocated for it.
 
 A family is checked in two halves.  ``stack_family`` stacks it once: the
@@ -74,7 +74,6 @@ import numpy as np
 from .expressions import Expr
 from .models import (
     DEFAULT_STATE_CAP,
-    Choice,
     ExplicitModel,
     LazySequence,
     ModelError,
@@ -122,52 +121,45 @@ class ValueVector:
 # flat arrays
 
 class _Arrays:
-    """Flattened transition structure for vectorized sweeps.
+    """The model's flat transition structure (``ExplicitModel``) with float
+    probabilities and the predecessor graph, for vectorized sweeps.
 
-    Zero-probability branches are dropped: they are not edges of the graph,
-    so the qualitative sets ignore them, and value iteration never forms
-    ``0 * inf``.
+    Zero-probability branches are dropped with a mask over the model's
+    branches: they are not edges, so the qualitative sets ignore them and
+    value iteration never forms ``0 * inf``.  Where every branch is an
+    edge, the arrays share the model's offsets and targets.  A family of
+    configurations shares one structure: given ``support`` (per branch of
+    ``model``, whether it is an edge) and ``probs`` (configurations ×
+    edges), the arrays hold the edges of that support and one row of
+    probabilities per configuration.
 
-    ``_fill`` sets every field from the flat arrays, and derives the
-    predecessor graph of the graph searches from ``branch_start`` and
-    ``targets``, for every construction: a model, a family's support, or
-    the budget product of ``cost_bounded_reach``.  The graph is in CSR
-    form: the choices with a branch into state ``t`` are
-    ``pred_choice[pred_start[t]:pred_start[t + 1]]``, ascending, a choice
-    listed once per such branch.
-
-    A family of configurations shares one structure: given ``support`` (per
-    branch of ``model``, flat in model order, whether it is an edge) and
-    ``probs`` (configurations × edges), the arrays hold the edges of that
-    support and one row of probabilities per configuration.
+    ``_fill`` sets every field for every construction (a model, a family's
+    support or the budget product of ``cost_bounded_reach``) and derives
+    the predecessor graph in CSR form: the choices with a branch into
+    state ``t`` are ``pred_choice[pred_start[t]:pred_start[t + 1]]``,
+    ascending, a choice listed once per such branch.
     """
 
     def __init__(self, model: ExplicitModel, support=None, probs=None):
         if model.kind == "mimdp" and support is None:
             raise ModelError("model checking needs a concrete model; instantiate first")
-        choice_state = []
-        branch_start = [0]
-        choice_start = [0]
-        targets: list = []
-        floats: list = []
-        edges = iter(support) if support is not None else None
-        for si, row in enumerate(model.choices):
-            for ch in row:
-                choice_state.append(si)
-                for p, t in ch.branches:
-                    if not (p if edges is None else next(edges)):
-                        continue
-                    targets.append(t)
-                    if edges is None:
-                        floats.append(float(p))
-                if len(targets) == branch_start[-1]:
-                    raise ModelError(
-                        f"choice with no positive branch at state {model.state_text(si)}"
-                    )
-                branch_start.append(len(targets))
-            choice_start.append(len(choice_state))
-        self._fill(model.num_states, choice_state, choice_start, branch_start,
-                   targets, floats if probs is None else probs)
+        if support is None:
+            count = len(model.targets)
+            support = np.fromiter(map(bool, model.probs), dtype=bool, count=count)
+            probs = np.fromiter(map(float, model.probs), dtype=np.float64, count=count)[support]
+        else:
+            support = np.asarray(support, dtype=bool)
+        branch_start, targets = model.branch_start, model.targets
+        if not support.all():
+            branch_start = np.append(0, np.cumsum(support))[branch_start]
+            targets = targets[support]
+        choice_state = model.choice_states()
+        empty = np.flatnonzero(branch_start[1:] == branch_start[:-1])
+        if len(empty):
+            raise ModelError("choice with no positive branch at state "
+                             f"{model.state_text(int(choice_state[empty[0]]))}")
+        self._fill(model.num_states, choice_state, model.choice_start, branch_start,
+                   targets, probs)
 
     def _fill(self, num_states, choice_state, choice_start, branch_start,
               targets, probs) -> None:
@@ -906,13 +898,15 @@ def cost_bounded_reach(
     ``max(b - cost(s), 0)``, or one self-loop if ``s`` is a target; its
     goal, the targets with budget left, is handed over as a mask.  The
     product's arrays are derived from the base model's, which are built
-    once per model; its ``states`` and rows (``choices``) are built only
-    when read.  A model the checker cannot take (parametric, or with a
-    choice that has no positive branch) raises the checker's
-    ``ModelError``, as in ``reach_prob``, and so does a ``tol`` that is not
-    a finite number of at least 0 (``ValueError``), before the product is
-    built.  A product of more than ``models.DEFAULT_STATE_CAP`` states
-    raises ``StateCapExceeded`` before anything is allocated for it.
+    once per model, and are its transition structure too, so its rows
+    hold the base model's positive branches alone; its ``states``, actions
+    and exact probabilities are gathered only when read.  A model the
+    checker cannot take (parametric, or with a choice that has no positive
+    branch) raises the checker's ``ModelError``, as in ``reach_prob``, and
+    so does a ``tol`` that is not a finite number of at least 0
+    (``ValueError``), before the product is built.  A product of more than
+    ``models.DEFAULT_STATE_CAP`` states raises ``StateCapExceeded`` before
+    anything is allocated for it.
     """
     if bound < 0:
         raise ValueError("cost bound must be nonnegative")
@@ -926,38 +920,46 @@ def cost_bounded_reach(
         )
     target = _target_set(model, targets)
     cost = _model_costs(model).integral()
+    # a target with budget left, as a mask over the product's states
+    goal = (target[:, None] & (np.arange(width) > 0)).ravel()
+    if not goal.any():
+        return 0.0
+    arr = _product_arrays(_model_arrays(model), target, cost, width)
+
+    def copied(c: int) -> Optional[int]:
+        # the base choice that choice c of the product copies, or None for
+        # a target's self-loop
+        i = int(arr.choice_state[c])
+        s = i // width
+        return None if target[s] else int(model.choice_start[s] + c - arr.choice_start[i])
+
+    def action(c: int) -> Optional[str]:
+        return None if (base := copied(c)) is None else model.actions[base]
+
+    def prob(j: int):
+        c = int(np.searchsorted(arr.branch_start, j, side="right")) - 1
+        if (base := copied(c)) is None:
+            return Fraction(1)
+        positive = [p for p in model.probs[slice(*model.branch_start[base:base + 2])] if p]
+        return positive[j - arr.branch_start[c]]
+
     product = ExplicitModel(
         kind="mc" if model.kind == "mc" else "mdp",
         var_names=model.var_names + ("_budget",),
         states=LazySequence(n, lambda i: model.states[i // width] + (i % width,)),
         initial=model.initial * width + bound,
-        choices=LazySequence(n, lambda i: _product_row(model, target, cost, width, i)),
+        actions=LazySequence(arr.num_choices, action),
+        choice_start=arr.choice_start,
+        branch_start=arr.branch_start,
+        targets=arr.targets,
+        probs=LazySequence(len(arr.targets), prob),
         costs=[Fraction(0)] * n,
         labels={},
         parameters={},
     )
-    # a target with budget left, as a mask over the product's states
-    goal = (target[:, None] & (np.arange(width) > 0)).ravel()
-    if not goal.any():
-        return 0.0
-    product._arrays = _product_arrays(_model_arrays(model), target, cost, width)
+    product._arrays = arr
     vec, _ = reach_prob(product, goal, direction, tol=tol)
     return float(vec.values[product.initial])
-
-
-def _product_row(model: ExplicitModel, target: np.ndarray, cost: np.ndarray, width: int,
-                 i: int) -> list:
-    """The choices of state ``i`` of the budget product of
-    ``cost_bounded_reach``, ``target`` the mask of target states and
-    ``cost`` the integer state costs."""
-    s, b = divmod(i, width)
-    if target[s]:
-        return [Choice(None, ((Fraction(1), i),))]
-    b2 = max(b - int(cost[s]), 0)
-    return [
-        Choice(ch.action, tuple((p, t * width + b2) for p, t in ch.branches))
-        for ch in model.choices[s]
-    ]
 
 
 def _repeat_blocks(first: np.ndarray, length: np.ndarray, width: int):

@@ -69,6 +69,14 @@ def _emit_json(obj, path):
     _emit(json.dumps(_round_floats(payload), indent=2) + "\n", path)
 
 
+def _number(text: str, what: str) -> Fraction:
+    """``text`` as an exact number; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise CliError(f"{what}: {text!r} divides by zero") from None
+
+
 def _parse_valuation(text):
     if not text:
         return None
@@ -77,7 +85,7 @@ def _parse_valuation(text):
         if "=" not in part:
             raise CliError(f"bad valuation entry {part!r}; expected name=value")
         name, value = part.split("=", 1)
-        out[name.strip()] = Fraction(value.strip())
+        out[name.strip()] = _number(value.strip(), f"value of {name.strip()}")
     return out
 
 
@@ -210,7 +218,7 @@ def _shipyard_config(args) -> shipyard.ShipyardConfig:
         eo=_EO_BY_NAME[args.eo],
         altitude_delta=args.dalt,
         grades=_GRADE_BY_NAME[args.grade],
-        false_positive=Fraction(args.fp),
+        false_positive=_number(args.fp, "--fp"),
         missions=args.missions,
     )
 

@@ -2,7 +2,8 @@
 
 Parallel composition of modules, breadth-first state exploration, parameter
 instantiation, the well-definedness filter over parameter valuations, and
-strategy-induced chains.  Probabilities are exact rationals or residual
+strategy-induced chains.  A model holds its transitions once, in flat
+fields (``ExplicitModel``); probabilities are exact rationals or residual
 parameter expressions; a model is immutable once built.
 
 There is one path from a family to its configurations: the exact entries
@@ -32,9 +33,11 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections import abc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .expressions import (
     Binary,
@@ -92,11 +95,26 @@ class Choice:
 
 @dataclass
 class ExplicitModel:
+    """An explicit model, its transitions held flat, in the row-grouped CSR
+    form: state ``s`` has the choices ``choice_start[s]:choice_start[s + 1]``,
+    choice ``c`` the action ``actions[c]`` (None for an internal one) and
+    the branches ``branch_start[c]:branch_start[c + 1]``, and branch ``j``
+    goes to state ``targets[j]`` with the exact probability ``probs[j]``, a
+    ``Fraction`` or, in a parametric model, an ``Expr``.  Zero-probability
+    branches are kept.  The offsets and targets are read-only int64 arrays,
+    which instances of one model share.  ``choices`` is a read-only view:
+    per state, its row of ``Choice``s, made when it is read.  Rows of
+    ``Choice``s become a model through ``from_rows``."""
+
     kind: str  # 'mc' | 'mdp' | 'mimdp'
     var_names: tuple
     states: list  # list[tuple[int, ...]]
     initial: int
-    choices: list  # per state: list[Choice]
+    actions: Sequence  # per choice: str | None
+    choice_start: np.ndarray  # per state, and one past the last choice
+    branch_start: np.ndarray  # per choice, and one past the last branch
+    targets: np.ndarray  # per branch: its target state
+    probs: Sequence  # per branch: Fraction | Expr
     costs: list  # per state: Fraction | Expr
     labels: dict  # label -> frozenset[int]
     parameters: dict  # residual parameter domains (mimdp only)
@@ -112,13 +130,52 @@ class ExplicitModel:
     # by the first enumeration that reads them (``synthesis._Family``)
     _family: Optional[object] = field(default=None, init=False, compare=False, repr=False)
 
+    @classmethod
+    def from_rows(cls, kind: str, var_names: tuple, states: list, initial: int,
+                  choices: Iterable[Sequence[Choice]], costs: list, labels: dict,
+                  parameters: dict, deadlocks: frozenset = frozenset()) -> "ExplicitModel":
+        """The model whose state ``s`` has the row of ``Choice``s
+        ``choices[s]``, its branches kept as they are."""
+        rows = [list(row) for row in choices]
+        flat = [ch for row in rows for ch in row]
+        branches = [b for ch in flat for b in ch.branches]
+        return cls(kind, var_names, states, initial, [ch.action for ch in flat],
+                   _index([0, *itertools.accumulate(map(len, rows))]),
+                   _index([0, *itertools.accumulate(len(ch.branches) for ch in flat)]),
+                   _index([t for _, t in branches]), [p for p, _ in branches], costs, labels,
+                   parameters, deadlocks)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExplicitModel):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    @property
+    def choices(self) -> LazySequence:
+        return LazySequence(self.num_states, self._row)
+
+    def _row(self, s: int) -> list:
+        lo, hi = self.choice_start[s:s + 2].tolist()
+        bounds = self.branch_start[lo:hi + 1].tolist()
+        return [Choice(self.actions[c], tuple(zip(self.probs[b:e], self.targets[b:e].tolist())))
+                for c, b, e in zip(range(lo, hi), bounds, bounds[1:])]
+
     @property
     def num_states(self) -> int:
         return len(self.states)
 
     @property
     def num_transitions(self) -> int:
-        return sum(len(ch.branches) for row in self.choices for ch in row)
+        return int(self.branch_start[-1])
+
+    def choice_states(self) -> np.ndarray:
+        """Per choice, its state."""
+        return np.repeat(np.arange(self.num_states), np.diff(self.choice_start))
+
+    def single_choices(self) -> bool:
+        """Whether every state has exactly one choice."""
+        return bool((np.diff(self.choice_start) == 1).all())
 
     def state_text(self, index: int) -> str:
         return _fmt(self.var_names, self.states[index])
@@ -128,6 +185,13 @@ class ExplicitModel:
             return self.labels[label]
         except KeyError:
             raise ModelError(f"model has no label \"{label}\"") from None
+
+
+def _index(values) -> np.ndarray:
+    """``values`` as a read-only int64 array."""
+    out = np.array(values, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -328,7 +392,10 @@ def build_model(
     discovery order, so builds are deterministic.  ``on_deadlock`` is
     'error' or 'absorb' (add a marked internal self-loop; used for
     transformed models whose dead ends encode inconsistent parameter
-    commitments).
+    commitments).  The exploration writes the model's flat fields
+    (``ExplicitModel``) directly: per choice its action, per branch its
+    target and exact probability, zero-probability branches included, and
+    the offsets that delimit them.
 
     The base model is explored once per program: it is kept on ``program``
     (``Program._models``), keyed by ``(state_cap, on_deadlock)``, for as
@@ -397,7 +464,10 @@ def _explore(program: Program, state_cap: int, on_deadlock: str) -> ExplicitMode
     initial = tuple(v.init for v in var_decls)
     index = {initial: 0}
     states = [initial]
-    rows: list = []
+    actions: list = []
+    targets: list = []
+    probs: list = []
+    choice_start, branch_start = [0], [0]
     costs: list = []
     deadlocks = set()
     queue = [0]
@@ -422,7 +492,6 @@ def _explore(program: Program, state_cap: int, on_deadlock: str) -> ExplicitMode
         state = states[si]
         env = dict(base_env)
         env.update(zip(var_names, [(x, 1) for x in state]))
-        out: list = []
         for ci in _candidates(command_index, state):
             cmd = commands[ci]
             if not eval_pairs(cmd.guard, env):
@@ -452,7 +521,6 @@ def _explore(program: Program, state_cap: int, on_deadlock: str) -> ExplicitMode
                     merged[tkey] = _add_probs(merged[tkey], p)
             # an all-concrete row is a product of distributions that
             # check_program validated exactly, so it needs no check here
-            branches = []
             for tkey, p in merged.items():
                 if tkey not in index:
                     if len(states) >= state_cap:
@@ -462,16 +530,21 @@ def _explore(program: Program, state_cap: int, on_deadlock: str) -> ExplicitMode
                     index[tkey] = len(states)
                     states.append(tkey)
                     queue.append(index[tkey])
-                branches.append((p, index[tkey]))
-            out.append(Choice(cmd.action, tuple(branches)))
-        if not out:
+                targets.append(index[tkey])
+                probs.append(p)
+            actions.append(cmd.action)
+            branch_start.append(len(targets))
+        if len(actions) == choice_start[-1]:
             if on_deadlock == "error":
                 raise DeadlockError(
                     f"deadlock state {_fmt(var_names, state)}: no command enabled"
                 )
             deadlocks.add(si)
-            out.append(Choice(None, ((Fraction(1), si),)))
-        rows.append(out)
+            actions.append(None)
+            targets.append(si)
+            probs.append(Fraction(1))
+            branch_start.append(len(targets))
+        choice_start.append(len(actions))
         # state cost: sum of reward declarations whose guard holds
         cost: Prob = Fraction(0)
         for ri in _candidates(reward_index, state):
@@ -499,21 +572,24 @@ def _explore(program: Program, state_cap: int, on_deadlock: str) -> ExplicitMode
     labels = {label: frozenset(m) for label, m in zip(program.labels, members)}
 
     parametric = len(program.parameters) > 0
-    if parametric:
-        kind = "mimdp"
-    else:
-        kind = "mc" if all(len(row) == 1 for row in rows) else "mdp"
-    return ExplicitModel(
-        kind=kind,
+    model = ExplicitModel(
+        kind="mimdp",
         var_names=var_names,
         states=states,
         initial=0,
-        choices=rows,
+        actions=actions,
+        choice_start=_index(choice_start),
+        branch_start=_index(branch_start),
+        targets=_index(targets),
+        probs=probs,
         costs=costs,
         labels=labels,
         parameters=dict(program.parameters) if parametric else {},
         deadlocks=frozenset(deadlocks),
     )
+    if not parametric:
+        model.kind = "mc" if model.single_choices() else "mdp"
+    return model
 
 
 def _guard_index(guards: Sequence[Expr], var_names: tuple) -> tuple:
@@ -645,15 +721,16 @@ class _Entries:
         # (state, action, nodes, pairs, fault): the nodes of a parametric
         # choice, or the pairs and verdict of a concrete one
         self.steps: list = []
-        for si, row in enumerate(model.choices):
-            for ch in row:
-                probs = [p for p, _ in ch.branches]
-                if all(isinstance(p, Fraction) for p in probs):
-                    pairs = [(p.numerator, p.denominator) for p in probs]
-                    step = (si, ch.action, None, pairs, pair_distribution_fault(pairs))
-                else:
-                    step = (si, ch.action, tuple(map(self._node, probs)), None, None)
-                self.steps.append(step)
+        bounds = model.branch_start.tolist()
+        owners = model.choice_states().tolist()
+        for si, action, lo, hi in zip(owners, model.actions, bounds, bounds[1:]):
+            probs = model.probs[lo:hi]
+            if all(isinstance(p, Fraction) for p in probs):
+                pairs = [(p.numerator, p.denominator) for p in probs]
+                step = (si, action, None, pairs, pair_distribution_fault(pairs))
+            else:
+                step = (si, action, tuple(map(self._node, probs)), None, None)
+            self.steps.append(step)
         self.costs = [self._node(c) for c in model.costs]
 
     def _node(self, p: Prob) -> int:
@@ -698,24 +775,11 @@ class _Entries:
 
 
 def _instance(model: ExplicitModel, probs: Sequence[Fraction], costs: list) -> ExplicitModel:
-    """The concrete model with the flat branch probabilities ``probs``."""
-    values = iter(probs)
-    new_rows = [
-        [Choice(ch.action, tuple((next(values), t) for _, t in ch.branches)) for ch in row]
-        for row in model.choices
-    ]
-    kind = "mc" if all(len(row) == 1 for row in new_rows) else "mdp"
-    return ExplicitModel(
-        kind=kind,
-        var_names=model.var_names,
-        states=list(model.states),
-        initial=model.initial,
-        choices=new_rows,
-        costs=costs,
-        labels=dict(model.labels),
-        parameters={},
-        deadlocks=model.deadlocks,
-    )
+    """The concrete model with the flat branch probabilities ``probs``: it
+    shares the actions, offsets and targets of ``model``."""
+    return replace(model, kind="mc" if model.single_choices() else "mdp",
+                   states=list(model.states), probs=probs, costs=costs,
+                   labels=dict(model.labels), parameters={})
 
 
 def all_valuations(model: ExplicitModel) -> Iterable[Valuation]:
@@ -733,8 +797,7 @@ def well_defined_entries(model: ExplicitModel) -> Iterator[Tuple[Valuation, list
     No instance is built.  A parameter-free model yields its own entries
     under the empty valuation (the empty product)."""
     if model.kind != "mimdp":
-        probs = [(p.numerator, p.denominator)
-                 for row in model.choices for ch in row for p, _ in ch.branches]
+        probs = [(p.numerator, p.denominator) for p in model.probs]
         yield {}, probs, [(c.numerator, c.denominator) for c in model.costs]
         return
     entries = _compiled(model)
@@ -763,24 +826,27 @@ def induced_mc(model: ExplicitModel, strategy: Strategy) -> ExplicitModel:
     if len(strategy.choice_probs) != model.num_states:
         raise ModelError("strategy does not cover every state")
     rows = []
-    for si, row in enumerate(model.choices):
+    choice_start, branch_start = model.choice_start.tolist(), model.branch_start.tolist()
+    targets = model.targets.tolist()
+    for si, (first, end) in enumerate(zip(choice_start, choice_start[1:])):
         dist = strategy.choice_probs[si]
         for a in dist:
-            if a < 0 or a >= len(row):
+            if a < 0 or a >= end - first:
                 raise ModelError(
                     f"strategy puts mass on disabled action {a} at state {si}"
                 )
         merged: dict = {}
-        action = row[min(dist)].action if row else None
+        action = model.actions[first + min(dist)] if end > first else None
         for a, w in dist.items():
-            for p, t in row[a].branches:
+            lo, hi = branch_start[first + a:first + a + 2]
+            for p, t in zip(model.probs[lo:hi], targets[lo:hi]):
                 q = w * p
                 if t not in merged:
                     merged[t] = q
                 else:
                     merged[t] += q
         rows.append([Choice(action, tuple((p, t) for t, p in merged.items()))])
-    return ExplicitModel(
+    return ExplicitModel.from_rows(
         kind="mc",
         var_names=model.var_names,
         states=list(model.states),
@@ -810,11 +876,12 @@ def to_dot(model: ExplicitModel, name: str = "model") -> str:
             extra = "\\n{" + ",".join(sorted(label_index[i])) + "}"
         shape = ' peripheries=2' if i == model.initial else ""
         lines.append(f'  s{i} [label="{model.state_text(i)}{extra}"{shape}];')
-    for i, row in enumerate(model.choices):
-        for ci, ch in enumerate(row):
-            tag = ch.action or "tau"
-            for p, t in ch.branches:
-                ptext = format_fraction(p) if isinstance(p, Fraction) else to_text(p)
-                lines.append(f'  s{i} -> s{t} [label="{tag}:{ptext}"];')
+    owners = model.choice_states().tolist()
+    bounds = model.branch_start.tolist()
+    for i, action, lo, hi in zip(owners, model.actions, bounds, bounds[1:]):
+        tag = action or "tau"
+        for p, t in zip(model.probs[lo:hi], model.targets[lo:hi].tolist()):
+            ptext = format_fraction(p) if isinstance(p, Fraction) else to_text(p)
+            lines.append(f'  s{i} -> s{t} [label="{tag}:{ptext}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -176,10 +176,11 @@ class ConstrainedSolution:
     ``s``, in choice order; branch-and-bound reads only these.  The
     solution keeps the LP's ``flows``, the number of states and per LP
     variable its state, its choice index there and its flow, as arrays in
-    variable order.  It builds the exact ``Strategy`` from them when
-    ``strategy`` is first read, and normalises a state's weights only when
-    that state is read, so the rational normalisation is paid only for a
-    strategy that is reported.
+    variable order, which is state order.  ``support`` and the strategy's
+    ``choice_probs``, each made once, are read-only sequences that read a
+    state's variables when that state is read (``_pairs``), so a walk pays
+    only for the states it reaches, and the rational normalisation only
+    for a strategy that is reported.
     """
 
     __slots__ = ("expected_cost", "reach_probability", "_strategy", "_support", "_flows")
@@ -191,31 +192,30 @@ class ConstrainedSolution:
         self._support = None
         self._flows = flows
 
-    def _weights(self) -> list:
-        """Per state, the (choice index, weight) pairs of its strategy: the
-        flows above ``SUPPORT_TOL``, or one each on all of the state's own
-        choices where none has such a flow; the first choice at a state
+    def _pairs(self, s: int):
+        """The (choice index, weight) pairs of the strategy at state ``s``:
+        the flows above ``SUPPORT_TOL``, or one each on all of the state's
+        own choices where none has such a flow; the first choice at a state
         without variables."""
-        n, states, choices, y = self._flows
-        own: Dict[int, list] = {}
-        for s, ci, w in zip(states.tolist(), choices.tolist(), y.tolist()):
-            own.setdefault(s, []).append((ci, w))
-        weights = [((0, 1),)] * n
-        for s, pairs in own.items():
-            weights[s] = [(ci, w) for ci, w in pairs if w > SUPPORT_TOL] or [(ci, 1) for ci, _ in pairs]
-        return weights
+        _, states, choices, y = self._flows
+        lo, hi = np.searchsorted(states, (s, s + 1)).tolist()
+        if lo == hi:
+            return ((0, 1),)
+        pairs = list(zip(choices[lo:hi].tolist(), y[lo:hi].tolist()))
+        return [(ci, w) for ci, w in pairs if w > SUPPORT_TOL] or [(ci, 1) for ci, _ in pairs]
 
     @property
-    def support(self) -> list:
+    def support(self) -> LazySequence:
         if self._support is None:
-            self._support = [tuple(ci for ci, _ in pairs) for pairs in self._weights()]
+            self._support = LazySequence(self._flows[0],
+                                         lambda s: tuple(ci for ci, _ in self._pairs(s)))
         return self._support
 
     @property
     def strategy(self) -> Strategy:
         if self._strategy is None:
-            weights = self._weights()
-            self._strategy = Strategy.lazy(len(weights), lambda s: Strategy.normalized(weights[s]))
+            self._strategy = Strategy.lazy(self._flows[0],
+                                           lambda s: Strategy.normalized(self._pairs(s)))
         return self._strategy
 
 
@@ -258,10 +258,8 @@ def constrained_mdp_lp(
     target = _target_set(model, targets)
     goal = _target_set(model, goals)
     arr = _model_arrays(model)
-    enabled = np.fromiter(
-        (ch.action not in disabled_actions for row in model.choices for ch in row),
-        dtype=bool, count=arr.num_choices,
-    )
+    enabled = np.fromiter((a not in disabled_actions for a in model.actions),
+                          dtype=bool, count=arr.num_choices)
     costs = [float(c) for c in model.costs]
     return _occupation_lp(model, arr, costs, target, goal, lam, enabled)
 
@@ -467,15 +465,16 @@ def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisRe
     support group (``checking.solve_stacks``), and every configuration's
     strategy is the chain's one choice per state.  An MDP family solves the
     constrained LP once per distinct configuration, on its group's arrays
-    with its own row, and builds the exact strategy of the reported one.  The table keeps the results as arrays (``_Table``) and makes an
-    entry when it is read; the reported valuation is a copy.
+    with its own row, and builds the exact strategy of the reported one.
+    The table keeps the results as arrays (``_Table``) and makes an entry
+    when it is read; the reported valuation is a copy.
     """
     model = build_model(program)
     target = _target_set(model, query.target)
     goal = _target_set(model, query.goal)
     lam = float(query.bound)
 
-    chains = all(len(row) == 1 for row in model.choices)
+    chains = model.single_choices()
     family = _kept_family(model)
     table, solutions = _evaluate(model, family, chains, target, goal, lam)
     if not table:
@@ -518,7 +517,7 @@ def _commitment_table(model: ExplicitModel, report: TransformReport,
         row = rows[a] = list(blank)
         for p, v in commits:
             row[names.index(p)] = params[p].index(v)
-    table = [rows.get(ch.action, blank) for choices in model.choices for ch in choices]
+    table = [rows.get(a, blank) for a in model.actions]
     return np.array(table, dtype=np.int32).reshape(len(table), len(names))
 
 
@@ -559,8 +558,9 @@ def recover_valuation(
     and a strategy with a choice the model does not have ``ModelError``.
     """
     probs = strategy.choice_probs
+    counts = np.diff(model.choice_start).tolist()
     if len(probs) != model.num_states or any(
-            not 0 <= ci < len(row) for row, dist in zip(model.choices, probs) for ci in dist):
+            not 0 <= ci < k for k, dist in zip(counts, probs) for ci in dist):
         raise ModelError("strategy does not fit the model's choices")
     params = report.committed_values()
     table = _commitment_table(model, report, params)
@@ -861,27 +861,20 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
     gset = sorted(model.label_states(query.goal))
     # every value below is read off the entries of its valuation, exact
     # (numerator, denominator) pairs: branch probabilities flat in model
-    # order, from ``first[s][a]`` on for choice a of state s, and state costs
+    # order, as the model's branches, and state costs
     entries = [(probs, costs) for _, probs, costs in well_defined_entries(model)]
     if not entries:
         raise SynthesisError("no well-defined valuation exists")
-    first = []
-    flat = 0
-    for row in model.choices:
-        first.append([])
-        for ch in row:
-            first[-1].append(flat)
-            flat += len(ch.branches)
+    choice_start, branch_start = model.choice_start.tolist(), model.branch_start.tolist()
+    targets = model.targets.tolist()
+    parametric = [isinstance(p, Expr) for p in model.probs]
 
     values = set()
-    num_sa = 0
-    for s, row in enumerate(model.choices):
-        num_sa += len(row)
-        for a, ch in enumerate(row):
-            for j, (p, _) in enumerate(ch.branches):
-                if isinstance(p, Expr):
-                    values.update(probs[first[s][a] + j] for probs, _ in entries)
-        if isinstance(model.costs[s], Expr):
+    num_sa = len(model.actions)
+    for j in np.flatnonzero(parametric).tolist():
+        values.update(probs[j] for probs, _ in entries)
+    for s, c in enumerate(model.costs):
+        if isinstance(c, Expr):
             values.update(costs[s] for _, costs in entries)
     value_count = len(values)
     size_expr = model.num_states * num_sa + value_count ** 2
@@ -898,10 +891,8 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
         "SUBJECT TO",
         f"  bound: p[s{model.initial}] <= {_coef(Fraction(query.bound))}",
     ]
-    for s in tset:
-        lines.append(f"  target_s{s}: p[s{s}] = 1")
-    for s in gset:
-        lines.append(f"  goal_s{s}: c[s{s}] = 0")
+    lines += [f"  target_s{s}: p[s{s}] = 1" for s in tset]
+    lines += [f"  goal_s{s}: c[s{s}] = 0" for s in gset]
     onehot = " + ".join(f"x[u{k}]" for k in range(len(entries)))
     lines.append(f"  onehot: {onehot} = 1")
 
@@ -911,59 +902,48 @@ def emit_nilp(program: Program, query: SynthesisQuery) -> str:
             out += (" - " + t[1:]) if t.startswith("-") else (" + " + t)
         return out
 
-    tset_set, gset_set = set(tset), set(gset)
-    for s in range(model.num_states):
-        if s in tset_set:
-            continue
-        terms = [f"p[s{s}]"]
-        for a, ch in enumerate(model.choices[s]):
-            for k, (probs, _) in enumerate(entries):
-                for j, (_, t) in enumerate(ch.branches, first[s][a]):
-                    p, q = probs[j]
-                    if p == 0:
-                        continue
-                    terms.append(f"-{_coef(p / q)} sig[s{s},a{a}] * x[u{k}] * p[s{t}]")
-        lines.append(f"  pdef_s{s}: {terms_join(terms)} = 0")
-    for s in range(model.num_states):
-        if s in gset_set:
-            continue
-        terms = [f"c[s{s}]"]
-        for a, ch in enumerate(model.choices[s]):
+    def choices(s: int):
+        # per choice of state s: its index there and its branches' range
+        first, end = choice_start[s], choice_start[s + 1]
+        return ((a, range(branch_start[c], branch_start[c + 1]))
+                for a, c in enumerate(range(first, end)))
+
+    def recursion(s: int, var: str) -> str:
+        # the probability (``p``) or expected-cost (``c``) recursion of s
+        terms = [f"{var}[s{s}]"]
+        for a, branches in choices(s):
             for k, (probs, costs) in enumerate(entries):
                 p, q = costs[s]
-                if p != 0:
+                if var == "c" and p != 0:
                     terms.append(f"-{_coef(p / q)} sig[s{s},a{a}] * x[u{k}]")
-                for j, (_, t) in enumerate(ch.branches, first[s][a]):
+                for j in branches:
                     p, q = probs[j]
-                    if p == 0:
-                        continue
-                    terms.append(f"-{_coef(p / q)} sig[s{s},a{a}] * x[u{k}] * c[s{t}]")
-        lines.append(f"  cdef_s{s}: {terms_join(terms)} = 0")
-    for s in range(model.num_states):
-        for a, ch in enumerate(model.choices[s]):
-            if not any(isinstance(p, Expr) for p, _ in ch.branches):
+                    if p != 0:
+                        terms.append(
+                            f"-{_coef(p / q)} sig[s{s},a{a}] * x[u{k}] * {var}[s{targets[j]}]")
+        return terms_join(terms)
+
+    states = range(model.num_states)
+    tset_set, gset_set = set(tset), set(gset)
+    lines += [f"  pdef_s{s}: {recursion(s, 'p')} = 0" for s in states if s not in tset_set]
+    lines += [f"  cdef_s{s}: {recursion(s, 'c')} = 0" for s in states if s not in gset_set]
+    for s in states:
+        for a, branches in choices(s):
+            if not any(parametric[j] for j in branches):
                 continue
-            terms = []
-            for j in range(first[s][a], first[s][a] + len(ch.branches)):
-                for k, (probs, _) in enumerate(entries):
-                    p, q = probs[j]
-                    terms.append(f"{_coef(p / q)} x[u{k}]")
+            terms = [f"{_coef(p / q)} x[u{k}]" for j in branches
+                     for k, (p, q) in enumerate(probs[j] for probs, _ in entries)]
             lines.append(f"  wd_s{s}_a{a}: {terms_join(terms)} = 1")
-    for s in range(model.num_states):
-        row = " + ".join(f"sig[s{s},a{a}]" for a in range(len(model.choices[s])))
+    for s in states:
+        row = " + ".join(f"sig[s{s},a{a}]" for a, _ in choices(s))
         lines.append(f"  strat_s{s}: {row} = 1")
 
     lines.append("BOUNDS")
-    for s in range(model.num_states):
-        lines.append(f"  0 <= p[s{s}] <= 1")
-    for s in range(model.num_states):
-        lines.append(f"  c[s{s}] >= 0")
-    for s in range(model.num_states):
-        for a in range(len(model.choices[s])):
-            lines.append(f"  0 <= sig[s{s},a{a}] <= 1")
+    lines += [f"  0 <= p[s{s}] <= 1" for s in states]
+    lines += [f"  c[s{s}] >= 0" for s in states]
+    lines += [f"  0 <= sig[s{s},a{a}] <= 1" for s in states for a, _ in choices(s)]
     lines.append("BINARY")
-    for k in range(len(entries)):
-        lines.append(f"  x[u{k}]")
+    lines += [f"  x[u{k}]" for k in range(len(entries))]
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -989,7 +969,7 @@ def nilp_witness(program: Program, query: SynthesisQuery, valuation: Mapping) ->
     for s in range(model.num_states):
         assignment[f"p[s{s}]"] = float(pvec.values[s])
         assignment[f"c[s{s}]"] = float(cvec.values[s])
-        for a in range(len(model.choices[s])):
+        for a in range(model.choice_start[s + 1] - model.choice_start[s]):
             assignment[f"sig[s{s},a{a}]"] = 1.0
     target = dict(valuation)
     for k, u in enumerate(valuations):

@@ -38,7 +38,7 @@ def random_mc(rng: random.Random, max_states: int = 50) -> ExplicitModel:
     for s in (ok, bad):
         rows.append([Choice(None, ((F(1), s),))])
         costs.append(F(0))
-    return ExplicitModel(
+    return ExplicitModel.from_rows(
         kind="mc",
         var_names=("loc",),
         states=[(i,) for i in range(total)],
@@ -213,7 +213,7 @@ def random_mdp(rng: random.Random, max_states: int = 30) -> ExplicitModel:
             row.append(Choice(f"a{len(row)}", tuple((w / norm, t) for t, w in zip(targets, weights))))
         rows.append(row)
     target = frozenset(s for s in range(n) if roles[s] == "target" or rng.random() < 0.05)
-    return ExplicitModel(
+    return ExplicitModel.from_rows(
         kind="mdp",
         var_names=("loc",),
         states=[(i,) for i in range(n)],

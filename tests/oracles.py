@@ -55,7 +55,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
 
 import numpy as np
 
-from mimdp import checking, synthesis
+from mimdp import checking, expressions, synthesis
 from mimdp.checking import (
     DEFAULT_TOL,
     FEASIBILITY_TOL,
@@ -88,6 +88,8 @@ from mimdp.expressions import (
     infer_sort,
     joint_valuations,
     names_in,
+    eval_pairs,
+    pair_env,
     to_text,
 )
 from mimdp.lp import (
@@ -110,8 +112,11 @@ from mimdp.models import (
     Strategy,
     Valuation,
     WellDefinednessError,
+    Prob,
     _add_probs,
+    _candidates,
     _fmt,
+    _guard_index,
     _instance,
     all_valuations,
     build_model,
@@ -1366,7 +1371,7 @@ def seed_cost_bounded_reach(
                     )
                 rows[i] = new_row
 
-    product = ExplicitModel(
+    product = ExplicitModel.from_rows(
         kind="mc" if model.kind == "mc" else "mdp",
         var_names=model.var_names + ("_budget",),
         states=states,
@@ -1446,7 +1451,7 @@ def seed_instantiate(model: ExplicitModel, valuation) -> ExplicitModel:
             )
         new_costs.append(v)
     kind = "mc" if all(len(row) == 1 for row in new_rows) else "mdp"
-    return ExplicitModel(
+    return ExplicitModel.from_rows(
         kind=kind,
         var_names=model.var_names,
         states=list(model.states),
@@ -1655,7 +1660,7 @@ def seed_build_model(
         kind = "mimdp"
     else:
         kind = "mc" if all(len(row) == 1 for row in rows) else "mdp"
-    model = ExplicitModel(
+    model = ExplicitModel.from_rows(
         kind=kind,
         var_names=var_names,
         states=states,
@@ -2302,7 +2307,7 @@ def seed_absorb(model: ExplicitModel, closed: set) -> ExplicitModel:
             rows.append([Choice(None, ((Fraction(1), s),))])
         else:
             rows.append(list(row))
-    return ExplicitModel(
+    return ExplicitModel.from_rows(
         kind=model.kind,
         var_names=model.var_names,
         states=list(model.states),
@@ -2377,7 +2382,7 @@ def seed_constrained_mdp_lp(
             continue
         enabled = [ch for ch in row if ch.action not in disabled_actions or s in closed]
         restricted_rows.append(enabled if enabled else [Choice(None, ((Fraction(1), s),))])
-    restricted = ExplicitModel(
+    restricted = ExplicitModel.from_rows(
         kind="mdp",
         var_names=absorbed.var_names,
         states=list(absorbed.states),
@@ -3758,8 +3763,29 @@ def resolving_evaluate(model: ExplicitModel, family, chains: bool, target: np.nd
 
 def eager_solution_strategy(solution) -> Strategy:
     return Strategy([
-        {ci: Fraction(w) for ci, w in pairs} for pairs in solution._weights()
+        {ci: Fraction(w) for ci, w in pairs} for pairs in former_weights(solution)
     ])
+
+
+# ``synthesis.ConstrainedSolution`` walked every LP variable and made every
+# state's (choice index, weight) pairs, once for ``support`` and again for
+# ``strategy``; it now reads a state's variables when the state is read.
+# Its former ``_weights``, verbatim apart from the name and taking the
+# solution as its argument.
+
+def former_weights(self) -> list:
+    """Per state, the (choice index, weight) pairs of its strategy: the
+    flows above ``SUPPORT_TOL``, or one each on all of the state's own
+    choices where none has such a flow; the first choice at a state
+    without variables."""
+    n, states, choices, y = self._flows
+    own: Dict[int, list] = {}
+    for s, ci, w in zip(states.tolist(), choices.tolist(), y.tolist()):
+        own.setdefault(s, []).append((ci, w))
+    weights = [((0, 1),)] * n
+    for s, pairs in own.items():
+        weights[s] = [(ci, w) for ci, w in pairs if w > SUPPORT_TOL] or [(ci, 1) for ci, _ in pairs]
+    return weights
 
 
 def resolving_branch_and_bound(problem, program: Program,
@@ -3854,3 +3880,200 @@ def resolving_branch_and_bound(problem, program: Program,
         [],
         tuple(flags),
     )
+
+
+# ---------------------------------------------------------------------------
+# the former exploration, instantiation and arrays, on ``Choice`` rows
+#
+# ``models._explore`` and ``models._instance`` built a list of ``Choice``
+# objects per state, with a tuple per branch, and ``checking._Arrays`` made
+# its flat arrays by walking those objects.  Exploration now writes the
+# flat fields of ``ExplicitModel`` directly, an instance shares the base
+# model's offsets and targets, and the arrays take the model's fields with
+# numpy masks.  Kept verbatim apart from the names (the prefix
+# ``former_``; ``FormerArrays`` is the arrays with the former constructor)
+# the constructor, as rows of ``Choice``s become a model through
+# ``ExplicitModel.from_rows``, and the module prefix of ``substitute``.
+
+def former_explore(program: Program, state_cap: int, on_deadlock: str) -> ExplicitModel:
+    """The base model of the composed ``program`` (see ``build_model``)."""
+    module = program.single_module()
+    var_decls = list(program.variables().values())
+    var_names = tuple(v.name for v in var_decls)
+    domains = {v.name: (v.lo, v.hi) for v in var_decls}
+
+    constants = program.constants
+    base_env = pair_env(constants)
+    initial = tuple(v.init for v in var_decls)
+    index = {initial: 0}
+    states = [initial]
+    rows: list = []
+    costs: list = []
+    deadlocks = set()
+    queue = [0]
+    qhead = 0
+
+    def prob_value(expr: Expr) -> Prob:
+        # probabilities and costs mention no state variable, and may
+        # mention parameters, which stay symbolic
+        reduced = expressions.substitute(expr, constants)
+        return reduced.value if isinstance(reduced, Num) else reduced
+
+    commands, rewards = module.commands, program.rewards
+    command_index = _guard_index([c.guard for c in commands], var_names)
+    reward_index = _guard_index([r.guard for r in rewards], var_names)
+    label_exprs = list(program.labels.values())
+    members: list = [[] for _ in label_exprs]
+    label_errors: dict = {}  # label position -> error at its first failing state
+
+    while qhead < len(queue):
+        si = queue[qhead]
+        qhead += 1
+        state = states[si]
+        env = dict(base_env)
+        env.update(zip(var_names, [(x, 1) for x in state]))
+        out: list = []
+        for ci in _candidates(command_index, state):
+            cmd = commands[ci]
+            if not eval_pairs(cmd.guard, env):
+                continue
+            merged: dict = {}
+            for prob, update in cmd.branches:
+                p = prob_value(prob)
+                target = list(state)
+                for var, rhs in update:
+                    val = eval_pairs(rhs, env)
+                    if val.__class__ is bool or val[1] != 1:
+                        raise ModelError(
+                            f"non-integer update of '{var}' at state {_fmt(var_names, state)}"
+                        )
+                    lo, hi = domains[var]
+                    iv = val[0]
+                    if not (lo <= iv <= hi):
+                        raise ModelError(
+                            f"update leaves domain: {var}'={iv} not in [{lo}..{hi}] "
+                            f"at state {_fmt(var_names, state)}"
+                        )
+                    target[var_names.index(var)] = iv
+                tkey = tuple(target)
+                if tkey not in merged:
+                    merged[tkey] = p
+                else:
+                    merged[tkey] = _add_probs(merged[tkey], p)
+            # an all-concrete row is a product of distributions that
+            # check_program validated exactly, so it needs no check here
+            branches = []
+            for tkey, p in merged.items():
+                if tkey not in index:
+                    if len(states) >= state_cap:
+                        raise StateCapExceeded(
+                            f"state cap of {state_cap} states exceeded"
+                        )
+                    index[tkey] = len(states)
+                    states.append(tkey)
+                    queue.append(index[tkey])
+                branches.append((p, index[tkey]))
+            out.append(Choice(cmd.action, tuple(branches)))
+        if not out:
+            if on_deadlock == "error":
+                raise DeadlockError(
+                    f"deadlock state {_fmt(var_names, state)}: no command enabled"
+                )
+            deadlocks.add(si)
+            out.append(Choice(None, ((Fraction(1), si),)))
+        rows.append(out)
+        # state cost: sum of reward declarations whose guard holds
+        cost: Prob = Fraction(0)
+        for ri in _candidates(reward_index, state):
+            r = rewards[ri]
+            if eval_pairs(r.guard, env):
+                c = prob_value(r.cost)
+                cost = _add_probs(cost, c)
+        if isinstance(cost, Fraction) and cost < 0:
+            raise ModelError(f"negative cost at state {_fmt(var_names, state)}")
+        costs.append(cost)
+        # labels share the state's environment; a failing label is raised
+        # after the exploration, the first in declaration order, as if the
+        # labels were evaluated one after another over all states
+        for k, lexpr in enumerate(label_exprs):
+            if k in label_errors:
+                continue
+            try:
+                if eval_pairs(lexpr, env):
+                    members[k].append(si)
+            except ExprError as e:
+                label_errors[k] = e
+
+    if label_errors:
+        raise label_errors[min(label_errors)]
+    labels = {label: frozenset(m) for label, m in zip(program.labels, members)}
+
+    parametric = len(program.parameters) > 0
+    if parametric:
+        kind = "mimdp"
+    else:
+        kind = "mc" if all(len(row) == 1 for row in rows) else "mdp"
+    return ExplicitModel.from_rows(
+        kind=kind,
+        var_names=var_names,
+        states=states,
+        initial=0,
+        choices=rows,
+        costs=costs,
+        labels=labels,
+        parameters=dict(program.parameters) if parametric else {},
+        deadlocks=frozenset(deadlocks),
+    )
+
+
+def former_instance(model: ExplicitModel, probs: Sequence[Fraction], costs: list) -> ExplicitModel:
+    """The concrete model with the flat branch probabilities ``probs``."""
+    values = iter(probs)
+    new_rows = [
+        [Choice(ch.action, tuple((next(values), t) for _, t in ch.branches)) for ch in row]
+        for row in model.choices
+    ]
+    kind = "mc" if all(len(row) == 1 for row in new_rows) else "mdp"
+    return ExplicitModel.from_rows(
+        kind=kind,
+        var_names=model.var_names,
+        states=list(model.states),
+        initial=model.initial,
+        choices=new_rows,
+        costs=costs,
+        labels=dict(model.labels),
+        parameters={},
+        deadlocks=model.deadlocks,
+    )
+
+
+class FormerArrays(_Arrays):
+    """The checker's arrays, made by the former walk over the ``Choice``
+    objects of ``model.choices``."""
+
+    def __init__(self, model: ExplicitModel, support=None, probs=None):
+        if model.kind == "mimdp" and support is None:
+            raise ModelError("model checking needs a concrete model; instantiate first")
+        choice_state = []
+        branch_start = [0]
+        choice_start = [0]
+        targets: list = []
+        floats: list = []
+        edges = iter(support) if support is not None else None
+        for si, row in enumerate(model.choices):
+            for ch in row:
+                choice_state.append(si)
+                for p, t in ch.branches:
+                    if not (p if edges is None else next(edges)):
+                        continue
+                    targets.append(t)
+                    if edges is None:
+                        floats.append(float(p))
+                if len(targets) == branch_start[-1]:
+                    raise ModelError(
+                        f"choice with no positive branch at state {model.state_text(si)}"
+                    )
+                branch_start.append(len(targets))
+            choice_start.append(len(choice_state))
+        self._fill(model.num_states, choice_state, choice_start, branch_start,
+                   targets, floats if probs is None else probs)

@@ -24,9 +24,10 @@ import pytest
 
 import oracles
 from mimdp import models, shipyard, synthesis
-from mimdp.models import build_model
+from mimdp.models import Strategy, build_model
 from mimdp.parser import parse_file, parse_program
 from mimdp.synthesis import (
+    SUPPORT_TOL,
     ConstrainedSolution,
     ImproperModelError,
     SynthesisQuery,
@@ -364,6 +365,32 @@ def test_lazy_strategies_equal_the_former_normalisation():
         single += any(len(dist) == 1 for dist in want)
         several += any(len(dist) > 1 for dist in want)
     assert single > 300 and several > 300
+
+
+def test_per_state_reads_equal_the_former_walk_over_every_variable():
+    """A solution reads a state's variables when that state is read; its
+    supports and ``choice_probs`` are, bit for bit, those the former walk
+    over every variable made (``oracles.former_weights``), with states
+    read in any order, zero-flow states and states without variables."""
+    rng = random.Random(28)
+    bare = zero_flow = 0
+    for _ in range(2000):
+        flows = _random_flows(rng)
+        n, states, _, y = flows
+        solution = ConstrainedSolution(flows, 0.0, 0.0)
+        weights = oracles.former_weights(solution)
+        support, probs = solution.support, solution.strategy.choice_probs
+        for s in rng.sample(range(n), n):
+            assert support[s] == tuple(ci for ci, _ in weights[s])
+            want = Strategy.normalized(weights[s])
+            assert list(probs[s].items()) == list(want.items())
+            assert all(type(w) is F for w in probs[s].values())
+        assert list(support) == [tuple(ci for ci, _ in pairs) for pairs in weights]
+        assert list(probs) == [Strategy.normalized(pairs) for pairs in weights]
+        bare += len(set(states.tolist())) < n
+        zero_flow += any((states == s).any() and not (y[states == s] > SUPPORT_TOL).any()
+                         for s in range(n))
+    assert bare > 500 and zero_flow > 500
 
 
 def test_a_lazy_sequence_iterates_its_items_in_order():

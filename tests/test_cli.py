@@ -1,6 +1,7 @@
 import json
 
 from mimdp.cli import main
+from test_models import ZERO_BRANCHES
 
 
 def run(capsys, *argv):
@@ -56,13 +57,21 @@ def test_parse_refuses_a_constant_probability_that_divides_by_zero(capsys, tmp_p
     assert "division by zero in 1 / (c - 1) in probability in command 1 of module 'm'" in err
 
 
-def test_build_json(capsys, models_dir):
+def test_build_json(capsys, models_dir, tmp_path):
     code, out, _ = run(capsys, "build", str(models_dir / "die.mgcl"), "--valuations")
     assert code == 0
     info = json.loads(out)
     assert info["schema"] == 1
     assert (info["states"], info["transitions"]) == (13, 20)
     assert info["well_defined_valuations"] == 3
+    # zero-probability branches are transitions, of the family and of the
+    # instance where a parametric entry is 0
+    path = tmp_path / "zero.mgcl"
+    path.write_text(ZERO_BRANCHES, encoding="utf-8")
+    for extra in ((), ("--valuation", "p=0")):
+        code, out, _ = run(capsys, "build", str(path), *extra)
+        assert code == 0
+        assert (json.loads(out)["states"], json.loads(out)["transitions"]) == (3, 5)
 
 
 def test_build_dot(capsys, models_dir, tmp_path):
@@ -260,6 +269,28 @@ def test_unknown_flag_exits_two(capsys, models_dir):
     # the removed ``bench`` subcommand is a usage error like any unknown one
     code, out, err = run(capsys, "bench", str(models_dir))
     assert code == 2 and out == "" and "invalid choice: 'bench'" in err
+
+
+def _assert_usage_error(capsys, *argv):
+    """A zero denominator on the command line is a usage error: exit code
+    2 and one line on stderr, not a traceback."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(" divides by zero\n")
+    assert err.count("\n") == 1
+
+
+def test_build_refuses_a_valuation_with_a_zero_denominator(capsys, models_dir):
+    _assert_usage_error(capsys, "build", str(models_dir / "die.mgcl"), "--valuation", "p=1/0")
+
+
+def test_check_refuses_a_valuation_with_a_zero_denominator(capsys, models_dir):
+    _assert_usage_error(capsys, "check", str(models_dir / "die.mgcl"),
+                        "--prop", 'P=? [F "six"]', "--valuation", "p=3/0")
+
+
+def test_casestudy_refuses_a_false_positive_rate_with_a_zero_denominator(capsys):
+    _assert_usage_error(capsys, "casestudy", "generate", "--fp", "1/0")
 
 
 def test_unreadable_input_exits_two(capsys):

@@ -428,7 +428,7 @@ def test_errors_of_expressions_are_raised_by_the_instance_and_never_stored():
 def test_a_concrete_choice_that_is_no_distribution_fails_every_valuation_at_its_place():
     half = F(1, 2)
     p = Name("p")
-    model = ExplicitModel(
+    model = ExplicitModel.from_rows(
         kind="mimdp",
         var_names=("s",),
         states=[(0,), (1,), (2,)],
@@ -466,7 +466,7 @@ def test_instantiating_outside_the_declared_values_matches_the_former_code(two_s
 
 
 def test_a_boolean_entry_raises_the_former_error():
-    model = ExplicitModel(
+    model = ExplicitModel.from_rows(
         kind="mimdp",
         var_names=("s",),
         states=[(0,)],

@@ -14,11 +14,13 @@ from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 from generators import random_mimdp_program
-from mimdp import models, shipyard
-from mimdp.checking import expected_cost, reach_prob
+from mimdp import checking, models, shipyard
+from mimdp.checking import expected_cost, reach_prob, stack_family
 from mimdp.expressions import ExprError
 from mimdp.models import (
     DeadlockError,
@@ -34,6 +36,8 @@ from mimdp.parser import parse_program
 from mimdp.program import pretty
 from mimdp.synthesis import SynthesisQuery, synthesize, synthesize_enumerate
 from mimdp.transform import transform_all, transform_probabilities, transform_rewards
+from test_family import VARYING_SUPPORT
+from test_models import ZERO_BRANCHES
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -63,6 +67,11 @@ def _outcome(call):
 def _fields(model) -> tuple:
     return (model.kind, model.var_names, list(model.states), model.initial, model.choices,
             model.costs, model.labels, model.parameters, model.deadlocks)
+
+
+# the flat transition fields of a model, and the rest
+_FLAT = ("actions", "choice_start", "branch_start", "targets", "probs")
+_REST = ("kind", "var_names", "states", "initial", "costs", "labels", "parameters", "deadlocks")
 
 
 def _use(model) -> None:
@@ -321,3 +330,127 @@ def test_a_sweep_of_bounds_on_the_per_sensor_shipyard_family_equals_fresh_progra
     answers = _same_sweep(synthesize_enumerate, _shipyard_text(True), queries)
     assert len(answers) == 4
     assert sum('"feasible": true' in a for a in answers) == 3
+
+
+# ---------------------------------------------------------------------------
+# exploration writes the flat fields: the former code on ``Choice`` rows
+
+
+def _assert_same_model(new, former):
+    """``new`` equals ``former``, made by the former code through
+    ``ExplicitModel.from_rows``, field for field: offsets and targets as
+    read-only int64 arrays, exact probabilities of the same types, and the
+    rows of ``Choice``s read through the view."""
+    for name in _REST + ("actions", "probs"):
+        a, b = getattr(new, name), getattr(former, name)
+        assert a == b and list(map(type, a if isinstance(a, list) else [a])) == \
+            list(map(type, b if isinstance(b, list) else [b])), name
+    for name in ("choice_start", "branch_start", "targets"):
+        a, b = getattr(new, name), getattr(former, name)
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), name
+        assert not a.flags.writeable, name
+    assert new.choices == former.choices and new == former
+    assert new.num_transitions == former.num_transitions
+
+
+def _assert_same_arrays(new, former):
+    """Every field of two ``checking._Arrays``, bit for bit."""
+    assert vars(new).keys() == vars(former).keys()
+    for name, a in vars(new).items():
+        b = getattr(former, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+
+
+def _flat_corpus():
+    """Per program, its base model and its controlled model with those the
+    former exploration makes: the bundled models, both shipyard families
+    and ``random_corpus`` seeds 1-3."""
+    programs = [parse_program(path.read_text(encoding="utf-8"))
+                for path in sorted(MODELS.glob("*.mgcl"))]
+    programs += [parse_program(_shipyard_text(per_sensor)) for per_sensor in (False, True)]
+    gen = _gen()
+    for seed in (1, 2, 3):
+        programs += [parse_program(pretty(p)) for p, _ in gen.random_corpus(seed)]
+    # families with zero-probability branches and more than one support
+    programs += [parse_program(text) for text in (ZERO_BRANCHES, VARYING_SUPPORT)]
+    cap = models.DEFAULT_STATE_CAP
+    for program in programs:
+        yield build_model(program), oracles.former_explore(compose(program), cap, "error")
+        controlled = transform_all(program)[0]
+        yield (build_model(controlled, on_deadlock="absorb"),
+               oracles.former_explore(compose(controlled), cap, "absorb"))
+
+
+def test_exploration_instances_and_arrays_equal_the_former_object_built_ones():
+    checked = {"base": 0, "controlled": 0, "instances": 0, "stacks": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for model, former in _flat_corpus():
+            _assert_same_model(model, former)
+            if model.kind != "mimdp":
+                checked["controlled"] += 1
+                _assert_same_arrays(checking._Arrays(model), oracles.FormerArrays(model))
+                continue
+            checked["base"] += 1
+            entries = list(well_defined_entries(model))
+            for _, probs, costs in entries[:2] + entries[-1:]:
+                fractions = [F(*p) for p in probs]
+                inst = models._instance(model, fractions, [F(*c) for c in costs])
+                want = oracles.former_instance(model, fractions, [F(*c) for c in costs])
+                _assert_same_model(inst, want)
+                for name in ("choice_start", "branch_start", "targets"):
+                    assert getattr(inst, name) is getattr(model, name)
+                _assert_same_arrays(checking._Arrays(inst), oracles.FormerArrays(inst))
+                checked["instances"] += 1
+            # every support stack of the family, against the former walk with
+            # that support and the stack's own probability rows
+            for stack in stack_family(model, [(p, c) for _, p, c in entries]):
+                probs = entries[stack.members[0]][1]
+                support = tuple(p != 0 for p, _ in probs)
+                _assert_same_arrays(stack.arr, oracles.FormerArrays(model, support, stack.arr.probs))
+                checked["stacks"] += 1
+    assert checked == {"base": 307, "controlled": 307, "instances": 921, "stacks": 309}
+
+
+def test_no_choice_is_made_on_the_hot_paths(monkeypatch):
+    """Exploration, instantiation, both routes and the checker read the
+    flat fields: a cold and then a warm ``synthesize(method="both")`` on the
+    per-sensor shipyard model and on three ``random_corpus`` seed-1
+    programs, and ``check_spec`` on the benchmark's retry-channel
+    properties, make no ``Choice``."""
+    made = []
+
+    class Counted(models.Choice):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(models, "Choice", Counted)
+    assert build_model(parse_program(DEADLOCK), on_deadlock="absorb").choices[0] and made
+    made.clear()
+
+    runs = [(parse_program(_shipyard_text(True)), SynthesisQuery("failure", F(3, 100), "done"))]
+    runs += [(parse_program(pretty(p)), q) for p, q in _gen().random_corpus(1, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for program, query in runs:
+            for _ in ("cold", "warm"):
+                results = synthesize(program, replace(query, method="both"))
+                assert [r.method for r in results] == ["enumerate", "transformed"]
+                assert made == []
+
+    text = (MODELS / "retry_channel.mgcl").read_text(encoding="utf-8")
+    program = parse_program(text.replace("const retries = 40;", "const retries = 200;"))
+    chain = build_model(program, {"loss": F(2, 5)})
+    mdp = build_model(transform_all(program)[0], on_deadlock="absorb")
+    props = [(chain, 'Pmax=? [F "gaveup"]'), (chain, 'ECmin=? [F "stopped"]'),
+             (chain, 'P=? [F{C<20} "delivered"]'), (mdp, 'Pmax=? [F "gaveup"]'),
+             (mdp, 'Pmin=? [F "gaveup"]')]
+    for model, prop in props:
+        for _ in ("cold", "warm"):
+            checking.check_spec(model, checking.parse_property(prop))
+    assert made == []

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from mimdp import shipyard
+from mimdp import checking, shipyard
 from mimdp.models import (
     BlockedActionWarning,
     DeadlockError,
@@ -18,6 +18,7 @@ from mimdp.models import (
     induced_mc,
     instantiate,
     to_dot,
+    well_defined_entries,
     well_defined_valuations,
 )
 from mimdp.parser import parse_program
@@ -173,6 +174,42 @@ def test_two_stage_builds_to_four_states_six_transitions(two_stage):
 def test_die_builds_to_thirteen_states_twenty_transitions(die):
     model = build_model(die)
     assert (model.num_states, model.num_transitions) == (13, 20)
+
+
+# a literal zero-probability branch at s=0, and at s=1 a parametric one that
+# is 0 under p = 0
+ZERO_BRANCHES = """
+param p in {0, 0.5};
+module m
+  s : [0..2] init 0;
+  [] s=0 -> 1:(s'=1) + 0:(s'=0);
+  [] s=1 -> p:(s'=2) + (1-p):(s'=0);
+  [] s=2 -> true;
+endmodule
+label "t" = s=2;
+"""
+
+
+def test_zero_probability_branches_are_kept_by_the_model_and_left_out_of_the_arrays():
+    program = parse_program(ZERO_BRANCHES)
+    model = build_model(program)
+    instance = build_model(program, {"p": F(0)})
+    # the model and its instances keep every branch ...
+    assert model.num_transitions == instance.num_transitions == 5
+    assert model.choices[0][0].branches == ((F(1), 1), (F(0), 0))
+    assert instance.choices[1][0].branches == ((F(0), 2), (F(1), 0))
+    assert instance.probs == [F(1), F(0), F(0), F(1), F(1)]
+    # ... and the checker's arrays only the positive ones
+    arr = checking._Arrays(instance)
+    assert (arr.branch_start.tolist(), arr.targets.tolist()) == ([0, 1, 2, 3], [1, 0, 2])
+    assert arr.probs.tolist() == [1.0, 1.0, 1.0]
+    # as does each support of the family: p = 0 and p = 0.5 differ at s=1
+    entries = list(well_defined_entries(model))
+    stacks = checking.stack_family(model, [(probs, costs) for _, probs, costs in entries])
+    assert [stack.members.tolist() for stack in stacks] == [[0], [1]]
+    assert [stack.arr.targets.tolist() for stack in stacks] == [[1, 0, 2], [1, 2, 0, 2]]
+    assert [stack.arr.branch_start.tolist() for stack in stacks] == [[0, 1, 2, 3], [0, 1, 3, 4]]
+    assert stacks[1].arr.probs.tolist() == [[1.0, 0.5, 0.5, 1.0]]
 
 
 def test_initial_state_violating_domain_is_an_error():
@@ -426,6 +463,10 @@ def test_dot_export_mentions_states_and_labels(two_stage):
     model = build_model(two_stage)
     dot = to_dot(model)
     assert "digraph" in dot and "loc=2" in dot and "->" in dot
+    # a zero-probability branch is an edge of the drawing
+    program = parse_program(ZERO_BRANCHES)
+    assert '  s0 -> s0 [label="tau:0"];' in to_dot(build_model(program))
+    assert '  s1 -> s2 [label="tau:0"];' in to_dot(build_model(program, {"p": F(0)}))
 
 
 def test_parameter_free_model_has_the_single_empty_valuation(die):

@@ -130,7 +130,10 @@ def test_predecessor_lists_equal_the_former_per_branch_lists():
 def _restricted(model, on):
     """The model with only the choices ``on`` (a flat mask) left."""
     flags = iter(on.tolist())
-    return replace(model, choices=[[ch for ch in row if next(flags)] for row in model.choices])
+    return ExplicitModel.from_rows(
+        model.kind, model.var_names, model.states, model.initial,
+        [[ch for ch in row if next(flags)] for row in model.choices],
+        model.costs, model.labels, model.parameters, model.deadlocks)
 
 
 def test_masked_searches_equal_the_former_fixpoints_on_the_restricted_model():
@@ -363,7 +366,7 @@ def _wide_mdp():
             for shift in (0, 1)
         ])
     rows += [[Choice(None, ((Fraction(1), s),))] for s in (12, 13)]
-    return ExplicitModel(
+    return ExplicitModel.from_rows(
         kind="mdp", var_names=("s",), states=[(s,) for s in range(14)], initial=0,
         choices=rows, costs=[Fraction(s % 5) for s in range(12)] + [Fraction(0)] * 2,
         labels={"t": frozenset({12}), "g": frozenset({12, 13})}, parameters={},
@@ -771,9 +774,9 @@ def _large_mdp(rng, n):
                 (Fraction(w, total), t) for w, t in zip(weights, succ))))
         rows.append(row)
     target = frozenset(rng.sample(range(n), 3))
-    return ExplicitModel(kind="mdp", var_names=("s",), states=[(i,) for i in range(n)],
-                         initial=0, choices=rows, costs=[Fraction(0)] * n,
-                         labels={"target": target}, parameters={})
+    return ExplicitModel.from_rows(kind="mdp", var_names=("s",), states=[(i,) for i in range(n)],
+                                   initial=0, choices=rows, costs=[Fraction(0)] * n,
+                                   labels={"target": target}, parameters={})
 
 
 def _large_cases(models_dir):
