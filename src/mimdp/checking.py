@@ -1052,7 +1052,8 @@ _PROP_RE = re.compile(
 
 def parse_property(text: str) -> Specification:
     """Property mini-syntax: ``P<=0.3 [F "t"]``, ``Pmin=? [F "t"]``,
-    ``Pmax=? [F "t"]``, ``ECmin=? [F "g"]``, ``P=? [F{C<10} "t"]``."""
+    ``Pmax=? [F "t"]``, ``ECmin=? [F "g"]``, ``P=? [F{C<10} "t"]``; a bound
+    takes no direction, as ``check_spec`` chooses it."""
     m = _PROP_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse property: {text!r}")
@@ -1068,6 +1069,9 @@ def parse_property(text: str) -> Specification:
     if bound is not None:
         if limit is not None:
             raise ValueError("bounded form does not combine with a cost bound")
+        if direction is not None:
+            raise ValueError(f"a bound takes P, not {head}: it holds under every strategy "
+                             "(the maximum), or under some (the minimum) with --existential")
         lam = Fraction(bound)
         if not (0 <= lam <= 1):
             raise ValueError("probability bound must lie in [0,1]")

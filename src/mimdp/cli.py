@@ -77,15 +77,20 @@ def _number(text: str, what: str) -> Fraction:
         raise CliError(f"{what}: {text!r} divides by zero") from None
 
 
-def _parse_valuation(text):
+def _parse_valuation(text, parameters):
+    """``--valuation``: name=value pairs, each name a parameter, given once."""
     if not text:
         return None
     out = {}
     for part in text.split(","):
         if "=" not in part:
             raise CliError(f"bad valuation entry {part!r}; expected name=value")
-        name, value = part.split("=", 1)
-        out[name.strip()] = _number(value.strip(), f"value of {name.strip()}")
+        name, value = (x.strip() for x in part.split("=", 1))
+        if name not in parameters:
+            raise CliError(f"unknown parameter {name!r} in --valuation")
+        if name in out:
+            raise CliError(f"parameter {name!r} given twice in --valuation")
+        out[name] = _number(value, f"value of {name}")
     return out
 
 
@@ -99,7 +104,7 @@ def _load(path):
 
 
 def _build(args, program, *, need_concrete=False):
-    valuation = _parse_valuation(getattr(args, "valuation", None))
+    valuation = _parse_valuation(getattr(args, "valuation", None), program.parameters)
     model = build_model(program, valuation, state_cap=args.state_cap)
     if need_concrete and model.kind == "mimdp":
         raise CliError("model is parametric; pass --valuation to instantiate it")

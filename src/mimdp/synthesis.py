@@ -23,7 +23,9 @@ Two independent routes:
   mass between different values of one parameter (a mixture of
   configurations, which no single valuation realizes); when that happens
   we branch on the conflicted parameter, and a final lexicographic pass
-  pins the tie-broken valuation, so both routes return the same answer.
+  pins the answer.  Both routes answer the first configuration, in
+  ``all_valuations`` order, whose expected cost is within ``TIE_TOL`` of
+  the least feasible cost.
 
 ``emit_nilp`` writes the direct nonlinear integer encoding (binary
 characteristic variable per well-defined valuation, bilinear probability
@@ -432,25 +434,20 @@ def _evaluate_mdp(model: ExplicitModel, stack, row: int, target: np.ndarray, goa
 
 
 def _best(ecs: np.ndarray, feasible: np.ndarray) -> Optional[int]:
-    """The row the sequential rule picks: the first feasible row, replaced
-    only by a later feasible one cheaper than the pick by more than
-    ``TIE_TOL``, or None.  Each replacement is a strict new prefix minimum
-    of the feasible costs, so only those rows are walked."""
+    """The first feasible row whose cost is within ``TIE_TOL`` of the least
+    feasible cost, or None: the rule the transformed route's certification
+    applies too."""
     rows = np.flatnonzero(feasible)
+    if not len(rows):
+        return None
     costs = ecs[rows]
-    lower = np.ones(len(rows), dtype=bool)
-    lower[1:] = costs[1:] < np.minimum.accumulate(costs)[:-1]
-    best = None
-    for i, ec in zip(rows[lower].tolist(), costs[lower].tolist()):
-        if best is None or ec < best_ec - TIE_TOL:
-            best, best_ec = i, ec
-    return best
+    return int(rows[np.argmax(costs <= costs.min() + TIE_TOL)])
 
 
 def synthesize_enumerate(program: Program, query: SynthesisQuery) -> SynthesisResult:
     """The oracle route: evaluate every well-defined valuation and return
-    the feasible valuation of minimal expected cost (lexicographically
-    smallest on ties).
+    the first, in ``all_valuations`` order, whose expected cost is within
+    ``TIE_TOL`` of the least feasible cost (``_best``).
 
     Guards and updates are parameter-free, so all configurations share
     one state graph and one kind, and each is read off its entries alone.
@@ -661,10 +658,10 @@ def synthesize_transformed(program: Program, query: SynthesisQuery) -> Synthesis
 
     Solves the constrained LP; branches (depth-first, declaration order)
     whenever the optimum mixes a parameter's values on its support or its
-    joint commitments extend to no well-defined valuation, keeping the best
-    admissible pure outcome; finally certifies the lexicographically
-    smallest valuation among ties so the result matches the enumeration
-    route's tie-break.  A certification step solves no LP for a value its
+    joint commitments extend to no well-defined valuation, keeping the least
+    cost admissible pure outcome (the first on exact ties); then certifies,
+    parameter by parameter, the configuration enumeration picks (``_best``).
+    A certification step solves no LP for a value its
     current outcome proves: the support commits the parameter to it or not
     at all, and the joint fixing is extendable; the last parameter's LP is
     always solved, as its solution is reported.  The nodes read only their
@@ -738,7 +735,7 @@ def _branch_and_bound(problem: _Controlled, program: Program,
             sub = solve_fixed(fixing(fixed, branch_on, k))
             if sub is None:
                 continue
-            if best is None or sub[0].expected_cost < best[0].expected_cost - TIE_TOL:
+            if best is None or sub[0].expected_cost < best[0].expected_cost:
                 best = sub
         cache[fixed] = best
         return best
@@ -756,44 +753,31 @@ def _branch_and_bound(problem: _Controlled, program: Program,
         return SynthesisResult("transformed", False, None, None, math.inf, None)
     best_value = root[0].expected_cost
 
-    # lexicographic certification: fix parameters one by one to the earliest
-    # declared value that still achieves the optimum and still lies under
-    # some well-defined valuation.  If none does, the optimum rests on
-    # commitments outside every well-defined valuation: a second pass takes
-    # the earliest value that achieves it, and says so
-    flags = []
+    # lexicographic certification: fix the occurring parameters one by one
+    # to the earliest declared value that still lies under some well-defined
+    # valuation and still achieves the optimum within TIE_TOL
     final = root
     for j in problem.occurring:
-        chosen = None
-        for well_defined in (True, False):
-            for k in range(len(params[j][1])):
-                if well_defined and not extendable(fixing(fixed, j, k)):
-                    continue
-                proved = well_defined and j != problem.occurring[-1] and proves(final, fixed, j, k)
-                sub = final if proved else solve_fixed(fixing(fixed, j, k))
-                if sub is not None and sub[0].expected_cost <= best_value + TIE_TOL:
-                    chosen = (k, sub)
-                    break
-            if chosen is not None:
+        for k in range(len(params[j][1])):
+            if not extendable(fixing(fixed, j, k)):
+                continue
+            proved = j != problem.occurring[-1] and proves(final, fixed, j, k)
+            sub = final if proved else solve_fixed(fixing(fixed, j, k))
+            if sub is not None and sub[0].expected_cost <= best_value + TIE_TOL:
                 break
-        if chosen is None:
+        else:
+            # never reached: ``final`` (first the root) is a pure leaf with an
+            # extendable joint fixing, within TIE_TOL of ``best_value``; it stays
+            # feasible at its cost with j fixed to the value it commits (to an
+            # agreeing admissible valuation's if none), so that value passes
             raise SynthesisError("lexicographic certification lost the optimum")
-        if not well_defined:
-            flags.append(f"parameter '{params[j][0]}' fixed outside the well-defined set")
-        fixed = fixing(fixed, j, chosen[0])
-        final = chosen[1]
+        fixed = fixing(fixed, j, k)
+        final = sub
 
     res, commits = final
-    matching = np.flatnonzero(problem.agreeing(fixed))
-    if len(matching):
-        valuation = dict(problem.admissible[matching[0]])
-    else:
-        valuation = {p: vs[k] for (p, vs), k in zip(params, fixed) if k >= 0}
-        for p, vs in params:
-            valuation.setdefault(p, vs[0])
-    for j in problem.occurring:
-        if not commits[j]:
-            flags.append(f"parameter '{params[j][0]}' never committed on the support")
+    valuation = dict(problem.admissible[int(np.argmax(problem.agreeing(fixed)))])
+    flags = tuple(f"parameter '{params[j][0]}' never committed on the support"
+                  for j in problem.occurring if not commits[j])
     return SynthesisResult(
         "transformed",
         True,
@@ -802,7 +786,7 @@ def _branch_and_bound(problem: _Controlled, program: Program,
         res.expected_cost,
         res.reach_probability,
         [],
-        tuple(flags),
+        flags,
     )
 
 

@@ -57,7 +57,7 @@ _VALUE_POOL = [
 ]
 
 
-def random_mimdp_program(rng: random.Random, max_states: int = 14):
+def random_mimdp_program(rng: random.Random, max_states: int = 14, zeros: bool = False):
     """A random parametric program with valuation-independent topology.
 
     Transient states form a forward chain (guaranteed absorption under every
@@ -65,7 +65,11 @@ def random_mimdp_program(rng: random.Random, max_states: int = 14):
     instantiation), probabilities are concrete pairs, complement pairs over
     one parameter, or a coupled two-parameter pair whose value sets only
     match on complementary indices (so the well-definedness filter bites),
-    and some states carry parametric costs.  Returns (program, query).
+    and some states carry parametric costs.  With ``zeros``, 0 replaces a
+    value of some parameters, so that some valuations give a branch
+    probability 0 and the family has more than one support; without it the
+    draws, and so the programs, are those of the plain generator.  Returns
+    (program, query).
     """
     n = rng.randint(3, max_states - 2)
     ok, bad = n, n + 1
@@ -76,6 +80,10 @@ def random_mimdp_program(rng: random.Random, max_states: int = 14):
     for nm in names:
         k = rng.randint(2, 3)
         params[nm] = tuple(rng.sample(_VALUE_POOL, k))
+        if zeros and rng.random() < 0.6:
+            values = list(params[nm])
+            values[rng.randrange(k)] = F(0)
+            params[nm] = tuple(values)
     coupled = None
     if nparams >= 2 and rng.random() < 0.5:
         base, mate = names[0], names[1]
@@ -173,6 +181,14 @@ def random_mimdp_program(rng: random.Random, max_states: int = 14):
     lam = rng.choice([F(1), F(1), F(rng.randint(1, 20), 20), F(rng.randint(1, 20), 20)])
     query = SynthesisQuery("bad", lam, "goal", "both")
     return program, query
+
+
+def zero_valued_programs(count: int = 40, seed: int = 17) -> list:
+    """``count`` (program, query) pairs of ``random_mimdp_program`` with
+    ``zeros``, about half of them families with zero-probability branches
+    and more than one support group, for the differential tests."""
+    rng = random.Random(seed)
+    return [random_mimdp_program(rng, zeros=True) for _ in range(count)]
 
 
 def random_mdp(rng: random.Random, max_states: int = 30) -> ExplicitModel:

@@ -28,6 +28,7 @@ from mimdp.models import Strategy, build_model
 from mimdp.parser import parse_file, parse_program
 from mimdp.synthesis import (
     SUPPORT_TOL,
+    TIE_TOL,
     ConstrainedSolution,
     ImproperModelError,
     SynthesisQuery,
@@ -38,6 +39,7 @@ from mimdp.synthesis import (
     synthesize_transformed,
 )
 from mimdp.transform import transform_all
+from generators import zero_valued_programs
 from test_family import _random_families
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +68,29 @@ rewards
 endrewards
 label "t" = s=2;
 label "g" = s>=2;
+"""
+
+# the root's support commits c = 0 at s=1 and c = 24 at s=2, so
+# branch-and-bound branches on c; with c fixed, the cost is
+# 1 + (20 - c)e-10: 1 + 2e-9, 1 + 1.2e-9, 1 + 0.5e-9 and 1 - 0.4e-9, each
+# within TIE_TOL of the next.  The least is 1 - 0.4e-9 and c = 15 the first
+# within TIE_TOL of it; the former sequential pick among the branches was
+# c = 15 at 1 + 0.5e-9, which let the certification take c = 8
+MIXED = """
+param c in {0, 8, 15, 24};
+module m
+  s : [0..3] init 0;
+  [] s=0 -> 0.5:(s'=1) + 0.5:(s'=2);
+  [] s=1 -> (s'=3);
+  [] s=2 -> (s'=3);
+  [] s=3 -> true;
+endmodule
+rewards
+  s=1 : 1 + (20 - c)*0.0000000001 + c*0.01;
+  s=2 : 1 + (20 - c)*0.0000000001 - c*0.01;
+endrewards
+label "t" = s=3;
+label "g" = s=3;
 """
 
 # q, the first parameter, is committed only at s=1, which no strategy
@@ -144,7 +169,8 @@ def _corpus(part: str) -> list:
         return [(_shipyard(part == "per-sensor"),
                  [SynthesisQuery("failure", F(13, 500), "done", "transformed")])]
     return [(program, [query, replace(query, bound=F(1))])
-            for program, query in _gen().random_corpus(int(part))]
+            for program, query in (_gen().random_corpus(int(part)) if part.isdigit()
+                                   else zero_valued_programs())]
 
 
 def _outcome(program, query):
@@ -198,7 +224,7 @@ def _same_as_the_former_code(monkeypatch, program, query) -> tuple:
 SHIPYARD_LPS = {"uniform": [(6, 9)], "per-sensor": [(44, 47)]}
 
 
-@pytest.mark.parametrize("part", ["golden", "1", "2", "3", "uniform", "per-sensor"])
+@pytest.mark.parametrize("part", ["golden", "1", "2", "3", "uniform", "per-sensor", "zeros"])
 def test_answers_equal_the_former_code_with_no_more_lps(monkeypatch, part):
     answers = feasible = 0
     counts = []
@@ -241,6 +267,20 @@ def test_an_earlier_value_within_the_tie_is_still_chosen(monkeypatch):
     # a chain family: the LPs are the root, c = 1 (solved, as the root
     # commits the other value) and d
     assert lps == former_lps == 3
+
+
+def test_branches_within_tie_tol_certify_the_enumerated_configuration():
+    program = parse_program(MIXED)
+    controlled, report = transform_all(program)
+    model = build_model(controlled, on_deadlock="absorb")
+    root = constrained_mdp_lp(model, "t", F(1), "g")
+    with pytest.raises(synthesis.SynthesisError, match="conflicting commitments for parameter 'c'"):
+        recover_valuation(model, report, root.strategy)
+    enumerated, transformed = synthesize(program, SynthesisQuery("t", F(1), "g"))
+    costs = [e.expected_cost for e in enumerated.table]
+    assert all(0 < a - b < TIE_TOL for a, b in zip(costs, costs[1:]))
+    assert enumerated.valuation == transformed.valuation == {"c": F(15)}
+    assert transformed.expected_cost == pytest.approx(costs[2], abs=1e-12)
 
 
 def test_a_parameter_the_root_never_commits_takes_its_first_value(monkeypatch):

@@ -520,6 +520,14 @@ def test_property_parsing():
         parse_property("nonsense")
 
 
+@pytest.mark.parametrize("text", ['Pmin<=0.3 [F "t"]', 'Pmax<=0.3 [F "t"]', 'Pmin <= 1 [F "t"]'])
+def test_a_bound_with_a_direction_is_refused(text):
+    # check_spec reads a bound under every strategy, or under some with
+    # existential=True: a direction written beside it would be ignored
+    with pytest.raises(ValueError, match="--existential"):
+        parse_property(text)
+
+
 def test_check_spec_verdicts(two_stage):
     model = instantiate(build_model(two_stage), U3)
     verdict, value = check_spec(model, parse_property('P<=0.3 [F "s2"]'))

@@ -293,6 +293,61 @@ def test_casestudy_refuses_a_false_positive_rate_with_a_zero_denominator(capsys)
     _assert_usage_error(capsys, "casestudy", "generate", "--fp", "1/0")
 
 
+def _refused(capsys, *argv) -> str:
+    """A usage error: exit code 2, no output and one line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+# reaching "t" has probability 0.1 under action a and 0.5 under b
+TWO_CHOICES = """
+module m
+  s : [0..2] init 0;
+  [a] s=0 -> 0.1:(s'=1) + 0.9:(s'=2);
+  [b] s=0 -> 0.5:(s'=1) + 0.5:(s'=2);
+  [] s>0 -> true;
+endmodule
+label "t" = s=1;
+"""
+
+
+def test_check_refuses_a_bound_with_a_direction(capsys, tmp_path):
+    path = tmp_path / "two_choices.mgcl"
+    path.write_text(TWO_CHOICES, encoding="utf-8")
+    for head in ("Pmin", "Pmax"):
+        err = _refused(capsys, "check", str(path), "--prop", f'{head}<=0.3 [F "t"]')
+        assert f"not {head}" in err and "--existential" in err
+    # the bound without a direction, read under every strategy and under some
+    code, out, _ = run(capsys, "check", str(path), "--prop", 'P<=0.3 [F "t"]')
+    assert code == 1 and json.loads(out)["value"] == 0.5
+    code, out, _ = run(capsys, "check", str(path), "--prop", 'P<=0.3 [F "t"]', "--existential")
+    assert code == 0 and json.loads(out)["value"] == 0.1
+
+
+def test_synthesize_refuses_a_bound_with_a_direction(capsys, models_dir):
+    err = _refused(capsys, "synthesize", str(models_dir / "two_stage.mgcl"),
+                   "--phi", 'Pmin<=0.2 [F "s2"]', "--goal", "absorb", "--method", "enum")
+    assert "not Pmin" in err
+
+
+def test_build_refuses_an_unknown_or_repeated_valuation_name(capsys, models_dir):
+    die = str(models_dir / "die.mgcl")
+    err = _refused(capsys, "build", die, "--valuation", "p=0.5,zz=3")
+    assert err == "error: unknown parameter 'zz' in --valuation\n"
+    err = _refused(capsys, "build", die, "--valuation", "p=0.5,p=0.3")
+    assert err == "error: parameter 'p' given twice in --valuation\n"
+
+
+def test_check_refuses_an_unknown_or_repeated_valuation_name(capsys, models_dir):
+    check = ("check", str(models_dir / "two_stage.mgcl"), "--prop", 'P=? [F "s2"]')
+    err = _refused(capsys, *check, "--valuation", "p=0.6,q=0.3,r=0.4,s=0.7,t=1")
+    assert err == "error: unknown parameter 't' in --valuation\n"
+    err = _refused(capsys, *check, "--valuation", "p=0.6,q=0.3,r=0.4,s=0.7,q=0.3")
+    assert err == "error: parameter 'q' given twice in --valuation\n"
+
+
 def test_unreadable_input_exits_two(capsys):
     code, _, err = run(capsys, "parse", "no_such_file.mgcl")
     assert code == 2

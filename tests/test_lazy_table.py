@@ -2,11 +2,13 @@
 is a read-only sequence that makes an entry, with a copy of its valuation,
 each time one is read, and ``to_json_dict`` reads the arrays.  Results must
 equal, print and serialise exactly as the eager route's
-(``oracles.eager_synthesize_enumerate``); the best pick must keep the
-sequential tie rule; an MDP family runs the improper-model check once per
-support stack and raises the same error at the same configuration; and a
-strategy with one positive weight at a state is normalised exactly as the
-former rational normalisation does it (``oracles.eager_strategy_choice_probs``)."""
+(``oracles.eager_synthesize_enumerate``); the best pick is the first
+configuration whose cost is within ``TIE_TOL`` of the least feasible cost,
+the transformed route's rule too; an MDP family runs the improper-model
+check once per support stack and raises the same error at the same
+configuration; and a strategy with one positive weight at a state is
+normalised exactly as the former rational normalisation does it
+(``oracles.eager_strategy_choice_probs``)."""
 
 import copy
 import importlib.util
@@ -31,8 +33,10 @@ from mimdp.synthesis import (
     ImproperModelError,
     SynthesisQuery,
     TableEntry,
+    synthesize,
     synthesize_enumerate,
 )
+from generators import zero_valued_programs
 from test_family import _random_families
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,9 +47,9 @@ MODELS = ROOT / "models"
 GOLDEN = {"two_stage": ("s2", "absorb"), "die": ("one", "rolled"),
           "retry_channel": ("gaveup", "stopped")}
 
-# three configurations whose costs fall by 0.6e-9 each: the sequential rule
-# keeps the first over the second and takes the third, which lies more than
-# TIE_TOL below the first
+# three configurations whose costs fall by 0.6e-9 each: the second is the
+# first within TIE_TOL of the least, while the former sequential rule kept the
+# first over the second and took the third, more than TIE_TOL below the first
 TIES = """
 param c in {1, 0.9999999994, 0.9999999988};
 module m
@@ -128,7 +132,8 @@ def _corpus(part: str) -> list:
                 for per_sensor in (False, True)]
     return [(program, [replace(query, method="enumerate"),
                        SynthesisQuery(query.target, F(1), query.goal, "enumerate")])
-            for program, query in _gen().random_corpus(int(part))]
+            for program, query in (_gen().random_corpus(int(part)) if part.isdigit()
+                                   else zero_valued_programs())]
 
 
 def _outcome(route, program, query):
@@ -144,7 +149,7 @@ def _outcome(route, program, query):
 # the lazy table against the eager one
 
 
-@pytest.mark.parametrize("part", ["golden", "1", "2", "3", "shipyard"])
+@pytest.mark.parametrize("part", ["golden", "1", "2", "3", "shipyard", "zeros"])
 def test_the_lazy_table_equals_the_eager_one(part):
     results = feasible = 0
     with warnings.catch_warnings():
@@ -217,11 +222,11 @@ def test_changing_a_read_entry_or_the_valuation_changes_nothing_kept(two_stage):
 # the tie rule
 
 
-def test_the_best_pick_keeps_the_sequential_tie_rule():
+def test_the_best_pick_is_the_first_row_within_tie_tol_of_the_least():
     ecs = np.array([1.0, 1.0 - 0.6e-9, 1.0 - 1.2e-9])
-    # "the first row within TIE_TOL of the minimum" would pick row 1
     assert ecs[1] - ecs.min() < TIE_TOL < ecs[0] - ecs.min()
-    assert synthesis._best(ecs, np.ones(3, dtype=bool)) == 2
+    assert synthesis._best(ecs, np.ones(3, dtype=bool)) == 1
+    # the former sequential rule took row 2
     table = [TableEntry({}, ec, 0.0, True) for ec in ecs.tolist()]
     assert oracles.eager_best(table) == 2
 
@@ -238,27 +243,57 @@ def test_infeasible_and_unbounded_rows_are_never_picked():
     assert best(ecs, feasible) == 4
 
 
+def _first_within_tie(ecs: list, feasible: list):
+    """The rule, walked row by row: the first feasible row whose cost is
+    within ``TIE_TOL`` of the least feasible cost, or None."""
+    costs = [ec for ec, f in zip(ecs, feasible) if f]
+    if not costs:
+        return None
+    least = min(costs)
+    return next(i for i, (ec, f) in enumerate(zip(ecs, feasible))
+                if f and ec <= least + TIE_TOL)
+
+
 def test_random_best_picks_equal_the_sequential_walk():
+    """``_best`` equals the rule walked row by row and, wherever no two
+    feasible costs are a near tie (apart by more than 0 and at most
+    ``TIE_TOL``), the former sequential rule (``oracles.eager_best``)."""
     rng = random.Random(5)
-    for _ in range(400):
+    near = apart = 0
+    for _ in range(600):
         n = rng.randint(0, 12)
-        ecs = [rng.choice((1.0, 1.0 - 0.6e-9, 1.0 - 1.2e-9, 2.0, 0.5, math.inf))
-               + rng.choice((0.0, 0.0, 1e-10, -1e-10)) for _ in range(n)]
+        # no two costs differ by within 0.05e-9 of TIE_TOL, where float
+        # rounding alone could tell the rules apart
+        ecs = [rng.choice((1.0, 1.0 - 0.6e-9, 1.0 - 1.25e-9, 1.0 - 2.5e-9, 2.0, 0.5, math.inf))
+               + rng.choice((0.0, 0.0, 0.15e-9, -0.15e-9)) for _ in range(n)]
         feasible = [math.isfinite(ec) and rng.random() < 0.7 for ec in ecs]
-        table = [TableEntry({}, ec, 0.0, f) for ec, f in zip(ecs, feasible)]
-        assert synthesis._best(np.array(ecs, dtype=float),
-                               np.array(feasible, dtype=bool)) == oracles.eager_best(table)
+        got = synthesis._best(np.array(ecs, dtype=float), np.array(feasible, dtype=bool))
+        assert got == _first_within_tie(ecs, feasible)
+        costs = [ec for ec, f in zip(ecs, feasible) if f]
+        if any(0 < abs(a - b) <= TIE_TOL for a in costs for b in costs):
+            near += 1
+            continue
+        apart += 1
+        assert got == oracles.eager_best([TableEntry({}, ec, 0.0, f) for ec, f in zip(ecs, feasible)])
+    assert near > 100 and apart > 100
 
 
 @pytest.mark.parametrize("text", [TIES_CHAIN, TIES_MDP], ids=["chain", "mdp"])
-def test_a_family_keeps_the_sequential_tie_rule(text):
+def test_a_family_picks_the_first_configuration_within_tie_tol(text):
     program = parse_program(text)
     query = SynthesisQuery("t", F(1), "g", "enumerate")
     result = synthesize_enumerate(program, query)
-    assert result.valuation == {"c": F("0.9999999988")}
+    assert result.valuation == {"c": F("0.9999999994")}
     costs = [e.expected_cost for e in result.table]
     assert costs[1] - min(costs) < TIE_TOL < costs[0] - min(costs)
-    assert result == oracles.eager_synthesize_enumerate(program, query)
+    assert result.expected_cost == costs[1]
+    # the table is the former code's; the former sequential rule took the third row
+    former = oracles.eager_synthesize_enumerate(program, query)
+    assert list(result.table) == former.table
+    assert former.valuation == {"c": F("0.9999999988")}
+    # the transformed route answers by the same rule
+    enumerated, transformed = synthesize(program, replace(query, method="both"))
+    assert enumerated.valuation == transformed.valuation == result.valuation
 
 
 def test_a_chain_family_picks_no_infeasible_or_unbounded_row():

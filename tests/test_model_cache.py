@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
-from generators import random_mimdp_program
+from generators import random_mimdp_program, zero_valued_programs
 from mimdp import checking, models, shipyard
 from mimdp.checking import expected_cost, reach_prob, stack_family
 from mimdp.expressions import ExprError
@@ -365,18 +365,9 @@ def _assert_same_arrays(new, former):
             assert a == b, name
 
 
-def _flat_corpus():
+def _with_former(programs):
     """Per program, its base model and its controlled model with those the
-    former exploration makes: the bundled models, both shipyard families
-    and ``random_corpus`` seeds 1-3."""
-    programs = [parse_program(path.read_text(encoding="utf-8"))
-                for path in sorted(MODELS.glob("*.mgcl"))]
-    programs += [parse_program(_shipyard_text(per_sensor)) for per_sensor in (False, True)]
-    gen = _gen()
-    for seed in (1, 2, 3):
-        programs += [parse_program(pretty(p)) for p, _ in gen.random_corpus(seed)]
-    # families with zero-probability branches and more than one support
-    programs += [parse_program(text) for text in (ZERO_BRANCHES, VARYING_SUPPORT)]
+    former exploration makes."""
     cap = models.DEFAULT_STATE_CAP
     for program in programs:
         yield build_model(program), oracles.former_explore(compose(program), cap, "error")
@@ -385,35 +376,73 @@ def _flat_corpus():
                oracles.former_explore(compose(controlled), cap, "absorb"))
 
 
+def _flat_corpus():
+    """The bundled models, both shipyard families and ``random_corpus``
+    seeds 1-3, with the former exploration's models (``_with_former``)."""
+    programs = [parse_program(path.read_text(encoding="utf-8"))
+                for path in sorted(MODELS.glob("*.mgcl"))]
+    programs += [parse_program(_shipyard_text(per_sensor)) for per_sensor in (False, True)]
+    gen = _gen()
+    for seed in (1, 2, 3):
+        programs += [parse_program(pretty(p)) for p, _ in gen.random_corpus(seed)]
+    # families with zero-probability branches and more than one support
+    programs += [parse_program(text) for text in (ZERO_BRANCHES, VARYING_SUPPORT)]
+    return _with_former(programs)
+
+
+def _assert_same_as_the_former(model, former, checked: dict) -> list:
+    """``model`` is the former exploration's ``former``; for a family, three
+    instances and every support stack equal the former ones too.  Counts
+    into ``checked``; returns a family's well-defined entries."""
+    _assert_same_model(model, former)
+    if model.kind != "mimdp":
+        checked["controlled"] += 1
+        _assert_same_arrays(checking._Arrays(model), oracles.FormerArrays(model))
+        return []
+    checked["base"] += 1
+    entries = list(well_defined_entries(model))
+    for _, probs, costs in entries[:2] + entries[-1:]:
+        fractions = [F(*p) for p in probs]
+        inst = models._instance(model, fractions, [F(*c) for c in costs])
+        want = oracles.former_instance(model, fractions, [F(*c) for c in costs])
+        _assert_same_model(inst, want)
+        for name in ("choice_start", "branch_start", "targets"):
+            assert getattr(inst, name) is getattr(model, name)
+        _assert_same_arrays(checking._Arrays(inst), oracles.FormerArrays(inst))
+        checked["instances"] += 1
+    # every support stack of the family, against the former walk with
+    # that support and the stack's own probability rows
+    for stack in stack_family(model, [(p, c) for _, p, c in entries]):
+        probs = entries[stack.members[0]][1]
+        support = tuple(p != 0 for p, _ in probs)
+        _assert_same_arrays(stack.arr, oracles.FormerArrays(model, support, stack.arr.probs))
+        checked["stacks"] += 1
+    return entries
+
+
 def test_exploration_instances_and_arrays_equal_the_former_object_built_ones():
     checked = {"base": 0, "controlled": 0, "instances": 0, "stacks": 0}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for model, former in _flat_corpus():
-            _assert_same_model(model, former)
-            if model.kind != "mimdp":
-                checked["controlled"] += 1
-                _assert_same_arrays(checking._Arrays(model), oracles.FormerArrays(model))
-                continue
-            checked["base"] += 1
-            entries = list(well_defined_entries(model))
-            for _, probs, costs in entries[:2] + entries[-1:]:
-                fractions = [F(*p) for p in probs]
-                inst = models._instance(model, fractions, [F(*c) for c in costs])
-                want = oracles.former_instance(model, fractions, [F(*c) for c in costs])
-                _assert_same_model(inst, want)
-                for name in ("choice_start", "branch_start", "targets"):
-                    assert getattr(inst, name) is getattr(model, name)
-                _assert_same_arrays(checking._Arrays(inst), oracles.FormerArrays(inst))
-                checked["instances"] += 1
-            # every support stack of the family, against the former walk with
-            # that support and the stack's own probability rows
-            for stack in stack_family(model, [(p, c) for _, p, c in entries]):
-                probs = entries[stack.members[0]][1]
-                support = tuple(p != 0 for p, _ in probs)
-                _assert_same_arrays(stack.arr, oracles.FormerArrays(model, support, stack.arr.probs))
-                checked["stacks"] += 1
+            _assert_same_as_the_former(model, former, checked)
     assert checked == {"base": 307, "controlled": 307, "instances": 921, "stacks": 309}
+
+
+def test_zero_valued_families_equal_the_former_object_built_ones():
+    """Random families in which some parameter takes the value 0: branches
+    of probability 0, masked by the arrays, and several support stacks."""
+    checked = {"base": 0, "controlled": 0, "instances": 0, "stacks": 0}
+    zero = several = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for model, former in _with_former(p for p, _ in zero_valued_programs()):
+            stacks = checked["stacks"]
+            entries = _assert_same_as_the_former(model, former, checked)
+            zero += any(p == 0 for _, probs, _ in entries for p, _ in probs)
+            several += checked["stacks"] - stacks > 1
+    assert checked["base"] == checked["controlled"] == 40
+    assert zero >= 5 and several >= 5
 
 
 def test_no_choice_is_made_on_the_hot_paths(monkeypatch):
