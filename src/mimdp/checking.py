@@ -28,16 +28,25 @@ sparse LU above, so the work and memory of a larger region grow with its
 nonzeros.  A system the solve cannot meet (not finite, or a large
 residual) raises ``ModelError``.
 
-On an MDP, value iteration starts from zero (iterates are monotone from
-below) and runs to a relative residual of 1e-8.  It sweeps only the free
-states, those the qualitative sets leave open: their choices and branches
-are gathered once per call, in model order, so every sum adds the same
-terms in the same order as a sweep of the whole model would.  The extracted
-strategy is then evaluated exactly by the same solve, which is what the
-returned values report.  If that polish step fails its sanity checks (a
-greedy tie in the max direction, or iteration that stopped far from the
-fixpoint), the raw iteration values are kept and ``ValueVector.polished``
-is False.
+On an MDP, the free states are those the qualitative sets leave open.
+When none of them lies on a cycle of the model's graph, they are solved
+exactly in one Bellman pass, successors first (Ciesinski, Baier, Größer &
+Klein, QEST 2008; Dai, Mausam, Weld & Goldsmith, JAIR 2011), which forms
+every value as a sweep of value iteration does and so gives bit for bit
+the values the sweeps reach when they stop changing; the tolerance does
+not apply there.  The model's strongly connected components, which show
+it, are computed once per model and kept with its arrays; the budget
+product of a cost-bounded query, made for one call, keeps none and is
+always swept.  Otherwise value
+iteration starts from zero (iterates are monotone from below) and runs to
+a relative residual of 1e-8 (the tolerance).  It sweeps only the free
+states: their choices and branches are gathered once per call, in model
+order, so every sum adds the same terms in the same order as a sweep of
+the whole model would.  The extracted strategy is then evaluated exactly
+by the same solve, which is what the returned values report.  If that
+polish step fails its sanity checks (a greedy tie in the max direction, or
+iteration that stopped far from the fixpoint), the raw iteration values
+are kept and ``ValueVector.polished`` is False.
 
 The checker works on flat arrays with float probabilities, taken from the
 model's flat transition fields with numpy masks once per model, on first
@@ -106,7 +115,9 @@ class ValueVector:
     """Per-state values.  On a chain, which is solved, ``iterations`` is 0,
     ``residual`` 0.0 and ``polished`` True; on an MDP they are the sweeps
     and last residual of value iteration, and whether the polish of its
-    strategy was accepted (False: the raw iteration values are kept)."""
+    strategy was accepted (False: the raw iteration values are kept).  An
+    MDP whose free states lie on no cycle is solved exactly in one pass,
+    reported as one sweep with residual 0.0 at any tolerance."""
 
     values: np.ndarray
     iterations: int
@@ -176,11 +187,14 @@ class _Arrays:
         self.pred_start = np.append(0, np.cumsum(np.bincount(self.targets, minlength=num_states)))
         # a model's checked state costs, made on first use (``_model_costs``)
         self.costs: Optional[_Costs] = None
+        # the graph's components, made on first use (``_acyclic_order``)
+        self.split: Optional[_Split] = _Split()
 
     def rows(self, part) -> "_Arrays":
         """These arrays with the probability rows ``part`` alone (an index
         or a slice of the configurations): a shallow copy whose ``probs``
-        is a view, so no array is copied or rebuilt."""
+        is a view, so no array is copied or rebuilt, and which shares the
+        holder of the graph's components (``split``)."""
         view = copy.copy(self)
         view.probs = self.probs[part]
         return view
@@ -195,6 +209,23 @@ class _Arrays:
     def state_opt(self, q: np.ndarray, direction: str) -> np.ndarray:
         op = np.maximum if direction == "max" else np.minimum
         return op.reduceat(q, self.choice_start[:-1], axis=-1)
+
+
+class _Split:
+    """The strongly connected components of a structure's graph, in which
+    a state has an edge to each target of its branches, computed on first
+    use (``_acyclic_order``): each state's component (``label``) and
+    whether it lies on no cycle (``alone``: a component of its own, with no
+    self-loop), then, once a region needs it, the states in an order that
+    puts every component after the components it has edges into
+    (``order``, successors first)."""
+
+    __slots__ = ("label", "alone", "order")
+
+    def __init__(self):
+        self.label: Optional[np.ndarray] = None
+        self.alone: Optional[np.ndarray] = None
+        self.order: Optional[np.ndarray] = None
 
 
 def _model_arrays(model: ExplicitModel) -> _Arrays:
@@ -406,6 +437,134 @@ def _prob1_min(arr: _Arrays, targets: np.ndarray, zero: Optional[np.ndarray] = N
 
 
 # ---------------------------------------------------------------------------
+# strongly connected components: which states lie on no cycle, and an order
+# of the states with successors first (Tarjan, SIAM J. Comput. 1972; Kahn,
+# CACM 1962)
+
+def _acyclic_order(arr: _Arrays, free_mask: np.ndarray) -> Optional[np.ndarray]:
+    """The states of ``free_mask``, successors first, if none of them lies
+    on a cycle of the graph of ``arr``; else None, and None on arrays that
+    keep no components (``split`` is None).  The components, and their
+    order once a region with no cycle needs it, are computed once and kept
+    in ``arr.split``."""
+    split = arr.split
+    if split is None:
+        return None
+    if split.alone is None:
+        _split_components(arr, split)
+    if split.order is None and split.alone[free_mask].all():
+        _order_components(arr, split)
+    if not split.alone[free_mask].all():
+        return None
+    return split.order[free_mask[split.order]]
+
+
+def _branch_owners(arr: _Arrays) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each state's branches start, and the state of each branch."""
+    start = arr.branch_start[arr.choice_start]
+    return start, np.repeat(np.arange(arr.num_states), np.diff(start))
+
+
+def _split_components(arr: _Arrays, split: _Split) -> None:
+    """The components of ``split``: from a Python worklist loop below
+    ``_SEARCH_LIMIT`` states, from scipy's compiled search from it on, as
+    in ``_backward``."""
+    n = arr.num_states
+    start, owner = _branch_owners(arr)
+    if n >= _SEARCH_LIMIT:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        graph = csr_matrix((np.ones(len(arr.targets)), arr.targets, start), shape=(n, n))
+        # the strong search does not return on a row that repeats a column
+        # (scipy 1.17), as a state with two branches into one state would
+        graph.sum_duplicates()
+        count, label = connected_components(graph, directed=True, connection="strong")
+    else:
+        count, label = _worklist_components(start.tolist(), arr.targets.tolist())
+    split.label = np.asarray(label, dtype=np.int64)
+    loop = np.zeros(n, dtype=bool)
+    loop[owner[arr.targets == owner]] = True
+    split.alone = (np.bincount(split.label, minlength=count)[split.label] == 1) & ~loop
+
+
+def _order_components(arr: _Arrays, split: _Split) -> None:
+    """The order of ``split``, derived from its components by Kahn's
+    algorithm on the graph between them, sinks first, so it does not rest
+    on either search's numbering of the components.  Should that graph
+    have a cycle (a split that is not the strongly connected one), some
+    component cannot be placed, and no state is taken to be alone."""
+    label = split.label
+    _, owner = _branch_owners(arr)
+    src, dst = label[owner], label[arr.targets]
+    cross = src != dst
+    src, dst = src[cross], dst[cross]
+    count = int(label.max(initial=-1)) + 1
+    # per component, its edges into components not yet placed; it is
+    # placed when none is left, and its predecessors lose one edge each
+    pending = np.bincount(src, minlength=count).tolist()
+    preds = src[np.argsort(dst, kind="stable")].tolist()
+    into = np.append(0, np.cumsum(np.bincount(dst, minlength=count))).tolist()
+    ready = [c for c in range(count) if not pending[c]]
+    rank = [count] * count
+    placed = 0
+    while ready:
+        c = ready.pop()
+        rank[c] = placed
+        placed += 1
+        for p in preds[into[c]:into[c + 1]]:
+            pending[p] -= 1
+            if not pending[p]:
+                ready.append(p)
+    if placed < count:
+        split.alone = np.zeros(arr.num_states, dtype=bool)
+    split.order = np.argsort(np.array(rank, dtype=np.int64)[label], kind="stable")
+
+
+def _worklist_components(start: list, succ: list) -> Tuple[int, list]:
+    """Tarjan's strongly connected components of the graph in which state
+    ``s`` has edges to ``succ[start[s]:start[s + 1]]``, as a Python
+    worklist loop: the number of components and each state's component.
+    A state visited but not yet given a component is on the stack."""
+    n = len(start) - 1
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    stack: list = []
+    count = visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [[root, start[root]]]  # per open state, its next edge
+        while work:
+            top = work[-1]
+            v, i = top
+            if i < start[v + 1]:
+                top[1] = i + 1
+                w = succ[i]
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    work.append([w, start[w]])
+                elif label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    label[w] = count
+                    if w == v:
+                        break
+                count += 1
+    return count, label
+
+
+# ---------------------------------------------------------------------------
 # value iteration core
 
 def _sweep_residual(new: np.ndarray, old: np.ndarray) -> float:
@@ -437,11 +596,21 @@ def _iterate(
     the sweeps and the last residual; ``trace`` receives a copy of ``x``
     after every sweep.
 
-    Only the free states (``free_mask``) are swept.  Their choices and
-    branches are gathered once, in model order, so each sweep sums the same
-    branches in the same order as a sweep over the whole model would.  The
-    sweeps work on ``w``: the entries of ``x`` with the free states first,
-    then one entry of -0.0, a branch that adds nothing to any sum."""
+    When no free state (``free_mask``) lies on a cycle and there is no
+    ``trace``, the region is solved by ``_one_pass`` instead, exactly, to
+    the values the sweeps reach when they stop changing: it reports one
+    sweep and a residual of 0.0, whatever ``tol``.
+
+    Only the free states are swept.  Their choices and branches are
+    gathered once, in model order, so each sweep sums the same branches in
+    the same order as a sweep over the whole model would.  The sweeps work
+    on ``w``: the entries of ``x`` with the free states first, then one
+    entry of -0.0, a branch that adds nothing to any sum."""
+    if trace is None:
+        seq = _acyclic_order(arr, free_mask)
+        if seq is not None:
+            _one_pass(arr, x, seq, direction, state_cost)
+            return 1, 0.0
     n = len(x)
     free = np.flatnonzero(free_mask)
     m = len(free)
@@ -495,6 +664,41 @@ def _iterate(
         if not residual > tol:
             x[free] = new
             return sweeps, residual
+
+
+def _one_pass(arr: _Arrays, x: np.ndarray, seq: np.ndarray, direction: str,
+              state_cost: Optional[np.ndarray]) -> None:
+    """The values of an acyclic free region in one Bellman pass: each
+    state of ``seq``, successors first, gets in ``x`` the value a sweep of
+    ``_iterate`` gives it from its successors' values, which are final by
+    then.  Each choice's value is formed as the sweep forms it: its
+    branches' products summed (one or two by ``+``, as the sweep's vector
+    addition does; more by ``np.add.reduceat``, the sweep's reduction,
+    which does not add left to right), then the state's cost added, then
+    the best of the choices taken as ``np.maximum`` or ``np.minimum`` take
+    it, a NaN winning."""
+    v = x.tolist()
+    choice_start, branch_start = arr.choice_start.tolist(), arr.branch_start.tolist()
+    succ, probs = arr.targets.tolist(), arr.probs.tolist()
+    cost = None if state_cost is None else state_cost.tolist()
+    larger = direction == "max"
+    for s in seq.tolist():
+        best = None
+        for c in range(choice_start[s], choice_start[s + 1]):
+            lo, hi = branch_start[c], branch_start[c + 1]
+            if hi - lo > 2:
+                q = float(np.add.reduceat([probs[j] * v[succ[j]] for j in range(lo, hi)],
+                                          (0,))[0])
+            else:
+                q = probs[lo] * v[succ[lo]]
+                if hi - lo == 2:
+                    q += probs[lo + 1] * v[succ[lo + 1]]
+            if cost is not None:
+                q += cost[s]
+            if best is None or (q > best if larger else q < best) or q != q:
+                best = q
+        v[s] = best
+    x[:] = v
 
 
 def _greedy(arr: _Arrays, x: np.ndarray, direction: str,
@@ -683,7 +887,9 @@ def reach_prob(
     chain the direction is irrelevant and the other values are the
     solution of the chain's linear system; on an MDP they come from value
     iteration to ``tol`` and its polish, and ``trace`` (a list) receives
-    the values after every sweep.  ``tol`` must be a finite number of at
+    the values after every sweep.  An MDP whose free states lie on no
+    cycle is solved exactly in one pass instead, whatever ``tol``, unless a
+    ``trace`` asks for the sweeps.  ``tol`` must be a finite number of at
     least 0, on chains too, or ``ValueError`` is raised; 0 iterates until
     the values stop changing.
     """
@@ -900,7 +1106,9 @@ def cost_bounded_reach(
     product's arrays are derived from the base model's, which are built
     once per model, and are its transition structure too, so its rows
     hold the base model's positive branches alone; its ``states``, actions
-    and exact probabilities are gathered only when read.  A model the
+    and exact probabilities are gathered only when read.  On an MDP the
+    product is swept to ``tol`` even where it has no cycle (see
+    ``_product_arrays``).  A model the
     checker cannot take (parametric, or with a choice that has no positive
     branch) raises the checker's ``ModelError``, as in ``reach_prob``, and
     so does a ``tol`` that is not a finite number of at least 0
@@ -1005,6 +1213,10 @@ def _product_arrays(base: _Arrays, target: np.ndarray, cost: np.ndarray,
         targets,
         probs,
     )
+    # made for one call, the product keeps no components: finding them and
+    # the one pass would cost more than the few sweeps its wide, shallow
+    # layers of budgets take
+    arr.split = None
     return arr
 
 

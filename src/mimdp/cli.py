@@ -319,7 +319,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol", type=_tolerance, default=DEFAULT_TOL,
         help="value-iteration residual tolerance, a finite number >= 0 "
-             "(MDPs; a chain is solved exactly)"
+             "(MDPs: a region with a cycle, and every region of a cost-bounded "
+             "query; a chain and the other MDP regions are solved exactly)"
     )
     _add_state_cap(p)
     _add_output(p)

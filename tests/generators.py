@@ -240,3 +240,42 @@ def random_mdp(rng: random.Random, max_states: int = 30) -> ExplicitModel:
                 "stop": frozenset(s for s in range(n) if roles[s] != "move")},
         parameters={},
     )
+
+
+def random_acyclic_mdp(rng: random.Random, max_states: int = 30) -> ExplicitModel:
+    """A random MDP whose transient states lie on no cycle: state ``s``
+    branches only to later states, and the last two states, ``ok`` and
+    ``bad``, are absorbing.  Each transient state has one to three choices
+    (some exact duplicates, ties), each of 1, 2, 3 or 8 to 12 branches
+    whose targets may repeat.  About half of the models have no costs (all
+    zero).  Labels: ``target`` (``ok``, and a few transient states), and
+    ``stop`` for the absorbing pair, which every path reaches."""
+    n = rng.randint(1, max_states - 2)
+    total = n + 2
+    rows = []
+    for s in range(n):
+        row = []
+        for _ in range(rng.randint(1, 3)):
+            if row and rng.random() < 0.15:
+                row.append(rng.choice(row))
+                continue
+            width = rng.choice((1, 2, 2, 3, 3, rng.randint(8, 12)))
+            targets = [rng.randrange(s + 1, total) for _ in range(width)]
+            weights = [F(rng.choice((1, 1, 2, 3, 5))) for _ in targets]
+            norm = sum(weights)
+            branches = tuple((w / norm, t) for t, w in zip(targets, weights))
+            row.append(Choice(f"a{len(row)}", branches))
+        rows.append(row)
+    rows += [[Choice(None, ((F(1), s),))] for s in (n, n + 1)]
+    costly = rng.random() < 0.5
+    return ExplicitModel.from_rows(
+        kind="mdp",
+        var_names=("loc",),
+        states=[(i,) for i in range(total)],
+        initial=0,
+        choices=rows,
+        costs=[F(rng.randint(0, 5) if costly and s < n else 0) for s in range(total)],
+        labels={"target": frozenset({n} | {s for s in range(n) if rng.random() < 0.05}),
+                "stop": frozenset({n, n + 1})},
+        parameters={},
+    )

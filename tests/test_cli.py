@@ -423,21 +423,23 @@ def test_check_refuses_a_tolerance_that_is_not_a_finite_nonnegative_number(capsy
 
 
 def test_check_reads_its_tolerance_and_state_cap(capsys, models_dir, tmp_path):
-    # the tolerance of value iteration, which runs on MDPs: the controlled
-    # retry channel, where the maximising strategy delivers almost surely
-    controlled = tmp_path / "controlled.mgcl"
-    code, _, _ = run(capsys, "transform", str(models_dir / "retry_channel.mgcl"),
-                     "-o", str(controlled))
-    assert code == 0
-    check = ("check", str(controlled), "--prop", 'Pmax=? [F "delivered"]')
-    values = []
-    for tol in ("1e-8", "1e-3"):
-        code, out, _ = run(capsys, *check, "--tol", tol)
+    # the tolerance of value iteration, which runs on the cyclic part of an
+    # MDP: the controlled die, whose coin flips can repeat, stops earlier
+    # under the looser tolerance; the controlled retry channel, where the
+    # maximising strategy delivers almost surely, has no cycle among its
+    # free states and is solved exactly in one pass at either tolerance
+    values = {}
+    for name, prop in (("die", 'Pmax=? [F "one"]'), ("retry_channel", 'Pmax=? [F "delivered"]')):
+        controlled = tmp_path / f"{name}.controlled.mgcl"
+        code, _, _ = run(capsys, "transform", str(models_dir / f"{name}.mgcl"),
+                         "-o", str(controlled))
         assert code == 0
-        values.append(json.loads(out)["value"])
-    # value iteration stops earlier under the looser tolerance
-    assert values[0] == 1.0 and values[1] != values[0]
-    assert abs(values[1] - values[0]) <= 1e-2
+        for tol in ("1e-8", "1e-3"):
+            code, out, _ = run(capsys, "check", str(controlled), "--prop", prop, "--tol", tol)
+            assert code == 0
+            values[name, tol] = json.loads(out)["value"]
+    assert (values["die", "1e-8"], values["die", "1e-3"]) == (0.186075949, 0.185999954)
+    assert values["retry_channel", "1e-8"] == values["retry_channel", "1e-3"] == 1.0
     check = ("check", str(models_dir / "retry_channel.mgcl"), "--valuation", "loss=0.4",
              "--prop", 'ECmin=? [F "stopped"]')
     code, _, err = run(capsys, *check, "--state-cap", "10")

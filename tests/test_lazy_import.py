@@ -78,3 +78,18 @@ def test_the_cost_bounded_check_of_the_200_retry_chain_loads_it():
         value = checking.cost_bounded_reach(chain, "delivered", 20)
         assert abs(value - (1 - 0.4 ** 19)) <= 1e-12
     """)
+
+
+def test_the_one_pass_solve_of_the_controlled_40_retry_channel_does_not_load_it():
+    # its 241 states are below the limit: the components that show its free
+    # states lie on no cycle come from the worklist loop
+    assert not _loads_csgraph("""
+        from mimdp.transform import transform_all
+        controlled, _ = transform_all(parse_file(f"{MODELS}/retry_channel.mgcl"))
+        mdp = build_model(controlled, on_deadlock="absorb")
+        assert mdp.num_states < checking._SEARCH_LIMIT
+        for direction in ("max", "min"):
+            vec, _ = checking.reach_prob(mdp, "gaveup", direction)
+            assert (vec.iterations, vec.residual) == (1, 0.0), vec
+        assert abs(vec.at_initial(mdp) - 0.1 ** 40) <= 1e-6 * 0.1 ** 40
+    """)

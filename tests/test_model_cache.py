@@ -361,6 +361,11 @@ def _assert_same_arrays(new, former):
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
+        elif isinstance(a, checking._Split):
+            # each its own holder of components, none computed yet
+            assert a is not b and type(b) is checking._Split, name
+            assert [getattr(s, f) for s in (a, b) for f in s.__slots__] == [None] * 2 * len(
+                a.__slots__), name
         else:
             assert a == b, name
 

@@ -190,19 +190,20 @@ def test_greedy_picks_the_first_nan_like_argmax():
         assert checking._greedy(arr, x, direction).tolist() == oracles._greedy(arr, x, direction)
 
 
-def _refusal(fn, *args):
-    """``fn(*args)``, or the message of the ``ExpectedCostUndefined`` it
-    raises."""
+def _refusal(fn, *args, tol=checking.DEFAULT_TOL):
+    """``fn(*args, tol=tol)``, or the message of the
+    ``ExpectedCostUndefined`` it raises."""
     try:
-        return fn(*args)
+        return fn(*args, tol=tol)
     except ExpectedCostUndefined as e:
         return str(e)
 
 
-def _same_result(new, old, chain):
+def _same_result(new, old, chain, acyclic=False):
     """The values and strategy of ``new`` are those of the older checker's
-    result ``old``; on an MDP so are the sweeps and the residual, and a
-    chain is solved, with no sweep."""
+    result ``old``; a chain is solved, with no sweep, an acyclic free
+    region of an MDP in one pass, and on any other MDP the sweeps and the
+    residual are the older checker's."""
     vec, strategy = new
     (values, iterations, residual), seed_strategy = old
     assert np.array_equal(vec.values, values)
@@ -210,22 +211,43 @@ def _same_result(new, old, chain):
     if chain:
         assert (vec.iterations, vec.residual, vec.polished) == (0, 0.0, True)
     else:
-        assert vec.iterations == iterations and vec.residual == residual
+        assert (vec.iterations, vec.residual) == ((1, 0.0) if acyclic else (iterations, residual))
 
 
-def test_reach_prob_and_expected_cost_equal_the_former_checker():
+def _checked(monkeypatch, run):
+    """``run()``, and whether its value iteration took the one pass over
+    an acyclic free region (``checking._acyclic_order`` found an order)."""
+    orders = []
+    inner = checking._acyclic_order
+
+    def order(arr, free_mask):
+        orders.append(inner(arr, free_mask))
+        return orders[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checking, "_acyclic_order", order)
+        result = run()
+    return result, any(o is not None for o in orders)
+
+
+def test_reach_prob_and_expected_cost_equal_the_former_checker(monkeypatch):
     rng = random.Random(9)
     polished = {True: 0, False: 0}
     defined = 0
+    acyclic = {True: 0, False: 0}
     for model in CORPUS:
         chain = model.kind == "mc"
         reach_label = "bad" if chain else "target"
         cost_label = "goal" if chain else "stop"
         directions = ("max",) if chain else ("min", "max")
         for direction in directions:
-            new = reach_prob(model, reach_label, direction)
-            _same_result(new, oracles.seed_reach_prob(model, reach_label, direction), chain)
+            # an acyclic region against the older checker's fixed point
+            new, one_pass = _checked(monkeypatch, lambda: reach_prob(model, reach_label, direction))
+            tol = 0.0 if one_pass else checking.DEFAULT_TOL
+            _same_result(new, oracles.seed_reach_prob(model, reach_label, direction, tol=tol),
+                         chain, one_pass)
             polished[new[0].polished] += 1
+            acyclic[one_pass] += not chain
             for label in (reach_label, cost_label):
                 try:
                     old = oracles.seed_expected_cost(model, label, direction)
@@ -240,12 +262,19 @@ def test_reach_prob_and_expected_cost_equal_the_former_checker():
                     if not isinstance(got, str):
                         assert np.array_equal(got[0].values, want[0][0])
                 else:
-                    _same_result(expected_cost(model, label, direction), old, chain)
+                    new, one_pass = _checked(
+                        monkeypatch, lambda: expected_cost(model, label, direction))
+                    if one_pass:
+                        old = oracles.seed_expected_cost(model, label, direction, tol=0.0)
+                    _same_result(new, old, chain, one_pass)
                     defined += 1
+                    acyclic[one_pass] += not chain
         targets = {rng.randrange(model.num_states)}
-        _same_result(reach_prob(model, targets, "max"),
-                     oracles.seed_reach_prob(model, targets, "max"), chain)
+        new, one_pass = _checked(monkeypatch, lambda: reach_prob(model, targets, "max"))
+        tol = 0.0 if one_pass else checking.DEFAULT_TOL
+        _same_result(new, oracles.seed_reach_prob(model, targets, "max", tol=tol), chain, one_pass)
     assert polished[True] > 200 and polished[False] > 5 and defined > 200
+    assert min(acyclic.values()) > 100, acyclic
 
 
 def test_sparse_polish_agrees_with_the_dense_solve(monkeypatch):
@@ -496,30 +525,39 @@ def test_the_residual_equals_the_former_on_odd_entries():
 # the checker against the former one, which iterated chains too
 
 
-def _same_as_the_former(new, former):
-    """Values, sweeps, residual, polish flag and picks, bit for bit."""
+def _same_as_the_former(new, former, acyclic=False):
+    """Values, polish flag and picks, bit for bit, and so are the sweeps
+    and the residual, but for an acyclic free region, solved in one pass
+    (one sweep, residual 0.0)."""
     (vec, strategy), (want, want_strategy) = new, former
     assert _bits(vec.values) == _bits(want.values)
+    ran = (1, 0.0) if acyclic else (want.iterations, want.residual)
     assert (vec.iterations, _bits(vec.residual), vec.polished) == (
-        want.iterations, _bits(want.residual), want.polished)
+        ran[0], _bits(ran[1]), want.polished)
     assert strategy.choice_probs == want_strategy.choice_probs
 
 
-def test_mdps_check_as_with_the_former_checker(models_dir):
+def test_mdps_check_as_with_the_former_checker(monkeypatch, models_dir):
     rng = random.Random(17)
     cases = [(m, ["target", "stop", {rng.randrange(m.num_states)}]) for m in MDPS]
     cases.append((_retry_mdp(models_dir, 200), ["delivered", "gaveup", "stopped"]))
-    seen = {"rejected": 0, "defined": 0, "undefined": 0, "past goal": 0}
+    seen = {"rejected": 0, "defined": 0, "undefined": 0, "past goal": 0, "acyclic": 0}
     for model, labels in cases:
         for label in labels:
             for direction in ("min", "max"):
-                new = reach_prob(model, label, direction)
-                _same_as_the_former(new, oracles.former_reach_prob(model, label, direction))
+                # an acyclic region against the former checker's fixed point
+                new, one_pass = _checked(monkeypatch, lambda: reach_prob(model, label, direction))
+                tol = 0.0 if one_pass else checking.DEFAULT_TOL
+                _same_as_the_former(
+                    new, oracles.former_reach_prob(model, label, direction, tol=tol), one_pass)
                 seen["rejected"] += not new[0].polished
-                former = _refusal(oracles.former_expected_cost, model, label, direction)
-                got = _refusal(expected_cost, model, label, direction)
+                seen["acyclic"] += one_pass
+                got, one_pass = _checked(
+                    monkeypatch, lambda: _refusal(expected_cost, model, label, direction))
+                tol = 0.0 if one_pass else checking.DEFAULT_TOL
+                former = _refusal(oracles.former_expected_cost, model, label, direction, tol=tol)
                 if not isinstance(former, str):
-                    _same_as_the_former(got, former)
+                    _same_as_the_former(got, former, one_pass)
                     seen["defined"] += 1
                 elif isinstance(got, str):
                     assert got == former
