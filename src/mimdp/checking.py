@@ -15,11 +15,12 @@ A set of states is a boolean mask over the model's states throughout, from
 the label or the caller's states it is read from to the values it fixes.
 A backward search on a graph of at least ``_SEARCH_LIMIT`` states runs in
 scipy's compiled breadth-first search over the CSR graph; a smaller one,
-and every counting search, is a Python worklist loop.  The limit is set by
-the one-time import of ``scipy.sparse.csgraph``, which costs far more than
-a small search in a process that has not loaded ``scipy.sparse``, so small
-models never pay it.  A chain's states have one choice each, so its
-probability-0 set is one backward search, not the counting one.
+every counting search and the search for strongly connected components
+are Python worklist loops.  The limit is set by the one-time import of
+``scipy.sparse.csgraph``, which costs far more than a small search in a
+process that has not loaded ``scipy.sparse``, so small models never pay
+it.  A chain's states have one choice each, so its probability-0 set is
+one backward search, not the counting one.
 
 Once those sets are fixed, a chain's values on the remaining states are the
 unique solution of one linear system (Baier & Katoen, Principles of Model
@@ -35,14 +36,14 @@ Klein, QEST 2008; Dai, Mausam, Weld & Goldsmith, JAIR 2011), which forms
 every value as a sweep of value iteration does and so gives bit for bit
 the values the sweeps reach when they stop changing; the tolerance does
 not apply there.  The model's strongly connected components, which show
-it, are computed once per model and kept with its arrays; the budget
-product of a cost-bounded query, made for one call, keeps none and is
-always swept.  Otherwise value
-iteration starts from zero (iterates are monotone from below) and runs to
-a relative residual of 1e-8 (the tolerance).  It sweeps only the free
-states: their choices and branches are gathered once per call, in model
-order, so every sum adds the same terms in the same order as a sweep of
-the whole model would.  The extracted strategy is then evaluated exactly
+it, are computed once per model by Tarjan's algorithm and kept with its
+arrays; the order in which the search completes them is successors first.
+The budget product of a cost-bounded query, made for one call, keeps none
+and is always swept.  Otherwise value iteration starts from zero (iterates
+are monotone from below) and runs to a relative residual of 1e-8 (the
+tolerance).  It sweeps only the free states: their choices and branches
+are gathered once per call, in model order, so every sum adds the same
+terms in the same order as a sweep of the whole model would.  The extracted strategy is then evaluated exactly
 by the same solve, which is what the returned values report.  If that
 polish step fails its sanity checks (a greedy tie in the max direction, or
 iteration that stopped far from the fixpoint), the raw iteration values
@@ -97,7 +98,8 @@ _MAX_SWEEPS = 1_000_000
 # crossover against the sparse LU on birth-death regions, for stacks of one
 # and of 32 configurations
 _POLISH_DENSE_LIMIT = 128
-# the graph size from which the backward search runs compiled.  Once
+# the graph size from which the backward search runs compiled; it selects
+# nothing else, as every other search is a worklist loop.  Once
 # scipy.sparse is loaded, the compiled search beats the worklist loop from
 # about 256 states (measured on birth-death chains and random MDPs); the
 # limit sits higher so that checking small models never pays the first
@@ -214,16 +216,14 @@ class _Arrays:
 class _Split:
     """The strongly connected components of a structure's graph, in which
     a state has an edge to each target of its branches, computed on first
-    use (``_acyclic_order``): each state's component (``label``) and
-    whether it lies on no cycle (``alone``: a component of its own, with no
-    self-loop), then, once a region needs it, the states in an order that
-    puts every component after the components it has edges into
-    (``order``, successors first)."""
+    use (``_acyclic_order``): whether each state lies on no cycle
+    (``alone``: a component of its own, with no self-loop), and the states
+    in an order that puts every component after the components it has
+    edges into (``order``, successors first)."""
 
-    __slots__ = ("label", "alone", "order")
+    __slots__ = ("alone", "order")
 
     def __init__(self):
-        self.label: Optional[np.ndarray] = None
         self.alone: Optional[np.ndarray] = None
         self.order: Optional[np.ndarray] = None
 
@@ -438,94 +438,44 @@ def _prob1_min(arr: _Arrays, targets: np.ndarray, zero: Optional[np.ndarray] = N
 
 # ---------------------------------------------------------------------------
 # strongly connected components: which states lie on no cycle, and an order
-# of the states with successors first (Tarjan, SIAM J. Comput. 1972; Kahn,
-# CACM 1962)
+# of the states with successors first (Tarjan, SIAM J. Comput. 1972)
 
 def _acyclic_order(arr: _Arrays, free_mask: np.ndarray) -> Optional[np.ndarray]:
     """The states of ``free_mask``, successors first, if none of them lies
     on a cycle of the graph of ``arr``; else None, and None on arrays that
-    keep no components (``split`` is None).  The components, and their
-    order once a region with no cycle needs it, are computed once and kept
-    in ``arr.split``."""
+    keep no components (``split`` is None).  The components are computed
+    once and kept in ``arr.split``."""
     split = arr.split
     if split is None:
         return None
     if split.alone is None:
         _split_components(arr, split)
-    if split.order is None and split.alone[free_mask].all():
-        _order_components(arr, split)
     if not split.alone[free_mask].all():
         return None
     return split.order[free_mask[split.order]]
 
 
-def _branch_owners(arr: _Arrays) -> Tuple[np.ndarray, np.ndarray]:
-    """Where each state's branches start, and the state of each branch."""
-    start = arr.branch_start[arr.choice_start]
-    return start, np.repeat(np.arange(arr.num_states), np.diff(start))
-
-
 def _split_components(arr: _Arrays, split: _Split) -> None:
-    """The components of ``split``: from a Python worklist loop below
-    ``_SEARCH_LIMIT`` states, from scipy's compiled search from it on, as
-    in ``_backward``."""
-    n = arr.num_states
-    start, owner = _branch_owners(arr)
-    if n >= _SEARCH_LIMIT:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        graph = csr_matrix((np.ones(len(arr.targets)), arr.targets, start), shape=(n, n))
-        # the strong search does not return on a row that repeats a column
-        # (scipy 1.17), as a state with two branches into one state would
-        graph.sum_duplicates()
-        count, label = connected_components(graph, directed=True, connection="strong")
-    else:
-        count, label = _worklist_components(start.tolist(), arr.targets.tolist())
-    split.label = np.asarray(label, dtype=np.int64)
-    loop = np.zeros(n, dtype=bool)
+    """The components of ``split``, from ``_worklist_components``.  Tarjan's
+    search completes a component only after every component it has an edge
+    into, so ordering the states by their component's number puts
+    successors first."""
+    start = arr.branch_start[arr.choice_start]
+    count, label = _worklist_components(start.tolist(), arr.targets.tolist())
+    label = np.array(label, dtype=np.int64)
+    owner = np.repeat(np.arange(arr.num_states), np.diff(start))
+    loop = np.zeros(arr.num_states, dtype=bool)
     loop[owner[arr.targets == owner]] = True
-    split.alone = (np.bincount(split.label, minlength=count)[split.label] == 1) & ~loop
-
-
-def _order_components(arr: _Arrays, split: _Split) -> None:
-    """The order of ``split``, derived from its components by Kahn's
-    algorithm on the graph between them, sinks first, so it does not rest
-    on either search's numbering of the components.  Should that graph
-    have a cycle (a split that is not the strongly connected one), some
-    component cannot be placed, and no state is taken to be alone."""
-    label = split.label
-    _, owner = _branch_owners(arr)
-    src, dst = label[owner], label[arr.targets]
-    cross = src != dst
-    src, dst = src[cross], dst[cross]
-    count = int(label.max(initial=-1)) + 1
-    # per component, its edges into components not yet placed; it is
-    # placed when none is left, and its predecessors lose one edge each
-    pending = np.bincount(src, minlength=count).tolist()
-    preds = src[np.argsort(dst, kind="stable")].tolist()
-    into = np.append(0, np.cumsum(np.bincount(dst, minlength=count))).tolist()
-    ready = [c for c in range(count) if not pending[c]]
-    rank = [count] * count
-    placed = 0
-    while ready:
-        c = ready.pop()
-        rank[c] = placed
-        placed += 1
-        for p in preds[into[c]:into[c + 1]]:
-            pending[p] -= 1
-            if not pending[p]:
-                ready.append(p)
-    if placed < count:
-        split.alone = np.zeros(arr.num_states, dtype=bool)
-    split.order = np.argsort(np.array(rank, dtype=np.int64)[label], kind="stable")
+    split.alone = (np.bincount(label, minlength=count)[label] == 1) & ~loop
+    split.order = np.argsort(label, kind="stable")
 
 
 def _worklist_components(start: list, succ: list) -> Tuple[int, list]:
     """Tarjan's strongly connected components of the graph in which state
     ``s`` has edges to ``succ[start[s]:start[s + 1]]``, as a Python
-    worklist loop: the number of components and each state's component.
-    A state visited but not yet given a component is on the stack."""
+    worklist loop: the number of components and each state's component,
+    numbered in the order the search completes them.  A state visited but
+    not yet given a component is on the stack."""
     n = len(start) - 1
     index, low, label = [-1] * n, [0] * n, [-1] * n
     stack: list = []
@@ -1110,12 +1060,15 @@ def cost_bounded_reach(
     product is swept to ``tol`` even where it has no cycle (see
     ``_product_arrays``).  A model the
     checker cannot take (parametric, or with a choice that has no positive
-    branch) raises the checker's ``ModelError``, as in ``reach_prob``, and
-    so does a ``tol`` that is not a finite number of at least 0
-    (``ValueError``), before the product is built.  A product of more than
+    branch) raises the checker's ``ModelError``, as in ``reach_prob``; a
+    ``bound`` that is not a nonnegative integer (``bool`` is not one) or a
+    ``tol`` that is not a finite number of at least 0 raises
+    ``ValueError``, before the product is built.  A product of more than
     ``models.DEFAULT_STATE_CAP`` states raises ``StateCapExceeded`` before
     anything is allocated for it.
     """
+    if not isinstance(bound, numbers.Integral) or isinstance(bound, bool):
+        raise ValueError(f"cost bound must be an integer, got {bound!r}")
     if bound < 0:
         raise ValueError("cost bound must be nonnegative")
     _check_tol(tol)

@@ -392,10 +392,13 @@ def build_model(
     discovery order, so builds are deterministic.  ``on_deadlock`` is
     'error' or 'absorb' (add a marked internal self-loop; used for
     transformed models whose dead ends encode inconsistent parameter
-    commitments).  The exploration writes the model's flat fields
-    (``ExplicitModel``) directly: per choice its action, per branch its
-    target and exact probability, zero-probability branches included, and
-    the offsets that delimit them.
+    commitments).  A model of more than ``state_cap`` states raises
+    ``StateCapExceeded``; a cap below 1, which not even the initial state
+    meets, raises ``ValueError`` before anything is explored.  The
+    exploration writes the model's flat fields (``ExplicitModel``)
+    directly: per choice its action, per branch its target and exact
+    probability, zero-probability branches included, and the offsets that
+    delimit them.
 
     The base model is explored once per program: it is kept on ``program``
     (``Program._models``), keyed by ``(state_cap, on_deadlock)``, for as
@@ -433,6 +436,8 @@ def build_model(
         raise ModelError("program is not well-formed: " + "; ".join(map(str, diags)))
     if on_deadlock not in ("error", "absorb"):
         raise ValueError("on_deadlock must be 'error' or 'absorb'")
+    if state_cap < 1:
+        raise ValueError(f"state cap must be at least 1, got {state_cap}")
     if valuation is not None:
         missing = sorted(set(program.parameters) - set(valuation))
         if missing:

@@ -354,11 +354,11 @@ _FAMILY_BLOCK = 1 << 20
 
 class _Family:
     """What enumeration reads of a family and no query changes, kept on its
-    base model (``ExplicitModel._family``) by the first enumeration whose
-    build returns: the well-defined valuations, in ``all_valuations``
-    order, and their entries as floats, stacked per support group by
-    ``checking.stack_family`` (``stacks``).  ``entries`` yields what
-    ``well_defined_entries`` yields and is read once."""
+    base model (``ExplicitModel._family``) by the first call of either
+    route whose build returns: the well-defined valuations, in
+    ``all_valuations`` order, and their entries as floats, stacked per
+    support group by ``checking.stack_family`` (``stacks``).  ``entries``
+    yields what ``well_defined_entries`` yields and is read once."""
 
     __slots__ = ("valuations", "stacks")
 
@@ -377,10 +377,10 @@ def _kept_family(model: ExplicitModel) -> _Family:
     """The family kept on ``model``, or a new one, then kept.  A build that
     raises keeps nothing, so the next call raises the same error.  Once the
     family is kept, the model's compiled entries are dropped: enumeration
-    and the transformed route's valuation filter read the kept family from
-    then on, and the entries' value tables would hold every configuration's
-    values a second time.  Another reader of the entries (``instantiate``,
-    ``well_defined_entries``) compiles them again."""
+    and the transformed route's admissible valuations read the kept family
+    from then on, and the entries' value tables would hold every
+    configuration's values a second time.  Another reader of the entries
+    (``instantiate``, ``well_defined_entries``) compiles them again."""
     if model._family is None:
         family = _Family(model, well_defined_entries(model))
         model._family = family
@@ -588,11 +588,11 @@ class _Controlled:
     ``occurring`` lists its columns that some fresh action of the report
     commits, in declaration order, whether or not the model reaches a
     choice of that action.  ``admissible`` holds the well-defined
-    valuations of the base model, in its order (the list of its kept
-    ``_Family`` if enumeration kept one; neither reader changes it), and
-    ``valuations`` the same as declared-value indices, one row each, read
-    by ``agreeing`` and ``extendable``.  A fixing is a tuple with one declared-value index
-    per parameter, -1 where the parameter is free.
+    valuations of the base model, in its order: the list of its kept
+    ``_Family`` (``_kept_family``), which neither reader changes.
+    ``valuations`` holds the same as declared-value indices, one row each,
+    read by ``agreeing`` and ``extendable``.  A fixing is a tuple with one
+    declared-value index per parameter, -1 where the parameter is free.
     """
 
     __slots__ = ("model", "arr", "costs", "table", "occurring", "admissible", "valuations")
@@ -600,13 +600,8 @@ class _Controlled:
     def __init__(self, program: Program, model: ExplicitModel, report: TransformReport):
         # valuations a reported answer may come from: a strategy can avoid
         # every state where some parameter matters, in which case its value
-        # must still be completed consistently with global well-definedness.
-        # A family kept by enumeration holds them already, in the same order
-        base = build_model(program)
-        if base._family is not None:
-            admissible = base._family.valuations
-        else:
-            admissible = well_defined_valuations(base)
+        # must still be completed consistently with global well-definedness
+        admissible = _kept_family(build_model(program)).valuations
         if not admissible:
             raise SynthesisError("no well-defined valuation exists")
         params = program.parameters
@@ -641,9 +636,10 @@ def _controlled(program: Program, query: SynthesisQuery) -> _Controlled:
     """The kept ``_Controlled`` of ``program``, or a new one, not yet kept.
     A new one transforms the program, explores the controlled model
     (absorbing deadlocks, under the default state cap), checks that the
-    query's labels exist, explores the base model for the well-defined
-    valuations and builds the controlled model's arrays, in that order: the
-    first of these that fails gives the error."""
+    query's labels exist, reads the base model's family for the
+    well-defined valuations (``_kept_family``) and builds the controlled
+    model's arrays, in that order: the first of these that fails gives the
+    error."""
     if program._controlled is not None:
         return program._controlled
     transformed, report = transform_all(program)

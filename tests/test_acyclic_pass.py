@@ -1,7 +1,7 @@
 """The one-pass solve of an acyclic free region (``checking._one_pass``)
 against the sweeps of value iteration, which a ``trace`` keeps, and the
-strongly connected components it rests on (``checking._split_components``)
-and the order derived from them (``checking._order_components``).
+strongly connected components and successors-first order it rests on
+(``checking._split_components``), against scipy's strong search.
 
 Where the sweeps end at residual 0.0 they have reached their fixed point,
 and the pass must give it bit for bit: values, picks and polish flag.
@@ -9,7 +9,6 @@ Where they stop earlier, at the tolerance, the checked values must agree
 within 1e-9."""
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ import pytest
 from generators import random_acyclic_mdp, random_mdp
 from mimdp import checking, synthesis
 from mimdp.checking import ExpectedCostUndefined, expected_cost, reach_prob
-from mimdp.models import Choice, ExplicitModel, build_model
+from mimdp.models import build_model
 from mimdp.parser import parse_file, parse_program
 from mimdp.program import pretty
 from mimdp.transform import transform_all
@@ -172,22 +171,19 @@ def test_mdp_families_of_the_random_corpus_check_as_with_the_sweeps(monkeypatch,
 
 def test_the_split_is_computed_once_per_model_and_shared_by_row_copies(monkeypatch):
     fills = []
-    for name in ("_split_components", "_order_components"):
-        monkeypatch.setattr(checking, name, lambda arr, split, inner=getattr(checking, name),
-                            name=name: fills.append((name, arr)) or inner(arr, split))
+    inner = checking._split_components
+    monkeypatch.setattr(checking, "_split_components",
+                        lambda arr, split: fills.append(arr) or inner(arr, split))
     model = random_acyclic_mdp(random.Random(33))
     for direction in ("min", "max"):
         reach_prob(model, "target", direction)
         expected_cost(model, "stop", direction)
-    arr = checking._model_arrays(model)
-    assert fills == [("_split_components", arr), ("_order_components", arr)]
-    # a model whose free states lie on cycles never needs the order
+    assert fills == [checking._model_arrays(model)]
     fills.clear()
     cyclic = _wide_mdp()
     for direction in ("min", "max"):
         assert reach_prob(cyclic, "t", direction)[0].iterations > 1
-    assert fills == [("_split_components", checking._model_arrays(cyclic))]
-    assert checking._model_arrays(cyclic).split.order is None
+    assert fills == [checking._model_arrays(cyclic)]
     fills.clear()
     probs = np.array([float(p) for p in model.probs])
     stack = checking._Arrays(model, np.ones(len(probs), dtype=bool), [probs, probs / 2])
@@ -196,7 +192,7 @@ def test_the_split_is_computed_once_per_model_and_shared_by_row_copies(monkeypat
     free = np.ones(model.num_states, dtype=bool)
     free[-2:] = False
     orders = [checking._acyclic_order(arr, free) for arr in (first, second, stack)]
-    assert len(fills) == 2 and all(np.array_equal(o, orders[0]) for o in orders)
+    assert len(fills) == 1 and all(np.array_equal(o, orders[0]) for o in orders)
     # every transient state, each after the states it has edges into
     assert sorted(orders[0].tolist()) == list(range(model.num_states - 2))
     at = np.empty(model.num_states, dtype=np.int64)
@@ -215,67 +211,57 @@ def _canonical(labels):
     return least[labels]
 
 
-def test_both_searches_split_the_graph_alike(monkeypatch, models_dir):
-    # the compiled search and the worklist loop, and the order Kahn's
-    # algorithm derives, also from a numbering of the components that is
-    # not successors first
+def _runs(label, order):
+    """Per state, its run along ``order``: a new number wherever the
+    component (``label``) changes, so a component split into two runs gets
+    two numbers."""
+    along = label[order]
+    runs = np.cumsum(np.append(0, along[1:] != along[:-1]))
+    out = np.empty(len(order), dtype=np.int64)
+    out[order] = runs
+    return out
+
+
+def test_the_split_equals_scipys_strong_components(models_dir):
+    # scipy's strong search as an oracle of the components; the order and
+    # the states alone are checked against them
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     rng = random.Random(32)
-    models = MDPS[:120] + ACYCLIC[:40] + [random_mdp(rng, 60) for _ in range(60)]
-    models.append(_retry_mdp(models_dir, 200))
-    compiled = derived = 0
+    models = MDPS + [random_mdp(rng, 60) for _ in range(100)]
+    models += [_retry_mdp(models_dir, 200), _retry_mdp(models_dir, 3000)]
+    seen = {"loops": 0, "repeats": 0, "cycles": 0, "large": 0}
     for model in models:
         arr = checking._model_arrays(model)
         n, start = arr.num_states, arr.branch_start[arr.choice_start]
         owner = np.repeat(np.arange(n), np.diff(start))
         graph = csr_matrix((np.ones(len(arr.targets)), (owner, arr.targets)), shape=(n, n))
+        # scipy's strong search does not return on a row that repeats a column
+        graph.sum_duplicates()
         count, label = connected_components(graph, directed=True, connection="strong")
         worklist = checking._worklist_components(start.tolist(), arr.targets.tolist())
         assert worklist[0] == count
         assert _canonical(worklist[1]).tolist() == _canonical(label).tolist()
+        split = checking._Split()
+        checking._split_components(arr, split)
+        assert sorted(split.order.tolist()) == list(range(n))
+        # each component is one run of the order
+        assert _canonical(_runs(label, split.order)).tolist() == _canonical(label).tolist()
+        # successors first: an edge between components goes back in the order
+        at = np.empty(n, dtype=np.int64)
+        at[split.order] = np.arange(n)
         cross = label[owner] != label[arr.targets]
-        splits = []
-        for limit, shuffle in ((0, False), (n + 1, False), (n + 1, True)):
-            monkeypatch.setattr(checking, "_SEARCH_LIMIT", limit)
-            split = checking._Split()
-            checking._split_components(arr, split)
-            if shuffle:
-                split.label = np.random.default_rng(n).permutation(count)[split.label]
-                src, dst = split.label[owner[cross]], split.label[arr.targets[cross]]
-                derived += not (dst < src).all()
-            checking._order_components(arr, split)
-            splits.append(split)
-            # successors first: an edge between components goes back in the order
-            at = np.empty(n, dtype=np.int64)
-            at[split.order] = np.arange(n)
-            assert (at[arr.targets[cross]] < at[owner[cross]]).all()
-        compiled += n >= 1024
+        assert (at[arr.targets[cross]] < at[owner[cross]]).all()
         loops = np.zeros(n, dtype=bool)
         loops[owner[arr.targets == owner]] = True
         sizes = np.bincount(label)[label]
-        for split in splits:
-            assert split.alone.tolist() == ((sizes == 1) & ~loops).tolist()
-    assert compiled == 1 and derived > 150, derived
-
-
-def test_a_split_with_a_cycle_between_its_components_leaves_every_region_to_the_sweeps(
-        monkeypatch):
-    # two states that send each other half their mass: a cycle, which a
-    # split into single states would hide
-    half = Fraction(1, 2)
-    model = ExplicitModel.from_rows(
-        kind="mdp", var_names=("s",), states=[(s,) for s in range(4)], initial=0,
-        choices=[[Choice(None, ((half, 1), (half, 2)))], [Choice(None, ((half, 0), (half, 3)))],
-                 [Choice(None, ((Fraction(1), 2),))], [Choice(None, ((Fraction(1), 3),))]],
-        costs=[Fraction(0)] * 4, labels={"t": frozenset({2})}, parameters={},
-    )
-    monkeypatch.setattr(checking, "_worklist_components",
-                        lambda start, succ: (len(start) - 1, list(range(len(start) - 1))))
-    vec, _ = reach_prob(model, "t", "max")
-    assert not checking._model_arrays(model).split.alone.any()
-    assert vec.iterations > 1 and vec.values[0] == pytest.approx(2 / 3)
+        assert split.alone.tolist() == ((sizes == 1) & ~loops).tolist()
+        seen["loops"] += bool(loops.any())
+        seen["repeats"] += len(np.unique(owner * n + arr.targets)) < len(arr.targets)
+        seen["cycles"] += bool((sizes > 1).any())
+        seen["large"] += n > 1000
+    assert min(seen["loops"], seen["repeats"], seen["cycles"]) > 200 and seen["large"] == 2, seen
 
 
 def test_the_tolerance_does_not_change_an_acyclic_region(models_dir):

@@ -506,6 +506,27 @@ def test_the_budget_product_cap_counts_states_times_budgets(monkeypatch):
         cost_bounded_reach(model, "no such label", 5)
 
 
+def test_a_cost_bound_that_is_not_an_integer_is_refused(monkeypatch):
+    # 2.5 failed inside numpy (arrays used as indices must be of integer
+    # type); the refusal comes before the product is built
+    model = build_model(parse_program(TWO_STATE_CHAIN))
+    monkeypatch.setattr(checking, "_product_arrays", lambda *args: pytest.fail("built"))
+    for bound in (2.5, 2.0, F(5, 2), F(2), "2", None):
+        with pytest.raises(ValueError) as refused:
+            cost_bounded_reach(model, "t", bound)
+        assert str(refused.value) == f"cost bound must be an integer, got {bound!r}"
+    monkeypatch.undo()
+    assert cost_bounded_reach(model, "t", np.int64(2)) == cost_bounded_reach(model, "t", 2) == 1.0
+
+
+def test_a_boolean_cost_bound_is_refused():
+    # True was read as the bound 1
+    model = build_model(parse_program(TWO_STATE_CHAIN))
+    for bound in (True, False):
+        with pytest.raises(ValueError, match=f"^cost bound must be an integer, got {bound}$"):
+            cost_bounded_reach(model, "t", bound)
+
+
 # --- specifications -------------------------------------------------------------
 
 def test_property_parsing():

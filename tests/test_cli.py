@@ -422,6 +422,14 @@ def test_check_refuses_a_tolerance_that_is_not_a_finite_nonnegative_number(capsy
         assert code == 0 and json.loads(out)["value"] == 0.9
 
 
+def test_build_refuses_a_state_cap_below_one(capsys, models_dir):
+    # such a cap built the model's initial state alone and exited 0
+    for cap in ("0", "-3"):
+        code, out, err = run(capsys, "build", str(models_dir / "die.mgcl"), f"--state-cap={cap}")
+        assert (code, out) == (2, "")
+        assert err == f"error: state cap must be at least 1, got {cap}\n"
+
+
 def test_check_reads_its_tolerance_and_state_cap(capsys, models_dir, tmp_path):
     # the tolerance of value iteration, which runs on the cyclic part of an
     # MDP: the controlled die, whose coin flips can repeat, stops earlier

@@ -131,13 +131,18 @@ def test_branch_and_bound_nodes_share_one_set_of_arrays(monkeypatch, two_stage):
     query = SynthesisQuery("s2", F("0.2"), "absorb")
     res = synthesize_transformed(program, query)
     assert res.feasible
-    assert len({disabled for disabled, _ in lps}) > 1 and len(built) == 1
-    arrays = program._controlled.model._arrays
+    # one set for the controlled model; the others are the stacks of the
+    # base model's family, which holds the admissible valuations
+    controlled = program._controlled.model
+    family = build_model(program)._family
+    assert [args[0] is controlled for args in built] == [False] * len(family.stacks) + [True]
+    assert len({disabled for disabled, _ in lps}) > 1
+    arrays = controlled._arrays
     assert all(arr is arrays for _, arr in lps)
     # a second call reads the kept model's arrays and builds none
     del lps[:]
     assert synthesize_transformed(program, query).feasible
-    assert len({disabled for disabled, _ in lps}) > 1 and len(built) == 1
+    assert len({disabled for disabled, _ in lps}) > 1 and len(built) == len(family.stacks) + 1
     assert all(arr is arrays for _, arr in lps)
 
 

@@ -31,6 +31,7 @@ from mimdp.models import (
     build_model,
     instantiate,
     well_defined_entries,
+    well_defined_valuations,
 )
 from mimdp.parser import parse_program
 from mimdp.program import pretty
@@ -326,6 +327,28 @@ def test_a_failing_build_keeps_nothing_and_fails_again(make, error, text, former
     assert former_text in str(err.value)
     if former is None:
         assert (type(err.value), str(err.value)) == outcomes[0]
+
+
+def test_a_transformed_only_call_keeps_the_family_and_drops_the_compiled_entries(two_stage):
+    # the admissible valuations come from the kept family alone, in the
+    # order of the former scan of every entry, which kept the compiled
+    # entries' value tables of every configuration
+    want = well_defined_valuations(build_model(replace(two_stage)))
+    program = replace(two_stage)
+    query = SynthesisQuery("s2", F("0.2"), "absorb", "transformed")
+    synthesize(program, query)
+    model = build_model(program)
+    assert model._family is not None and model._memo is None
+    assert synthesis._controlled(program, query).admissible is model._family.valuations
+    assert model._family.valuations == want
+    # a family whose floats overflow raises what the scan and the cost
+    # conversion after it raised, and keeps nothing
+    big = parse_program(BIG_COST)
+    for _ in range(2):
+        with pytest.raises(OverflowError) as err:
+            synthesize(big, SynthesisQuery("t", F(1), "t", "transformed"))
+        assert str(err.value) == "integer division result too large for a float"
+        assert build_model(big)._family is None
 
 
 def test_labels_are_looked_up_before_the_family_is_read():

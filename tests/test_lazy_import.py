@@ -81,8 +81,8 @@ def test_the_cost_bounded_check_of_the_200_retry_chain_loads_it():
 
 
 def test_the_one_pass_solve_of_the_controlled_40_retry_channel_does_not_load_it():
-    # its 241 states are below the limit: the components that show its free
-    # states lie on no cycle come from the worklist loop
+    # its 241 states are below the limit, so its backward searches run in
+    # the worklist loop, as the search for its components does at every size
     assert not _loads_csgraph("""
         from mimdp.transform import transform_all
         controlled, _ = transform_all(parse_file(f"{MODELS}/retry_channel.mgcl"))

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from mimdp import checking, shipyard
+from mimdp import checking, models, shipyard
 from mimdp.models import (
     BlockedActionWarning,
     DeadlockError,
@@ -249,6 +249,24 @@ def test_state_cap():
     """
     with pytest.raises(StateCapExceeded):
         build_model(parse_program(src), state_cap=10)
+
+
+@pytest.mark.parametrize("cap", [0, -1, -10**7])
+def test_a_state_cap_below_one_is_refused_before_exploring(monkeypatch, die, cap):
+    # the initial state is never counted against the cap, so such a cap
+    # gave a model of one state
+    monkeypatch.setattr(models, "_explore", lambda *args: pytest.fail("explored"))
+    with pytest.raises(ValueError) as refused:
+        build_model(die, state_cap=cap)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == f"state cap must be at least 1, got {cap}"
+
+
+def test_a_state_cap_of_one_holds_the_initial_state_alone(die):
+    one = parse_program("module m\n  x : [0..1] init 0;\n  [] x=0 -> true;\nendmodule\n")
+    assert build_model(one, state_cap=1).num_states == 1
+    with pytest.raises(StateCapExceeded, match="state cap of 1 states exceeded"):
+        build_model(die, state_cap=1)
 
 
 def test_bfs_indexing_is_deterministic(die):
