@@ -106,6 +106,9 @@ _POLISH_DENSE_LIMIT = 128
 # import of scipy.sparse.csgraph, about 0.4 s and 33 MB in a process
 # without scipy.sparse
 _SEARCH_LIMIT = 1024
+# configurations of one support stack solved at once (``solve_stacks``):
+# bounds the value stacks of one chain solve by about this many numbers
+_FAMILY_BLOCK = 1 << 20
 
 
 class ExpectedCostUndefined(ModelError):
@@ -793,7 +796,8 @@ def _at_least_one(m: np.ndarray) -> np.ndarray:
 def _target_set(model: ExplicitModel, targets) -> np.ndarray:
     """The states ``targets`` names, as a mask over the model's states:
     ``targets`` is a label, a boolean mask of the model's length, which is
-    taken as it is, or state indices, each of which must be in range."""
+    taken as it is, or state indices, each of which must be in range and
+    none of which may be a bool (a list of bools is not a mask)."""
     n = model.num_states
     if isinstance(targets, np.ndarray) and targets.dtype == bool:
         if targets.shape != (n,):
@@ -804,7 +808,12 @@ def _target_set(model: ExplicitModel, targets) -> np.ndarray:
     if isinstance(targets, str):
         states = model.label_states(targets)
     else:
-        states = set(int(t) for t in targets)
+        states = set()
+        for t in targets:
+            if isinstance(t, (bool, np.bool_)):
+                raise ModelError(f"target state {t} is a bool: a state mask must be "
+                                 "a numpy array of bools")
+            states.add(int(t))
         for t in states:
             if not (0 <= t < n):
                 raise ModelError(f"target state {t} out of range")
@@ -1002,7 +1011,7 @@ def stack_family(
 
 
 def solve_stacks(model: ExplicitModel, stacks: Sequence[_Stack], target: np.ndarray,
-                 goal: np.ndarray, block: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+                 goal: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Solve the stacks of a family of chains (``stack_family``): per
     configuration, in the family's order, the probability of reaching the
     mask ``target`` and the expected cost to the mask ``goal`` at the
@@ -1010,15 +1019,15 @@ def solve_stacks(model: ExplicitModel, stacks: Sequence[_Stack], target: np.ndar
     its instance (the cost is inf where it is undefined).
 
     A stack's configurations share its arrays and qualitative sets, and
-    their linear systems are solved as one stack, at most ``block`` rows at
-    a time (all of them when None); a system the solve cannot meet raises
-    ``ModelError``, as on the configuration's instance.  The stacks are
-    only read."""
+    their linear systems are solved as one stack, as many rows at a time as
+    keep a block within about ``_FAMILY_BLOCK`` numbers; a system the solve
+    cannot meet raises ``ModelError``, as on the configuration's instance.
+    The stacks are only read."""
     count = sum(len(stack.members) for stack in stacks)
     pr = np.empty(count)
     ec = np.empty(count)
+    step = max(1, _FAMILY_BLOCK // (model.num_transitions + model.num_states))
     for stack in stacks:
-        step = block or len(stack.members)
         for lo in range(0, len(stack.members), step):
             part = slice(lo, lo + step)
             members, arr = stack.members[part], stack.arr.rows(part)

@@ -3,11 +3,15 @@
 Desk-scale only (fixed caps of 1e4 variables, ``DEFAULT_VAR_CAP``, and of
 2.5e7 tableau entries, ``DEFAULT_TABLEAU_CAP``): the point is zero external
 solver dependencies and bit-reproducible pivoting.  Variables are
-nonnegative; constraints may be <=, = or >=.  A program is its dense
-constraint matrix with one sense and one right-hand side per row, the form
-``scipy.optimize.linprog`` also takes; the matrix goes into the tableau in
-one assignment.  Every entry must be finite.  ``solve_lp(lp, *, secondary)``
-solves it.
+nonnegative.  A program has one form, the occupation-measure LP's: its
+dense constraint matrix holds the equality rows first, then the ``<=``
+rows, and every right-hand side is nonnegative (-0.0 counts as zero).  The
+matrix goes into the tableau in one assignment, followed by one slack
+column per ``<=`` row and one artificial column per equality row, so every
+row has a basic column from the start and a program of ``m`` rows and
+``n`` variables has a tableau of ``m`` rows and ``n + m + 1`` columns;
+``check_size`` refuses one above the caps before anything is allocated.
+Every entry must be finite.  ``solve_lp(lp, *, secondary)`` solves it.
 
 A pivot takes one of two forms, chosen from the tableau's row count.  Below
 ``_WIDE_ROWS`` rows it subtracts the outer product of the pivot column and
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -60,22 +64,21 @@ class LpSizeError(LpError):
     pass
 
 
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
-
-
 @dataclass
 class LinearProgram:
-    """min objective . x  subject to  constraints @ x (senses) rhs,  x >= 0.
+    """min objective . x  subject to  A[:e] @ x = rhs[:e],  A[e:] @ x <= rhs[e:],
+    x >= 0,  where A is ``constraints`` and e is ``equalities``.
 
     ``objective`` has one entry per variable, ``constraints`` one row per
-    constraint and one column per variable, and ``senses`` ('<=', '=' or
-    '>=') and ``rhs`` one entry per row.  ``solve_lp`` copies the matrix
-    into the simplex tableau in one assignment, negating the rows with a
-    negative right-hand side."""
+    constraint and one column per variable, and ``rhs`` one entry per row.
+    The first ``equalities`` rows are equalities and every later row is a
+    ``<=`` row.  A right-hand side below zero raises ``LpError`` (-0.0 is
+    zero), as does a non-finite entry.  ``solve_lp`` copies the matrix into
+    the simplex tableau in one assignment."""
 
     objective: np.ndarray
     constraints: np.ndarray
-    senses: Sequence[str]
+    equalities: int
     rhs: np.ndarray
 
     def __post_init__(self):
@@ -83,14 +86,16 @@ class LinearProgram:
         self.constraints = np.asarray(self.constraints, dtype=np.float64)
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
         shape = (len(self.rhs), self.num_vars)
-        if self.constraints.shape != shape or len(self.senses) != shape[0]:
-            raise LpError(f"a {self.constraints.shape} matrix and {len(self.senses)} "
-                          f"senses for {shape[0]} rows of {shape[1]} variables")
-        if not set(self.senses) <= _FLIPPED.keys():
-            raise LpError(f"bad constraint senses {self.senses!r}")
+        if self.constraints.shape != shape:
+            raise LpError(f"a {self.constraints.shape} matrix for {shape[0]} rows "
+                          f"of {shape[1]} variables")
+        if not 0 <= self.equalities <= shape[0]:
+            raise LpError(f"{self.equalities} equality rows of {shape[0]} rows")
         for name in ("objective", "constraints", "rhs"):
             if not np.isfinite(getattr(self, name)).all():
                 raise LpError(f"non-finite entries in the {name}")
+        if (self.rhs < 0.0).any():
+            raise LpError("a negative right-hand side")
 
     @property
     def num_vars(self) -> int:
@@ -104,20 +109,34 @@ class LpSolution:
     objective: Optional[float]
 
 
+def check_size(rows: int, variables: int) -> None:
+    """Raise ``LpSizeError`` if a program of ``rows`` rows and ``variables``
+    variables has more than ``DEFAULT_VAR_CAP`` variables, or a tableau of
+    more than ``DEFAULT_TABLEAU_CAP`` entries (``rows`` by ``variables +
+    rows + 1``)."""
+    if variables > DEFAULT_VAR_CAP:
+        raise LpSizeError(
+            f"{variables} variables exceed the desk-scale cap of {DEFAULT_VAR_CAP}"
+        )
+    columns = variables + rows + 1
+    if rows * columns > DEFAULT_TABLEAU_CAP:
+        raise LpSizeError(
+            f"a tableau of {rows} rows and {columns} columns exceeds the desk-scale "
+            f"cap of {DEFAULT_TABLEAU_CAP} entries"
+        )
+
+
 def solve_lp(lp: LinearProgram, *, secondary: Optional[np.ndarray] = None) -> LpSolution:
     """Solve the program; with ``secondary`` (one coefficient per variable),
     lexicographically minimize the secondary objective over the
     primary-optimal face (entering columns are restricted to zero reduced
     cost in the primary, so the primary optimum is preserved exactly).  A
-    program of more than ``DEFAULT_VAR_CAP`` variables, or whose tableau
-    would have more than ``DEFAULT_TABLEAU_CAP`` entries, raises
-    ``LpSizeError`` before the tableau is allocated."""
-    if lp.num_vars > DEFAULT_VAR_CAP:
-        raise LpSizeError(
-            f"{lp.num_vars} variables exceed the desk-scale cap of {DEFAULT_VAR_CAP}"
-        )
+    program ``check_size`` refuses raises ``LpSizeError`` before the
+    tableau is allocated."""
     n = lp.num_vars
     m = len(lp.rhs)
+    e = lp.equalities
+    check_size(m, n)
     if secondary is not None:
         secondary = np.asarray(secondary, dtype=np.float64)
         if secondary.shape != (n,):
@@ -126,49 +145,16 @@ def solve_lp(lp: LinearProgram, *, secondary: Optional[np.ndarray] = None) -> Lp
         if not np.isfinite(secondary).all():
             raise LpError("non-finite entries in the secondary objective")
 
-    # count auxiliary columns: slack for <=, surplus for >=, artificial for =/>=
-    # rows are first normalized to nonnegative right-hand sides
-    flip = lp.rhs < 0
-    scale = np.where(flip, -1.0, 1.0)
-    senses = [_FLIPPED[s] if f else s for s, f in zip(lp.senses, flip.tolist())]
-    rhs = scale * lp.rhs
-
-    n_slack = sum(1 for s in senses if s == "<=")
-    n_surplus = sum(1 for s in senses if s == ">=")
-    n_art = sum(1 for s in senses if s in ("=", ">="))
-    total = n + n_slack + n_surplus + n_art
-    if m * (total + 1) > DEFAULT_TABLEAU_CAP:
-        raise LpSizeError(
-            f"a tableau of {m} rows and {total + 1} columns exceeds the desk-scale "
-            f"cap of {DEFAULT_TABLEAU_CAP} entries"
-        )
+    # the variables, a slack per <= row, then an artificial per equality
+    # row, both in row order: each row's own column is basic
+    total = n + m
     tab = np.zeros((m, total + 1))
     tab[:, :n] = lp.constraints
-    # 0.0 + scale * v per entry, in place: every zero is +0.0 (-v would
-    # make the zeros of a negated row -0.0)
-    tab[:, :n] *= scale[:, None]
-    tab[:, :n] += 0.0
-    tab[:, -1] = rhs
-
-    basis = [-1] * m
-    art_cols = []
-    col = n
-    for i, s in enumerate(senses):
-        if s == "<=":
-            tab[i, col] = 1.0
-            basis[i] = col
-            col += 1
-    for i, s in enumerate(senses):
-        if s == ">=":
-            tab[i, col] = -1.0
-            col += 1
-    for i, s in enumerate(senses):
-        if s in ("=", ">="):
-            tab[i, col] = 1.0
-            basis[i] = col
-            art_cols.append(col)
-            col += 1
-    assert col == total
+    tab[:, :n] += 0.0  # every zero +0.0: a -0.0 of the matrix would stay
+    tab[:, -1] = lp.rhs
+    basis = list(range(n + m - e, total)) + list(range(n, n + m - e))
+    tab[np.arange(m), basis] = 1.0
+    art_cols = basis[:e]
 
     allowed = np.ones(total, dtype=bool)
 
@@ -180,7 +166,7 @@ def solve_lp(lp: LinearProgram, *, secondary: Optional[np.ndarray] = None) -> Lp
         status = _pivot_loop(tab, basis, z, allowed)
         if status != "optimal":  # phase-1 objective is bounded below by 0
             return LpSolution("infeasible", None, None)
-        if z[-1] < -PIVOT_TOL * max(1.0, float(np.max(np.abs(rhs))) ):
+        if z[-1] < -PIVOT_TOL * max(1.0, float(np.max(lp.rhs))):
             # z holds the negated objective value in its last entry
             return LpSolution("infeasible", None, None)
         _drive_out_artificials(tab, basis, set(art_cols))
@@ -197,9 +183,7 @@ def solve_lp(lp: LinearProgram, *, secondary: Optional[np.ndarray] = None) -> Lp
         # restrict to the optimal face of the primary objective
         tol = PIVOT_TOL * max(1.0, float(np.max(np.abs(cost2), initial=0.0)))
         face = allowed & (np.abs(z[:-1]) <= tol)
-        for b in basis:
-            if 0 <= b < total:
-                face[b] = allowed[b]
+        face[basis] = allowed[basis]
         cost3 = np.zeros(total)
         cost3[:n] = secondary
         z3 = _price_out(tab, basis, cost3)
@@ -207,7 +191,7 @@ def solve_lp(lp: LinearProgram, *, secondary: Optional[np.ndarray] = None) -> Lp
 
     x = np.zeros(n)
     for i, b in enumerate(basis):
-        if 0 <= b < n:
+        if b < n:
             x[b] = tab[i, -1]
     used = np.flatnonzero(lp.objective)  # summed in index order, as a float
     objective = float(sum(lp.objective[used] * x[used]))

@@ -49,6 +49,7 @@ from .checking import (
     _Arrays,
     _branches,
     _model_arrays,
+    _model_costs,
     _prob1_min,
     _reach,
     _target_set,
@@ -58,7 +59,7 @@ from .checking import (
     stack_family,
 )
 from .expressions import Expr, format_fraction
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, check_size, solve_lp
 from .models import (
     ExplicitModel,
     LazySequence,
@@ -250,7 +251,9 @@ def constrained_mdp_lp(
 
     ``targets`` and ``goals`` are labels, boolean masks over the model's
     states or sets of states; a state out of range raises ``ModelError``,
-    as in ``reach_prob``.  The LP is read off the model's flat arrays
+    as in ``reach_prob``.  The state costs are read as ``expected_cost``
+    reads them (``checking._model_costs``), so a negative or symbolic cost
+    raises ``ModelError``.  The LP is read off the model's flat arrays
     (``checking._model_arrays``, built once per model); the disabled
     actions only switch choices off.
     """
@@ -262,7 +265,7 @@ def constrained_mdp_lp(
     arr = _model_arrays(model)
     enabled = np.fromiter((a not in disabled_actions for a in model.actions),
                           dtype=bool, count=arr.num_choices)
-    costs = [float(c) for c in model.costs]
+    costs = _model_costs(model).real()[0]
     return _occupation_lp(model, arr, costs, target, goal, lam, enabled)
 
 
@@ -274,8 +277,10 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, target: np.ndarray
     state costs as floats and the mask of enabled choices; ``target`` and
     ``goal`` are masks over the model's states.  The LP is one dense matrix, a
     column per variable: a conservation row per transient state, then the
-    bound row.  With ``check`` false the caller has made the improper-model
-    check on the same graph, targets, goals and mask already.
+    bound row, the one form ``lp.solve_lp`` takes; ``lp.check_size``
+    refuses an oversized one before the matrix is allocated.  With
+    ``check`` false the caller has made the improper-model check on the
+    same graph, targets, goals and mask already.
 
     The solution keeps the LP's flows, from which it reads its support;
     the exact ``Strategy`` is built only if the solution's ``strategy`` is
@@ -311,6 +316,7 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, target: np.ndarray
     # one variable per enabled choice of a transient state that is not a
     # dead end, in state order, then choice order
     variables = np.flatnonzero(enabled & ~terminal[owner])
+    check_size(m + 1, len(variables))
     states = owner[variables]
     var, succ, probs = _branches(arr, variables)
 
@@ -330,7 +336,7 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, target: np.ndarray
     # among cost-minimal strategies, canonicalize to the one with the
     # smallest target probability (the cost optimum alone can be a flat face
     # on which the probability varies, and both synthesis routes must agree)
-    sol = solve_lp(LinearProgram(cost, a, ["="] * m + ["<="], rhs), secondary=bound_row)
+    sol = solve_lp(LinearProgram(cost, a, m, rhs), secondary=bound_row)
     if sol.status == "infeasible":
         raise InfeasibleError(f"no strategy meets the bound {lam}")
     if sol.status != "optimal":
@@ -346,11 +352,6 @@ def _occupation_lp(model: ExplicitModel, arr: _Arrays, costs, target: np.ndarray
 
 # ---------------------------------------------------------------------------
 # route 1: exhaustive enumeration
-
-# configurations of one support group solved at once: bounds the value
-# stacks of one chain solve by about this many numbers
-_FAMILY_BLOCK = 1 << 20
-
 
 class _Family:
     """What enumeration reads of a family and no query changes, kept on its
@@ -388,20 +389,16 @@ def _kept_family(model: ExplicitModel) -> _Family:
     return model._family
 
 
-def _chain_block(model: ExplicitModel) -> int:
-    return max(1, _FAMILY_BLOCK // (model.num_transitions + model.num_states))
-
-
 def _evaluate(model: ExplicitModel, family: _Family, chains: bool, target: np.ndarray,
               goal: np.ndarray, lam: float) -> Tuple[_Table, Optional[list]]:
     """The table of ``family`` under the query, and on an MDP family the LP
     solution per configuration (None where no strategy meets the bound).
-    A chain family's stacks are solved by ``checking.solve_stacks``, at
-    most ``_chain_block`` configurations at a time; an MDP family's LPs
-    run in the family's order, once per distinct row (``_Stack.first``):
-    a repeated configuration shares its first one's outcome."""
+    A chain family's stacks are solved by ``checking.solve_stacks``; an
+    MDP family's LPs run in the family's order, once per distinct row
+    (``_Stack.first``): a repeated configuration shares its first one's
+    outcome."""
     if chains:
-        prs, ecs = solve_stacks(model, family.stacks, target, goal, _chain_block(model))
+        prs, ecs = solve_stacks(model, family.stacks, target, goal)
         feasible = (prs <= lam + FEASIBILITY_TOL) & np.isfinite(ecs)
         return _Table(family.valuations, ecs, prs, feasible), None
     where = {i: (stack, row) for stack in family.stacks  # configuration -> its stack and row
@@ -582,9 +579,10 @@ class _Controlled:
 
     ``model`` is the explored controlled MDP, ``arr`` its arrays (the ones
     kept on the model), which every LP reads, and ``costs`` its state
-    costs as floats.  ``table`` is its commitment table over the program's
-    declared parameters and values (``_commitment_table``), read by every
-    node's choice mask (``enabled``) and by the support walk;
+    costs as ``expected_cost`` reads them (``checking._model_costs``).
+    ``table`` is its commitment table over the program's declared
+    parameters and values (``_commitment_table``), read by every node's
+    choice mask (``enabled``) and by the support walk;
     ``occurring`` lists its columns that some fresh action of the report
     commits, in declaration order, whether or not the model reaches a
     choice of that action.  ``admissible`` holds the well-defined
@@ -607,7 +605,7 @@ class _Controlled:
         params = program.parameters
         self.model = model
         self.arr = _model_arrays(model)
-        self.costs = np.array([float(c) for c in model.costs])
+        self.costs = _model_costs(model).real()[0]
         self.table = _commitment_table(model, report, params)
         committed = report.committed_values()
         self.occurring = [j for j, p in enumerate(params) if p in committed]

@@ -93,11 +93,9 @@ from mimdp.expressions import (
     to_text,
 )
 from mimdp.lp import (
-    _FLIPPED,
     DEFAULT_TABLEAU_CAP,
     DEFAULT_VAR_CAP,
     PIVOT_TOL,
-    LinearProgram,
     LpError,
     LpSizeError,
     LpSolution,
@@ -2043,11 +2041,53 @@ def _drive_out_artificials(tab: np.ndarray, basis: List[int], art: set) -> None:
 # ---------------------------------------------------------------------------
 # the former simplex: every pivot subtracted the outer product of the pivot
 # column and the pivot row from the whole tableau, and Python loops scanned
-# for the entering column and the leaving row at every size.  Kept verbatim
-# apart from the names (the prefix ``former_``); ``tests/test_lp.py``
-# compares it with ``solve_lp`` bit for bit, pivot count included.
+# for the entering column and the leaving row at every size.  It took
+# programs with a sense per row ('<=', '=' or '>=') and right-hand sides of
+# either sign, and negated the rows with a negative one; ``solve_lp`` now
+# takes the equality rows first, then the <= rows, with nonnegative
+# right-hand sides.  Kept verbatim apart from the names (the prefix
+# ``former_``, ``FormerLinearProgram`` for the program); ``tests/test_lp.py``
+# compares it with ``solve_lp`` bit for bit, pivot count included, on the
+# programs of the one form, written with senses ``["="] * e + ["<="] * (m - e)``.
 
-def former_solve_lp(lp: LinearProgram, *, secondary: Optional[np.ndarray] = None) -> LpSolution:
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+@dataclass
+class FormerLinearProgram:
+    """min objective . x  subject to  constraints @ x (senses) rhs,  x >= 0.
+
+    ``objective`` has one entry per variable, ``constraints`` one row per
+    constraint and one column per variable, and ``senses`` ('<=', '=' or
+    '>=') and ``rhs`` one entry per row.  ``solve_lp`` copies the matrix
+    into the simplex tableau in one assignment, negating the rows with a
+    negative right-hand side."""
+
+    objective: np.ndarray
+    constraints: np.ndarray
+    senses: Sequence[str]
+    rhs: np.ndarray
+
+    def __post_init__(self):
+        self.objective = np.asarray(self.objective, dtype=np.float64)
+        self.constraints = np.asarray(self.constraints, dtype=np.float64)
+        self.rhs = np.asarray(self.rhs, dtype=np.float64)
+        shape = (len(self.rhs), self.num_vars)
+        if self.constraints.shape != shape or len(self.senses) != shape[0]:
+            raise LpError(f"a {self.constraints.shape} matrix and {len(self.senses)} "
+                          f"senses for {shape[0]} rows of {shape[1]} variables")
+        if not set(self.senses) <= _FLIPPED.keys():
+            raise LpError(f"bad constraint senses {self.senses!r}")
+        for name in ("objective", "constraints", "rhs"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise LpError(f"non-finite entries in the {name}")
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
+
+
+def former_solve_lp(lp: FormerLinearProgram, *, secondary: Optional[np.ndarray] = None) -> LpSolution:
     """Solve the program; with ``secondary`` (one coefficient per variable),
     lexicographically minimize the secondary objective over the
     primary-optimal face (entering columns are restricted to zero reduced
@@ -3641,13 +3681,14 @@ def percall_synthesize_enumerate(program: Program, query: SynthesisQuery) -> Syn
 # ``Strategy.__post_init__`` summed and divided at every state, one
 # positive weight included.  Kept verbatim apart from the names (the prefix
 # ``eager_``, ``eager_strategy_choice_probs`` for the normalisation, which
-# takes and returns ``choice_probs``) and the module prefixes.
+# takes and returns ``choice_probs``) and the module prefixes; the block
+# argument of ``checking.solve_stacks``, which now computes it itself, is
+# dropped.
 
 def eager_evaluate(model: ExplicitModel, family, chains: bool, target: np.ndarray,
                    goal: np.ndarray, lam: float) -> Tuple[List[TableEntry], Optional[list]]:
     if chains:
-        prs, ecs = checking.solve_stacks(model, family.stacks, target, goal,
-                                         synthesis._chain_block(model))
+        prs, ecs = checking.solve_stacks(model, family.stacks, target, goal)
         table = [
             TableEntry(dict(u), ec, pr, pr <= lam + FEASIBILITY_TOL and math.isfinite(ec))
             for u, pr, ec in zip(family.valuations, prs.tolist(), ecs.tolist())
@@ -3741,13 +3782,13 @@ def eager_strategy_choice_probs(choice_probs: list) -> list:
 # when it was built.  Kept verbatim apart from the names (the prefix
 # ``resolving_``; ``eager_solution_strategy``, which takes the solution,
 # and which the former branch-and-bound calls for its reported strategy)
-# and the module prefixes.
+# and the module prefixes; the block argument of ``checking.solve_stacks``,
+# which now computes it itself, is dropped.
 
 def resolving_evaluate(model: ExplicitModel, family, chains: bool, target: np.ndarray,
                        goal: np.ndarray, lam: float):
     if chains:
-        prs, ecs = checking.solve_stacks(model, family.stacks, target, goal,
-                                         synthesis._chain_block(model))
+        prs, ecs = checking.solve_stacks(model, family.stacks, target, goal)
         feasible = (prs <= lam + FEASIBILITY_TOL) & np.isfinite(ecs)
         return synthesis._Table(family.valuations, ecs, prs, feasible), None
     where = {}  # configuration -> (its stack, its row there)

@@ -188,6 +188,30 @@ def test_a_mask_of_another_length_is_refused():
     assert reach_prob(model, [2])[0].values.tolist() == [1.0, 1.0, 1.0]
 
 
+def test_a_list_of_bools_is_not_read_as_states(die):
+    # the mask of "one" (state 7) as a list was read as the states 0 and
+    # 1, so reaching it had probability 1.0; the mask itself gives 0.0797
+    model = instantiate(build_model(die), {"p": F(3, 10)})
+    mask = np.zeros(model.num_states, dtype=bool)
+    mask[sorted(model.label_states("one"))] = True
+    assert np.flatnonzero(mask).tolist() == [7]
+    assert round(reach_prob(model, mask)[0].values[model.initial], 4) == 0.0797
+    calls = [
+        lambda t: reach_prob(model, t),
+        lambda t: expected_cost(model, t),
+        lambda t: cost_bounded_reach(model, t, 3),
+        lambda t: constrained_mdp_lp(model, t, 1, "rolled"),
+        lambda t: constrained_mdp_lp(model, "one", 1, t),
+    ]
+    for call in calls:
+        for targets in (mask.tolist(), list(mask), [7, True], (np.bool_(False),)):
+            with pytest.raises(ModelError, match=r"^target state (True|False) is a bool"):
+                call(targets)
+    # numpy integers are state indices, as before
+    assert reach_prob(model, np.array([7]))[0].values[model.initial] == \
+        reach_prob(model, mask)[0].values[model.initial]
+
+
 TOL_MDP = """\
 module m
   s : [0..5] init 0;

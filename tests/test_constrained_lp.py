@@ -20,6 +20,7 @@ import pytest
 import oracles
 from generators import random_mdp
 from mimdp import checking, models, synthesis
+from mimdp.expressions import Name
 from mimdp.models import build_model
 from mimdp.parser import parse_file, parse_program
 from mimdp.synthesis import (
@@ -153,6 +154,38 @@ def test_a_state_out_of_range_raises_as_in_reach_prob():
             constrained_mdp_lp(model, targets, F(1), goals)
     with pytest.raises(models.ModelError, match=r"^target state 4 out of range$"):
         checking.reach_prob(model, {3, 4})
+
+
+def _costed(cost):
+    # state 0 picks between state 1 and a half-half split into 1 and 2
+    choices = [
+        [models.Choice("a", ((F(1), 1),)), models.Choice("b", ((F(1, 2), 1), (F(1, 2), 2)))],
+        [models.Choice(None, ((F(1), 1),))],
+        [models.Choice(None, ((F(1), 2),))],
+    ]
+    return models.ExplicitModel.from_rows(
+        kind="mdp", var_names=("s",), states=[(0,), (1,), (2,)], initial=0, choices=choices,
+        costs=[cost, F(0), F(0)], labels={"t": frozenset({1}), "g": frozenset({1, 2})},
+        parameters={},
+    )
+
+
+def test_the_lp_reads_state_costs_as_expected_cost_does():
+    # a negative cost: the LP answered ec = -1.0, which expected_cost refuses
+    negative = _costed(F(-1))
+    for call in (lambda: constrained_mdp_lp(negative, "t", F(1), "g"),
+                 lambda: checking.expected_cost(negative, "g")):
+        with pytest.raises(models.ModelError, match="^negative cost at state 0$"):
+            call()
+    # a symbolic cost: the LP raised a bare TypeError from float()
+    symbolic = _costed(Name("c"))
+    for call in (lambda: constrained_mdp_lp(symbolic, "t", F(1), "g"),
+                 lambda: checking.expected_cost(symbolic, "g")):
+        with pytest.raises(models.ModelError, match="^expected cost needs concrete state costs$"):
+            call()
+    # a concrete nonnegative cost is read as before
+    res = constrained_mdp_lp(_costed(F(3)), "t", F("0.75"), "g")
+    assert (res.expected_cost, res.reach_probability) == (3.0, 0.5)
 
 
 # one nondeterministic state and a state s=1 that loops back with

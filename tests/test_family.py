@@ -301,6 +301,6 @@ def test_blocks_of_configurations_equal_one_block(monkeypatch):
     assert solved == [len(whole.table)]
     # a fresh program: the kept stacks of the first are not read
     solved.clear()
-    monkeypatch.setattr(synthesis, "_FAMILY_BLOCK", 1)
+    monkeypatch.setattr(checking, "_FAMILY_BLOCK", 1)
     assert synthesize_enumerate(replace(program), query) == whole
     assert solved == [1] * len(whole.table)
